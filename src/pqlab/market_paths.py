@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,29 +459,31 @@ def _pack_group(slices) -> dict:
 
 
 def _unpack_group(archive, group: str, l_max: int) -> list:
-    offsets = archive[f"{group}_offsets"]
-    returns = archive[f"{group}_returns"]
+    # read each member once: every archive[...] lookup re-parses the npz entry
+    col = {key: archive[f"{group}_{key}"] for key in
+           ("s0", "start", "window", "sigma", "r", "tcal", "ttrad", "returns", "offsets")}
+    offsets = col["offsets"]
     slices = []
     for i in range(len(offsets) - 1):
-        rets = returns[offsets[i] : offsets[i + 1]]
+        rets = col["returns"][offsets[i] : offsets[i + 1]]
         n = len(rets)
         mask = np.zeros(l_max, dtype=bool)
         mask[:n] = True
         cond = ConditionVector(
-            sigma_hist=float(archive[f"{group}_sigma"][i]),
-            r=float(archive[f"{group}_r"][i]),
-            t_calendar=float(archive[f"{group}_tcal"][i]),
-            t_trading=float(archive[f"{group}_ttrad"][i]),
+            sigma_hist=float(col["sigma"][i]),
+            r=float(col["r"][i]),
+            t_calendar=float(col["tcal"][i]),
+            t_trading=float(col["ttrad"][i]),
             n_trading=n,
         )
         slices.append(
             PathSlice(
-                s0=float(archive[f"{group}_s0"][i]),
+                s0=float(col["s0"][i]),
                 log_returns=rets.copy(),
                 mask=mask,
                 condition=cond,
-                window_calendar_days=int(archive[f"{group}_window"][i]),
-                start_date=archive[f"{group}_start"][i],
+                window_calendar_days=int(col["window"][i]),
+                start_date=col["start"][i],
             )
         )
     return slices
@@ -501,13 +505,25 @@ def save_slices(path, split: SplitSlices) -> None:
     np.savez(path, **payload)
 
 
-def load_slices(path) -> SplitSlices:
-    """Load a slice store written by save_slices."""
+@contextmanager
+def read_npz(path, what: str):
+    """Open an npz archive; unreadable, truncated or incomplete ones raise DataError."""
     try:
         archive = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read slice store {path}: {exc}") from exc
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{what} {path} is not an npz archive")
     with archive:
+        try:
+            yield archive
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"corrupt {what} {path}: {exc}") from exc
+
+
+def load_slices(path) -> SplitSlices:
+    """Load a slice store written by save_slices."""
+    with read_npz(path, "slice store") as archive:
         if str(archive["version"]) != SLICES_VERSION:
             raise DataError(f"unsupported slice store version {archive['version']!r}")
         l_max = int(archive["l_max"])

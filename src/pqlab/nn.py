@@ -131,45 +131,3 @@ def upsample2_backward(gy: np.ndarray):
     b, c, length = gy.shape
     return gy.reshape(b, c, length // 2, 2).sum(axis=3)
 
-
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients in place so the global L2 norm is <= max_norm.
-
-    Returns the pre-clip norm.
-    """
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return norm
-
-
-class Adam:
-    """Adaptive-moment optimizer over a dict of parameter arrays."""
-
-    def __init__(self, param_shapes: dict, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step_count = 0
-        self.m = {k: np.zeros(s) for k, s in param_shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in param_shapes.items()}
-
-    def update(self, params: dict, grads: dict) -> None:
-        self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
-        for key, g in grads.items():
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)

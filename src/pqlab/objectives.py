@@ -5,6 +5,13 @@ Seven auxiliary terms (jump, volatility clustering, global volatility, tail,
 drift, pinball, spectral) are computed on reconstructed data-space sequences
 and blended in with linearly warmed-up weights.
 
+Each auxiliary term is one batched kernel over a (G, n) block of rows that
+share a valid length n.  total_loss groups the batch rows by mask length,
+slices each group's valid prefixes out (padding is never read, so it may
+hold anything), evaluates every kernel once per group and scatters the
+weighted gradients back.  The public single-term functions are the same
+kernels applied to one (1, n) row.
+
 All sequence statistics use population (biased) moments so that the
 small-sequence identities asserted in the tests are exact.  Standard
 deviations carry a 1e-12 variance floor: constant windows then contribute
@@ -18,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, NumericError
 
@@ -131,14 +139,12 @@ def _pair(pred, true) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
-def _prefix_len(mask) -> int:
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != 1:
-        raise DataError("mask must be 1-D")
-    n = int(m.sum())
-    if n and not m[:n].all():
+def _prefix_lens(mask: np.ndarray) -> np.ndarray:
+    """Valid length of each row of a (B, L) mask of contiguous prefixes."""
+    lens = mask.sum(axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lens[:, None]):
         raise DataError("mask must be a contiguous prefix of valid positions")
-    return n
+    return lens
 
 
 def _smooth_l1(d: np.ndarray) -> np.ndarray:
@@ -150,13 +156,9 @@ def _smooth_l1_grad(d: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d) < SMOOTH_L1_DELTA, d, np.sign(d))
 
 
-def _guarded_std(x: np.ndarray) -> tuple[float, float]:
-    mu = float(x.mean())
-    return mu, float(np.sqrt(x.var() + VAR_FLOOR))
-
-
-# ---------------------------------------------------------------------------
-# per-term value + gradient on 1-D valid prefixes (gradient is wrt pred)
+def _guarded_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and floored population stds along the last axis."""
+    return x.mean(axis=-1), np.sqrt(x.var(axis=-1) + VAR_FLOOR)
 
 
 def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.ndarray]:
@@ -171,130 +173,150 @@ def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.nd
     return value, 2.0 * d / count
 
 
-def _jump_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    if p.size < 2:
+# ---------------------------------------------------------------------------
+# batched kernels: p (prediction) and t (truth) are (G, n) rows sharing one
+# valid length; each returns per-row values (G,) and gradients wrt p (G, n).
+# _tail and _spectral also return a per-row "defined" mask; undefined rows
+# come back as zeros in both the value and the gradient.
+
+
+def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if p.shape[1] < 2:
         _warn("jump loss needs >= 2 valid positions; returning 0")
-        return 0.0, np.zeros_like(p)
-    e = np.diff(p) - np.diff(t)
-    value = float(np.mean(np.abs(e)))
-    s = np.sign(e) / e.size
+        return np.zeros(len(p)), np.zeros_like(p)
+    e = np.diff(p, axis=1) - np.diff(t, axis=1)
+    s = np.sign(e) / e.shape[1]
     g = np.zeros_like(p)
-    g[1:] += s
-    g[:-1] -= s
-    return value, g
+    g[:, 1:] += s
+    g[:, :-1] -= s
+    return np.abs(e).mean(axis=1), g
 
 
-def _vol_clustering_vg(
+def _vol_clustering(
     p: np.ndarray, t: np.ndarray, window: int, stride: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     if window < 1 or stride < 1:
         raise ConfigError(f"window and stride must be >= 1, got {window}, {stride}")
-    if window > p.size:
+    if window > p.shape[1]:
         _warn("vol clustering window exceeds valid length; returning 0")
-        return 0.0, np.zeros_like(p)
-    starts = range(0, p.size - window + 1, stride)
-    sig_p = np.empty(len(starts))
-    mu_p = np.empty(len(starts))
-    sig_t = np.empty(len(starts))
-    for i, s in enumerate(starts):
-        mu_p[i], sig_p[i] = _guarded_std(p[s : s + window])
-        _, sig_t[i] = _guarded_std(t[s : s + window])
+        return np.zeros(len(p)), np.zeros_like(p)
+    wins_p = sliding_window_view(p, window, axis=1)[:, ::stride]  # (G, W, window)
+    mu_p, sig_p = _guarded_std(wins_p)
+    _, sig_t = _guarded_std(sliding_window_view(t, window, axis=1)[:, ::stride])
     d = sig_p - sig_t
-    value = float(np.mean(_smooth_l1(d)))
-    gd = _smooth_l1_grad(d) / len(starts)
+    count = d.shape[1]
+    gd = _smooth_l1_grad(d) / count
+    contrib = gd[..., None] * (wins_p - mu_p[..., None]) / (window * sig_p)[..., None]
+    # offset j of window i lands on i*stride + j; descending offsets add each
+    # position's windows in ascending order
     g = np.zeros_like(p)
-    for i, s in enumerate(starts):
-        seg = p[s : s + window]
-        g[s : s + window] += gd[i] * (seg - mu_p[i]) / (window * sig_p[i])
-    return value, g
+    span = (count - 1) * stride + 1
+    for j in reversed(range(window)):
+        g[:, j : j + span : stride] += contrib[:, :, j]
+    return _smooth_l1(d).mean(axis=1), g
 
 
-def _global_vol_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    if p.size < 2:
+def _global_vol(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = p.shape[1]
+    if n < 2:
         _warn("global vol needs >= 2 valid positions; returning 0")
-        return 0.0, np.zeros_like(p)
+        return np.zeros(len(p)), np.zeros_like(p)
     mu, sig_p = _guarded_std(p)
     _, sig_t = _guarded_std(t)
-    sgn = float(np.sign(sig_p - sig_t))
-    g = sgn * (p - mu) / (p.size * sig_p)
-    return abs(sig_p - sig_t), g
+    d = sig_p - sig_t
+    g = np.sign(d)[:, None] * (p - mu[:, None]) / (n * sig_p)[:, None]
+    return np.abs(d), g
 
 
-def _kurtosis_vg(x: np.ndarray) -> tuple[float, np.ndarray]:
-    n = x.size
-    c = x - x.mean()
-    m2 = float(np.mean(c * c))
-    if m2 < KURT_MIN_VAR:
-        raise NumericError("kurtosis undefined for a zero-variance sequence")
-    m3 = float(np.mean(c**3))
-    m4 = float(np.mean(c**4))
-    value = m4 / m2**2 - 3.0
-    dm4 = 4.0 / n * (c**3 - m3)
+def _kurtosis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = x.shape[1]
+    c = x - x.mean(axis=1, keepdims=True)
+    c3 = c**3
+    m2 = np.mean(c * c, axis=1, keepdims=True)
+    defined = ~(m2[:, 0] < KURT_MIN_VAR)
+    m2 = np.where(defined[:, None], m2, 1.0)
+    m3 = np.mean(c3, axis=1, keepdims=True)
+    m4 = np.mean(c**4, axis=1, keepdims=True)
+    dm4 = 4.0 / n * (c3 - m3)
     dm2 = 2.0 / n * c
     g = dm4 / m2**2 - 2.0 * m4 * dm2 / m2**3
-    return value, g
+    value = m4[:, 0] / m2[:, 0] ** 2 - 3.0
+    return np.where(defined, value, 0.0), np.where(defined[:, None], g, 0.0), defined
 
 
-def _tail_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    k_pred, gk = _kurtosis_vg(p)
-    k_true, _ = _kurtosis_vg(t)
-    e = k_pred - k_true
-    return e * e, 2.0 * e * gk
+def _tail(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k_pred, gk, ok_pred = _kurtosis(p)
+    k_true, _, ok_true = _kurtosis(t)
+    defined = ok_pred & ok_true
+    e = np.where(defined, k_pred - k_true, 0.0)
+    return e * e, 2.0 * e[:, None] * gk, defined
 
 
-def _drift_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    e = (p[-1] - p[0]) - (t[-1] - t[0])
+def _drift(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e = (p[:, -1] - p[:, 0]) - (t[:, -1] - t[:, 0])
     g = np.zeros_like(p)
-    g[-1] += 2.0 * e
-    g[0] -= 2.0 * e
+    g[:, -1] += 2.0 * e
+    g[:, 0] -= 2.0 * e
     return e * e, g
 
 
-def _pinball_vg(y: np.ndarray, y_hat: np.ndarray, q: float) -> tuple[float, np.ndarray]:
+def _pinball(y: np.ndarray, y_hat: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     d = y - y_hat
     over = d >= 0.0
     per = np.where(over, q * d, (1.0 - q) * (-d))
-    g = np.where(over, -q, 1.0 - q) / d.size
-    return float(np.mean(per)), g
+    g = np.where(over, -q, 1.0 - q) / d.shape[1]
+    return per.mean(axis=1), g
 
 
-def _pinball_pair_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    v_lo, g_lo = _pinball_vg(t, p, PINBALL_Q_LOW)
-    v_hi, g_hi = _pinball_vg(t, p, PINBALL_Q_HIGH)
+def _pinball_pair(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v_lo, g_lo = _pinball(t, p, PINBALL_Q_LOW)
+    v_hi, g_hi = _pinball(t, p, PINBALL_Q_HIGH)
     return 0.5 * (v_lo + v_hi), 0.5 * (g_lo + g_hi)
 
 
-def _spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
-    ft = np.fft.fft(x)
+def _spectrum(x: np.ndarray):
+    """FFT, magnitudes, per-row peak (1 where undefined) and defined mask."""
+    ft = np.fft.fft(x, axis=1)
     mag = np.abs(ft)
-    peak = float(mag.max())
-    if peak <= 0.0:
-        raise NumericError("spectral loss undefined for an all-zero sequence")
-    return ft, mag, peak, int(np.argmax(mag))
+    peak = mag.max(axis=1)
+    defined = ~(peak <= 0.0)
+    return ft, mag, np.where(defined, peak, 1.0), defined
 
 
-def _spectral_vg(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    if p.size < 2:
+def _spectral(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = p.shape[1]
+    if n < 2:
         _warn("spectral loss needs >= 2 valid positions; returning 0")
-        return 0.0, np.zeros_like(p)
-    ft_p, mag_p, peak_p, peak_idx = _spectrum(p)
-    _, mag_t, peak_t, _ = _spectrum(t)
-    d = mag_p / peak_p - mag_t / peak_t
-    value = float(np.mean(_smooth_l1(d)))
+        return np.zeros(len(p)), np.zeros_like(p), np.ones(len(p), dtype=bool)
+    ft_p, mag_p, peak_p, ok_p = _spectrum(p)
+    _, mag_t, peak_t, ok_t = _spectrum(t)
+    defined = ok_p & ok_t
+    d = mag_p / peak_p[:, None] - mag_t / peak_t[:, None]
+    value = np.where(defined, _smooth_l1(d).mean(axis=1), 0.0)
 
-    g_norm = _smooth_l1_grad(d) / d.size
-    g_mag = g_norm / peak_p
-    g_mag[peak_idx] -= float(np.dot(g_norm, mag_p)) / peak_p**2
+    g_norm = _smooth_l1_grad(d) / n
+    g_mag = g_norm / peak_p[:, None]
+    rows = np.arange(p.shape[0])
+    g_mag[rows, mag_p.argmax(axis=1)] -= np.sum(g_norm * mag_p, axis=1) / peak_p**2
     # d|X_k|/dx_m = Re(conj(X_k)/|X_k| * exp(-2pi i k m / n)), so the chain
     # collapses to one forward transform; bins with zero magnitude get a
     # zero subgradient
-    safe = mag_p > peak_p * 1e-15
+    safe = mag_p > peak_p[:, None] * 1e-15
     ratio = np.where(safe, g_mag * np.conj(ft_p) / np.where(safe, mag_p, 1.0), 0.0)
-    return value, np.real(np.fft.fft(ratio))
+    g = np.real(np.fft.fft(ratio, axis=1))
+    return value, np.where(defined[:, None], g, 0.0), defined
 
 
 # ---------------------------------------------------------------------------
-# public single-term views
+# public single-term views: the batched kernels on one (1, n) row
+
+
+def _single(kernel, pred, true, *args) -> float:
+    p, t = _pair(pred, true)
+    values, _, *defined = kernel(p[None], t[None], *args)
+    if defined and not defined[0][0]:
+        raise NumericError("term undefined for a zero-variance or all-zero sequence")
+    return float(values[0])
 
 
 def masked_mse(y, y_hat, mask) -> float:
@@ -308,27 +330,25 @@ def masked_mse(y, y_hat, mask) -> float:
 def jump_loss(pred, true, mask=None) -> float:
     """Mean absolute difference of first differences over valid adjacent pairs."""
     p, t = _pair(pred, true)
-    n = p.size if mask is None else _prefix_len(mask)
-    if mask is not None and np.asarray(mask).shape != p.shape:
-        raise DataError("mask shape must match the sequences")
-    value, _ = _jump_vg(p[:n], t[:n])
-    return value
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        if m.shape != p.shape:
+            raise DataError("mask shape must match the sequences")
+        n = int(_prefix_lens(m[None])[0])
+        p, t = p[:n], t[:n]
+    return _single(_jump, p, t)
 
 
 def vol_clustering_loss(
     pred, true, window: int = DEFAULT_VOL_WINDOW, stride: int = DEFAULT_VOL_STRIDE
 ) -> float:
     """SmoothL1 distance between rolling-window standard deviation vectors."""
-    p, t = _pair(pred, true)
-    value, _ = _vol_clustering_vg(p, t, window, stride)
-    return value
+    return _single(_vol_clustering, pred, true, window, stride)
 
 
 def global_vol_loss(pred, true) -> float:
     """Absolute difference of the global standard deviations."""
-    p, t = _pair(pred, true)
-    value, _ = _global_vol_vg(p, t)
-    return value
+    return _single(_global_vol, pred, true)
 
 
 def kurtosis(x) -> float:
@@ -336,22 +356,20 @@ def kurtosis(x) -> float:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise DataError("expected a 1-D sequence")
-    value, _ = _kurtosis_vg(arr)
-    return value
+    values, _, defined = _kurtosis(arr[None])
+    if not defined[0]:
+        raise NumericError("kurtosis undefined for a zero-variance sequence")
+    return float(values[0])
 
 
 def tail_loss(pred, true) -> float:
     """Squared difference of excess kurtosis."""
-    p, t = _pair(pred, true)
-    value, _ = _tail_vg(p, t)
-    return value
+    return _single(_tail, pred, true)
 
 
 def drift_loss(pred, true) -> float:
     """Squared difference of the telescoped total change (last - first)."""
-    p, t = _pair(pred, true)
-    value, _ = _drift_vg(p, t)
-    return value
+    return _single(_drift, pred, true)
 
 
 def pinball_loss(y, y_hat, q: float) -> float:
@@ -362,8 +380,8 @@ def pinball_loss(y, y_hat, q: float) -> float:
     yh = np.asarray(y_hat, dtype=np.float64)
     if ya.shape != yh.shape:
         raise DataError(f"y and y_hat shapes differ: {ya.shape} vs {yh.shape}")
-    value, _ = _pinball_vg(ya, yh, q)
-    return value
+    values, _ = _pinball(ya.reshape(1, -1), yh.reshape(1, -1), q)
+    return float(values[0])
 
 
 def magnitude_spectrum(x) -> np.ndarray:
@@ -371,15 +389,15 @@ def magnitude_spectrum(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise DataError("expected a non-empty 1-D sequence")
-    _, mag, peak, _ = _spectrum(arr)
-    return mag / peak
+    _, mag, peak, defined = _spectrum(arr[None])
+    if not defined[0]:
+        raise NumericError("spectral loss undefined for an all-zero sequence")
+    return mag[0] / peak[0]
 
 
 def spectral_loss(pred, true) -> float:
     """SmoothL1 distance between max-normalized magnitude spectra."""
-    p, t = _pair(pred, true)
-    value, _ = _spectral_vg(p, t)
-    return value
+    return _single(_spectral, pred, true)
 
 
 # ---------------------------------------------------------------------------
@@ -427,54 +445,39 @@ def total_loss(
 
     lam = weights.annealed(step, total_steps)
     core, g_pred = _masked_mse_vg(target, pred, mask_arr)
+    lens = _prefix_lens(mask_arr)
+    if not lens.all():
+        raise DataError(f"batch row {int(np.argmin(lens))} has an empty mask")
 
     batch = pred.shape[0]
-    sums = dict.fromkeys(_TERMS, 0.0)
+    per_row = np.zeros((len(_TERMS), batch))
     skipped: Counter[str] = Counter()
     g_x0 = np.zeros_like(x0_pred)
 
-    for b in range(batch):
-        n = _prefix_len(mask_arr[b])
-        if n == 0:
-            raise DataError(f"batch row {b} has an empty mask")
-        p = x0_pred[b, :n]
-        t = x0_true[b, :n]
-
-        evaluated: list[tuple[str, float, np.ndarray]] = []
-        evaluated.append(("jump", *_jump_vg(p, t)))
-        evaluated.append(("vol", *_vol_clustering_vg(p, t, window, stride)))
-        evaluated.append(("gvol", *_global_vol_vg(p, t)))
-        try:
-            evaluated.append(("kurt", *_tail_vg(p, t)))
-        except NumericError:
-            skipped["kurt"] += 1
-        evaluated.append(("drift", *_drift_vg(p, t)))
-        evaluated.append(("pinball", *_pinball_pair_vg(p, t)))
-        try:
-            evaluated.append(("spectral", *_spectral_vg(p, t)))
-        except NumericError:
-            skipped["spectral"] += 1
-
-        for term, value, grad in evaluated:
-            sums[term] += value
-            g_x0[b, :n] += (lam[term] / batch) * grad
+    for n in np.unique(lens):
+        rows = np.flatnonzero(lens == n)
+        # slice, never multiply by the mask: padding may hold NaN
+        p = x0_pred[rows, :n]
+        t = x0_true[rows, :n]
+        evaluated = (
+            _jump(p, t), _vol_clustering(p, t, window, stride), _global_vol(p, t),
+            _tail(p, t), _drift(p, t), _pinball_pair(p, t), _spectral(p, t),
+        )
+        g = np.zeros_like(p)
+        for k, (term, (values, grad, *defined)) in enumerate(zip(_TERMS, evaluated)):
+            if defined and not defined[0].all():
+                skipped[term] += int(np.count_nonzero(~defined[0]))
+            per_row[k, rows] = values
+            g += (lam[term] / batch) * grad
+        g_x0[rows, :n] = g
 
     for term, count in sorted(skipped.items()):
         _warn(f"{term} term undefined for {count} sequence(s); contributed 0")
 
-    means = {term: sums[term] / batch for term in _TERMS}
+    means = dict(zip(_TERMS, (per_row.sum(axis=1) / batch).tolist()))
     total = core + sum(lam[term] * means[term] for term in _TERMS)
     breakdown = LossBreakdown(
-        core=core,
-        jump=means["jump"],
-        vol=means["vol"],
-        gvol=means["gvol"],
-        kurt=means["kurt"],
-        drift=means["drift"],
-        pinball=means["pinball"],
-        spectral=means["spectral"],
-        total=total,
-        skipped=tuple(sorted(skipped.items())),
+        core=core, total=total, skipped=tuple(sorted(skipped.items())), **means
     )
     if with_grads:
         return breakdown, g_pred, g_x0

@@ -33,8 +33,8 @@ class European:
     strike_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.strike_ratio <= 0.0:
-            raise ConfigError("strike_ratio must be positive")
+        if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
+            raise ConfigError("strike_ratio must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class Lookback:
     strike_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.strike_ratio <= 0.0:
-            raise ConfigError("strike_ratio must be positive")
+        if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
+            raise ConfigError("strike_ratio must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class Asian:
     strike_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.strike_ratio <= 0.0:
-            raise ConfigError("strike_ratio must be positive")
+        if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
+            raise ConfigError("strike_ratio must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ class Accumulator:
     def __post_init__(self) -> None:
         if not 0.0 < self.discount < 1.0:
             raise ConfigError("discount must lie in (0, 1)")
-        if self.ko_ratio <= 1.0:
-            raise ConfigError("ko_ratio must exceed 1")
-        if self.daily_units <= 0.0:
-            raise ConfigError("daily_units must be positive")
+        if not math.isfinite(self.ko_ratio) or self.ko_ratio <= 1.0:
+            raise ConfigError("ko_ratio must be finite and exceed 1")
+        if not math.isfinite(self.daily_units) or self.daily_units <= 0.0:
+            raise ConfigError("daily_units must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,9 @@ class Snowball:
     notional: float = 1_000_000.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.ko_ratio, self.ki_ratio,
+                                       self.coupon_pa, self.notional))):
+            raise ConfigError("snowball ratios, coupon and notional must be finite")
         if not self.ki_ratio < 1.0 < self.ko_ratio:
             raise ConfigError("need ki_ratio < 1 < ko_ratio")
         if self.ki_ratio <= 0.0:

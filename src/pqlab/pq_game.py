@@ -111,8 +111,8 @@ class GameConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.threshold < 0.0:
-            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
+        if not math.isfinite(self.threshold) or self.threshold < 0.0:
+            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.q_paths < 1:
             raise ConfigError(f"q_paths must be >= 1, got {self.q_paths}")
         if self.threads < 1:

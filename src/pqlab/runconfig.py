@@ -225,6 +225,8 @@ class GameSection:
                 )
         if any(not math.isfinite(lv) or lv < 0.0 for lv in self.levels):
             raise ConfigError("levels must be finite and >= 0")
+        if not math.isfinite(self.threshold) or self.threshold < 0.0:
+            raise ConfigError("[game] threshold must be finite and >= 0")
         if self.p_paths < 1:
             raise ConfigError("[game] p_paths must be >= 1")
 
@@ -238,6 +240,11 @@ class ContractsSection:
     snow_ki: float = 0.8
     snow_coupon: float = 0.15
     snow_notional: float = 1_000_000.0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"[contracts] {name} must be finite, got {value}")
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""

@@ -35,6 +35,7 @@ from . import denoiser, diffusion, objectives
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
+from .market_paths import read_npz
 from .objectives import LossBreakdown, LossWeights
 from .sampler import GeneratorModel
 
@@ -308,16 +309,15 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Load and validate a PQLAB-CKPT v1 archive back into a TrainState."""
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    with archive:
+    with read_npz(path, "checkpoint") as archive:
         if str(archive["version"]) != CHECKPOINT_VERSION:
             raise DataError(
                 f"unsupported checkpoint version {archive['version']!r}"
             )
-        net = DenoiserConfig(**json.loads(str(archive["net_config"])))
+        try:
+            net = DenoiserConfig(**json.loads(str(archive["net_config"])))
+        except TypeError as exc:
+            raise DataError(f"checkpoint net_config is malformed: {exc}") from exc
         pspec = denoiser.param_spec(net)
         names = [str(n) for n in archive["param_names"]]
         if names != [name for name, _ in pspec]:

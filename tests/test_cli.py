@@ -148,6 +148,24 @@ class TestExitCodes:
         assert cli.main(["game", ini, "--product", "swaption"]) == 2
         assert "swaption" in capsys.readouterr().err
 
+    def test_checkpoint_missing_entry_is_data_error(self, workspace, tmp_path, capsys):
+        ini, out = workspace
+        with np.load(os.path.join(out, "checkpoint.npz")) as archive:
+            entries = {k: archive[k] for k in archive.files if k != "net_config"}
+        bad = tmp_path / "no_net_config.npz"
+        np.savez(bad, **entries)
+        assert cli.main(["sample", ini, "--checkpoint", str(bad)]) == 3
+        assert "net_config" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        ini, out = workspace
+        with open(os.path.join(out, "checkpoint.npz"), "rb") as fh:
+            blob = fh.read()
+        bad = tmp_path / "cut.npz"
+        bad.write_bytes(blob[: len(blob) // 2])
+        assert cli.main(["validate", ini, "--checkpoint", str(bad)]) == 3
+        assert "checkpoint" in capsys.readouterr().err
+
 
 class TestPrepare:
     def test_artifacts_exist(self, workspace):

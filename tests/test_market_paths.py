@@ -334,3 +334,32 @@ class TestSliceStore:
         np.savez(path, **data)
         with pytest.raises(DataError):
             load_slices(path)
+
+    def test_missing_member_rejected(self, series, tmp_path):
+        from pqlab.market_paths import save_slices, load_slices
+
+        path = tmp_path / "partial.npz"
+        save_slices(path, self.build(series))
+        data = dict(np.load(path))
+        del data["test_sigma"]
+        np.savez(path, **data)
+        with pytest.raises(DataError, match="test_sigma"):
+            load_slices(path)
+
+    def test_truncated_store_rejected(self, series, tmp_path):
+        from pqlab.market_paths import save_slices, load_slices
+
+        path = tmp_path / "cut.npz"
+        save_slices(path, self.build(series))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(DataError):
+            load_slices(path)
+
+    def test_plain_npy_file_rejected(self, tmp_path):
+        from pqlab.market_paths import load_slices
+
+        path = tmp_path / "store.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(DataError, match="not an npz"):
+            load_slices(path)

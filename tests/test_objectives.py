@@ -1,5 +1,7 @@
 """Loss-term identities, gradient checks, and composite-loss invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,10 +241,11 @@ class TestGradients:
         self.p = rng.normal(scale=0.8, size=14)
         self.t = rng.normal(scale=0.5, size=14)
 
-    def check(self, vg, f):
-        _, analytic = vg(self.p.copy(), self.t.copy())
+    def check(self, kernel, f):
+        # kernels are batched: evaluate on the single row (1, n)
+        _, analytic, *_ = kernel(self.p[None].copy(), self.t[None].copy())
         numeric = fd_grad(lambda x: f(x, self.t), self.p.copy())
-        assert_grad_close(analytic, numeric)
+        assert_grad_close(analytic[0], numeric)
 
     def test_masked_mse_grad(self):
         mask = np.ones(14, dtype=bool)
@@ -252,31 +255,31 @@ class TestGradients:
         assert_grad_close(analytic, numeric)
 
     def test_jump_grad(self):
-        self.check(obj._jump_vg, obj.jump_loss)
+        self.check(obj._jump, obj.jump_loss)
 
     def test_vol_clustering_grad(self):
         self.check(
-            lambda p, t: obj._vol_clustering_vg(p, t, 5, 1),
+            lambda p, t: obj._vol_clustering(p, t, 5, 1),
             lambda p, t: obj.vol_clustering_loss(p, t, 5, 1),
         )
 
     def test_global_vol_grad(self):
-        self.check(obj._global_vol_vg, obj.global_vol_loss)
+        self.check(obj._global_vol, obj.global_vol_loss)
 
     def test_tail_grad(self):
-        self.check(obj._tail_vg, obj.tail_loss)
+        self.check(obj._tail, obj.tail_loss)
 
     def test_drift_grad(self):
-        self.check(obj._drift_vg, obj.drift_loss)
+        self.check(obj._drift, obj.drift_loss)
 
     def test_pinball_pair_grad(self):
         def f(p, t):
             return 0.5 * (obj.pinball_loss(t, p, 0.01) + obj.pinball_loss(t, p, 0.99))
 
-        self.check(obj._pinball_pair_vg, f)
+        self.check(obj._pinball_pair, f)
 
     def test_spectral_grad(self):
-        self.check(obj._spectral_vg, obj.spectral_loss)
+        self.check(obj._spectral, obj.spectral_loss)
 
 
 class TestLambdaSchedule:
@@ -438,6 +441,126 @@ class TestTotalLoss:
         s1 = obj.lambda_scale(step, 10_000, 0.1)
         s2 = obj.lambda_scale(step + 1, 10_000, 0.1)
         assert 0.0 <= s1 <= s2 <= 1.0
+
+
+AUX_TERMS = ("jump", "vol", "gvol", "kurt", "drift", "pinball", "spectral")
+
+
+class TestGroupedEvaluation:
+    """Rows are grouped by valid length; grouping must not change any row."""
+
+    def test_matches_single_row_batches(self):
+        pred, target, x0p, x0t, mask = random_batch(21, batch=12, length=16)
+        lens = mask.sum(axis=1)
+        assert len(np.unique(lens)) > 2
+        bd, _, g_x0 = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                                     total_steps=100, with_grads=True)
+        batch = len(lens)
+        sums = dict.fromkeys(AUX_TERMS, 0.0)
+        for b, n in enumerate(lens):
+            one = (slice(b, b + 1), slice(0, n))
+            bd_b, _, g_b = obj.total_loss(pred[one], target[one], x0p[one], x0t[one],
+                                          mask[one], step=60, total_steps=100,
+                                          with_grads=True)
+            for term in AUX_TERMS:
+                sums[term] += getattr(bd_b, term)
+            # a one-row batch weights its row by lambda/1 instead of lambda/B
+            np.testing.assert_allclose(batch * g_x0[b, :n], g_b[0], rtol=0, atol=1e-12)
+            assert np.all(g_x0[b, n:] == 0.0)
+        for term in AUX_TERMS:
+            assert abs(getattr(bd, term) - sums[term] / batch) <= 1e-12, term
+
+    @pytest.mark.parametrize("side", ["pred", "true"])
+    def test_constant_row_is_skipped_without_touching_others(self, side):
+        rng = np.random.default_rng(22)
+        batch, length = 5, 12
+        pred = rng.normal(size=(batch, length))
+        target = rng.normal(size=(batch, length))
+        x0p = rng.normal(scale=0.7, size=(batch, length))
+        x0t = rng.normal(scale=0.4, size=(batch, length))
+        # constant and all-zero: kurtosis and spectrum undefined
+        (x0p if side == "pred" else x0t)[2] = 0.0
+        mask = np.ones((batch, length), dtype=bool)
+        with pytest.warns(RuntimeWarning):
+            bd, _, g_x0 = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                                         total_steps=100, with_grads=True)
+        assert bd.skipped == (("kurt", 1), ("spectral", 1))
+        # the skipped terms add nothing to the constant row's own gradient
+        with pytest.warns(RuntimeWarning):
+            _, _, g_ref = obj.total_loss(
+                pred, target, x0p, x0t, mask, step=60, total_steps=100, with_grads=True,
+                weights=obj.LossWeights(lambda_kurt=0.0, lambda_spectral=0.0),
+            )
+        np.testing.assert_array_equal(g_x0[2], g_ref[2])
+
+        keep = np.arange(batch) != 2
+        bd_wo, _, g_wo = obj.total_loss(pred[keep], target[keep], x0p[keep],
+                                        x0t[keep], mask[keep], step=60,
+                                        total_steps=100, with_grads=True)
+        assert bd_wo.skipped == ()
+        np.testing.assert_allclose(batch * g_x0[keep], (batch - 1) * g_wo,
+                                   rtol=0, atol=1e-12)
+        for term in ("kurt", "spectral"):
+            assert abs(batch * getattr(bd, term)
+                       - (batch - 1) * getattr(bd_wo, term)) <= 1e-12
+        assert np.all(np.isfinite(g_x0))
+
+    def test_skips_counted_per_row_with_one_warning_per_term(self):
+        pred, target, x0p, x0t, mask = random_batch(26, batch=6, length=12)
+        mask[:] = True
+        x0p[[0, 3]] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60, total_steps=100)
+        assert bd.skipped == (("kurt", 2), ("spectral", 2))
+        messages = [str(w.message) for w in caught]
+        assert sorted(messages) == [
+            "kurt term undefined for 2 sequence(s); contributed 0",
+            "spectral term undefined for 2 sequence(s); contributed 0",
+        ]
+
+    def test_stride_two_matches_single_term_view(self):
+        pred, target, x0p, x0t, mask = random_batch(23, batch=6, length=16)
+        bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                            total_steps=100, stride=2)
+        rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=5, stride=2)
+                for b, n in enumerate(mask.sum(axis=1))]
+        assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12
+
+        _, grad = obj._vol_clustering(x0p[:1, :13], x0t[:1, :13], 5, 2)
+        numeric = fd_grad(
+            lambda x: obj.vol_clustering_loss(x, x0t[0, :13], 5, 2), x0p[0, :13].copy()
+        )
+        assert_grad_close(grad[0], numeric)
+
+    def test_window_longer_than_some_rows(self):
+        pred, target, x0p, x0t, mask = random_batch(24, batch=8, length=16)
+        lens = mask.sum(axis=1)
+        window = 12
+        assert (lens < window).any() and (lens >= window).any()
+        with pytest.warns(RuntimeWarning, match="window exceeds"):
+            bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                                total_steps=100, window=window)
+        with pytest.warns(RuntimeWarning, match="window exceeds"):
+            rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=window)
+                    for b, n in enumerate(lens)]
+        assert all(r == 0.0 for r, n in zip(rows, lens) if n < window)
+        assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12
+
+    def test_window_longer_than_every_row_contributes_zero(self):
+        pred, target, x0p, x0t, mask = random_batch(25, batch=4, length=16)
+        with pytest.warns(RuntimeWarning, match="window exceeds"):
+            bd, _, g_x0 = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                                         total_steps=100, window=17,
+                                         with_grads=True)
+        assert bd.vol == 0.0
+        # the vol weight is live, yet dropping it leaves the gradient unchanged
+        assert obj.LossWeights().lambda_vol > 0.0
+        with pytest.warns(RuntimeWarning, match="window exceeds"):
+            _, _, g_ref = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
+                                         total_steps=100, window=17, with_grads=True,
+                                         weights=obj.LossWeights(lambda_vol=0.0))
+        np.testing.assert_array_equal(g_x0, g_ref)
 
 
 class TestCsvRow:

@@ -4,9 +4,11 @@ import configparser
 
 import pytest
 
+import pqlab.cli as cli
 import pqlab.runconfig as rc
 from pqlab.errors import ConfigError
 from pqlab.payoffs import Accumulator, Asian, European, Lookback, Snowball
+from pqlab.pq_game import GameConfig
 
 
 def write_config(tmp_path, body):
@@ -164,6 +166,41 @@ class TestContracts:
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError):
             cfg.contracts.build("variance_swap")
+
+
+class TestNonFiniteRejected:
+    """NaN and inf fail validation at load time, never later in a run."""
+
+    @pytest.mark.parametrize("section,key", [
+        ("game", "threshold"),
+        ("contracts", "strike_ratio"),
+        ("contracts", "snow_coupon"),
+        ("contracts", "acc_ko"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_ini_value_rejected(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, MINIMAL + f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            rc.load_config(path)
+        assert cli.main(["prepare", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_game_config_rejects_nan_threshold(self):
+        with pytest.raises(ConfigError):
+            GameConfig(threshold=float("nan"))
+
+    @pytest.mark.parametrize("build", [
+        lambda v: European(strike_ratio=v),
+        lambda v: Lookback(strike_ratio=v),
+        lambda v: Asian(strike_ratio=v),
+        lambda v: Accumulator(ko_ratio=v),
+        lambda v: Accumulator(daily_units=v),
+        lambda v: Snowball(coupon_pa=v),
+        lambda v: Snowball(notional=v),
+    ])
+    def test_contracts_reject_nan(self, build):
+        with pytest.raises(ConfigError):
+            build(float("nan"))
 
 
 class TestResolvedText:

@@ -321,6 +321,17 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("net_config", ['{"input_length": 20, "width": 3}',
+                                            '[20, 16]', '{"input_length":'])
+    def test_bad_net_config_rejected(self, dataset, tmp_path, net_config):
+        path = tmp_path / "net.npz"
+        tr.save_checkpoint(path, fresh_state(dataset))
+        data = dict(np.load(path))
+        data["net_config"] = np.array(net_config)
+        np.savez(path, **data)
+        with pytest.raises(DataError):
+            tr.load_checkpoint(path)
+
     def test_model_view(self, dataset):
         state = fresh_state(dataset)
         model = state.model()
