@@ -351,7 +351,7 @@ def _apply_overrides(cfg: runconfig.RunConfig, args) -> runconfig.RunConfig:
         )
     if getattr(args, "levels", None):
         try:
-            levels = tuple(float(part) for part in args.levels.split(",") if part.strip())
+            levels = runconfig.parse_floats(args.levels)
         except ValueError as exc:
             raise ConfigError(f"--levels {args.levels!r}: {exc}") from exc
         cfg = replace(cfg, game=replace(cfg.game, levels=levels))

@@ -14,9 +14,10 @@ input of every level, the bottleneck included.
 
 Parameters live in a plain dict keyed by layer path; ``param_spec``
 fixes the canonical ordering used to flatten them into one vector (the
-checkpoint format and the optimizer rely on that order being stable).
-Batch-norm running statistics are state, not parameters, and are kept
-in a separate dict.
+checkpoint format relies on that order being stable).  Batch-norm
+running statistics are state, not parameters, and are kept in a separate
+dict laid out by ``bn_spec``; ``flatten_params``/``unflatten_params``
+serve both layouts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 DEFAULT_TIME_EMBED_DIM = 16
 
@@ -151,35 +152,46 @@ def init_params(config: DenoiserConfig, seed: int) -> dict:
     return params
 
 
-def init_bn_state(config: DenoiserConfig) -> dict:
-    state = {}
+def bn_spec(config: DenoiserConfig):
+    """(name, shape) list of batch-norm running statistics, in param_spec order."""
+    spec = []
     for name, shape in param_spec(config):
         if name.endswith(".gamma"):
             prefix = name[: -len(".gamma")]
-            state[f"{prefix}.running_mean"] = np.zeros(shape)
-            state[f"{prefix}.running_var"] = np.ones(shape)
-    return state
+            spec.append((f"{prefix}.running_mean", shape))
+            spec.append((f"{prefix}.running_var", shape))
+    return spec
 
 
-def flatten_params(params: dict, config: DenoiserConfig) -> np.ndarray:
+def init_bn_state(config: DenoiserConfig) -> dict:
+    """Zero running means, unit running variances."""
+    return {
+        name: np.zeros(shape) if name.endswith("_mean") else np.ones(shape)
+        for name, shape in bn_spec(config)
+    }
+
+
+def flatten_params(values: dict, spec) -> np.ndarray:
+    """Concatenate a dict laid out by a (name, shape) spec into one vector."""
     return np.concatenate(
-        [np.asarray(params[name], dtype=float).ravel() for name, _ in param_spec(config)]
+        [np.asarray(values[name], dtype=np.float64).ravel() for name, _ in spec]
     )
 
 
-def unflatten_params(vector: np.ndarray, config: DenoiserConfig) -> dict:
-    spec = param_spec(config)
-    total = sum(int(np.prod(s)) for _, s in spec)
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (total,):
-        raise ConfigError(f"parameter vector must have length {total}")
-    params = {}
+def unflatten_params(vector: np.ndarray, spec) -> dict:
+    """Inverse of flatten_params; a vector of the wrong length is a DataError."""
+    vector = np.asarray(vector, dtype=np.float64)
+    sizes = [int(np.prod(shape)) for _, shape in spec]
+    if vector.shape != (sum(sizes),):
+        raise DataError(
+            f"flat vector has shape {vector.shape}, the layout needs ({sum(sizes)},)"
+        )
+    out = {}
     offset = 0
-    for name, shape in spec:
-        size = int(np.prod(shape))
-        params[name] = vector[offset : offset + size].reshape(shape).copy()
+    for (name, shape), size in zip(spec, sizes):
+        out[name] = vector[offset : offset + size].reshape(shape).copy()
         offset += size
-    return params
+    return out
 
 
 def cond_embed(c: np.ndarray, params: dict) -> np.ndarray:

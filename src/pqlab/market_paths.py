@@ -120,8 +120,8 @@ class ConditionVector:
     n_trading: int
 
     def __post_init__(self) -> None:
-        if self.sigma_hist < 0.0:
-            raise DataError("sigma_hist must be non-negative")
+        if not (math.isfinite(self.sigma_hist) and self.sigma_hist >= 0.0):
+            raise DataError("sigma_hist must be finite and non-negative")
         if self.n_trading < 1:
             raise DataError("slice needs at least one trading day")
         if self.t_trading > self.t_calendar + 1e-12:
@@ -377,10 +377,12 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.n_days < 2:
             raise ConfigError("generator needs at least 2 days")
-        if self.s0 <= 0.0:
-            raise ConfigError("generator s0 must be positive")
-        if self.sigma1 < 0.0 or self.sigma2 < 0.0:
-            raise ConfigError("generator volatilities must be non-negative")
+        if not (math.isfinite(self.s0) and self.s0 > 0.0):
+            raise ConfigError("generator s0 must be finite and positive")
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise ConfigError("generator drifts must be finite")
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.sigma1, self.sigma2)):
+            raise ConfigError("generator volatilities must be finite and non-negative")
         if not 0.0 <= self.p_switch <= 1.0:
             raise ConfigError("p_switch must be a probability")
 

@@ -22,8 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-TRADING_DAYS_PER_YEAR = 252
+from .market_paths import TRADING_DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,6 @@ class Snowball:
 
 
 ContractSpec = Union[European, Lookback, Asian, Accumulator, Snowball]
-
-PRODUCT_NAMES = {
-    European: "european",
-    Lookback: "lookback",
-    Asian: "asian",
-    Accumulator: "accumulator",
-    Snowball: "snowball",
-}
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .market_paths import TRADING_DAYS_PER_YEAR
 from .payoffs import (
     Accumulator,
     Asian,
@@ -31,14 +32,11 @@ from .payoffs import (
     linear_calendar_fraction,
 )
 
-TRADING_DAYS_PER_YEAR = 252
-
 # Fixed chunk size so the path set is identical whether it is
 # materialized in one array or streamed chunk by chunk.
 CHUNK_PATHS = 16_384
 
 DEFAULT_GAME_PATHS = 20_000
-DEFAULT_ORACLE_PATHS = 200_000
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,10 @@ class GbmParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.s0 <= 0.0:
-            raise ConfigError("s0 must be positive")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be non-negative")
+        if not (math.isfinite(self.s0) and self.s0 > 0.0):
+            raise ConfigError("s0 must be finite and positive")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError("sigma must be finite and non-negative")
         if self.n_days < 1:
             raise ConfigError("n_days must be at least 1")
         if self.n_paths < 1:

@@ -3,30 +3,21 @@
 A run is fully described by one INI file; every command takes the file
 plus optional flag overrides, and every output directory receives the
 resolved configuration (``resolved_text``) so results stay auditable.
-Unknown sections or keys are configuration errors: a typoed key must
-fail loudly rather than silently fall back to a default.  All seeds are
-fixed integers; nothing is derived from the clock.
+All seeds are fixed integers; nothing is derived from the clock.
 
-Sections and keys (all optional unless noted):
+The dataclasses below are the schema, and the only place a setting is
+declared.  ``[run]`` holds ``RunConfig``'s own scalar fields (``out_dir``
+is required); every section-typed field of ``RunConfig`` is an INI
+section of the same name whose keys are that section class's fields, in
+declaration order, with the field defaults.  The field annotation picks
+the parser (``_PARSERS``); lists are comma-separated.  Parsing and the
+echo both walk these fields, so a new field is a new key with nothing
+else to edit.
 
-    [run]       out_dir (required), threads
-    [data]      source (synthetic|csv), series_csv, rates_csv, windows,
-                split_date, stride, seed, and the synthetic-generator
-                knobs n_days, s0, mu1, mu2, sigma1, sigma2, p_switch,
-                start_date, rate
-    [schedule]  timesteps, beta_start, beta_end
-    [model]     base_channels, depth, time_embed_dim, cond_embed_dim,
-                cond_hidden_dim, mode, input_length (0 = fit to data)
-    [loss]      lambda_jump, lambda_vol, lambda_gvol, lambda_kurt,
-                lambda_drift, lambda_pinball, lambda_spectral,
-                warmup_fraction, vol_window, vol_stride
-    [train]     steps, batch_size, lr, clip_norm, seed, checkpoint_every
-    [sampler]   num_steps, eta, n_paths, seed
-    [validate]  n_paths, max_conditions (0 = all test slices)
-    [game]      products, levels (empty = per-product defaults),
-                threshold, q_paths, p_paths, seed, discount
-    [contracts] strike_ratio, acc_discount, acc_ko, snow_ko, snow_ki,
-                snow_coupon, snow_notional
+Strictness: unknown sections or keys, values that do not parse, and
+non-finite numbers (``nan``, ``inf``, also inside a list) are
+``ConfigError``s naming the section and key, so a typo or a NaN fails
+loudly at load time (CLI exit code 2) rather than later in a run.
 """
 
 from __future__ import annotations
@@ -34,10 +25,11 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
-from .objectives import LossWeights
+from .objectives import DEFAULT_VOL_STRIDE, DEFAULT_VOL_WINDOW, LossWeights
 from .payoffs import Accumulator, Asian, European, Lookback, Snowball
 
 PRODUCTS = ("european", "lookback", "asian", "accumulator", "snowball")
@@ -52,57 +44,47 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_ints(raw: str) -> tuple:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def _parse_floats(raw: str) -> tuple:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+def parse_floats(raw: str) -> tuple:
+    """Comma-separated finite floats; empty parts are skipped."""
+    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
 def _parse_names(raw: str) -> tuple:
     return tuple(part.strip().lower() for part in raw.split(",") if part.strip())
 
 
-class _Section:
-    """One INI section with typed gets and unknown-key detection."""
-
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-        self.seen: set = set()
-
-    def get(self, key: str, cast, default):
-        self.seen.add(key)
-        if key not in self.raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"[{self.name}] {key} is required")
-            return default
-        try:
-            return cast(self.raw[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"[{self.name}] {key} = {self.raw[key]!r}: {exc}"
-            ) from exc
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.raw) - self.seen)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in [{self.name}]: {', '.join(unknown)}")
-
-
-_REQUIRED = object()
+_PARSERS = {
+    int: int,
+    float: _parse_float,
+    str: str,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_ints,
+    tuple[float, ...]: parse_floats,
+    tuple[str, ...]: _parse_names,
+}
 
 
 @dataclass(frozen=True)
 class DataSection:
-    source: str = "synthetic"
+    source: str = "synthetic"  # synthetic | csv
     series_csv: str = ""
     rates_csv: str = ""
-    windows: tuple = (30,)
+    windows: tuple[int, ...] = (30,)  # calendar days per slice
     split_date: str = "2015-12-01"
     stride: int = 1
     seed: int = 0
+    # synthetic two-regime generator (market_paths.GeneratorConfig)
     n_days: int = 400
     s0: float = 100.0
     mu1: float = 0.05
@@ -144,7 +126,7 @@ class ModelSection:
     cond_embed_dim: int = 16
     cond_hidden_dim: int = 32
     mode: str = "v"
-    input_length: int = 0
+    input_length: int = 0  # 0 = fit to data
 
     def __post_init__(self) -> None:
         if self.input_length < 0:
@@ -152,29 +134,14 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class LossSection:
-    lambda_jump: float = 0.1
-    lambda_vol: float = 0.1
-    lambda_gvol: float = 0.1
-    lambda_kurt: float = 0.05
-    lambda_drift: float = 0.1
-    lambda_pinball: float = 0.05
-    lambda_spectral: float = 0.05
-    warmup_fraction: float = 0.1
-    vol_window: int = 5
-    vol_stride: int = 1
+class LossSection(LossWeights):
+    """The LossWeights fields, then the vol-clustering window."""
+
+    vol_window: int = DEFAULT_VOL_WINDOW
+    vol_stride: int = DEFAULT_VOL_STRIDE
 
     def weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_jump=self.lambda_jump,
-            lambda_vol=self.lambda_vol,
-            lambda_gvol=self.lambda_gvol,
-            lambda_kurt=self.lambda_kurt,
-            lambda_drift=self.lambda_drift,
-            lambda_pinball=self.lambda_pinball,
-            lambda_spectral=self.lambda_spectral,
-            warmup_fraction=self.warmup_fraction,
-        )
+        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
 
 
 @dataclass(frozen=True)
@@ -198,7 +165,7 @@ class SamplerSection:
 @dataclass(frozen=True)
 class ValidateSection:
     n_paths: int = 200
-    max_conditions: int = 0
+    max_conditions: int = 0  # 0 = all test slices
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -209,8 +176,8 @@ class ValidateSection:
 
 @dataclass(frozen=True)
 class GameSection:
-    products: tuple = ("european",)
-    levels: tuple = ()
+    products: tuple[str, ...] = ("european",)
+    levels: tuple[float, ...] = ()  # empty = per-product defaults
     threshold: float = 0.10
     q_paths: int = 20_000
     p_paths: int = 1_000
@@ -223,10 +190,10 @@ class GameSection:
                 raise ConfigError(
                     f"unknown product {product!r}; choose from {', '.join(PRODUCTS)}"
                 )
-        if any(not math.isfinite(lv) or lv < 0.0 for lv in self.levels):
-            raise ConfigError("levels must be finite and >= 0")
-        if not math.isfinite(self.threshold) or self.threshold < 0.0:
-            raise ConfigError("[game] threshold must be finite and >= 0")
+        if any(lv < 0.0 for lv in self.levels):
+            raise ConfigError("levels must be >= 0")
+        if self.threshold < 0.0:
+            raise ConfigError("[game] threshold must be >= 0")
         if self.p_paths < 1:
             raise ConfigError("[game] p_paths must be >= 1")
 
@@ -240,11 +207,6 @@ class ContractsSection:
     snow_ki: float = 0.8
     snow_coupon: float = 0.15
     snow_notional: float = 1_000_000.0
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ConfigError(f"[contracts] {name} must be finite, got {value}")
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""
@@ -287,142 +249,54 @@ class RunConfig:
             raise ConfigError("[run] threads must be >= 1")
 
 
-_KNOWN_SECTIONS = (
-    "run", "data", "schedule", "model", "loss", "train",
-    "sampler", "validate", "game", "contracts",
-)
+def _schema() -> list:
+    """(section, section class or None for [run], [(field, parser)]) in echo order."""
+    hints = get_type_hints(RunConfig)
+    run_keys: list = []
+    schema = [("run", None, run_keys)]
+    for f in fields(RunConfig):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            kind_hints = get_type_hints(kind)
+            keys = [(g, _PARSERS[kind_hints[g.name]]) for g in fields(kind)]
+            schema.append((f.name, kind, keys))
+        else:
+            run_keys.append((f, _PARSERS[kind]))
+    return schema
+
+
+_SCHEMA = _schema()
+
+
+def _section_values(parser: configparser.ConfigParser, name: str, keys) -> dict:
+    """Parsed values of the keys present in one section; absent keys default."""
+    raw = dict(parser[name]) if parser.has_section(name) else {}
+    unknown = sorted(set(raw) - {f.name for f, _ in keys})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+    values = {}
+    for f, cast in keys:
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"[{name}] {f.name} is required")
+            continue
+        try:
+            values[f.name] = cast(raw[f.name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[{name}] {f.name} = {raw[f.name]!r}: {exc}") from exc
+    return values
 
 
 def parse_config(parser: configparser.ConfigParser) -> RunConfig:
-    unknown = sorted(set(parser.sections()) - set(_KNOWN_SECTIONS))
+    """Build a validated RunConfig from a read INI; rules in the module docstring."""
+    unknown = sorted(set(parser.sections()) - {name for name, _, _ in _SCHEMA})
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
-
-    run = _Section(parser, "run")
-    out_dir = run.get("out_dir", str, _REQUIRED)
-    threads = run.get("threads", int, 1)
-    run.finish()
-
-    data = _Section(parser, "data")
-    data_cfg = DataSection(
-        source=data.get("source", str, "synthetic"),
-        series_csv=data.get("series_csv", str, ""),
-        rates_csv=data.get("rates_csv", str, ""),
-        windows=data.get("windows", _parse_ints, (30,)),
-        split_date=data.get("split_date", str, "2015-12-01"),
-        stride=data.get("stride", int, 1),
-        seed=data.get("seed", int, 0),
-        n_days=data.get("n_days", int, 400),
-        s0=data.get("s0", float, 100.0),
-        mu1=data.get("mu1", float, 0.05),
-        mu2=data.get("mu2", float, 0.05),
-        sigma1=data.get("sigma1", float, 0.15),
-        sigma2=data.get("sigma2", float, 0.45),
-        p_switch=data.get("p_switch", float, 0.02),
-        start_date=data.get("start_date", str, "2015-01-01"),
-        rate=data.get("rate", float, 0.03),
-    )
-    data.finish()
-
-    schedule = _Section(parser, "schedule")
-    schedule_cfg = ScheduleSection(
-        timesteps=schedule.get("timesteps", int, 1000),
-        beta_start=schedule.get("beta_start", float, 1e-4),
-        beta_end=schedule.get("beta_end", float, 0.02),
-    )
-    schedule.finish()
-
-    model = _Section(parser, "model")
-    model_cfg = ModelSection(
-        base_channels=model.get("base_channels", int, 16),
-        depth=model.get("depth", int, 2),
-        time_embed_dim=model.get("time_embed_dim", int, 16),
-        cond_embed_dim=model.get("cond_embed_dim", int, 16),
-        cond_hidden_dim=model.get("cond_hidden_dim", int, 32),
-        mode=model.get("mode", str, "v"),
-        input_length=model.get("input_length", int, 0),
-    )
-    model.finish()
-
-    loss = _Section(parser, "loss")
-    loss_cfg = LossSection(
-        lambda_jump=loss.get("lambda_jump", float, 0.1),
-        lambda_vol=loss.get("lambda_vol", float, 0.1),
-        lambda_gvol=loss.get("lambda_gvol", float, 0.1),
-        lambda_kurt=loss.get("lambda_kurt", float, 0.05),
-        lambda_drift=loss.get("lambda_drift", float, 0.1),
-        lambda_pinball=loss.get("lambda_pinball", float, 0.05),
-        lambda_spectral=loss.get("lambda_spectral", float, 0.05),
-        warmup_fraction=loss.get("warmup_fraction", float, 0.1),
-        vol_window=loss.get("vol_window", int, 5),
-        vol_stride=loss.get("vol_stride", int, 1),
-    )
-    loss.finish()
-
-    train = _Section(parser, "train")
-    train_cfg = TrainSection(
-        steps=train.get("steps", int, 500),
-        batch_size=train.get("batch_size", int, 32),
-        lr=train.get("lr", float, 1e-3),
-        clip_norm=train.get("clip_norm", float, 1.0),
-        seed=train.get("seed", int, 0),
-        checkpoint_every=train.get("checkpoint_every", int, 0),
-    )
-    train.finish()
-
-    sampler = _Section(parser, "sampler")
-    sampler_cfg = SamplerSection(
-        num_steps=sampler.get("num_steps", int, 50),
-        eta=sampler.get("eta", float, 0.0),
-        n_paths=sampler.get("n_paths", int, 1000),
-        seed=sampler.get("seed", int, 0),
-    )
-    sampler.finish()
-
-    validate = _Section(parser, "validate")
-    validate_cfg = ValidateSection(
-        n_paths=validate.get("n_paths", int, 200),
-        max_conditions=validate.get("max_conditions", int, 0),
-    )
-    validate.finish()
-
-    game = _Section(parser, "game")
-    game_cfg = GameSection(
-        products=game.get("products", _parse_names, ("european",)),
-        levels=game.get("levels", _parse_floats, ()),
-        threshold=game.get("threshold", float, 0.10),
-        q_paths=game.get("q_paths", int, 20_000),
-        p_paths=game.get("p_paths", int, 1_000),
-        seed=game.get("seed", int, 0),
-        discount=game.get("discount", _parse_bool, True),
-    )
-    game.finish()
-
-    contracts = _Section(parser, "contracts")
-    contracts_cfg = ContractsSection(
-        strike_ratio=contracts.get("strike_ratio", float, 1.0),
-        acc_discount=contracts.get("acc_discount", float, 0.9),
-        acc_ko=contracts.get("acc_ko", float, 1.2),
-        snow_ko=contracts.get("snow_ko", float, 1.05),
-        snow_ki=contracts.get("snow_ki", float, 0.8),
-        snow_coupon=contracts.get("snow_coupon", float, 0.15),
-        snow_notional=contracts.get("snow_notional", float, 1_000_000.0),
-    )
-    contracts.finish()
-
-    return RunConfig(
-        out_dir=out_dir,
-        threads=threads,
-        data=data_cfg,
-        schedule=schedule_cfg,
-        model=model_cfg,
-        loss=loss_cfg,
-        train=train_cfg,
-        sampler=sampler_cfg,
-        validate=validate_cfg,
-        game=game_cfg,
-        contracts=contracts_cfg,
-    )
+    sections = {}
+    for name, kind, keys in _SCHEMA:
+        values = _section_values(parser, name, keys)
+        sections[name] = values if kind is None else kind(**values)
+    return RunConfig(**sections.pop("run"), **sections)
 
 
 def load_config(path) -> RunConfig:
@@ -450,93 +324,10 @@ def _fmt(value) -> str:
 
 def resolved_text(cfg: RunConfig) -> str:
     """Canonical INI serialization; parses back to an equal RunConfig."""
-    sections = [
-        ("run", (("out_dir", cfg.out_dir), ("threads", cfg.threads))),
-        ("data", (
-            ("source", cfg.data.source),
-            ("series_csv", cfg.data.series_csv),
-            ("rates_csv", cfg.data.rates_csv),
-            ("windows", cfg.data.windows),
-            ("split_date", cfg.data.split_date),
-            ("stride", cfg.data.stride),
-            ("seed", cfg.data.seed),
-            ("n_days", cfg.data.n_days),
-            ("s0", cfg.data.s0),
-            ("mu1", cfg.data.mu1),
-            ("mu2", cfg.data.mu2),
-            ("sigma1", cfg.data.sigma1),
-            ("sigma2", cfg.data.sigma2),
-            ("p_switch", cfg.data.p_switch),
-            ("start_date", cfg.data.start_date),
-            ("rate", cfg.data.rate),
-        )),
-        ("schedule", (
-            ("timesteps", cfg.schedule.timesteps),
-            ("beta_start", cfg.schedule.beta_start),
-            ("beta_end", cfg.schedule.beta_end),
-        )),
-        ("model", (
-            ("base_channels", cfg.model.base_channels),
-            ("depth", cfg.model.depth),
-            ("time_embed_dim", cfg.model.time_embed_dim),
-            ("cond_embed_dim", cfg.model.cond_embed_dim),
-            ("cond_hidden_dim", cfg.model.cond_hidden_dim),
-            ("mode", cfg.model.mode),
-            ("input_length", cfg.model.input_length),
-        )),
-        ("loss", (
-            ("lambda_jump", cfg.loss.lambda_jump),
-            ("lambda_vol", cfg.loss.lambda_vol),
-            ("lambda_gvol", cfg.loss.lambda_gvol),
-            ("lambda_kurt", cfg.loss.lambda_kurt),
-            ("lambda_drift", cfg.loss.lambda_drift),
-            ("lambda_pinball", cfg.loss.lambda_pinball),
-            ("lambda_spectral", cfg.loss.lambda_spectral),
-            ("warmup_fraction", cfg.loss.warmup_fraction),
-            ("vol_window", cfg.loss.vol_window),
-            ("vol_stride", cfg.loss.vol_stride),
-        )),
-        ("train", (
-            ("steps", cfg.train.steps),
-            ("batch_size", cfg.train.batch_size),
-            ("lr", cfg.train.lr),
-            ("clip_norm", cfg.train.clip_norm),
-            ("seed", cfg.train.seed),
-            ("checkpoint_every", cfg.train.checkpoint_every),
-        )),
-        ("sampler", (
-            ("num_steps", cfg.sampler.num_steps),
-            ("eta", cfg.sampler.eta),
-            ("n_paths", cfg.sampler.n_paths),
-            ("seed", cfg.sampler.seed),
-        )),
-        ("validate", (
-            ("n_paths", cfg.validate.n_paths),
-            ("max_conditions", cfg.validate.max_conditions),
-        )),
-        ("game", (
-            ("products", cfg.game.products),
-            ("levels", cfg.game.levels),
-            ("threshold", cfg.game.threshold),
-            ("q_paths", cfg.game.q_paths),
-            ("p_paths", cfg.game.p_paths),
-            ("seed", cfg.game.seed),
-            ("discount", cfg.game.discount),
-        )),
-        ("contracts", (
-            ("strike_ratio", cfg.contracts.strike_ratio),
-            ("acc_discount", cfg.contracts.acc_discount),
-            ("acc_ko", cfg.contracts.acc_ko),
-            ("snow_ko", cfg.contracts.snow_ko),
-            ("snow_ki", cfg.contracts.snow_ki),
-            ("snow_coupon", cfg.contracts.snow_coupon),
-            ("snow_notional", cfg.contracts.snow_notional),
-        )),
-    ]
     lines = []
-    for name, pairs in sections:
+    for name, kind, keys in _SCHEMA:
+        section = cfg if kind is None else getattr(cfg, name)
         lines.append(f"[{name}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {_fmt(value)}")
+        lines.extend(f"{f.name} = {_fmt(getattr(section, f.name))}" for f, _ in keys)
         lines.append("")
     return "\n".join(lines)

@@ -8,8 +8,10 @@ The update at step t -> t_prev is
 with x0_hat recovered from the noise estimate.  sigma follows the usual
 eta-scaled schedule, so eta=0 is fully deterministic and eta=1 matches the
 ancestral process variance.  Each path draws from its own seeded stream
-derived from (seed, path index); paths are processed in fixed-size chunks so
-repeated runs are bitwise identical.
+derived from (seed, path index) and paths run in chunks of SAMPLE_CHUNK, so
+a run is bitwise identical for the same seed and n_paths.  Path i is the
+same path for any n_paths, but only to float rounding (about 1e-16): the
+batch size of the network calls changes the BLAS summation order.
 """
 
 from __future__ import annotations
@@ -183,20 +185,20 @@ def sample_paths(model: GeneratorModel, config: SamplerConfig,
     for start in range(0, config.n_paths, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, config.n_paths)
         streams = [np.random.default_rng([config.seed, i]) for i in range(start, stop)]
-        x = np.stack([rng.standard_normal((1, length)) for rng in streams])
         cond = np.repeat(cond_row[None, :], stop - start, axis=0)
-        for i, t in enumerate(steps):
-            t_prev = int(steps[i + 1]) if i + 1 < steps.size else 0
+
+        def eps_fn(x, t):
             pred, _, _ = denoiser.forward(
-                model.params, model.bn_state, x, int(t), cond, model.net,
-                training=False,
+                model.params, model.bn_state, x, t, cond, model.net, training=False,
             )
-            eps_hat = diffusion.recover_eps(x, pred, model.mode, int(t), sched)
-            sigma = ddim_sigma(sched, int(t), t_prev, config.eta)
-            noise = None
-            if sigma > 0.0:
-                noise = np.stack([rng.standard_normal((1, length)) for rng in streams])
-            x = ddim_step(x, eps_hat, int(t), t_prev, sched, sigma, noise)
+            return diffusion.recover_eps(x, pred, model.mode, t, sched)
+
+        def noise_fn(shape):
+            # one draw per path from its own stream: shape is (paths, 1, L)
+            return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
+
+        x_start = noise_fn((stop - start, 1, length))
+        x = ddim_trajectory(eps_fn, x_start, sched, steps, config.eta, noise_fn)
         chunk = x[:, 0, :n_valid] * model.return_scale
         if not np.all(np.isfinite(chunk)):
             raise NumericError("sampler produced non-finite log returns")

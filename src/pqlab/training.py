@@ -257,39 +257,10 @@ def train(slices, state: TrainState, config: TrainConfig,
 # checkpoints
 
 
-def _bn_spec(config: DenoiserConfig):
-    """(name, shape) list for batch-norm state, in schedule order."""
-    spec = []
-    for name, shape in denoiser.param_spec(config):
-        if name.endswith(".gamma"):
-            prefix = name[: -len(".gamma")]
-            spec.append((f"{prefix}.running_mean", shape))
-            spec.append((f"{prefix}.running_var", shape))
-    return spec
-
-
-def _flatten_by_spec(values: dict, spec) -> np.ndarray:
-    return np.concatenate(
-        [np.asarray(values[name], dtype=np.float64).ravel() for name, _ in spec]
-    )
-
-
-def _unflatten_by_spec(vector: np.ndarray, spec) -> dict:
-    out = {}
-    offset = 0
-    for name, shape in spec:
-        size = int(np.prod(shape))
-        out[name] = vector[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != len(vector):
-        raise DataError("flat state length does not match the layout")
-    return out
-
-
 def save_checkpoint(path, state: TrainState) -> None:
     """Write the versioned npz checkpoint; see the module docstring."""
     pspec = denoiser.param_spec(state.net)
-    bnspec = _bn_spec(state.net)
+    bnspec = denoiser.bn_spec(state.net)
     np.savez(
         path,
         version=np.array(CHECKPOINT_VERSION),
@@ -299,11 +270,11 @@ def save_checkpoint(path, state: TrainState) -> None:
         return_scale=np.array(state.return_scale, dtype=np.float64),
         beta=np.asarray(state.sched.beta, dtype=np.float64),
         param_names=np.array([name for name, _ in pspec]),
-        params=_flatten_by_spec(state.params, pspec),
-        adam_m=_flatten_by_spec(state.adam_m, pspec),
-        adam_v=_flatten_by_spec(state.adam_v, pspec),
+        params=denoiser.flatten_params(state.params, pspec),
+        adam_m=denoiser.flatten_params(state.adam_m, pspec),
+        adam_v=denoiser.flatten_params(state.adam_v, pspec),
         bn_names=np.array([name for name, _ in bnspec]),
-        bn_values=_flatten_by_spec(state.bn_state, bnspec),
+        bn_values=denoiser.flatten_params(state.bn_state, bnspec),
     )
 
 
@@ -322,15 +293,15 @@ def load_checkpoint(path) -> TrainState:
         names = [str(n) for n in archive["param_names"]]
         if names != [name for name, _ in pspec]:
             raise DataError("checkpoint parameter layout does not match config")
-        bnspec = _bn_spec(net)
+        bnspec = denoiser.bn_spec(net)
         bn_names = [str(n) for n in archive["bn_names"]]
         if bn_names != [name for name, _ in bnspec]:
             raise DataError("checkpoint batch-norm layout does not match config")
         return TrainState(
-            params=_unflatten_by_spec(archive["params"], pspec),
-            bn_state=_unflatten_by_spec(archive["bn_values"], bnspec),
-            adam_m=_unflatten_by_spec(archive["adam_m"], pspec),
-            adam_v=_unflatten_by_spec(archive["adam_v"], pspec),
+            params=denoiser.unflatten_params(archive["params"], pspec),
+            bn_state=denoiser.unflatten_params(archive["bn_values"], bnspec),
+            adam_m=denoiser.unflatten_params(archive["adam_m"], pspec),
+            adam_v=denoiser.unflatten_params(archive["adam_v"], pspec),
             step=int(archive["step"]),
             net=net,
             sched=NoiseSchedule(np.asarray(archive["beta"], dtype=np.float64)),

@@ -129,20 +129,21 @@ def test_criterion_04_gradients_match_finite_differences():
             return float(np.sum(diff * diff) / diff.size), 2.0 * diff / diff.size
 
         _, grads, _ = dn.gradient(params, state, (x, t, c), loss_fn, config)
-        analytic = dn.flatten_params(grads, config)
-        flat = dn.flatten_params(params, config)
+        spec = dn.param_spec(config)
+        analytic = dn.flatten_params(grads, spec)
+        flat = dn.flatten_params(params, spec)
         fd = np.zeros_like(flat)
         h = 1e-5
         for k in range(flat.size):
             bumped = flat.copy()
             bumped[k] = flat[k] + h
             up, _, _ = dn.forward(
-                dn.unflatten_params(bumped, config), state, x, t, c, config,
+                dn.unflatten_params(bumped, spec), state, x, t, c, config,
                 training=True,
             )
             bumped[k] = flat[k] - h
             down, _, _ = dn.forward(
-                dn.unflatten_params(bumped, config), state, x, t, c, config,
+                dn.unflatten_params(bumped, spec), state, x, t, c, config,
                 training=True,
             )
             fd[k] = (loss_fn(up)[0] - loss_fn(down)[0]) / (2.0 * h)

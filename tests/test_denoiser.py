@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pqlab import denoiser as dn
-from pqlab.errors import ConfigError, NumericError
+from pqlab.errors import ConfigError, DataError, NumericError
 
 
 def tiny_config():
@@ -150,16 +150,30 @@ class TestParams:
     def test_flatten_round_trip(self):
         config = tiny_config()
         params = dn.init_params(config, seed=1)
-        flat = dn.flatten_params(params, config)
-        back = dn.unflatten_params(flat, config)
+        flat = dn.flatten_params(params, dn.param_spec(config))
+        back = dn.unflatten_params(flat, dn.param_spec(config))
         assert set(back) == set(params)
         for k in params:
             assert np.array_equal(back[k], params[k])
+        for bad in (flat[:-1], np.append(flat, 0.0)):
+            with pytest.raises(DataError):
+                dn.unflatten_params(bad, dn.param_spec(config))
+
+    def test_bn_state_follows_bn_spec(self):
+        config = tiny_config()
+        state = dn.init_bn_state(config)
+        spec = dn.bn_spec(config)
+        assert list(state) == [name for name, _ in spec]
+        for name, shape in spec:
+            assert state[name].shape == shape
+            assert np.all(state[name] == (0.0 if name.endswith("_mean") else 1.0))
+        back = dn.unflatten_params(dn.flatten_params(state, spec), spec)
+        assert all(np.array_equal(back[k], state[k]) for k in state)
 
     def test_init_deterministic(self):
         config = tiny_config()
-        a = dn.flatten_params(dn.init_params(config, 9), config)
-        b = dn.flatten_params(dn.init_params(config, 9), config)
+        a = dn.flatten_params(dn.init_params(config, 9), dn.param_spec(config))
+        b = dn.flatten_params(dn.init_params(config, 9), dn.param_spec(config))
         assert np.array_equal(a, b)
 
 
@@ -292,21 +306,22 @@ class TestGradient:
         loss_fn = masked_mse_loss(target, mask)
 
         _, grads, _ = dn.gradient(params, state, (x, t, c), loss_fn, config)
-        analytic = dn.flatten_params(grads, config)
+        spec = dn.param_spec(config)
+        analytic = dn.flatten_params(grads, spec)
 
-        flat = dn.flatten_params(params, config)
+        flat = dn.flatten_params(params, spec)
         fd = np.zeros_like(flat)
         h = 1e-5
         for k in range(len(flat)):
             bumped = flat.copy()
             bumped[k] = flat[k] + h
             up, _, _ = dn.forward(
-                dn.unflatten_params(bumped, config), state, x, t, c, config,
+                dn.unflatten_params(bumped, spec), state, x, t, c, config,
                 training=True,
             )
             bumped[k] = flat[k] - h
             down, _, _ = dn.forward(
-                dn.unflatten_params(bumped, config), state, x, t, c, config,
+                dn.unflatten_params(bumped, spec), state, x, t, c, config,
                 training=True,
             )
             fd[k] = (loss_fn(up)[0] - loss_fn(down)[0]) / (2.0 * h)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqlab.errors import DataError
+from pqlab.errors import ConfigError, DataError
 from pqlab.market_paths import (
+    ConditionVector,
     DailySeries,
     GeneratorConfig,
     RateTable,
@@ -279,6 +280,20 @@ class TestDailySeriesValidation:
         dates = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
         with pytest.raises(DataError):
             DailySeries(dates, np.array([1.0, 0.0]), np.array([True, True]))
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("key", ["s0", "mu1", "mu2", "sigma1", "sigma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_generator_config(self, key, value):
+        with pytest.raises(ConfigError):
+            GeneratorConfig(n_days=400, **{key: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_condition_sigma_hist(self, value):
+        with pytest.raises(DataError, match="sigma_hist"):
+            ConditionVector(sigma_hist=value, r=0.03, t_calendar=0.1,
+                            t_trading=0.05, n_trading=12)
 
 
 class TestSliceStore:

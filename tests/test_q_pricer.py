@@ -69,6 +69,12 @@ class TestSimulateGbm:
         with pytest.raises(ConfigError):
             params(n_paths=0)
 
+    @pytest.mark.parametrize("key", ["s0", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            params(**{key: value})
+
 
 class TestDiscountedValuesAgainstScalarTrace:
     """The vectorized pricer must reproduce the per-path cash-flow trace."""

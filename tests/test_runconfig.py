@@ -1,6 +1,8 @@
 """Run-configuration parsing: defaults, strictness, echo round trip."""
 
 import configparser
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_type_hints
 
 import pytest
 
@@ -18,6 +20,23 @@ def write_config(tmp_path, body):
 
 
 MINIMAL = "[run]\nout_dir = out\n"
+
+
+def ini_keys():
+    """(section, field, annotation) of every INI key, read from the dataclasses."""
+    hints = get_type_hints(rc.RunConfig)
+    for f in fields(rc.RunConfig):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            section_hints = get_type_hints(kind)
+            for g in fields(kind):
+                yield f.name, g, section_hints[g.name]
+        else:
+            yield "run", f, kind
+
+
+FLOAT_KEYS = [(section, f.name) for section, f, kind in ini_keys()
+              if kind in (float, tuple[float, ...])]
 
 
 class TestLoadConfig:
@@ -131,6 +150,11 @@ class TestLoadConfig:
 
 
 class TestLossWeights:
+    def test_bad_weight_rejected_at_load(self, tmp_path):
+        body = MINIMAL + "[loss]\nlambda_jump = -0.5\n"
+        with pytest.raises(ConfigError, match="lambda_jump"):
+            rc.load_config(write_config(tmp_path, body))
+
     def test_weights_carried_through(self, tmp_path):
         body = MINIMAL + "[loss]\nlambda_jump = 0.5\nwarmup_fraction = 0.25\n"
         cfg = rc.load_config(write_config(tmp_path, body))
@@ -171,19 +195,28 @@ class TestContracts:
 class TestNonFiniteRejected:
     """NaN and inf fail validation at load time, never later in a run."""
 
-    @pytest.mark.parametrize("section,key", [
-        ("game", "threshold"),
-        ("contracts", "strike_ratio"),
-        ("contracts", "snow_coupon"),
-        ("contracts", "acc_ko"),
-    ])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_ini_value_rejected(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, MINIMAL + f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{value}'"):
             rc.load_config(path)
         assert cli.main(["prepare", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_every_float_key_is_covered(self):
+        assert ("data", "mu1") in FLOAT_KEYS
+        assert ("game", "levels") in FLOAT_KEYS
+
+    def test_list_element_rejected(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "[game]\nlevels = 0.0, nan, 0.2\n")
+        with pytest.raises(ConfigError, match=r"\[game\] levels"):
+            rc.load_config(path)
+
+    def test_levels_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL)
+        assert cli.main(["game", str(path), "--levels", "0.1,inf"]) == 2
+        assert "--levels" in capsys.readouterr().err
 
     def test_game_config_rejects_nan_threshold(self):
         with pytest.raises(ConfigError):
@@ -217,6 +250,56 @@ class TestResolvedText:
         parser.read_string(echo)
         again = rc.parse_config(parser)
         assert again == cfg
+
+    def test_every_key_round_trips(self, tmp_path):
+        series = tmp_path / "series.csv"
+        rates = tmp_path / "rates.csv"
+        series.write_text("date,close,is_trading_day\n")
+        rates.write_text("date,tenor_days,rate\n")
+        # keys whose values are constrained; every other key is derived
+        # from its field's default and annotation
+        constrained = {"source": "csv", "series_csv": str(series),
+                       "rates_csv": str(rates), "products": ("asian", "snowball")}
+        expected = {}
+        for section, f, kind in ini_keys():
+            default = "out" if f.default is MISSING else f.default
+            if f.name in constrained:
+                value = constrained[f.name]
+            elif kind is bool:
+                value = not default
+            elif kind is int:
+                value = default + 1
+            elif kind is float:
+                value = default + 0.5
+            elif kind is str:
+                value = default + "x"
+            elif kind == tuple[int, ...]:
+                value = default + (default[-1] + 1,)
+            else:
+                assert kind == tuple[float, ...], (section, f.name, kind)
+                value = default + (0.25,)
+            assert value != default
+            expected.setdefault(section, {})[f.name] = value
+
+        def fmt(value):
+            if isinstance(value, tuple):
+                return ",".join(fmt(v) for v in value)
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return repr(value) if isinstance(value, float) else str(value)
+
+        body = "".join(
+            f"[{section}]\n" + "".join(f"{k} = {fmt(v)}\n" for k, v in keys.items())
+            for section, keys in expected.items()
+        )
+        cfg = rc.load_config(write_config(tmp_path, body))
+        for section, keys in expected.items():
+            holder = cfg if section == "run" else getattr(cfg, section)
+            for key, value in keys.items():
+                assert getattr(holder, key) == value, (section, key)
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(rc.resolved_text(cfg))
+        assert rc.parse_config(parser) == cfg
 
     def test_echo_is_stable(self, tmp_path):
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))

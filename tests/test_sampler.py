@@ -211,6 +211,23 @@ class TestSamplePaths:
         b = sp.sample_paths(model, cfg, condition(), sched)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_n_paths_changes_paths_only_by_rounding(self, eta):
+        # a non-zero head, so the network's output reaches the paths
+        base = tiny_model(seed=4)
+        rng = np.random.default_rng(0)
+        params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in base.params.items()}
+        model = sp.GeneratorModel(params=params, bn_state=base.bn_state, net=base.net)
+        sched = df.build_schedule(100)
+
+        def run(n_paths):
+            cfg = sp.SamplerConfig(num_steps=8, eta=eta, seed=3, n_paths=n_paths)
+            return sp.sample_paths(model, cfg, condition(), sched)
+
+        many = run(sp.SAMPLE_CHUNK + 44)  # two chunks
+        np.testing.assert_array_equal(many, run(sp.SAMPLE_CHUNK + 44))
+        np.testing.assert_allclose(run(10), many[:10], rtol=1e-12, atol=1e-15)
+
     def test_seed_changes_output(self):
         model = tiny_model(seed=4)
         sched = df.build_schedule(100)

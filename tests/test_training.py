@@ -321,6 +321,16 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry", ["params", "adam_m", "bn_values"])
+    def test_truncated_vector_rejected(self, dataset, tmp_path, entry):
+        path = tmp_path / "short.npz"
+        tr.save_checkpoint(path, fresh_state(dataset))
+        data = dict(np.load(path))
+        data[entry] = data[entry][:-1]
+        np.savez(path, **data)
+        with pytest.raises(DataError):
+            tr.load_checkpoint(path)
+
     @pytest.mark.parametrize("net_config", ['{"input_length": 20, "width": 3}',
                                             '[20, 16]', '{"input_length":'])
     def test_bad_net_config_rejected(self, dataset, tmp_path, net_config):
