@@ -18,6 +18,10 @@ Artifact layout under [run] out_dir:
     game_<product>_<level>.csv  one level row   (game)
     game_<product>.txt     aligned level table  (game)
 
+`game` samples each test slice's P paths once and values every product on
+them (see ``_model_p_source``), so its files do not depend on which other
+products share the run.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
 """
@@ -290,17 +294,33 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
 
 
 def _model_p_source(model, sched, cfg: runconfig.RunConfig):
-    """P values each slice by sampling the generator and compounding prices."""
+    """P values each slice by sampling the generator and compounding prices.
+
+    The sample depends only on the P seed (derived from the slice's Q seed,
+    which ignores the product), the condition and s0, so the source samples
+    each slice once and hands the same read-only price matrix to every
+    later product: a multi-product game equals single-product runs byte for
+    byte.  The memo holds n_test x p_paths x n_trading floats (about 16 MB
+    at p_paths = 1000 over 98 twenty-day test slices).
+    """
+    memo = {}
 
     def source(s, q_params):
-        scfg = sampler.SamplerConfig(
-            num_steps=cfg.sampler.num_steps,
-            eta=cfg.sampler.eta,
-            seed=_child_seed(q_params.seed, P_SOURCE_SALT),
-            n_paths=cfg.game.p_paths,
-        )
-        rets = sampler.sample_paths(model, scfg, s.condition, sched)
-        return s.s0 * np.exp(np.cumsum(rets, axis=1))
+        seed = _child_seed(q_params.seed, P_SOURCE_SALT)
+        key = (seed, s.condition.as_array().tobytes(), s.s0)
+        prices = memo.get(key)
+        if prices is None:
+            scfg = sampler.SamplerConfig(
+                num_steps=cfg.sampler.num_steps,
+                eta=cfg.sampler.eta,
+                seed=seed,
+                n_paths=cfg.game.p_paths,
+            )
+            rets = sampler.sample_paths(model, scfg, s.condition, sched)
+            prices = s.s0 * np.exp(np.cumsum(rets, axis=1))
+            prices.setflags(write=False)
+            memo[key] = prices
+        return prices
 
     return source
 

@@ -122,6 +122,9 @@ class ConditionVector:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma_hist) and self.sigma_hist >= 0.0):
             raise DataError("sigma_hist must be finite and non-negative")
+        for name in ("r", "t_calendar", "t_trading"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_trading < 1:
             raise DataError("slice needs at least one trading day")
         if self.t_trading > self.t_calendar + 1e-12:
@@ -155,7 +158,11 @@ class PathSlice:
     start_date: np.datetime64
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.s0) and self.s0 > 0.0):
+            raise DataError(f"s0 must be finite and positive, got {self.s0}")
         lr = np.asarray(self.log_returns, dtype=float)
+        if not np.isfinite(lr).all():
+            raise DataError("log_returns must be finite")
         mask = np.asarray(self.mask, dtype=bool)
         n = int(mask.sum())
         if n != len(lr):

@@ -20,7 +20,12 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """y[b,o,l] = sum_{c,k} w[o,c,k] x[b,c,l+k-pad] + b[o]."""
     k = w.shape[2]
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
+    if pad:
+        length = x.shape[2]
+        xp = np.zeros(x.shape[:2] + (length + 2 * pad,), dtype=x.dtype)
+        xp[:, :, pad : pad + length] = x
+    else:
+        xp = x
     cols = sliding_window_view(xp, k, axis=2)  # (B, Cin, L, K)
     y = np.einsum("bclk,ock->bol", cols, w, optimize=True)
     y += b[None, :, None]

@@ -7,6 +7,10 @@ fires only when P's value clears the quote by more than the threshold, and
 settles against the realized historical path.  Accounting is zero-sum:
 Q's P&L is minus P's, bit for bit.
 
+Every product is valued on the same slices with the same seeds: the CLI's
+P source samples each slice once and hands every product the same price
+matrix, so a multi-product game equals single-product games byte for byte.
+
 Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
 level * notional.  Snowballs quote absolute spreads; everything else quotes
@@ -137,8 +141,8 @@ def make_quote(fair: float, level: float, mode: str = "relative",
     """
     if not math.isfinite(fair):
         raise DataError(f"fair value must be finite, got {fair}")
-    if level < 0.0:
-        raise ConfigError(f"greediness level must be >= 0, got {level}")
+    if not (math.isfinite(level) and level >= 0.0):
+        raise ConfigError(f"greediness level must be finite and >= 0, got {level}")
     if mode == "relative":
         half = level * abs(fair)
     elif mode == "absolute":
@@ -220,6 +224,8 @@ def run_game(test_slices, contract: ContractSpec, p_source,
     price paths for P's valuation; q_params carries the slice's s0, matched
     rate, historical sigma, horizon and the per-slice Q seed, so a source
     that simply simulates GBM from q_params reproduces Q's value exactly.
+    The array may be read-only and shared with other products' games;
+    run_game never writes to it.
 
     Q's fair value, P's value and the realized settlement value are
     computed once per slice and shared across levels.

@@ -78,10 +78,14 @@ def _simulate_chunk(params: GbmParams, chunk: int, n_rows: int) -> np.ndarray:
     rng = np.random.default_rng([params.seed, chunk])
     z = rng.standard_normal((n_rows, params.n_days))
     dt = 1.0 / TRADING_DAYS_PER_YEAR
-    increments = (params.r - 0.5 * params.sigma**2) * dt + params.sigma * math.sqrt(
-        dt
-    ) * z
-    return params.s0 * np.exp(np.cumsum(increments, axis=1))
+    # s0 * exp(cumsum(drift + vol * z)), in place on the draw; keep the
+    # operation order, since tests compare the paths bit for bit
+    z *= params.sigma * math.sqrt(dt)
+    z += (params.r - 0.5 * params.sigma**2) * dt
+    np.cumsum(z, axis=1, out=z)
+    np.exp(z, out=z)
+    z *= params.s0
+    return z
 
 
 def _chunk_sizes(n_paths: int):
@@ -161,9 +165,11 @@ def discounted_values(
 def _estimate(values: np.ndarray) -> PriceEstimate:
     """Mean and standard error with compensated (exact) summation."""
     n = len(values)
-    mean = math.fsum(values) / n
+    mean = math.fsum(values.tolist()) / n
     if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        # each square is correctly rounded and fsum is exact, so the
+        # result equals a per-element Python loop bit for bit
+        var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
         std_error = math.sqrt(var / n)
     else:
         std_error = 0.0

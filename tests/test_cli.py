@@ -10,9 +10,11 @@ import pytest
 import pqlab.cli as cli
 import pqlab.market_paths as mp
 import pqlab.runconfig as rc
+import pqlab.sampler as sampler
 import pqlab.training as training
 from pqlab.errors import NumericError
 from pqlab.path_stats import METRICS
+from pqlab.q_pricer import GbmParams
 from pqlab.sampler import read_path_bundle
 
 CONFIG_BODY = """\
@@ -165,6 +167,36 @@ class TestExitCodes:
         bad.write_bytes(blob[: len(blob) // 2])
         assert cli.main(["validate", ini, "--checkpoint", str(bad)]) == 3
         assert "checkpoint" in capsys.readouterr().err
+
+
+def copy_game_inputs(out, dest):
+    """A fresh out dir holding only what `game` reads from a finished run."""
+    os.makedirs(dest)
+    for name in ("slices.npz", "dataset.manifest", "checkpoint.npz"):
+        shutil.copy(os.path.join(out, name), dest)
+    return str(dest)
+
+
+class TestNonFiniteSliceStore:
+    @pytest.mark.parametrize(
+        "member, field",
+        [("test_r", "r"), ("test_tcal", "t_calendar"), ("test_ttrad", "t_trading"),
+         ("test_s0", "s0"), ("test_returns", "log_returns")],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_tampered_condition_is_data_error(
+        self, workspace, tmp_path, capsys, member, field, value
+    ):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "tampered")
+        path = os.path.join(dest, "slices.npz")
+        with np.load(path) as archive:
+            entries = {k: archive[k] for k in archive.files}
+        entries[member] = entries[member].copy()
+        entries[member][0] = value
+        np.savez(path, **entries)
+        assert cli.main(["game", ini, "--out-dir", dest]) == 3
+        assert f"{field} must be finite" in capsys.readouterr().err
 
 
 class TestPrepare:
@@ -321,6 +353,77 @@ class TestGame:
         assert len(lines) == 2
         assert lines[1].startswith("0.005,")
         assert os.path.isfile(os.path.join(out, "game_snowball.txt"))
+
+
+class TestSharedPPaths:
+    """`game` samples each test slice's P paths once for every product."""
+
+    PRODUCTS = ("european", "snowball")
+
+    def multi_product_ini(self, out, tmp_path):
+        ini = tmp_path / "multi.ini"
+        ini.write_text(CONFIG_BODY.format(out=out).replace(
+            "products = european", "products = " + ", ".join(self.PRODUCTS)))
+        return str(ini)
+
+    @staticmethod
+    def game_files(out):
+        files = {}
+        for name in sorted(os.listdir(out)):
+            if name.startswith("game_"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[name] = fh.read()
+        return files
+
+    def test_multi_product_run_equals_single_product_runs(self, workspace, tmp_path):
+        ini, out = workspace
+        multi = copy_game_inputs(out, tmp_path / "multi")
+        single = copy_game_inputs(out, tmp_path / "single")
+        assert cli.main(["game", self.multi_product_ini(out, tmp_path),
+                         "--out-dir", multi]) == 0
+        for product in self.PRODUCTS:
+            assert cli.main(["game", ini, "--out-dir", single,
+                             "--product", product]) == 0
+        got = self.game_files(multi)
+        assert sorted(got) == sorted(
+            [f"game_{p}_{tag}.csv" for p in self.PRODUCTS for tag in ("0.0", "0.2")]
+            + [f"game_{p}.txt" for p in self.PRODUCTS]
+        )
+        assert got == self.game_files(single)
+
+    def test_sample_paths_runs_once_per_test_slice(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        _, out = workspace
+        calls = []
+        real = sampler.sample_paths
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "sample_paths", counting)
+        dest = copy_game_inputs(out, tmp_path / "counted")
+        assert cli.main(["game", self.multi_product_ini(out, tmp_path),
+                         "--out-dir", dest]) == 0
+        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
+        assert len(calls) == int(manifest["test_slices"]) > 1
+
+    def test_cached_matrix_is_shared_and_read_only(self, workspace):
+        ini, out = workspace
+        split = mp.load_slices(os.path.join(out, "slices.npz"))
+        state = training.load_checkpoint(os.path.join(out, "checkpoint.npz"))
+        source = cli._model_p_source(state.model(), state.sched, rc.load_config(ini))
+        s = split.test[0]
+        cond = s.condition
+        q_params = GbmParams(s0=s.s0, r=cond.r, sigma=cond.sigma_hist,
+                             n_days=cond.n_trading, n_paths=10, seed=123)
+        prices = source(s, q_params)
+        assert prices.shape == (32, cond.n_trading)
+        assert source(s, q_params) is prices
+        assert not prices.flags.writeable
+        with pytest.raises(ValueError):
+            prices[0, 0] = 0.0
 
 
 class TestRerunDeterminism:

@@ -10,6 +10,7 @@ from pqlab.market_paths import (
     ConditionVector,
     DailySeries,
     GeneratorConfig,
+    PathSlice,
     RateTable,
     annualized_volatility,
     load_rates_csv,
@@ -22,6 +23,15 @@ from pqlab.market_paths import (
     to_prices,
     write_manifest,
 )
+
+
+def make_path_slice(s0=100.0, log_returns=(0.01, 0.0, -0.02)):
+    n = len(log_returns)
+    cond = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=0.02,
+                           t_trading=n / 252.0, n_trading=n)
+    return PathSlice(s0=s0, log_returns=np.array(log_returns, dtype=float),
+                     mask=np.ones(n, dtype=bool), condition=cond,
+                     window_calendar_days=7, start_date=np.datetime64("2020-01-02"))
 
 
 def flat_rates(windows, start_date, rate=0.02):
@@ -294,6 +304,25 @@ class TestNonFiniteRejected:
         with pytest.raises(DataError, match="sigma_hist"):
             ConditionVector(sigma_hist=value, r=0.03, t_calendar=0.1,
                             t_trading=0.05, n_trading=12)
+
+    @pytest.mark.parametrize("key", ["r", "t_calendar", "t_trading"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_condition_fields(self, key, value):
+        fields = dict(sigma_hist=0.2, r=0.03, t_calendar=0.1, t_trading=0.05,
+                      n_trading=12)
+        fields[key] = value
+        with pytest.raises(DataError, match=f"^{key} must be finite"):
+            ConditionVector(**fields)
+
+    @pytest.mark.parametrize("s0", [math.nan, math.inf, 0.0, -1.0])
+    def test_path_slice_s0(self, s0):
+        with pytest.raises(DataError, match="s0 must be finite and positive"):
+            make_path_slice(s0=s0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_path_slice_log_returns(self, value):
+        with pytest.raises(DataError, match="log_returns must be finite"):
+            make_path_slice(log_returns=[0.01, value, -0.02])
 
 
 class TestSliceStore:

@@ -61,6 +61,11 @@ class TestMakeQuote:
         with pytest.raises(ConfigError):
             game.make_quote(100.0, -0.1)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ConfigError, match="greediness level"):
+            game.make_quote(1.0, level)
+
     def test_non_finite_fair_rejected(self):
         with pytest.raises(DataError):
             game.make_quote(float("nan"), 0.1)

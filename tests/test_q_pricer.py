@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import black_scholes_call
+from oracles import black_scholes_call, estimate_reference, simulate_gbm_reference
 
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
@@ -21,6 +21,7 @@ from pqlab.q_pricer import (
     CHUNK_PATHS,
     GbmParams,
     PriceEstimate,
+    _estimate,
     discounted_values,
     p_price,
     price,
@@ -180,3 +181,38 @@ class TestPriceEstimate:
     def test_negative_std_error_rejected(self):
         with pytest.raises(DataError):
             PriceEstimate(1.0, -0.1, 10)
+
+
+# one value per element, each at its own scale, so lists mix magnitudes
+mixed_scale = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-12, 12),
+)
+
+
+class TestMatchesReference:
+    """The array forms equal the per-element reference loops bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_scale, min_size=1, max_size=400))
+    @example([3.5])
+    @example([0.1] * 7)
+    @example([-1.0, -2.5, -1e-3, -7.25])
+    @example([1e12, 1e-12, -3.0, 0.0, 5e5])
+    def test_estimate_bitwise(self, values):
+        values = np.array(values, dtype=float)
+        est = _estimate(values)
+        mean, std_error = estimate_reference(values)
+        assert est.value.hex() == mean.hex()
+        assert est.std_error.hex() == std_error.hex()
+        assert est.n_paths == len(values)
+
+    @pytest.mark.parametrize("n_paths", [257, CHUNK_PATHS + 3])
+    @pytest.mark.parametrize("r, sigma", [(0.05, 0.2), (-0.01, 0.9), (0.03, 0.0)])
+    def test_simulate_gbm_bitwise(self, n_paths, r, sigma):
+        p = params(r=r, sigma=sigma, n_days=6, n_paths=n_paths, seed=11)
+        got = simulate_gbm(p)
+        want = simulate_gbm_reference(p, CHUNK_PATHS)
+        assert got.shape == want.shape == (n_paths, 6)
+        assert got.tobytes() == want.tobytes()
