@@ -29,6 +29,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -95,6 +96,7 @@ def _slices_path(cfg: runconfig.RunConfig) -> str:
 
 
 def _load_slices(cfg: runconfig.RunConfig):
+    """The slice store and the prepared return scale from dataset.manifest."""
     path = _slices_path(cfg)
     if not os.path.isfile(path):
         raise DataError(f"slice store not found: {path}; run `prepare` first")
@@ -104,7 +106,11 @@ def _load_slices(cfg: runconfig.RunConfig):
         raise DataError(
             f"dataset manifest not found: {manifest_path}; run `prepare` first"
         )
-    return split, mp.read_manifest(manifest_path)
+    manifest = mp.read_manifest(manifest_path)
+    scale = mp.manifest_value(manifest, "return_scale", float, manifest_path)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DataError(f"{manifest_path}: return_scale must be finite and > 0, got {scale}")
+    return split, scale
 
 
 def _resolve_checkpoint(cfg: runconfig.RunConfig, override) -> str:
@@ -185,8 +191,7 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
 
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
-    split, manifest = _load_slices(cfg)
-    scale = float(manifest["return_scale"])
+    split, scale = _load_slices(cfg)
     sched = _build_sched(cfg)
     net = _net_config(cfg, split.l_max)
     tcfg = training.TrainConfig(

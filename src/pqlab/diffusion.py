@@ -40,7 +40,7 @@ class NoiseSchedule:
         beta = np.asarray(self.beta, dtype=float)
         if beta.ndim != 1 or beta.size < 1:
             raise ConfigError("beta must be a non-empty 1-d sequence")
-        if np.any(beta <= 0.0) or np.any(beta >= 1.0):
+        if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ConfigError("every beta_t must lie strictly in (0, 1)")
         object.__setattr__(self, "beta", beta)
 

@@ -558,14 +558,29 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
+    """key=value lines; an unreadable or non-UTF-8 file is a DataError."""
     entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: bad manifest line {line!r}")
-            key, value = line.split("=", 1)
-            entries[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}: bad manifest line {line!r}")
+        key, value = line.split("=", 1)
+        entries[key] = value
     return entries
+
+
+def manifest_value(entries: dict, key: str, parse, path):
+    """``parse(entries[key])``; a missing or unparseable value is a DataError."""
+    if key not in entries:
+        raise DataError(f"{path}: manifest has no {key}")
+    try:
+        return parse(entries[key])
+    except ValueError as exc:
+        raise DataError(f"{path}: bad {key} = {entries[key]!r}") from exc

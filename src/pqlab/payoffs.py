@@ -1,33 +1,93 @@
-"""The five contracts and their cash flows on a realized price path.
+"""The five contracts, each valued by one vectorised cash-flow kernel.
 
-A ``path`` is the vector of daily closes on the trading days after
-inception; the inception close ``s0`` is passed separately.  Day indices
-in cash-flow schedules are 1-based offsets into the path (day t is
-path[t-1]).  Barrier conventions, fixed at daily closes:
+A contract's ``_flows`` is the only place its rules live: it maps an
+``(N, L)`` matrix of closes on the trading days after inception (day t is
+column t-1; the inception close ``s0`` is passed apart) to ``PathFlows``.
+``cashflows`` is its checked entry.  ``q_pricer.discounted_values``
+discounts a path set's flows, and ``contract_cashflows`` reads one
+``(1, n)`` row back as the ``CashFlowSchedule`` the game settles.  Each
+class also carries its quote mode, default greediness levels, quote
+notional and ``from_contracts`` builder for the ``[contracts]`` section;
+``CONTRACT_TYPES`` is the product table, keyed by lower-case class name.
 
-* knock-out triggers at S_t >= barrier (observation day's cash flow is
-  still paid for accumulators; snowball coupon accrues to the KO day),
-* snowball knock-in triggers at S_t < barrier, checked every day.
-
-``discount_value`` turns a schedule into a present value with
-continuous compounding on the trading-day clock.
+Barriers are read at daily closes: knock-out at S_t >= barrier (the
+accumulator's KO-day purchase settles; the snowball coupon accrues to the
+KO day), snowball knock-in at S_t < barrier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .market_paths import TRADING_DAYS_PER_YEAR
 
+RELATIVE_LEVELS = (0.0, 0.10, 0.20, 0.30, 0.40)
+ABSOLUTE_LEVELS = (0.0, 0.005, 0.01, 0.015, 0.02)
+
+
+class PathFlows(NamedTuple):
+    """Column k of ``amounts`` (N, K) pays on 1-based day ``days[:, k]``."""
+
+    days: np.ndarray  # int, broadcasts against amounts: (1, K) or (N, K)
+    amounts: np.ndarray  # 0 where a path pays nothing
+    stop_day: np.ndarray  # (N,) last live day
+    terminated_early: np.ndarray  # (N,) bool
+
+
+def linear_calendar_fraction(n_days: int, t_calendar: float) -> np.ndarray:
+    """Calendar-year fraction per trading day, linear in the day index.
+
+    Used when no explicit calendar is available (simulated paths); the
+    final entry equals the contract's calendar maturity exactly.
+    """
+    if n_days < 1:
+        raise DataError("need at least one day")
+    if not math.isfinite(t_calendar):
+        raise DataError(f"t_calendar must be finite, got {t_calendar}")
+    return np.arange(1, n_days + 1, dtype=float) / n_days * t_calendar
+
+
+class _Contract:
+    """The checked kernel entry and the quoting defaults."""
+
+    quote_mode: ClassVar[str] = "relative"
+    default_levels: ClassVar[tuple[float, ...]] = RELATIVE_LEVELS
+    needs_calendar: ClassVar[bool] = False
+    quote_notional = 1.0
+
+    def cashflows(self, paths, s0: float, calendar=None) -> PathFlows:
+        """Cash flows on every row of an (N, L) close matrix.
+
+        ``calendar``, where needed, is the per-day calendar-year fraction or
+        the maturity t_calendar (a clock linear in the day index).  Bad
+        closes, s0 or calendar are DataErrors.
+        """
+        paths = np.asarray(paths, dtype=float)
+        if paths.ndim != 2 or paths.size == 0:
+            raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
+        if not np.isfinite(paths).all():
+            raise DataError("paths must be finite")
+        if not (math.isfinite(s0) and s0 > 0.0):
+            raise DataError(f"s0 must be finite and positive, got {s0}")
+        if self.needs_calendar:
+            if calendar is None:
+                raise DataError(f"{type(self).__name__} valuation needs t_calendar")
+            if np.ndim(calendar) == 0:
+                calendar = linear_calendar_fraction(paths.shape[1], calendar)
+            calendar = np.asarray(calendar, dtype=float)
+            if calendar.shape != paths.shape[1:] or not np.isfinite(calendar).all():
+                raise DataError("cal_frac must be finite and align with the path")
+        return self._flows(paths, s0, calendar)
+
 
 @dataclass(frozen=True)
-class European:
-    """Vanilla call on the terminal close, K = strike_ratio * s0."""
+class _TerminalCall(_Contract):
+    """Call on one statistic of the path, K = strike_ratio * s0, paid on day L."""
 
     strike_ratio: float = 1.0
 
@@ -35,37 +95,47 @@ class European:
         if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
             raise ConfigError("strike_ratio must be finite and positive")
 
+    @classmethod
+    def from_contracts(cls, section):
+        return cls(strike_ratio=section.strike_ratio)
 
-@dataclass(frozen=True)
-class Lookback:
-    """Fixed-strike call on the path maximum, K = strike_ratio * s0."""
-
-    strike_ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
-            raise ConfigError("strike_ratio must be finite and positive")
-
-
-@dataclass(frozen=True)
-class Asian:
-    """Call on the arithmetic average close, K = strike_ratio * s0."""
-
-    strike_ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.strike_ratio) or self.strike_ratio <= 0.0:
-            raise ConfigError("strike_ratio must be finite and positive")
+    def _flows(self, paths, s0, calendar) -> PathFlows:
+        n, length = paths.shape
+        payoff = np.maximum(self._underlying(paths) - self.strike_ratio * s0, 0.0)
+        return PathFlows(np.array([[length]]), payoff[:, None],
+                         np.full(n, length), np.zeros(n, dtype=bool))
 
 
 @dataclass(frozen=True)
-class Accumulator:
+class European(_TerminalCall):
+    """Vanilla call on the terminal close."""
+
+    _underlying = staticmethod(lambda paths: paths[:, -1])
+
+
+@dataclass(frozen=True)
+class Lookback(_TerminalCall):
+    """Fixed-strike call on the path maximum."""
+
+    _underlying = staticmethod(lambda paths: paths.max(axis=1))
+
+
+@dataclass(frozen=True)
+class Asian(_TerminalCall):
+    """Call on the arithmetic average close."""
+
+    _underlying = staticmethod(lambda paths: paths.mean(axis=1))
+
+
+@dataclass(frozen=True)
+class Accumulator(_Contract):
     """Daily purchase at the discounted strike K_d = discount * s0.
 
     Each day the holder buys daily_units units (doubled while the close
     sits below K_d), booking CF_t = q_t * (S_t - K_d).  The contract
     knocks out the first day the close reaches ko_ratio * s0; that day's
-    purchase still settles.
+    purchase still settles, and a knock-out is an early termination even
+    on the final day.
     """
 
     discount: float = 0.9
@@ -80,9 +150,22 @@ class Accumulator:
         if not math.isfinite(self.daily_units) or self.daily_units <= 0.0:
             raise ConfigError("daily_units must be finite and positive")
 
+    @classmethod
+    def from_contracts(cls, section):
+        return cls(discount=section.acc_discount, ko_ratio=section.acc_ko)
+
+    def _flows(self, paths, s0, calendar) -> PathFlows:
+        days = np.arange(1, paths.shape[1] + 1)[None, :]
+        k_d = self.discount * s0
+        amounts = np.where(paths < k_d, 2.0, 1.0) * self.daily_units * (paths - k_d)
+        hit = paths >= self.ko_ratio * s0
+        knocked_out = hit.any(axis=1)
+        stop = np.where(knocked_out, hit.argmax(axis=1) + 1, paths.shape[1])
+        return PathFlows(days, amounts * (days <= stop[:, None]), stop, knocked_out)
+
 
 @dataclass(frozen=True)
-class Snowball:
+class Snowball(_Contract):
     """Autocallable note: KO coupon, daily KI, downside at maturity.
 
     KO is observed every ko_obs_stride trading days and on the final
@@ -91,8 +174,13 @@ class Snowball:
     observed daily below ki_ratio * s0.  If KI was ever hit and KO
     never, the holder bears min(S_T/s0 - 1, 0) on the notional (floored
     at -notional); with neither event the full-horizon coupon is paid.
-    Amounts exclude the principal leg.
+    Amounts exclude the principal leg; only a KO before the final day is
+    an early termination.  Quotes are absolute, in units of the notional.
     """
+
+    quote_mode: ClassVar[str] = "absolute"
+    default_levels: ClassVar[tuple[float, ...]] = ABSOLUTE_LEVELS
+    needs_calendar: ClassVar[bool] = True
 
     ko_ratio: float = 1.05
     ki_ratio: float = 0.8
@@ -115,8 +203,34 @@ class Snowball:
         if self.notional <= 0.0:
             raise ConfigError("notional must be positive")
 
+    @property
+    def quote_notional(self) -> float:
+        return self.notional
+
+    @classmethod
+    def from_contracts(cls, section):
+        return cls(ko_ratio=section.snow_ko, ki_ratio=section.snow_ki,
+                   coupon_pa=section.snow_coupon, notional=section.snow_notional)
+
+    def _flows(self, paths, s0, cal_frac) -> PathFlows:
+        length = paths.shape[1]
+        day = np.arange(1, length + 1)
+        observed = (day % self.ko_obs_stride == 0) | (day == length)
+        ko_hit = (paths >= self.ko_ratio * s0) & observed
+        knocked_out = ko_hit.any(axis=1)
+        stop = np.where(knocked_out, ko_hit.argmax(axis=1) + 1, length)
+        # without a KO, stop == length and the coupon accrues to maturity
+        coupon = self.notional * self.coupon_pa * cal_frac[stop - 1]
+        knocked_in = (paths < self.ki_ratio * s0).any(axis=1)
+        downside = self.notional * np.maximum(
+            np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
+        )
+        amount = np.where(knocked_out | ~knocked_in, coupon, downside)
+        return PathFlows(stop[:, None], amount[:, None], stop, stop < length)
+
 
 ContractSpec = Union[European, Lookback, Asian, Accumulator, Snowball]
+CONTRACT_TYPES = (European, Lookback, Asian, Accumulator, Snowball)
 
 
 @dataclass(frozen=True)
@@ -141,132 +255,17 @@ class CashFlowSchedule:
         object.__setattr__(self, "amounts", amounts)
 
 
-def _check_path(path) -> np.ndarray:
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 1 or path.size == 0:
-        raise DataError("path must be a non-empty 1-d close vector")
-    return path
-
-
-def european_payoff(path, s0: float, strike_ratio: float = 1.0) -> float:
-    """max(S_T - K, 0) with K = strike_ratio * s0."""
-    path = _check_path(path)
-    return max(float(path[-1]) - strike_ratio * s0, 0.0)
-
-
-def lookback_payoff(path, s0: float, strike_ratio: float = 1.0) -> float:
-    """max(max_t S_t - K, 0) with K = strike_ratio * s0."""
-    path = _check_path(path)
-    return max(float(path.max()) - strike_ratio * s0, 0.0)
-
-
-def asian_payoff(path, s0: float, strike_ratio: float = 1.0) -> float:
-    """max(mean_t S_t - K, 0) with K = strike_ratio * s0."""
-    path = _check_path(path)
-    return max(float(path.mean()) - strike_ratio * s0, 0.0)
-
-
-def accumulator_cashflows(path, s0: float, spec: Accumulator) -> CashFlowSchedule:
-    """Daily CF_t = q_t * units * (S_t - K_d); KO day settles then stops."""
-    path = _check_path(path)
-    if s0 <= 0.0:
-        raise DataError("s0 must be positive")
-    k_d = spec.discount * s0
-    ko_level = spec.ko_ratio * s0
-    days, amounts = [], []
-    termination_day, terminated = len(path), False
-    for t, s in enumerate(path, start=1):
-        q = 2.0 if s < k_d else 1.0
-        days.append(t)
-        amounts.append(q * spec.daily_units * (s - k_d))
-        if s >= ko_level:
-            termination_day, terminated = t, True
-            break
-    return CashFlowSchedule(
-        np.array(days), np.array(amounts), termination_day, terminated
-    )
-
-
-def snowball_payoff(path, s0: float, spec: Snowball, cal_frac) -> tuple:
-    """Evaluate one snowball; returns (amount, termination_day).
-
-    cal_frac[t-1] is the elapsed calendar-year fraction at trading day t,
-    so cal_frac[-1] is the contract's full calendar maturity.
-    """
-    path = _check_path(path)
-    cal_frac = np.asarray(cal_frac, dtype=float)
-    if cal_frac.shape != path.shape:
-        raise DataError("cal_frac must align with the path")
-    if s0 <= 0.0:
-        raise DataError("s0 must be positive")
-    n = len(path)
-    ko_level = spec.ko_ratio * s0
-    ki_level = spec.ki_ratio * s0
-    ki_hit = False
-    for t, s in enumerate(path, start=1):
-        if s < ki_level:
-            ki_hit = True
-        if (t % spec.ko_obs_stride == 0 or t == n) and s >= ko_level:
-            return spec.notional * spec.coupon_pa * float(cal_frac[t - 1]), t
-    if ki_hit:
-        loss = min(float(path[-1]) / s0 - 1.0, 0.0)
-        return spec.notional * max(loss, -1.0), n
-    return spec.notional * spec.coupon_pa * float(cal_frac[n - 1]), n
-
-
-def classify_snowball(path, s0: float, spec: Snowball) -> str:
-    """Outcome tag: 'ko', 'ki_loss', 'ki_par', or 'full_coupon'."""
-    path = _check_path(path)
-    n = len(path)
-    ko_level = spec.ko_ratio * s0
-    ki_level = spec.ki_ratio * s0
-    ki_hit = False
-    for t, s in enumerate(path, start=1):
-        if s < ki_level:
-            ki_hit = True
-        if (t % spec.ko_obs_stride == 0 or t == n) and s >= ko_level:
-            return "ko"
-    if ki_hit:
-        return "ki_loss" if float(path[-1]) < s0 else "ki_par"
-    return "full_coupon"
-
-
-def linear_calendar_fraction(n_days: int, t_calendar: float) -> np.ndarray:
-    """Calendar-year fraction per trading day, linear in the day index.
-
-    Used when no explicit calendar is available (simulated paths); the
-    final entry equals the contract's calendar maturity exactly.
-    """
-    if n_days < 1:
-        raise DataError("need at least one day")
-    return np.arange(1, n_days + 1, dtype=float) / n_days * t_calendar
-
-
 def contract_cashflows(
     contract: ContractSpec, path, s0: float, cal_frac=None
 ) -> CashFlowSchedule:
-    """Uniform cash-flow view of any contract on one path."""
-    path = _check_path(path)
-    n = len(path)
-    if isinstance(contract, European):
-        amt = european_payoff(path, s0, contract.strike_ratio)
-        return CashFlowSchedule(np.array([n]), np.array([amt]), n, False)
-    if isinstance(contract, Lookback):
-        amt = lookback_payoff(path, s0, contract.strike_ratio)
-        return CashFlowSchedule(np.array([n]), np.array([amt]), n, False)
-    if isinstance(contract, Asian):
-        amt = asian_payoff(path, s0, contract.strike_ratio)
-        return CashFlowSchedule(np.array([n]), np.array([amt]), n, False)
-    if isinstance(contract, Accumulator):
-        return accumulator_cashflows(path, s0, contract)
-    if isinstance(contract, Snowball):
-        if cal_frac is None:
-            raise ConfigError("snowball evaluation needs cal_frac")
-        amount, day = snowball_payoff(path, s0, contract, cal_frac)
-        return CashFlowSchedule(
-            np.array([day]), np.array([amount]), day, day < n
-        )
-    raise ConfigError(f"unknown contract {contract!r}")
+    """One path's schedule: the kernel on a (1, n) row, cut at the stop day."""
+    path = np.asarray(path, dtype=float)
+    if path.ndim != 1 or path.size == 0:
+        raise DataError("path must be a non-empty 1-d close vector")
+    days, amounts, stop, early = contract.cashflows(path[None, :], s0, cal_frac)
+    days = np.broadcast_to(days, amounts.shape)[0]
+    live = days <= stop[0]
+    return CashFlowSchedule(days[live], amounts[0, live], int(stop[0]), bool(early[0]))
 
 
 def discount_value(

@@ -13,8 +13,9 @@ matrix, so a multi-product game equals single-product games byte for byte.
 
 Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
-level * notional.  Snowballs quote absolute spreads; everything else quotes
-relative ones.
+level * notional.  Each contract class names its quote mode, default
+levels and notional: snowballs quote absolute spreads on their notional,
+everything else quotes relative ones.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice
-from .payoffs import ContractSpec, Snowball, contract_cashflows, discount_value, linear_calendar_fraction
+from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, ContractSpec,  # noqa: F401
+                      contract_cashflows, discount_value, linear_calendar_fraction)
 from .q_pricer import DEFAULT_GAME_PATHS, GbmParams, p_price, price
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
-RELATIVE_LEVELS = (0.0, 0.10, 0.20, 0.30, 0.40)
-ABSOLUTE_LEVELS = (0.0, 0.005, 0.01, 0.015, 0.02)
 
 GAME_CSV_HEADER = "level,cum_pnl,trades,longs,shorts,win_rate,sharpe"
 
@@ -123,12 +123,8 @@ class GameConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
-def quote_mode(contract: ContractSpec) -> str:
-    return "absolute" if isinstance(contract, Snowball) else "relative"
-
-
 def default_levels(contract: ContractSpec) -> tuple[float, ...]:
-    return ABSOLUTE_LEVELS if isinstance(contract, Snowball) else RELATIVE_LEVELS
+    return contract.default_levels
 
 
 def make_quote(fair: float, level: float, mode: str = "relative",
@@ -207,9 +203,7 @@ def _q_seed(base_seed: int, slice_idx: int) -> int:
 def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> float:
     prices = s.s0 * np.exp(np.cumsum(s.log_returns))
     cond = s.condition
-    cal_frac = None
-    if isinstance(contract, Snowball):
-        cal_frac = linear_calendar_fraction(cond.n_trading, cond.t_calendar)
+    cal_frac = linear_calendar_fraction(cond.n_trading, cond.t_calendar)
     flows = contract_cashflows(contract, prices, s.s0, cal_frac)
     if discount:
         return discount_value(flows, cond.r)
@@ -236,10 +230,10 @@ def run_game(test_slices, contract: ContractSpec, p_source,
     if not test_slices:
         raise DataError("no test slices to play")
     if levels is None:
-        levels = default_levels(contract)
+        levels = contract.default_levels
     levels = [float(level) for level in levels]
-    mode = quote_mode(contract)
-    notional = contract.notional if isinstance(contract, Snowball) else 1.0
+    mode = contract.quote_mode
+    notional = contract.quote_notional
 
     valuations = []
     for idx, s in enumerate(test_slices):

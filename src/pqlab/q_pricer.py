@@ -22,15 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .market_paths import TRADING_DAYS_PER_YEAR
-from .payoffs import (
-    Accumulator,
-    Asian,
-    ContractSpec,
-    European,
-    Lookback,
-    Snowball,
-    linear_calendar_fraction,
-)
+from .payoffs import ContractSpec
 
 # Fixed chunk size so the path set is identical whether it is
 # materialized in one array or streamed chunk by chunk.
@@ -70,6 +62,10 @@ class PriceEstimate:
     n_paths: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise DataError(
+                f"price estimate must be finite, got {self.value} +/- {self.std_error}"
+            )
         if self.std_error < 0.0:
             raise DataError("std_error must be non-negative")
 
@@ -111,55 +107,18 @@ def discounted_values(
     r: float,
     t_calendar: float | None = None,
 ) -> np.ndarray:
-    """Discounted contract value per path, vectorized across paths.
+    """Discounted contract value per path, from the contract's kernel.
 
-    Matches the per-path cash-flow trace in ``payoffs`` (tested against
-    it); snowballs need t_calendar for their coupon accrual clock.
+    Each flow is discounted continuously on the trading-day clock.
+    Snowballs need t_calendar: their coupon accrues on a calendar clock
+    linear in the day index.  The kernel entry checks paths, s0 and the
+    calendar; a non-finite rate is a DataError here.
     """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 2 or paths.size == 0:
-        raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
-    n, length = paths.shape
-    t_idx = np.arange(1, length + 1, dtype=float)
-    disc = np.exp(-r * t_idx / TRADING_DAYS_PER_YEAR)
-
-    if isinstance(contract, European):
-        payoff = np.maximum(paths[:, -1] - contract.strike_ratio * s0, 0.0)
-        return payoff * disc[-1]
-    if isinstance(contract, Lookback):
-        payoff = np.maximum(paths.max(axis=1) - contract.strike_ratio * s0, 0.0)
-        return payoff * disc[-1]
-    if isinstance(contract, Asian):
-        payoff = np.maximum(paths.mean(axis=1) - contract.strike_ratio * s0, 0.0)
-        return payoff * disc[-1]
-    if isinstance(contract, Accumulator):
-        k_d = contract.discount * s0
-        cf = np.where(paths < k_d, 2.0, 1.0) * contract.daily_units * (paths - k_d)
-        hit = paths >= contract.ko_ratio * s0
-        has_ko = hit.any(axis=1)
-        last = np.where(has_ko, hit.argmax(axis=1), length - 1)
-        alive = np.arange(length)[None, :] <= last[:, None]
-        return np.sum(cf * alive * disc[None, :], axis=1)
-    if isinstance(contract, Snowball):
-        if t_calendar is None:
-            raise ConfigError("snowball valuation needs t_calendar")
-        obs = (np.arange(1, length + 1) % contract.ko_obs_stride == 0) | (
-            np.arange(1, length + 1) == length
-        )
-        ko_hit = (paths >= contract.ko_ratio * s0) & obs[None, :]
-        has_ko = ko_hit.any(axis=1)
-        pay_day = np.where(has_ko, ko_hit.argmax(axis=1) + 1, length)
-        cal = linear_calendar_fraction(length, t_calendar)
-        coupon = contract.notional * contract.coupon_pa * cal[pay_day - 1]
-        ki_any = (paths < contract.ki_ratio * s0).any(axis=1)
-        downside = contract.notional * np.maximum(
-            np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
-        )
-        amount = np.where(has_ko, coupon, np.where(ki_any, downside, coupon))
-        # the no-KO/no-KI branch reuses `coupon`, which equals the full
-        # horizon accrual there because pay_day == length
-        return amount * np.exp(-r * pay_day / TRADING_DAYS_PER_YEAR)
-    raise ConfigError(f"unknown contract {contract!r}")
+    if not math.isfinite(r):
+        raise DataError(f"rate must be finite, got {r}")
+    flows = contract.cashflows(paths, s0, t_calendar)
+    disc = np.exp(-r * flows.days / TRADING_DAYS_PER_YEAR)
+    return np.sum(flows.amounts * disc, axis=1)
 
 
 def _estimate(values: np.ndarray) -> PriceEstimate:
@@ -213,8 +172,5 @@ def p_price(
     gaps reflect the path measure only; ``discount=False`` averages the
     raw payoffs instead.
     """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 2 or paths.size == 0:
-        raise DataError("need a non-empty path set")
-    values = discounted_values(contract, paths, s0, 0.0 if not discount else r, t_calendar)
+    values = discounted_values(contract, paths, s0, r if discount else 0.0, t_calendar)
     return _estimate(values)

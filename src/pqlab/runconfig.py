@@ -30,9 +30,11 @@ from typing import get_type_hints
 
 from .errors import ConfigError
 from .objectives import DEFAULT_VOL_STRIDE, DEFAULT_VOL_WINDOW, LossWeights
-from .payoffs import Accumulator, Asian, European, Lookback, Snowball
+from .payoffs import CONTRACT_TYPES
 
-PRODUCTS = ("european", "lookback", "asian", "accumulator", "snowball")
+# product name -> contract class, the one product table
+_CONTRACTS = {cls.__name__.lower(): cls for cls in CONTRACT_TYPES}
+PRODUCTS = tuple(_CONTRACTS)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -210,22 +212,9 @@ class ContractsSection:
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""
-        if product == "european":
-            return European(strike_ratio=self.strike_ratio)
-        if product == "lookback":
-            return Lookback(strike_ratio=self.strike_ratio)
-        if product == "asian":
-            return Asian(strike_ratio=self.strike_ratio)
-        if product == "accumulator":
-            return Accumulator(discount=self.acc_discount, ko_ratio=self.acc_ko)
-        if product == "snowball":
-            return Snowball(
-                ko_ratio=self.snow_ko,
-                ki_ratio=self.snow_ki,
-                coupon_pa=self.snow_coupon,
-                notional=self.snow_notional,
-            )
-        raise ConfigError(f"unknown product {product!r}")
+        if product not in _CONTRACTS:
+            raise ConfigError(f"unknown product {product!r}")
+        return _CONTRACTS[product].from_contracts(self)
 
 
 @dataclass(frozen=True)

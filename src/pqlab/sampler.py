@@ -27,6 +27,7 @@ from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
 from .market_paths import (  # noqa: F401  (to_prices is part of this module's API)
     ConditionVector,
+    manifest_value,
     read_manifest,
     to_prices,
     write_manifest,
@@ -246,22 +247,31 @@ def write_path_bundle(csv_path, paths: np.ndarray, condition: ConditionVector,
 
 def read_path_bundle(csv_path) -> tuple[np.ndarray, dict]:
     """Load a path bundle written by write_path_bundle."""
-    manifest = read_manifest(f"{csv_path}.manifest")
-    n_paths = int(manifest["n_paths"])
-    n_steps = int(manifest["n_steps"])
+    manifest_path = f"{csv_path}.manifest"
+    manifest = read_manifest(manifest_path)
+    n_paths = manifest_value(manifest, "n_paths", int, manifest_path)
+    n_steps = manifest_value(manifest, "n_steps", int, manifest_path)
+    if n_paths < 0 or n_steps < 0:
+        raise DataError(f"{manifest_path}: negative n_paths or n_steps")
     paths = np.full((n_paths, n_steps), np.nan)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BUNDLE_CSV_HEADER.split(","):
-            raise DataError(f"{csv_path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise DataError(f"{csv_path}: bad row {row}")
-            pid, step = int(row[0]), int(row[1])
-            if not (0 <= pid < n_paths and 1 <= step <= n_steps):
-                raise DataError(f"{csv_path}: out-of-range indices in {row}")
-            paths[pid, step - 1] = float(row[2])
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read path bundle {csv_path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != BUNDLE_CSV_HEADER.split(","):
+        raise DataError(f"{csv_path}: unexpected header {header}")
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise DataError(f"{csv_path}: bad row {row}")
+        try:
+            pid, step, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise DataError(f"{csv_path}: bad row {row}") from None
+        if not (0 <= pid < n_paths and 1 <= step <= n_steps):
+            raise DataError(f"{csv_path}: out-of-range indices in {row}")
+        paths[pid, step - 1] = value
     if n_paths and not np.all(np.isfinite(paths)):
         raise DataError(f"{csv_path}: incomplete path grid")
     return paths, manifest

@@ -279,7 +279,12 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Load and validate a PQLAB-CKPT v1 archive back into a TrainState."""
+    """Load and validate a PQLAB-CKPT v1 archive back into a TrainState.
+
+    A tampered field (negative step, unknown mode, beta outside (0, 1), a
+    non-finite or non-positive return_scale, non-finite params, moments or
+    batch-norm values) is a DataError naming the file and the field.
+    """
     with read_npz(path, "checkpoint") as archive:
         if str(archive["version"]) != CHECKPOINT_VERSION:
             raise DataError(
@@ -297,14 +302,35 @@ def load_checkpoint(path) -> TrainState:
         bn_names = [str(n) for n in archive["bn_names"]]
         if bn_names != [name for name, _ in bnspec]:
             raise DataError("checkpoint batch-norm layout does not match config")
+        vectors = {}
+        for key, spec in (("params", pspec), ("adam_m", pspec),
+                          ("adam_v", pspec), ("bn_values", bnspec)):
+            vectors[key] = denoiser.unflatten_params(archive[key], spec)
+            if not all(np.isfinite(v).all() for v in vectors[key].values()):
+                raise DataError(f"checkpoint {path}: {key} must be finite")
+        step = int(archive["step"])
+        mode = str(archive["mode"])
+        return_scale = float(archive["return_scale"])
+        if step < 0:
+            raise DataError(f"checkpoint {path}: step must be >= 0, got {step}")
+        if mode not in MODES:
+            raise DataError(f"checkpoint {path}: mode must be one of {MODES}, got {mode!r}")
+        if not (math.isfinite(return_scale) and return_scale > 0.0):
+            raise DataError(
+                f"checkpoint {path}: return_scale must be finite and > 0, got {return_scale}"
+            )
+        try:
+            sched = NoiseSchedule(np.asarray(archive["beta"], dtype=np.float64))
+        except ConfigError as exc:
+            raise DataError(f"checkpoint {path}: beta: {exc}") from exc
         return TrainState(
-            params=denoiser.unflatten_params(archive["params"], pspec),
-            bn_state=denoiser.unflatten_params(archive["bn_values"], bnspec),
-            adam_m=denoiser.unflatten_params(archive["adam_m"], pspec),
-            adam_v=denoiser.unflatten_params(archive["adam_v"], pspec),
-            step=int(archive["step"]),
+            params=vectors["params"],
+            bn_state=vectors["bn_values"],
+            adam_m=vectors["adam_m"],
+            adam_v=vectors["adam_v"],
+            step=step,
             net=net,
-            sched=NoiseSchedule(np.asarray(archive["beta"], dtype=np.float64)),
-            mode=str(archive["mode"]),
-            return_scale=float(archive["return_scale"]),
+            sched=sched,
+            mode=mode,
+            return_scale=return_scale,
         )

@@ -29,9 +29,8 @@ from pqlab.payoffs import (
     Accumulator,
     European,
     Snowball,
-    accumulator_cashflows,
+    contract_cashflows,
     linear_calendar_fraction,
-    snowball_payoff,
 )
 from pqlab.sampler import ddim_trajectory, step_subsequence
 
@@ -192,8 +191,8 @@ def test_criterion_05_loss_suite_identities():
 
 def test_criterion_06_payoff_hand_oracles():
     with criterion(6, "accumulator and snowball hand-traced cash flows"):
-        schedule = accumulator_cashflows(
-            [95.0, 85.0, 121.0], 100.0, Accumulator(discount=0.9, ko_ratio=1.2)
+        schedule = contract_cashflows(
+            Accumulator(discount=0.9, ko_ratio=1.2), [95.0, 85.0, 121.0], 100.0
         )
         assert schedule.days.tolist() == [1, 2, 3]
         assert schedule.amounts.tolist() == [5.0, -10.0, 31.0]
@@ -202,6 +201,11 @@ def test_criterion_06_payoff_hand_oracles():
 
         spec = Snowball(ko_ratio=1.05, ki_ratio=0.9, coupon_pa=0.15, notional=1e6)
         cal = linear_calendar_fraction(20, 30.0 / 365.0)
+
+        def snowball_payoff(path, s0, spec, cal):
+            schedule = contract_cashflows(spec, path, s0, cal)
+            assert schedule.days.tolist() == [schedule.termination_day]
+            return schedule.amounts[0], schedule.termination_day
 
         quiet = np.full(20, 100.0)
         amount, day = snowball_payoff(quiet, 100.0, spec, cal)

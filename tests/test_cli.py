@@ -199,6 +199,73 @@ class TestNonFiniteSliceStore:
         assert f"{field} must be finite" in capsys.readouterr().err
 
 
+def tamper_checkpoint(out, dest, key, value):
+    """A copy of the run's checkpoint with one entry replaced."""
+    with np.load(os.path.join(out, "checkpoint.npz")) as archive:
+        entries = {k: archive[k] for k in archive.files}
+    if key in ("params", "adam_m", "adam_v", "bn_values"):
+        entries[key] = entries[key].copy()
+        entries[key][0] = value
+    else:
+        entries[key] = np.asarray(value, dtype=entries[key].dtype)
+    np.savez(dest, **entries)
+    return str(dest)
+
+
+class TestTamperedManifest:
+    @pytest.mark.parametrize("line", [
+        None, "return_scale=", "return_scale=abc", "return_scale=nan",
+        "return_scale=inf", "return_scale=0.0", "return_scale=-0.01",
+    ])
+    def test_bad_return_scale_is_data_error(self, workspace, tmp_path, capsys, line):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "tampered")
+        path = os.path.join(dest, "dataset.manifest")
+        with open(path) as fh:
+            kept = [ln for ln in fh if not ln.startswith("return_scale=")]
+        with open(path, "w") as fh:
+            fh.writelines(kept + ([] if line is None else [line + "\n"]))
+        assert cli.main(["train", ini, "--out-dir", dest]) == 3
+        err = capsys.readouterr().err
+        assert "dataset.manifest" in err and "return_scale" in err
+
+    def test_non_utf8_manifest_is_data_error(self, workspace, tmp_path, capsys):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "tampered")
+        with open(os.path.join(dest, "dataset.manifest"), "ab") as fh:
+            fh.write(b"note=\xff\xfe\n")
+        assert cli.main(["train", ini, "--out-dir", dest]) == 3
+        assert "dataset.manifest" in capsys.readouterr().err
+
+
+class TestTamperedCheckpoint:
+    @pytest.mark.parametrize("key, value, needle", [
+        ("step", -1, "step"),
+        ("mode", "score", "mode"),
+        ("beta", [0.5, 1.5], "beta"),
+        ("beta", [0.1, np.nan], "beta"),
+        ("return_scale", np.nan, "return_scale"),
+        ("return_scale", 0.0, "return_scale"),
+        ("params", np.nan, "params"),
+        ("adam_m", np.inf, "adam_m"),
+        ("adam_v", np.nan, "adam_v"),
+        ("bn_values", np.nan, "bn_values"),
+    ])
+    def test_sample_exits_3(self, workspace, tmp_path, capsys, key, value, needle):
+        ini, out = workspace
+        bad = tamper_checkpoint(out, tmp_path / "bad.npz", key, value)
+        assert cli.main(["sample", ini, "--checkpoint", bad]) == 3
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and needle in err
+
+    def test_resume_from_negative_step_exits_3(self, workspace, tmp_path, capsys):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "resume")
+        bad = tamper_checkpoint(out, tmp_path / "bad.npz", "step", -3)
+        assert cli.main(["train", ini, "--out-dir", dest, "--resume", bad]) == 3
+        assert "step must be >= 0" in capsys.readouterr().err
+
+
 class TestPrepare:
     def test_artifacts_exist(self, workspace):
         _, out = workspace

@@ -243,9 +243,9 @@ class TestRunGameInvariants:
             game.run_game([], European(), game.gbm_p_source, config=self.config)
 
     def test_snowball_defaults_absolute(self):
-        assert game.quote_mode(Snowball()) == "absolute"
+        assert Snowball().quote_mode == "absolute"
         assert game.default_levels(Snowball()) == game.ABSOLUTE_LEVELS
-        assert game.quote_mode(Accumulator()) == "relative"
+        assert Accumulator().quote_mode == "relative"
         assert game.default_levels(European()) == game.RELATIVE_LEVELS
 
     def test_snowball_game_runs_with_notional_spreads(self):

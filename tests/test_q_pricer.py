@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import black_scholes_call, estimate_reference, simulate_gbm_reference
+from oracles import (
+    black_scholes_call,
+    cashflow_schedule,
+    estimate_reference,
+    simulate_gbm_reference,
+)
 
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
@@ -104,7 +109,7 @@ class TestDiscountedValuesAgainstScalarTrace:
         for contract in self.contracts:
             vec = discounted_values(contract, paths, 100.0, r, t_calendar=t_cal)
             for i in range(len(paths)):
-                cf = contract_cashflows(contract, paths[i], 100.0, cal)
+                cf = cashflow_schedule(contract, paths[i], 100.0, cal)
                 assert vec[i] == pytest.approx(
                     discount_value(cf, r), rel=1e-12, abs=1e-9
                 )
@@ -181,6 +186,35 @@ class TestPriceEstimate:
     def test_negative_std_error_rejected(self):
         with pytest.raises(DataError):
             PriceEstimate(1.0, -0.1, 10)
+
+    @pytest.mark.parametrize("value, std_error", [
+        (math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_fields_rejected(self, value, std_error):
+        with pytest.raises(DataError, match="finite"):
+            PriceEstimate(value, std_error, 10)
+
+
+class TestValuationInputs:
+    """p_price rejects bad inputs instead of returning a NaN or silent value."""
+
+    paths = 100.0 * np.exp(np.cumsum(np.full((4, 10), 0.001), axis=1))
+
+    @pytest.mark.parametrize("s0", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("contract", [European(), Snowball()], ids=repr)
+    def test_bad_s0(self, contract, s0):
+        with pytest.raises(DataError, match="s0"):
+            p_price(contract, self.paths, s0, 0.02, t_calendar=0.05)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate(self, r):
+        with pytest.raises(DataError, match="rate"):
+            p_price(European(), self.paths, 100.0, r)
+
+    @pytest.mark.parametrize("t_calendar", [None, math.nan, math.inf])
+    def test_snowball_calendar(self, t_calendar):
+        with pytest.raises(DataError, match="t_calendar"):
+            p_price(Snowball(), self.paths, 100.0, 0.02, t_calendar=t_calendar)
 
 
 # one value per element, each at its own scale, so lists mix magnitudes

@@ -345,3 +345,38 @@ class TestPathBundle:
         (tmp_path / "bundle.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataError):
             sp.read_path_bundle(target)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", None), ("n_paths", "two"), ("n_paths", "-1"),
+        ("n_steps", None), ("n_steps", "3.5"),
+    ])
+    def test_bad_manifest_count_rejected(self, tmp_path, key, value):
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.zeros((2, 3)), condition(3),
+                             sp.SamplerConfig(n_paths=2))
+        manifest = tmp_path / "bundle.csv.manifest"
+        lines = [ln for ln in manifest.read_text().splitlines()
+                 if not ln.startswith(key + "=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=key):
+            sp.read_path_bundle(target)
+
+    @pytest.mark.parametrize("row", ["0,1,abc", "0,x,0.5", "0,1", "0,1,0.5,7"])
+    def test_bad_row_rejected(self, tmp_path, row):
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.zeros((1, 1)), condition(1),
+                             sp.SamplerConfig(n_paths=1))
+        target.write_text("path_id,step,log_return\n" + row + "\n")
+        with pytest.raises(DataError, match="bad row"):
+            sp.read_path_bundle(target)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.zeros((1, 1)), condition(1),
+                             sp.SamplerConfig(n_paths=1))
+        with open(tmp_path / "bundle.csv.manifest", "ab") as fh:
+            fh.write(b"note=\xff\n")
+        with pytest.raises(DataError, match="manifest"):
+            sp.read_path_bundle(target)

@@ -331,6 +331,35 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("step", -1),
+        ("mode", "score"),
+        ("beta", "out_of_range"),
+        ("beta", "nan"),
+        ("return_scale", np.nan),
+        ("return_scale", np.inf),
+        ("return_scale", -1.0),
+        ("params", np.nan),
+        ("adam_m", np.nan),
+        ("adam_v", np.inf),
+        ("bn_values", np.nan),
+    ])
+    def test_tampered_field_rejected(self, dataset, tmp_path, key, value):
+        path = tmp_path / "tampered.npz"
+        tr.save_checkpoint(path, fresh_state(dataset))
+        data = dict(np.load(path))
+        if key == "beta":
+            data[key] = data[key].copy()
+            data[key][-1] = 1.0 if value == "out_of_range" else np.nan
+        elif key in ("params", "adam_m", "adam_v", "bn_values"):
+            data[key] = data[key].copy()
+            data[key][-1] = value
+        else:
+            data[key] = np.asarray(value, dtype=data[key].dtype)
+        np.savez(path, **data)
+        with pytest.raises(DataError, match=key):
+            tr.load_checkpoint(path)
+
     @pytest.mark.parametrize("net_config", ['{"input_length": 20, "width": 3}',
                                             '[20, 16]', '{"input_length":'])
     def test_bad_net_config_rejected(self, dataset, tmp_path, net_config):
