@@ -1,8 +1,8 @@
 """Conditional 1-D U-Net predicting the diffusion target (eps, x0, or v).
 
-Layout per resolution level: the level input is concatenated with the
-time and condition embeddings (broadcast along the length axis), passed
-through a 3-wide fusion conv, then a residual block
+Layout per resolution level: the level input and the time and condition
+embeddings (broadcast along the length axis) go through a 3-wide fusion
+conv, then a residual block
 
     ResBlock(x) = x + Conv(ReLU(BN(Conv(x)))).
 
@@ -11,6 +11,16 @@ nearest-neighbor doubling and concatenates the matching encoder skip.
 The output head is a 1-wide conv initialized to zero, so a freshly
 initialized network predicts zeros.  Embedding fusion happens at the
 input of every level, the bottleneck included.
+
+Inside the network activations are channel-major, (channels, batch,
+length); ``forward`` transposes its (B, C, L) input once on entry and its
+output once on exit, and ``backward`` does the same with the gradient.
+A fusion conv's weight is (out, level channels + embedding channels, 3),
+embedding channels last.  Its level part runs as an ``nn.conv1d`` GEMM;
+its embedding part, constant along the length axis, is added as a
+per-row bias (``nn.tap_bias``) instead of being tiled and convolved.  In
+inference mode each residual block's batch-norm is folded into its first
+conv on every call; training mode normalizes with batch statistics.
 
 Parameters live in a plain dict keyed by layer path; ``param_spec``
 fixes the canonical ordering used to flatten them into one vector (the
@@ -218,32 +228,51 @@ def _cond_embed_bwd(g: np.ndarray, cache, grads: dict) -> None:
     grads["cond.b1"] += gb1
 
 
-def _tile(emb: np.ndarray, length: int) -> np.ndarray:
-    return np.broadcast_to(emb[:, :, None], emb.shape + (length,))
+def _fusion_fwd(h, emb, params, name):
+    """Fusion conv of the level input h (C, B, L) and the embedding emb (B, E)."""
+    w = params[f"{name}.w"]
+    ch = h.shape[0]
+    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"])
+    c_e = nn.tap_bias(y, w[:, ch:], emb)
+    return y, (c_h, c_e)
 
 
-def _fuse(h: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    return np.concatenate([h, _tile(emb, h.shape[2])], axis=1)
+def _fusion_bwd(g, cache, name, grads):
+    """Accumulate the fusion conv's gradients; return (g_h, g_emb)."""
+    c_h, c_e = cache
+    gh, gw, gb = nn.conv1d_backward(g, c_h)
+    gw_e, g_emb = nn.tap_bias_backward(g, c_e)
+    ch = gw.shape[1]
+    grads[f"{name}.w"][:, :ch] += gw
+    grads[f"{name}.w"][:, ch:] += gw_e
+    grads[f"{name}.b"] += gb
+    return gh, g_emb
 
 
 def _resblock_fwd(x, params, bn_state, prefix, training):
-    y, c1 = nn.conv1d(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
-    y, cbn, new_mean, new_var = nn.batchnorm(
-        y,
+    w1, b1 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]
+    bn = (
         params[f"{prefix}.bn.gamma"],
         params[f"{prefix}.bn.beta"],
         bn_state[f"{prefix}.bn.running_mean"],
         bn_state[f"{prefix}.bn.running_var"],
-        training,
     )
+    updates = {}
+    cbn = None
+    if training:
+        # batch statistics cancel conv1's bias exactly, so it is left out of
+        # the normalized output and only moves the running mean
+        y, c1 = nn.conv1d(x, w1, np.zeros_like(b1))
+        y, cbn, new_mean, new_var = nn.batchnorm(y, *bn)
+        updates = {
+            f"{prefix}.bn.running_mean": new_mean + nn.BN_MOMENTUM * b1,
+            f"{prefix}.bn.running_var": new_var,
+        }
+    else:
+        y, c1 = nn.conv1d(x, *nn.fold_batchnorm(w1, b1, *bn))
     y, mask = nn.relu(y)
     y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
-    out = x + y
-    updates = {
-        f"{prefix}.bn.running_mean": new_mean,
-        f"{prefix}.bn.running_var": new_var,
-    }
-    return out, (c1, cbn, mask, c2), updates
+    return x + y, (c1, cbn, mask, c2), updates
 
 
 def _resblock_bwd(g, cache, prefix, grads):
@@ -271,10 +300,11 @@ def forward(
     training: bool = False,
     want_cache: bool = False,
 ):
-    """Run the network.
+    """Run the network on x of shape (B, in_channels, input_length).
 
     Returns (out, cache, bn_updates); cache is None unless requested,
-    bn_updates is an empty dict in inference mode.
+    bn_updates is an empty dict in inference mode.  The cache feeds
+    ``backward`` and needs training mode: inference folds batch-norm away.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != config.in_channels or x.shape[2] != config.input_length:
@@ -286,41 +316,40 @@ def forward(
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (x.shape[0], config.cond_dim):
         raise ConfigError(f"condition must have shape (B, {config.cond_dim})")
+    if want_cache and not training:
+        raise ConfigError("a backward cache needs a training-mode forward")
 
     te = time_embed(t, config.time_embed_dim)
     if te.shape[0] == 1 and x.shape[0] > 1:
-        te = np.broadcast_to(te, (x.shape[0], te.shape[1])).copy()
+        te = np.broadcast_to(te, (x.shape[0], te.shape[1]))
     ce, ce_cache = _cond_embed_fwd(c, params)
     emb = np.concatenate([te, ce], axis=1)
 
     bn_updates: dict = {}
     enc_caches = []
     skips = []
-    h = x
+    h = np.ascontiguousarray(x.transpose(1, 0, 2))
     for i in range(config.depth):
-        z = _fuse(h, emb)
-        y, c_in = nn.conv1d(z, params[f"enc{i}.in.w"], params[f"enc{i}.in.b"])
+        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in")
         y, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training)
         bn_updates.update(upd)
         skips.append(y)
-        y, c_pool = nn.maxpool2(y)
-        enc_caches.append((h.shape[1], c_in, c_res, c_pool))
-        h = y
+        h, c_pool = nn.maxpool2(y)
+        enc_caches.append((c_in, c_res, c_pool) if want_cache else None)
 
-    z = _fuse(h, emb)
-    y, c_in = nn.conv1d(z, params["mid.in.w"], params["mid.in.b"])
+    y, c_in = _fusion_fwd(h, emb, params, "mid.in")
     h, c_res, upd = _resblock_fwd(y, params, bn_state, "mid.res", training)
     bn_updates.update(upd)
-    mid_cache = (z.shape[1] - config.embed_channels, c_in, c_res)
+    mid_cache = (c_in, c_res) if want_cache else None
 
     dec_caches = []
     for i in reversed(range(config.depth)):
         up = nn.upsample2(h)
-        z = np.concatenate([up, skips[i], _tile(emb, up.shape[2])], axis=1)
-        y, c_in = nn.conv1d(z, params[f"dec{i}.in.w"], params[f"dec{i}.in.b"])
+        z = np.concatenate([up, skips[i]])
+        y, c_in = _fusion_fwd(z, emb, params, f"dec{i}.in")
         h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training)
         bn_updates.update(upd)
-        dec_caches.append((i, up.shape[1], skips[i].shape[1], c_in, c_res))
+        dec_caches.append((i, up.shape[0], c_in, c_res) if want_cache else None)
 
     out, head_cache = nn.conv1d(h, params["head.w"], params["head.b"])
 
@@ -333,54 +362,43 @@ def forward(
             "mid": mid_cache,
             "dec": dec_caches,
             "head": head_cache,
-            "time_dim": config.time_embed_dim,
         }
-    if not training:
-        bn_updates = {}
-    return out, cache, bn_updates
+    return np.ascontiguousarray(out.transpose(1, 0, 2)), cache, bn_updates
 
 
 def backward(g_out: np.ndarray, cache: dict, params: dict) -> dict:
-    """Gradient of a scalar loss w.r.t. every parameter, given dL/d(out)."""
+    """Gradient of a scalar loss w.r.t. every parameter, given dL/d(out) (B, C, L)."""
     config: DenoiserConfig = cache["config"]
     grads = {name: np.zeros(shape) for name, shape in param_spec(config)}
     g_emb = 0.0
 
-    g, gw, gb = nn.conv1d_backward(g_out, cache["head"])
+    g = np.ascontiguousarray(np.asarray(g_out, dtype=float).transpose(1, 0, 2))
+    g, gw, gb = nn.conv1d_backward(g, cache["head"])
     grads["head.w"] += gw
     grads["head.b"] += gb
 
     g_skip = {}
-    for i, up_ch, skip_ch, c_in, c_res in reversed(cache["dec"]):
+    for i, up_ch, c_in, c_res in reversed(cache["dec"]):
         g = _resblock_bwd(g, c_res, f"dec{i}.res", grads)
-        gz, gw, gb = nn.conv1d_backward(g, c_in)
-        grads[f"dec{i}.in.w"] += gw
-        grads[f"dec{i}.in.b"] += gb
-        g_up = gz[:, :up_ch]
-        g_skip[i] = gz[:, up_ch : up_ch + skip_ch]
-        g_emb = g_emb + gz[:, up_ch + skip_ch :].sum(axis=2)
-        g = nn.upsample2_backward(g_up)
+        gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", grads)
+        g_emb = g_emb + ge
+        g_skip[i] = gz[up_ch:]
+        g = nn.upsample2_backward(gz[:up_ch])
 
-    in_ch, c_in, c_res = cache["mid"]
+    c_in, c_res = cache["mid"]
     g = _resblock_bwd(g, c_res, "mid.res", grads)
-    gz, gw, gb = nn.conv1d_backward(g, c_in)
-    grads["mid.in.w"] += gw
-    grads["mid.in.b"] += gb
-    g = gz[:, :in_ch]
-    g_emb = g_emb + gz[:, in_ch:].sum(axis=2)
+    g, ge = _fusion_bwd(g, c_in, "mid.in", grads)
+    g_emb = g_emb + ge
 
     for i in reversed(range(config.depth)):
-        h_ch, c_in, c_res, c_pool = cache["enc"][i]
+        c_in, c_res, c_pool = cache["enc"][i]
         g = nn.maxpool2_backward(g, c_pool)
         g = g + g_skip[i]
         g = _resblock_bwd(g, c_res, f"enc{i}.res", grads)
-        gz, gw, gb = nn.conv1d_backward(g, c_in)
-        grads[f"enc{i}.in.w"] += gw
-        grads[f"enc{i}.in.b"] += gb
-        g = gz[:, :h_ch]
-        g_emb = g_emb + gz[:, h_ch:].sum(axis=2)
+        g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", grads)
+        g_emb = g_emb + ge
 
-    g_ce = g_emb[:, cache["time_dim"] :]  # time embedding has no parameters
+    g_ce = g_emb[:, config.time_embed_dim :]  # time embedding has no parameters
     _cond_embed_bwd(g_ce, cache["ce"], grads)
     return grads
 

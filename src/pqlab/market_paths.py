@@ -167,16 +167,15 @@ class PathSlice:
         n = int(mask.sum())
         if n != len(lr):
             raise DataError("mask true-count must equal number of valid returns")
+        if len(lr) != self.condition.n_trading:
+            raise DataError(
+                f"slice has {len(lr)} returns, its condition says "
+                f"n_trading = {self.condition.n_trading}"
+            )
         if n and not mask[:n].all():
             raise DataError("mask must be a contiguous true prefix")
         object.__setattr__(self, "log_returns", lr)
         object.__setattr__(self, "mask", mask)
-
-    def padded_returns(self) -> np.ndarray:
-        """Returns zero-padded to the mask length."""
-        out = np.zeros(len(self.mask))
-        out[: len(self.log_returns)] = self.log_returns
-        return out
 
 
 @dataclass(frozen=True)

@@ -2,48 +2,130 @@
 
 Every forward returns (output, cache); the matching backward consumes
 the upstream gradient and the cache and returns gradients for inputs
-and parameters.  Shapes follow the (batch, channels, length) layout.
-Convolutions are stride-1 with odd kernels and same padding.  All
-computation is float64; determinism follows from fixed operand order.
+and parameters.  Activations are channel-major, (channels, batch,
+length), so a (C, B, L) input is one (C, B * L) matrix.  A convolution
+is one GEMM of the stacked per-tap weights (K * out, C) against it; each
+tap's product is then shifted into place along the length axis, dropping
+what would cross into the zero pad.  Its backward shifts the output
+gradient back and runs two GEMMs.  Convolutions are stride-1 with odd
+kernels and same (zero) padding.
+
+``tap_bias`` adds the convolution of input channels that hold one value
+per row at every position (the denoiser's time and condition
+embeddings) without building their columns: each tap contributes a
+per-row bias, dropped where the tap falls in the zero pad.
+
+Batch-norm here is the training form, normalizing with batch
+statistics; at inference ``fold_batchnorm`` folds the frozen statistics
+into the preceding conv (Jacob et al. 2018, arXiv:1712.05877, §3.2).
+All computation is float64; determinism follows from fixed operand
+order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
+def _tap_span(shift: int, length: int):
+    """Output positions [lo, hi) where a tap reading l + shift is inside the input."""
+    lo = min(length, max(0, -shift))
+    return lo, max(lo, min(length, length - shift))
+
+
+def _flat_shift(shift: int, n: int):
+    """Slices (dst, src) with dst[i] = src[i + shift] along a flat axis of n."""
+    return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n + min(0, shift))
+
+
+def _clear_outside(rows: np.ndarray, lo: int, hi: int) -> None:
+    """Zero positions outside [lo, hi) of every row of a (..., B, L) view."""
+    rows[..., :lo] = 0.0
+    rows[..., hi:] = 0.0
+
+
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y[b,o,l] = sum_{c,k} w[o,c,k] x[b,c,l+k-pad] + b[o]."""
-    k = w.shape[2]
+    """y[o,b,l] = sum_{c,k} w[o,c,k] x[c,b,l+k-pad] + b[o] for x of shape (C, B, L)."""
+    c, batch, length = x.shape
+    out, _, k = w.shape
+    n = batch * length
     pad = (k - 1) // 2
-    if pad:
-        length = x.shape[2]
-        xp = np.zeros(x.shape[:2] + (length + 2 * pad,), dtype=x.dtype)
-        xp[:, :, pad : pad + length] = x
-    else:
-        xp = x
-    cols = sliding_window_view(xp, k, axis=2)  # (B, Cin, L, K)
-    y = np.einsum("bclk,ock->bol", cols, w, optimize=True)
-    y += b[None, :, None]
-    return y, (xp, w, pad, x.shape[2])
+    xf = x.reshape(c, n)
+    wk = w.transpose(2, 0, 1).reshape(k * out, c)
+    # one GEMM gives every tap's product P_k at every input position; tap
+    # k's output at l is P_k at l + k - pad, read within the same row
+    p = (wk @ xf).reshape(k, out, n)
+    y = p[pad]
+    for j in range(k):
+        if j != pad:
+            lo, hi = _tap_span(pad - j, length)
+            _clear_outside(p[j].reshape(out, batch, length), lo, hi)
+            dst, src = _flat_shift(j - pad, n)
+            y[:, dst] += p[j][:, src]
+    y += b[:, None]
+    return y.reshape(out, batch, length), (xf, wk, x.shape)
 
 
 def conv1d_backward(gy: np.ndarray, cache):
-    xp, w, pad, length = cache
-    k = w.shape[2]
-    cols = sliding_window_view(xp, k, axis=2)
-    gw = np.einsum("bol,bclk->ock", gy, cols, optimize=True)
-    gb = gy.sum(axis=(0, 2))
-    gcols = np.einsum("bol,ock->bclk", gy, w, optimize=True)
-    gxp = np.zeros_like(xp)
+    xf, wk, shape = cache
+    c, batch, length = shape
+    out = gy.shape[0]
+    k = wk.shape[0] // out
+    n = batch * length
+    pad = (k - 1) // 2
+    g2 = gy.reshape(out, n)
+    gb = g2.sum(axis=1)
+    # dL/dP_k: the output gradient moved back to the input position tap k read
+    gp = np.empty((k, out, n))
     for j in range(k):
-        gxp[:, :, j : j + length] += gcols[:, :, :, j]
-    gx = gxp[:, :, pad : pad + length] if pad else gxp
-    return gx, gw, gb
+        dst, src = _flat_shift(pad - j, n)
+        gp[j][:, dst] = g2[:, src]
+        lo, hi = _tap_span(pad - j, length)
+        _clear_outside(gp[j].reshape(out, batch, length), lo, hi)
+    gp = gp.reshape(k * out, n)
+    gw = (gp @ xf.T).reshape(k, out, c).transpose(1, 2, 0)
+    return (wk.T @ gp).reshape(shape), gw, gb
+
+
+def tap_bias(y: np.ndarray, w: np.ndarray, emb: np.ndarray):
+    """Add, in place, the conv of per-row constant channels to y; return the cache.
+
+    y is a conv output (O, B, L); w (O, E, K) holds the weights of E input
+    channels whose value for row b is emb[b] at every position.  Tap k
+    adds T_k = w[:, :, k] @ emb.T, shape (O, B), wherever it reads inside
+    the input: the sum of all T_k goes everywhere, and each T_k is taken
+    back within pad of the end where that tap reads the zero pad.  Rows
+    need not share their embedding.
+    """
+    out, e, k = w.shape
+    length = y.shape[2]
+    pad = (k - 1) // 2
+    wk = w.transpose(2, 0, 1).reshape(k * out, e)
+    taps = (wk @ emb.T).reshape(k, out, emb.shape[0])
+    y += taps.sum(axis=0)[:, :, None]
+    for j in range(k):
+        lo, hi = _tap_span(j - pad, length)
+        y[:, :, :lo] -= taps[j][:, :, None]
+        y[:, :, hi:] -= taps[j][:, :, None]
+    return wk, emb
+
+
+def tap_bias_backward(gy: np.ndarray, cache):
+    """Gradients (gw of shape (O, E, K), gemb of shape (B, E)) of tap_bias."""
+    wk, emb = cache
+    out, batch, length = gy.shape
+    k = wk.shape[0] // out
+    pad = (k - 1) // 2
+    sums = np.empty((k, out, batch))
+    for j in range(k):
+        lo, hi = _tap_span(j - pad, length)
+        sums[j] = gy[:, :, lo:hi].sum(axis=2)
+    sums = sums.reshape(k * out, batch)
+    gw = (sums @ emb).reshape(k, out, emb.shape[1]).transpose(1, 2, 0)
+    return gw, sums.T @ wk
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -71,60 +153,56 @@ def batchnorm(
     beta: np.ndarray,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
 ):
-    """Per-channel normalization over the batch and length axes.
+    """Training-mode per-channel normalization over the batch and length axes.
 
-    Training mode normalizes with the current batch statistics (pooled
-    over B*L elements per channel, so a batch of one still normalizes
-    over length) and returns updated running statistics; inference mode
-    uses the frozen running statistics.
+    Normalizes with the current batch statistics (pooled over B*L
+    elements per channel, so a batch of one still normalizes over length)
+    and returns the updated running statistics.
     """
-    if training:
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
-        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
-        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
-    else:
-        mean, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
+    mean = x.mean(axis=(1, 2))
+    var = x.var(axis=(1, 2))
+    new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+    new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[None, :, None]) * inv[None, :, None]
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
-    return y, (xhat, inv, gamma, training), new_mean, new_var
+    xhat = (x - mean[:, None, None]) * inv[:, None, None]
+    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    return y, (xhat, inv, gamma), new_mean, new_var
 
 
 def batchnorm_backward(gy: np.ndarray, cache):
-    xhat, inv, gamma, training = cache
-    ggamma = (gy * xhat).sum(axis=(0, 2))
-    gbeta = gy.sum(axis=(0, 2))
-    gxhat = gy * gamma[None, :, None]
-    if not training:
-        return gxhat * inv[None, :, None], ggamma, gbeta
-    n = gy.shape[0] * gy.shape[2]
-    sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
-    sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-    gx = (inv[None, :, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+    xhat, inv, gamma = cache
+    ggamma = (gy * xhat).sum(axis=(1, 2))
+    gbeta = gy.sum(axis=(1, 2))
+    gxhat = gy * gamma[:, None, None]
+    n = gy.shape[1] * gy.shape[2]
+    sum_g = gxhat.sum(axis=(1, 2), keepdims=True)
+    sum_gx = (gxhat * xhat).sum(axis=(1, 2), keepdims=True)
+    gx = (inv[:, None, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
     return gx, ggamma, gbeta
 
 
+def fold_batchnorm(w, b, gamma, beta, running_mean, running_var):
+    """Weights and bias of a conv followed by inference-mode batch-norm."""
+    scale = gamma / np.sqrt(running_var + BN_EPS)
+    return w * scale[:, None, None], (b - running_mean) * scale + beta
+
+
 def maxpool2(x: np.ndarray):
-    """Halve the length axis, keeping the per-pair maximum."""
-    b, c, length = x.shape
-    if length % 2:
+    """Halve the length axis, keeping the per-pair maximum (the first on a tie)."""
+    if x.shape[2] % 2:
         raise ValueError("maxpool2 needs an even length")
-    xr = x.reshape(b, c, length // 2, 2)
-    idx = xr.argmax(axis=3)
-    y = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
-    return y, (idx, x.shape)
+    first, second = x[:, :, 0::2], x[:, :, 1::2]
+    take_second = second > first
+    return np.where(take_second, second, first), take_second
 
 
-def maxpool2_backward(gy: np.ndarray, cache):
-    idx, shape = cache
-    b, c, length = shape
-    gxr = np.zeros((b, c, length // 2, 2))
-    np.put_along_axis(gxr, idx[..., None], gy[..., None], axis=3)
-    return gxr.reshape(b, c, length)
+def maxpool2_backward(gy: np.ndarray, take_second):
+    c, b, half = gy.shape
+    gx = np.empty((c, b, half, 2))
+    gx[..., 0] = np.where(take_second, 0.0, gy)
+    gx[..., 1] = np.where(take_second, gy, 0.0)
+    return gx.reshape(c, b, 2 * half)
 
 
 def upsample2(x: np.ndarray):
@@ -133,6 +211,5 @@ def upsample2(x: np.ndarray):
 
 
 def upsample2_backward(gy: np.ndarray):
-    b, c, length = gy.shape
-    return gy.reshape(b, c, length // 2, 2).sum(axis=3)
-
+    c, b, length = gy.shape
+    return gy.reshape(c, b, length // 2, 2).sum(axis=3)

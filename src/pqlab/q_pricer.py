@@ -126,8 +126,10 @@ def _estimate(values: np.ndarray) -> PriceEstimate:
     n = len(values)
     mean = math.fsum(values.tolist()) / n
     if n > 1:
-        # each square is correctly rounded and fsum is exact, so the
-        # result equals a per-element Python loop bit for bit
+        # numpy squares each deviation as one correctly rounded product and
+        # fsum is exact, so the result equals a per-element loop of fsum over
+        # d * d bit for bit (not over Python's d ** 2, whose C library pow
+        # can be 1 ULP off)
         var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
         std_error = math.sqrt(var / n)
     else:

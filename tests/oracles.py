@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
+from pqlab import denoiser as dn
+from pqlab import nn
 from pqlab.payoffs import Accumulator, Asian, CashFlowSchedule, European, Lookback, Snowball
 
 
@@ -25,7 +28,9 @@ def estimate_reference(values):
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        # d * d is one correctly rounded product; d ** 2 goes through the C
+        # library's pow, which on some platforms is 1 ULP off
+        var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
         return mean, math.sqrt(var / n)
     return mean, 0.0
 
@@ -154,3 +159,221 @@ def cashflow_schedule(contract, path, s0, cal_frac=None):
               Asian: asian_payoff}[type(contract)]
     amount = payoff(path, s0, contract.strike_ratio)
     return CashFlowSchedule(np.array([n]), np.array([amount]), n, False)
+
+
+# ---------------------------------------------------------------------------
+# batch-major U-Net: the oracle for the channel-major ``pqlab.nn`` kernels
+# and ``pqlab.denoiser``.  Activations are (batch, channels, length); each
+# fusion conv convolves the embeddings tiled along the length axis, and
+# inference normalizes with the running statistics instead of folding them.
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def conv1d_bcl(x, w, b):
+    """y[b,o,l] = sum_{c,k} w[o,c,k] x[b,c,l+k-pad] + b[o]."""
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    if pad:
+        length = x.shape[2]
+        xp = np.zeros(x.shape[:2] + (length + 2 * pad,), dtype=x.dtype)
+        xp[:, :, pad : pad + length] = x
+    else:
+        xp = x
+    cols = sliding_window_view(xp, k, axis=2)  # (B, Cin, L, K)
+    y = np.einsum("bclk,ock->bol", cols, w, optimize=True)
+    y += b[None, :, None]
+    return y, (xp, w, pad, x.shape[2])
+
+
+def conv1d_bcl_backward(gy, cache):
+    xp, w, pad, length = cache
+    k = w.shape[2]
+    cols = sliding_window_view(xp, k, axis=2)
+    gw = np.einsum("bol,bclk->ock", gy, cols, optimize=True)
+    gb = gy.sum(axis=(0, 2))
+    gcols = np.einsum("bol,ock->bclk", gy, w, optimize=True)
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gxp[:, :, j : j + length] += gcols[:, :, :, j]
+    gx = gxp[:, :, pad : pad + length] if pad else gxp
+    return gx, gw, gb
+
+
+def batchnorm_bcl(x, gamma, beta, running_mean, running_var, training):
+    """Per-channel normalization over the batch and length axes."""
+    if training:
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+    else:
+        mean, var = running_mean, running_var
+        new_mean, new_var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[None, :, None]) * inv[None, :, None]
+    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    return y, (xhat, inv, gamma, training), new_mean, new_var
+
+
+def batchnorm_bcl_backward(gy, cache):
+    xhat, inv, gamma, training = cache
+    ggamma = (gy * xhat).sum(axis=(0, 2))
+    gbeta = gy.sum(axis=(0, 2))
+    gxhat = gy * gamma[None, :, None]
+    if not training:
+        return gxhat * inv[None, :, None], ggamma, gbeta
+    n = gy.shape[0] * gy.shape[2]
+    sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
+    sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
+    gx = (inv[None, :, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+    return gx, ggamma, gbeta
+
+
+def maxpool2_bcl(x):
+    b, c, length = x.shape
+    xr = x.reshape(b, c, length // 2, 2)
+    idx = xr.argmax(axis=3)
+    y = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
+    return y, (idx, x.shape)
+
+
+def maxpool2_bcl_backward(gy, cache):
+    idx, shape = cache
+    b, c, length = shape
+    gxr = np.zeros((b, c, length // 2, 2))
+    np.put_along_axis(gxr, idx[..., None], gy[..., None], axis=3)
+    return gxr.reshape(b, c, length)
+
+
+def _tile(emb, length):
+    return np.broadcast_to(emb[:, :, None], emb.shape + (length,))
+
+
+def _fuse(h, emb):
+    return np.concatenate([h, _tile(emb, h.shape[2])], axis=1)
+
+
+def _resblock_bcl(x, params, bn_state, prefix, training):
+    y, c1 = conv1d_bcl(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
+    y, cbn, new_mean, new_var = batchnorm_bcl(
+        y,
+        params[f"{prefix}.bn.gamma"],
+        params[f"{prefix}.bn.beta"],
+        bn_state[f"{prefix}.bn.running_mean"],
+        bn_state[f"{prefix}.bn.running_var"],
+        training,
+    )
+    y, mask = nn.relu(y)
+    y, c2 = conv1d_bcl(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
+    updates = {
+        f"{prefix}.bn.running_mean": new_mean,
+        f"{prefix}.bn.running_var": new_var,
+    }
+    return x + y, (c1, cbn, mask, c2), updates
+
+
+def _resblock_bcl_backward(g, cache, prefix, grads):
+    c1, cbn, mask, c2 = cache
+    gy, gw2, gb2 = conv1d_bcl_backward(g, c2)
+    grads[f"{prefix}.conv2.w"] += gw2
+    grads[f"{prefix}.conv2.b"] += gb2
+    gy = nn.relu_backward(gy, mask)
+    gy, ggamma, gbeta = batchnorm_bcl_backward(gy, cbn)
+    grads[f"{prefix}.bn.gamma"] += ggamma
+    grads[f"{prefix}.bn.beta"] += gbeta
+    gx, gw1, gb1 = conv1d_bcl_backward(gy, c1)
+    grads[f"{prefix}.conv1.w"] += gw1
+    grads[f"{prefix}.conv1.b"] += gb1
+    return g + gx
+
+
+def denoiser_forward_reference(params, bn_state, x, t, c, config, training=False):
+    """The batch-major U-Net: returns (out, cache, bn_updates) like ``dn.forward``."""
+    x = np.asarray(x, dtype=float)
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    te = dn.time_embed(t, config.time_embed_dim)
+    if te.shape[0] == 1 and x.shape[0] > 1:
+        te = np.broadcast_to(te, (x.shape[0], te.shape[1])).copy()
+    ce, ce_cache = dn._cond_embed_fwd(c, params)
+    emb = np.concatenate([te, ce], axis=1)
+
+    bn_updates = {}
+    enc_caches = []
+    skips = []
+    h = x
+    for i in range(config.depth):
+        z = _fuse(h, emb)
+        y, c_in = conv1d_bcl(z, params[f"enc{i}.in.w"], params[f"enc{i}.in.b"])
+        y, c_res, upd = _resblock_bcl(y, params, bn_state, f"enc{i}.res", training)
+        bn_updates.update(upd)
+        skips.append(y)
+        y, c_pool = maxpool2_bcl(y)
+        enc_caches.append((h.shape[1], c_in, c_res, c_pool))
+        h = y
+
+    z = _fuse(h, emb)
+    y, c_in = conv1d_bcl(z, params["mid.in.w"], params["mid.in.b"])
+    h, c_res, upd = _resblock_bcl(y, params, bn_state, "mid.res", training)
+    bn_updates.update(upd)
+    mid_cache = (z.shape[1] - config.embed_channels, c_in, c_res)
+
+    dec_caches = []
+    for i in reversed(range(config.depth)):
+        up = np.repeat(h, 2, axis=2)
+        z = np.concatenate([up, skips[i], _tile(emb, up.shape[2])], axis=1)
+        y, c_in = conv1d_bcl(z, params[f"dec{i}.in.w"], params[f"dec{i}.in.b"])
+        h, c_res, upd = _resblock_bcl(y, params, bn_state, f"dec{i}.res", training)
+        bn_updates.update(upd)
+        dec_caches.append((i, up.shape[1], skips[i].shape[1], c_in, c_res))
+
+    out, head_cache = conv1d_bcl(h, params["head.w"], params["head.b"])
+    cache = {"config": config, "ce": ce_cache, "enc": enc_caches,
+             "mid": mid_cache, "dec": dec_caches, "head": head_cache}
+    return out, cache, (bn_updates if training else {})
+
+
+def denoiser_backward_reference(g_out, cache, params):
+    """Parameter gradients of the batch-major U-Net, like ``dn.backward``."""
+    config = cache["config"]
+    grads = {name: np.zeros(shape) for name, shape in dn.param_spec(config)}
+    g_emb = 0.0
+
+    g, gw, gb = conv1d_bcl_backward(g_out, cache["head"])
+    grads["head.w"] += gw
+    grads["head.b"] += gb
+
+    g_skip = {}
+    for i, up_ch, skip_ch, c_in, c_res in reversed(cache["dec"]):
+        g = _resblock_bcl_backward(g, c_res, f"dec{i}.res", grads)
+        gz, gw, gb = conv1d_bcl_backward(g, c_in)
+        grads[f"dec{i}.in.w"] += gw
+        grads[f"dec{i}.in.b"] += gb
+        g_up = gz[:, :up_ch]
+        g_skip[i] = gz[:, up_ch : up_ch + skip_ch]
+        g_emb = g_emb + gz[:, up_ch + skip_ch :].sum(axis=2)
+        b, ch, length = g_up.shape
+        g = g_up.reshape(b, ch, length // 2, 2).sum(axis=3)
+
+    in_ch, c_in, c_res = cache["mid"]
+    g = _resblock_bcl_backward(g, c_res, "mid.res", grads)
+    gz, gw, gb = conv1d_bcl_backward(g, c_in)
+    grads["mid.in.w"] += gw
+    grads["mid.in.b"] += gb
+    g = gz[:, :in_ch]
+    g_emb = g_emb + gz[:, in_ch:].sum(axis=2)
+
+    for i in reversed(range(config.depth)):
+        h_ch, c_in, c_res, c_pool = cache["enc"][i]
+        g = maxpool2_bcl_backward(g, c_pool)
+        g = g + g_skip[i]
+        g = _resblock_bcl_backward(g, c_res, f"enc{i}.res", grads)
+        gz, gw, gb = conv1d_bcl_backward(g, c_in)
+        grads[f"enc{i}.in.w"] += gw
+        grads[f"enc{i}.in.b"] += gb
+        g = gz[:, :h_ch]
+        g_emb = g_emb + gz[:, h_ch:].sum(axis=2)
+
+    dn._cond_embed_bwd(g_emb[:, config.time_embed_dim :], cache["ce"], grads)
+    return grads

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import denoiser_backward_reference, denoiser_forward_reference
 
 from pqlab import denoiser as dn
 from pqlab.errors import ConfigError, DataError, NumericError
@@ -329,3 +330,85 @@ class TestGradient:
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-8)
         rel = np.abs(analytic - fd) / denom
         assert rel.max() < 1e-4
+
+
+def perturbed_model(config, seed):
+    """Parameters and running statistics with every entry away from its init."""
+    rng = np.random.default_rng([seed, 0xD1])
+    params = {
+        name: value + 0.3 * rng.normal(size=value.shape)
+        for name, value in dn.init_params(config, seed).items()
+    }
+    state = {
+        name: value + (0.5 * rng.random(value.shape) if name.endswith("_var")
+                       else 0.2 * rng.normal(size=value.shape))
+        for name, value in dn.init_bn_state(config).items()
+    }
+    return params, state
+
+
+ORACLE_CASES = {
+    # name: (config, batch, per-row t and c)
+    "depth1": (dn.DenoiserConfig(input_length=8, base_channels=3, depth=1,
+                                 time_embed_dim=4, cond_embed_dim=3), 5, True),
+    "depth3": (dn.DenoiserConfig(input_length=16, base_channels=2, depth=3,
+                                 time_embed_dim=4, cond_embed_dim=4), 6, True),
+    "bottleneck1": (dn.DenoiserConfig(input_length=4, base_channels=3, depth=2,
+                                      time_embed_dim=2, cond_embed_dim=2), 4, True),
+    "batch1": (dn.DenoiserConfig(input_length=20), 1, True),
+    "shared_t_c": (dn.DenoiserConfig(input_length=20), 32, False),
+}
+
+
+class TestMatchesBatchMajorOracle:
+    """The channel-major network equals the batch-major oracle to float rounding."""
+
+    def run_case(self, case):
+        config, batch, per_row = ORACLE_CASES[case]
+        params, state = perturbed_model(config, seed=len(case))
+        rng = np.random.default_rng([batch, 0xD2])
+        x = rng.normal(size=(batch, config.in_channels, config.input_length))
+        if per_row:
+            t = rng.integers(1, 200, size=batch)
+            c = rng.normal(size=(batch, config.cond_dim))
+        else:
+            t = 37
+            c = np.repeat(rng.normal(size=(1, config.cond_dim)), batch, axis=0)
+        return config, params, state, x, t, c, rng
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_inference_output(self, case):
+        config, params, state, x, t, c, _ = self.run_case(case)
+        out, cache, updates = dn.forward(params, state, x, t, c, config)
+        ref, _, _ = denoiser_forward_reference(params, state, x, t, c, config)
+        assert cache is None and updates == {}
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_training_gradients_and_running_stats(self, case):
+        config, params, state, x, t, c, rng = self.run_case(case)
+        out, cache, updates = dn.forward(params, state, x, t, c, config,
+                                         training=True, want_cache=True)
+        ref, ref_cache, ref_updates = denoiser_forward_reference(
+            params, state, x, t, c, config, training=True)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        g_out = rng.normal(size=out.shape)
+        spec = dn.param_spec(config)
+        grads = dn.flatten_params(dn.backward(g_out, cache, params), spec)
+        ref_grads = dn.flatten_params(
+            denoiser_backward_reference(g_out, ref_cache, params), spec)
+        assert np.max(np.abs(grads - ref_grads)) <= 1e-10 * np.max(np.abs(ref_grads))
+
+        assert list(updates) == list(ref_updates)
+        for name, value in ref_updates.items():
+            assert np.max(np.abs(updates[name] - value)) <= 1e-12 * np.max(np.abs(value))
+
+    def test_backward_needs_training_cache(self):
+        config = tiny_config()
+        params = dn.init_params(config, seed=1)
+        x, t, c = random_batch(config)
+        with pytest.raises(ConfigError, match="training-mode"):
+            dn.forward(params, dn.init_bn_state(config), x, t, c, config,
+                       want_cache=True)

@@ -324,6 +324,16 @@ class TestNonFiniteRejected:
         with pytest.raises(DataError, match="log_returns must be finite"):
             make_path_slice(log_returns=[0.01, value, -0.02])
 
+    @pytest.mark.parametrize("n_trading", [2, 4, 20])
+    def test_path_slice_length_matches_condition(self, n_trading):
+        good = make_path_slice()
+        cond = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=0.1,
+                               t_trading=n_trading / 252.0, n_trading=n_trading)
+        with pytest.raises(DataError, match="3 returns.*n_trading = "):
+            PathSlice(s0=good.s0, log_returns=good.log_returns, mask=good.mask,
+                      condition=cond, window_calendar_days=7,
+                      start_date=good.start_date)
+
 
 class TestSliceStore:
     def build(self, series):
