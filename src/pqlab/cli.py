@@ -48,10 +48,6 @@ from .objectives import LOSS_CSV_HEADER
 P_SOURCE_SALT = 0x50
 
 
-def _child_seed(*parts) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def _ensure_out_dir(cfg: runconfig.RunConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
@@ -194,18 +190,6 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     split, scale = _load_slices(cfg)
     sched = _build_sched(cfg)
     net = _net_config(cfg, split.l_max)
-    tcfg = training.TrainConfig(
-        steps=cfg.train.steps,
-        batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr,
-        clip_norm=cfg.train.clip_norm,
-        seed=cfg.train.seed,
-        mode=cfg.model.mode,
-        weights=cfg.loss.weights(),
-        vol_window=cfg.loss.vol_window,
-        vol_stride=cfg.loss.vol_stride,
-        checkpoint_every=cfg.train.checkpoint_every,
-    )
     log_path = os.path.join(out, "loss_log.csv")
     if resume:
         state = training.load_checkpoint(resume)
@@ -220,9 +204,9 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
             raise ConfigError("checkpoint noise schedule differs from config")
         if state.return_scale != scale:
             raise ConfigError("checkpoint return scale differs from prepared data")
-        if state.step > tcfg.steps:
+        if state.step > cfg.train.steps:
             raise ConfigError(
-                f"checkpoint already at step {state.step} > steps {tcfg.steps}"
+                f"checkpoint already at step {state.step} > steps {cfg.train.steps}"
             )
         fresh_log = not os.path.isfile(log_path)
     else:
@@ -230,7 +214,7 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
         fresh_log = True
 
     checkpoint_fn = None
-    if tcfg.checkpoint_every:
+    if cfg.train.checkpoint_every:
         def checkpoint_fn(st):
             training.save_checkpoint(
                 os.path.join(out, f"checkpoint_step{st.step}.npz"), st
@@ -239,7 +223,8 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     with open(log_path, "w" if fresh_log else "a", newline="") as fh:
         if fresh_log:
             fh.write(LOSS_CSV_HEADER + "\n")
-        training.train(split.train, state, tcfg, log_fh=fh, checkpoint_fn=checkpoint_fn)
+        training.train(split.train, state, cfg.train, cfg.loss, log_fh=fh,
+                       checkpoint_fn=checkpoint_fn)
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
     _echo_config(cfg)
     print(f"trained to step {state.step}; wrote {os.path.join(out, 'checkpoint.npz')}")
@@ -255,15 +240,9 @@ def cmd_sample(cfg: runconfig.RunConfig, checkpoint=None, slice_idx: int = 0) ->
             f"slice index {slice_idx} out of range (have {len(split.test)} test slices)"
         )
     s = split.test[slice_idx]
-    scfg = sampler.SamplerConfig(
-        num_steps=cfg.sampler.num_steps,
-        eta=cfg.sampler.eta,
-        seed=cfg.sampler.seed,
-        n_paths=cfg.sampler.n_paths,
-    )
-    paths = sampler.sample_paths(state.model(), scfg, s.condition, state.sched)
+    paths = sampler.sample_paths(state.model(), cfg.sampler, s.condition, state.sched)
     bundle = os.path.join(out, f"paths_slice{slice_idx}.csv")
-    sampler.write_path_bundle(bundle, paths, s.condition, scfg)
+    sampler.write_path_bundle(bundle, paths, s.condition, cfg.sampler)
     _echo_config(cfg)
     print(f"wrote {paths.shape[0]} paths x {paths.shape[1]} steps to {bundle}")
     return 0
@@ -281,12 +260,8 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
         raise DataError("no test slices to validate against")
     rows = []
     for i, s in enumerate(slices):
-        scfg = sampler.SamplerConfig(
-            num_steps=cfg.sampler.num_steps,
-            eta=cfg.sampler.eta,
-            seed=_child_seed(cfg.sampler.seed, i),
-            n_paths=cfg.validate.n_paths,
-        )
+        scfg = replace(cfg.sampler, seed=mp.child_seed(cfg.sampler.seed, i),
+                       n_paths=cfg.validate.n_paths)
         gen = sampler.sample_paths(model, scfg, s.condition, state.sched)
         rows.append(path_stats.compare_condition(s.log_returns, gen))
     report = path_stats.aggregate_report(rows)
@@ -311,18 +286,13 @@ def _model_p_source(model, sched, cfg: runconfig.RunConfig):
     memo = {}
 
     def source(s, q_params):
-        seed = _child_seed(q_params.seed, P_SOURCE_SALT)
+        seed = mp.child_seed(q_params.seed, P_SOURCE_SALT)
         key = (seed, s.condition.as_array().tobytes(), s.s0)
         prices = memo.get(key)
         if prices is None:
-            scfg = sampler.SamplerConfig(
-                num_steps=cfg.sampler.num_steps,
-                eta=cfg.sampler.eta,
-                seed=seed,
-                n_paths=cfg.game.p_paths,
-            )
+            scfg = replace(cfg.sampler, seed=seed, n_paths=cfg.game.p_paths)
             rets = sampler.sample_paths(model, scfg, s.condition, sched)
-            prices = s.s0 * np.exp(np.cumsum(rets, axis=1))
+            prices = mp.to_prices(s.s0, rets)
             prices.setflags(write=False)
             memo[key] = prices
         return prices
@@ -334,23 +304,11 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     out = _ensure_out_dir(cfg)
     split, _ = _load_slices(cfg)
     state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
-    gcfg = pq_game.GameConfig(
-        threshold=cfg.game.threshold,
-        q_paths=cfg.game.q_paths,
-        seed=cfg.game.seed,
-        discount=cfg.game.discount,
-        threads=cfg.threads,
-    )
     p_source = _model_p_source(state.model(), state.sched, cfg)
     for product in cfg.game.products:
         contract = cfg.contracts.build(product)
-        outcomes = pq_game.run_game(
-            split.test,
-            contract,
-            p_source,
-            levels=cfg.game.levels or None,
-            config=gcfg,
-        )
+        outcomes = pq_game.run_game(split.test, contract, p_source,
+                                    config=cfg.game, threads=cfg.threads)
         reports = [o.report for o in outcomes]
         for report in reports:
             name = f"game_{product}_{repr(float(report.level))}.csv"

@@ -207,11 +207,16 @@ def to_prices(s0: float, returns: np.ndarray) -> np.ndarray:
     """Rebuild the price path from the initial price and log returns.
 
     The result excludes s0 itself: element i is the close after i+1
-    return steps, so len(out) == len(returns).
+    return steps, so out.shape == returns.shape (a 2-D array is one path per row).
     """
     if s0 <= 0.0:
         raise DataError("initial price must be strictly positive")
-    return s0 * np.exp(np.cumsum(np.asarray(returns, dtype=float)))
+    return s0 * np.exp(np.cumsum(np.asarray(returns, dtype=float), axis=-1))
+
+
+def child_seed(*parts) -> int:
+    """A 32-bit seed for the stream named by ``parts`` (a SeedSequence word)."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def annualized_volatility(returns: np.ndarray) -> float:

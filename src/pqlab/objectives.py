@@ -88,6 +88,20 @@ class LossWeights:
 
 
 @dataclass(frozen=True)
+class LossConfig(LossWeights):
+    """The ``[loss]`` section: the LossWeights fields, then the vol-clustering window."""
+
+    vol_window: int = DEFAULT_VOL_WINDOW
+    vol_stride: int = DEFAULT_VOL_STRIDE
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("vol_window", "vol_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
 class LossBreakdown:
     """Raw per-term values plus the weighted total for one batch.
 

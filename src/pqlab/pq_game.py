@@ -28,13 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice
-from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, ContractSpec,  # noqa: F401
-                      contract_cashflows, discount_value, linear_calendar_fraction)
-from .q_pricer import DEFAULT_GAME_PATHS, GbmParams, p_price, price
+from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_prices
+from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
+                      ContractSpec, contract_cashflows, discount_value,
+                      linear_calendar_fraction)
+from .q_pricer import GbmParams, p_price, price
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
+
+# product name -> contract class, the one product table
+CONTRACTS = {cls.__name__.lower(): cls for cls in CONTRACT_TYPES}
+PRODUCTS = tuple(CONTRACTS)
 
 GAME_CSV_HEADER = "level,cum_pnl,trades,longs,shorts,win_rate,sharpe"
 
@@ -102,25 +107,36 @@ class LevelOutcome:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Run settings.
+    """The ``[game]`` section; empty ``levels`` means the contract's defaults.
 
     discount toggles whether the realized leg is discounted to trade date
     before settling (quotes and P values are always present values).
     """
 
+    products: tuple[str, ...] = ("european",)
+    levels: tuple[float, ...] = ()
     threshold: float = DEFAULT_THRESHOLD
-    q_paths: int = DEFAULT_GAME_PATHS
+    q_paths: int = 20_000
+    p_paths: int = 1_000
     seed: int = 0
     discount: bool = True
-    threads: int = 1
 
     def __post_init__(self) -> None:
+        for product in self.products:
+            if product not in CONTRACTS:
+                raise ConfigError(
+                    f"unknown product {product!r}; choose from {', '.join(PRODUCTS)}"
+                )
+        if not all(math.isfinite(lv) and lv >= 0.0 for lv in self.levels):
+            raise ConfigError(f"levels must be finite and >= 0, got {self.levels}")
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.q_paths < 1:
             raise ConfigError(f"q_paths must be >= 1, got {self.q_paths}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.p_paths < 1:
+            raise ConfigError(f"p_paths must be >= 1, got {self.p_paths}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_levels(contract: ContractSpec) -> tuple[float, ...]:
@@ -195,13 +211,8 @@ def sharpe_annualized(pnl_by_start_date) -> float | None:
     return float(series.mean() / std * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def _q_seed(base_seed: int, slice_idx: int) -> int:
-    state = np.random.SeedSequence([base_seed, slice_idx]).generate_state(1)
-    return int(state[0])
-
-
 def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> float:
-    prices = s.s0 * np.exp(np.cumsum(s.log_returns))
+    prices = to_prices(s.s0, s.log_returns)
     cond = s.condition
     cal_frac = linear_calendar_fraction(cond.n_trading, cond.t_calendar)
     flows = contract_cashflows(contract, prices, s.s0, cal_frac)
@@ -211,8 +222,9 @@ def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> flo
 
 
 def run_game(test_slices, contract: ContractSpec, p_source,
-             levels=None, config: GameConfig | None = None) -> tuple[LevelOutcome, ...]:
-    """Play every greediness level over the test slices.
+             config: GameConfig = GameConfig(),
+             threads: int = 1) -> tuple[LevelOutcome, ...]:
+    """Play every greediness level of config.levels over the test slices.
 
     p_source(slice, q_params) must return a (n_paths, n_days) array of
     price paths for P's valuation; q_params carries the slice's s0, matched
@@ -222,16 +234,13 @@ def run_game(test_slices, contract: ContractSpec, p_source,
     run_game never writes to it.
 
     Q's fair value, P's value and the realized settlement value are
-    computed once per slice and shared across levels.
+    computed once per slice and shared across levels.  threads caps Q's
+    simulation workers; the values do not depend on it.
     """
-    if config is None:
-        config = GameConfig()
     test_slices = list(test_slices)
     if not test_slices:
         raise DataError("no test slices to play")
-    if levels is None:
-        levels = contract.default_levels
-    levels = [float(level) for level in levels]
+    levels = [float(level) for level in config.levels or contract.default_levels]
     mode = contract.quote_mode
     notional = contract.quote_notional
 
@@ -240,10 +249,10 @@ def run_game(test_slices, contract: ContractSpec, p_source,
         cond = s.condition
         params = GbmParams(
             s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
-            n_paths=config.q_paths, seed=_q_seed(config.seed, idx),
+            n_paths=config.q_paths, seed=child_seed(config.seed, idx),
         )
         fair = price(contract, params, t_calendar=cond.t_calendar,
-                     threads=config.threads).value
+                     threads=threads).value
         paths = np.asarray(p_source(s, params), dtype=np.float64)
         if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
             raise DataError(

@@ -28,8 +28,6 @@ from .payoffs import ContractSpec
 # materialized in one array or streamed chunk by chunk.
 CHUNK_PATHS = 16_384
 
-DEFAULT_GAME_PATHS = 20_000
-
 
 @dataclass(frozen=True)
 class GbmParams:

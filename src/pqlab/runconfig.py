@@ -5,19 +5,23 @@ plus optional flag overrides, and every output directory receives the
 resolved configuration (``resolved_text``) so results stay auditable.
 All seeds are fixed integers; nothing is derived from the clock.
 
-The dataclasses below are the schema, and the only place a setting is
+The section dataclasses are the schema, and the only place a setting is
 declared.  ``[run]`` holds ``RunConfig``'s own scalar fields (``out_dir``
 is required); every section-typed field of ``RunConfig`` is an INI
-section of the same name whose keys are that section class's fields, in
-declaration order, with the field defaults.  The field annotation picks
-the parser (``_PARSERS``); lists are comma-separated.  Parsing and the
-echo both walk these fields, so a new field is a new key with nothing
-else to edit.
+section of the same name whose keys are that class's fields, in
+declaration order, with the field defaults.  ``[loss]``, ``[train]``,
+``[sampler]`` and ``[game]`` are the library's own ``objectives.LossConfig``,
+``training.TrainConfig``, ``sampler.SamplerConfig`` and
+``pq_game.GameConfig``; the other sections are declared here.  The field
+annotation picks the parser (``_PARSERS``); lists are comma-separated.
+Parsing and the echo both walk these fields.
 
 Strictness: unknown sections or keys, values that do not parse, and
 non-finite numbers (``nan``, ``inf``, also inside a list) are
-``ConfigError``s naming the section and key, so a typo or a NaN fails
-loudly at load time (CLI exit code 2) rather than later in a run.
+``ConfigError``s naming the section and key; so is every value a section
+class's ``__post_init__`` rejects (a negative seed, a malformed date), with
+the section name prefixed.  All of it fails at load time (CLI exit code 2)
+rather than later in a run.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError
-from .objectives import DEFAULT_VOL_STRIDE, DEFAULT_VOL_WINDOW, LossWeights
-from .payoffs import CONTRACT_TYPES
+import numpy as np
 
-# product name -> contract class, the one product table
-_CONTRACTS = {cls.__name__.lower(): cls for cls in CONTRACT_TYPES}
-PRODUCTS = tuple(_CONTRACTS)
+from .diffusion import MODES
+from .errors import ConfigError
+from .objectives import LossConfig
+from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
+from .sampler import SamplerConfig
+from .training import TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -99,18 +104,28 @@ class DataSection:
 
     def __post_init__(self) -> None:
         if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"data source must be synthetic or csv, got {self.source!r}")
+            raise ConfigError(f"source must be synthetic or csv, got {self.source!r}")
         if not self.windows or any(w < 1 for w in self.windows):
             raise ConfigError("windows must be positive calendar-day counts")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("split_date", "start_date"):
+            value = getattr(self, key)
+            try:
+                bad = np.isnat(np.datetime64(value, "D"))  # "" parses to NaT
+            except ValueError:
+                bad = True
+            if bad:
+                raise ConfigError(f"{key} must be a YYYY-MM-DD date, got {value!r}")
         if self.source == "csv":
             for label, path in (("series_csv", self.series_csv),
                                 ("rates_csv", self.rates_csv)):
                 if not path:
-                    raise ConfigError(f"csv source requires [data] {label}")
+                    raise ConfigError(f"csv source requires {label}")
                 if not os.path.isfile(path):
-                    raise ConfigError(f"[data] {label} not found: {path}")
+                    raise ConfigError(f"{label} not found: {path}")
 
 
 @dataclass(frozen=True)
@@ -131,37 +146,10 @@ class ModelSection:
     input_length: int = 0  # 0 = fit to data
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.input_length < 0:
             raise ConfigError("input_length must be >= 0 (0 = fit to data)")
-
-
-@dataclass(frozen=True)
-class LossSection(LossWeights):
-    """The LossWeights fields, then the vol-clustering window."""
-
-    vol_window: int = DEFAULT_VOL_WINDOW
-    vol_stride: int = DEFAULT_VOL_STRIDE
-
-    def weights(self) -> LossWeights:
-        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    steps: int = 500
-    batch_size: int = 32
-    lr: float = 1e-3
-    clip_norm: float = 1.0
-    seed: int = 0
-    checkpoint_every: int = 0
-
-
-@dataclass(frozen=True)
-class SamplerSection:
-    num_steps: int = 50
-    eta: float = 0.0
-    n_paths: int = 1000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,33 +159,9 @@ class ValidateSection:
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
-            raise ConfigError("[validate] n_paths must be >= 1")
+            raise ConfigError("n_paths must be >= 1")
         if self.max_conditions < 0:
-            raise ConfigError("[validate] max_conditions must be >= 0")
-
-
-@dataclass(frozen=True)
-class GameSection:
-    products: tuple[str, ...] = ("european",)
-    levels: tuple[float, ...] = ()  # empty = per-product defaults
-    threshold: float = 0.10
-    q_paths: int = 20_000
-    p_paths: int = 1_000
-    seed: int = 0
-    discount: bool = True
-
-    def __post_init__(self) -> None:
-        for product in self.products:
-            if product not in PRODUCTS:
-                raise ConfigError(
-                    f"unknown product {product!r}; choose from {', '.join(PRODUCTS)}"
-                )
-        if any(lv < 0.0 for lv in self.levels):
-            raise ConfigError("levels must be >= 0")
-        if self.threshold < 0.0:
-            raise ConfigError("[game] threshold must be >= 0")
-        if self.p_paths < 1:
-            raise ConfigError("[game] p_paths must be >= 1")
+            raise ConfigError("max_conditions must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -212,9 +176,9 @@ class ContractsSection:
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""
-        if product not in _CONTRACTS:
+        if product not in CONTRACTS:
             raise ConfigError(f"unknown product {product!r}")
-        return _CONTRACTS[product].from_contracts(self)
+        return CONTRACTS[product].from_contracts(self)
 
 
 @dataclass(frozen=True)
@@ -224,11 +188,11 @@ class RunConfig:
     data: DataSection = field(default_factory=DataSection)
     schedule: ScheduleSection = field(default_factory=ScheduleSection)
     model: ModelSection = field(default_factory=ModelSection)
-    loss: LossSection = field(default_factory=LossSection)
-    train: TrainSection = field(default_factory=TrainSection)
-    sampler: SamplerSection = field(default_factory=SamplerSection)
+    loss: LossConfig = field(default_factory=LossConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     validate: ValidateSection = field(default_factory=ValidateSection)
-    game: GameSection = field(default_factory=GameSection)
+    game: GameConfig = field(default_factory=GameConfig)
     contracts: ContractsSection = field(default_factory=ContractsSection)
 
     def __post_init__(self) -> None:
@@ -284,7 +248,13 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     sections = {}
     for name, kind, keys in _SCHEMA:
         values = _section_values(parser, name, keys)
-        sections[name] = values if kind is None else kind(**values)
+        if kind is None:
+            sections[name] = values
+            continue
+        try:
+            sections[name] = kind(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
     return RunConfig(**sections.pop("run"), **sections)
 
 

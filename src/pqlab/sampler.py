@@ -33,8 +33,6 @@ from .market_paths import (  # noqa: F401  (to_prices is part of this module's A
     write_manifest,
 )
 
-DEFAULT_NUM_STEPS = 50
-DEFAULT_ETA = 0.0
 SAMPLE_CHUNK = 256
 
 BUNDLE_CSV_HEADER = "path_id,step,log_return"
@@ -42,12 +40,12 @@ BUNDLE_CSV_HEADER = "path_id,step,log_return"
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for one sampling run."""
+    """The ``[sampler]`` section: knobs for one sampling run."""
 
-    num_steps: int = DEFAULT_NUM_STEPS
-    eta: float = DEFAULT_ETA
+    num_steps: int = 50
+    eta: float = 0.0
+    n_paths: int = 1000
     seed: int = 0
-    n_paths: int = 1
 
     def __post_init__(self) -> None:
         if self.num_steps < 1:
@@ -56,6 +54,8 @@ class SamplerConfig:
             raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
         if self.n_paths < 0:
             raise ConfigError(f"n_paths must be >= 0, got {self.n_paths}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
 from .market_paths import read_npz
-from .objectives import LossBreakdown, LossWeights
+from .objectives import LossBreakdown, LossConfig
 from .sampler import GeneratorModel
 
 CHECKPOINT_VERSION = "PQLAB-CKPT v1"
@@ -44,28 +44,21 @@ CHECKPOINT_VERSION = "PQLAB-CKPT v1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-DEFAULT_LR = 1e-3
-DEFAULT_CLIP_NORM = 1.0
-DEFAULT_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings for one training run; ``steps`` is the run's total budget.
+    """The ``[train]`` section; ``steps`` is the run's total budget.
 
     The auxiliary-loss warmup is expressed as a fraction of ``steps``, so a
     resumed run must keep the same total for the schedules to line up.
     """
 
-    steps: int
-    batch_size: int = DEFAULT_BATCH_SIZE
-    lr: float = DEFAULT_LR
-    clip_norm: float = DEFAULT_CLIP_NORM
+    steps: int = 500
+    batch_size: int = 32
+    lr: float = 1e-3
+    clip_norm: float = 1.0
     seed: int = 0
-    mode: str = "v"
-    weights: LossWeights = field(default_factory=LossWeights)
-    vol_window: int = objectives.DEFAULT_VOL_WINDOW
-    vol_stride: int = objectives.DEFAULT_VOL_STRIDE
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self) -> None:
@@ -77,8 +70,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0.0):
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
 
@@ -190,7 +183,8 @@ def adam_update(state: TrainState, grads: dict, lr: float, step: int) -> None:
     state.step = step
 
 
-def train_step(slices, state: TrainState, config: TrainConfig, step: int) -> LossBreakdown:
+def train_step(slices, state: TrainState, config: TrainConfig, step: int,
+               loss: LossConfig = LossConfig()) -> LossBreakdown:
     """One optimizer step; all randomness comes from (seed, step)."""
     rng = np.random.default_rng([config.seed, step])
     length = state.net.input_length
@@ -212,8 +206,7 @@ def train_step(slices, state: TrainState, config: TrainConfig, step: int) -> Los
 
     breakdown, g_pred, g_x0 = objectives.total_loss(
         pred, target, x0_pred, x0, mask, step, config.steps,
-        weights=config.weights, window=config.vol_window,
-        stride=config.vol_stride, with_grads=True,
+        weights=loss, window=loss.vol_window, stride=loss.vol_stride, with_grads=True,
     )
     if not math.isfinite(breakdown.total):
         raise NumericError(f"non-finite loss at step {step}: {breakdown.total!r}")
@@ -229,9 +222,11 @@ def train_step(slices, state: TrainState, config: TrainConfig, step: int) -> Los
 
 
 def train(slices, state: TrainState, config: TrainConfig,
-          log_fh=None, checkpoint_fn=None, stop_step=None) -> TrainState:
+          loss: LossConfig = LossConfig(), log_fh=None, checkpoint_fn=None,
+          stop_step=None) -> TrainState:
     """Run steps state.step+1 .. config.steps, mutating state in place.
 
+    loss carries the auxiliary-term weights and the vol-clustering window.
     log_fh, when given, receives one CSV row per step (no header).
     checkpoint_fn(state) fires every config.checkpoint_every steps.
     stop_step pauses the run early; config.steps stays the schedule total,
@@ -241,7 +236,7 @@ def train(slices, state: TrainState, config: TrainConfig,
         raise DataError("training needs at least one slice")
     last = config.steps if stop_step is None else min(stop_step, config.steps)
     for step in range(state.step + 1, last + 1):
-        breakdown = train_step(slices, state, config, step)
+        breakdown = train_step(slices, state, config, step, loss)
         if log_fh is not None:
             log_fh.write(objectives.format_loss_row(step, breakdown) + "\n")
         if (

@@ -1,6 +1,7 @@
 """Quote/decision/settlement oracles and whole-game invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,9 +170,9 @@ class TestRunGameInvariants:
             assert outcome.report.sharpe is None
 
     def test_p_equals_q_tie_at_zero_threshold(self):
-        config = game.GameConfig(threshold=0.0, q_paths=512, seed=7)
+        config = game.GameConfig(levels=(0.0,), threshold=0.0, q_paths=512, seed=7)
         outcomes = game.run_game(self.slices, European(), game.gbm_p_source,
-                                 levels=[0.0], config=config)
+                                 config=config)
         assert outcomes[0].report.trades == 0
 
     def test_zero_sum_every_trade(self):
@@ -207,7 +208,7 @@ class TestRunGameInvariants:
         # wider ask as the level grows
         outcomes = game.run_game([self.slices[0]], European(),
                                  scaled_gbm_source(3.0),
-                                 levels=[0.0, 0.10], config=self.config)
+                                 config=replace(self.config, levels=(0.0, 0.10)))
         first, second = outcomes
         assert first.records and second.records
         assert first.records[0].side == "long"
@@ -226,7 +227,7 @@ class TestRunGameInvariants:
     def test_deflated_source_shorts(self):
         outcomes = game.run_game(self.slices, European(),
                                  scaled_gbm_source(0.1),
-                                 levels=[0.0], config=self.config)
+                                 config=replace(self.config, levels=(0.0,)))
         report = outcomes[0].report
         assert report.shorts > 0
         assert report.longs == 0
@@ -251,7 +252,7 @@ class TestRunGameInvariants:
     def test_snowball_game_runs_with_notional_spreads(self):
         outcomes = game.run_game(self.slices[:3], Snowball(),
                                  scaled_gbm_source(1.0),
-                                 levels=[0.0, 0.02], config=self.config)
+                                 config=replace(self.config, levels=(0.0, 0.02)))
         assert len(outcomes) == 2
         # a 2% of 1M spread is 20k wide; the band must be that wide
         for outcome in outcomes:
@@ -259,11 +260,11 @@ class TestRunGameInvariants:
 
     def test_discount_switch_changes_realized(self):
         base = game.run_game([self.slices[0]], European(),
-                             scaled_gbm_source(3.0), levels=[0.0],
-                             config=game.GameConfig(q_paths=512, seed=7))
+                             scaled_gbm_source(3.0),
+                             config=game.GameConfig(levels=(0.0,), q_paths=512, seed=7))
         nominal = game.run_game([self.slices[0]], European(),
-                                scaled_gbm_source(3.0), levels=[0.0],
-                                config=game.GameConfig(q_paths=512, seed=7,
+                                scaled_gbm_source(3.0),
+                                config=game.GameConfig(levels=(0.0,), q_paths=512, seed=7,
                                                        discount=False))
         rec_d = base[0].records[0]
         rec_n = nominal[0].records[0]

@@ -9,8 +9,11 @@ import pytest
 import pqlab.cli as cli
 import pqlab.runconfig as rc
 from pqlab.errors import ConfigError
+from pqlab.objectives import LossConfig
 from pqlab.payoffs import Accumulator, Asian, European, Lookback, Snowball
 from pqlab.pq_game import GameConfig
+from pqlab.sampler import SamplerConfig
+from pqlab.training import TrainConfig
 
 
 def write_config(tmp_path, body):
@@ -37,6 +40,7 @@ def ini_keys():
 
 FLOAT_KEYS = [(section, f.name) for section, f, kind in ini_keys()
               if kind in (float, tuple[float, ...])]
+SEED_KEYS = [(section, f.name) for section, f, _ in ini_keys() if f.name == "seed"]
 
 
 class TestLoadConfig:
@@ -158,7 +162,7 @@ class TestLossWeights:
     def test_weights_carried_through(self, tmp_path):
         body = MINIMAL + "[loss]\nlambda_jump = 0.5\nwarmup_fraction = 0.25\n"
         cfg = rc.load_config(write_config(tmp_path, body))
-        w = cfg.loss.weights()
+        w = cfg.loss
         assert w.lambda_jump == 0.5
         assert w.warmup_fraction == 0.25
         assert w.lambda_vol == 0.1
@@ -236,7 +240,83 @@ class TestNonFiniteRejected:
             build(float("nan"))
 
 
+class TestCheckedAtLoad:
+    """Each section class validates its values when the file is loaded."""
+
+    def assert_rejected(self, tmp_path, capsys, body, section, key):
+        path = write_config(tmp_path, MINIMAL + body)
+        with pytest.raises(ConfigError) as info:
+            rc.load_config(path)
+        assert str(info.value).startswith(f"[{section}] ")
+        assert key in str(info.value)
+        assert cli.main(["prepare", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_every_seed_key_is_covered(self):
+        assert sorted(SEED_KEYS) == [("data", "seed"), ("game", "seed"),
+                                     ("sampler", "seed"), ("train", "seed")]
+
+    @pytest.mark.parametrize("section,key", SEED_KEYS)
+    def test_negative_seed_rejected(self, tmp_path, capsys, section, key):
+        self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = -1\n", section, key)
+
+    @pytest.mark.parametrize("key", ["split_date", "start_date"])
+    def test_malformed_date_rejected(self, tmp_path, capsys, key):
+        self.assert_rejected(tmp_path, capsys, f"[data]\n{key} = notadate\n", "data", key)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "lr", "-1"),
+        ("sampler", "eta", "1.5"),
+        ("game", "q_paths", "0"),
+        ("loss", "vol_stride", "0"),
+        ("loss", "vol_window", "0"),
+        ("model", "mode", "foo"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, section, key, value):
+        self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
+                             section, key)
+
+    def test_sections_are_the_library_classes(self, tmp_path):
+        cfg = rc.load_config(write_config(tmp_path, MINIMAL))
+        assert type(cfg.loss) is LossConfig
+        assert type(cfg.train) is TrainConfig
+        assert type(cfg.sampler) is SamplerConfig
+        assert type(cfg.game) is GameConfig
+
+
+# The echo of MINIMAL: every section, key and default in declaration order.
+# The section classes live in several modules; reordering a field in any of
+# them reorders config.ini, so the text is pinned here.
+MINIMAL_ECHO = "\n".join([
+    "[run]", "out_dir = out", "threads = 1", "",
+    "[data]", "source = synthetic", "series_csv = ", "rates_csv = ", "windows = 30",
+    "split_date = 2015-12-01", "stride = 1", "seed = 0", "n_days = 400",
+    "s0 = 100.0", "mu1 = 0.05", "mu2 = 0.05", "sigma1 = 0.15", "sigma2 = 0.45",
+    "p_switch = 0.02", "start_date = 2015-01-01", "rate = 0.03", "",
+    "[schedule]", "timesteps = 1000", "beta_start = 0.0001", "beta_end = 0.02", "",
+    "[model]", "base_channels = 16", "depth = 2", "time_embed_dim = 16",
+    "cond_embed_dim = 16", "cond_hidden_dim = 32", "mode = v", "input_length = 0", "",
+    "[loss]", "lambda_jump = 0.1", "lambda_vol = 0.1", "lambda_gvol = 0.1",
+    "lambda_kurt = 0.05", "lambda_drift = 0.1", "lambda_pinball = 0.05",
+    "lambda_spectral = 0.05", "warmup_fraction = 0.1", "vol_window = 5",
+    "vol_stride = 1", "",
+    "[train]", "steps = 500", "batch_size = 32", "lr = 0.001", "clip_norm = 1.0",
+    "seed = 0", "checkpoint_every = 0", "",
+    "[sampler]", "num_steps = 50", "eta = 0.0", "n_paths = 1000", "seed = 0", "",
+    "[validate]", "n_paths = 200", "max_conditions = 0", "",
+    "[game]", "products = european", "levels = ", "threshold = 0.1", "q_paths = 20000",
+    "p_paths = 1000", "seed = 0", "discount = true", "",
+    "[contracts]", "strike_ratio = 1.0", "acc_discount = 0.9", "acc_ko = 1.2",
+    "snow_ko = 1.05", "snow_ki = 0.8", "snow_coupon = 0.15",
+    "snow_notional = 1000000.0", "",
+])
+
+
 class TestResolvedText:
+    def test_minimal_echo_pinned(self, tmp_path):
+        cfg = rc.load_config(write_config(tmp_path, MINIMAL))
+        assert rc.resolved_text(cfg) == MINIMAL_ECHO
+
     def test_round_trip_identity(self, tmp_path):
         body = MINIMAL + (
             "[data]\nwindows = 20,40\nsigma2 = 0.5\n"
@@ -259,7 +339,9 @@ class TestResolvedText:
         # keys whose values are constrained; every other key is derived
         # from its field's default and annotation
         constrained = {"source": "csv", "series_csv": str(series),
-                       "rates_csv": str(rates), "products": ("asian", "snowball")}
+                       "rates_csv": str(rates), "products": ("asian", "snowball"),
+                       "split_date": "2016-01-04", "start_date": "2015-02-02",
+                       "mode": "eps"}
         expected = {}
         for section, f, kind in ini_keys():
             default = "out" if f.default is MISSING else f.default

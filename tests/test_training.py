@@ -230,7 +230,9 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             tr.TrainConfig(steps=1, clip_norm=0.0)
         with pytest.raises(ConfigError):
-            tr.TrainConfig(steps=1, mode="noise")
+            tr.TrainConfig(steps=1, seed=-1)
+        with pytest.raises(ConfigError):
+            tr.init_state(tiny_net(), diff.build_schedule(50), "noise", 1.0, 0)
 
 
 class TestResume:
