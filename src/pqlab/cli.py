@@ -18,9 +18,10 @@ Artifact layout under [run] out_dir:
     game_<product>_<level>.csv  one level row   (game)
     game_<product>.txt     aligned level table  (game)
 
-`game` samples each test slice's P paths once and values every product on
-them (see ``_model_p_source``), so its files do not depend on which other
-products share the run.
+`game` samples each test slice's P paths once (see ``_model_p_source``)
+and simulates its Q paths once (``pq_game.shared_q_source``), and values
+every product on both, so its files do not depend on which other products
+share the run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -39,7 +40,6 @@ import numpy as np
 from . import market_paths as mp
 from . import path_stats, pq_game, runconfig, sampler, training
 from .denoiser import DenoiserConfig
-from .diffusion import build_schedule
 from .errors import ConfigError, DataError, PQLabError
 from .objectives import LOSS_CSV_HEADER
 
@@ -117,6 +117,8 @@ def _resolve_checkpoint(cfg: runconfig.RunConfig, override) -> str:
 
 
 def _resolve_length(model: runconfig.ModelSection, l_max: int) -> int:
+    """The configured input length (a multiple of 2**depth, checked at load),
+    or l_max rounded up to one."""
     block = 2 ** model.depth
     if model.input_length:
         if model.input_length < l_max:
@@ -124,29 +126,12 @@ def _resolve_length(model: runconfig.ModelSection, l_max: int) -> int:
                 f"input_length {model.input_length} is shorter than the "
                 f"longest slice ({l_max})"
             )
-        if model.input_length % block:
-            raise ConfigError(
-                f"input_length {model.input_length} must be a multiple of {block}"
-            )
         return model.input_length
     return max(l_max + (-l_max % block), block)
 
 
 def _net_config(cfg: runconfig.RunConfig, l_max: int) -> DenoiserConfig:
-    m = cfg.model
-    return DenoiserConfig(
-        input_length=_resolve_length(m, l_max),
-        base_channels=m.base_channels,
-        depth=m.depth,
-        time_embed_dim=m.time_embed_dim,
-        cond_embed_dim=m.cond_embed_dim,
-        cond_hidden_dim=m.cond_hidden_dim,
-    )
-
-
-def _build_sched(cfg: runconfig.RunConfig):
-    s = cfg.schedule
-    return build_schedule(s.timesteps, s.beta_start, s.beta_end)
+    return cfg.model.denoiser_config(_resolve_length(cfg.model, l_max))
 
 
 def cmd_prepare(cfg: runconfig.RunConfig) -> int:
@@ -188,7 +173,7 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
     split, scale = _load_slices(cfg)
-    sched = _build_sched(cfg)
+    sched = cfg.schedule.noise_schedule()
     net = _net_config(cfg, split.l_max)
     log_path = os.path.join(out, "loss_log.csv")
     if resume:
@@ -305,10 +290,11 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     split, _ = _load_slices(cfg)
     state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
     p_source = _model_p_source(state.model(), state.sched, cfg)
-    for product in cfg.game.products:
-        contract = cfg.contracts.build(product)
+    contracts = [cfg.contracts.build(product) for product in cfg.game.products]
+    q_source = pq_game.shared_q_source(contracts, threads=cfg.threads)
+    for product, contract in zip(cfg.game.products, contracts):
         outcomes = pq_game.run_game(split.test, contract, p_source,
-                                    config=cfg.game, threads=cfg.threads)
+                                    config=cfg.game, q_source=q_source)
         reports = [o.report for o in outcomes]
         for report in reports:
             name = f"game_{product}_{repr(float(report.level))}.csv"

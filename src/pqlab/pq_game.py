@@ -7,9 +7,12 @@ fires only when P's value clears the quote by more than the threshold, and
 settles against the realized historical path.  Accounting is zero-sum:
 Q's P&L is minus P's, bit for bit.
 
-Every product is valued on the same slices with the same seeds: the CLI's
-P source samples each slice once and hands every product the same price
-matrix, so a multi-product game equals single-product games byte for byte.
+Every product is valued on the same slices with the same seeds.  Q's seed
+and GBM settings of a slice do not depend on the product, and neither
+does P's sample: the CLI's P source samples each slice once and hands every
+product the same price matrix, and ``shared_q_source`` prices every product
+of a slice from one GBM simulation (common random numbers), so a
+multi-product game equals single-product games byte for byte.
 
 Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
@@ -32,7 +35,7 @@ from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_price
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
                       ContractSpec, contract_cashflows, discount_value,
                       linear_calendar_fraction)
-from .q_pricer import GbmParams, p_price, price
+from .q_pricer import GbmParams, p_price, price, price_all
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
@@ -221,9 +224,13 @@ def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> flo
     return float(np.sum(flows.amounts))
 
 
+def _price_one(s: PathSlice, q_params: GbmParams, contract: ContractSpec) -> float:
+    return price(contract, q_params, t_calendar=s.condition.t_calendar).value
+
+
 def run_game(test_slices, contract: ContractSpec, p_source,
              config: GameConfig = GameConfig(),
-             threads: int = 1) -> tuple[LevelOutcome, ...]:
+             q_source=_price_one) -> tuple[LevelOutcome, ...]:
     """Play every greediness level of config.levels over the test slices.
 
     p_source(slice, q_params) must return a (n_paths, n_days) array of
@@ -233,9 +240,13 @@ def run_game(test_slices, contract: ContractSpec, p_source,
     The array may be read-only and shared with other products' games;
     run_game never writes to it.
 
+    q_source(slice, q_params, contract) returns Q's fair value.  The
+    default prices the one contract with ``price``; ``shared_q_source``
+    prices a whole book per slice, on any number of threads, to the same
+    values.
+
     Q's fair value, P's value and the realized settlement value are
-    computed once per slice and shared across levels.  threads caps Q's
-    simulation workers; the values do not depend on it.
+    computed once per slice and shared across levels.
     """
     test_slices = list(test_slices)
     if not test_slices:
@@ -251,8 +262,7 @@ def run_game(test_slices, contract: ContractSpec, p_source,
             s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
             n_paths=config.q_paths, seed=child_seed(config.seed, idx),
         )
-        fair = price(contract, params, t_calendar=cond.t_calendar,
-                     threads=threads).value
+        fair = q_source(s, params, contract)
         paths = np.asarray(p_source(s, params), dtype=np.float64)
         if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
             raise DataError(
@@ -297,6 +307,32 @@ def run_game(test_slices, contract: ContractSpec, p_source,
         )
         outcomes.append(LevelOutcome(report=report, records=tuple(records)))
     return tuple(outcomes)
+
+
+def shared_q_source(contracts, threads: int = 1):
+    """Q source that prices the whole book of contracts per slice at once.
+
+    The first request for a slice's (q_params, t_calendar) prices every
+    contract of the book with one ``price_all`` call, on one simulation;
+    later requests, from any product's game, read the stored fair value.
+    Only the values are kept: len(book) floats per slice.  A contract
+    outside the book is a ConfigError.
+    """
+    book = tuple(contracts)
+    memo = {}
+
+    def source(s, q_params, contract):
+        if contract not in book:
+            raise ConfigError(f"{contract!r} is not in the shared Q book")
+        t_calendar = s.condition.t_calendar
+        key = (q_params, t_calendar)
+        fairs = memo.get(key)
+        if fairs is None:
+            estimates = price_all(book, q_params, t_calendar=t_calendar, threads=threads)
+            fairs = memo[key] = tuple(est.value for est in estimates)
+        return fairs[book.index(contract)]
+
+    return source
 
 
 def gbm_p_source(s: PathSlice, q_params: GbmParams) -> np.ndarray:

@@ -7,7 +7,10 @@ Paths use the exact log-Euler discretization on the trading-day grid,
 so there is no discretization bias for GBM.  Simulation is chunked with
 one RNG substream per chunk (seed sequence [seed, chunk]); the estimator
 reduces per-path values with compensated summation, making the result
-independent of chunk evaluation order.  ``p_price`` applies the same
+independent of chunk evaluation order.  ``price_all`` values several
+contracts on each simulated chunk, so every product of a game slice is
+priced from one path set (common random numbers); ``price`` is
+``price_all`` on one contract.  ``p_price`` applies the same
 estimator to externally generated paths so that P and Q valuations share
 every arithmetic step.
 """
@@ -135,6 +138,37 @@ def _estimate(values: np.ndarray) -> PriceEstimate:
     return PriceEstimate(value=mean, std_error=std_error, n_paths=n)
 
 
+def price_all(
+    contracts,
+    params: GbmParams,
+    t_calendar: float | None = None,
+    threads: int = 1,
+) -> tuple[PriceEstimate, ...]:
+    """Q-side fair values of several contracts from one GBM simulation.
+
+    Each chunk of paths is simulated once, made read-only and valued for
+    every contract; only the per-path values outlive the chunk, so the
+    peak holds one chunk per worker plus len(contracts) x n_paths floats.
+    Each estimate equals pricing its contract alone, bit for bit.
+    """
+    contracts = tuple(contracts)
+
+    def run(args):
+        chunk, rows = args
+        paths = _simulate_chunk(params, chunk, rows)
+        paths.setflags(write=False)
+        return [discounted_values(c, paths, params.s0, params.r, t_calendar)
+                for c in contracts]
+
+    jobs = list(enumerate(_chunk_sizes(params.n_paths)))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, jobs))
+    else:
+        parts = [run(j) for j in jobs]
+    return tuple(_estimate(np.concatenate(values)) for values in zip(*parts))
+
+
 def price(
     contract: ContractSpec,
     params: GbmParams,
@@ -142,20 +176,7 @@ def price(
     threads: int = 1,
 ) -> PriceEstimate:
     """Q-side fair value: mean discounted payoff over simulated GBM paths."""
-    sizes = _chunk_sizes(params.n_paths)
-
-    def run(args):
-        chunk, rows = args
-        paths = _simulate_chunk(params, chunk, rows)
-        return discounted_values(contract, paths, params.s0, params.r, t_calendar)
-
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    return _estimate(np.concatenate(parts))
+    return price_all((contract,), params, t_calendar, threads)[0]
 
 
 def p_price(

@@ -19,8 +19,9 @@ Parsing and the echo both walk these fields.
 Strictness: unknown sections or keys, values that do not parse, and
 non-finite numbers (``nan``, ``inf``, also inside a list) are
 ``ConfigError``s naming the section and key; so is every value a section
-class's ``__post_init__`` rejects (a negative seed, a malformed date), with
-the section name prefixed.  All of it fails at load time (CLI exit code 2)
+class's ``__post_init__`` rejects (a negative seed, a malformed date, a
+noise schedule, network or contract the library would refuse), with the
+section name prefixed.  All of it fails at load time (CLI exit code 2)
 rather than later in a run.
 """
 
@@ -34,9 +35,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .diffusion import MODES
+from .denoiser import DenoiserConfig
+from .diffusion import MODES, NoiseSchedule, build_schedule
 from .errors import ConfigError
 from .objectives import LossConfig
+from .payoffs import CONTRACT_TYPES
 from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
 from .sampler import SamplerConfig
 from .training import TrainConfig
@@ -134,6 +137,13 @@ class ScheduleSection:
     beta_start: float = 1e-4
     beta_end: float = 0.02
 
+    def __post_init__(self) -> None:
+        self.noise_schedule()
+
+    def noise_schedule(self) -> NoiseSchedule:
+        """The linear beta schedule these settings describe."""
+        return build_schedule(self.timesteps, self.beta_start, self.beta_end)
+
 
 @dataclass(frozen=True)
 class ModelSection:
@@ -150,6 +160,18 @@ class ModelSection:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.input_length < 0:
             raise ConfigError("input_length must be >= 0 (0 = fit to data)")
+        self.denoiser_config(self.input_length or 2**self.depth)
+
+    def denoiser_config(self, input_length: int) -> DenoiserConfig:
+        """The network layout at a resolved input length."""
+        return DenoiserConfig(
+            input_length=input_length,
+            base_channels=self.base_channels,
+            depth=self.depth,
+            time_embed_dim=self.time_embed_dim,
+            cond_embed_dim=self.cond_embed_dim,
+            cond_hidden_dim=self.cond_hidden_dim,
+        )
 
 
 @dataclass(frozen=True)
@@ -173,6 +195,10 @@ class ContractsSection:
     snow_ki: float = 0.8
     snow_coupon: float = 0.15
     snow_notional: float = 1_000_000.0
+
+    def __post_init__(self) -> None:
+        for cls in CONTRACT_TYPES:
+            cls.from_contracts(self)
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""

@@ -1,6 +1,7 @@
 """Command-line layer: exit codes, artifacts, overrides, rerun determinism."""
 
 import configparser
+import math
 import os
 import shutil
 
@@ -9,6 +10,8 @@ import pytest
 
 import pqlab.cli as cli
 import pqlab.market_paths as mp
+import pqlab.pq_game as pq_game
+import pqlab.q_pricer as q_pricer
 import pqlab.runconfig as rc
 import pqlab.sampler as sampler
 import pqlab.training as training
@@ -423,14 +426,15 @@ class TestGame:
 
 
 class TestSharedPPaths:
-    """`game` samples each test slice's P paths once for every product."""
+    """`game` samples each test slice's P and Q paths once for every product."""
 
-    PRODUCTS = ("european", "snowball")
+    PRODUCTS = pq_game.PRODUCTS
 
-    def multi_product_ini(self, out, tmp_path):
+    def multi_product_ini(self, out, tmp_path, q_paths=400):
         ini = tmp_path / "multi.ini"
         ini.write_text(CONFIG_BODY.format(out=out).replace(
-            "products = european", "products = " + ", ".join(self.PRODUCTS)))
+            "products = european", "products = " + ", ".join(self.PRODUCTS)
+        ).replace("q_paths = 400", f"q_paths = {q_paths}"))
         return str(ini)
 
     @staticmethod
@@ -475,6 +479,27 @@ class TestSharedPPaths:
                          "--out-dir", dest]) == 0
         manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
         assert len(calls) == int(manifest["test_slices"]) > 1
+
+    def test_q_paths_simulated_once_per_test_slice(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        _, out = workspace
+        chunks = []
+        real = q_pricer._simulate_chunk
+
+        def counting(params, chunk, n_rows):
+            chunks.append((params.seed, chunk))
+            return real(params, chunk, n_rows)
+
+        monkeypatch.setattr(q_pricer, "_simulate_chunk", counting)
+        dest = copy_game_inputs(out, tmp_path / "counted")
+        q_paths = q_pricer.CHUNK_PATHS + 1
+        assert cli.main(["game", self.multi_product_ini(out, tmp_path, q_paths),
+                         "--out-dir", dest]) == 0
+        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
+        n_test = int(manifest["test_slices"])
+        assert len(chunks) == n_test * math.ceil(q_paths / q_pricer.CHUNK_PATHS)
+        assert len(set(chunks)) == len(chunks)
 
     def test_cached_matrix_is_shared_and_read_only(self, workspace):
         ini, out = workspace

@@ -12,7 +12,7 @@ import pqlab.pq_game as game
 import pqlab.q_pricer as qp
 from pqlab.errors import ConfigError, DataError
 from pqlab.market_paths import ConditionVector, PathSlice
-from pqlab.payoffs import Accumulator, European, Snowball
+from pqlab.payoffs import Accumulator, Asian, European, Lookback, Snowball
 
 
 def make_slice(seed, n=20, s0=100.0, sigma=0.2, r=0.03, drift=0.0):
@@ -270,6 +270,52 @@ class TestRunGameInvariants:
         rec_n = nominal[0].records[0]
         assert rec_d.exec_price == rec_n.exec_price
         assert rec_n.realized >= rec_d.realized  # positive rate discounts down
+
+
+class TestSharedQSource:
+    """shared_q_source prices a whole book per slice from one simulation."""
+
+    BOOK = (European(), Lookback(), Asian(), Accumulator(), Snowball())
+
+    def setup_method(self):
+        self.slices = [make_slice(seed) for seed in range(4)]
+        self.config = game.GameConfig(levels=(0.0, 0.1), q_paths=300, seed=7)
+
+    def test_games_equal_the_default_source(self):
+        source = game.shared_q_source(self.BOOK, threads=2)
+        p_source = scaled_gbm_source(1.5)
+        trades = 0
+        for contract in self.BOOK:
+            shared = game.run_game(self.slices, contract, p_source,
+                                   config=self.config, q_source=source)
+            alone = game.run_game(self.slices, contract, p_source, config=self.config)
+            assert shared == alone
+            trades += sum(o.report.trades for o in shared)
+        assert trades > 0
+
+    def test_one_price_all_call_per_slice(self, monkeypatch):
+        calls = []
+        real = game.price_all
+
+        def counting(contracts, params, **kwargs):
+            calls.append(params)
+            return real(contracts, params, **kwargs)
+
+        monkeypatch.setattr(game, "price_all", counting)
+        source = game.shared_q_source(self.BOOK)
+        for contract in reversed(self.BOOK):
+            game.run_game(self.slices, contract, game.gbm_p_source,
+                          config=self.config, q_source=source)
+        assert len(calls) == len(self.slices)
+
+    def test_contract_outside_the_book_rejected(self):
+        source = game.shared_q_source(self.BOOK[:2])
+        with pytest.raises(ConfigError, match="not in the shared Q book"):
+            game.run_game(self.slices, Asian(), game.gbm_p_source,
+                          config=self.config, q_source=source)
+        with pytest.raises(ConfigError):
+            game.run_game(self.slices, European(strike_ratio=1.1), game.gbm_p_source,
+                          config=self.config, q_source=source)
 
 
 class TestReportValidation:

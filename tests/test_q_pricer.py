@@ -11,6 +11,7 @@ from oracles import (
     simulate_gbm_reference,
 )
 
+import pqlab.q_pricer as qp
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
     Accumulator,
@@ -30,6 +31,7 @@ from pqlab.q_pricer import (
     discounted_values,
     p_price,
     price,
+    price_all,
     simulate_gbm,
 )
 
@@ -143,6 +145,55 @@ class TestPrice:
         b = price(European(), p, threads=4)
         assert a.value == b.value
         assert a.std_error == b.std_error
+
+
+BOOK = (
+    European(),
+    Lookback(),
+    Asian(),
+    Accumulator(discount=0.9, ko_ratio=1.2),
+    Snowball(ko_ratio=1.05, ki_ratio=0.9, coupon_pa=0.15),
+)
+
+
+class TestPriceAll:
+    """One simulation values a whole book, each contract as if priced alone."""
+
+    P = params(n_paths=CHUNK_PATHS + 123, n_days=30)
+    T_CAL = 30 / 252 * (365 / 252)
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        paths = simulate_gbm(self.P)
+        return {c: (price(c, self.P, t_calendar=self.T_CAL),
+                    p_price(c, paths, self.P.s0, self.P.r, t_calendar=self.T_CAL))
+                for c in BOOK}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1)])
+    def test_bitwise_equal_to_pricing_alone(self, alone, order, threads):
+        book = [BOOK[i] for i in order]
+        got = price_all(book, self.P, t_calendar=self.T_CAL, threads=threads)
+        assert len(got) == len(book)
+        for contract, est in zip(book, got):
+            for ref in alone[contract]:
+                assert est.value.hex() == ref.value.hex(), contract
+                assert est.std_error.hex() == ref.std_error.hex(), contract
+                assert est.n_paths == ref.n_paths == self.P.n_paths
+
+    def test_kernels_see_read_only_paths(self, monkeypatch):
+        writeable = []
+        real = qp.discounted_values
+
+        def spy(contract, paths, *args):
+            writeable.append(paths.flags.writeable)
+            with pytest.raises(ValueError):
+                paths[0, 0] = 0.0
+            return real(contract, paths, *args)
+
+        monkeypatch.setattr(qp, "discounted_values", spy)
+        price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
+        assert writeable == [False] * (2 * len(BOOK))
 
 
 class TestPPrice:

@@ -276,6 +276,25 @@ class TestCheckedAtLoad:
         self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
                              section, key)
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("schedule", "timesteps", "0", "T must be at least 1"),
+        ("schedule", "beta_end", "2", "beta_end < 1"),
+        ("schedule", "beta_start", "0.5", "beta_start <= beta_end"),
+        ("model", "depth", "0", "depth must be at least 1"),
+        ("model", "base_channels", "0", "base_channels must be positive"),
+        ("model", "time_embed_dim", "3", "time_embed_dim must be a positive even"),
+        ("model", "input_length", "18", "input_length must be a positive multiple of 4"),
+        ("contracts", "strike_ratio", "-1", "strike_ratio must be finite and positive"),
+        ("contracts", "acc_discount", "1.5", "discount must lie in (0, 1)"),
+        ("contracts", "acc_ko", "0.5", "ko_ratio must be finite and exceed 1"),
+        ("contracts", "snow_ki", "2.0", "need ki_ratio < 1 < ko_ratio"),
+        ("contracts", "snow_notional", "0", "notional must be positive"),
+    ])
+    def test_library_rule_rejected(self, tmp_path, capsys, section, key, value, message):
+        # the library's own message, which names its argument, not the INI key
+        self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
+                             section, message)
+
     def test_sections_are_the_library_classes(self, tmp_path):
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))
         assert type(cfg.loss) is LossConfig
@@ -341,7 +360,8 @@ class TestResolvedText:
         constrained = {"source": "csv", "series_csv": str(series),
                        "rates_csv": str(rates), "products": ("asian", "snowball"),
                        "split_date": "2016-01-04", "start_date": "2015-02-02",
-                       "mode": "eps"}
+                       "mode": "eps", "time_embed_dim": 18, "input_length": 16,
+                       "acc_discount": 0.8, "snow_ki": 0.7}
         expected = {}
         for section, f, kind in ini_keys():
             default = "out" if f.default is MISSING else f.default
