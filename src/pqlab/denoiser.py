@@ -22,6 +22,15 @@ per-row bias (``nn.tap_bias``) instead of being tiled and convolved.  In
 inference mode each residual block's batch-norm is folded into its first
 conv on every call; training mode normalizes with batch statistics.
 
+Inference may pass an ``nn.Workspace``: every conv output, the ReLU and
+the residual add (in place), the max-pool and the decoder's
+upsample-plus-skip concatenation then use arrays lent by the workspace
+under a few roles, so a caller repeating one shape (a DDIM chunk) reuses
+one set of memory; the returned output is a fresh copy.  Training
+allocates, because its caches outlive the call.  ``x``, ``t`` and ``c``
+are checked finite on entry: the condition MLP's ReLU would otherwise
+turn a NaN into a finite, wrong output.
+
 Parameters live in a plain dict keyed by layer path; ``param_spec``
 fixes the canonical ordering used to flatten them into one vector (the
 checkpoint format relies on that order being stable).  Batch-norm
@@ -228,11 +237,11 @@ def _cond_embed_bwd(g: np.ndarray, cache, grads: dict) -> None:
     grads["cond.b1"] += gb1
 
 
-def _fusion_fwd(h, emb, params, name):
+def _fusion_fwd(h, emb, params, name, workspace, role):
     """Fusion conv of the level input h (C, B, L) and the embedding emb (B, E)."""
     w = params[f"{name}.w"]
     ch = h.shape[0]
-    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"])
+    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"], workspace=workspace, role=role)
     c_e = nn.tap_bias(y, w[:, ch:], emb)
     return y, (c_h, c_e)
 
@@ -249,7 +258,8 @@ def _fusion_bwd(g, cache, name, grads):
     return gh, g_emb
 
 
-def _resblock_fwd(x, params, bn_state, prefix, training):
+def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None):
+    """Residual block; with a workspace the result overwrites x."""
     w1, b1 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]
     bn = (
         params[f"{prefix}.bn.gamma"],
@@ -268,11 +278,15 @@ def _resblock_fwd(x, params, bn_state, prefix, training):
             f"{prefix}.bn.running_mean": new_mean + nn.BN_MOMENTUM * b1,
             f"{prefix}.bn.running_var": new_var,
         }
+        y, mask = nn.relu(y)
     else:
-        y, c1 = nn.conv1d(x, *nn.fold_batchnorm(w1, b1, *bn))
-    y, mask = nn.relu(y)
-    y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
-    return x + y, (c1, cbn, mask, c2), updates
+        y, c1 = nn.conv1d(x, *nn.fold_batchnorm(w1, b1, *bn),
+                          workspace=workspace, role="tmp")
+        y, mask = nn.relu_inplace(y), None
+    y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"],
+                      workspace=workspace, role="tmp")
+    out = x + y if workspace is None else np.add(x, y, out=x)
+    return out, (c1, cbn, mask, c2), updates
 
 
 def _resblock_bwd(g, cache, prefix, grads):
@@ -299,59 +313,85 @@ def forward(
     config: DenoiserConfig,
     training: bool = False,
     want_cache: bool = False,
+    *,
+    workspace: nn.Workspace | None = None,
 ):
     """Run the network on x of shape (B, in_channels, input_length).
 
+    t is one step for every row or one per row; c is (B, cond_dim).
     Returns (out, cache, bn_updates); cache is None unless requested,
     bn_updates is an empty dict in inference mode.  The cache feeds
     ``backward`` and needs training mode: inference folds batch-norm away.
+
+    An inference ``workspace`` lends every activation (see ``nn.Workspace``),
+    so repeated calls at one shape reuse the same memory; ``out`` is
+    always a fresh array.  Training allocates, since its caches outlive
+    the call.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != config.in_channels or x.shape[2] != config.input_length:
         raise ConfigError(
             f"input must have shape (B, {config.in_channels}, {config.input_length})"
         )
+    batch = x.shape[0]
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite values in network input")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.ndim != 1 or len(t) not in (1, batch):
+        raise ConfigError(f"step must be a scalar or have shape ({batch},), got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise NumericError("non-finite diffusion step")
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.shape != (x.shape[0], config.cond_dim):
+    if c.shape != (batch, config.cond_dim):
         raise ConfigError(f"condition must have shape (B, {config.cond_dim})")
+    if not np.all(np.isfinite(c)):
+        raise NumericError("non-finite values in condition")
     if want_cache and not training:
         raise ConfigError("a backward cache needs a training-mode forward")
+    if workspace is not None and training:
+        raise ConfigError("a workspace is for inference: training caches outlive the call")
 
     te = time_embed(t, config.time_embed_dim)
-    if te.shape[0] == 1 and x.shape[0] > 1:
-        te = np.broadcast_to(te, (x.shape[0], te.shape[1]))
+    if te.shape[0] == 1 and batch > 1:
+        te = np.broadcast_to(te, (batch, te.shape[1]))
     ce, ce_cache = _cond_embed_fwd(c, params)
     emb = np.concatenate([te, ce], axis=1)
 
+    # workspace roles: skip<i> holds encoder level i's output until its
+    # decoder level, act the mid and decoder outputs, tmp each residual
+    # branch and the head; a role's arrays are never alive at once
     bn_updates: dict = {}
     enc_caches = []
     skips = []
     h = np.ascontiguousarray(x.transpose(1, 0, 2))
     for i in range(config.depth):
-        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in")
-        y, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training)
+        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in", workspace, f"skip{i}")
+        y, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training,
+                                      workspace)
         bn_updates.update(upd)
         skips.append(y)
-        h, c_pool = nn.maxpool2(y)
+        h, c_pool = nn.maxpool2(y, workspace=workspace)
         enc_caches.append((c_in, c_res, c_pool) if want_cache else None)
 
-    y, c_in = _fusion_fwd(h, emb, params, "mid.in")
-    h, c_res, upd = _resblock_fwd(y, params, bn_state, "mid.res", training)
+    y, c_in = _fusion_fwd(h, emb, params, "mid.in", workspace, "act")
+    h, c_res, upd = _resblock_fwd(y, params, bn_state, "mid.res", training, workspace)
     bn_updates.update(upd)
     mid_cache = (c_in, c_res) if want_cache else None
 
     dec_caches = []
     for i in reversed(range(config.depth)):
-        up = nn.upsample2(h)
-        z = np.concatenate([up, skips[i]])
-        y, c_in = _fusion_fwd(z, emb, params, f"dec{i}.in")
-        h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training)
+        up_ch, skip = h.shape[0], skips[i]
+        z = nn.lend(workspace, "concat", (up_ch + skip.shape[0],) + skip.shape[1:])
+        nn.upsample2(h, z[:up_ch])
+        z[up_ch:] = skip
+        y, c_in = _fusion_fwd(z, emb, params, f"dec{i}.in", workspace, "act")
+        h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training,
+                                      workspace)
         bn_updates.update(upd)
-        dec_caches.append((i, up.shape[0], c_in, c_res) if want_cache else None)
+        dec_caches.append((i, up_ch, c_in, c_res) if want_cache else None)
 
-    out, head_cache = nn.conv1d(h, params["head.w"], params["head.b"])
+    out, head_cache = nn.conv1d(h, params["head.w"], params["head.b"],
+                                workspace=workspace, role="tmp")
 
     cache = None
     if want_cache:
@@ -363,7 +403,8 @@ def forward(
             "dec": dec_caches,
             "head": head_cache,
         }
-    return np.ascontiguousarray(out.transpose(1, 0, 2)), cache, bn_updates
+    # a copy, never a view: (1, B, L) -> (B, 1, L) is already contiguous
+    return out.transpose(1, 0, 2).copy(), cache, bn_updates
 
 
 def backward(g_out: np.ndarray, cache: dict, params: dict) -> dict:

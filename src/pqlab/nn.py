@@ -5,8 +5,8 @@ the upstream gradient and the cache and returns gradients for inputs
 and parameters.  Activations are channel-major, (channels, batch,
 length), so a (C, B, L) input is one (C, B * L) matrix.  A convolution
 is one GEMM of the stacked per-tap weights (K * out, C) against it; each
-tap's product is then shifted into place along the length axis, dropping
-what would cross into the zero pad.  Its backward shifts the output
+tap's product, zeroed where the tap reads the zero pad, is then added
+shifted along the flattened output.  Its backward shifts the output
 gradient back and runs two GEMMs.  Convolutions are stride-1 with odd
 kernels and same (zero) padding.
 
@@ -20,9 +20,20 @@ statistics; at inference ``fold_batchnorm`` folds the frozen statistics
 into the preceding conv (Jacob et al. 2018, arXiv:1712.05877, §3.2).
 All computation is float64; determinism follows from fixed operand
 order.
+
+An inference caller that runs the same shapes over and over (the DDIM
+sampler) passes a ``Workspace``: ``conv1d`` then writes its tap products
+and its output, and ``maxpool2`` its output, into arrays the workspace
+lends, so repeated calls reuse the same memory instead of allocating
+and freeing (and page-faulting in) fresh arrays each time.  Without one,
+``lend`` allocates and every function behaves as before; a lent array is
+overwritten by the next lend under its role, so caches made with a
+workspace must not outlive the call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,8 +58,49 @@ def _clear_outside(rows: np.ndarray, lo: int, hi: int) -> None:
     rows[..., hi:] = 0.0
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y[o,b,l] = sum_{c,k} w[o,c,k] x[c,b,l+k-pad] + b[o] for x of shape (C, B, L)."""
+class Workspace:
+    """Arrays lent for repeated inference calls at the same shapes.
+
+    Each role owns one flat buffer; ``lend(role, shape)`` returns
+    its first prod(shape) elements as a C-ordered array, growing the
+    buffer when a larger shape is asked for.  So a role holds one live
+    array at a time and keeps the largest size ever lent under it: the
+    caller picks roles so that arrays alive at the same time never share
+    one, and shapes of one role (a batch change, the levels of a U-Net)
+    share its memory.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def lend(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    @property
+    def buffers(self) -> tuple:
+        """Every buffer held, for accounting (their nbytes) and alias checks."""
+        return tuple(self._buffers.values())
+
+
+def lend(workspace: Workspace | None, role: str, shape, dtype=np.float64) -> np.ndarray:
+    """A workspace's array for this role, or a fresh one without a workspace."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    return workspace.lend(role, shape, dtype)
+
+
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
+           workspace: Workspace | None = None, role: str = "conv.out"):
+    """y[o,b,l] = sum_{c,k} w[o,c,k] x[c,b,l+k-pad] + b[o] for x of shape (C, B, L).
+
+    With a workspace the tap products are lent under ``conv.taps`` and y
+    under ``role``.  x is read only by the GEMM, before y is written, so
+    ``role`` may be the one x was lent under.
+    """
     c, batch, length = x.shape
     out, _, k = w.shape
     n = batch * length
@@ -56,15 +108,24 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     xf = x.reshape(c, n)
     wk = w.transpose(2, 0, 1).reshape(k * out, c)
     # one GEMM gives every tap's product P_k at every input position; tap
-    # k's output at l is P_k at l + k - pad, read within the same row
-    p = (wk @ xf).reshape(k, out, n)
-    y = p[pad]
+    # k's output at l is P_k at l + k - pad
+    p = np.matmul(wk, xf, out=lend(workspace, "conv.taps", (k * out, n)))
+    p = p.reshape(k, out, n)
+    if workspace is None:
+        y = p[pad]
+    else:  # the next conv reuses the products, so y gets memory of its own
+        y = workspace.lend(role, (out, n))
+        y[...] = p[pad]
+    # the shifted sum runs over y as one flat vector (a contiguous add is
+    # several times faster than row by row); a read that crosses into the
+    # next row or channel lands on a product cleared as reading the pad
+    yf = y.reshape(out * n)
     for j in range(k):
         if j != pad:
             lo, hi = _tap_span(pad - j, length)
             _clear_outside(p[j].reshape(out, batch, length), lo, hi)
-            dst, src = _flat_shift(j - pad, n)
-            y[:, dst] += p[j][:, src]
+            dst, src = _flat_shift(j - pad, out * n)
+            yf[dst] += p[j].reshape(out * n)[src]
     y += b[:, None]
     return y.reshape(out, batch, length), (xf, wk, x.shape)
 
@@ -143,6 +204,16 @@ def relu(x: np.ndarray):
     return np.where(mask, x, 0.0), mask
 
 
+def relu_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with max(x, 0); on finite x this is relu(x)[0] bit for bit.
+
+    ``np.maximum(-0.0, 0.0)`` is +0.0, as ``relu`` gives; only NaN would
+    differ (kept here, zeroed there), and inference inputs are checked
+    finite.
+    """
+    return np.maximum(x, 0.0, out=x)
+
+
 def relu_backward(gy: np.ndarray, mask):
     return np.where(mask, gy, 0.0)
 
@@ -188,13 +259,21 @@ def fold_batchnorm(w, b, gamma, beta, running_mean, running_var):
     return w * scale[:, None, None], (b - running_mean) * scale + beta
 
 
-def maxpool2(x: np.ndarray):
-    """Halve the length axis, keeping the per-pair maximum (the first on a tie)."""
+def maxpool2(x: np.ndarray, *, workspace: Workspace | None = None):
+    """Halve the length axis, keeping the per-pair maximum (the first on a tie).
+
+    With a workspace the output is lent under ``maxpool2`` and the
+    selection mask under ``maxpool2.mask``.
+    """
     if x.shape[2] % 2:
         raise ValueError("maxpool2 needs an even length")
     first, second = x[:, :, 0::2], x[:, :, 1::2]
-    take_second = second > first
-    return np.where(take_second, second, first), take_second
+    take_second = np.greater(second, first,
+                             out=lend(workspace, "maxpool2.mask", first.shape, bool))
+    y = lend(workspace, "maxpool2", first.shape)
+    np.copyto(y, first)
+    np.copyto(y, second, where=take_second)
+    return y, take_second
 
 
 def maxpool2_backward(gy: np.ndarray, take_second):
@@ -205,9 +284,11 @@ def maxpool2_backward(gy: np.ndarray, take_second):
     return gx.reshape(c, b, 2 * half)
 
 
-def upsample2(x: np.ndarray):
-    """Nearest-neighbor doubling of the length axis."""
-    return np.repeat(x, 2, axis=2)
+def upsample2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor doubling of the length axis of x, written into out."""
+    out[:, :, 0::2] = x
+    out[:, :, 1::2] = x
+    return out
 
 
 def upsample2_backward(gy: np.ndarray):

@@ -21,8 +21,9 @@ non-finite numbers (``nan``, ``inf``, also inside a list) are
 ``ConfigError``s naming the section and key; so is every value a section
 class's ``__post_init__`` rejects (a negative seed, a malformed date, a
 noise schedule, network or contract the library would refuse), with the
-section name prefixed.  All of it fails at load time (CLI exit code 2)
-rather than later in a run.
+section name prefixed; a ``[schedule]`` or ``[contracts]`` message also
+names the offending keys, as ``key = value: <library message>``.  All of
+it fails at load time (CLI exit code 2) rather than later in a run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import configparser
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
@@ -131,6 +133,38 @@ class DataSection:
                     raise ConfigError(f"{label} not found: {path}")
 
 
+def _check_naming_keys(section, check) -> None:
+    """Run check(section); its ConfigError is re-raised naming the INI keys at fault.
+
+    The library rule speaks of its own arguments (``T``, ``ki_ratio``), so
+    the keys are found by value: each key that differs from its default is
+    checked alone on the defaults, and the ones that fail are named (all
+    changed keys, if the rule breaks only in combination).
+    """
+    try:
+        check(section)
+    except ConfigError as exc:
+        defaults = {f.name: f.default for f in fields(section)}
+        changed = {k: getattr(section, k) for k, v in defaults.items()
+                   if getattr(section, k) != v}
+
+        def fails_alone(key) -> bool:
+            try:
+                check(SimpleNamespace(**{**defaults, key: changed[key]}))
+            except ConfigError:
+                return True
+            return False
+
+        keys = [k for k in changed if fails_alone(k)] or list(changed)
+        named = ", ".join(f"{k} = {changed[k]}" for k in keys)
+        raise ConfigError(f"{named}: {exc}") from exc
+
+
+def _build_contracts(section) -> None:
+    for cls in CONTRACT_TYPES:
+        cls.from_contracts(section)
+
+
 @dataclass(frozen=True)
 class ScheduleSection:
     timesteps: int = 1000
@@ -138,7 +172,7 @@ class ScheduleSection:
     beta_end: float = 0.02
 
     def __post_init__(self) -> None:
-        self.noise_schedule()
+        _check_naming_keys(self, ScheduleSection.noise_schedule)
 
     def noise_schedule(self) -> NoiseSchedule:
         """The linear beta schedule these settings describe."""
@@ -197,8 +231,7 @@ class ContractsSection:
     snow_notional: float = 1_000_000.0
 
     def __post_init__(self) -> None:
-        for cls in CONTRACT_TYPES:
-            cls.from_contracts(self)
+        _check_naming_keys(self, _build_contracts)
 
     def build(self, product: str):
         """Instantiate the contract for a product family name."""

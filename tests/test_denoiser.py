@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import denoiser_backward_reference, denoiser_forward_reference
 
 from pqlab import denoiser as dn
+from pqlab import nn
 from pqlab.errors import ConfigError, DataError, NumericError
 
 
@@ -230,6 +232,31 @@ class TestForward:
         with pytest.raises(NumericError):
             dn.forward(params, state, x, t, c, config)
 
+    def test_nan_condition_rejected(self):
+        # the condition MLP's ReLU would map NaN to 0 and hide it
+        config = tiny_config()
+        params = dn.init_params(config, seed=1)
+        x, t, c = random_batch(config)
+        c[1, 2] = np.nan
+        with pytest.raises(NumericError, match="condition"):
+            dn.forward(params, dn.init_bn_state(config), x, t, c, config)
+
+    @pytest.mark.parametrize("t", [np.nan, [5.0, np.inf, 7.0]])
+    def test_non_finite_step_rejected(self, t):
+        config = tiny_config()
+        params = dn.init_params(config, seed=1)
+        x, _, c = random_batch(config)
+        with pytest.raises(NumericError, match="step"):
+            dn.forward(params, dn.init_bn_state(config), x, t, c, config)
+
+    @pytest.mark.parametrize("t", [[5, 6], np.ones((3, 1)), []])
+    def test_step_neither_scalar_nor_per_row_rejected(self, t):
+        config = tiny_config()
+        params = dn.init_params(config, seed=1)
+        x, _, c = random_batch(config)  # batch 3
+        with pytest.raises(ConfigError, match="step"):
+            dn.forward(params, dn.init_bn_state(config), x, t, c, config)
+
     def test_training_mode_updates_running_stats(self):
         config = tiny_config()
         params = dn.init_params(config, seed=1)
@@ -412,3 +439,91 @@ class TestMatchesBatchMajorOracle:
         with pytest.raises(ConfigError, match="training-mode"):
             dn.forward(params, dn.init_bn_state(config), x, t, c, config,
                        want_cache=True)
+
+
+TOY = dn.DenoiserConfig(input_length=20)  # the acceptance toy network
+
+
+class TestWorkspace:
+    """An inference forward with a workspace equals one without, bit for bit."""
+
+    def inputs(self, config, batch, seed):
+        rng = np.random.default_rng([seed, 0xD3])
+        x = rng.normal(size=(batch, config.in_channels, config.input_length))
+        t = rng.integers(1, 1000, size=batch) if seed % 2 else int(rng.integers(1, 1000))
+        return x, t, rng.normal(size=(batch, config.cond_dim))
+
+    @pytest.mark.parametrize("config", [TOY, ORACLE_CASES["depth3"][0]],
+                             ids=["toy", "depth3"])
+    def test_successive_calls_equal_fresh_forwards(self, config):
+        params, state = perturbed_model(config, seed=21)
+        workspace = nn.Workspace()
+        for seed in range(4):  # per-row and shared steps, a new x and c each time
+            x, t, c = self.inputs(config, 9, seed)
+            fresh, _, _ = dn.forward(params, state, x, t, c, config)
+            lent, cache, updates = dn.forward(params, state, x, t, c, config,
+                                              workspace=workspace)
+            assert cache is None and updates == {}
+            assert lent.tobytes() == fresh.tobytes()
+
+    def test_survives_a_batch_change(self):
+        # the two chunk sizes of a 300-path sample_paths, then a larger batch
+        params, state = perturbed_model(TOY, seed=22)
+        workspace = nn.Workspace()
+        for batch in (256, 44, 300):
+            x, t, c = self.inputs(TOY, batch, batch)
+            fresh, _, _ = dn.forward(params, state, x, t, c, TOY)
+            lent, _, _ = dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+            assert lent.tobytes() == fresh.tobytes()
+
+    def test_output_does_not_alias_the_workspace(self):
+        params, state = perturbed_model(TOY, seed=23)
+        workspace = nn.Workspace()
+        x, t, c = self.inputs(TOY, 12, 1)
+        expected, _, _ = dn.forward(params, state, x, t, c, TOY)
+        out, _, _ = dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+        assert workspace.buffers
+        assert not any(np.shares_memory(out, buf) for buf in workspace.buffers)
+        out[...] = 1e300
+        again, _, _ = dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+        assert again.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, again)
+
+    @pytest.mark.parametrize("flags", [{"training": True},
+                                       {"training": True, "want_cache": True},
+                                       {"want_cache": True}])
+    def test_training_or_cache_refused(self, flags):
+        params, state = perturbed_model(TOY, seed=24)
+        x, t, c = self.inputs(TOY, 4, 1)
+        with pytest.raises(ConfigError):
+            dn.forward(params, state, x, t, c, TOY, workspace=nn.Workspace(), **flags)
+
+    def test_inplace_relu_matches_relu(self):
+        x = np.array([-0.0, 0.0, -1.5, 2.5, 5e-324, -5e-324, 1e308, -1e308])
+        expected, _ = nn.relu(x)
+        assert nn.relu_inplace(x.copy()).tobytes() == expected.tobytes()
+
+    def test_bytes_held_at_a_full_chunk(self):
+        # the figure the README gives for one 256-path sampling chunk
+        params, state = perturbed_model(TOY, seed=26)
+        workspace = nn.Workspace()
+        dn.forward(params, state, *self.inputs(TOY, 256, 1), TOY, workspace=workspace)
+        assert sum(buf.nbytes for buf in workspace.buffers) == 6_922_240
+
+    def test_warm_forward_allocates_an_eighth_or_less(self):
+        # the page faults this avoids come from allocating and freeing
+        # these arrays every call; the tracemalloc peak counts them exactly
+        params, state = perturbed_model(TOY, seed=25)
+        x, t, c = self.inputs(TOY, 200, 1)
+        workspace = nn.Workspace()
+        dn.forward(params, state, x, t, c, TOY, workspace=workspace)  # warm up
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                dn.forward(params, state, x, t, c, TOY, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(workspace=workspace) <= peak() / 8

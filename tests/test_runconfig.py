@@ -251,6 +251,7 @@ class TestCheckedAtLoad:
         assert key in str(info.value)
         assert cli.main(["prepare", str(path)]) == 2
         assert key in capsys.readouterr().err
+        return str(info.value)
 
     def test_every_seed_key_is_covered(self):
         assert sorted(SEED_KEYS) == [("data", "seed"), ("game", "seed"),
@@ -291,9 +292,32 @@ class TestCheckedAtLoad:
         ("contracts", "snow_notional", "0", "notional must be positive"),
     ])
     def test_library_rule_rejected(self, tmp_path, capsys, section, key, value, message):
-        # the library's own message, which names its argument, not the INI key
-        self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
-                             section, message)
+        # the INI key and the library's own message, which names its argument
+        text = self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
+                                    section, key)
+        if section == "model":  # its messages already start with the key
+            assert message in text
+        else:
+            named, _, library = text.partition(": ")
+            prefix = f"[{section}] {key} = "
+            assert named.startswith(prefix)
+            assert float(named[len(prefix):]) == float(value)
+            assert message in library
+
+    def test_rule_broken_only_in_combination_names_every_changed_key(self, tmp_path):
+        # each value is valid on the defaults; together beta_start > beta_end
+        body = "[schedule]\ntimesteps = 50\nbeta_start = 0.015\nbeta_end = 0.01\n"
+        with pytest.raises(ConfigError) as info:
+            rc.load_config(write_config(tmp_path, MINIMAL + body))
+        assert str(info.value) == (
+            "[schedule] timesteps = 50, beta_start = 0.015, beta_end = 0.01: "
+            "need 0 < beta_start <= beta_end < 1")
+
+    def test_only_the_key_at_fault_is_named(self, tmp_path):
+        body = "[contracts]\nstrike_ratio = 1.1\nsnow_ki = 2.0\nsnow_coupon = 0.2\n"
+        with pytest.raises(ConfigError) as info:
+            rc.load_config(write_config(tmp_path, MINIMAL + body))
+        assert str(info.value) == "[contracts] snow_ki = 2.0: need ki_ratio < 1 < ko_ratio"
 
     def test_sections_are_the_library_classes(self, tmp_path):
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))

@@ -228,6 +228,31 @@ class TestSamplePaths:
         np.testing.assert_array_equal(many, run(sp.SAMPLE_CHUNK + 44))
         np.testing.assert_allclose(run(10), many[:10], rtol=1e-12, atol=1e-15)
 
+    def test_one_workspace_per_chunk_changes_nothing(self, monkeypatch):
+        base = tiny_model(seed=4)
+        rng = np.random.default_rng(1)
+        params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in base.params.items()}
+        model = sp.GeneratorModel(params=params, bn_state=base.bn_state, net=base.net)
+        cfg = sp.SamplerConfig(num_steps=5, eta=1.0, seed=2, n_paths=sp.SAMPLE_CHUNK + 9)
+        sched = df.build_schedule(100)
+        lent = sp.sample_paths(model, cfg, condition(), sched)
+
+        forward = dn.forward
+        seen = []
+
+        def without_workspace(*args, workspace, **kwargs):
+            seen.append((workspace, args[2].shape[0]))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(dn, "forward", without_workspace)
+        fresh = sp.sample_paths(model, cfg, condition(), sched)
+        assert lent.tobytes() == fresh.tobytes()
+        # five steps per chunk share one workspace; the two chunks do not
+        assert len(seen) == 10
+        assert len({id(w) for w, _ in seen[:5]}) == len({id(w) for w, _ in seen[5:]}) == 1
+        assert seen[0][0] is not seen[5][0]
+        assert [b for _, b in seen] == [sp.SAMPLE_CHUNK] * 5 + [9] * 5
+
     def test_seed_changes_output(self):
         model = tiny_model(seed=4)
         sched = df.build_schedule(100)
