@@ -61,20 +61,8 @@ def _echo_config(cfg: runconfig.RunConfig) -> None:
 def _load_dataset(cfg: runconfig.RunConfig):
     d = cfg.data
     if d.source == "synthetic":
-        gen = mp.GeneratorConfig(
-            n_days=d.n_days,
-            s0=d.s0,
-            mu1=d.mu1,
-            mu2=d.mu2,
-            sigma1=d.sigma1,
-            sigma2=d.sigma2,
-            p_switch=d.p_switch,
-            start_date=d.start_date,
-        )
-        series = mp.synthesize_series(gen, seed=d.seed)
-        rates = {
-            w: mp.RateTable(w, [d.start_date], [d.rate]) for w in d.windows
-        }
+        series = mp.synthesize_series(d.generator_config(), seed=d.seed)
+        rates = {w: mp.RateTable(w, [d.start_date], [d.rate]) for w in d.windows}
         return series, rates
     series = mp.load_series_csv(d.series_csv)
     rates = mp.load_rates_csv(d.rates_csv)

@@ -20,7 +20,8 @@ embedding channels last.  Its level part runs as an ``nn.conv1d`` GEMM;
 its embedding part, constant along the length axis, is added as a
 per-row bias (``nn.tap_bias``) instead of being tiled and convolved.  In
 inference mode each residual block's batch-norm is folded into its first
-conv on every call; training mode normalizes with batch statistics.
+conv on every call; training mode normalizes with batch statistics and
+always returns the cache ``backward`` reads.
 
 Inference may pass an ``nn.Workspace``: every conv output, the ReLU and
 the residual add (in place), the max-pool and the decoder's
@@ -312,16 +313,15 @@ def forward(
     c: np.ndarray,
     config: DenoiserConfig,
     training: bool = False,
-    want_cache: bool = False,
     *,
     workspace: nn.Workspace | None = None,
 ):
     """Run the network on x of shape (B, in_channels, input_length).
 
     t is one step for every row or one per row; c is (B, cond_dim).
-    Returns (out, cache, bn_updates); cache is None unless requested,
-    bn_updates is an empty dict in inference mode.  The cache feeds
-    ``backward`` and needs training mode: inference folds batch-norm away.
+    Returns (out, cache, bn_updates).  A training-mode forward returns the
+    cache that feeds ``backward``; inference returns None for it (it folds
+    batch-norm away) and an empty bn_updates.
 
     An inference ``workspace`` lends every activation (see ``nn.Workspace``),
     so repeated calls at one shape reuse the same memory; ``out`` is
@@ -346,8 +346,6 @@ def forward(
         raise ConfigError(f"condition must have shape (B, {config.cond_dim})")
     if not np.all(np.isfinite(c)):
         raise NumericError("non-finite values in condition")
-    if want_cache and not training:
-        raise ConfigError("a backward cache needs a training-mode forward")
     if workspace is not None and training:
         raise ConfigError("a workspace is for inference: training caches outlive the call")
 
@@ -371,12 +369,12 @@ def forward(
         bn_updates.update(upd)
         skips.append(y)
         h, c_pool = nn.maxpool2(y, workspace=workspace)
-        enc_caches.append((c_in, c_res, c_pool) if want_cache else None)
+        enc_caches.append((c_in, c_res, c_pool) if training else None)
 
     y, c_in = _fusion_fwd(h, emb, params, "mid.in", workspace, "act")
     h, c_res, upd = _resblock_fwd(y, params, bn_state, "mid.res", training, workspace)
     bn_updates.update(upd)
-    mid_cache = (c_in, c_res) if want_cache else None
+    mid_cache = (c_in, c_res) if training else None
 
     dec_caches = []
     for i in reversed(range(config.depth)):
@@ -388,13 +386,13 @@ def forward(
         h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training,
                                       workspace)
         bn_updates.update(upd)
-        dec_caches.append((i, up_ch, c_in, c_res) if want_cache else None)
+        dec_caches.append((i, up_ch, c_in, c_res) if training else None)
 
     out, head_cache = nn.conv1d(h, params["head.w"], params["head.b"],
                                 workspace=workspace, role="tmp")
 
     cache = None
-    if want_cache:
+    if training:
         cache = {
             "config": config,
             "ce": ce_cache,
@@ -452,9 +450,7 @@ def gradient(params: dict, bn_state: dict, batch, loss_fn, config: DenoiserConfi
     non-finite loss so divergence surfaces with context.
     """
     x_t, t, c = batch
-    pred, cache, bn_updates = forward(
-        params, bn_state, x_t, t, c, config, training=True, want_cache=True
-    )
+    pred, cache, bn_updates = forward(params, bn_state, x_t, t, c, config, training=True)
     loss, g_pred = loss_fn(pred)
     if not math.isfinite(loss):
         raise NumericError(f"non-finite training loss: {loss!r}")

@@ -158,11 +158,11 @@ def recover_eps(x_t, prediction, mode: str, t, sched: NoiseSchedule) -> np.ndarr
 
 
 def x0_coefficients(mode: str, t, sched: NoiseSchedule):
-    """Linearization d(x0_hat)/d(prediction) as (scale, offset-free flag).
+    """The scale d(x0_hat)/d(prediction) at step(s) t, shaped like t.
 
-    recover_x0 is affine in the prediction for every mode; the returned
-    scale is the Jacobian diagonal, used to chain data-space loss
-    gradients back to the network output.
+    recover_x0 is affine in the prediction for every mode, so this scale is
+    its whole Jacobian diagonal; training chains data-space loss gradients
+    back to the network output through it.
     """
     abar = sched.alpha_bar_at(t)
     if mode == "x0":

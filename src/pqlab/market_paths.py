@@ -143,9 +143,6 @@ class ConditionVector:
         )
 
 
-COND_DIM = 5
-
-
 @dataclass(frozen=True)
 class PathSlice:
     """One training/test sample: masked log-return sequence plus features."""
@@ -227,44 +224,55 @@ def annualized_volatility(returns: np.ndarray) -> float:
     return float(np.std(returns, ddof=1) * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def load_series_csv(path) -> DailySeries:
-    """Read a `date,close,is_trading_day` CSV into a DailySeries."""
-    dates, closes, trading = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"date", "close", "is_trading_day"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: expected header date,close,is_trading_day")
-        for row in reader:
-            try:
-                dates.append(np.datetime64(row["date"], "D"))
-                closes.append(float(row["close"]))
-                trading.append(bool(int(row["is_trading_day"])))
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: bad row {row}: {exc}") from exc
-    if not dates:
+def _csv_rows(path, header: tuple) -> list:
+    """Data rows of a UTF-8 CSV with (at least) ``header``'s columns.
+
+    An unreadable, non-UTF-8 or malformed file, a missing column and an
+    empty file are DataErrors.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(header) <= set(reader.fieldnames):
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
         raise DataError(f"{path}: no data rows")
+    return rows
+
+
+def load_series_csv(path) -> DailySeries:
+    """Read a `date,close,is_trading_day` CSV into a DailySeries.
+
+    ``is_trading_day`` is 0 or 1.
+    """
+    dates, closes, trading = [], [], []
+    for row in _csv_rows(path, ("date", "close", "is_trading_day")):
+        try:
+            dates.append(np.datetime64(row["date"], "D"))
+            closes.append(float(row["close"]))
+            flag = int(row["is_trading_day"])
+            if flag not in (0, 1):
+                raise ValueError(f"is_trading_day must be 0 or 1, got {flag}")
+            trading.append(bool(flag))
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: bad row {row}: {exc}") from exc
     return DailySeries(np.array(dates), np.array(closes), np.array(trading))
 
 
 def load_rates_csv(path) -> dict:
     """Read a `date,tenor_days,rate` CSV into {tenor_days: RateTable}."""
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"date", "tenor_days", "rate"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: expected header date,tenor_days,rate")
-        for row in reader:
-            try:
-                tenor = int(row["tenor_days"])
-                date = np.datetime64(row["date"], "D")
-                rate = float(row["rate"])
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: bad row {row}: {exc}") from exc
-            rows.setdefault(tenor, []).append((date, rate))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    for row in _csv_rows(path, ("date", "tenor_days", "rate")):
+        try:
+            tenor = int(row["tenor_days"])
+            date = np.datetime64(row["date"], "D")
+            rate = float(row["rate"])
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: bad row {row}: {exc}") from exc
+        rows.setdefault(tenor, []).append((date, rate))
     tables = {}
     for tenor, pairs in rows.items():
         pairs.sort(key=lambda p: p[0])
@@ -376,7 +384,7 @@ def slice_dataset(
 class GeneratorConfig:
     """Two-regime GBM generator settings (annualized drift/vol)."""
 
-    n_days: int  # calendar days
+    n_days: int = 400  # calendar days
     s0: float = 100.0
     mu1: float = 0.05
     mu2: float = 0.05

@@ -3,7 +3,10 @@
 The core term is a masked mean squared error on the model's training target.
 Seven auxiliary terms (jump, volatility clustering, global volatility, tail,
 drift, pinball, spectral) are computed on reconstructed data-space sequences
-and blended in with linearly warmed-up weights.
+and blended in with linearly warmed-up weights.  ``LossConfig``, the
+``[loss]`` section, declares every loss setting (the seven weights, the
+warmup and the vol-clustering window and stride); ``total_loss`` takes it
+whole.  The loss-log columns are declared once, as ``_LOG_COLUMNS``.
 
 Each auxiliary term is one batched kernel over a (G, n) block of rows that
 share a valid length n.  total_loss groups the batch rows by mask length,
@@ -37,10 +40,11 @@ PINBALL_Q_HIGH = 0.99
 DEFAULT_VOL_WINDOW = 5
 DEFAULT_VOL_STRIDE = 1
 
-# column order is the on-disk contract for per-step loss logs
-LOSS_CSV_HEADER = "step,core,jump,vol,gvol,kurt,drift,pinball,spectral,total"
-
 _TERMS = ("jump", "vol", "gvol", "kurt", "drift", "pinball", "spectral")
+
+# column order is the on-disk contract for per-step loss logs
+_LOG_COLUMNS = ("core", *_TERMS, "total")
+LOSS_CSV_HEADER = ",".join(("step", *_LOG_COLUMNS))
 
 
 def lambda_scale(step: int, total_steps: int, warmup_fraction: float) -> float:
@@ -55,11 +59,12 @@ def lambda_scale(step: int, total_steps: int, warmup_fraction: float) -> float:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Maximum weights for the auxiliary terms plus the warmup horizon.
+class LossConfig:
+    """The ``[loss]`` section: auxiliary-term weights, warmup and vol-clustering window.
 
     Each lambda is the saturated weight reached after ``warmup_fraction`` of
     the total training steps; before that the weight ramps linearly from 0.
+    ``vol_window`` and ``vol_stride`` shape the volatility-clustering term.
     """
 
     lambda_jump: float = 0.1
@@ -70,6 +75,8 @@ class LossWeights:
     lambda_pinball: float = 0.05
     lambda_spectral: float = 0.05
     warmup_fraction: float = 0.1
+    vol_window: int = DEFAULT_VOL_WINDOW
+    vol_stride: int = DEFAULT_VOL_STRIDE
 
     def __post_init__(self) -> None:
         for term in _TERMS:
@@ -80,25 +87,14 @@ class LossWeights:
             raise ConfigError(
                 f"warmup_fraction must be in (0, 1], got {self.warmup_fraction}"
             )
+        for name in ("vol_window", "vol_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def annealed(self, step: int, total_steps: int) -> dict[str, float]:
         """Per-term weights at a given step."""
         scale = lambda_scale(step, total_steps, self.warmup_fraction)
         return {term: getattr(self, f"lambda_{term}") * scale for term in _TERMS}
-
-
-@dataclass(frozen=True)
-class LossConfig(LossWeights):
-    """The ``[loss]`` section: the LossWeights fields, then the vol-clustering window."""
-
-    vol_window: int = DEFAULT_VOL_WINDOW
-    vol_stride: int = DEFAULT_VOL_STRIDE
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("vol_window", "vol_stride"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -125,18 +121,8 @@ class LossBreakdown:
 
 def format_loss_row(step: int, breakdown: LossBreakdown) -> str:
     """One CSV row matching LOSS_CSV_HEADER; repr() keeps floats lossless."""
-    values = (
-        breakdown.core,
-        breakdown.jump,
-        breakdown.vol,
-        breakdown.gvol,
-        breakdown.kurt,
-        breakdown.drift,
-        breakdown.pinball,
-        breakdown.spectral,
-        breakdown.total,
-    )
-    return ",".join([str(int(step))] + [repr(float(v)) for v in values])
+    values = (repr(float(getattr(breakdown, column))) for column in _LOG_COLUMNS)
+    return ",".join([str(int(step)), *values])
 
 
 def _warn(message: str) -> None:
@@ -426,9 +412,7 @@ def total_loss(
     mask,
     step: int,
     total_steps: int,
-    weights: LossWeights | None = None,
-    window: int = DEFAULT_VOL_WINDOW,
-    stride: int = DEFAULT_VOL_STRIDE,
+    config: LossConfig = LossConfig(),
     with_grads: bool = False,
 ):
     """Evaluate the full training loss on one batch.
@@ -436,15 +420,14 @@ def total_loss(
     pred/target are (B, L) arrays in the training parameterization; x0_pred
     and x0_true are the matching data-space reconstructions the auxiliary
     terms are measured on.  mask is a (B, L) boolean array whose rows are
-    contiguous validity prefixes.
+    contiguous validity prefixes.  config supplies the annealed weights and
+    the vol-clustering window and stride.
 
     Returns a LossBreakdown, or with with_grads=True a tuple
     (breakdown, d_total/d_pred, d_total/d_x0_pred); the two gradients are
     disjoint halves of the chain, so callers combine them through the
     Jacobian of their x0 reconstruction.
     """
-    if weights is None:
-        weights = LossWeights()
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     x0_pred = np.asarray(x0_pred, dtype=np.float64)
@@ -457,7 +440,7 @@ def total_loss(
         if arr.shape != pred.shape:
             raise DataError(f"{name} shape {arr.shape} != pred shape {pred.shape}")
 
-    lam = weights.annealed(step, total_steps)
+    lam = config.annealed(step, total_steps)
     core, g_pred = _masked_mse_vg(target, pred, mask_arr)
     lens = _prefix_lens(mask_arr)
     if not lens.all():
@@ -474,8 +457,9 @@ def total_loss(
         p = x0_pred[rows, :n]
         t = x0_true[rows, :n]
         evaluated = (
-            _jump(p, t), _vol_clustering(p, t, window, stride), _global_vol(p, t),
-            _tail(p, t), _drift(p, t), _pinball_pair(p, t), _spectral(p, t),
+            _jump(p, t), _vol_clustering(p, t, config.vol_window, config.vol_stride),
+            _global_vol(p, t), _tail(p, t), _drift(p, t), _pinball_pair(p, t),
+            _spectral(p, t),
         )
         g = np.zeros_like(p)
         for k, (term, (values, grad, *defined)) in enumerate(zip(_TERMS, evaluated)):

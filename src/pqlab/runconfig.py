@@ -12,18 +12,23 @@ section of the same name whose keys are that class's fields, in
 declaration order, with the field defaults.  ``[loss]``, ``[train]``,
 ``[sampler]`` and ``[game]`` are the library's own ``objectives.LossConfig``,
 ``training.TrainConfig``, ``sampler.SamplerConfig`` and
-``pq_game.GameConfig``; the other sections are declared here.  The field
-annotation picks the parser (``_PARSERS``); lists are comma-separated.
-Parsing and the echo both walk these fields.
+``pq_game.GameConfig``; the other sections are declared here, and take
+the defaults of the library settings they describe by name: ``[data]``'s
+generator keys are ``market_paths.GeneratorConfig``'s fields (built by
+``DataSection.generator_config``), ``[schedule]`` uses
+``diffusion.DEFAULT_*`` and ``[model]`` ``DenoiserConfig``'s defaults.
+The field annotation picks the parser (``_PARSERS``); lists are
+comma-separated.  Parsing and the echo both walk these fields.
 
 Strictness: unknown sections or keys, values that do not parse, and
 non-finite numbers (``nan``, ``inf``, also inside a list) are
 ``ConfigError``s naming the section and key; so is every value a section
 class's ``__post_init__`` rejects (a negative seed, a malformed date, a
-noise schedule, network or contract the library would refuse), with the
-section name prefixed; a ``[schedule]`` or ``[contracts]`` message also
-names the offending keys, as ``key = value: <library message>``.  All of
-it fails at load time (CLI exit code 2) rather than later in a run.
+generator, noise schedule, network or contract the library would
+refuse), with the section name prefixed; a ``[data]``, ``[schedule]`` or
+``[contracts]`` library message also names the offending keys, as
+``key = value: <library message>``.  All of it fails at load time (CLI
+exit code 2) rather than later in a run.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .denoiser import DenoiserConfig
-from .diffusion import MODES, NoiseSchedule, build_schedule
+from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, MODES,
+                        NoiseSchedule, build_schedule)
 from .errors import ConfigError
+from .market_paths import GeneratorConfig
 from .objectives import LossConfig
 from .payoffs import CONTRACT_TYPES
 from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
@@ -96,15 +103,15 @@ class DataSection:
     split_date: str = "2015-12-01"
     stride: int = 1
     seed: int = 0
-    # synthetic two-regime generator (market_paths.GeneratorConfig)
-    n_days: int = 400
-    s0: float = 100.0
-    mu1: float = 0.05
-    mu2: float = 0.05
-    sigma1: float = 0.15
-    sigma2: float = 0.45
-    p_switch: float = 0.02
-    start_date: str = "2015-01-01"
+    # synthetic two-regime generator: the GeneratorConfig fields, by name
+    n_days: int = GeneratorConfig.n_days
+    s0: float = GeneratorConfig.s0
+    mu1: float = GeneratorConfig.mu1
+    mu2: float = GeneratorConfig.mu2
+    sigma1: float = GeneratorConfig.sigma1
+    sigma2: float = GeneratorConfig.sigma2
+    p_switch: float = GeneratorConfig.p_switch
+    start_date: str = GeneratorConfig.start_date
     rate: float = 0.03
 
     def __post_init__(self) -> None:
@@ -131,6 +138,12 @@ class DataSection:
                     raise ConfigError(f"csv source requires {label}")
                 if not os.path.isfile(path):
                     raise ConfigError(f"{label} not found: {path}")
+        _check_naming_keys(self, DataSection.generator_config)
+
+    def generator_config(self) -> GeneratorConfig:
+        """The synthetic generator these settings describe."""
+        return GeneratorConfig(**{f.name: getattr(self, f.name)
+                                  for f in fields(GeneratorConfig)})
 
 
 def _check_naming_keys(section, check) -> None:
@@ -167,9 +180,9 @@ def _build_contracts(section) -> None:
 
 @dataclass(frozen=True)
 class ScheduleSection:
-    timesteps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    timesteps: int = DEFAULT_T
+    beta_start: float = DEFAULT_BETA_START
+    beta_end: float = DEFAULT_BETA_END
 
     def __post_init__(self) -> None:
         _check_naming_keys(self, ScheduleSection.noise_schedule)
@@ -181,11 +194,11 @@ class ScheduleSection:
 
 @dataclass(frozen=True)
 class ModelSection:
-    base_channels: int = 16
-    depth: int = 2
-    time_embed_dim: int = 16
-    cond_embed_dim: int = 16
-    cond_hidden_dim: int = 32
+    base_channels: int = DenoiserConfig.base_channels
+    depth: int = DenoiserConfig.depth
+    time_embed_dim: int = DenoiserConfig.time_embed_dim
+    cond_embed_dim: int = DenoiserConfig.cond_embed_dim
+    cond_hidden_dim: int = DenoiserConfig.cond_hidden_dim
     mode: str = "v"
     input_length: int = 0  # 0 = fit to data
 

@@ -29,13 +29,7 @@ from . import denoiser, diffusion, nn
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
-from .market_paths import (  # noqa: F401  (to_prices is part of this module's API)
-    ConditionVector,
-    manifest_value,
-    read_manifest,
-    to_prices,
-    write_manifest,
-)
+from .market_paths import ConditionVector, manifest_value, read_manifest, write_manifest
 
 SAMPLE_CHUNK = 256
 

@@ -198,15 +198,13 @@ def train_step(slices, state: TrainState, config: TrainConfig, step: int,
     target = diffusion.training_target(state.mode, x0, eps, t, state.sched)
 
     pred3, cache, bn_updates = denoiser.forward(
-        state.params, state.bn_state, x_t[:, None, :], t, cond, state.net,
-        training=True, want_cache=True,
+        state.params, state.bn_state, x_t[:, None, :], t, cond, state.net, training=True
     )
     pred = pred3[:, 0, :]
     x0_pred = diffusion.recover_x0(x_t, pred, state.mode, t, state.sched)
 
     breakdown, g_pred, g_x0 = objectives.total_loss(
-        pred, target, x0_pred, x0, mask, step, config.steps,
-        weights=loss, window=loss.vol_window, stride=loss.vol_stride, with_grads=True,
+        pred, target, x0_pred, x0, mask, step, config.steps, loss, with_grads=True
     )
     if not math.isfinite(breakdown.total):
         raise NumericError(f"non-finite loss at step {step}: {breakdown.total!r}")

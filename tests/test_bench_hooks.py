@@ -5,6 +5,7 @@ a renamed or moved function would otherwise break only the benchmark's own
 test suite.  This test runs no workload.
 """
 
+import numpy as np
 from perfbench import layers
 from perfbench.tracing import Tracer
 
@@ -12,8 +13,9 @@ import pqlab.diffusion as diffusion
 import pqlab.pq_game as pq_game
 import pqlab.q_pricer as q_pricer
 import pqlab.sampler as sampler
+import pqlab.training as training
 from pqlab.denoiser import DenoiserConfig, init_bn_state, init_params
-from pqlab.market_paths import ConditionVector
+from pqlab.market_paths import ConditionVector, PathSlice
 
 HOOKS = (
     (pq_game, "price"),
@@ -37,23 +39,51 @@ def test_instrument_wraps_the_valuation_hooks_and_restores_them():
         assert getattr(owner, attr) is original, attr
 
 
+NET = DenoiserConfig(input_length=8, base_channels=2, depth=1,
+                     time_embed_dim=2, cond_embed_dim=2, cond_hidden_dim=2)
+COND = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=12 / 365,
+                       t_trading=6 / 252, n_trading=6)
+
+
 def test_traced_sampling_still_sees_the_forward_and_its_convs():
     # the shims read denoiser.forward's x at position 2 and conv1d's
     # (x, w, b) first, and see only calls made through the module attributes
-    net = DenoiserConfig(input_length=8, base_channels=2, depth=1,
-                         time_embed_dim=2, cond_embed_dim=2, cond_hidden_dim=2)
-    model = sampler.GeneratorModel(params=init_params(net, 0),
-                                   bn_state=init_bn_state(net), net=net)
-    cond = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=12 / 365,
-                           t_trading=6 / 252, n_trading=6)
+    model = sampler.GeneratorModel(params=init_params(NET, 0),
+                                   bn_state=init_bn_state(NET), net=NET)
     config = sampler.SamplerConfig(num_steps=3, n_paths=5, seed=1)
     tracer = Tracer()
     try:
         layers.instrument(tracer)
-        sampler.sample_paths(model, config, cond, diffusion.build_schedule(50))
+        sampler.sample_paths(model, config, COND, diffusion.build_schedule(50))
     finally:
         tracer.restore()
     forwards = [s for s in tracer.spans if s.name == "denoiser.forward.infer"]
     assert len(forwards) == config.num_steps
     assert all(s.attrs["batch"] == config.n_paths for s in forwards)
     assert any(s.name.startswith("nn.conv1d.") for s in tracer.spans)
+
+
+def test_traced_train_step_still_sees_the_forward_backward_and_loss():
+    # the benchmark's train rows read these spans; the forward shim reads
+    # ``training`` by keyword or at position 6, the loss shim the
+    # prediction at position 0 and the breakdown's skipped counts
+    rng = np.random.default_rng(4)
+    slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
+                        mask=np.ones(6, dtype=bool), condition=COND,
+                        window_calendar_days=12, start_date=np.datetime64("2020-01-02"))
+              for _ in range(3)]
+    state = training.init_state(NET, diffusion.build_schedule(50), "v", 0.01, seed=0)
+    config = training.TrainConfig(steps=1, batch_size=4)
+    tracer = Tracer()
+    try:
+        layers.instrument(tracer)
+        training.train_step(slices, state, config, 1)
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans]
+    for name in ("training.train_step", "denoiser.forward.train", "denoiser.backward",
+                 "objectives.total_loss"):
+        assert names.count(name) == 1, name
+    assert "denoiser.forward.infer" not in names
+    loss = tracer.spans[names.index("objectives.total_loss")]
+    assert loss.attrs["terms"] == layers.LOSS_TERMS * config.batch_size

@@ -162,6 +162,24 @@ class TestExitCodes:
         assert cli.main(["sample", ini, "--checkpoint", str(bad)]) == 3
         assert "net_config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["series_csv", "rates_csv"])
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, bad):
+        files = {
+            "series_csv": b"date,close,is_trading_day\n2020-01-01,1.0,1\n"
+                          b"2020-01-02,1.0,1\n",
+            "rates_csv": b"date,tenor_days,rate\n2020-01-01,30,0.02\n",
+        }
+        files[bad] += "2020-01-03,caf\u00e9,1\n".encode("latin-1")
+        lines = ["[run]", f"out_dir = {tmp_path / 'out'}", "[data]", "source = csv"]
+        for key, blob in files.items():
+            (tmp_path / f"{key}.csv").write_bytes(blob)
+            lines.append(f"{key} = {tmp_path / f'{key}.csv'}")
+        ini = tmp_path / "run.ini"
+        ini.write_text("\n".join(lines) + "\n")
+        assert cli.main(["prepare", str(ini)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}.csv" in err and "utf-8" in err
+
     def test_truncated_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
         ini, out = workspace
         with open(os.path.join(out, "checkpoint.npz"), "rb") as fh:

@@ -415,8 +415,7 @@ class TestMatchesBatchMajorOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_training_gradients_and_running_stats(self, case):
         config, params, state, x, t, c, rng = self.run_case(case)
-        out, cache, updates = dn.forward(params, state, x, t, c, config,
-                                         training=True, want_cache=True)
+        out, cache, updates = dn.forward(params, state, x, t, c, config, training=True)
         ref, ref_cache, ref_updates = denoiser_forward_reference(
             params, state, x, t, c, config, training=True)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -431,14 +430,6 @@ class TestMatchesBatchMajorOracle:
         assert list(updates) == list(ref_updates)
         for name, value in ref_updates.items():
             assert np.max(np.abs(updates[name] - value)) <= 1e-12 * np.max(np.abs(value))
-
-    def test_backward_needs_training_cache(self):
-        config = tiny_config()
-        params = dn.init_params(config, seed=1)
-        x, t, c = random_batch(config)
-        with pytest.raises(ConfigError, match="training-mode"):
-            dn.forward(params, dn.init_bn_state(config), x, t, c, config,
-                       want_cache=True)
 
 
 TOY = dn.DenoiserConfig(input_length=20)  # the acceptance toy network
@@ -489,9 +480,7 @@ class TestWorkspace:
         assert again.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, again)
 
-    @pytest.mark.parametrize("flags", [{"training": True},
-                                       {"training": True, "want_cache": True},
-                                       {"want_cache": True}])
+    @pytest.mark.parametrize("flags", [{"training": True}])
     def test_training_or_cache_refused(self, flags):
         params, state = perturbed_model(TOY, seed=24)
         x, t, c = self.inputs(TOY, 4, 1)

@@ -267,6 +267,69 @@ class TestCsvIO:
             load_series_csv(p)
 
 
+class TestCsvRejected:
+    """Bad series and rates files end as DataError, never as a traceback."""
+
+    LOADERS = {"series": (load_series_csv, b"date,close,is_trading_day\n"),
+               "rates": (load_rates_csv, b"date,tenor_days,rate\n")}
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_non_utf8_file(self, tmp_path, kind):
+        load, header = self.LOADERS[kind]
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(header + "2020-01-01,caf\u00e9,1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="utf-8"):
+            load(p)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_unreadable_path(self, tmp_path, kind):
+        load, _ = self.LOADERS[kind]
+        with pytest.raises(DataError):
+            load(tmp_path)  # a directory
+        with pytest.raises(DataError):
+            load(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_header_only(self, tmp_path, kind):
+        load, header = self.LOADERS[kind]
+        p = tmp_path / "empty.csv"
+        p.write_bytes(header)
+        with pytest.raises(DataError, match="no data rows"):
+            load(p)
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2", "yes", ""])
+    def test_trading_flag_must_be_zero_or_one(self, tmp_path, flag):
+        p = tmp_path / "flags.csv"
+        p.write_text("date,close,is_trading_day\n2020-01-01,1.0,1\n"
+                     f"2020-01-02,1.0,{flag}\n2020-01-03,1.0,1\n")
+        with pytest.raises(DataError, match="bad row"):
+            load_series_csv(p)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(deadline=None, max_examples=150)
+    @given(blob=st.binary(max_size=300))
+    def test_arbitrary_bytes_are_a_data_error(self, tmp_path_factory, kind, blob):
+        load, _ = self.LOADERS[kind]
+        p = tmp_path_factory.mktemp("fuzz") / "input.csv"
+        p.write_bytes(blob)
+        with pytest.raises(DataError):
+            load(p)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(deadline=None, max_examples=150)
+    @given(rows=st.binary(max_size=300))
+    def test_arbitrary_rows_load_or_are_a_data_error(self, tmp_path_factory, kind, rows):
+        # past a valid header, the row parser sees the arbitrary bytes
+        load, header = self.LOADERS[kind]
+        p = tmp_path_factory.mktemp("fuzz") / "input.csv"
+        p.write_bytes(header + rows)
+        try:
+            loaded = load(p)
+        except DataError:
+            return
+        assert isinstance(loaded, DailySeries if kind == "series" else dict)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "manifest.txt"

@@ -311,9 +311,9 @@ class TestLambdaSchedule:
 
     def test_weights_validation(self):
         with pytest.raises(ConfigError):
-            obj.LossWeights(lambda_jump=-0.1)
+            obj.LossConfig(lambda_jump=-0.1)
         with pytest.raises(ConfigError):
-            obj.LossWeights(warmup_fraction=1.5)
+            obj.LossConfig(warmup_fraction=1.5)
 
 
 def random_batch(seed, batch=3, length=16):
@@ -337,9 +337,9 @@ class TestTotalLoss:
 
     def test_saturated_weights_recomposition(self):
         pred, target, x0p, x0t, mask = random_batch(2)
-        w = obj.LossWeights()
+        w = obj.LossConfig()
         bd = obj.total_loss(pred, target, x0p, x0t, mask, step=500, total_steps=100,
-                            weights=w)
+                            config=w)
         recomposed = bd.core + (
             w.lambda_jump * bd.jump + w.lambda_vol * bd.vol
             + w.lambda_gvol * bd.gvol + w.lambda_kurt * bd.kurt
@@ -489,7 +489,7 @@ class TestGroupedEvaluation:
         with pytest.warns(RuntimeWarning):
             _, _, g_ref = obj.total_loss(
                 pred, target, x0p, x0t, mask, step=60, total_steps=100, with_grads=True,
-                weights=obj.LossWeights(lambda_kurt=0.0, lambda_spectral=0.0),
+                config=obj.LossConfig(lambda_kurt=0.0, lambda_spectral=0.0),
             )
         np.testing.assert_array_equal(g_x0[2], g_ref[2])
 
@@ -522,7 +522,7 @@ class TestGroupedEvaluation:
     def test_stride_two_matches_single_term_view(self):
         pred, target, x0p, x0t, mask = random_batch(23, batch=6, length=16)
         bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
-                            total_steps=100, stride=2)
+                            total_steps=100, config=obj.LossConfig(vol_stride=2))
         rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=5, stride=2)
                 for b, n in enumerate(mask.sum(axis=1))]
         assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12
@@ -539,8 +539,8 @@ class TestGroupedEvaluation:
         window = 12
         assert (lens < window).any() and (lens >= window).any()
         with pytest.warns(RuntimeWarning, match="window exceeds"):
-            bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
-                                total_steps=100, window=window)
+            bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60, total_steps=100,
+                                config=obj.LossConfig(vol_window=window))
         with pytest.warns(RuntimeWarning, match="window exceeds"):
             rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=window)
                     for b, n in enumerate(lens)]
@@ -551,15 +551,16 @@ class TestGroupedEvaluation:
         pred, target, x0p, x0t, mask = random_batch(25, batch=4, length=16)
         with pytest.warns(RuntimeWarning, match="window exceeds"):
             bd, _, g_x0 = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
-                                         total_steps=100, window=17,
+                                         total_steps=100,
+                                         config=obj.LossConfig(vol_window=17),
                                          with_grads=True)
         assert bd.vol == 0.0
         # the vol weight is live, yet dropping it leaves the gradient unchanged
-        assert obj.LossWeights().lambda_vol > 0.0
+        assert obj.LossConfig().lambda_vol > 0.0
         with pytest.warns(RuntimeWarning, match="window exceeds"):
-            _, _, g_ref = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
-                                         total_steps=100, window=17, with_grads=True,
-                                         weights=obj.LossWeights(lambda_vol=0.0))
+            _, _, g_ref = obj.total_loss(
+                pred, target, x0p, x0t, mask, step=60, total_steps=100, with_grads=True,
+                config=obj.LossConfig(lambda_vol=0.0, vol_window=17))
         np.testing.assert_array_equal(g_x0, g_ref)
 
 
@@ -575,3 +576,13 @@ class TestCsvRow:
         assert fields[0] == "17"
         assert float(fields[1]) == 1.25
         assert float(fields[-1]) == 2.0
+
+    def test_header_pinned_and_row_in_column_order(self):
+        # the header is derived from the term tuple; loss_log.csv keeps this text
+        assert obj.LOSS_CSV_HEADER == (
+            "step,core,jump,vol,gvol,kurt,drift,pinball,spectral,total")
+        values = dict(core=1.5, jump=0.25, vol=0.5, gvol=0.75, kurt=1.0, drift=1.25,
+                      pinball=2.5, spectral=3.0, total=4.5)
+        row = obj.format_loss_row(3, obj.LossBreakdown(**values))
+        assert row == "3," + ",".join(repr(values[c])
+                                      for c in obj.LOSS_CSV_HEADER.split(",")[1:])

@@ -9,6 +9,7 @@ import pytest
 import pqlab.cli as cli
 import pqlab.runconfig as rc
 from pqlab.errors import ConfigError
+from pqlab.market_paths import GeneratorConfig
 from pqlab.objectives import LossConfig
 from pqlab.payoffs import Accumulator, Asian, European, Lookback, Snowball
 from pqlab.pq_game import GameConfig
@@ -168,6 +169,22 @@ class TestLossWeights:
         assert w.lambda_vol == 0.1
 
 
+class TestDataSection:
+    def test_generator_fields_are_data_keys_with_the_library_defaults(self):
+        data = {f.name: f.default for f in fields(rc.DataSection)}
+        for f in fields(GeneratorConfig):
+            assert f.name in data, f.name
+            assert data[f.name] == f.default, f.name
+
+    def test_generator_config_carries_the_data_keys(self, tmp_path):
+        body = MINIMAL + ("[data]\nn_days = 500\ns0 = 50\nmu2 = -0.1\nsigma2 = 0.5\n"
+                          "p_switch = 0.1\nstart_date = 2016-03-01\nseed = 4\n")
+        cfg = rc.load_config(write_config(tmp_path, body))
+        assert cfg.data.generator_config() == GeneratorConfig(
+            n_days=500, s0=50.0, mu2=-0.1, sigma2=0.5, p_switch=0.1,
+            start_date="2016-03-01")
+
+
 class TestContracts:
     def test_build_each_product(self, tmp_path):
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))
@@ -290,6 +307,10 @@ class TestCheckedAtLoad:
         ("contracts", "acc_ko", "0.5", "ko_ratio must be finite and exceed 1"),
         ("contracts", "snow_ki", "2.0", "need ki_ratio < 1 < ko_ratio"),
         ("contracts", "snow_notional", "0", "notional must be positive"),
+        ("data", "n_days", "1", "generator needs at least 2 days"),
+        ("data", "sigma1", "-0.1", "volatilities must be finite and non-negative"),
+        ("data", "p_switch", "2", "p_switch must be a probability"),
+        ("data", "s0", "-5", "s0 must be finite and positive"),
     ])
     def test_library_rule_rejected(self, tmp_path, capsys, section, key, value, message):
         # the INI key and the library's own message, which names its argument

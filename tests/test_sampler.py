@@ -12,7 +12,7 @@ import pqlab.denoiser as dn
 import pqlab.diffusion as df
 import pqlab.sampler as sp
 from pqlab.errors import ConfigError, DataError
-from pqlab.market_paths import ConditionVector, log_returns
+from pqlab.market_paths import ConditionVector, log_returns, to_prices
 
 
 def two_step_schedule():
@@ -317,27 +317,22 @@ class TestSamplePaths:
 
 
 class TestToPrices:
-    def test_reexported_same_function(self):
-        import pqlab.market_paths as mp
-
-        assert sp.to_prices is mp.to_prices
-
     def test_single_step(self):
-        out = sp.to_prices(100.0, np.array([math.log(1.1)]))
+        out = to_prices(100.0, np.array([math.log(1.1)]))
         np.testing.assert_allclose(out, [110.0], rtol=1e-12)
 
     def test_round_trip(self):
         closes = np.array([100.0, 103.5, 99.2, 101.7])
-        rebuilt = sp.to_prices(closes[0], log_returns(closes))
+        rebuilt = to_prices(closes[0], log_returns(closes))
         np.testing.assert_allclose(rebuilt, closes[1:], rtol=1e-12)
 
     def test_strictly_positive(self):
-        out = sp.to_prices(50.0, np.array([-30.0, -30.0]))
+        out = to_prices(50.0, np.array([-30.0, -30.0]))
         assert np.all(out > 0.0)
 
     def test_bad_s0_rejected(self):
         with pytest.raises(DataError):
-            sp.to_prices(0.0, np.array([0.1]))
+            to_prices(0.0, np.array([0.1]))
 
 
 class TestPathBundle:
