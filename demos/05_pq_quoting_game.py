@@ -14,7 +14,8 @@ import numpy as np
 
 from pqlab.market_paths import ConditionVector, PathSlice
 from pqlab.payoffs import European, Snowball
-from pqlab.pq_game import GameConfig, format_game_table, gbm_p_source, run_game
+from pqlab.pq_game import (GameConfig, format_game_table, gbm_p_source, run_game,
+                           value_slices)
 from pqlab.q_pricer import simulate_gbm
 
 
@@ -36,7 +37,8 @@ slices = [make_slice(i) for i in range(12)]
 config = GameConfig(q_paths=2000, seed=11)
 
 # P identical to Q: every gap is zero, no trades at any spread
-outcomes = run_game(slices, European(), gbm_p_source, config=config)
+(values,) = value_slices(slices, [European()], gbm_p_source, config)
+outcomes = run_game(values, European(), config)
 print(format_game_table([o.report for o in outcomes], title="european, P = Q"))
 
 
@@ -45,10 +47,15 @@ def bullish(s, params):
     return s.s0 + 1.4 * (simulate_gbm(params) - s.s0)
 
 
-outcomes = run_game(slices, European(), bullish, config=config)
+# one pass over the slices values the whole book: each slice's Q paths are
+# simulated once and its P paths drawn once, for both contracts
+book = (European(), Snowball())
+euro_values, snow_values = value_slices(slices, book, bullish, config)
+
+outcomes = run_game(euro_values, European(), config)
 print(format_game_table([o.report for o in outcomes], title="european, bullish P"))
 
-outcomes = run_game(slices, Snowball(), bullish, config=config)
+outcomes = run_game(snow_values, Snowball(), config)
 print(format_game_table(
     [o.report for o in outcomes], title="snowball, absolute spreads"
 ))

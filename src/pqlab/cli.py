@@ -18,10 +18,10 @@ Artifact layout under [run] out_dir:
     game_<product>_<level>.csv  one level row   (game)
     game_<product>.txt     aligned level table  (game)
 
-`game` samples each test slice's P paths once (see ``_model_p_source``)
-and simulates its Q paths once (``pq_game.shared_q_source``), and values
-every product on both, so its files do not depend on which other products
-share the run.
+`game` values the whole book in one pass over the test slices
+(``pq_game.value_slices``): each slice's P paths are sampled once and its Q
+paths simulated once, and every product is valued on both, so its files
+do not depend on which other products share the run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -247,28 +247,12 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
 
 
 def _model_p_source(model, sched, cfg: runconfig.RunConfig):
-    """P values each slice by sampling the generator and compounding prices.
-
-    The sample depends only on the P seed (derived from the slice's Q seed,
-    which ignores the product), the condition and s0, so the source samples
-    each slice once and hands the same read-only price matrix to every
-    later product: a multi-product game equals single-product runs byte for
-    byte.  The memo holds n_test x p_paths x n_trading floats (about 16 MB
-    at p_paths = 1000 over 98 twenty-day test slices).
-    """
-    memo = {}
+    """P's price paths for a slice, seeded from its product-blind Q seed."""
 
     def source(s, q_params):
-        seed = mp.child_seed(q_params.seed, P_SOURCE_SALT)
-        key = (seed, s.condition.as_array().tobytes(), s.s0)
-        prices = memo.get(key)
-        if prices is None:
-            scfg = replace(cfg.sampler, seed=seed, n_paths=cfg.game.p_paths)
-            rets = sampler.sample_paths(model, scfg, s.condition, sched)
-            prices = mp.to_prices(s.s0, rets)
-            prices.setflags(write=False)
-            memo[key] = prices
-        return prices
+        scfg = replace(cfg.sampler, seed=mp.child_seed(q_params.seed, P_SOURCE_SALT),
+                       n_paths=cfg.game.p_paths)
+        return mp.to_prices(s.s0, sampler.sample_paths(model, scfg, s.condition, sched))
 
     return source
 
@@ -279,10 +263,10 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
     p_source = _model_p_source(state.model(), state.sched, cfg)
     contracts = [cfg.contracts.build(product) for product in cfg.game.products]
-    q_source = pq_game.shared_q_source(contracts, threads=cfg.threads)
-    for product, contract in zip(cfg.game.products, contracts):
-        outcomes = pq_game.run_game(split.test, contract, p_source,
-                                    config=cfg.game, q_source=q_source)
+    values = pq_game.value_slices(split.test, contracts, p_source, cfg.game,
+                                  threads=cfg.threads)
+    for product, contract, book_values in zip(cfg.game.products, contracts, values):
+        outcomes = pq_game.run_game(book_values, contract, cfg.game)
         reports = [o.report for o in outcomes]
         for report in reports:
             name = f"game_{product}_{repr(float(report.level))}.csv"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import zipfile
 from collections import Counter
 from contextlib import contextmanager
@@ -216,6 +217,21 @@ def child_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text) -> np.datetime64:
+    """A literal ``YYYY-MM-DD`` date as datetime64[D]; anything else is a ValueError.
+
+    ``np.datetime64`` alone also accepts ``today`` and ``now`` (the wall
+    clock), a bare year or month, a time of day, and ``20160105`` (the
+    year 20160105), so a rerun on another day could read another date.
+    """
+    if not (isinstance(text, str) and _ISO_DATE.fullmatch(text)):
+        raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
+    return np.datetime64(text, "D")
+
+
 def annualized_volatility(returns: np.ndarray) -> float:
     """Sample standard deviation of log returns scaled by sqrt(252)."""
     returns = np.asarray(returns, dtype=float)
@@ -251,7 +267,7 @@ def load_series_csv(path) -> DailySeries:
     dates, closes, trading = [], [], []
     for row in _csv_rows(path, ("date", "close", "is_trading_day")):
         try:
-            dates.append(np.datetime64(row["date"], "D"))
+            dates.append(parse_date(row["date"]))
             closes.append(float(row["close"]))
             flag = int(row["is_trading_day"])
             if flag not in (0, 1):
@@ -268,7 +284,7 @@ def load_rates_csv(path) -> dict:
     for row in _csv_rows(path, ("date", "tenor_days", "rate")):
         try:
             tenor = int(row["tenor_days"])
-            date = np.datetime64(row["date"], "D")
+            date = parse_date(row["date"])
             rate = float(row["rate"])
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: bad row {row}: {exc}") from exc
@@ -404,6 +420,10 @@ class GeneratorConfig:
             raise ConfigError("generator volatilities must be finite and non-negative")
         if not 0.0 <= self.p_switch <= 1.0:
             raise ConfigError("p_switch must be a probability")
+        try:
+            parse_date(self.start_date)
+        except ValueError as exc:
+            raise ConfigError(f"generator start_date: {exc}") from exc
 
 
 # Every 10th weekday is a synthetic exchange holiday.  This keeps the
@@ -421,7 +441,7 @@ def synthesize_series(cfg: GeneratorConfig, seed: int) -> DailySeries:
     which produces volatility clustering.  Deterministic for fixed seed.
     """
     rng = np.random.default_rng([int(seed), 0xDA7A])
-    dates = np.datetime64(cfg.start_date, "D") + np.arange(cfg.n_days)
+    dates = parse_date(cfg.start_date) + np.arange(cfg.n_days)
     weekday = (dates.astype("datetime64[D]").view("int64") - 4) % 7  # 0=Mon
     is_weekday = weekday < 5
     weekday_no = np.cumsum(is_weekday)  # 1-based among weekdays
@@ -479,10 +499,30 @@ def _pack_group(slices) -> dict:
     }
 
 
-def _unpack_group(archive, group: str, l_max: int) -> list:
+# slice store column -> the numpy dtype kinds it may have
+_COLUMN_KINDS = {"s0": "f", "start": "M", "window": "iu", "sigma": "f", "r": "f",
+                 "tcal": "f", "ttrad": "f", "returns": "f", "offsets": "iu"}
+
+
+def _read_group(archive, group: str) -> dict:
+    """One group's columns, checked to describe len(offsets) - 1 slices."""
     # read each member once: every archive[...] lookup re-parses the npz entry
-    col = {key: archive[f"{group}_{key}"] for key in
-           ("s0", "start", "window", "sigma", "r", "tcal", "ttrad", "returns", "offsets")}
+    col = {key: npz_member(archive, f"{group}_{key}", 1, kinds)
+           for key, kinds in _COLUMN_KINDS.items()}
+    offsets = col["offsets"]
+    n_returns = len(col["returns"])
+    if not (len(offsets) and offsets[0] == 0 and offsets[-1] == n_returns
+            and np.all(offsets[1:] >= offsets[:-1])):
+        raise ValueError(f"{group}_offsets must rise from 0 to {n_returns} "
+                         f"without decreasing, got {offsets}")
+    for key, values in col.items():
+        if key not in ("returns", "offsets") and len(values) != len(offsets) - 1:
+            raise ValueError(f"{group}_{key} has {len(values)} entries for "
+                             f"{len(offsets) - 1} slices")
+    return col
+
+
+def _unpack_group(col: dict, l_max: int) -> list:
     offsets = col["offsets"]
     slices = []
     for i in range(len(offsets) - 1):
@@ -528,7 +568,12 @@ def save_slices(path, split: SplitSlices) -> None:
 
 @contextmanager
 def read_npz(path, what: str):
-    """Open an npz archive; unreadable, truncated or incomplete ones raise DataError."""
+    """Open an npz archive; unreadable, truncated or incomplete ones raise DataError.
+
+    A KeyError or ValueError raised while the archive is open (a missing
+    member, or one that ``npz_member`` rejects) becomes a DataError naming
+    the file.
+    """
     try:
         archive = np.load(path)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -542,22 +587,41 @@ def read_npz(path, what: str):
             raise DataError(f"corrupt {what} {path}: {exc}") from exc
 
 
+def npz_member(archive, key: str, ndim: int, kinds: str) -> np.ndarray:
+    """archive[key], which must have ``ndim`` dimensions and, unless it is
+    empty, a dtype kind in ``kinds`` (numpy's one-letter codes: ``f`` float,
+    ``iu`` integer, ``U`` text, ``M`` date); otherwise a ValueError."""
+    value = archive[key]
+    if value.ndim != ndim or (value.size and value.dtype.kind not in kinds):
+        raise ValueError(f"{key} must be a {ndim}-d array of dtype kind {kinds}, "
+                         f"got {value.dtype} of shape {value.shape}")
+    return value
+
+
 def load_slices(path) -> SplitSlices:
-    """Load a slice store written by save_slices."""
+    """Load a slice store written by save_slices.
+
+    Besides the member checks, the offsets must cut the returns into one
+    slice per entry of every column, l_max must be the longest slice, and
+    each skipped reason needs one count; anything else is a DataError.
+    """
     with read_npz(path, "slice store") as archive:
         if str(archive["version"]) != SLICES_VERSION:
             raise DataError(f"unsupported slice store version {archive['version']!r}")
-        l_max = int(archive["l_max"])
-        skipped = Counter(
-            {
-                str(name): int(count)
-                for name, count in zip(archive["skipped_names"], archive["skipped_counts"])
-            }
-        )
+        l_max = int(npz_member(archive, "l_max", 0, "iu"))
+        names = npz_member(archive, "skipped_names", 1, "U")
+        counts = npz_member(archive, "skipped_counts", 1, "iu")
+        if len(names) != len(counts):
+            raise ValueError(f"{len(names)} skipped_names but {len(counts)} skipped_counts")
+        groups = {group: _read_group(archive, group) for group in _SLICE_GROUPS}
+        longest = max(int(np.diff(col["offsets"]).max(initial=0))
+                      for col in groups.values())
+        if longest != l_max:
+            raise ValueError(f"l_max = {l_max}, but the longest slice has {longest} returns")
         return SplitSlices(
-            train=_unpack_group(archive, "train", l_max),
-            test=_unpack_group(archive, "test", l_max),
-            skipped=skipped,
+            train=_unpack_group(groups["train"], l_max),
+            test=_unpack_group(groups["test"], l_max),
+            skipped=Counter({str(name): int(count) for name, count in zip(names, counts)}),
             l_max=l_max,
         )
 

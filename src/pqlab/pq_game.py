@@ -7,12 +7,13 @@ fires only when P's value clears the quote by more than the threshold, and
 settles against the realized historical path.  Accounting is zero-sum:
 Q's P&L is minus P's, bit for bit.
 
-Every product is valued on the same slices with the same seeds.  Q's seed
-and GBM settings of a slice do not depend on the product, and neither
-does P's sample: the CLI's P source samples each slice once and hands every
-product the same price matrix, and ``shared_q_source`` prices every product
-of a slice from one GBM simulation (common random numbers), so a
-multi-product game equals single-product games byte for byte.
+``value_slices`` walks the test slices once for the whole book.  Q's
+seed and GBM settings of a slice do not depend on the product, and
+neither does P's sample, so each slice gets one Q simulation that prices
+every product (common random numbers, ``price_all``) and one P sample
+that values every product on one read-only view; ``run_game`` then plays
+the greediness levels of one product on its slice values.  A
+multi-product game therefore equals single-product games byte for byte.
 
 Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
@@ -27,6 +28,7 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,8 @@ from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_price
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
                       ContractSpec, contract_cashflows, discount_value,
                       linear_calendar_fraction)
-from .q_pricer import GbmParams, p_price, price, price_all
+# price is re-exported: perfbench wraps pq_game.price by name
+from .q_pricer import GbmParams, p_price, price, price_all  # noqa: F401
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
@@ -224,61 +227,75 @@ def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> flo
     return float(np.sum(flows.amounts))
 
 
-def _price_one(s: PathSlice, q_params: GbmParams, contract: ContractSpec) -> float:
-    return price(contract, q_params, t_calendar=s.condition.t_calendar).value
+class SliceValue(NamedTuple):
+    """One contract on one test slice: Q's, P's and the realized value."""
+
+    start_date: np.datetime64
+    fair: float
+    p_value: float
+    realized: float
 
 
-def run_game(test_slices, contract: ContractSpec, p_source,
-             config: GameConfig = GameConfig(),
-             q_source=_price_one) -> tuple[LevelOutcome, ...]:
-    """Play every greediness level of config.levels over the test slices.
+def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConfig,
+                 threads: int) -> list[SliceValue]:
+    # one call per slice, so its P paths are freed before the next slice samples
+    cond = s.condition
+    params = GbmParams(
+        s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
+        n_paths=config.q_paths, seed=child_seed(config.seed, idx),
+    )
+    fairs = price_all(book, params, t_calendar=cond.t_calendar, threads=threads)
+    paths = np.asarray(p_source(s, params), dtype=np.float64).view()
+    if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
+        raise DataError(
+            f"slice {idx}: P paths must be (n, {cond.n_trading}), got {paths.shape}"
+        )
+    paths.setflags(write=False)
+    return [SliceValue(s.start_date, fair.value,
+                       p_price(contract, paths, s.s0, cond.r,
+                               t_calendar=cond.t_calendar).value,
+                       _realized_value(contract, s, config.discount))
+            for contract, fair in zip(book, fairs)]
 
-    p_source(slice, q_params) must return a (n_paths, n_days) array of
-    price paths for P's valuation; q_params carries the slice's s0, matched
-    rate, historical sigma, horizon and the per-slice Q seed, so a source
-    that simply simulates GBM from q_params reproduces Q's value exactly.
-    The array may be read-only and shared with other products' games;
-    run_game never writes to it.
 
-    q_source(slice, q_params, contract) returns Q's fair value.  The
-    default prices the one contract with ``price``; ``shared_q_source``
-    prices a whole book per slice, on any number of threads, to the same
-    values.
+def value_slices(test_slices, contracts, p_source, config: GameConfig = GameConfig(),
+                 threads: int = 1) -> tuple[tuple[SliceValue, ...], ...]:
+    """Value every contract of the book on each test slice, in one pass.
 
-    Q's fair value, P's value and the realized settlement value are
-    computed once per slice and shared across levels.
+    Per slice, one ``price_all`` call prices the book for Q (on ``threads``
+    workers, to the same values) and one p_source(slice, q_params) call
+    returns P's (n_paths, n_days) price paths.  q_params carries the
+    slice's s0, matched rate, historical sigma, horizon and Q seed, so a
+    source that simulates GBM from it reproduces Q's value.  Every contract
+    is valued on one read-only view of those paths, and only one slice's
+    paths are alive at a time.  Returns one SliceValue per slice for each
+    contract, in book order.
     """
     test_slices = list(test_slices)
     if not test_slices:
         raise DataError("no test slices to play")
+    book = tuple(contracts)
+    rows = [_value_slice(idx, s, book, p_source, config, threads)
+            for idx, s in enumerate(test_slices)]
+    return tuple(zip(*rows))
+
+
+def run_game(values, contract: ContractSpec,
+             config: GameConfig = GameConfig()) -> tuple[LevelOutcome, ...]:
+    """Play every greediness level of config.levels on one contract's values.
+
+    ``values`` is the contract's entry of ``value_slices``: the slice
+    valuations are shared across levels, and only the quotes change.
+    """
     levels = [float(level) for level in config.levels or contract.default_levels]
     mode = contract.quote_mode
     notional = contract.quote_notional
-
-    valuations = []
-    for idx, s in enumerate(test_slices):
-        cond = s.condition
-        params = GbmParams(
-            s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
-            n_paths=config.q_paths, seed=child_seed(config.seed, idx),
-        )
-        fair = q_source(s, params, contract)
-        paths = np.asarray(p_source(s, params), dtype=np.float64)
-        if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
-            raise DataError(
-                f"slice {idx}: P paths must be (n, {cond.n_trading}), got {paths.shape}"
-            )
-        p_value = p_price(contract, paths, s.s0, cond.r,
-                          t_calendar=cond.t_calendar, discount=True).value
-        realized = _realized_value(contract, s, config.discount)
-        valuations.append((fair, p_value, realized, s.start_date))
-
-    all_dates = sorted({v[3] for v in valuations})
+    all_dates = sorted({v.start_date for v in values})
     outcomes = []
     for level in levels:
         records = []
         pnl_by_date: defaultdict = defaultdict(float)
-        for fair, p_value, realized, start_date in valuations:
+        for start_date, fair, p_value, realized in values:
             quote = make_quote(fair, level, mode, notional)
             side = decide_trade(p_value, quote, config.threshold)
             if side == NONE:
@@ -307,32 +324,6 @@ def run_game(test_slices, contract: ContractSpec, p_source,
         )
         outcomes.append(LevelOutcome(report=report, records=tuple(records)))
     return tuple(outcomes)
-
-
-def shared_q_source(contracts, threads: int = 1):
-    """Q source that prices the whole book of contracts per slice at once.
-
-    The first request for a slice's (q_params, t_calendar) prices every
-    contract of the book with one ``price_all`` call, on one simulation;
-    later requests, from any product's game, read the stored fair value.
-    Only the values are kept: len(book) floats per slice.  A contract
-    outside the book is a ConfigError.
-    """
-    book = tuple(contracts)
-    memo = {}
-
-    def source(s, q_params, contract):
-        if contract not in book:
-            raise ConfigError(f"{contract!r} is not in the shared Q book")
-        t_calendar = s.condition.t_calendar
-        key = (q_params, t_calendar)
-        fairs = memo.get(key)
-        if fairs is None:
-            estimates = price_all(book, q_params, t_calendar=t_calendar, threads=threads)
-            fairs = memo[key] = tuple(est.value for est in estimates)
-        return fairs[book.index(contract)]
-
-    return source
 
 
 def gbm_p_source(s: PathSlice, q_params: GbmParams) -> np.ndarray:

@@ -40,13 +40,11 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
 from typing import get_type_hints
 
-import numpy as np
-
 from .denoiser import DenoiserConfig
 from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, MODES,
                         NoiseSchedule, build_schedule)
 from .errors import ConfigError
-from .market_paths import GeneratorConfig
+from .market_paths import GeneratorConfig, parse_date
 from .objectives import LossConfig
 from .payoffs import CONTRACT_TYPES
 from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
@@ -123,14 +121,10 @@ class DataSection:
             raise ConfigError("stride must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key in ("split_date", "start_date"):
-            value = getattr(self, key)
-            try:
-                bad = np.isnat(np.datetime64(value, "D"))  # "" parses to NaT
-            except ValueError:
-                bad = True
-            if bad:
-                raise ConfigError(f"{key} must be a YYYY-MM-DD date, got {value!r}")
+        try:
+            parse_date(self.split_date)
+        except ValueError as exc:
+            raise ConfigError(f"split_date = {self.split_date}: {exc}") from exc
         if self.source == "csv":
             for label, path in (("series_csv", self.series_csv),
                                 ("rates_csv", self.rates_csv)):

@@ -35,7 +35,7 @@ from . import denoiser, diffusion, objectives
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
-from .market_paths import read_npz
+from .market_paths import npz_member, read_npz
 from .objectives import LossBreakdown, LossConfig
 from .sampler import GeneratorModel
 
@@ -274,9 +274,11 @@ def save_checkpoint(path, state: TrainState) -> None:
 def load_checkpoint(path) -> TrainState:
     """Load and validate a PQLAB-CKPT v1 archive back into a TrainState.
 
-    A tampered field (negative step, unknown mode, beta outside (0, 1), a
-    non-finite or non-positive return_scale, non-finite params, moments or
-    batch-norm values) is a DataError naming the file and the field.
+    A tampered field (a scalar that is not 0-d, a name list or vector that
+    is not 1-D, a value of the wrong dtype kind, negative step, unknown
+    mode, beta outside (0, 1), a non-finite or non-positive return_scale,
+    non-finite params, moments or batch-norm values) is a DataError naming
+    the file and the field.
     """
     with read_npz(path, "checkpoint") as archive:
         if str(archive["version"]) != CHECKPOINT_VERSION:
@@ -284,26 +286,26 @@ def load_checkpoint(path) -> TrainState:
                 f"unsupported checkpoint version {archive['version']!r}"
             )
         try:
-            net = DenoiserConfig(**json.loads(str(archive["net_config"])))
-        except TypeError as exc:
+            net = DenoiserConfig(**json.loads(str(npz_member(archive, "net_config", 0, "U"))))
+        except (TypeError, ConfigError) as exc:
             raise DataError(f"checkpoint net_config is malformed: {exc}") from exc
         pspec = denoiser.param_spec(net)
-        names = [str(n) for n in archive["param_names"]]
+        names = [str(n) for n in npz_member(archive, "param_names", 1, "U")]
         if names != [name for name, _ in pspec]:
             raise DataError("checkpoint parameter layout does not match config")
         bnspec = denoiser.bn_spec(net)
-        bn_names = [str(n) for n in archive["bn_names"]]
+        bn_names = [str(n) for n in npz_member(archive, "bn_names", 1, "U")]
         if bn_names != [name for name, _ in bnspec]:
             raise DataError("checkpoint batch-norm layout does not match config")
         vectors = {}
         for key, spec in (("params", pspec), ("adam_m", pspec),
                           ("adam_v", pspec), ("bn_values", bnspec)):
-            vectors[key] = denoiser.unflatten_params(archive[key], spec)
+            vectors[key] = denoiser.unflatten_params(npz_member(archive, key, 1, "f"), spec)
             if not all(np.isfinite(v).all() for v in vectors[key].values()):
                 raise DataError(f"checkpoint {path}: {key} must be finite")
-        step = int(archive["step"])
-        mode = str(archive["mode"])
-        return_scale = float(archive["return_scale"])
+        step = int(npz_member(archive, "step", 0, "iu"))
+        mode = str(npz_member(archive, "mode", 0, "U"))
+        return_scale = float(npz_member(archive, "return_scale", 0, "f"))
         if step < 0:
             raise DataError(f"checkpoint {path}: step must be >= 0, got {step}")
         if mode not in MODES:
@@ -313,7 +315,8 @@ def load_checkpoint(path) -> TrainState:
                 f"checkpoint {path}: return_scale must be finite and > 0, got {return_scale}"
             )
         try:
-            sched = NoiseSchedule(np.asarray(archive["beta"], dtype=np.float64))
+            sched = NoiseSchedule(np.asarray(npz_member(archive, "beta", 1, "f"),
+                                             dtype=np.float64))
         except ConfigError as exc:
             raise DataError(f"checkpoint {path}: beta: {exc}") from exc
         return TrainState(

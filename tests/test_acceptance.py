@@ -249,15 +249,15 @@ def test_criterion_07_game_invariants_and_tables():
         slices = [_game_slice(i) for i in range(6)]
         config = game.GameConfig(q_paths=512, seed=7)
 
-        identical = game.run_game(
-            slices, European(), game.gbm_p_source, config=config
-        )
+        (values,) = game.value_slices(slices, [European()], game.gbm_p_source, config)
+        identical = game.run_game(values, European(), config=config)
         assert all(o.report.trades == 0 for o in identical)
 
         def inflated(s, params):
             return s.s0 + 3.0 * (qp.simulate_gbm(params) - s.s0)
 
-        outcomes = game.run_game(slices, European(), inflated, config=config)
+        (values,) = game.value_slices(slices, [European()], inflated, config)
+        outcomes = game.run_game(values, European(), config=config)
         trades = [o.report.trades for o in outcomes]
         assert trades == sorted(trades, reverse=True)
         for outcome in outcomes:
@@ -272,9 +272,8 @@ def test_criterion_07_game_invariants_and_tables():
         ]
 
         snow = Snowball()
-        snow_outcomes = game.run_game(
-            slices, snow, game.gbm_p_source, config=config
-        )
+        (values,) = game.value_slices(slices, [snow], game.gbm_p_source, config)
+        snow_outcomes = game.run_game(values, snow, config=config)
         snow_table = game.format_game_table([o.report for o in snow_outcomes])
         snow_lines = snow_table.splitlines()
         assert len(snow_lines) == 1 + 5

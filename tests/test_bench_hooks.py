@@ -87,3 +87,36 @@ def test_traced_train_step_still_sees_the_forward_backward_and_loss():
     assert "denoiser.forward.infer" not in names
     loss = tracer.spans[names.index("objectives.total_loss")]
     assert loss.attrs["terms"] == layers.LOSS_TERMS * config.batch_size
+
+
+def test_traced_game_records_one_span_per_contract_and_checks_its_trades():
+    # the game rows and the zero-sum check read the run_game spans: the shim
+    # names each by the contract at position 1 and counts its trade records
+    rng = np.random.default_rng(5)
+    slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
+                        mask=np.ones(6, dtype=bool), condition=COND,
+                        window_calendar_days=12,
+                        start_date=np.datetime64("2020-01-02") + i)
+              for i in range(4)]
+    book = [pq_game.CONTRACTS[product]() for product in layers.PRODUCTS]
+    config = pq_game.GameConfig(q_paths=64, seed=3)
+
+    def inflated(s, params):
+        return s.s0 + 3.0 * (q_pricer.simulate_gbm(params) - s.s0)
+
+    tracer = Tracer()
+    try:
+        layers.instrument(tracer)
+        with tracer.span("cli.game"):
+            values = pq_game.value_slices(slices, book, inflated, config)
+            for contract, contract_values in zip(book, values):
+                pq_game.run_game(contract_values, contract, config)
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans]
+    for product in layers.PRODUCTS:
+        assert names.count(f"pq_game.run_game.{product}") == 1, product
+    checked, bad = layers.game_record_failures(tracer, [0])
+    assert checked > 0
+    assert bad == 0
+

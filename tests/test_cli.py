@@ -7,6 +7,9 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pqlab.cli as cli
 import pqlab.market_paths as mp
@@ -17,7 +20,6 @@ import pqlab.sampler as sampler
 import pqlab.training as training
 from pqlab.errors import NumericError
 from pqlab.path_stats import METRICS
-from pqlab.q_pricer import GbmParams
 from pqlab.sampler import read_path_bundle
 
 CONFIG_BODY = """\
@@ -162,23 +164,37 @@ class TestExitCodes:
         assert cli.main(["sample", ini, "--checkpoint", str(bad)]) == 3
         assert "net_config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["series_csv", "rates_csv"])
-    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, bad):
+    @staticmethod
+    def csv_source_ini(tmp_path, bad, last_row):
+        """A csv-source config whose ``bad`` file ends in ``last_row``."""
         files = {
             "series_csv": b"date,close,is_trading_day\n2020-01-01,1.0,1\n"
                           b"2020-01-02,1.0,1\n",
             "rates_csv": b"date,tenor_days,rate\n2020-01-01,30,0.02\n",
         }
-        files[bad] += "2020-01-03,caf\u00e9,1\n".encode("latin-1")
+        files[bad] += last_row
         lines = ["[run]", f"out_dir = {tmp_path / 'out'}", "[data]", "source = csv"]
         for key, blob in files.items():
             (tmp_path / f"{key}.csv").write_bytes(blob)
             lines.append(f"{key} = {tmp_path / f'{key}.csv'}")
         ini = tmp_path / "run.ini"
         ini.write_text("\n".join(lines) + "\n")
-        assert cli.main(["prepare", str(ini)]) == 3
+        return str(ini)
+
+    @pytest.mark.parametrize("bad", ["series_csv", "rates_csv"])
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, bad):
+        ini = self.csv_source_ini(tmp_path, bad,
+                                  "2020-01-03,caf\u00e9,1\n".encode("latin-1"))
+        assert cli.main(["prepare", ini]) == 3
         err = capsys.readouterr().err
         assert f"{bad}.csv" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("bad, row", [("series_csv", b"today,1.0,1\n"),
+                                          ("rates_csv", b"now,30,0.02\n")])
+    def test_wall_clock_date_cell_is_data_error(self, tmp_path, capsys, bad, row):
+        assert cli.main(["prepare", self.csv_source_ini(tmp_path, bad, row)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}.csv" in err and "YYYY-MM-DD" in err
 
     def test_truncated_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
         ini, out = workspace
@@ -285,6 +301,32 @@ class TestTamperedCheckpoint:
         bad = tamper_checkpoint(out, tmp_path / "bad.npz", "step", -3)
         assert cli.main(["train", ini, "--out-dir", dest, "--resume", bad]) == 3
         assert "step must be >= 0" in capsys.readouterr().err
+
+
+# one small array of any kind a store member could hold, or any shape
+SMALL_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_),
+                           np.dtype("U4"), np.dtype("datetime64[D]")]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+)
+
+
+class TestFuzzedStores:
+    """A store member swapped for a random small array is read or is exit 3."""
+
+    @pytest.mark.parametrize("store", ["slices.npz", "checkpoint.npz"])
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_swapped_member(self, workspace, tmp_path_factory, store, data):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path_factory.mktemp("fuzz") / "out")
+        path = os.path.join(dest, store)
+        with np.load(path) as archive:
+            entries = {k: archive[k] for k in archive.files}
+        key = data.draw(st.sampled_from(sorted(entries)), label="member")
+        entries[key] = data.draw(SMALL_ARRAYS, label="value")
+        np.savez(path, **entries)
+        assert cli.main(["sample", ini, "--out-dir", dest]) in (0, 3)
 
 
 class TestPrepare:
@@ -518,22 +560,6 @@ class TestSharedPPaths:
         n_test = int(manifest["test_slices"])
         assert len(chunks) == n_test * math.ceil(q_paths / q_pricer.CHUNK_PATHS)
         assert len(set(chunks)) == len(chunks)
-
-    def test_cached_matrix_is_shared_and_read_only(self, workspace):
-        ini, out = workspace
-        split = mp.load_slices(os.path.join(out, "slices.npz"))
-        state = training.load_checkpoint(os.path.join(out, "checkpoint.npz"))
-        source = cli._model_p_source(state.model(), state.sched, rc.load_config(ini))
-        s = split.test[0]
-        cond = s.condition
-        q_params = GbmParams(s0=s.s0, r=cond.r, sigma=cond.sigma_hist,
-                             n_days=cond.n_trading, n_paths=10, seed=123)
-        prices = source(s, q_params)
-        assert prices.shape == (32, cond.n_trading)
-        assert source(s, q_params) is prices
-        assert not prices.flags.writeable
-        with pytest.raises(ValueError):
-            prices[0, 0] = 0.0
 
 
 class TestRerunDeterminism:

@@ -17,6 +17,7 @@ from pqlab.market_paths import (
     load_series_csv,
     log_return,
     log_returns,
+    parse_date,
     read_manifest,
     slice_dataset,
     synthesize_series,
@@ -480,3 +481,92 @@ class TestSliceStore:
         np.save(path, np.zeros(3))
         with pytest.raises(DataError, match="not an npz"):
             load_slices(path)
+
+    def tampered(self, series, tmp_path, **changes):
+        from pqlab.market_paths import save_slices
+
+        path = tmp_path / "tampered.npz"
+        save_slices(path, self.build(series))
+        data = dict(np.load(path))
+        data.update({key: np.asarray(value) for key, value in changes.items()})
+        np.savez(path, **data)
+        return path
+
+    @pytest.mark.parametrize("changes, needle", [
+        ({"l_max": [20, 20]}, "l_max must be a 0-d array"),
+        ({"l_max": 20.0}, "l_max must be a 0-d array"),
+        ({"l_max": 99}, "l_max = 99, but the longest slice"),
+        ({"l_max": 3}, "l_max = 3, but the longest slice"),
+        ({"test_r": np.empty(0)}, "test_r has 0 entries"),
+        ({"train_s0": [100.0]}, "train_s0 has 1 entries"),
+        ({"test_start": np.array(["2020-01-02"], dtype="datetime64[D]")}, "test_start has 1"),
+        ({"test_sigma": [[0.2]]}, "test_sigma must be a 1-d array"),
+        ({"test_window": ["30"]}, "test_window must be a 1-d array of dtype kind iu"),
+        ({"train_offsets": [1, 2]}, "train_offsets must rise from 0"),
+        ({"train_offsets": [0]}, "train_offsets must rise from 0"),
+        ({"train_offsets": np.empty(0, dtype=np.int64)}, "train_offsets must rise from 0"),
+        ({"skipped_names": "straddles_split"}, "skipped_names must be a 1-d array"),
+        ({"skipped_names": ["a"], "skipped_counts": [1, 2]}, "1 skipped_names but 2"),
+        ({"skipped_counts": [0.5]}, "skipped_counts must be a 1-d array"),
+    ])
+    def test_inconsistent_store_rejected(self, series, tmp_path, changes, needle):
+        from pqlab.market_paths import load_slices
+
+        path = self.tampered(series, tmp_path, **changes)
+        with pytest.raises(DataError, match=needle) as info:
+            load_slices(path)
+        assert "tampered.npz" in str(info.value)
+
+    def test_decreasing_offsets_rejected(self, series, tmp_path):
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "tampered.npz"
+        save_slices(path, self.build(series))
+        data = dict(np.load(path))
+        offsets = data["test_offsets"].copy()
+        offsets[1], offsets[2] = offsets[2], offsets[1]
+        data["test_offsets"] = offsets
+        np.savez(path, **data)
+        with pytest.raises(DataError, match="test_offsets must rise"):
+            load_slices(path)
+
+
+class TestParseDate:
+    """Only a literal YYYY-MM-DD is a date: no wall clock, no partial dates."""
+
+    BAD = ["today", "now", "2016", "2016-01", "20160105", "2016-01-05T10", "",
+           "2016-1-05", "2016-02-30", "2016-01-05 ", "\u0662\u0660\u0661\u0666-01-05"]
+
+    def test_literal_date(self):
+        assert parse_date("2016-01-05") == np.datetime64("2016-01-05", "D")
+        assert parse_date("2016-02-29").dtype == np.dtype("datetime64[D]")
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_other_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
+    def test_non_text_rejected(self):
+        with pytest.raises(ValueError):
+            parse_date(np.datetime64("2016-01-05"))
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_generator_start_date(self, text):
+        with pytest.raises(ConfigError, match="start_date"):
+            GeneratorConfig(start_date=text)
+
+    @pytest.mark.parametrize("text", BAD[:6])
+    def test_series_csv_date_cell(self, tmp_path, text):
+        p = tmp_path / "series.csv"
+        p.write_text("date,close,is_trading_day\n2020-01-01,1.0,1\n"
+                     f"{text},1.0,1\n")
+        with pytest.raises(DataError, match="bad row"):
+            load_series_csv(p)
+
+    @pytest.mark.parametrize("text", BAD[:6])
+    def test_rates_csv_date_cell(self, tmp_path, text):
+        p = tmp_path / "rates.csv"
+        p.write_text(f"date,tenor_days,rate\n{text},30,0.02\n")
+        with pytest.raises(DataError, match="bad row"):
+            load_rates_csv(p)
+

@@ -30,6 +30,12 @@ def make_slice(seed, n=20, s0=100.0, sigma=0.2, r=0.03, drift=0.0):
     )
 
 
+def play(slices, contract, p_source, config):
+    """One contract's game: value its slices, then play its levels."""
+    (values,) = game.value_slices(slices, [contract], p_source, config)
+    return game.run_game(values, contract, config)
+
+
 def scaled_gbm_source(factor):
     """P source that inflates or deflates Q's own paths around s0."""
 
@@ -160,7 +166,7 @@ class TestRunGameInvariants:
         self.config = game.GameConfig(q_paths=512, seed=7)
 
     def test_p_equals_q_never_trades(self):
-        outcomes = game.run_game(self.slices, European(), game.gbm_p_source,
+        outcomes = play(self.slices, European(), game.gbm_p_source,
                                  config=self.config)
         assert len(outcomes) == len(game.RELATIVE_LEVELS)
         for outcome in outcomes:
@@ -171,12 +177,12 @@ class TestRunGameInvariants:
 
     def test_p_equals_q_tie_at_zero_threshold(self):
         config = game.GameConfig(levels=(0.0,), threshold=0.0, q_paths=512, seed=7)
-        outcomes = game.run_game(self.slices, European(), game.gbm_p_source,
+        outcomes = play(self.slices, European(), game.gbm_p_source,
                                  config=config)
         assert outcomes[0].report.trades == 0
 
     def test_zero_sum_every_trade(self):
-        outcomes = game.run_game(self.slices, European(),
+        outcomes = play(self.slices, European(),
                                  scaled_gbm_source(2.0), config=self.config)
         traded = [rec for outcome in outcomes for rec in outcome.records]
         assert traded, "expected at least one trade from the inflated source"
@@ -185,14 +191,14 @@ class TestRunGameInvariants:
             assert rec.pnl_q == -rec.pnl_p
 
     def test_trade_count_monotone_in_level(self):
-        outcomes = game.run_game(self.slices, European(),
+        outcomes = play(self.slices, European(),
                                  scaled_gbm_source(2.0), config=self.config)
         counts = [outcome.report.trades for outcome in outcomes]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[0] > 0
 
     def test_win_rate_recount(self):
-        outcomes = game.run_game(self.slices, European(),
+        outcomes = play(self.slices, European(),
                                  scaled_gbm_source(2.0), config=self.config)
         for outcome in outcomes:
             rep = outcome.report
@@ -206,7 +212,7 @@ class TestRunGameInvariants:
     def test_long_pnl_decreases_with_level(self):
         # single slice, strongly inflated P: the same long executes at a
         # wider ask as the level grows
-        outcomes = game.run_game([self.slices[0]], European(),
+        outcomes = play([self.slices[0]], European(),
                                  scaled_gbm_source(3.0),
                                  config=replace(self.config, levels=(0.0, 0.10)))
         first, second = outcomes
@@ -217,15 +223,15 @@ class TestRunGameInvariants:
         assert second.records[0].pnl_p < first.records[0].pnl_p
 
     def test_bitwise_reproducible(self):
-        a = game.run_game(self.slices, European(), scaled_gbm_source(2.0),
+        a = play(self.slices, European(), scaled_gbm_source(2.0),
                           config=self.config)
-        b = game.run_game(self.slices, European(), scaled_gbm_source(2.0),
+        b = play(self.slices, European(), scaled_gbm_source(2.0),
                           config=self.config)
         for left, right in zip(a, b):
             assert left.report == right.report
 
     def test_deflated_source_shorts(self):
-        outcomes = game.run_game(self.slices, European(),
+        outcomes = play(self.slices, European(),
                                  scaled_gbm_source(0.1),
                                  config=replace(self.config, levels=(0.0,)))
         report = outcomes[0].report
@@ -236,12 +242,12 @@ class TestRunGameInvariants:
         def bad_source(s, params):
             return np.full((16, s.condition.n_trading + 1), s.s0)
 
-        with pytest.raises(DataError):
-            game.run_game(self.slices, European(), bad_source, config=self.config)
+        with pytest.raises(DataError, match="P paths must be"):
+            game.value_slices(self.slices, [European()], bad_source, self.config)
 
     def test_empty_slices_rejected(self):
-        with pytest.raises(DataError):
-            game.run_game([], European(), game.gbm_p_source, config=self.config)
+        with pytest.raises(DataError, match="no test slices"):
+            game.value_slices([], [European()], game.gbm_p_source, self.config)
 
     def test_snowball_defaults_absolute(self):
         assert Snowball().quote_mode == "absolute"
@@ -250,7 +256,7 @@ class TestRunGameInvariants:
         assert game.default_levels(European()) == game.RELATIVE_LEVELS
 
     def test_snowball_game_runs_with_notional_spreads(self):
-        outcomes = game.run_game(self.slices[:3], Snowball(),
+        outcomes = play(self.slices[:3], Snowball(),
                                  scaled_gbm_source(1.0),
                                  config=replace(self.config, levels=(0.0, 0.02)))
         assert len(outcomes) == 2
@@ -259,10 +265,10 @@ class TestRunGameInvariants:
             assert outcome.report.trades == outcome.report.longs + outcome.report.shorts
 
     def test_discount_switch_changes_realized(self):
-        base = game.run_game([self.slices[0]], European(),
+        base = play([self.slices[0]], European(),
                              scaled_gbm_source(3.0),
                              config=game.GameConfig(levels=(0.0,), q_paths=512, seed=7))
-        nominal = game.run_game([self.slices[0]], European(),
+        nominal = play([self.slices[0]], European(),
                                 scaled_gbm_source(3.0),
                                 config=game.GameConfig(levels=(0.0,), q_paths=512, seed=7,
                                                        discount=False))
@@ -273,7 +279,7 @@ class TestRunGameInvariants:
 
 
 class TestSharedQSource:
-    """shared_q_source prices a whole book per slice from one simulation."""
+    """value_slices prices the whole book per slice from one Q simulation."""
 
     BOOK = (European(), Lookback(), Asian(), Accumulator(), Snowball())
 
@@ -282,40 +288,57 @@ class TestSharedQSource:
         self.config = game.GameConfig(levels=(0.0, 0.1), q_paths=300, seed=7)
 
     def test_games_equal_the_default_source(self):
-        source = game.shared_q_source(self.BOOK, threads=2)
+        # the book's values equal each contract valued alone, bit for bit,
+        # also when Q prices on two threads
         p_source = scaled_gbm_source(1.5)
+        book = game.value_slices(self.slices, self.BOOK, p_source, self.config, threads=2)
+        assert len(book) == len(self.BOOK)
         trades = 0
-        for contract in self.BOOK:
-            shared = game.run_game(self.slices, contract, p_source,
-                                   config=self.config, q_source=source)
-            alone = game.run_game(self.slices, contract, p_source, config=self.config)
-            assert shared == alone
-            trades += sum(o.report.trades for o in shared)
+        for contract, values in zip(self.BOOK, book):
+            (alone,) = game.value_slices(self.slices, [contract], p_source, self.config)
+            assert values == alone
+            assert [v.start_date for v in values] == [s.start_date for s in self.slices]
+            outcomes = game.run_game(values, contract, self.config)
+            assert outcomes == game.run_game(alone, contract, self.config)
+            trades += sum(o.report.trades for o in outcomes)
         assert trades > 0
 
     def test_one_price_all_call_per_slice(self, monkeypatch):
-        calls = []
+        q_calls, p_calls = [], []
         real = game.price_all
 
         def counting(contracts, params, **kwargs):
-            calls.append(params)
+            q_calls.append(params)
             return real(contracts, params, **kwargs)
 
-        monkeypatch.setattr(game, "price_all", counting)
-        source = game.shared_q_source(self.BOOK)
-        for contract in reversed(self.BOOK):
-            game.run_game(self.slices, contract, game.gbm_p_source,
-                          config=self.config, q_source=source)
-        assert len(calls) == len(self.slices)
+        def p_source(s, params):
+            p_calls.append(params)
+            return game.gbm_p_source(s, params)
 
-    def test_contract_outside_the_book_rejected(self):
-        source = game.shared_q_source(self.BOOK[:2])
-        with pytest.raises(ConfigError, match="not in the shared Q book"):
-            game.run_game(self.slices, Asian(), game.gbm_p_source,
-                          config=self.config, q_source=source)
-        with pytest.raises(ConfigError):
-            game.run_game(self.slices, European(strike_ratio=1.1), game.gbm_p_source,
-                          config=self.config, q_source=source)
+        monkeypatch.setattr(game, "price_all", counting)
+        game.value_slices(self.slices, self.BOOK, p_source, self.config)
+        assert len(q_calls) == len(p_calls) == len(self.slices)
+        assert q_calls == p_calls
+
+    def test_p_paths_reach_every_contract_read_only(self, monkeypatch):
+        returned, seen = [], []
+        real = game.p_price
+
+        def p_source(s, params):
+            returned.append(game.gbm_p_source(s, params))
+            return returned[-1]
+
+        def recording(contract, paths, *args, **kwargs):
+            seen.append(paths)
+            return real(contract, paths, *args, **kwargs)
+
+        monkeypatch.setattr(game, "p_price", recording)
+        game.value_slices(self.slices[:1], self.BOOK, p_source, self.config)
+        assert len(seen) == len(self.BOOK)
+        assert all(paths is seen[0] for paths in seen)
+        assert not seen[0].flags.writeable
+        assert np.shares_memory(seen[0], returned[0])
+        assert returned[0].flags.writeable  # the source's own array is untouched
 
 
 class TestReportValidation:

@@ -282,6 +282,16 @@ class TestCheckedAtLoad:
     def test_malformed_date_rejected(self, tmp_path, capsys, key):
         self.assert_rejected(tmp_path, capsys, f"[data]\n{key} = notadate\n", "data", key)
 
+    @pytest.mark.parametrize("value", ["today", "now", "2016", "2016-01", "20160105",
+                                       "2016-01-05T10"])
+    @pytest.mark.parametrize("key", ["split_date", "start_date"])
+    def test_non_literal_date_rejected(self, tmp_path, capsys, key, value):
+        # numpy alone reads these as the wall-clock date, a year, a month,
+        # the year 20160105 and an hour
+        message = self.assert_rejected(tmp_path, capsys, f"[data]\n{key} = {value}\n",
+                                       "data", key)
+        assert message.startswith(f"[data] {key} = {value}: ")
+
     @pytest.mark.parametrize("section,key,value", [
         ("train", "lr", "-1"),
         ("sampler", "eta", "1.5"),

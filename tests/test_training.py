@@ -362,8 +362,32 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=key):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("step", [1, 2]),
+        ("step", 2.5),
+        ("return_scale", [1.0, 2.0]),
+        ("return_scale", "0.01"),
+        ("mode", ["v"]),
+        ("net_config", ["{}"]),
+        ("param_names", "enc0.conv1.w"),
+        ("bn_names", "enc0.bn1.mean"),
+        ("params", [[0.0]]),
+        ("adam_v", ["0.0"]),
+        ("beta", [[0.1]]),
+    ])
+    def test_wrong_shape_or_kind_rejected(self, dataset, tmp_path, key, value):
+        path = tmp_path / "tampered.npz"
+        tr.save_checkpoint(path, fresh_state(dataset))
+        data = dict(np.load(path))
+        data[key] = np.asarray(value)
+        np.savez(path, **data)
+        with pytest.raises(DataError, match=f"{key} must be a [01]-d array") as info:
+            tr.load_checkpoint(path)
+        assert "tampered.npz" in str(info.value)
+
     @pytest.mark.parametrize("net_config", ['{"input_length": 20, "width": 3}',
-                                            '[20, 16]', '{"input_length":'])
+                                            '[20, 16]', '{"input_length":',
+                                            '{"input_length": 20, "depth": 0}'])
     def test_bad_net_config_rejected(self, dataset, tmp_path, net_config):
         path = tmp_path / "net.npz"
         tr.save_checkpoint(path, fresh_state(dataset))
