@@ -11,6 +11,7 @@ Artifact layout under [run] out_dir:
     slices.npz             slice store          (prepare)
     dataset.manifest       counts and scale     (prepare)
     loss_log.csv           per-step loss rows   (train)
+    train_trace.csv        per-step gradient norm, clip flag, skipped terms (train)
     checkpoint.npz         final state          (train)
     checkpoint_step<N>.npz cadence snapshots    (train, optional)
     paths_slice<I>.csv     sampled bundle       (sample)
@@ -164,6 +165,7 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     sched = cfg.schedule.noise_schedule()
     net = _net_config(cfg, split.l_max)
     log_path = os.path.join(out, "loss_log.csv")
+    trace_path = os.path.join(out, "train_trace.csv")
     if resume:
         state = training.load_checkpoint(resume)
         if state.net != net:
@@ -182,9 +184,10 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
                 f"checkpoint already at step {state.step} > steps {cfg.train.steps}"
             )
         fresh_log = not os.path.isfile(log_path)
+        fresh_trace = not os.path.isfile(trace_path)
     else:
         state = training.init_state(net, sched, cfg.model.mode, scale, cfg.train.seed)
-        fresh_log = True
+        fresh_log = fresh_trace = True
 
     checkpoint_fn = None
     if cfg.train.checkpoint_every:
@@ -193,11 +196,14 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
                 os.path.join(out, f"checkpoint_step{st.step}.npz"), st
             )
 
-    with open(log_path, "w" if fresh_log else "a", newline="") as fh:
+    with open(log_path, "w" if fresh_log else "a", newline="") as fh, \
+            open(trace_path, "w" if fresh_trace else "a", newline="") as trace_fh:
         if fresh_log:
             fh.write(LOSS_CSV_HEADER + "\n")
+        if fresh_trace:
+            trace_fh.write(training.TRACE_CSV_HEADER + "\n")
         training.train(split.train, state, cfg.train, cfg.loss, log_fh=fh,
-                       checkpoint_fn=checkpoint_fn)
+                       trace_fh=trace_fh, checkpoint_fn=checkpoint_fn)
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
     _echo_config(cfg)
     print(f"trained to step {state.step}; wrote {os.path.join(out, 'checkpoint.npz')}")

@@ -27,17 +27,21 @@ Inference may pass an ``nn.Workspace``: every conv output, the ReLU and
 the residual add (in place), the max-pool and the decoder's
 upsample-plus-skip concatenation then use arrays lent by the workspace
 under a few roles, so a caller repeating one shape (a DDIM chunk) reuses
-one set of memory; the returned output is a fresh copy.  Training
-allocates, because its caches outlive the call.  ``x``, ``t`` and ``c``
-are checked finite on entry: the condition MLP's ReLU would otherwise
-turn a NaN into a finite, wrong output.
+one set of memory; the returned output is a fresh copy.  A training
+forward allocates, because its caches outlive the call; ``backward``
+takes a workspace for the conv backward's buffer, which dies inside each
+call.  ``x``, ``t`` and ``c`` are checked finite on entry: the condition
+MLP's ReLU would otherwise turn a NaN into a finite, wrong output.
 
-Parameters live in a plain dict keyed by layer path; ``param_spec``
-fixes the canonical ordering used to flatten them into one vector (the
-checkpoint format relies on that order being stable).  Batch-norm
-running statistics are state, not parameters, and are kept in a separate
-dict laid out by ``bn_spec``; ``flatten_params``/``unflatten_params``
-serve both layouts.
+Parameters are a dict keyed by layer path; ``param_spec`` fixes the
+canonical order of one flat float64 vector holding them all (the
+checkpoint format relies on that order being stable).
+``unflatten_params`` gives a vector's per-name views, which is how
+training keeps its parameters and moments, and ``backward`` returns
+the gradient as such views into one zeroed vector.  Batch-norm running
+statistics are state, not parameters, and are kept in a separate dict
+laid out by ``bn_spec``; ``flatten_params``/``unflatten_params`` serve
+both layouts.
 """
 
 from __future__ import annotations
@@ -199,7 +203,11 @@ def flatten_params(values: dict, spec) -> np.ndarray:
 
 
 def unflatten_params(vector: np.ndarray, spec) -> dict:
-    """Inverse of flatten_params; a vector of the wrong length is a DataError."""
+    """Views of a float64 vector laid out by a spec, keyed by name.
+
+    The views share the vector's memory, so writing through either shows
+    in both.  A vector of the wrong length is a DataError.
+    """
     vector = np.asarray(vector, dtype=np.float64)
     sizes = [int(np.prod(shape)) for _, shape in spec]
     if vector.shape != (sum(sizes),):
@@ -209,7 +217,7 @@ def unflatten_params(vector: np.ndarray, spec) -> dict:
     out = {}
     offset = 0
     for (name, shape), size in zip(spec, sizes):
-        out[name] = vector[offset : offset + size].reshape(shape).copy()
+        out[name] = vector[offset : offset + size].reshape(shape)
         offset += size
     return out
 
@@ -247,10 +255,10 @@ def _fusion_fwd(h, emb, params, name, workspace, role):
     return y, (c_h, c_e)
 
 
-def _fusion_bwd(g, cache, name, grads):
+def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
     """Accumulate the fusion conv's gradients; return (g_h, g_emb)."""
     c_h, c_e = cache
-    gh, gw, gb = nn.conv1d_backward(g, c_h)
+    gh, gw, gb = nn.conv1d_backward(g, c_h, workspace=workspace, input_grad=input_grad)
     gw_e, g_emb = nn.tap_bias_backward(g, c_e)
     ch = gw.shape[1]
     grads[f"{name}.w"][:, :ch] += gw
@@ -279,30 +287,31 @@ def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None):
             f"{prefix}.bn.running_mean": new_mean + nn.BN_MOMENTUM * b1,
             f"{prefix}.bn.running_var": new_var,
         }
-        y, mask = nn.relu(y)
+        y, mask = nn.relu(y, out=y)
     else:
         y, c1 = nn.conv1d(x, *nn.fold_batchnorm(w1, b1, *bn),
                           workspace=workspace, role="tmp")
         y, mask = nn.relu_inplace(y), None
     y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"],
                       workspace=workspace, role="tmp")
-    out = x + y if workspace is None else np.add(x, y, out=x)
+    # nothing caches conv2's output; with a workspace x's role carries on
+    out = np.add(x, y, out=y if workspace is None else x)
     return out, (c1, cbn, mask, c2), updates
 
 
-def _resblock_bwd(g, cache, prefix, grads):
+def _resblock_bwd(g, cache, prefix, grads, workspace):
     c1, cbn, mask, c2 = cache
-    gy, gw2, gb2 = nn.conv1d_backward(g, c2)
+    gy, gw2, gb2 = nn.conv1d_backward(g, c2, workspace=workspace)
     grads[f"{prefix}.conv2.w"] += gw2
     grads[f"{prefix}.conv2.b"] += gb2
     gy = nn.relu_backward(gy, mask)
     gy, ggamma, gbeta = nn.batchnorm_backward(gy, cbn)
     grads[f"{prefix}.bn.gamma"] += ggamma
     grads[f"{prefix}.bn.beta"] += gbeta
-    gx, gw1, gb1 = nn.conv1d_backward(gy, c1)
+    gx, gw1, gb1 = nn.conv1d_backward(gy, c1, workspace=workspace)
     grads[f"{prefix}.conv1.w"] += gw1
     grads[f"{prefix}.conv1.b"] += gb1
-    return g + gx  # residual join
+    return np.add(g, gx, out=gx)  # residual join
 
 
 def forward(
@@ -405,36 +414,48 @@ def forward(
     return out.transpose(1, 0, 2).copy(), cache, bn_updates
 
 
-def backward(g_out: np.ndarray, cache: dict, params: dict) -> dict:
-    """Gradient of a scalar loss w.r.t. every parameter, given dL/d(out) (B, C, L)."""
+def backward(g_out: np.ndarray, cache: dict, params: dict, *,
+             out: np.ndarray | None = None,
+             workspace: nn.Workspace | None = None) -> dict:
+    """Gradient of a scalar loss w.r.t. every parameter, given dL/d(out) (B, C, L).
+
+    Returns views, keyed as ``param_spec``, into one zeroed float64 vector
+    in that order: ``out`` when given, else a fresh one.  A ``workspace``
+    lends the conv backward's shifted-gradient buffer (``nn.conv1d_backward``).
+    """
     config: DenoiserConfig = cache["config"]
-    grads = {name: np.zeros(shape) for name, shape in param_spec(config)}
+    if out is None:
+        out = np.zeros(param_count(config))
+    else:
+        out.fill(0.0)
+    grads = unflatten_params(out, param_spec(config))
     g_emb = 0.0
 
     g = np.ascontiguousarray(np.asarray(g_out, dtype=float).transpose(1, 0, 2))
-    g, gw, gb = nn.conv1d_backward(g, cache["head"])
+    g, gw, gb = nn.conv1d_backward(g, cache["head"], workspace=workspace)
     grads["head.w"] += gw
     grads["head.b"] += gb
 
     g_skip = {}
     for i, up_ch, c_in, c_res in reversed(cache["dec"]):
-        g = _resblock_bwd(g, c_res, f"dec{i}.res", grads)
-        gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", grads)
+        g = _resblock_bwd(g, c_res, f"dec{i}.res", grads, workspace)
+        gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", grads, workspace)
         g_emb = g_emb + ge
         g_skip[i] = gz[up_ch:]
         g = nn.upsample2_backward(gz[:up_ch])
 
     c_in, c_res = cache["mid"]
-    g = _resblock_bwd(g, c_res, "mid.res", grads)
-    g, ge = _fusion_bwd(g, c_in, "mid.in", grads)
+    g = _resblock_bwd(g, c_res, "mid.res", grads, workspace)
+    g, ge = _fusion_bwd(g, c_in, "mid.in", grads, workspace)
     g_emb = g_emb + ge
 
     for i in reversed(range(config.depth)):
         c_in, c_res, c_pool = cache["enc"][i]
         g = nn.maxpool2_backward(g, c_pool)
-        g = g + g_skip[i]
-        g = _resblock_bwd(g, c_res, f"enc{i}.res", grads)
-        g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", grads)
+        g += g_skip[i]
+        g = _resblock_bwd(g, c_res, f"enc{i}.res", grads, workspace)
+        # nothing reads the gradient of the network input
+        g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", grads, workspace, input_grad=i > 0)
         g_emb = g_emb + ge
 
     g_ce = g_emb[:, config.time_embed_dim :]  # time embedding has no parameters

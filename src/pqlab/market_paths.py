@@ -221,12 +221,16 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_date(text) -> np.datetime64:
-    """A literal ``YYYY-MM-DD`` date as datetime64[D]; anything else is a ValueError.
+    """A literal ``YYYY-MM-DD`` date, or a datetime64 value, as datetime64[D].
 
-    ``np.datetime64`` alone also accepts ``today`` and ``now`` (the wall
-    clock), a bare year or month, a time of day, and ``20160105`` (the
-    year 20160105), so a rerun on another day could read another date.
+    Anything else (NaT included) is a ValueError.  ``np.datetime64`` alone
+    also accepts ``today`` and ``now`` (the wall clock), a bare year or
+    month, a time of day, and ``20160105`` (the year 20160105), so a rerun
+    on another day could read another date.  A datetime64 value is already
+    a date; a finer one is cut to its day.
     """
+    if isinstance(text, np.datetime64) and not np.isnat(text):
+        return text.astype("datetime64[D]")
     if not (isinstance(text, str) and _ISO_DATE.fullmatch(text)):
         raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
     return np.datetime64(text, "D")
@@ -328,7 +332,9 @@ def slice_dataset(
     series, not enough history for sigma_hist, trading-day density above
     252/365 (which would break t_trading <= t_calendar), split straddle.
 
-    Raises DataError if a window has no rate table of matching tenor.
+    `split_date` is a literal YYYY-MM-DD or a datetime64 (``parse_date``);
+    anything else is a ConfigError.  Raises DataError if a window has no
+    rate table of matching tenor.
     """
     windows = sorted(set(int(w) for w in windows))
     if not windows:
@@ -336,7 +342,10 @@ def slice_dataset(
     for w in windows:
         if w not in rates:
             raise DataError(f"no rate table with tenor {w} days")
-    split = np.datetime64(split_date, "D")
+    try:
+        split = parse_date(split_date)
+    except ValueError as exc:
+        raise ConfigError(f"split_date: {exc}") from exc
     if not (series.dates[0] < split <= series.dates[-1]):
         raise DataError("split date must fall inside the series")
 

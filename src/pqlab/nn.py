@@ -19,14 +19,23 @@ Batch-norm here is the training form, normalizing with batch
 statistics; at inference ``fold_batchnorm`` folds the frozen statistics
 into the preceding conv (Jacob et al. 2018, arXiv:1712.05877, §3.2).
 All computation is float64; determinism follows from fixed operand
-order.
+order.  Kernels that work in place or share a pass (batch-norm forms
+x - mean once; its backward, ``relu(out=)`` and ``relu_backward`` write
+into their input) keep the bits of the plain expressions, except that a
+backward kernel may give a zero gradient entry the other sign, which no
+sum of nonzero terms and no Adam step can tell apart.
 
 An inference caller that runs the same shapes over and over (the DDIM
 sampler) passes a ``Workspace``: ``conv1d`` then writes its tap products
 and its output, and ``maxpool2`` its output, into arrays the workspace
 lends, so repeated calls reuse the same memory instead of allocating
-and freeing (and page-faulting in) fresh arrays each time.  Without one,
-``lend`` allocates and every function behaves as before; a lent array is
+and freeing (and page-faulting in) fresh arrays each time.  Training
+lends only what dies inside one call: ``conv1d_backward``'s
+shifted-gradient buffer (and, in ``training``, the gradient vector and
+Adam's scratch); its forward caches live until the backward and keep
+allocating, though a conv's tap products still die inside the call, so
+the next conv reuses their memory.  Without a workspace, ``lend``
+allocates and every function behaves as before; a lent array is
 overwritten by the next lend under its role, so caches made with a
 workspace must not outlive the call.
 """
@@ -54,8 +63,10 @@ def _flat_shift(shift: int, n: int):
 
 def _clear_outside(rows: np.ndarray, lo: int, hi: int) -> None:
     """Zero positions outside [lo, hi) of every row of a (..., B, L) view."""
-    rows[..., :lo] = 0.0
-    rows[..., hi:] = 0.0
+    if lo:
+        rows[..., :lo] = 0.0
+    if hi < rows.shape[-1]:
+        rows[..., hi:] = 0.0
 
 
 class Workspace:
@@ -97,9 +108,14 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
            workspace: Workspace | None = None, role: str = "conv.out"):
     """y[o,b,l] = sum_{c,k} w[o,c,k] x[c,b,l+k-pad] + b[o] for x of shape (C, B, L).
 
-    With a workspace the tap products are lent under ``conv.taps`` and y
-    under ``role``.  x is read only by the GEMM, before y is written, so
-    ``role`` may be the one x was lent under.
+    y is copied out of the tap products, so they die with the call: a
+    caller that caches y (training) holds its size, not K times it, and
+    the next conv reuses the freed products' memory.  With a workspace the
+    tap products are lent under ``conv.taps`` and y under ``role``.  x is
+    read only by the product, before y is written, so ``role`` may be the
+    one x was lent under.  A one-channel input forms the products as a
+    broadcast multiply: a K = 1 GEMM rounds each product once, so the bits
+    are the same, at a fraction of the time.
     """
     c, batch, length = x.shape
     out, _, k = w.shape
@@ -107,15 +123,16 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     pad = (k - 1) // 2
     xf = x.reshape(c, n)
     wk = w.transpose(2, 0, 1).reshape(k * out, c)
-    # one GEMM gives every tap's product P_k at every input position; tap
-    # k's output at l is P_k at l + k - pad
-    p = np.matmul(wk, xf, out=lend(workspace, "conv.taps", (k * out, n)))
+    # one product gives every tap's P_k at every input position; tap k's
+    # output at l is P_k at l + k - pad
+    p = lend(workspace, "conv.taps", (k * out, n))
+    if c == 1:
+        np.multiply(wk, xf, out=p)
+    else:
+        np.matmul(wk, xf, out=p)
     p = p.reshape(k, out, n)
-    if workspace is None:
-        y = p[pad]
-    else:  # the next conv reuses the products, so y gets memory of its own
-        y = workspace.lend(role, (out, n))
-        y[...] = p[pad]
+    y = lend(workspace, role, (out, n))
+    y[...] = p[pad]
     # the shifted sum runs over y as one flat vector (a contiguous add is
     # several times faster than row by row); a read that crosses into the
     # next row or channel lands on a product cleared as reading the pad
@@ -130,7 +147,14 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     return y.reshape(out, batch, length), (xf, wk, x.shape)
 
 
-def conv1d_backward(gy: np.ndarray, cache):
+def conv1d_backward(gy: np.ndarray, cache, *, workspace: Workspace | None = None,
+                    input_grad: bool = True):
+    """Gradients (gx, gw, gb) of conv1d; gx is None when input_grad is False.
+
+    The output gradient shifted to each tap's read position, (K, out, B*L),
+    lives only inside the call; with a workspace it is lent under
+    ``conv.grad``.
+    """
     xf, wk, shape = cache
     c, batch, length = shape
     out = gy.shape[0]
@@ -139,8 +163,9 @@ def conv1d_backward(gy: np.ndarray, cache):
     pad = (k - 1) // 2
     g2 = gy.reshape(out, n)
     gb = g2.sum(axis=1)
-    # dL/dP_k: the output gradient moved back to the input position tap k read
-    gp = np.empty((k, out, n))
+    # dL/dP_k: the output gradient moved back to the input position tap k
+    # read; what the shift leaves unwritten lies in the cleared pad reads
+    gp = lend(workspace, "conv.grad", (k, out, n))
     for j in range(k):
         dst, src = _flat_shift(pad - j, n)
         gp[j][:, dst] = g2[:, src]
@@ -148,7 +173,8 @@ def conv1d_backward(gy: np.ndarray, cache):
         _clear_outside(gp[j].reshape(out, batch, length), lo, hi)
     gp = gp.reshape(k * out, n)
     gw = (gp @ xf.T).reshape(k, out, c).transpose(1, 2, 0)
-    return (wk.T @ gp).reshape(shape), gw, gb
+    gx = (wk.T @ gp).reshape(shape) if input_grad else None
+    return gx, gw, gb
 
 
 def tap_bias(y: np.ndarray, w: np.ndarray, emb: np.ndarray):
@@ -169,8 +195,10 @@ def tap_bias(y: np.ndarray, w: np.ndarray, emb: np.ndarray):
     y += taps.sum(axis=0)[:, :, None]
     for j in range(k):
         lo, hi = _tap_span(j - pad, length)
-        y[:, :, :lo] -= taps[j][:, :, None]
-        y[:, :, hi:] -= taps[j][:, :, None]
+        if lo:
+            y[:, :, :lo] -= taps[j][:, :, None]
+        if hi < length:
+            y[:, :, hi:] -= taps[j][:, :, None]
     return wk, emb
 
 
@@ -199,23 +227,29 @@ def linear_backward(gy: np.ndarray, cache):
     return gy @ w, gy.T @ x, gy.sum(axis=0)
 
 
-def relu(x: np.ndarray):
+def relu(x: np.ndarray, *, out: np.ndarray | None = None):
+    """(max(x, 0), mask of x > 0); ``out=x`` overwrites x.
+
+    ``np.maximum(-0.0, 0.0)`` is +0.0, as selecting 0.0 where x <= 0
+    gives, so on finite x the bits are those of that selection.
+    """
     mask = x > 0.0
-    return np.where(mask, x, 0.0), mask
+    return np.maximum(x, 0.0, out=out), mask
 
 
 def relu_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite x with max(x, 0); on finite x this is relu(x)[0] bit for bit.
-
-    ``np.maximum(-0.0, 0.0)`` is +0.0, as ``relu`` gives; only NaN would
-    differ (kept here, zeroed there), and inference inputs are checked
-    finite.
-    """
+    """Overwrite x with max(x, 0) without forming the mask (inference)."""
     return np.maximum(x, 0.0, out=x)
 
 
 def relu_backward(gy: np.ndarray, mask):
-    return np.where(mask, gy, 0.0)
+    """gy where the input was positive, zero elsewhere; overwrites gy.
+
+    A multiply by the mask: a masked-out entry is 0.0 times gy, so it
+    keeps gy's sign (a signed zero, which no sum or Adam step can tell
+    from +0.0) and a non-finite gy stays non-finite there.
+    """
+    return np.multiply(gy, mask, out=gy)
 
 
 def batchnorm(
@@ -229,27 +263,42 @@ def batchnorm(
 
     Normalizes with the current batch statistics (pooled over B*L
     elements per channel, so a batch of one still normalizes over length)
-    and returns the updated running statistics.
+    and returns the updated running statistics.  x - mean is formed once,
+    for the variance and for xhat: numpy's ``var`` is the same sum of
+    squared deviations from the same mean over n, so the bits match
+    ``x.mean``/``x.var``.
     """
-    mean = x.mean(axis=(1, 2))
-    var = x.var(axis=(1, 2))
+    n = x.shape[1] * x.shape[2]
+    mean = x.sum(axis=(1, 2), keepdims=True) / n
+    xhat = x - mean
+    y = np.square(xhat)
+    var = y.sum(axis=(1, 2)) / n
+    mean = mean[:, 0, 0]
     new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
     new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[:, None, None]) * inv[:, None, None]
-    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    xhat *= inv[:, None, None]
+    np.multiply(xhat, gamma[:, None, None], out=y)
+    y += beta[:, None, None]
     return y, (xhat, inv, gamma), new_mean, new_var
 
 
 def batchnorm_backward(gy: np.ndarray, cache):
+    """Gradients (gx, ggamma, gbeta) of batchnorm; gx is formed in gy's memory."""
     xhat, inv, gamma = cache
-    ggamma = (gy * xhat).sum(axis=(1, 2))
-    gbeta = gy.sum(axis=(1, 2))
-    gxhat = gy * gamma[:, None, None]
     n = gy.shape[1] * gy.shape[2]
-    sum_g = gxhat.sum(axis=(1, 2), keepdims=True)
-    sum_gx = (gxhat * xhat).sum(axis=(1, 2), keepdims=True)
-    gx = (inv[:, None, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+    t = gy * xhat
+    ggamma = t.sum(axis=(1, 2))
+    gbeta = gy.sum(axis=(1, 2))
+    gx = np.multiply(gy, gamma[:, None, None], out=gy)  # dL/dxhat
+    sum_g = gx.sum(axis=(1, 2), keepdims=True)
+    sum_gx = np.multiply(gx, xhat, out=t).sum(axis=(1, 2), keepdims=True)
+    # (inv / n) * (n * gxhat - sum_g - xhat * sum_gx), in place
+    np.multiply(xhat, sum_gx, out=t)
+    gx *= n
+    gx -= sum_g
+    gx -= t
+    gx *= inv[:, None, None] / n
     return gx, ggamma, gbeta
 
 
@@ -277,10 +326,11 @@ def maxpool2(x: np.ndarray, *, workspace: Workspace | None = None):
 
 
 def maxpool2_backward(gy: np.ndarray, take_second):
+    """gy routed to each pair's kept position, zero at the other (see relu_backward)."""
     c, b, half = gy.shape
     gx = np.empty((c, b, half, 2))
-    gx[..., 0] = np.where(take_second, 0.0, gy)
-    gx[..., 1] = np.where(take_second, gy, 0.0)
+    np.multiply(gy, take_second, out=gx[..., 1])
+    np.multiply(gy, ~take_second, out=gx[..., 0])
     return gx.reshape(c, b, 2 * half)
 
 
@@ -291,6 +341,6 @@ def upsample2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def upsample2_backward(gy: np.ndarray):
-    c, b, length = gy.shape
-    return gy.reshape(c, b, length // 2, 2).sum(axis=3)
+def upsample2_backward(gy: np.ndarray) -> np.ndarray:
+    """Sum of each output pair's gradients (one add, not a length-2 reduction)."""
+    return np.add(gy[:, :, 0::2], gy[:, :, 1::2])

@@ -40,10 +40,10 @@ PINBALL_Q_HIGH = 0.99
 DEFAULT_VOL_WINDOW = 5
 DEFAULT_VOL_STRIDE = 1
 
-_TERMS = ("jump", "vol", "gvol", "kurt", "drift", "pinball", "spectral")
+TERMS = ("jump", "vol", "gvol", "kurt", "drift", "pinball", "spectral")
 
 # column order is the on-disk contract for per-step loss logs
-_LOG_COLUMNS = ("core", *_TERMS, "total")
+_LOG_COLUMNS = ("core", *TERMS, "total")
 LOSS_CSV_HEADER = ",".join(("step", *_LOG_COLUMNS))
 
 
@@ -79,7 +79,7 @@ class LossConfig:
     vol_stride: int = DEFAULT_VOL_STRIDE
 
     def __post_init__(self) -> None:
-        for term in _TERMS:
+        for term in TERMS:
             value = getattr(self, f"lambda_{term}")
             if not np.isfinite(value) or value < 0.0:
                 raise ConfigError(f"lambda_{term} must be finite and >= 0, got {value}")
@@ -94,7 +94,7 @@ class LossConfig:
     def annealed(self, step: int, total_steps: int) -> dict[str, float]:
         """Per-term weights at a given step."""
         scale = lambda_scale(step, total_steps, self.warmup_fraction)
-        return {term: getattr(self, f"lambda_{term}") * scale for term in _TERMS}
+        return {term: getattr(self, f"lambda_{term}") * scale for term in TERMS}
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,14 @@ def _smooth_l1_grad(d: np.ndarray) -> np.ndarray:
 
 
 def _guarded_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and floored population stds along the last axis."""
-    return x.mean(axis=-1), np.sqrt(x.var(axis=-1) + VAR_FLOOR)
+    """Deviations from the mean and floored population stds along the last axis.
+
+    The variance is numpy's ``var`` spelled out (the squared deviations
+    from the same mean, summed, over n), so the deviations are formed
+    once for it and for the callers' gradients, with the same bits.
+    """
+    dev = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    return dev, np.sqrt(np.square(dev).sum(axis=-1) / x.shape[-1] + VAR_FLOOR)
 
 
 def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.ndarray]:
@@ -201,12 +207,12 @@ def _vol_clustering(
         _warn("vol clustering window exceeds valid length; returning 0")
         return np.zeros(len(p)), np.zeros_like(p)
     wins_p = sliding_window_view(p, window, axis=1)[:, ::stride]  # (G, W, window)
-    mu_p, sig_p = _guarded_std(wins_p)
+    dev_p, sig_p = _guarded_std(wins_p)
     _, sig_t = _guarded_std(sliding_window_view(t, window, axis=1)[:, ::stride])
     d = sig_p - sig_t
     count = d.shape[1]
     gd = _smooth_l1_grad(d) / count
-    contrib = gd[..., None] * (wins_p - mu_p[..., None]) / (window * sig_p)[..., None]
+    contrib = gd[..., None] * dev_p / (window * sig_p)[..., None]
     # offset j of window i lands on i*stride + j; descending offsets add each
     # position's windows in ascending order
     g = np.zeros_like(p)
@@ -221,32 +227,35 @@ def _global_vol(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         _warn("global vol needs >= 2 valid positions; returning 0")
         return np.zeros(len(p)), np.zeros_like(p)
-    mu, sig_p = _guarded_std(p)
+    dev, sig_p = _guarded_std(p)
     _, sig_t = _guarded_std(t)
     d = sig_p - sig_t
-    g = np.sign(d)[:, None] * (p - mu[:, None]) / (n * sig_p)[:, None]
+    g = np.sign(d)[:, None] * dev / (n * sig_p)[:, None]
     return np.abs(d), g
 
 
-def _kurtosis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kurtosis(x: np.ndarray, with_grad: bool = True):
+    """Per-row excess kurtosis, its gradient (None without with_grad), defined mask."""
     n = x.shape[1]
-    c = x - x.mean(axis=1, keepdims=True)
-    c3 = c**3
-    m2 = np.mean(c * c, axis=1, keepdims=True)
+    c = x - x.sum(axis=1, keepdims=True) / n
+    m2 = (c * c).sum(axis=1, keepdims=True) / n
     defined = ~(m2[:, 0] < KURT_MIN_VAR)
     m2 = np.where(defined[:, None], m2, 1.0)
-    m3 = np.mean(c3, axis=1, keepdims=True)
-    m4 = np.mean(c**4, axis=1, keepdims=True)
+    m4 = (c**4).sum(axis=1, keepdims=True) / n
+    value = np.where(defined, m4[:, 0] / m2[:, 0] ** 2 - 3.0, 0.0)
+    if not with_grad:
+        return value, None, defined
+    c3 = c**3
+    m3 = c3.sum(axis=1, keepdims=True) / n
     dm4 = 4.0 / n * (c3 - m3)
     dm2 = 2.0 / n * c
     g = dm4 / m2**2 - 2.0 * m4 * dm2 / m2**3
-    value = m4[:, 0] / m2[:, 0] ** 2 - 3.0
-    return np.where(defined, value, 0.0), np.where(defined[:, None], g, 0.0), defined
+    return value, np.where(defined[:, None], g, 0.0), defined
 
 
 def _tail(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_pred, gk, ok_pred = _kurtosis(p)
-    k_true, _, ok_true = _kurtosis(t)
+    k_true, _, ok_true = _kurtosis(t, with_grad=False)
     defined = ok_pred & ok_true
     e = np.where(defined, k_pred - k_true, 0.0)
     return e * e, 2.0 * e[:, None] * gk, defined
@@ -356,7 +365,7 @@ def kurtosis(x) -> float:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise DataError("expected a 1-D sequence")
-    values, _, defined = _kurtosis(arr[None])
+    values, _, defined = _kurtosis(arr[None], with_grad=False)
     if not defined[0]:
         raise NumericError("kurtosis undefined for a zero-variance sequence")
     return float(values[0])
@@ -447,7 +456,7 @@ def total_loss(
         raise DataError(f"batch row {int(np.argmin(lens))} has an empty mask")
 
     batch = pred.shape[0]
-    per_row = np.zeros((len(_TERMS), batch))
+    per_row = np.zeros((len(TERMS), batch))
     skipped: Counter[str] = Counter()
     g_x0 = np.zeros_like(x0_pred)
 
@@ -462,7 +471,7 @@ def total_loss(
             _spectral(p, t),
         )
         g = np.zeros_like(p)
-        for k, (term, (values, grad, *defined)) in enumerate(zip(_TERMS, evaluated)):
+        for k, (term, (values, grad, *defined)) in enumerate(zip(TERMS, evaluated)):
             if defined and not defined[0].all():
                 skipped[term] += int(np.count_nonzero(~defined[0]))
             per_row[k, rows] = values
@@ -472,8 +481,8 @@ def total_loss(
     for term, count in sorted(skipped.items()):
         _warn(f"{term} term undefined for {count} sequence(s); contributed 0")
 
-    means = dict(zip(_TERMS, (per_row.sum(axis=1) / batch).tolist()))
-    total = core + sum(lam[term] * means[term] for term in _TERMS)
+    means = dict(zip(TERMS, (per_row.sum(axis=1) / batch).tolist()))
+    total = core + sum(lam[term] * means[term] for term in TERMS)
     breakdown = LossBreakdown(
         core=core, total=total, skipped=tuple(sorted(skipped.items())), **means
     )

@@ -21,17 +21,32 @@ Checkpoint format "PQLAB-CKPT v1" (npz archive):
     bn_values     running statistics concatenated in bn_names order
 
 All float payloads are float64, so save/load round-trips exactly.
+
+State layout: the parameters, both Adam moments and each step's gradient
+are each one float64 vector in ``denoiser.param_spec`` order, the
+checkpoint's layout, so the checkpoint writes the vectors as they are.
+Adam and clipping run in place on them, in the per-parameter operation
+order, so the bits are those of the per-array update.  ``train`` owns
+one ``nn.Workspace`` for the run: it lends the gradient vector, Adam's
+scratch vector and the conv backward's buffer, which die within a step,
+so a step reuses their memory instead of page-faulting in fresh arrays.
+The forward's caches live until the backward and keep allocating.
+
+``train`` writes two logs per step: the loss row (``loss_log.csv``) and
+the trace row (``train_trace.csv``: the pre-clip global gradient norm,
+whether clipping fired, and how many sequences each loss term skipped).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import denoiser, diffusion, objectives
+from . import denoiser, diffusion, nn, objectives
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
@@ -44,6 +59,11 @@ CHECKPOINT_VERSION = "PQLAB-CKPT v1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# column order is the on-disk contract for per-step trace rows
+TRACE_CSV_HEADER = ",".join(
+    ("step", "grad_norm", "clipped", *(f"skipped_{term}" for term in objectives.TERMS))
+)
 
 
 @dataclass(frozen=True)
@@ -78,17 +98,35 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Everything the loop mutates, plus the fixed model/schedule context."""
+    """Everything the loop mutates, plus the fixed model/schedule context.
 
-    params: dict
+    ``flat_params``, ``flat_adam_m`` and ``flat_adam_v`` are float64
+    vectors in ``denoiser.param_spec`` order; ``params``, ``adam_m`` and
+    ``adam_v`` are dicts of views into them, so an update of a vector is
+    what the network reads next.
+    """
+
+    flat_params: np.ndarray
+    flat_adam_m: np.ndarray
+    flat_adam_v: np.ndarray
     bn_state: dict
-    adam_m: dict
-    adam_v: dict
     step: int
     net: DenoiserConfig
     sched: NoiseSchedule
     mode: str
     return_scale: float
+    params: dict = field(init=False, repr=False)
+    adam_m: dict = field(init=False, repr=False)
+    adam_v: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # the views must be of the vectors Adam updates, never of a converted copy
+        for name in ("flat_params", "flat_adam_m", "flat_adam_v"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        spec = denoiser.param_spec(self.net)
+        self.params = denoiser.unflatten_params(self.flat_params, spec)
+        self.adam_m = denoiser.unflatten_params(self.flat_adam_m, spec)
+        self.adam_v = denoiser.unflatten_params(self.flat_adam_v, spec)
 
     def model(self) -> GeneratorModel:
         return GeneratorModel(
@@ -98,6 +136,14 @@ class TrainState:
             mode=self.mode,
             return_scale=self.return_scale,
         )
+
+
+class PaddedSlices(NamedTuple):
+    """Every training slice as one padded row: x0 and mask (S, L), cond (S, d)."""
+
+    x0: np.ndarray
+    mask: np.ndarray
+    cond: np.ndarray
 
 
 def compute_return_scale(slices) -> float:
@@ -122,12 +168,13 @@ def init_state(
 ) -> TrainState:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    params = denoiser.init_params(net, seed)
+    flat = denoiser.flatten_params(denoiser.init_params(net, seed),
+                                   denoiser.param_spec(net))
     return TrainState(
-        params=params,
+        flat_params=flat,
+        flat_adam_m=np.zeros_like(flat),
+        flat_adam_v=np.zeros_like(flat),
         bn_state=denoiser.init_bn_state(net),
-        adam_m={k: np.zeros_like(p) for k, p in params.items()},
-        adam_v={k: np.zeros_like(p) for k, p in params.items()},
         step=0,
         net=net,
         sched=sched,
@@ -136,18 +183,16 @@ def init_state(
     )
 
 
-def make_batch(slices, length: int, rng, batch_size: int, return_scale: float):
-    """Sample slices with replacement into padded (x0, mask, cond) arrays.
+def pad_slices(slices, length: int, return_scale: float) -> PaddedSlices:
+    """Every slice's returns, scaled to the network's working space, as one row.
 
-    x0 is scaled to the network's working space; padding beyond each
-    slice's valid prefix is zero and masked out.
+    Padding beyond each slice's valid prefix is zero and masked out.  A
+    slice longer than the network is a ConfigError.
     """
-    idx = rng.integers(0, len(slices), size=batch_size)
-    x0 = np.zeros((batch_size, length))
-    mask = np.zeros((batch_size, length), dtype=bool)
-    cond = np.zeros((batch_size, len(slices[0].condition.as_array())))
-    for row, i in enumerate(idx):
-        s = slices[int(i)]
+    x0 = np.zeros((len(slices), length))
+    mask = np.zeros((len(slices), length), dtype=bool)
+    cond = np.zeros((len(slices), len(slices[0].condition.as_array())))
+    for row, s in enumerate(slices):
         n = s.condition.n_trading
         if n > length:
             raise ConfigError(
@@ -156,41 +201,74 @@ def make_batch(slices, length: int, rng, batch_size: int, return_scale: float):
         x0[row, :n] = s.log_returns / return_scale
         mask[row, :n] = True
         cond[row] = s.condition.as_array()
-    return x0, mask, cond
+    return PaddedSlices(x0, mask, cond)
+
+
+def make_batch(padded: PaddedSlices, rng, batch_size: int):
+    """Sample slices with replacement: the (x0, mask, cond) rows of padded."""
+    idx = rng.integers(0, len(padded.x0), size=batch_size)
+    return padded.x0[idx], padded.mask[idx], padded.cond[idx]
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale the whole gradient dict so its global L2 norm is <= max_norm."""
-    sq = math.fsum(float(np.sum(g * g)) for g in grads.values())
+    """Scale the gradient arrays in place so their global L2 norm is <= max_norm.
+
+    Returns (grads, the norm before clipping).
+    """
+    # np.add.reduce is np.sum without its Python wrapper, which costs more
+    # than summing most of these arrays
+    sq = math.fsum(float(np.add.reduce(g * g, axis=None)) for g in grads.values())
     norm = math.sqrt(sq)
     if norm > max_norm:
         factor = max_norm / norm
-        grads = {k: g * factor for k, g in grads.items()}
+        for g in grads.values():
+            g *= factor
     return grads, norm
 
 
-def adam_update(state: TrainState, grads: dict, lr: float, step: int) -> None:
-    """One Adam step with bias correction; sets state.step = step."""
+def adam_update(state: TrainState, grads: np.ndarray, lr: float, step: int,
+                workspace: nn.Workspace | None = None) -> None:
+    """One Adam step with bias correction on the flat vectors; sets state.step = step.
+
+    grads is the flat gradient vector and is spent as scratch.  Each
+    value is formed in the per-parameter order, m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps), so
+    the bits are those of the per-array update.  The one other vector it
+    needs is lent by ``workspace`` under ``adam``.
+    """
     b1c = 1.0 - ADAM_BETA1**step
     b2c = 1.0 - ADAM_BETA2**step
-    for k, p in state.params.items():
-        g = grads[k]
-        state.adam_m[k] = ADAM_BETA1 * state.adam_m[k] + (1.0 - ADAM_BETA1) * g
-        state.adam_v[k] = ADAM_BETA2 * state.adam_v[k] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.adam_m[k] / b1c
-        v_hat = state.adam_v[k] / b2c
-        state.params[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v, p = state.flat_adam_m, state.flat_adam_v, state.flat_params
+    s = nn.lend(workspace, "adam", p.shape)
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
+    m *= ADAM_BETA1
+    m += s
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=s)
+    s *= grads
+    v *= ADAM_BETA2
+    v += s
+    denom = np.divide(v, b2c, out=grads)  # g is no longer needed
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, b1c, out=s)
+    s *= lr
+    s /= denom
+    p -= s
     state.step = step
 
 
-def train_step(slices, state: TrainState, config: TrainConfig, step: int,
-               loss: LossConfig = LossConfig()) -> LossBreakdown:
-    """One optimizer step; all randomness comes from (seed, step)."""
+def train_step(padded: PaddedSlices, state: TrainState, config: TrainConfig, step: int,
+               loss: LossConfig = LossConfig(),
+               workspace: nn.Workspace | None = None) -> tuple[LossBreakdown, float]:
+    """One optimizer step; all randomness comes from (seed, step).
+
+    Returns the loss breakdown and the global gradient norm before
+    clipping.  ``workspace`` lends the arrays that die within the step
+    (the gradient vector, Adam's scratch, the conv backward's buffer).
+    """
     rng = np.random.default_rng([config.seed, step])
     length = state.net.input_length
-    x0, mask, cond = make_batch(
-        slices, length, rng, config.batch_size, state.return_scale
-    )
+    x0, mask, cond = make_batch(padded, rng, config.batch_size)
     t = rng.integers(1, state.sched.T + 1, size=config.batch_size)
     eps = rng.standard_normal((config.batch_size, length))
 
@@ -212,31 +290,46 @@ def train_step(slices, state: TrainState, config: TrainConfig, step: int,
     # chain the data-space half through d(x0_hat)/d(prediction)
     scale = diffusion.x0_coefficients(state.mode, t, state.sched)
     g_out = g_pred + g_x0 * scale[:, None]
-    grads = denoiser.backward(g_out[:, None, :], cache, state.params)
-    grads, _ = clip_global_norm(grads, config.clip_norm)
-    adam_update(state, grads, config.lr, step)
+    g_flat = nn.lend(workspace, "grads", state.flat_params.shape)
+    grads = denoiser.backward(g_out[:, None, :], cache, state.params,
+                              out=g_flat, workspace=workspace)
+    _, norm = clip_global_norm(grads, config.clip_norm)
+    adam_update(state, g_flat, config.lr, step, workspace)
     state.bn_state.update(bn_updates)
-    return breakdown
+    return breakdown, norm
+
+
+def format_trace_row(step: int, norm: float, max_norm: float,
+                     breakdown: LossBreakdown) -> str:
+    """One CSV row matching TRACE_CSV_HEADER; repr() keeps the norm lossless."""
+    skipped = dict(breakdown.skipped)
+    counts = (str(skipped.get(term, 0)) for term in objectives.TERMS)
+    return ",".join([str(int(step)), repr(float(norm)), str(int(norm > max_norm)), *counts])
 
 
 def train(slices, state: TrainState, config: TrainConfig,
-          loss: LossConfig = LossConfig(), log_fh=None, checkpoint_fn=None,
-          stop_step=None) -> TrainState:
+          loss: LossConfig = LossConfig(), log_fh=None, trace_fh=None,
+          checkpoint_fn=None, stop_step=None) -> TrainState:
     """Run steps state.step+1 .. config.steps, mutating state in place.
 
     loss carries the auxiliary-term weights and the vol-clustering window.
-    log_fh, when given, receives one CSV row per step (no header).
+    log_fh and trace_fh, when given, receive one CSV row per step (no
+    header): the loss row and the trace row (TRACE_CSV_HEADER).
     checkpoint_fn(state) fires every config.checkpoint_every steps.
     stop_step pauses the run early; config.steps stays the schedule total,
     so resuming from the paused state reproduces the uninterrupted run.
     """
     if not slices:
         raise DataError("training needs at least one slice")
+    padded = pad_slices(slices, state.net.input_length, state.return_scale)
+    workspace = nn.Workspace()
     last = config.steps if stop_step is None else min(stop_step, config.steps)
     for step in range(state.step + 1, last + 1):
-        breakdown = train_step(slices, state, config, step, loss)
+        breakdown, norm = train_step(padded, state, config, step, loss, workspace)
         if log_fh is not None:
             log_fh.write(objectives.format_loss_row(step, breakdown) + "\n")
+        if trace_fh is not None:
+            trace_fh.write(format_trace_row(step, norm, config.clip_norm, breakdown) + "\n")
         if (
             checkpoint_fn is not None
             and config.checkpoint_every
@@ -263,9 +356,9 @@ def save_checkpoint(path, state: TrainState) -> None:
         return_scale=np.array(state.return_scale, dtype=np.float64),
         beta=np.asarray(state.sched.beta, dtype=np.float64),
         param_names=np.array([name for name, _ in pspec]),
-        params=denoiser.flatten_params(state.params, pspec),
-        adam_m=denoiser.flatten_params(state.adam_m, pspec),
-        adam_v=denoiser.flatten_params(state.adam_v, pspec),
+        params=state.flat_params,
+        adam_m=state.flat_adam_m,
+        adam_v=state.flat_adam_v,
         bn_names=np.array([name for name, _ in bnspec]),
         bn_values=denoiser.flatten_params(state.bn_state, bnspec),
     )
@@ -300,9 +393,11 @@ def load_checkpoint(path) -> TrainState:
         vectors = {}
         for key, spec in (("params", pspec), ("adam_m", pspec),
                           ("adam_v", pspec), ("bn_values", bnspec)):
-            vectors[key] = denoiser.unflatten_params(npz_member(archive, key, 1, "f"), spec)
-            if not all(np.isfinite(v).all() for v in vectors[key].values()):
+            vector = np.asarray(npz_member(archive, key, 1, "f"), dtype=np.float64)
+            denoiser.unflatten_params(vector, spec)  # the length check
+            if not np.isfinite(vector).all():
                 raise DataError(f"checkpoint {path}: {key} must be finite")
+            vectors[key] = vector
         step = int(npz_member(archive, "step", 0, "iu"))
         mode = str(npz_member(archive, "mode", 0, "U"))
         return_scale = float(npz_member(archive, "return_scale", 0, "f"))
@@ -320,10 +415,10 @@ def load_checkpoint(path) -> TrainState:
         except ConfigError as exc:
             raise DataError(f"checkpoint {path}: beta: {exc}") from exc
         return TrainState(
-            params=vectors["params"],
-            bn_state=vectors["bn_values"],
-            adam_m=vectors["adam_m"],
-            adam_v=vectors["adam_v"],
+            flat_params=vectors["params"],
+            flat_adam_m=vectors["adam_m"],
+            flat_adam_v=vectors["adam_v"],
+            bn_state=denoiser.unflatten_params(vectors["bn_values"], bnspec),
             step=step,
             net=net,
             sched=sched,

@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
 from pqlab import denoiser as dn
-from pqlab import nn
+from pqlab import diffusion, nn, objectives
 from pqlab.payoffs import Accumulator, Asian, CashFlowSchedule, European, Lookback, Snowball
 
 
@@ -377,3 +377,145 @@ def denoiser_backward_reference(g_out, cache, params):
 
     dn._cond_embed_bwd(g_emb[:, config.time_embed_dim :], cache["ce"], grads)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# channel-major kernels written as plain expressions, each a fresh array
+
+
+def batchnorm_reference(x, gamma, beta, running_mean, running_var):
+    """Training-mode batch-norm of (C, B, L) from ``x.mean``/``x.var``."""
+    mean = x.mean(axis=(1, 2))
+    var = x.var(axis=(1, 2))
+    new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+    new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[:, None, None]) * inv[:, None, None]
+    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    return y, (xhat, inv, gamma), new_mean, new_var
+
+
+def batchnorm_backward_reference(gy, cache):
+    xhat, inv, gamma = cache
+    ggamma = (gy * xhat).sum(axis=(1, 2))
+    gbeta = gy.sum(axis=(1, 2))
+    gxhat = gy * gamma[:, None, None]
+    n = gy.shape[1] * gy.shape[2]
+    sum_g = gxhat.sum(axis=(1, 2), keepdims=True)
+    sum_gx = (gxhat * xhat).sum(axis=(1, 2), keepdims=True)
+    gx = (inv[:, None, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+    return gx, ggamma, gbeta
+
+
+def maxpool2_backward_reference(gy, take_second):
+    c, b, half = gy.shape
+    gx = np.empty((c, b, half, 2))
+    gx[..., 0] = np.where(take_second, 0.0, gy)
+    gx[..., 1] = np.where(take_second, gy, 0.0)
+    return gx.reshape(c, b, 2 * half)
+
+
+def upsample2_backward_reference(gy):
+    c, b, length = gy.shape
+    return gy.reshape(c, b, length // 2, 2).sum(axis=3)
+
+
+def kurtosis_reference(x):
+    """Per-row excess kurtosis and its gradient of (G, n) rows, from ``np.mean``."""
+    n = x.shape[1]
+    c = x - x.mean(axis=1, keepdims=True)
+    c3 = c**3
+    m2 = np.mean(c * c, axis=1, keepdims=True)
+    m3 = np.mean(c3, axis=1, keepdims=True)
+    m4 = np.mean(c**4, axis=1, keepdims=True)
+    g = 4.0 / n * (c3 - m3) / m2**2 - 2.0 * m4 * (2.0 / n * c) / m2**3
+    return m4[:, 0] / m2[:, 0] ** 2 - 3.0, g
+
+
+def guarded_std_reference(x, floor):
+    """Means and floored population stds along the last axis, from ``np.var``."""
+    return x.mean(axis=-1), np.sqrt(x.var(axis=-1) + floor)
+
+
+# ---------------------------------------------------------------------------
+# the training loop on per-parameter dicts
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def make_batch_reference(slices, length, rng, batch_size, return_scale):
+    """Sample slices with replacement, padding each row from its slice."""
+    idx = rng.integers(0, len(slices), size=batch_size)
+    x0 = np.zeros((batch_size, length))
+    mask = np.zeros((batch_size, length), dtype=bool)
+    cond = np.zeros((batch_size, len(slices[0].condition.as_array())))
+    for row, i in enumerate(idx):
+        s = slices[int(i)]
+        n = s.condition.n_trading
+        x0[row, :n] = s.log_returns / return_scale
+        mask[row, :n] = True
+        cond[row] = s.condition.as_array()
+    return x0, mask, cond
+
+
+def clip_global_norm_reference(grads, max_norm):
+    """Scale a gradient dict to global L2 norm <= max_norm, as new arrays."""
+    sq = math.fsum(float(np.sum(g * g)) for g in grads.values())
+    norm = math.sqrt(sq)
+    if norm > max_norm:
+        factor = max_norm / norm
+        grads = {k: g * factor for k, g in grads.items()}
+    return grads, norm
+
+
+def adam_update_reference(params, adam_m, adam_v, grads, lr, step):
+    """One Adam step over the dicts, parameter by parameter, as new arrays."""
+    b1c = 1.0 - ADAM_BETA1**step
+    b2c = 1.0 - ADAM_BETA2**step
+    for k, p in params.items():
+        g = grads[k]
+        adam_m[k] = ADAM_BETA1 * adam_m[k] + (1.0 - ADAM_BETA1) * g
+        adam_v[k] = ADAM_BETA2 * adam_v[k] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = adam_m[k] / b1c
+        v_hat = adam_v[k] / b2c
+        params[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def train_reference(slices, params, bn_state, net, sched, mode, return_scale,
+                    config, loss, steps):
+    """``steps`` training steps on copies of the dicts.
+
+    Returns (params, adam_m, adam_v, bn_state, loss rows, (norm, clipped)
+    per step), each dict holding one array per parameter.
+    """
+    params = {k: v.copy() for k, v in params.items()}
+    bn_state = {k: v.copy() for k, v in bn_state.items()}
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    rows, trace = [], []
+    for step in range(1, steps + 1):
+        rng = np.random.default_rng([config.seed, step])
+        x0, mask, cond = make_batch_reference(
+            slices, net.input_length, rng, config.batch_size, return_scale)
+        t = rng.integers(1, sched.T + 1, size=config.batch_size)
+        eps = rng.standard_normal((config.batch_size, net.input_length))
+        x_t = diffusion.forward_diffuse(x0, t, eps, sched)
+        target = diffusion.training_target(mode, x0, eps, t, sched)
+        pred3, cache, bn_updates = dn.forward(params, bn_state, x_t[:, None, :], t,
+                                              cond, net, training=True)
+        pred = pred3[:, 0, :]
+        x0_pred = diffusion.recover_x0(x_t, pred, mode, t, sched)
+        breakdown, g_pred, g_x0 = objectives.total_loss(
+            pred, target, x0_pred, x0, mask, step, config.steps, loss, with_grads=True)
+        scale = diffusion.x0_coefficients(mode, t, sched)
+        g_out = g_pred + g_x0 * scale[:, None]
+        grads = dn.backward(g_out[:, None, :], cache, params)
+        grads, norm = clip_global_norm_reference(grads, config.clip_norm)
+        adam_update_reference(params, adam_m, adam_v, grads, config.lr, step)
+        bn_state.update(bn_updates)
+        rows.append(objectives.format_loss_row(step, breakdown))
+        trace.append((norm, norm > config.clip_norm))
+    return params, adam_m, adam_v, bn_state, rows, trace

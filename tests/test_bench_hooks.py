@@ -66,27 +66,34 @@ def test_traced_sampling_still_sees_the_forward_and_its_convs():
 def test_traced_train_step_still_sees_the_forward_backward_and_loss():
     # the benchmark's train rows read these spans; the forward shim reads
     # ``training`` by keyword or at position 6, the loss shim the
-    # prediction at position 0 and the breakdown's skipped counts
+    # prediction at position 0 and the breakdown's skipped counts, the
+    # clip shim the (grads, norm) result and max_norm at position 1
     rng = np.random.default_rng(4)
     slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
                         mask=np.ones(6, dtype=bool), condition=COND,
                         window_calendar_days=12, start_date=np.datetime64("2020-01-02"))
               for _ in range(3)]
     state = training.init_state(NET, diffusion.build_schedule(50), "v", 0.01, seed=0)
-    config = training.TrainConfig(steps=1, batch_size=4)
+    config = training.TrainConfig(steps=2, batch_size=4)
     tracer = Tracer()
     try:
         layers.instrument(tracer)
-        training.train_step(slices, state, config, 1)
+        training.train(slices, state, config)
     finally:
         tracer.restore()
     names = [s.name for s in tracer.spans]
     for name in ("training.train_step", "denoiser.forward.train", "denoiser.backward",
-                 "objectives.total_loss"):
-        assert names.count(name) == 1, name
+                 "objectives.total_loss", "training.make_batch",
+                 "training.adam_update", "training.clip_global_norm"):
+        assert names.count(name) == config.steps, name
+    # one batch-norm per residual block: each encoder level, the middle, each decoder level
+    for name in ("nn.batchnorm", "nn.batchnorm_backward"):
+        assert names.count(name) == config.steps * (2 * NET.depth + 1), name
     assert "denoiser.forward.infer" not in names
     loss = tracer.spans[names.index("objectives.total_loss")]
     assert loss.attrs["terms"] == layers.LOSS_TERMS * config.batch_size
+    clips = [s for s in tracer.spans if s.name == "training.clip_global_norm"]
+    assert all(isinstance(s.attrs["clipped"], bool) for s in clips)
 
 
 def test_traced_game_records_one_span_per_contract_and_checks_its_trades():

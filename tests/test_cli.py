@@ -72,6 +72,7 @@ ARTIFACTS = (
     "slices.npz",
     "dataset.manifest",
     "loss_log.csv",
+    "train_trace.csv",
     "checkpoint.npz",
     "checkpoint_step10.npz",
     "checkpoint_step20.npz",
@@ -408,6 +409,26 @@ class TestTrain:
             lines = fh.read().splitlines()
         assert len(lines) == 1 + 5
         assert lines[1].split(",")[0] == "21"
+
+    def test_resumed_logs_equal_the_straight_run(self, workspace, tmp_path):
+        # a resumed run appends to the step-20 logs it finds
+        _, out = workspace
+        ini2, out2 = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini2]) == 0
+        straight = {}
+        for name in ("loss_log.csv", "train_trace.csv"):
+            with open(os.path.join(out, name)) as fh:
+                straight[name] = fh.read()
+            with open(os.path.join(out2, name), "w") as fh:
+                fh.write("".join(straight[name].splitlines(keepends=True)[:1 + 20]))
+        shutil.copy(os.path.join(out, "checkpoint_step20.npz"), os.path.join(out2, "snap.npz"))
+        assert cli.main(["train", ini2, "--resume", os.path.join(out2, "snap.npz")]) == 0
+        for name, text in straight.items():
+            with open(os.path.join(out2, name)) as fh:
+                assert fh.read() == text, name
+        rows = straight["train_trace.csv"].splitlines()
+        assert rows[0] == training.TRACE_CSV_HEADER
+        assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(1, 26)]
 
     def test_resume_rejects_mismatched_schedule(self, workspace, tmp_path):
         ini, out = workspace

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import oracles
 from oracles import denoiser_backward_reference, denoiser_forward_reference
 
 from pqlab import denoiser as dn
@@ -516,3 +517,86 @@ class TestWorkspace:
                 tracemalloc.stop()
 
         assert peak(workspace=workspace) <= peak() / 8
+
+
+class TestInPlaceKernels:
+    """The fused and in-place kernels against their plain expressions."""
+
+    SHAPES = [(16, 64, 20), (32, 7, 10), (3, 1, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batchnorm_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape)
+        x = rng.normal(1.5, 3.0, size=shape)
+        stats = (rng.normal(size=shape[0]) + 1.0, rng.normal(size=shape[0]),
+                 rng.normal(size=shape[0]), rng.uniform(0.5, 2.0, size=shape[0]))
+        got = nn.batchnorm(x.copy(), *stats)
+        want = oracles.batchnorm_reference(x, *stats)
+        for a, b in zip((got[0], *got[1], got[2], got[3]), (want[0], *want[1], want[2], want[3])):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        gy = rng.normal(size=shape)
+        got = nn.batchnorm_backward(gy.copy(), got[1])
+        want = oracles.batchnorm_backward_reference(gy, want[1])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_relu_pool_and_upsample_backward(self, shape):
+        # backward kernels may give a zero the other sign, which no sum or
+        # Adam step can see; every other bit must match
+        rng = np.random.default_rng(shape)
+        x = rng.normal(size=shape)
+        x[0, 0, :2] = [-0.0, 0.0]
+        y, mask = nn.relu(x)
+        assert y.tobytes() == np.where(x > 0.0, x, 0.0).tobytes()
+        gy = rng.normal(size=shape)
+        assert np.array_equal(nn.relu_backward(gy.copy(), mask), np.where(mask, gy, 0.0))
+        if shape[2] % 2 == 0:
+            half = gy[:, :, : shape[2] // 2]
+            take = rng.normal(size=half.shape) > 0.0
+            assert np.array_equal(nn.maxpool2_backward(half, take),
+                                  oracles.maxpool2_backward_reference(half, take))
+            assert np.array_equal(nn.upsample2_backward(gy),
+                                  oracles.upsample2_backward_reference(gy))
+
+    @pytest.mark.parametrize("n", [640, 1280, 4000])
+    def test_one_channel_conv_is_the_k1_gemm(self, n):
+        # the broadcast multiply rounds each product once, as the K = 1 GEMM
+        rng = np.random.default_rng(n)
+        w, x = rng.normal(size=(48, 1)), rng.normal(size=(1, n))
+        assert (w * x).tobytes() == (w @ x).tobytes()
+        # a zero second channel puts the same products through the GEMM path
+        x3 = rng.normal(size=(1, 4, n // 4))
+        w3 = rng.normal(size=(16, 1, 3))
+        b = rng.normal(size=16)
+        one, _ = nn.conv1d(x3, w3, b)
+        two, _ = nn.conv1d(np.concatenate([x3, np.zeros_like(x3)]),
+                           np.concatenate([w3, np.zeros_like(w3)], axis=1), b)
+        assert one.tobytes() == two.tobytes()
+
+    def test_conv_backward_input_grad_skipped_alike(self):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.normal(size=(5, 4, 10)), rng.normal(size=(6, 5, 3)), rng.normal(size=6)
+        _, cache = nn.conv1d(x, w, b)
+        gy = rng.normal(size=(6, 4, 10))
+        gx, gw, gb = nn.conv1d_backward(gy, cache)
+        none, gw2, gb2 = nn.conv1d_backward(gy, cache, workspace=nn.Workspace(),
+                                            input_grad=False)
+        assert none is None and gx.shape == x.shape
+        assert gw.tobytes() == gw2.tobytes() and gb.tobytes() == gb2.tobytes()
+
+
+class TestBackwardVector:
+    def test_grads_are_views_of_one_zeroed_vector(self):
+        config = tiny_config()
+        params, state = perturbed_model(config, seed=31)
+        x, t, c = random_batch(config, batch=4, seed=2)
+        _, cache, _ = dn.forward(params, state, x, t, c, config, training=True)
+        g_out = np.random.default_rng(5).normal(size=x.shape)
+        fresh = dn.backward(g_out, cache, params)
+        out = np.full(dn.param_count(config), np.nan)  # stale content is cleared
+        grads = dn.backward(g_out, cache, params, out=out)
+        assert list(grads) == [name for name, _ in dn.param_spec(config)]
+        assert all(np.shares_memory(g, out) for g in grads.values())
+        assert dn.flatten_params(grads, dn.param_spec(config)).tobytes() == out.tobytes()
+        assert all(np.array_equal(grads[k], fresh[k]) for k in fresh)

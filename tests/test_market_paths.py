@@ -547,8 +547,24 @@ class TestParseDate:
             parse_date(text)
 
     def test_non_text_rejected(self):
+        # a datetime64 is accepted (next test); other non-text values are not
+        for value in (20160105, b"2016-01-05", None):
+            with pytest.raises(ValueError):
+                parse_date(value)
+
+    def test_datetime64_taken_as_its_day(self):
+        day = np.datetime64("2016-01-05", "D")
+        for value in (day, np.datetime64("2016-01-05T10:30"), np.datetime64("2016-01-05", "ns")):
+            assert parse_date(value) == day
+            assert parse_date(value).dtype == np.dtype("datetime64[D]")
         with pytest.raises(ValueError):
-            parse_date(np.datetime64("2016-01-05"))
+            parse_date(np.datetime64("NaT"))
+
+    @pytest.mark.parametrize("text", ["today", "now", "2016"])
+    def test_slice_dataset_split_date(self, series, text):
+        rates = flat_rates([30], str(series.dates[0]))
+        with pytest.raises(ConfigError, match="split_date"):
+            slice_dataset(series, rates, [30], text)
 
     @pytest.mark.parametrize("text", BAD)
     def test_generator_start_date(self, text):

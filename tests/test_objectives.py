@@ -3,6 +3,7 @@
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -586,3 +587,29 @@ class TestCsvRow:
         row = obj.format_loss_row(3, obj.LossBreakdown(**values))
         assert row == "3," + ",".join(repr(values[c])
                                       for c in obj.LOSS_CSV_HEADER.split(",")[1:])
+
+
+class TestSharedPasses:
+    """Kernels that form a deviation once keep the bits of np.mean/np.var."""
+
+    def rows(self, shape, seed):
+        return np.random.default_rng(seed).normal(0.3, 2.0, size=shape)
+
+    @pytest.mark.parametrize("shape", [(7, 18), (3, 20), (1, 5)])
+    def test_kurtosis(self, shape):
+        x = self.rows(shape, 1)
+        values, grad, defined = obj._kurtosis(x)
+        ref_values, ref_grad = oracles.kurtosis_reference(x)
+        assert defined.all()
+        assert values.tobytes() == ref_values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        no_grad, none, _ = obj._kurtosis(x, with_grad=False)
+        assert none is None and no_grad.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 18), (4, 12, 5)])
+    def test_guarded_std(self, shape):
+        x = self.rows(shape, 2)
+        dev, std = obj._guarded_std(x)
+        mean, ref_std = oracles.guarded_std_reference(x, obj.VAR_FLOOR)
+        assert std.tobytes() == ref_std.tobytes()
+        assert dev.tobytes() == (x - mean[..., None]).tobytes()

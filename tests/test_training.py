@@ -1,17 +1,21 @@
 """Optimizer oracles, bitwise resume, and checkpoint round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqlab.denoiser as dn
+import pqlab.nn as nn
 import pqlab.diffusion as diff
 import pqlab.market_paths as mp
 import pqlab.training as tr
 from pqlab.errors import ConfigError, DataError, NumericError
+from pqlab.objectives import LossConfig
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,10 @@ def fresh_state(dataset, seed=0, mode="v"):
 
 def params_equal(a: dict, b: dict) -> bool:
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def bits_equal(a: dict, b: dict) -> bool:
+    return set(a) == set(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 class Rows:
@@ -78,7 +86,8 @@ class TestReturnScale:
 class TestMakeBatch:
     def test_shapes_and_scaling(self, dataset):
         rng = np.random.default_rng(0)
-        x0, mask, cond = tr.make_batch(dataset.train, 24, rng, 6, 2.0)
+        padded = tr.pad_slices(dataset.train, 24, 2.0)
+        x0, mask, cond = tr.make_batch(padded, rng, 6)
         assert x0.shape == (6, 24) and mask.shape == (6, 24) and cond.shape == (6, 5)
         for row in range(6):
             n = int(mask[row].sum())
@@ -93,9 +102,8 @@ class TestMakeBatch:
         assert np.array_equal(cond[0], s.condition.as_array())
 
     def test_slice_longer_than_network_rejected(self, dataset):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            tr.make_batch(dataset.train, 4, rng, 2, 1.0)
+            tr.pad_slices(dataset.train, 4, 1.0)
 
 
 class TestClip:
@@ -127,34 +135,36 @@ class TestClip:
 
 
 class TestAdam:
+    # every entry of the flat state starts at p0 and sees the same gradient,
+    # so each one must follow the one-parameter hand oracle
     def make_state(self, p0):
-        net = tiny_net()
-        state = tr.init_state(net, diff.build_schedule(10), "v", 1.0, 0)
-        state.params = {"p": np.array([p0])}
-        state.adam_m = {"p": np.zeros(1)}
-        state.adam_v = {"p": np.zeros(1)}
+        state = tr.init_state(tiny_net(), diff.build_schedule(10), "v", 1.0, 0)
+        state.flat_params[:] = p0
         return state
+
+    def grads(self, state, g):
+        return np.full_like(state.flat_params, g)
 
     def test_first_step_hand_oracle(self):
         state = self.make_state(0.0)
-        tr.adam_update(state, {"p": np.array([1.0])}, lr=1e-3, step=1)
+        tr.adam_update(state, self.grads(state, 1.0), lr=1e-3, step=1)
         # m_hat = 1, v_hat = 1 after bias correction
         expected = -1e-3 / (1.0 + tr.ADAM_EPS)
-        assert abs(float(state.params["p"][0]) - expected) < 1e-18
-        assert float(state.adam_m["p"][0]) == 1.0 - tr.ADAM_BETA1
-        assert float(state.adam_v["p"][0]) == 1.0 - tr.ADAM_BETA2
+        assert np.all(np.abs(state.flat_params - expected) < 1e-18)
+        assert np.all(state.flat_adam_m == 1.0 - tr.ADAM_BETA1)
+        assert np.all(state.flat_adam_v == 1.0 - tr.ADAM_BETA2)
         assert state.step == 1
 
     def test_descends_constant_gradient(self):
         state = self.make_state(5.0)
         for step in range(1, 50):
-            tr.adam_update(state, {"p": np.array([2.0])}, lr=1e-2, step=step)
-        assert float(state.params["p"][0]) < 5.0
+            tr.adam_update(state, self.grads(state, 2.0), lr=1e-2, step=step)
+        assert np.all(state.flat_params < 5.0)
 
     def test_zero_gradient_keeps_params(self):
         state = self.make_state(1.25)
-        tr.adam_update(state, {"p": np.zeros(1)}, lr=1e-3, step=1)
-        assert float(state.params["p"][0]) == 1.25
+        tr.adam_update(state, self.grads(state, 0.0), lr=1e-3, step=1)
+        assert np.all(state.flat_params == 1.25)
 
 
 class TestTrainLoop:
@@ -218,7 +228,8 @@ class TestTrainLoop:
         state = fresh_state(dataset)
         state.params["head.b"] = np.array([np.inf])
         with pytest.raises(NumericError):
-            tr.train_step(dataset.train, state, tr.TrainConfig(steps=1), 1)
+            tr.train_step(tr.pad_slices(dataset.train, 24, state.return_scale), state,
+                          tr.TrainConfig(steps=1), 1)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -260,6 +271,94 @@ class TestResume:
         assert params_equal(straight.adam_v, resumed.adam_v)
         assert straight.step == resumed.step == 16
         assert half_rows.rows + resumed_rows.rows == straight_rows.rows
+
+    def test_resumed_trace_rows_match_straight_run(self, dataset, tmp_path):
+        cfg = tr.TrainConfig(steps=10, batch_size=4, seed=5)
+        straight = Rows()
+        tr.train(dataset.train, fresh_state(dataset, seed=3), cfg, trace_fh=straight)
+        half, rest = Rows(), Rows()
+        state = fresh_state(dataset, seed=3)
+        tr.train(dataset.train, state, cfg, trace_fh=half, stop_step=4)
+        tr.save_checkpoint(tmp_path / "half.npz", state)
+        tr.train(dataset.train, tr.load_checkpoint(tmp_path / "half.npz"), cfg, trace_fh=rest)
+        assert half.rows + rest.rows == straight.rows
+        assert [r.split(",")[0] for r in straight.rows] == [f"{i}" for i in range(1, 11)]
+
+
+class TestFlatState:
+    """The flat parameter/moment vectors, their views, and the step's workspace."""
+
+    def test_twenty_steps_equal_the_dict_oracle(self, dataset):
+        # the per-parameter dict loop (today's clip and Adam on new arrays)
+        # and the flat-vector loop must agree bit for bit
+        cfg = tr.TrainConfig(steps=20, batch_size=8, seed=7, clip_norm=0.5)
+        state = fresh_state(dataset, seed=6)
+        init_params = {k: v.copy() for k, v in state.params.items()}
+        init_bn = {k: v.copy() for k, v in state.bn_state.items()}
+        rows, trace = Rows(), Rows()
+        tr.train(dataset.train, state, cfg, log_fh=rows, trace_fh=trace)
+        params, adam_m, adam_v, bn_state, ref_rows, ref_trace = oracles.train_reference(
+            dataset.train, init_params, init_bn, state.net, state.sched, state.mode,
+            state.return_scale, cfg, LossConfig(), cfg.steps)
+        assert bits_equal(state.params, params)
+        assert bits_equal(state.adam_m, adam_m)
+        assert bits_equal(state.adam_v, adam_v)
+        assert bits_equal(state.bn_state, bn_state)
+        assert [r.rstrip("\n") for r in rows.rows] == ref_rows
+        cells = [r.rstrip("\n").split(",") for r in trace.rows]
+        assert [(float(c[1]), c[2]) for c in cells] == [
+            (norm, str(int(clipped))) for norm, clipped in ref_trace]
+        assert 0 < sum(clipped for _, clipped in ref_trace) < cfg.steps
+
+    def test_views_share_memory_with_the_flat_vectors(self, dataset, tmp_path):
+        def check(state):
+            for views, flat in ((state.params, state.flat_params),
+                                (state.adam_m, state.flat_adam_m),
+                                (state.adam_v, state.flat_adam_v)):
+                assert list(views) == [name for name, _ in dn.param_spec(state.net)]
+                assert all(np.shares_memory(v, flat) for v in views.values())
+                assert dn.flatten_params(views, dn.param_spec(state.net)).tobytes() \
+                    == flat.tobytes()
+
+        state = tr.train(dataset.train, fresh_state(dataset, seed=4),
+                         tr.TrainConfig(steps=3, batch_size=4, seed=4))
+        check(state)
+        tr.save_checkpoint(tmp_path / "ckpt.npz", state)
+        back = tr.load_checkpoint(tmp_path / "ckpt.npz")
+        check(back)
+        back.flat_params[:] = 0.5
+        assert all(np.all(v == 0.5) for v in back.params.values())
+        # a vector of another dtype is converted first, and the views follow it
+        check(dataclasses.replace(back, flat_adam_m=back.flat_adam_m.astype(np.float32)))
+
+    def test_second_step_reuses_the_workspace(self, dataset):
+        cfg = tr.TrainConfig(steps=2, batch_size=4, seed=8)
+        with_ws, without = fresh_state(dataset, seed=8), fresh_state(dataset, seed=8)
+        padded = tr.pad_slices(dataset.train, with_ws.net.input_length, with_ws.return_scale)
+        workspace = nn.Workspace()
+        tr.train_step(padded, with_ws, cfg, 1, workspace=workspace)
+        first = workspace.buffers
+        assert len(first) >= 3  # the gradient vector, Adam's scratch, the conv buffer
+        tr.train_step(padded, with_ws, cfg, 2, workspace=workspace)
+        assert len(workspace.buffers) == len(first)
+        assert all(a is b for a, b in zip(workspace.buffers, first))
+        for step in (1, 2):
+            tr.train_step(padded, without, cfg, step)
+        assert bits_equal(with_ws.params, without.params)
+        assert bits_equal(with_ws.adam_v, without.adam_v)
+
+    def test_train_passes_one_workspace_to_every_step(self, dataset, monkeypatch):
+        seen = []
+        step = tr.train_step
+
+        def spy(*args):
+            seen.append(args[5])
+            return step(*args)
+
+        monkeypatch.setattr(tr, "train_step", spy)
+        tr.train(dataset.train, fresh_state(dataset), tr.TrainConfig(steps=3, batch_size=4))
+        assert len(seen) == 3 and isinstance(seen[0], nn.Workspace)
+        assert all(ws is seen[0] for ws in seen)
 
 
 class TestCheckpoint:
