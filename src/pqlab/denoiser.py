@@ -156,7 +156,7 @@ def param_spec(config: DenoiserConfig):
 
 
 def param_count(config: DenoiserConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_spec(config))
+    return sum(math.prod(shape) for _, shape in param_spec(config))
 
 
 def init_params(config: DenoiserConfig, seed: int) -> dict:
@@ -171,7 +171,7 @@ def init_params(config: DenoiserConfig, seed: int) -> dict:
         elif name.startswith("head."):
             params[name] = np.zeros(shape)
         else:
-            fan_in = int(np.prod(shape[1:]))
+            fan_in = math.prod(shape[1:])
             params[name] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
     return params
 
@@ -209,7 +209,7 @@ def unflatten_params(vector: np.ndarray, spec) -> dict:
     in both.  A vector of the wrong length is a DataError.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    sizes = [int(np.prod(shape)) for _, shape in spec]
+    sizes = [math.prod(shape) for _, shape in spec]
     if vector.shape != (sum(sizes),):
         raise DataError(
             f"flat vector has shape {vector.shape}, the layout needs ({sum(sizes)},)"

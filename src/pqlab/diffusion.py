@@ -75,11 +75,7 @@ def build_schedule(
         raise ConfigError("T must be at least 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError("need 0 < beta_start <= beta_end < 1")
-    if T == 1:
-        beta = np.array([beta_start])
-    else:
-        beta = np.linspace(beta_start, beta_end, T)
-    return NoiseSchedule(beta)
+    return NoiseSchedule(np.linspace(beta_start, beta_end, T))
 
 
 def _coeffs(sched: NoiseSchedule, t, ndim: int):

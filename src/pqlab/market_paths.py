@@ -459,27 +459,15 @@ def synthesize_series(cfg: GeneratorConfig, seed: int) -> DailySeries:
 
     n_t = int(trading.sum())
     dt = 1.0 / TRADING_DAYS_PER_YEAR
-    regime = np.empty(n_t, dtype=np.int64)
-    state = 0
-    switches = rng.random(n_t)
-    for i in range(n_t):
-        if switches[i] < cfg.p_switch:
-            state = 1 - state
-        regime[i] = state
+    # the chain flips on each draw below p_switch, starting in regime 0
+    regime = np.cumsum(rng.random(n_t) < cfg.p_switch) % 2
     mu = np.where(regime == 0, cfg.mu1, cfg.mu2)
     sigma = np.where(regime == 0, cfg.sigma1, cfg.sigma2)
     z = rng.standard_normal(n_t)
     steps = (mu - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
     t_closes = cfg.s0 * np.exp(np.cumsum(steps))
-
-    closes = np.empty(cfg.n_days)
-    last = cfg.s0
-    j = 0
-    for i in range(cfg.n_days):
-        if trading[i]:
-            last = t_closes[j]
-            j += 1
-        closes[i] = last
+    # day i carries the close of the last trading day up to it, s0 before any
+    closes = np.append(cfg.s0, t_closes)[np.cumsum(trading)]
     return DailySeries(dates, closes, trading)
 
 

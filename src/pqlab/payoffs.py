@@ -4,8 +4,10 @@ A contract's ``_flows`` is the only place its rules live: it maps an
 ``(N, L)`` matrix of closes on the trading days after inception (day t is
 column t-1; the inception close ``s0`` is passed apart) to ``PathFlows``.
 ``cashflows`` is its checked entry.  ``q_pricer.discounted_values``
-discounts a path set's flows, and ``contract_cashflows`` reads one
-``(1, n)`` row back as the ``CashFlowSchedule`` the game settles.  Each
+discounts a path set's flows, for Q, for P and for the realized leg the
+game settles; ``contract_cashflows`` reads one ``(1, n)`` row back as a
+dated ``CashFlowSchedule``, the one-path view the hand-traced checks
+compare.  Each
 class also carries its quote mode, default greediness levels, quote
 notional and ``from_contracts`` builder for the ``[contracts]`` section;
 ``CONTRACT_TYPES`` is the product table, keyed by lower-case class name.
@@ -24,7 +26,6 @@ from typing import ClassVar, NamedTuple, Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .market_paths import TRADING_DAYS_PER_YEAR
 
 RELATIVE_LEVELS = (0.0, 0.10, 0.20, 0.30, 0.40)
 ABSOLUTE_LEVELS = (0.0, 0.005, 0.01, 0.015, 0.02)
@@ -266,15 +267,3 @@ def contract_cashflows(
     days = np.broadcast_to(days, amounts.shape)[0]
     live = days <= stop[0]
     return CashFlowSchedule(days[live], amounts[0, live], int(stop[0]), bool(early[0]))
-
-
-def discount_value(
-    cashflows: CashFlowSchedule, r: float, day_count: int = TRADING_DAYS_PER_YEAR
-) -> float:
-    """Present value: sum of CF_t * exp(-r * t / day_count)."""
-    if not math.isfinite(r):
-        raise DataError("rate must be finite")
-    if len(cashflows.days) == 0:
-        return 0.0
-    disc = np.exp(-r * cashflows.days.astype(float) / day_count)
-    return float(np.dot(cashflows.amounts, disc))

@@ -14,6 +14,9 @@ every product (common random numbers, ``price_all``) and one P sample
 that values every product on one read-only view; ``run_game`` then plays
 the greediness levels of one product on its slice values.  A
 multi-product game therefore equals single-product games byte for byte.
+All three legs share one estimator: the realized value is ``p_price`` on
+the slice's own close row, so a change to discounting or to the estimate
+in ``q_pricer`` reaches Q, P and the settlement alike.
 
 Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
@@ -34,9 +37,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_prices
+# contract_cashflows is re-exported: perfbench wraps pq_game.contract_cashflows by name
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
-                      ContractSpec, contract_cashflows, discount_value,
-                      linear_calendar_fraction)
+                      ContractSpec, contract_cashflows)
 # price is re-exported: perfbench wraps pq_game.price by name
 from .q_pricer import GbmParams, p_price, price, price_all  # noqa: F401
 
@@ -116,7 +119,8 @@ class GameConfig:
     """The ``[game]`` section; empty ``levels`` means the contract's defaults.
 
     discount toggles whether the realized leg is discounted to trade date
-    before settling (quotes and P values are always present values).
+    before settling (off values it at r = 0; quotes and P values are always
+    present values).
     """
 
     products: tuple[str, ...] = ("european",)
@@ -217,16 +221,6 @@ def sharpe_annualized(pnl_by_start_date) -> float | None:
     return float(series.mean() / std * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def _realized_value(contract: ContractSpec, s: PathSlice, discount: bool) -> float:
-    prices = to_prices(s.s0, s.log_returns)
-    cond = s.condition
-    cal_frac = linear_calendar_fraction(cond.n_trading, cond.t_calendar)
-    flows = contract_cashflows(contract, prices, s.s0, cal_frac)
-    if discount:
-        return discount_value(flows, cond.r)
-    return float(np.sum(flows.amounts))
-
-
 class SliceValue(NamedTuple):
     """One contract on one test slice: Q's, P's and the realized value."""
 
@@ -251,10 +245,13 @@ def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConf
             f"slice {idx}: P paths must be (n, {cond.n_trading}), got {paths.shape}"
         )
     paths.setflags(write=False)
+    # the realized leg is P's estimator on the slice's own close row: the
+    # mean over one path is that path's discounted value exactly
+    row = to_prices(s.s0, s.log_returns)[None, :]
+    r_row = cond.r if config.discount else 0.0
     return [SliceValue(s.start_date, fair.value,
-                       p_price(contract, paths, s.s0, cond.r,
-                               t_calendar=cond.t_calendar).value,
-                       _realized_value(contract, s, config.discount))
+                       p_price(contract, paths, s.s0, cond.r, t_calendar=cond.t_calendar).value,
+                       p_price(contract, row, s.s0, r_row, t_calendar=cond.t_calendar).value)
             for contract, fair in zip(book, fairs)]
 
 

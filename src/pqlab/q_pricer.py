@@ -11,8 +11,10 @@ independent of chunk evaluation order.  ``price_all`` values several
 contracts on each simulated chunk, so every product of a game slice is
 priced from one path set (common random numbers); ``price`` is
 ``price_all`` on one contract.  ``p_price`` applies the same
-estimator to externally generated paths so that P and Q valuations share
-every arithmetic step.
+estimator to externally generated paths, so P and Q valuations share
+every arithmetic step; the game's realized leg is ``p_price`` on one
+path, whose estimate is that path's discounted value exactly.  This
+module is the game's one discounting path.
 """
 
 from __future__ import annotations
@@ -185,13 +187,11 @@ def p_price(
     s0: float,
     r: float,
     t_calendar: float | None = None,
-    discount: bool = True,
 ) -> PriceEstimate:
     """P-side value: same estimator over externally generated paths.
 
-    Discounting uses the same matched rate as Q by default so that price
-    gaps reflect the path measure only; ``discount=False`` averages the
-    raw payoffs instead.
+    The game discounts P at Q's matched rate, so price gaps reflect the
+    path measure only, and values the realized leg as one path (r = 0
+    leaves the payoffs undiscounted).
     """
-    values = discounted_values(contract, paths, s0, r if discount else 0.0, t_calendar)
-    return _estimate(values)
+    return _estimate(discounted_values(contract, paths, s0, r, t_calendar))

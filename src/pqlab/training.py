@@ -21,10 +21,13 @@ Checkpoint format "PQLAB-CKPT v1" (npz archive):
     bn_values     running statistics concatenated in bn_names order
 
 All float payloads are float64, so save/load round-trips exactly.
+Loading checks every vector finite, and the Adam second moment and every
+running variance non-negative, since both reach a square root.
 
 State layout: the parameters, both Adam moments and each step's gradient
 are each one float64 vector in ``denoiser.param_spec`` order, the
 checkpoint's layout, so the checkpoint writes the vectors as they are.
+Only the parameters also have per-name views, which the network reads.
 Adam and clipping run in place on them, in the per-parameter operation
 order, so the bits are those of the per-array update.  ``train`` owns
 one ``nn.Workspace`` for the run: it lends the gradient vector, Adam's
@@ -101,9 +104,9 @@ class TrainState:
     """Everything the loop mutates, plus the fixed model/schedule context.
 
     ``flat_params``, ``flat_adam_m`` and ``flat_adam_v`` are float64
-    vectors in ``denoiser.param_spec`` order; ``params``, ``adam_m`` and
-    ``adam_v`` are dicts of views into them, so an update of a vector is
-    what the network reads next.
+    vectors in ``denoiser.param_spec`` order; ``params`` is the dict of
+    views into ``flat_params`` the network reads by name, so an update of
+    the vector is what the network reads next.
     """
 
     flat_params: np.ndarray
@@ -116,17 +119,17 @@ class TrainState:
     mode: str
     return_scale: float
     params: dict = field(init=False, repr=False)
-    adam_m: dict = field(init=False, repr=False)
-    adam_v: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # the views must be of the vectors Adam updates, never of a converted copy
-        for name in ("flat_params", "flat_adam_m", "flat_adam_v"):
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
-        spec = denoiser.param_spec(self.net)
-        self.params = denoiser.unflatten_params(self.flat_params, spec)
-        self.adam_m = denoiser.unflatten_params(self.flat_adam_m, spec)
-        self.adam_v = denoiser.unflatten_params(self.flat_adam_v, spec)
+        # the views must be of the vector Adam updates, never of a converted copy
+        self.flat_params = np.ascontiguousarray(self.flat_params, dtype=np.float64)
+        self.params = denoiser.unflatten_params(self.flat_params, denoiser.param_spec(self.net))
+        for name in ("flat_adam_m", "flat_adam_v"):
+            moment = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if moment.shape != self.flat_params.shape:
+                raise DataError(f"{name} has shape {moment.shape}, "
+                                f"the parameters {self.flat_params.shape}")
+            setattr(self, name, moment)
 
     def model(self) -> GeneratorModel:
         return GeneratorModel(
@@ -370,8 +373,9 @@ def load_checkpoint(path) -> TrainState:
     A tampered field (a scalar that is not 0-d, a name list or vector that
     is not 1-D, a value of the wrong dtype kind, negative step, unknown
     mode, beta outside (0, 1), a non-finite or non-positive return_scale,
-    non-finite params, moments or batch-norm values) is a DataError naming
-    the file and the field.
+    non-finite params, moments or batch-norm values, a negative Adam second
+    moment or running variance) is a DataError naming the file and the
+    field.
     """
     with read_npz(path, "checkpoint") as archive:
         if str(archive["version"]) != CHECKPOINT_VERSION:
@@ -398,6 +402,14 @@ def load_checkpoint(path) -> TrainState:
             if not np.isfinite(vector).all():
                 raise DataError(f"checkpoint {path}: {key} must be finite")
             vectors[key] = vector
+        # Adam takes the square root of the second moment, and inference
+        # of the running variance: a negative entry would turn into NaN
+        if (vectors["adam_v"] < 0.0).any():
+            raise DataError(f"checkpoint {path}: adam_v must be >= 0")
+        bn_state = denoiser.unflatten_params(vectors["bn_values"], bnspec)
+        for name, values in bn_state.items():
+            if name.endswith(".running_var") and (values < 0.0).any():
+                raise DataError(f"checkpoint {path}: bn_values {name} must be >= 0")
         step = int(npz_member(archive, "step", 0, "iu"))
         mode = str(npz_member(archive, "mode", 0, "U"))
         return_scale = float(npz_member(archive, "return_scale", 0, "f"))
@@ -418,7 +430,7 @@ def load_checkpoint(path) -> TrainState:
             flat_params=vectors["params"],
             flat_adam_m=vectors["adam_m"],
             flat_adam_v=vectors["adam_v"],
-            bn_state=denoiser.unflatten_params(vectors["bn_values"], bnspec),
+            bn_state=bn_state,
             step=step,
             net=net,
             sched=sched,

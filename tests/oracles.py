@@ -8,6 +8,9 @@ from scipy.stats import norm
 
 from pqlab import denoiser as dn
 from pqlab import diffusion, nn, objectives
+from pqlab.errors import DataError
+from pqlab import market_paths as mp
+from pqlab.market_paths import TRADING_DAYS_PER_YEAR
 from pqlab.payoffs import Accumulator, Asian, CashFlowSchedule, European, Lookback, Snowball
 
 
@@ -159,6 +162,54 @@ def cashflow_schedule(contract, path, s0, cal_frac=None):
               Asian: asian_payoff}[type(contract)]
     amount = payoff(path, s0, contract.strike_ratio)
     return CashFlowSchedule(np.array([n]), np.array([amount]), n, False)
+
+
+def synthesize_series_reference(cfg, seed):
+    """``market_paths.synthesize_series`` as per-day loops over the same draws."""
+    rng = np.random.default_rng([int(seed), 0xDA7A])
+    dates = mp.parse_date(cfg.start_date) + np.arange(cfg.n_days)
+    weekday = (dates.astype("datetime64[D]").view("int64") - 4) % 7  # 0=Mon
+    is_weekday = weekday < 5
+    weekday_no = np.cumsum(is_weekday)
+    is_holiday = is_weekday & (weekday_no % mp._HOLIDAY_EVERY_N_WEEKDAYS == 0)
+    trading = is_weekday & ~is_holiday
+
+    n_t = int(trading.sum())
+    dt = 1.0 / TRADING_DAYS_PER_YEAR
+    regime = np.empty(n_t, dtype=np.int64)
+    state = 0
+    switches = rng.random(n_t)
+    for i in range(n_t):
+        if switches[i] < cfg.p_switch:
+            state = 1 - state
+        regime[i] = state
+    mu = np.where(regime == 0, cfg.mu1, cfg.mu2)
+    sigma = np.where(regime == 0, cfg.sigma1, cfg.sigma2)
+    z = rng.standard_normal(n_t)
+    steps = (mu - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
+    t_closes = cfg.s0 * np.exp(np.cumsum(steps))
+
+    closes = np.empty(cfg.n_days)
+    last = cfg.s0
+    j = 0
+    for i in range(cfg.n_days):
+        if trading[i]:
+            last = t_closes[j]
+            j += 1
+        closes[i] = last
+    return mp.DailySeries(dates, closes, trading)
+
+
+def discount_value(
+    cashflows: CashFlowSchedule, r: float, day_count: int = TRADING_DAYS_PER_YEAR
+) -> float:
+    """Present value: sum of CF_t * exp(-r * t / day_count)."""
+    if not math.isfinite(r):
+        raise DataError("rate must be finite")
+    if len(cashflows.days) == 0:
+        return 0.0
+    disc = np.exp(-r * cashflows.days.astype(float) / day_count)
+    return float(np.dot(cashflows.amounts, disc))
 
 
 # ---------------------------------------------------------------------------

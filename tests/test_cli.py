@@ -296,6 +296,31 @@ class TestTamperedCheckpoint:
         err = capsys.readouterr().err
         assert "bad.npz" in err and needle in err
 
+    @pytest.mark.parametrize("field", ["adam_v", "running_var"])
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_negative_second_moment_or_variance_exits_3(
+        self, workspace, tmp_path, capsys, field, command
+    ):
+        # Adam and batch-norm inference take square roots of these: a
+        # negative entry must not reach them as NaN
+        ini, out = workspace
+        state = training.load_checkpoint(os.path.join(out, "checkpoint.npz"))
+        if field == "adam_v":
+            state.flat_adam_v[:] = -1.0
+        else:
+            for name, values in state.bn_state.items():
+                if name.endswith(".running_var"):
+                    values[:] = -1.0
+        bad = str(tmp_path / "bad.npz")
+        training.save_checkpoint(bad, state)
+        dest = copy_game_inputs(out, tmp_path / "run")
+        argv = (["train", ini, "--out-dir", dest, "--resume", bad] if command == "train"
+                else ["validate", ini, "--out-dir", dest, "--checkpoint", bad])
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and field in err and "must be >= 0" in err
+        assert not os.path.exists(os.path.join(dest, "table_5_1.csv"))
+
     def test_resume_from_negative_step_exits_3(self, workspace, tmp_path, capsys):
         ini, out = workspace
         dest = copy_game_inputs(out, tmp_path / "resume")

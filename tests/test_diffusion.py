@@ -27,6 +27,9 @@ class TestBuildSchedule:
         sched = build_schedule(1, 0.5, 0.5)
         assert sched.alpha_bar_at(1) == pytest.approx(0.5)
 
+    def test_single_step_takes_beta_start(self):
+        assert build_schedule(1, 0.1, 0.2).beta.tolist() == [0.1]
+
     def test_two_step_product(self):
         sched = NoiseSchedule(np.array([0.1, 0.2]))
         assert np.allclose(sched.alpha_bar, [0.9, 0.72])

@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqlab.errors import ConfigError, DataError
@@ -126,6 +127,25 @@ class TestSynthesize:
         series = synthesize_series(GeneratorConfig(n_days=60), seed=1)
         weekday = (series.dates.view("int64") + 3) % 7
         assert not series.is_trading_day[weekday >= 5].any()
+
+    @settings(deadline=None, max_examples=200)
+    @given(n_days=st.integers(2, 800), seed=st.integers(0, 2**32 - 1),
+           p_switch=st.sampled_from([0.0, 0.02, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           start=st.sampled_from(["2015-01-01", "2015-01-03", "2015-01-04", "2016-02-29"]))
+    @example(n_days=30, seed=0, p_switch=1.0, start="2015-01-03")  # Saturday start
+    @example(n_days=3, seed=1, p_switch=0.02, start="2015-01-03")  # under 2 trading days
+    def test_equals_the_loop_oracle_byte_for_byte(self, n_days, seed, p_switch, start):
+        cfg = GeneratorConfig(n_days=n_days, mu2=-0.3, p_switch=p_switch, start_date=start)
+        try:
+            ref = oracles.synthesize_series_reference(cfg, seed)
+        except DataError:
+            with pytest.raises(DataError):
+                synthesize_series(cfg, seed)
+            return
+        got = synthesize_series(cfg, seed)
+        assert got.closes.tobytes() == ref.closes.tobytes()
+        assert got.dates.tobytes() == ref.dates.tobytes()
+        assert got.is_trading_day.tobytes() == ref.is_trading_day.tobytes()
 
     def test_carry_forward_on_non_trading_days(self):
         series = synthesize_series(GeneratorConfig(n_days=60), seed=2)

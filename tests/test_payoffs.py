@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cashflow_schedule, classify_snowball, snowball_payoff
+from oracles import cashflow_schedule, classify_snowball, discount_value, snowball_payoff
 
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
@@ -14,7 +14,6 @@ from pqlab.payoffs import (
     Lookback,
     Snowball,
     contract_cashflows,
-    discount_value,
     linear_calendar_fraction,
 )
 
@@ -235,6 +234,8 @@ class TestSnowball:
 
 
 class TestDiscountValue:
+    """Hand cases pinning ``oracles.discount_value``, the pricer tests' reference."""
+
     def test_zero_rate_plain_sum(self):
         cf = CashFlowSchedule(np.array([1, 2]), np.array([3.0, 4.0]), 2, False)
         assert discount_value(cf, 0.0) == 7.0

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cashflow_schedule, discount_value
 
 import pqlab.pq_game as game
 import pqlab.q_pricer as qp
 from pqlab.errors import ConfigError, DataError
-from pqlab.market_paths import ConditionVector, PathSlice
-from pqlab.payoffs import Accumulator, Asian, European, Lookback, Snowball
+from pqlab.market_paths import ConditionVector, PathSlice, to_prices
+from pqlab.payoffs import (Accumulator, Asian, European, Lookback, Snowball,
+                           linear_calendar_fraction)
 
 
 def make_slice(seed, n=20, s0=100.0, sigma=0.2, r=0.03, drift=0.0):
@@ -334,11 +336,77 @@ class TestSharedQSource:
 
         monkeypatch.setattr(game, "p_price", recording)
         game.value_slices(self.slices[:1], self.BOOK, p_source, self.config)
-        assert len(seen) == len(self.BOOK)
-        assert all(paths is seen[0] for paths in seen)
-        assert not seen[0].flags.writeable
-        assert np.shares_memory(seen[0], returned[0])
+        # each contract's other p_price call values the realized close row
+        assert len(seen) == 2 * len(self.BOOK)
+        p_seen = [paths for paths in seen if np.shares_memory(paths, returned[0])]
+        assert len(p_seen) == len(self.BOOK)
+        assert all(paths is p_seen[0] for paths in p_seen)
+        assert not p_seen[0].flags.writeable
         assert returned[0].flags.writeable  # the source's own array is untouched
+
+
+class TestRealizedLeg:
+    """The realized value is P's estimator on the slice's own close row."""
+
+    BOOK = (European(), Lookback(), Asian(), Accumulator(), Snowball())
+
+    def setup_method(self):
+        # strong drifts up and down reach every barrier: accumulator and
+        # snowball knock-outs, snowball knock-ins, closes under the strike
+        self.slices = [make_slice(seed, sigma=0.4, drift=drift)
+                       for seed, drift in enumerate((0.0, 0.015, -0.015, 0.004, -0.006))]
+
+    @pytest.mark.parametrize("discount", [True, False])
+    def test_equals_p_price_on_one_row_and_the_oracle(self, discount):
+        config = game.GameConfig(q_paths=64, seed=7, discount=discount)
+        book = game.value_slices(self.slices, self.BOOK, game.gbm_p_source, config)
+        for contract, values in zip(self.BOOK, book):
+            for s, v in zip(self.slices, values):
+                cond = s.condition
+                r = cond.r if discount else 0.0
+                row = to_prices(s.s0, s.log_returns)
+                est = qp.p_price(contract, row[None, :], s.s0, r, t_calendar=cond.t_calendar)
+                assert v.realized.hex() == est.value.hex(), contract
+                assert est.std_error == 0.0 and est.n_paths == 1
+                cal = linear_calendar_fraction(cond.n_trading, cond.t_calendar)
+                ref = discount_value(cashflow_schedule(contract, row, s.s0, cal), r)
+                assert v.realized == pytest.approx(ref, rel=1e-12), contract
+
+    def test_barriers_are_reached(self):
+        events = set()
+        for s in self.slices:
+            row = to_prices(s.s0, s.log_returns)
+            cal = linear_calendar_fraction(s.condition.n_trading, s.condition.t_calendar)
+            for contract in (Accumulator(), Snowball()):
+                events.add((type(contract).__name__,
+                            cashflow_schedule(contract, row, s.s0, cal).terminated_early))
+            events.add(("ki", bool((row < Snowball().ki_ratio * s.s0).any())))
+            events.add(("under_strike", bool((row < Accumulator().discount * s.s0).any())))
+        assert {("Accumulator", True), ("Accumulator", False), ("Snowball", True),
+                ("Snowball", False), ("ki", True), ("under_strike", True)} <= events
+
+    def test_one_price_all_and_two_p_price_calls_per_contract(self, monkeypatch):
+        calls = []
+        real_q, real_p = game.price_all, game.p_price
+
+        def counting_q(contracts, params, **kwargs):
+            calls.append("Q")
+            return real_q(contracts, params, **kwargs)
+
+        def counting_p(contract, paths, *args, **kwargs):
+            calls.append("realized" if len(paths) == 1 else "P")
+            return real_p(contract, paths, *args, **kwargs)
+
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("the game values no one-path schedule")
+
+        monkeypatch.setattr(game, "price_all", counting_q)
+        monkeypatch.setattr(game, "p_price", counting_p)
+        monkeypatch.setattr(game, "contract_cashflows", no_schedule)
+        config = game.GameConfig(q_paths=64, seed=7)
+        game.value_slices(self.slices, self.BOOK, game.gbm_p_source, config)
+        per_slice = ["Q"] + ["P", "realized"] * len(self.BOOK)
+        assert calls == per_slice * len(self.slices)
 
 
 class TestReportValidation:

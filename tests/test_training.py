@@ -183,7 +183,7 @@ class TestTrainLoop:
         b = tr.train(dataset.train, fresh_state(dataset, seed=1), cfg)
         assert params_equal(a.params, b.params)
         assert params_equal(a.bn_state, b.bn_state)
-        assert params_equal(a.adam_m, b.adam_m)
+        assert np.array_equal(a.flat_adam_m, b.flat_adam_m)
 
     def test_seed_changes_run(self, dataset):
         a = tr.train(dataset.train, fresh_state(dataset, seed=1),
@@ -267,8 +267,8 @@ class TestResume:
 
         assert params_equal(straight.params, resumed.params)
         assert params_equal(straight.bn_state, resumed.bn_state)
-        assert params_equal(straight.adam_m, resumed.adam_m)
-        assert params_equal(straight.adam_v, resumed.adam_v)
+        assert np.array_equal(straight.flat_adam_m, resumed.flat_adam_m)
+        assert np.array_equal(straight.flat_adam_v, resumed.flat_adam_v)
         assert straight.step == resumed.step == 16
         assert half_rows.rows + resumed_rows.rows == straight_rows.rows
 
@@ -301,8 +301,9 @@ class TestFlatState:
             dataset.train, init_params, init_bn, state.net, state.sched, state.mode,
             state.return_scale, cfg, LossConfig(), cfg.steps)
         assert bits_equal(state.params, params)
-        assert bits_equal(state.adam_m, adam_m)
-        assert bits_equal(state.adam_v, adam_v)
+        spec = dn.param_spec(state.net)
+        assert bits_equal(dn.unflatten_params(state.flat_adam_m, spec), adam_m)
+        assert bits_equal(dn.unflatten_params(state.flat_adam_v, spec), adam_v)
         assert bits_equal(state.bn_state, bn_state)
         assert [r.rstrip("\n") for r in rows.rows] == ref_rows
         cells = [r.rstrip("\n").split(",") for r in trace.rows]
@@ -312,13 +313,14 @@ class TestFlatState:
 
     def test_views_share_memory_with_the_flat_vectors(self, dataset, tmp_path):
         def check(state):
-            for views, flat in ((state.params, state.flat_params),
-                                (state.adam_m, state.flat_adam_m),
-                                (state.adam_v, state.flat_adam_v)):
-                assert list(views) == [name for name, _ in dn.param_spec(state.net)]
-                assert all(np.shares_memory(v, flat) for v in views.values())
-                assert dn.flatten_params(views, dn.param_spec(state.net)).tobytes() \
-                    == flat.tobytes()
+            views, flat = state.params, state.flat_params
+            assert list(views) == [name for name, _ in dn.param_spec(state.net)]
+            assert all(np.shares_memory(v, flat) for v in views.values())
+            assert dn.flatten_params(views, dn.param_spec(state.net)).tobytes() \
+                == flat.tobytes()
+            for vector in (state.flat_params, state.flat_adam_m, state.flat_adam_v):
+                assert vector.dtype == np.float64 and vector.flags.c_contiguous
+                assert vector.shape == (dn.param_count(state.net),)
 
         state = tr.train(dataset.train, fresh_state(dataset, seed=4),
                          tr.TrainConfig(steps=3, batch_size=4, seed=4))
@@ -330,6 +332,13 @@ class TestFlatState:
         assert all(np.all(v == 0.5) for v in back.params.values())
         # a vector of another dtype is converted first, and the views follow it
         check(dataclasses.replace(back, flat_adam_m=back.flat_adam_m.astype(np.float32)))
+        check(dataclasses.replace(back, flat_params=back.flat_params.astype(np.float32)))
+
+    @pytest.mark.parametrize("name", ["flat_adam_m", "flat_adam_v"])
+    def test_moment_of_another_length_rejected(self, dataset, name):
+        state = fresh_state(dataset)
+        with pytest.raises(DataError, match=name):
+            dataclasses.replace(state, **{name: getattr(state, name)[:-1]})
 
     def test_second_step_reuses_the_workspace(self, dataset):
         cfg = tr.TrainConfig(steps=2, batch_size=4, seed=8)
@@ -345,7 +354,7 @@ class TestFlatState:
         for step in (1, 2):
             tr.train_step(padded, without, cfg, step)
         assert bits_equal(with_ws.params, without.params)
-        assert bits_equal(with_ws.adam_v, without.adam_v)
+        assert with_ws.flat_adam_v.tobytes() == without.flat_adam_v.tobytes()
 
     def test_train_passes_one_workspace_to_every_step(self, dataset, monkeypatch):
         seen = []
@@ -370,8 +379,8 @@ class TestCheckpoint:
         back = tr.load_checkpoint(path)
         assert params_equal(state.params, back.params)
         assert params_equal(state.bn_state, back.bn_state)
-        assert params_equal(state.adam_m, back.adam_m)
-        assert params_equal(state.adam_v, back.adam_v)
+        assert np.array_equal(state.flat_adam_m, back.flat_adam_m)
+        assert np.array_equal(state.flat_adam_v, back.flat_adam_v)
         assert back.step == state.step
         assert back.net == state.net
         assert back.mode == state.mode
@@ -443,7 +452,9 @@ class TestCheckpoint:
         ("params", np.nan),
         ("adam_m", np.nan),
         ("adam_v", np.inf),
+        ("adam_v", -1e-300),
         ("bn_values", np.nan),
+        ("bn_values", -0.5),  # the last entry is a running variance
     ])
     def test_tampered_field_rejected(self, dataset, tmp_path, key, value):
         path = tmp_path / "tampered.npz"
