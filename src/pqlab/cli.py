@@ -18,6 +18,7 @@ Artifact layout under [run] out_dir:
     table_5_1.csv          validation summary   (validate)
     game_<product>_<level>.csv  one level row   (game)
     game_<product>.txt     aligned level table  (game)
+    game_<product>_slices.csv  per-slice fair, P and realized values, side per level (game)
 
 `game` values the whole book in one pass over the test slices
 (``pq_game.value_slices``): each slice's P paths are sampled once and its Q
@@ -277,6 +278,8 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
         for report in reports:
             name = f"game_{product}_{repr(float(report.level))}.csv"
             pq_game.write_game_csv(os.path.join(out, name), [report])
+        pq_game.write_slices_csv(os.path.join(out, f"game_{product}_slices.csv"),
+                                 book_values, outcomes)
         table = pq_game.format_game_table(reports, title=product)
         with open(os.path.join(out, f"game_{product}.txt"), "w", newline="") as fh:
             fh.write(table)

@@ -17,7 +17,7 @@ and ``recover_x0`` / ``recover_eps`` invert each choice exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +35,20 @@ class NoiseSchedule:
     """beta/alpha/alpha_bar tables for T steps, index t-1 holds step t."""
 
     beta: np.ndarray
+    # abar_t for t in 0..T, built once from a private read-only copy of beta
+    _abar_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.array(self.beta, dtype=float)
         if beta.ndim != 1 or beta.size < 1:
             raise ConfigError("beta must be a non-empty 1-d sequence")
         if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ConfigError("every beta_t must lie strictly in (0, 1)")
+        beta.setflags(write=False)
+        table = np.concatenate(([1.0], np.cumprod(1.0 - beta)))
+        table.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_abar_table", table)
 
     @property
     def T(self) -> int:
@@ -54,15 +60,14 @@ class NoiseSchedule:
 
     @property
     def alpha_bar(self) -> np.ndarray:
-        return np.cumprod(self.alpha)
+        return self._abar_table[1:].copy()
 
     def alpha_bar_at(self, t) -> np.ndarray:
         """abar_t for integer step(s) t in 0..T; t=0 returns 1."""
         t = np.asarray(t, dtype=np.int64)
-        if np.any(t < 0) or np.any(t > self.T):
+        if ((t < 0) | (t > self.T)).any():
             raise DataError(f"step index out of range 0..{self.T}")
-        table = np.concatenate(([1.0], self.alpha_bar))
-        return table[t]
+        return self._abar_table[t]
 
 
 def build_schedule(

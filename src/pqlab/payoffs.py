@@ -35,7 +35,7 @@ class PathFlows(NamedTuple):
     """Column k of ``amounts`` (N, K) pays on 1-based day ``days[:, k]``."""
 
     days: np.ndarray  # int, broadcasts against amounts: (1, K) or (N, K)
-    amounts: np.ndarray  # 0 where a path pays nothing
+    amounts: np.ndarray  # fresh (the caller may scale it in place); 0 where a path pays nothing
     stop_day: np.ndarray  # (N,) last live day
     terminated_early: np.ndarray  # (N,) bool
 
@@ -51,6 +51,18 @@ def linear_calendar_fraction(n_days: int, t_calendar: float) -> np.ndarray:
     if not math.isfinite(t_calendar):
         raise DataError(f"t_calendar must be finite, got {t_calendar}")
     return np.arange(1, n_days + 1, dtype=float) / n_days * t_calendar
+
+
+def _fold_days(ufunc, paths) -> np.ndarray:
+    """Per-path fold of an exact binary ufunc (max, min) across the days.
+
+    One vectorised call per day column: a reduction along short rows
+    costs a call per path instead.
+    """
+    out = paths[:, 0].copy()
+    for col in range(1, paths.shape[1]):
+        ufunc(out, paths[:, col], out=out)
+    return out
 
 
 class _Contract:
@@ -71,7 +83,9 @@ class _Contract:
         paths = np.asarray(paths, dtype=float)
         if paths.ndim != 2 or paths.size == 0:
             raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
-        if not np.isfinite(paths).all():
+        # min and max propagate NaN: both are finite exactly when every close
+        # is, and neither allocates an (N, L) mask
+        if not (np.isfinite(paths.min()) and np.isfinite(paths.max())):
             raise DataError("paths must be finite")
         if not (math.isfinite(s0) and s0 > 0.0):
             raise DataError(f"s0 must be finite and positive, got {s0}")
@@ -118,7 +132,7 @@ class European(_TerminalCall):
 class Lookback(_TerminalCall):
     """Fixed-strike call on the path maximum."""
 
-    _underlying = staticmethod(lambda paths: paths.max(axis=1))
+    _underlying = staticmethod(lambda paths: _fold_days(np.maximum, paths))
 
 
 @dataclass(frozen=True)
@@ -156,13 +170,24 @@ class Accumulator(_Contract):
         return cls(discount=section.acc_discount, ko_ratio=section.acc_ko)
 
     def _flows(self, paths, s0, calendar) -> PathFlows:
-        days = np.arange(1, paths.shape[1] + 1)[None, :]
+        n, length = paths.shape
+        days = np.arange(1, length + 1)[None, :]
         k_d = self.discount * s0
-        amounts = np.where(paths < k_d, 2.0, 1.0) * self.daily_units * (paths - k_d)
+        # q_t * (S_t - K_d), scaled in place: S_t - K_d is negative exactly
+        # where S_t < K_d, and a second (N, L) array would cost its page faults
+        amounts = paths - k_d
+        below = amounts < 0.0
+        np.multiply(amounts, 2.0 * self.daily_units, out=amounts, where=below)
+        if self.daily_units != 1.0:  # x * 1.0 is x
+            np.multiply(amounts, self.daily_units, out=amounts, where=~below)
         hit = paths >= self.ko_ratio * s0
-        knocked_out = hit.any(axis=1)
-        stop = np.where(knocked_out, hit.argmax(axis=1) + 1, paths.shape[1])
-        return PathFlows(days, amounts * (days <= stop[:, None]), stop, knocked_out)
+        first = hit.argmax(axis=1)
+        knocked_out = hit[np.arange(n), first]
+        stop = np.where(knocked_out, first + 1, length)
+        # only a knocked-out row has flows to cancel after its stop day
+        rows = np.flatnonzero(knocked_out)
+        amounts[rows] *= days <= stop[rows, None]
+        return PathFlows(days, amounts, stop, knocked_out)
 
 
 @dataclass(frozen=True)
@@ -214,15 +239,16 @@ class Snowball(_Contract):
                    coupon_pa=section.snow_coupon, notional=section.snow_notional)
 
     def _flows(self, paths, s0, cal_frac) -> PathFlows:
-        length = paths.shape[1]
+        n, length = paths.shape
         day = np.arange(1, length + 1)
-        observed = (day % self.ko_obs_stride == 0) | (day == length)
-        ko_hit = (paths >= self.ko_ratio * s0) & observed
-        knocked_out = ko_hit.any(axis=1)
-        stop = np.where(knocked_out, ko_hit.argmax(axis=1) + 1, length)
+        observed = day[(day % self.ko_obs_stride == 0) | (day == length)]
+        ko_hit = paths[:, observed - 1] >= self.ko_ratio * s0
+        first = ko_hit.argmax(axis=1)
+        knocked_out = ko_hit[np.arange(n), first]
+        stop = np.where(knocked_out, observed[first], length)
         # without a KO, stop == length and the coupon accrues to maturity
         coupon = self.notional * self.coupon_pa * cal_frac[stop - 1]
-        knocked_in = (paths < self.ki_ratio * s0).any(axis=1)
+        knocked_in = _fold_days(np.minimum, paths) < self.ki_ratio * s0
         downside = self.notional * np.maximum(
             np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
         )

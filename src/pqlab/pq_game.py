@@ -51,6 +51,7 @@ CONTRACTS = {cls.__name__.lower(): cls for cls in CONTRACT_TYPES}
 PRODUCTS = tuple(CONTRACTS)
 
 GAME_CSV_HEADER = "level,cum_pnl,trades,longs,shorts,win_rate,sharpe"
+SLICES_CSV_HEADER = "start_date,fair,p_value,realized"
 
 LONG = "long"
 SHORT = "short"
@@ -110,8 +111,11 @@ class GameReport:
 
 @dataclass(frozen=True)
 class LevelOutcome:
+    """One level's report, its trades, and the side taken on every slice."""
+
     report: GameReport
     records: tuple[TradeRecord, ...]
+    sides: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -291,10 +295,12 @@ def run_game(values, contract: ContractSpec,
     outcomes = []
     for level in levels:
         records = []
+        sides = []
         pnl_by_date: defaultdict = defaultdict(float)
         for start_date, fair, p_value, realized in values:
             quote = make_quote(fair, level, mode, notional)
             side = decide_trade(p_value, quote, config.threshold)
+            sides.append(side)
             if side == NONE:
                 continue
             exec_price = quote.ask if side == LONG else quote.bid
@@ -319,7 +325,8 @@ def run_game(values, contract: ContractSpec,
             win_rate=(wins / trades) if trades else 0.0,
             sharpe=sharpe,
         )
-        outcomes.append(LevelOutcome(report=report, records=tuple(records)))
+        outcomes.append(LevelOutcome(report=report, records=tuple(records),
+                                     sides=tuple(sides)))
     return tuple(outcomes)
 
 
@@ -349,6 +356,18 @@ def write_game_csv(path, reports) -> None:
                 rep.longs, rep.shorts, repr(float(rep.win_rate)),
                 _sharpe_text(rep.sharpe),
             ])
+
+
+def write_slices_csv(path, values, outcomes) -> None:
+    """One row per test slice: Q's fair value, P's value, the realized value
+    (repr, lossless) and the side taken at each level, one column per level."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SLICES_CSV_HEADER.split(",")
+                        + [f"side_{float(o.report.level)!r}" for o in outcomes])
+        for i, (start_date, fair, p_value, realized) in enumerate(values):
+            writer.writerow([str(start_date), repr(float(fair)), repr(float(p_value)),
+                             repr(float(realized))] + [o.sides[i] for o in outcomes])
 
 
 def format_game_table(reports, title: str = "") -> str:

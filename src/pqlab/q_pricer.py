@@ -6,7 +6,8 @@ Paths use the exact log-Euler discretization on the trading-day grid,
 
 so there is no discretization bias for GBM.  Simulation is chunked with
 one RNG substream per chunk (seed sequence [seed, chunk]); the estimator
-reduces per-path values with compensated summation, making the result
+reduces per-path values with an exact, correctly rounded sum (``_exact_sum``,
+a vectorised superaccumulator with ``math.fsum``'s bits), making the result
 independent of chunk evaluation order.  ``price_all`` values several
 contracts on each simulated chunk, so every product of a game slice is
 priced from one path set (common random numbers); ``price`` is
@@ -120,20 +121,66 @@ def discounted_values(
     if not math.isfinite(r):
         raise DataError(f"rate must be finite, got {r}")
     flows = contract.cashflows(paths, s0, t_calendar)
-    disc = np.exp(-r * flows.days / TRADING_DAYS_PER_YEAR)
-    return np.sum(flows.amounts * disc, axis=1)
+    # the kernel's amounts are fresh, so the discount is multiplied in place
+    amounts = flows.amounts
+    amounts *= np.exp(-r * flows.days / TRADING_DAYS_PER_YEAR)
+    return np.sum(amounts, axis=1)
+
+
+# frexp gives x = m * 2**e with 0.5 <= |m| < 1 and, for finite float64,
+# -1073 <= e <= 1024; m * 2**53 is an integer, split in a high part below
+# 2**27 and a low part below 2**26.  A block of at most 2**26 values keeps
+# every per-exponent partial sum of either part an integer below 2**53.
+_HI_BITS, _LO_BITS = 27, 26
+_EXP_BIAS = 1073
+_BLOCK = 2**26
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of float64 values: math.fsum's bits.
+
+    Neal's superaccumulator (arXiv:1505.05571) in numpy: each part of the
+    significands is summed per exponent with ``np.bincount``, exactly in
+    float64; the few non-empty buckets are added as Python ints, and int
+    true division, which Python rounds correctly, rounds once.  The empty
+    and the all-zero sums are +0.0.  A non-finite value or a sum beyond
+    float64 is a DataError.
+    """
+    if not np.isfinite(values).all():
+        raise DataError("price estimate needs finite values to sum")
+    total = 0
+    for start in range(0, len(values), _BLOCK):
+        m, e = np.frexp(values[start:start + _BLOCK])
+        m *= 2.0**_HI_BITS
+        hi = np.trunc(m)
+        m -= hi
+        m *= 2.0**_LO_BITS
+        e += _EXP_BIAS
+        hi_sums = np.bincount(e, weights=hi)
+        lo_sums = np.bincount(e, weights=m)
+        live = np.flatnonzero((hi_sums != 0.0) | (lo_sums != 0.0))
+        for k, h, lo in zip(live.tolist(), hi_sums[live].tolist(), lo_sums[live].tolist()):
+            total += ((int(h) << _LO_BITS) + int(lo)) << k
+    try:
+        return total / (1 << (_EXP_BIAS + 53))
+    except OverflowError:
+        raise DataError(
+            f"price estimate overflows: the sum of {len(values)} values exceeds float64"
+        ) from None
 
 
 def _estimate(values: np.ndarray) -> PriceEstimate:
-    """Mean and standard error with compensated (exact) summation."""
+    """Mean and standard error from exact sums of the values and deviations."""
     n = len(values)
-    mean = math.fsum(values.tolist()) / n
+    mean = _exact_sum(values) / n
     if n > 1:
         # numpy squares each deviation as one correctly rounded product and
-        # fsum is exact, so the result equals a per-element loop of fsum over
-        # d * d bit for bit (not over Python's d ** 2, whose C library pow
-        # can be 1 ULP off)
-        var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
+        # the sum is exact, so the result equals a per-element loop of fsum
+        # over d * d bit for bit (not over Python's d ** 2, whose C library
+        # pow can be 1 ULP off)
+        dev = values - mean
+        dev *= dev
+        var = _exact_sum(dev) / (n - 1)
         std_error = math.sqrt(var / n)
     else:
         std_error = 0.0

@@ -11,7 +11,8 @@ from pqlab import diffusion, nn, objectives
 from pqlab.errors import DataError
 from pqlab import market_paths as mp
 from pqlab.market_paths import TRADING_DAYS_PER_YEAR
-from pqlab.payoffs import Accumulator, Asian, CashFlowSchedule, European, Lookback, Snowball
+from pqlab.payoffs import (Accumulator, Asian, CashFlowSchedule, European, Lookback, PathFlows,
+                           Snowball)
 
 
 def black_scholes_call(s0, k, r, sigma, t):
@@ -162,6 +163,49 @@ def cashflow_schedule(contract, path, s0, cal_frac=None):
               Asian: asian_payoff}[type(contract)]
     amount = payoff(path, s0, contract.strike_ratio)
     return CashFlowSchedule(np.array([n]), np.array([amount]), n, False)
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix kernels written with row reductions and out-of-place
+# products: the oracle that the in-place lookback, accumulator and snowball
+# ``_flows`` of ``pqlab.payoffs`` keep every bit.  Same (N, L) closes in,
+# same PathFlows out.
+
+
+def lookback_flows_reference(spec, paths, s0):
+    """Fixed-strike lookback call via a row-wise ``max``."""
+    n, length = paths.shape
+    payoff = np.maximum(paths.max(axis=1) - spec.strike_ratio * s0, 0.0)
+    return PathFlows(np.array([[length]]), payoff[:, None],
+                     np.full(n, length), np.zeros(n, dtype=bool))
+
+
+def accumulator_flows_reference(spec, paths, s0):
+    """Accumulator flows from ``any`` + ``argmax`` and out-of-place products."""
+    days = np.arange(1, paths.shape[1] + 1)[None, :]
+    k_d = spec.discount * s0
+    amounts = np.where(paths < k_d, 2.0, 1.0) * spec.daily_units * (paths - k_d)
+    hit = paths >= spec.ko_ratio * s0
+    knocked_out = hit.any(axis=1)
+    stop = np.where(knocked_out, hit.argmax(axis=1) + 1, paths.shape[1])
+    return PathFlows(days, amounts * (days <= stop[:, None]), stop, knocked_out)
+
+
+def snowball_flows_reference(spec, paths, s0, cal_frac):
+    """Snowball flows with KO read on every column and masked to the observed days."""
+    length = paths.shape[1]
+    day = np.arange(1, length + 1)
+    observed = (day % spec.ko_obs_stride == 0) | (day == length)
+    ko_hit = (paths >= spec.ko_ratio * s0) & observed
+    knocked_out = ko_hit.any(axis=1)
+    stop = np.where(knocked_out, ko_hit.argmax(axis=1) + 1, length)
+    coupon = spec.notional * spec.coupon_pa * cal_frac[stop - 1]
+    knocked_in = (paths < spec.ki_ratio * s0).any(axis=1)
+    downside = spec.notional * np.maximum(
+        np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
+    )
+    amount = np.where(knocked_out | ~knocked_in, coupon, downside)
+    return PathFlows(stop[:, None], amount[:, None], stop, stop < length)
 
 
 def synthesize_series_reference(cfg, seed):

@@ -127,3 +127,19 @@ def test_traced_game_records_one_span_per_contract_and_checks_its_trades():
     assert checked > 0
     assert bad == 0
 
+
+
+def test_traced_price_all_records_one_valuation_span_per_contract_per_chunk():
+    # the q_pricer.discounted_values row reads these spans: price_all must
+    # value each chunk through the module attribute, once per contract
+    book = [pq_game.CONTRACTS[product]() for product in layers.PRODUCTS]
+    params = q_pricer.GbmParams(s0=100.0, r=0.02, sigma=0.3, n_days=6,
+                                n_paths=q_pricer.CHUNK_PATHS + 5, seed=2)
+    tracer = Tracer()
+    try:
+        layers.instrument(tracer)
+        q_pricer.price_all(book, params, t_calendar=COND.t_calendar)
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans]
+    assert names == ["q_pricer.discounted_values"] * (2 * len(book))

@@ -1,6 +1,7 @@
 """Command-line layer: exit codes, artifacts, overrides, rerun determinism."""
 
 import configparser
+import csv
 import math
 import os
 import shutil
@@ -82,6 +83,7 @@ ARTIFACTS = (
     "game_european_0.0.csv",
     "game_european_0.2.csv",
     "game_european.txt",
+    "game_european_slices.csv",
 )
 
 
@@ -517,6 +519,36 @@ class TestGame:
             "level", "cum_pnl", "trades", "longs", "shorts", "win_rate", "sharpe",
         ]
 
+    def test_slices_csv_rows_and_sides(self, workspace):
+        _, out = workspace
+        with open(os.path.join(out, "game_european_slices.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["start_date", "fair", "p_value", "realized",
+                           "side_0.0", "side_0.2"]
+        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
+        assert len(rows) - 1 == int(manifest["test_slices"])
+        for row in rows[1:]:
+            assert np.datetime64(row[0], "D").astype(str) == row[0]
+            assert all(repr(float(cell)) == cell for cell in row[1:4])
+            assert set(row[4:]) <= {"long", "short", "none"}
+        for col, tag in ((4, "0.0"), (5, "0.2")):
+            with open(os.path.join(out, f"game_european_{tag}.csv")) as fh:
+                trades = int(fh.read().splitlines()[1].split(",")[2])
+            assert sum(row[col] != "none" for row in rows[1:]) == trades
+
+    def test_estimate_overflow_exits_3(self, workspace, tmp_path, capsys):
+        # a snowball notional whose Q sum overflows float64 at the default
+        # q_paths: a DataError naming the estimate, not an OverflowError
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "huge")
+        body = open(ini).read().replace("q_paths = 400\n", "")
+        huge = tmp_path / "huge.ini"
+        huge.write_text(body + "\n[contracts]\nsnow_notional = 1e307\n")
+        assert cli.main(["game", str(huge), "--out-dir", dest, "--product", "snowball"]) == 3
+        err = capsys.readouterr().err
+        assert "estimate" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(dest, "game_snowball.txt"))
+
     def test_product_and_levels_override(self, workspace):
         ini, out = workspace
         code = cli.main(
@@ -565,6 +597,7 @@ class TestSharedPPaths:
         assert sorted(got) == sorted(
             [f"game_{p}_{tag}.csv" for p in self.PRODUCTS for tag in ("0.0", "0.2")]
             + [f"game_{p}.txt" for p in self.PRODUCTS]
+            + [f"game_{p}_slices.csv" for p in self.PRODUCTS]
         )
         assert got == self.game_files(single)
 

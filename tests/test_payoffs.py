@@ -3,7 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cashflow_schedule, classify_snowball, discount_value, snowball_payoff
+from oracles import (
+    accumulator_flows_reference,
+    cashflow_schedule,
+    classify_snowball,
+    discount_value,
+    lookback_flows_reference,
+    snowball_flows_reference,
+    snowball_payoff,
+)
 
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
@@ -326,6 +334,83 @@ class TestMatchesOracle:
         cf = contract_cashflows(Snowball(), path, 100.0, linear_calendar_fraction(3, 0.1))
         assert cf.termination_day == 3
         assert not cf.terminated_early
+
+
+def flows_bytes(flows):
+    days, amounts, stop, early = flows
+    days = np.broadcast_to(days, amounts.shape)
+    return (days.astype(np.int64).tobytes(), amounts.dtype, amounts.tobytes(),
+            stop.astype(np.int64).tobytes(), early.dtype, early.tobytes())
+
+
+def reference_flows(contract, paths, s0, cal):
+    if isinstance(contract, Lookback):
+        return lookback_flows_reference(contract, paths, s0)
+    if isinstance(contract, Accumulator):
+        return accumulator_flows_reference(contract, paths, s0)
+    return snowball_flows_reference(contract, paths, s0, cal)
+
+
+# rows of closes drawn from the barrier mix, all of one length
+barrier_matrices = st.integers(1, 25).flatmap(lambda length: st.lists(
+    st.lists(st.one_of(st.floats(1.0, 500.0), st.sampled_from(BARRIERS)),
+             min_size=length, max_size=length),
+    min_size=1, max_size=8,
+)).map(np.array)
+
+
+class TestKernelsMatchReference:
+    """The lookback, accumulator and snowball kernels keep the reference bits."""
+
+    KERNELS = (
+        Lookback(),
+        Lookback(strike_ratio=0.9),
+        Accumulator(discount=0.9, ko_ratio=1.2),
+        Accumulator(discount=0.9, ko_ratio=1.05, daily_units=0.3),
+        Snowball(ko_ratio=1.05, ki_ratio=0.9, coupon_pa=0.15),
+        Snowball(ko_ratio=1.2, ki_ratio=0.8, ko_obs_stride=1),
+        Snowball(ko_ratio=1.05, ki_ratio=0.8, ko_obs_stride=3, notional=2.5),
+    )
+
+    # every row below shares one matrix, so rows of different KO days mix
+    EDGES = np.array([
+        [100.0, 120.0, 130.0, 95.0, 100.0, 100.0],  # accumulator KO exactly at 120
+        [100.0, 101.0, 99.0, 102.0, 103.0, 120.0],  # KO on the last day (all kinds)
+        [90.0, 89.0, 90.0, 91.0, 100.0, 100.0],  # closes exactly at K_d and KI 90
+        [100.0, 106.0, 110.0, 104.0, 105.0, 90.0],  # snowball KO between observations
+        [80.0, 100.0, 100.0, 100.0, 104.9, 100.0],  # close exactly at KI 80
+        [110.0, 95.0, 110.0, 100.0, 110.0, 80.0],  # tied maxima
+        [105.0, 105.0, 105.0, 105.0, 105.0, 105.0],  # at the snowball KO every day
+    ])
+
+    def check(self, paths, cal):
+        for contract in self.KERNELS:
+            got = contract.cashflows(paths, 100.0, cal)
+            want = reference_flows(contract, paths, 100.0, cal)
+            assert flows_bytes(got) == flows_bytes(want), contract
+
+    def test_edge_rows(self):
+        cal = linear_calendar_fraction(self.EDGES.shape[1], 0.03)
+        self.check(self.EDGES, cal)
+        for row in self.EDGES:
+            self.check(row[None, :], cal)
+
+    def test_edge_rows_are_edges(self):
+        # the rows above reach the cases they name
+        acc = Accumulator(discount=0.9, ko_ratio=1.2).cashflows(self.EDGES, 100.0)
+        assert acc.stop_day.tolist()[:2] == [2, 6]
+        assert acc.terminated_early.tolist()[:2] == [True, True]
+        snow = Snowball(ko_ratio=1.05, ki_ratio=0.8).cashflows(
+            self.EDGES, 100.0, linear_calendar_fraction(6, 0.03))
+        assert snow.stop_day.tolist()[3] == 5  # 106 and 110 fell on unobserved days
+        assert snow.stop_day.tolist()[1] == 6 and not snow.terminated_early[1]
+        look = Lookback().cashflows(self.EDGES, 100.0)
+        assert look.amounts[5, 0] == 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(barrier_matrices, st.floats(0.01, 3.0))
+    def test_matrices_bitwise(self, paths, t_cal):
+        self.check(paths, linear_calendar_fraction(paths.shape[1], t_cal))
 
 
 class TestKernelEntry:

@@ -211,6 +211,14 @@ class TestRunGameInvariants:
             recount = math.fsum(rec.pnl_p for rec in outcome.records)
             assert rep.cum_pnl == recount
 
+    def test_sides_name_every_slice_and_match_the_records(self):
+        outcomes = play(self.slices, European(), scaled_gbm_source(2.0),
+                        config=self.config)
+        for outcome in outcomes:
+            assert len(outcome.sides) == len(self.slices)
+            traded = [side for side in outcome.sides if side != game.NONE]
+            assert traded == [rec.side for rec in outcome.records]
+
     def test_long_pnl_decreases_with_level(self):
         # single slice, strongly inflated P: the same long executes at a
         # wider ask as the level grows

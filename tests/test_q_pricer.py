@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    accumulator_flows_reference,
     black_scholes_call,
     cashflow_schedule,
     discount_value,
     estimate_reference,
+    lookback_flows_reference,
     simulate_gbm_reference,
+    snowball_flows_reference,
 )
 
 import pqlab.q_pricer as qp
@@ -28,6 +31,7 @@ from pqlab.q_pricer import (
     GbmParams,
     PriceEstimate,
     _estimate,
+    _exact_sum,
     discounted_values,
     p_price,
     price,
@@ -115,6 +119,25 @@ class TestDiscountedValuesAgainstScalarTrace:
                 assert vec[i] == pytest.approx(
                     discount_value(cf, r), rel=1e-12, abs=1e-9
                 )
+
+
+class TestDiscountInPlace:
+    def test_keeps_the_out_of_place_bits(self):
+        # out-of-place amounts * disc over the reference kernels' flows
+        rng = np.random.default_rng(8)
+        paths = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, (64, 17)), axis=1))
+        t_cal = 17 / 252 * (365 / 252)
+        cal = linear_calendar_fraction(17, t_cal)
+        spec = TestDiscountedValuesAgainstScalarTrace.contracts
+        refs = {
+            spec[1]: lookback_flows_reference(spec[1], paths, 100.0),
+            spec[3]: accumulator_flows_reference(spec[3], paths, 100.0),
+            spec[4]: snowball_flows_reference(spec[4], paths, 100.0, cal),
+        }
+        for contract, flows in refs.items():
+            want = np.sum(flows.amounts * np.exp(-0.03 * flows.days / 252.0), axis=1)
+            got = discounted_values(contract, paths, 100.0, 0.03, t_calendar=t_cal)
+            assert got.tobytes() == want.tobytes(), contract
 
 
 class TestPrice:
@@ -304,3 +327,68 @@ class TestMatchesReference:
         want = simulate_gbm_reference(p, CHUNK_PATHS)
         assert got.shape == want.shape == (n_paths, 6)
         assert got.tobytes() == want.tobytes()
+
+
+# every finite float64 up to 1e300 in size, subnormals and both zeros included
+wide = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+class TestExactSum:
+    """_exact_sum has math.fsum's bits: the correctly rounded sum."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(wide, mixed_scale, st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])),
+        min_size=1, max_size=300), st.randoms(use_true_random=False))
+    @example([5e-324], None)
+    @example([-0.0], None)
+    @example([-0.0, -0.0, 0.0], None)
+    @example([1e300, 1.0, -1e300], None)
+    @example([0.1] * 10 + [-1.0], None)
+    @example([2.0**-1074, 2.0**-1074, -(2.0**-1022)], None)
+    def test_equals_fsum(self, values, rnd):
+        if rnd is not None:
+            # cancellation: the negated values join in a shuffled order
+            values = values + [-v for v in values[: rnd.randrange(len(values) + 1)]]
+            rnd.shuffle(values)
+        assert _exact_sum(np.array(values)).hex() == math.fsum(values).hex()
+
+    def test_zero_sums_are_positive_zero(self):
+        for values in ([-0.0], [-0.0, -0.0], [1.5, -1.5], [-5e-324, 5e-324]):
+            assert _exact_sum(np.array(values)).hex() == (0.0).hex()
+
+    def test_maximal_significands(self):
+        # all-ones significands of one sign and exponent: the largest bucket sums
+        values = np.full(70_001, np.nextafter(2.0, 0.0))
+        values[-1] = 0.75
+        assert _exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_sum_over_blocks(self, monkeypatch, block):
+        # the 2**26-value blocks, shrunk so that a small array spans several
+        monkeypatch.setattr(qp, "_BLOCK", block)
+        values = np.random.default_rng(block).normal(size=50) * 10.0 ** np.arange(-25, 25)
+        assert _exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(DataError, match="estimate"):
+            _exact_sum(np.array([1.0, bad, 2.0]))
+
+
+class TestEstimateOverflow:
+    """A mean or variance beyond float64 is a DataError, not a traceback."""
+
+    def test_sum_beyond_float64(self):
+        # math.fsum raised OverflowError here
+        with pytest.raises(DataError, match="estimate"):
+            _estimate(np.full(20_000, 1e307))
+
+    def test_squared_deviation_beyond_float64(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(DataError, match="estimate"):
+            _estimate(np.array([1e300, -1e300, 1e300]))
+
+    def test_opposite_infinities(self):
+        # math.fsum raised ValueError on inf + -inf
+        with pytest.raises(DataError, match="estimate"):
+            _estimate(np.array([math.inf, -math.inf]))
