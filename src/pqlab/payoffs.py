@@ -53,18 +53,6 @@ def linear_calendar_fraction(n_days: int, t_calendar: float) -> np.ndarray:
     return np.arange(1, n_days + 1, dtype=float) / n_days * t_calendar
 
 
-def _fold_days(ufunc, paths) -> np.ndarray:
-    """Per-path fold of an exact binary ufunc (max, min) across the days.
-
-    One vectorised call per day column: a reduction along short rows
-    costs a call per path instead.
-    """
-    out = paths[:, 0].copy()
-    for col in range(1, paths.shape[1]):
-        ufunc(out, paths[:, col], out=out)
-    return out
-
-
 class _Contract:
     """The checked kernel entry and the quoting defaults."""
 
@@ -83,9 +71,7 @@ class _Contract:
         paths = np.asarray(paths, dtype=float)
         if paths.ndim != 2 or paths.size == 0:
             raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
-        # min and max propagate NaN: both are finite exactly when every close
-        # is, and neither allocates an (N, L) mask
-        if not (np.isfinite(paths.min()) and np.isfinite(paths.max())):
+        if not np.isfinite(paths).all():
             raise DataError("paths must be finite")
         if not (math.isfinite(s0) and s0 > 0.0):
             raise DataError(f"s0 must be finite and positive, got {s0}")
@@ -132,7 +118,7 @@ class European(_TerminalCall):
 class Lookback(_TerminalCall):
     """Fixed-strike call on the path maximum."""
 
-    _underlying = staticmethod(lambda paths: _fold_days(np.maximum, paths))
+    _underlying = staticmethod(lambda paths: paths.max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -174,12 +160,11 @@ class Accumulator(_Contract):
         days = np.arange(1, length + 1)[None, :]
         k_d = self.discount * s0
         # q_t * (S_t - K_d), scaled in place: S_t - K_d is negative exactly
-        # where S_t < K_d, and a second (N, L) array would cost its page faults
+        # where S_t < K_d, and a second (N, L) float array would cost its page faults
         amounts = paths - k_d
         below = amounts < 0.0
         np.multiply(amounts, 2.0 * self.daily_units, out=amounts, where=below)
-        if self.daily_units != 1.0:  # x * 1.0 is x
-            np.multiply(amounts, self.daily_units, out=amounts, where=~below)
+        np.multiply(amounts, self.daily_units, out=amounts, where=~below)
         hit = paths >= self.ko_ratio * s0
         first = hit.argmax(axis=1)
         knocked_out = hit[np.arange(n), first]
@@ -242,13 +227,15 @@ class Snowball(_Contract):
         n, length = paths.shape
         day = np.arange(1, length + 1)
         observed = day[(day % self.ko_obs_stride == 0) | (day == length)]
-        ko_hit = paths[:, observed - 1] >= self.ko_ratio * s0
+        # np.take: the fancy index paths[:, observed - 1] is about 1.7x
+        # slower at 252 days
+        ko_hit = np.take(paths, observed - 1, axis=1) >= self.ko_ratio * s0
         first = ko_hit.argmax(axis=1)
         knocked_out = ko_hit[np.arange(n), first]
         stop = np.where(knocked_out, observed[first], length)
         # without a KO, stop == length and the coupon accrues to maturity
         coupon = self.notional * self.coupon_pa * cal_frac[stop - 1]
-        knocked_in = _fold_days(np.minimum, paths) < self.ki_ratio * s0
+        knocked_in = (paths < self.ki_ratio * s0).any(axis=1)
         downside = self.notional * np.maximum(
             np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
         )

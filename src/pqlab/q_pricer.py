@@ -136,7 +136,7 @@ _EXP_BIAS = 1073
 _BLOCK = 2**26
 
 
-def _exact_sum(values: np.ndarray) -> float:
+def _exact_sum(values: np.ndarray, what: str = "the sum") -> float:
     """The correctly rounded sum of float64 values: math.fsum's bits.
 
     Neal's superaccumulator (arXiv:1505.05571) in numpy: each part of the
@@ -144,10 +144,10 @@ def _exact_sum(values: np.ndarray) -> float:
     float64; the few non-empty buckets are added as Python ints, and int
     true division, which Python rounds correctly, rounds once.  The empty
     and the all-zero sums are +0.0.  A non-finite value or a sum beyond
-    float64 is a DataError.
+    float64 is a DataError naming ``what`` the sum is for.
     """
     if not np.isfinite(values).all():
-        raise DataError("price estimate needs finite values to sum")
+        raise DataError(f"price estimate: {what} has a non-finite term")
     total = 0
     for start in range(0, len(values), _BLOCK):
         m, e = np.frexp(values[start:start + _BLOCK])
@@ -165,22 +165,24 @@ def _exact_sum(values: np.ndarray) -> float:
         return total / (1 << (_EXP_BIAS + 53))
     except OverflowError:
         raise DataError(
-            f"price estimate overflows: the sum of {len(values)} values exceeds float64"
+            f"price estimate: {what} overflows float64 (a sum of {len(values)} terms)"
         ) from None
 
 
 def _estimate(values: np.ndarray) -> PriceEstimate:
     """Mean and standard error from exact sums of the values and deviations."""
     n = len(values)
-    mean = _exact_sum(values) / n
+    mean = _exact_sum(values, "the mean") / n
     if n > 1:
         # numpy squares each deviation as one correctly rounded product and
         # the sum is exact, so the result equals a per-element loop of fsum
         # over d * d bit for bit (not over Python's d ** 2, whose C library
-        # pow can be 1 ULP off)
-        dev = values - mean
-        dev *= dev
-        var = _exact_sum(dev) / (n - 1)
+        # pow can be 1 ULP off); a square beyond float64 is inf, which the
+        # sum reports as a DataError
+        with np.errstate(over="ignore"):
+            dev = values - mean
+            dev *= dev
+        var = _exact_sum(dev, "the variance") / (n - 1)
         std_error = math.sqrt(var / n)
     else:
         std_error = 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,12 +382,23 @@ class TestEstimateOverflow:
 
     def test_sum_beyond_float64(self):
         # math.fsum raised OverflowError here
-        with pytest.raises(DataError, match="estimate"):
+        with pytest.raises(DataError, match="estimate: the mean overflows"):
             _estimate(np.full(20_000, 1e307))
 
     def test_squared_deviation_beyond_float64(self):
-        with pytest.warns(RuntimeWarning), pytest.raises(DataError, match="estimate"):
-            _estimate(np.array([1e300, -1e300, 1e300]))
+        # every value is finite: the error names the variance, and numpy's
+        # overflow warning is not printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="estimate: the variance"):
+                _estimate(np.array([1e300, -1e300, 1e300]))
+
+    def test_sum_of_squares_beyond_float64(self):
+        # each square is finite, their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="estimate: the variance overflows"):
+                _estimate(np.array([1e154, -1e154, 1e154, -1e154]))
 
     def test_opposite_infinities(self):
         # math.fsum raised ValueError on inf + -inf
