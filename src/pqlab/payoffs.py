@@ -164,7 +164,8 @@ class Accumulator(_Contract):
         amounts = paths - k_d
         below = amounts < 0.0
         np.multiply(amounts, 2.0 * self.daily_units, out=amounts, where=below)
-        np.multiply(amounts, self.daily_units, out=amounts, where=~below)
+        if self.daily_units != 1.0:  # x * 1.0 is x; a masked multiply is slow
+            np.multiply(amounts, self.daily_units, out=amounts, where=~below)
         hit = paths >= self.ko_ratio * s0
         first = hit.argmax(axis=1)
         knocked_out = hit[np.arange(n), first]
