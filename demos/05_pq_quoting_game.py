@@ -27,7 +27,7 @@ def make_slice(seed, n=20):
         t_trading=n / 252.0, n_trading=n,
     )
     return PathSlice(
-        s0=100.0, log_returns=returns, mask=np.ones(n, dtype=bool),
+        s0=100.0, log_returns=returns,
         condition=condition, window_calendar_days=2 * n,
         start_date=np.datetime64("2021-01-04") + seed,
     )

@@ -222,13 +222,8 @@ def unflatten_params(vector: np.ndarray, spec) -> dict:
     return out
 
 
-def cond_embed(c: np.ndarray, params: dict) -> np.ndarray:
-    """Two-layer MLP embedding of the condition vector: W2 ReLU(W1 c + b1) + b2."""
-    out, _ = _cond_embed_fwd(np.atleast_2d(np.asarray(c, dtype=float)), params)
-    return out
-
-
 def _cond_embed_fwd(c: np.ndarray, params: dict):
+    """Two-layer MLP embedding of the (B, C) conditions: W2 ReLU(W1 c + b1) + b2."""
     h, cache1 = nn.linear(c, params["cond.w1"], params["cond.b1"])
     a, mask = nn.relu(h)
     out, cache2 = nn.linear(a, params["cond.w2"], params["cond.b2"])

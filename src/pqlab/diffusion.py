@@ -32,7 +32,7 @@ MODES = ("eps", "x0", "v")
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """beta/alpha/alpha_bar tables for T steps, index t-1 holds step t."""
+    """The beta table for T steps (index t-1 holds step t); alpha_bar_at reads abar_t."""
 
     beta: np.ndarray
     # abar_t for t in 0..T, built once from a private read-only copy of beta
@@ -53,14 +53,6 @@ class NoiseSchedule:
     @property
     def T(self) -> int:
         return len(self.beta)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return 1.0 - self.beta
-
-    @property
-    def alpha_bar(self) -> np.ndarray:
-        return self._abar_table[1:].copy()
 
     def alpha_bar_at(self, t) -> np.ndarray:
         """abar_t for integer step(s) t in 0..T; t=0 returns 1."""

@@ -146,11 +146,10 @@ class ConditionVector:
 
 @dataclass(frozen=True)
 class PathSlice:
-    """One training/test sample: masked log-return sequence plus features."""
+    """One training/test sample: its log-return sequence plus features."""
 
     s0: float
-    log_returns: np.ndarray  # valid returns only, length == condition.n_trading
-    mask: np.ndarray  # bool, length L_max, contiguous true prefix
+    log_returns: np.ndarray  # length == condition.n_trading
     condition: ConditionVector
     window_calendar_days: int
     start_date: np.datetime64
@@ -161,19 +160,12 @@ class PathSlice:
         lr = np.asarray(self.log_returns, dtype=float)
         if not np.isfinite(lr).all():
             raise DataError("log_returns must be finite")
-        mask = np.asarray(self.mask, dtype=bool)
-        n = int(mask.sum())
-        if n != len(lr):
-            raise DataError("mask true-count must equal number of valid returns")
         if len(lr) != self.condition.n_trading:
             raise DataError(
                 f"slice has {len(lr)} returns, its condition says "
                 f"n_trading = {self.condition.n_trading}"
             )
-        if n and not mask[:n].all():
-            raise DataError("mask must be a contiguous true prefix")
         object.__setattr__(self, "log_returns", lr)
-        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -184,13 +176,6 @@ class SplitSlices:
     test: list
     skipped: Counter
     l_max: int
-
-
-def log_return(p_prev: float, p_curr: float) -> float:
-    """r = ln(p_curr / p_prev); prices must be strictly positive."""
-    if p_prev <= 0.0 or p_curr <= 0.0:
-        raise DataError("log return requires strictly positive prices")
-    return math.log(p_curr / p_prev)
 
 
 def log_returns(closes: np.ndarray) -> np.ndarray:
@@ -325,8 +310,8 @@ def slice_dataset(
     `window` calendar days.  Slices starting before `split_date` belong to
     the training set but are dropped if any price they would touch falls on
     or after the split (look-ahead prevention); slices starting on or after
-    the split form the test set.  Returns are padded to the longest slice
-    and masked.
+    the split form the test set.  Each slice keeps only its own returns;
+    ``l_max`` is the longest slice's length.
 
     Skip reasons (counted, not fatal): window running off the end of the
     series, not enough history for sigma_hist, trading-day density above
@@ -391,12 +376,9 @@ def slice_dataset(
     l_max = max((len(r[2]) for r in raw), default=0)
     train, test = [], []
     for start_idx, w, rets, cond, is_train in raw:
-        mask = np.zeros(l_max, dtype=bool)
-        mask[: len(rets)] = True
         sl = PathSlice(
             s0=float(t_closes[start_idx]),
             log_returns=rets,
-            mask=mask,
             condition=cond,
             window_calendar_days=w,
             start_date=t_dates[start_idx],
@@ -519,26 +501,22 @@ def _read_group(archive, group: str) -> dict:
     return col
 
 
-def _unpack_group(col: dict, l_max: int) -> list:
+def _unpack_group(col: dict) -> list:
     offsets = col["offsets"]
     slices = []
     for i in range(len(offsets) - 1):
         rets = col["returns"][offsets[i] : offsets[i + 1]]
-        n = len(rets)
-        mask = np.zeros(l_max, dtype=bool)
-        mask[:n] = True
         cond = ConditionVector(
             sigma_hist=float(col["sigma"][i]),
             r=float(col["r"][i]),
             t_calendar=float(col["tcal"][i]),
             t_trading=float(col["ttrad"][i]),
-            n_trading=n,
+            n_trading=len(rets),
         )
         slices.append(
             PathSlice(
                 s0=float(col["s0"][i]),
                 log_returns=rets.copy(),
-                mask=mask,
                 condition=cond,
                 window_calendar_days=int(col["window"][i]),
                 start_date=col["start"][i],
@@ -616,8 +594,8 @@ def load_slices(path) -> SplitSlices:
         if longest != l_max:
             raise ValueError(f"l_max = {l_max}, but the longest slice has {longest} returns")
         return SplitSlices(
-            train=_unpack_group(groups["train"], l_max),
-            test=_unpack_group(groups["test"], l_max),
+            train=_unpack_group(groups["train"]),
+            test=_unpack_group(groups["test"]),
             skipped=Counter({str(name): int(count) for name, count in zip(names, counts)}),
             l_max=l_max,
         )

@@ -12,8 +12,9 @@ Each auxiliary term is one batched kernel over a (G, n) block of rows that
 share a valid length n.  total_loss groups the batch rows by mask length,
 slices each group's valid prefixes out (padding is never read, so it may
 hold anything), evaluates every kernel once per group and scatters the
-weighted gradients back.  The public single-term functions are the same
-kernels applied to one (1, n) row.
+weighted gradients back.  The loss terms are reached only through
+total_loss; ``kurtosis`` (read by path_stats) and ``pinball_loss`` are the
+public one-sequence statistics, each a kernel applied to one (1, n) row.
 
 All sequence statistics use population (biased) moments so that the
 small-sequence identities asserted in the tests are exact.  Standard
@@ -129,16 +130,6 @@ def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _pair(pred, true) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(true, dtype=np.float64)
-    if p.ndim != 1 or t.ndim != 1:
-        raise DataError("expected 1-D sequences")
-    if p.shape != t.shape:
-        raise DataError(f"pred and true shapes differ: {p.shape} vs {t.shape}")
-    return p, t
-
-
 def _prefix_lens(mask: np.ndarray) -> np.ndarray:
     """Valid length of each row of a (B, L) mask of contiguous prefixes."""
     lens = mask.sum(axis=1)
@@ -201,8 +192,6 @@ def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _vol_clustering(
     p: np.ndarray, t: np.ndarray, window: int, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if window < 1 or stride < 1:
-        raise ConfigError(f"window and stride must be >= 1, got {window}, {stride}")
     if window > p.shape[1]:
         _warn("vol clustering window exceeds valid length; returning 0")
         return np.zeros(len(p)), np.zeros_like(p)
@@ -317,47 +306,7 @@ def _spectral(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# public single-term views: the batched kernels on one (1, n) row
-
-
-def _single(kernel, pred, true, *args) -> float:
-    p, t = _pair(pred, true)
-    values, _, *defined = kernel(p[None], t[None], *args)
-    if defined and not defined[0][0]:
-        raise NumericError("term undefined for a zero-variance or all-zero sequence")
-    return float(values[0])
-
-
-def masked_mse(y, y_hat, mask) -> float:
-    """Mean squared error over valid positions only: (1/|M|) sum M*(y-yhat)^2."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    value, _ = _masked_mse_vg(y, y_hat, mask)
-    return value
-
-
-def jump_loss(pred, true, mask=None) -> float:
-    """Mean absolute difference of first differences over valid adjacent pairs."""
-    p, t = _pair(pred, true)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != p.shape:
-            raise DataError("mask shape must match the sequences")
-        n = int(_prefix_lens(m[None])[0])
-        p, t = p[:n], t[:n]
-    return _single(_jump, p, t)
-
-
-def vol_clustering_loss(
-    pred, true, window: int = DEFAULT_VOL_WINDOW, stride: int = DEFAULT_VOL_STRIDE
-) -> float:
-    """SmoothL1 distance between rolling-window standard deviation vectors."""
-    return _single(_vol_clustering, pred, true, window, stride)
-
-
-def global_vol_loss(pred, true) -> float:
-    """Absolute difference of the global standard deviations."""
-    return _single(_global_vol, pred, true)
+# public one-sequence statistics
 
 
 def kurtosis(x) -> float:
@@ -371,16 +320,6 @@ def kurtosis(x) -> float:
     return float(values[0])
 
 
-def tail_loss(pred, true) -> float:
-    """Squared difference of excess kurtosis."""
-    return _single(_tail, pred, true)
-
-
-def drift_loss(pred, true) -> float:
-    """Squared difference of the telescoped total change (last - first)."""
-    return _single(_drift, pred, true)
-
-
 def pinball_loss(y, y_hat, q: float) -> float:
     """Quantile loss: q*(y-yhat) when y >= yhat, else (1-q)*(yhat-y)."""
     if not 0.0 < q < 1.0:
@@ -391,22 +330,6 @@ def pinball_loss(y, y_hat, q: float) -> float:
         raise DataError(f"y and y_hat shapes differ: {ya.shape} vs {yh.shape}")
     values, _ = _pinball(ya.reshape(1, -1), yh.reshape(1, -1), q)
     return float(values[0])
-
-
-def magnitude_spectrum(x) -> np.ndarray:
-    """Max-normalized magnitude spectrum |X_k| / max|X| of a 1-D sequence."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DataError("expected a non-empty 1-D sequence")
-    _, mag, peak, defined = _spectrum(arr[None])
-    if not defined[0]:
-        raise NumericError("spectral loss undefined for an all-zero sequence")
-    return mag[0] / peak[0]
-
-
-def spectral_loss(pred, true) -> float:
-    """SmoothL1 distance between max-normalized magnitude spectra."""
-    return _single(_spectral, pred, true)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,8 @@ class Asian(_TerminalCall):
 class Accumulator(_Contract):
     """Daily purchase at the discounted strike K_d = discount * s0.
 
-    Each day the holder buys daily_units units (doubled while the close
-    sits below K_d), booking CF_t = q_t * (S_t - K_d).  The contract
+    Each day the holder buys one unit (two while the close sits below
+    K_d), booking CF_t = q_t * (S_t - K_d).  The contract
     knocks out the first day the close reaches ko_ratio * s0; that day's
     purchase still settles, and a knock-out is an early termination even
     on the final day.
@@ -141,15 +141,12 @@ class Accumulator(_Contract):
 
     discount: float = 0.9
     ko_ratio: float = 1.2
-    daily_units: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount < 1.0:
             raise ConfigError("discount must lie in (0, 1)")
         if not math.isfinite(self.ko_ratio) or self.ko_ratio <= 1.0:
             raise ConfigError("ko_ratio must be finite and exceed 1")
-        if not math.isfinite(self.daily_units) or self.daily_units <= 0.0:
-            raise ConfigError("daily_units must be finite and positive")
 
     @classmethod
     def from_contracts(cls, section):
@@ -163,9 +160,7 @@ class Accumulator(_Contract):
         # where S_t < K_d, and a second (N, L) float array would cost its page faults
         amounts = paths - k_d
         below = amounts < 0.0
-        np.multiply(amounts, 2.0 * self.daily_units, out=amounts, where=below)
-        if self.daily_units != 1.0:  # x * 1.0 is x; a masked multiply is slow
-            np.multiply(amounts, self.daily_units, out=amounts, where=~below)
+        np.multiply(amounts, 2.0, out=amounts, where=below)
         hit = paths >= self.ko_ratio * s0
         first = hit.argmax(axis=1)
         knocked_out = hit[np.arange(n), first]
@@ -180,7 +175,7 @@ class Accumulator(_Contract):
 class Snowball(_Contract):
     """Autocallable note: KO coupon, daily KI, downside at maturity.
 
-    KO is observed every ko_obs_stride trading days and on the final
+    KO is observed every ko_obs_stride (5) trading days and on the final
     day; the first observation at or above ko_ratio * s0 ends the
     contract with a coupon accrued over elapsed calendar time.  KI is
     observed daily below ki_ratio * s0.  If KI was ever hit and KO
@@ -193,11 +188,11 @@ class Snowball(_Contract):
     quote_mode: ClassVar[str] = "absolute"
     default_levels: ClassVar[tuple[float, ...]] = ABSOLUTE_LEVELS
     needs_calendar: ClassVar[bool] = True
+    ko_obs_stride: ClassVar[int] = 5
 
     ko_ratio: float = 1.05
     ki_ratio: float = 0.8
     coupon_pa: float = 0.12
-    ko_obs_stride: int = 5
     notional: float = 1_000_000.0
 
     def __post_init__(self) -> None:
@@ -210,8 +205,6 @@ class Snowball(_Contract):
             raise ConfigError("ki_ratio must be positive")
         if self.coupon_pa < 0.0:
             raise ConfigError("coupon_pa must be non-negative")
-        if self.ko_obs_stride < 1:
-            raise ConfigError("ko_obs_stride must be at least 1")
         if self.notional <= 0.0:
             raise ConfigError("notional must be positive")
 

@@ -136,6 +136,8 @@ class GameConfig:
     discount: bool = True
 
     def __post_init__(self) -> None:
+        if not self.products:
+            raise ConfigError("products must name at least one product")
         for product in self.products:
             if product not in CONTRACTS:
                 raise ConfigError(
@@ -143,6 +145,11 @@ class GameConfig:
                 )
         if not all(math.isfinite(lv) and lv >= 0.0 for lv in self.levels):
             raise ConfigError(f"levels must be finite and >= 0, got {self.levels}")
+        # a repeat would value a book twice or write two columns of one name
+        for name in ("products", "levels"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {values}")
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.q_paths < 1:

@@ -212,7 +212,7 @@ def sample_paths(model: GeneratorModel, config: SamplerConfig,
 
 
 def write_path_bundle(csv_path, paths: np.ndarray, condition: ConditionVector,
-                      config: SamplerConfig, extra: dict | None = None) -> None:
+                      config: SamplerConfig) -> None:
     """Write generated paths as path_id,step,log_return rows plus a sidecar.
 
     step is 1-based so it matches cash-flow day indexing.  The sidecar
@@ -240,13 +240,15 @@ def write_path_bundle(csv_path, paths: np.ndarray, condition: ConditionVector,
         "t_trading": repr(float(condition.t_trading)),
         "n_trading": condition.n_trading,
     }
-    if extra:
-        entries.update(extra)
     write_manifest(f"{csv_path}.manifest", entries)
 
 
 def read_path_bundle(csv_path) -> tuple[np.ndarray, dict]:
-    """Load a path bundle written by write_path_bundle."""
+    """Load a path bundle written by write_path_bundle.
+
+    The CSV must hold exactly one row per (path_id, step) cell of the
+    manifest's n_paths x n_steps grid; anything else is a DataError.
+    """
     manifest_path = f"{csv_path}.manifest"
     manifest = read_manifest(manifest_path)
     n_paths = manifest_value(manifest, "n_paths", int, manifest_path)
@@ -262,6 +264,9 @@ def read_path_bundle(csv_path) -> tuple[np.ndarray, dict]:
     header = rows[0] if rows else None
     if header != BUNDLE_CSV_HEADER.split(","):
         raise DataError(f"{csv_path}: unexpected header {header}")
+    if len(rows) - 1 != n_paths * n_steps:
+        raise DataError(f"{csv_path}: {len(rows) - 1} data rows for a "
+                        f"{n_paths} x {n_steps} grid")
     for row in rows[1:]:
         if len(row) != 3:
             raise DataError(f"{csv_path}: bad row {row}")

@@ -93,7 +93,7 @@ def asian_payoff(path, s0, strike_ratio=1.0):
 
 
 def accumulator_cashflows(path, s0, spec):
-    """Daily CF_t = q_t * units * (S_t - K_d); the KO day settles, then stops."""
+    """Daily CF_t = q_t * (S_t - K_d); the KO day settles, then stops."""
     path = _check_path(path)
     k_d = spec.discount * s0
     ko_level = spec.ko_ratio * s0
@@ -102,7 +102,7 @@ def accumulator_cashflows(path, s0, spec):
     for t, s in enumerate(path, start=1):
         q = 2.0 if s < k_d else 1.0
         days.append(t)
-        amounts.append(q * spec.daily_units * (s - k_d))
+        amounts.append(q * (s - k_d))
         if s >= ko_level:
             termination_day, terminated = t, True
             break
@@ -184,7 +184,7 @@ def accumulator_flows_reference(spec, paths, s0):
     """Accumulator flows from ``any`` + ``argmax`` and out-of-place products."""
     days = np.arange(1, paths.shape[1] + 1)[None, :]
     k_d = spec.discount * s0
-    amounts = np.where(paths < k_d, 2.0, 1.0) * spec.daily_units * (paths - k_d)
+    amounts = np.where(paths < k_d, 2.0, 1.0) * (paths - k_d)
     hit = paths >= spec.ko_ratio * s0
     knocked_out = hit.any(axis=1)
     stop = np.where(knocked_out, hit.argmax(axis=1) + 1, paths.shape[1])

@@ -237,7 +237,6 @@ def _game_slice(seed: int, n: int = 20) -> PathSlice:
     return PathSlice(
         s0=100.0,
         log_returns=returns,
-        mask=np.ones(n, dtype=bool),
         condition=condition,
         window_calendar_days=2 * n,
         start_date=np.datetime64("2021-01-04") + seed,

@@ -2,16 +2,20 @@
 
 ``perfbench.layers.instrument`` installs span shims by attribute name, so
 a renamed or moved function would otherwise break only the benchmark's own
-test suite.  This test runs no workload.
+test suite.  The last test loads each workload's INI and names its
+artifacts, so a deleted INI key or contract name fails here too.  No test
+here runs a workload.
 """
 
 import numpy as np
-from perfbench import layers
+import pytest
+from perfbench import layers, workloads
 from perfbench.tracing import Tracer
 
 import pqlab.diffusion as diffusion
 import pqlab.pq_game as pq_game
 import pqlab.q_pricer as q_pricer
+import pqlab.runconfig as runconfig
 import pqlab.sampler as sampler
 import pqlab.training as training
 from pqlab.denoiser import DenoiserConfig, init_bn_state, init_params
@@ -70,7 +74,7 @@ def test_traced_train_step_still_sees_the_forward_backward_and_loss():
     # clip shim the (grads, norm) result and max_norm at position 1
     rng = np.random.default_rng(4)
     slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
-                        mask=np.ones(6, dtype=bool), condition=COND,
+                        condition=COND,
                         window_calendar_days=12, start_date=np.datetime64("2020-01-02"))
               for _ in range(3)]
     state = training.init_state(NET, diffusion.build_schedule(50), "v", 0.01, seed=0)
@@ -101,7 +105,7 @@ def test_traced_game_records_one_span_per_contract_and_checks_its_trades():
     # names each by the contract at position 1 and counts its trade records
     rng = np.random.default_rng(5)
     slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
-                        mask=np.ones(6, dtype=bool), condition=COND,
+                        condition=COND,
                         window_calendar_days=12,
                         start_date=np.datetime64("2020-01-02") + i)
               for i in range(4)]
@@ -143,3 +147,18 @@ def test_traced_price_all_records_one_valuation_span_per_contract_per_chunk():
         tracer.restore()
     names = [s.name for s in tracer.spans]
     assert names == ["q_pricer.discounted_values"] * (2 * len(book))
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_inputs_still_load(tmp_path, workload):
+    # the benchmark writes its INI and names its artifacts from these pqlab
+    # names and keys; this builds both for the full plan and runs nothing
+    out = str(tmp_path / "out")
+    ini = tmp_path / "run.ini"
+    ini.write_text(workloads.make_ini(workload, 1, out, workloads.FULL))
+    cfg = runconfig.load_config(ini)
+    assert cfg.out_dir == out
+    runner = workloads.Runner(workload, 1, workloads.FULL, str(tmp_path))
+    for setup in (False, True):
+        names = runner.artifacts(setup)
+        assert names and all(isinstance(name, str) for name in names)

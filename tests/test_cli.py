@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pqlab.q_pricer as q_pricer
 import pqlab.runconfig as rc
 import pqlab.sampler as sampler
 import pqlab.training as training
-from pqlab.errors import NumericError
+from pqlab.errors import DataError, NumericError
 from pqlab.path_stats import METRICS
 from pqlab.sampler import read_path_bundle
 
@@ -157,6 +158,15 @@ class TestExitCodes:
         ini, _ = workspace
         assert cli.main(["game", ini, "--product", "swaption"]) == 2
         assert "swaption" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["0.1,0.1", "0.0,0.2,0.0"])
+    def test_repeated_levels_override_is_config_error(self, workspace, tmp_path, capsys,
+                                                      levels):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "out")
+        assert cli.main(["game", ini, "--out-dir", dest, "--levels", levels]) == 2
+        assert "levels must not repeat" in capsys.readouterr().err
+        assert not any(name.startswith("game_") for name in os.listdir(dest))
 
     def test_checkpoint_missing_entry_is_data_error(self, workspace, tmp_path, capsys):
         ini, out = workspace
@@ -355,6 +365,49 @@ class TestFuzzedStores:
         entries[key] = data.draw(SMALL_ARRAYS, label="value")
         np.savez(path, **entries)
         assert cli.main(["sample", ini, "--out-dir", dest]) in (0, 3)
+
+
+# a return_scale value: every float repr (NaN, infinities, zeros and
+# negatives included), hand-picked edge spellings, and free text
+SCALE_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " 0.01 ", "1e999", "1e-400", "-0.0", "0x10", "1_0", "+inf"]),
+    st.text(max_size=12),
+)
+# a manifest line: a return_scale entry or garbage (no "=", comments, other keys)
+MANIFEST_LINES = st.one_of(
+    SCALE_VALUES.map(lambda value: "return_scale=" + value),
+    st.text(max_size=30),
+)
+
+
+class TestFuzzedManifest:
+    """``_load_slices`` yields a finite, positive return scale or a DataError."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_scale_is_finite_positive_or_data_error(self, workspace, tmp_path_factory,
+                                                    data):
+        ini, out = workspace
+        with open(os.path.join(out, "dataset.manifest"), "rb") as fh:
+            real = fh.read()
+        blob = data.draw(st.one_of(
+            st.integers(0, len(real)).map(lambda cut: real[:cut]),  # truncated
+            st.binary(max_size=120),  # arbitrary bytes, mostly not UTF-8
+            st.lists(MANIFEST_LINES, max_size=6).map(
+                lambda lines: "\n".join(lines).encode("utf-8")),
+        ), label="manifest")
+        dest = tmp_path_factory.getbasetemp() / "fuzzed_manifest"
+        if not dest.exists():
+            copy_game_inputs(out, dest)
+        with open(os.path.join(dest, "dataset.manifest"), "wb") as fh:
+            fh.write(blob)
+        cfg = replace(rc.load_config(ini), out_dir=str(dest))
+        try:
+            _, scale = cli._load_slices(cfg)
+        except DataError:
+            return
+        assert type(scale) is float and math.isfinite(scale) and scale > 0.0
 
 
 class TestPrepare:

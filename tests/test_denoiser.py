@@ -80,7 +80,7 @@ class TestCondEmbed:
             "cond.w2": np.zeros((2, 4)),
             "cond.b2": np.zeros(2),
         }
-        out = dn.cond_embed(np.array([1.0, -2.0, 3.0]), params)
+        out, _ = dn._cond_embed_fwd(np.array([[1.0, -2.0, 3.0]]), params)
         assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_composition_is_relu(self):
@@ -91,7 +91,7 @@ class TestCondEmbed:
             "cond.b2": np.zeros(3),
         }
         c = np.array([1.0, -1.0, 0.5])
-        out = dn.cond_embed(c, params)[0]
+        out = dn._cond_embed_fwd(c[None], params)[0][0]
         assert np.array_equal(out, np.maximum(c, 0.0))
 
     def test_matches_dense_algebra_oracle(self):
@@ -106,7 +106,7 @@ class TestCondEmbed:
         expected = params["cond.w2"] @ np.maximum(
             params["cond.w1"] @ c + params["cond.b1"], 0.0
         ) + params["cond.b2"]
-        assert np.allclose(dn.cond_embed(c, params)[0], expected, atol=1e-12)
+        assert np.allclose(dn._cond_embed_fwd(c[None], params)[0][0], expected, atol=1e-12)
 
 
 class TestConfigValidation:

@@ -16,7 +16,6 @@ from pqlab.market_paths import (
     annualized_volatility,
     load_rates_csv,
     load_series_csv,
-    log_return,
     log_returns,
     parse_date,
     read_manifest,
@@ -32,7 +31,7 @@ def make_path_slice(s0=100.0, log_returns=(0.01, 0.0, -0.02)):
     cond = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=0.02,
                            t_trading=n / 252.0, n_trading=n)
     return PathSlice(s0=s0, log_returns=np.array(log_returns, dtype=float),
-                     mask=np.ones(n, dtype=bool), condition=cond,
+                     condition=cond,
                      window_calendar_days=7, start_date=np.datetime64("2020-01-02"))
 
 
@@ -43,16 +42,16 @@ def flat_rates(windows, start_date, rate=0.02):
 
 class TestLogReturn:
     def test_identity(self):
-        assert log_return(100.0, 100.0) == 0.0
+        assert log_returns([100.0, 100.0]).tolist() == [0.0]
 
     def test_ten_percent_up(self):
-        assert log_return(100.0, 110.0) == pytest.approx(0.0953102, abs=1e-7)
+        assert log_returns([100.0, 110.0])[0] == pytest.approx(0.0953102, abs=1e-7)
 
     def test_non_positive_price(self):
         with pytest.raises(DataError):
-            log_return(100.0, 0.0)
+            log_returns([100.0, 0.0])
         with pytest.raises(DataError):
-            log_return(-1.0, 100.0)
+            log_returns([-1.0, 100.0])
 
 
 class TestAnnualizedVolatility:
@@ -193,8 +192,7 @@ class TestSliceDataset:
             c = sl.condition
             assert c.t_trading <= c.t_calendar + 1e-12
             assert c.sigma_hist >= 0.0
-            assert c.n_trading == len(sl.log_returns) == int(sl.mask.sum())
-            assert sl.mask[: c.n_trading].all()
+            assert c.n_trading == len(sl.log_returns) <= out.l_max
             assert c.t_calendar == sl.window_calendar_days / 365
 
     def test_sigma_hist_needs_sixty_prior_days(self, series):
@@ -414,7 +412,7 @@ class TestNonFiniteRejected:
         cond = ConditionVector(sigma_hist=0.2, r=0.03, t_calendar=0.1,
                                t_trading=n_trading / 252.0, n_trading=n_trading)
         with pytest.raises(DataError, match="3 returns.*n_trading = "):
-            PathSlice(s0=good.s0, log_returns=good.log_returns, mask=good.mask,
+            PathSlice(s0=good.s0, log_returns=good.log_returns,
                       condition=cond, window_calendar_days=7,
                       start_date=good.start_date)
 
@@ -437,7 +435,6 @@ class TestSliceStore:
         for orig, copy in zip(split.train + split.test, back.train + back.test):
             assert copy.s0 == orig.s0
             assert np.array_equal(copy.log_returns, orig.log_returns)
-            assert np.array_equal(copy.mask, orig.mask)
             assert copy.condition == orig.condition
             assert copy.window_calendar_days == orig.window_calendar_days
             assert copy.start_date == orig.start_date

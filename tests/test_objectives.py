@@ -30,109 +30,124 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
     assert rel.max() < tol, f"max rel err {rel.max():.3e}"
 
 
+def row(x):
+    """A sequence as the one-row (1, n) float64 block the kernels take."""
+    return np.asarray(x, dtype=np.float64)[None]
+
+
 class TestMaskedMse:
     def test_zero_at_equality(self):
         y = np.array([0.3, -0.1, 2.0])
-        assert obj.masked_mse(y, y, np.ones(3, dtype=bool)) == 0.0
+        assert obj._masked_mse_vg(y, y, np.ones(3, dtype=bool))[0] == 0.0
 
     def test_masked_entry_ignored(self):
-        assert obj.masked_mse([1.0, 9.0], [0.0, 0.0], [True, False]) == 1.0
+        value, _ = obj._masked_mse_vg(np.array([1.0, 9.0]), np.zeros(2), [True, False])
+        assert value == 1.0
 
     def test_full_mask_hand_sum(self):
         # (1 + 4 + 9) / 3
-        value = obj.masked_mse([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [True] * 3)
+        value, _ = obj._masked_mse_vg(np.array([1.0, 2.0, 3.0]), np.zeros(3), [True] * 3)
         assert abs(value - 14.0 / 3.0) < 1e-15
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DataError):
-            obj.masked_mse([1.0], [1.0], [False])
+            obj._masked_mse_vg(np.ones(1), np.ones(1), [False])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
-            obj.masked_mse([1.0, 2.0], [1.0], [True])
+            obj._masked_mse_vg(np.array([1.0, 2.0]), np.ones(1), [True])
 
     def test_nan_in_masked_slot_is_inert(self):
-        value = obj.masked_mse([1.0, np.nan], [0.0, np.nan], [True, False])
+        value, _ = obj._masked_mse_vg(np.array([1.0, np.nan]), np.array([0.0, np.nan]),
+                                      [True, False])
         assert value == 1.0
 
     def test_batched_2d(self):
         y = np.zeros((2, 2))
         y_hat = np.array([[1.0, 5.0], [2.0, 5.0]])
         mask = np.array([[True, False], [True, False]])
-        assert obj.masked_mse(y, y_hat, mask) == 2.5
+        assert obj._masked_mse_vg(y, y_hat, mask)[0] == 2.5
 
 
 class TestJumpLoss:
     def test_zero_at_equality(self):
-        p = np.array([0.1, 0.5, -0.2])
-        assert obj.jump_loss(p, p) == 0.0
+        p = row([0.1, 0.5, -0.2])
+        assert obj._jump(p, p)[0][0] == 0.0
 
     def test_single_pair(self):
-        assert obj.jump_loss([0.0, 2.0], [0.0, 1.0]) == 1.0
+        assert obj._jump(row([0.0, 2.0]), row([0.0, 1.0]))[0][0] == 1.0
 
     def test_hand_trace(self):
         # diffs (1, 2) vs (1, 0) -> mean(0, 2) = 1
-        assert obj.jump_loss([0.0, 1.0, 3.0], [0.0, 1.0, 1.0]) == 1.0
+        assert obj._jump(row([0.0, 1.0, 3.0]), row([0.0, 1.0, 1.0]))[0][0] == 1.0
 
     def test_short_sequence_warns_and_returns_zero(self):
         with pytest.warns(RuntimeWarning):
-            assert obj.jump_loss([1.0], [2.0]) == 0.0
+            assert obj._jump(row([1.0]), row([2.0]))[0][0] == 0.0
 
     def test_mask_prefix(self):
-        value = obj.jump_loss(
-            [0.0, 1.0, 3.0, 99.0], [0.0, 1.0, 1.0, -5.0],
-            [True, True, True, False],
-        )
-        assert value == 1.0
+        # the masked-out position is never read: the jump field of a
+        # one-row total_loss equals the hand trace above
+        x0p, x0t = row([0.0, 1.0, 3.0, 99.0]), row([0.0, 1.0, 1.0, -5.0])
+        mask = np.array([[True, True, True, False]])
+        bd = obj.total_loss(x0p, x0p, x0p, x0t, mask, step=0, total_steps=1,
+                            config=obj.LossConfig(vol_window=3))
+        assert bd.jump == 1.0
 
     def test_non_prefix_mask_rejected(self):
-        with pytest.raises(DataError):
-            obj.jump_loss([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [True, False, True])
+        p = row([0.0, 1.0, 2.0])
+        with pytest.raises(DataError, match="contiguous prefix"):
+            obj.total_loss(p, p, p, p, np.array([[True, False, True]]), step=0,
+                           total_steps=1)
 
 
 class TestVolClusteringLoss:
     def test_zero_at_equality(self):
         rng = np.random.default_rng(3)
-        p = rng.normal(size=12)
-        assert obj.vol_clustering_loss(p, p) == 0.0
+        p = row(rng.normal(size=12))
+        assert obj._vol_clustering(p, p, 5, 1)[0][0] == 0.0
 
     def test_quadratic_branch(self):
         # single window: population stds 0.2 vs 0.5, |d| = 0.3 < 1
-        value = obj.vol_clustering_loss([0.0, 0.4], [0.0, 1.0], window=2)
+        value = obj._vol_clustering(row([0.0, 0.4]), row([0.0, 1.0]), 2, 1)[0][0]
         assert abs(value - 0.045) < 1e-9
 
     def test_linear_branch(self):
         # stds 0.2 vs 2.2, |d| = 2.0 -> 2.0 - 0.5
-        value = obj.vol_clustering_loss([0.0, 0.4], [0.0, 4.4], window=2)
+        value = obj._vol_clustering(row([0.0, 0.4]), row([0.0, 4.4]), 2, 1)[0][0]
         assert abs(value - 1.5) < 1e-9
 
     def test_window_too_large_warns(self):
         with pytest.warns(RuntimeWarning):
-            assert obj.vol_clustering_loss([1.0, 2.0], [3.0, 0.0], window=5) == 0.0
+            values, _ = obj._vol_clustering(row([1.0, 2.0]), row([3.0, 0.0]), 5, 1)
+        assert values[0] == 0.0
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ConfigError):
-            obj.vol_clustering_loss([1.0, 2.0], [1.0, 2.0], window=0)
+        # the [loss] section is the only way a window or stride reaches the kernel
+        with pytest.raises(ConfigError, match="vol_window"):
+            obj.LossConfig(vol_window=0)
+        with pytest.raises(ConfigError, match="vol_stride"):
+            obj.LossConfig(vol_stride=0)
 
 
 class TestGlobalVolLoss:
     def test_zero_at_equality(self):
-        p = np.array([0.4, -0.2, 0.9])
-        assert obj.global_vol_loss(p, p) == 0.0
+        p = row([0.4, -0.2, 0.9])
+        assert obj._global_vol(p, p)[0][0] == 0.0
 
     def test_hand_stds(self):
         # population stds 0.3 vs 0.1
-        value = obj.global_vol_loss([0.0, 0.6], [0.0, 0.2])
+        value = obj._global_vol(row([0.0, 0.6]), row([0.0, 0.2]))[0][0]
         assert abs(value - 0.2) < 1e-9
 
     def test_constant_pred_gives_true_std(self):
-        true = np.array([0.0, 1.0, 0.0, 1.0])  # population std 0.5
-        value = obj.global_vol_loss(np.ones(4), true)
+        true = row([0.0, 1.0, 0.0, 1.0])  # population std 0.5
+        value = obj._global_vol(row(np.ones(4)), true)[0][0]
         assert abs(value - 0.5) < 1e-5
 
     def test_degenerate_length_warns(self):
         with pytest.warns(RuntimeWarning):
-            assert obj.global_vol_loss([1.0], [2.0]) == 0.0
+            assert obj._global_vol(row([1.0]), row([2.0]))[0][0] == 0.0
 
 
 class TestKurtosisAndTail:
@@ -153,29 +168,29 @@ class TestKurtosisAndTail:
             obj.kurtosis(np.full(8, 2.5))
 
     def test_tail_zero_at_equal_kurtosis(self):
-        x = np.array([-1.0, 1.0, -1.0, 1.0])
-        assert obj.tail_loss(x, -x) == 0.0
+        x = row([-1.0, 1.0, -1.0, 1.0])
+        assert obj._tail(x, -x)[0][0] == 0.0
 
     def test_tail_hand_value(self):
-        pred = np.array([-1.0, 1.0, -1.0, 1.0])  # K = -2
+        pred = row([-1.0, 1.0, -1.0, 1.0])  # K = -2
         # true: m2 = 27/4, m4 = 425.25/4, m4/m2^2 = 7/3 -> K = -2/3
-        true = np.array([0.0, 0.0, 0.0, 6.0])
-        assert abs(obj.tail_loss(pred, true) - 16.0 / 9.0) < 1e-9
+        true = row([0.0, 0.0, 0.0, 6.0])
+        assert abs(obj._tail(pred, true)[0][0] - 16.0 / 9.0) < 1e-9
 
 
 class TestDriftLoss:
     def test_level_shift_invariant(self):
         # dyadic values keep the telescoped endpoints exact under the shift
-        p = np.array([0.125, 0.625, -0.25, 0.375])
-        assert obj.drift_loss(p + 5.0, p) == 0.0
+        p = row([0.125, 0.625, -0.25, 0.375])
+        assert obj._drift(p + 5.0, p)[0][0] == 0.0
 
     def test_hand_values(self):
-        assert abs(obj.drift_loss([0.0, 0.5], [0.0, 0.2]) - 0.09) < 1e-12
-        assert abs(obj.drift_loss([0.0, 0.2], [0.0, -0.2]) - 0.16) < 1e-12
+        assert abs(obj._drift(row([0.0, 0.5]), row([0.0, 0.2]))[0][0] - 0.09) < 1e-12
+        assert abs(obj._drift(row([0.0, 0.2]), row([0.0, -0.2]))[0][0] - 0.16) < 1e-12
 
     def test_interior_values_irrelevant(self):
-        a = obj.drift_loss([0.0, 99.0, 0.5], [0.0, 0.0, 0.2])
-        b = obj.drift_loss([0.0, -99.0, 0.5], [0.0, 1.0, 0.2])
+        a = obj._drift(row([0.0, 99.0, 0.5]), row([0.0, 0.0, 0.2]))[0][0]
+        b = obj._drift(row([0.0, -99.0, 0.5]), row([0.0, 1.0, 0.2]))[0][0]
         assert a == b
 
 
@@ -205,33 +220,36 @@ class TestPinballLoss:
 
 class TestSpectralLoss:
     def test_zero_at_equality(self):
-        p = np.random.default_rng(5).normal(size=16)
-        assert obj.spectral_loss(p, p) == 0.0
+        p = row(np.random.default_rng(5).normal(size=16))
+        assert obj._spectral(p, p)[0][0] == 0.0
 
     def test_constant_sequence_is_dc_only(self):
-        spec = obj.magnitude_spectrum(np.full(8, 3.0))
+        _, mag, peak, defined = obj._spectrum(row(np.full(8, 3.0)))
+        assert defined[0]
         expected = np.zeros(8)
         expected[0] = 1.0
-        np.testing.assert_allclose(spec, expected, atol=1e-12)
+        np.testing.assert_allclose(mag[0] / peak[0], expected, atol=1e-12)
 
     def test_mismatched_sinusoids_positive(self):
         n = 32
         ticks = np.arange(n)
         a = np.sin(2.0 * np.pi * 3.0 * ticks / n)
         b = np.sin(2.0 * np.pi * 7.0 * ticks / n)
-        assert obj.spectral_loss(a, b) > 0.01
+        assert obj._spectral(row(a), row(b))[0][0] > 0.01
 
     def test_amplitude_invariance(self):
         # max-normalization removes overall scale
-        p = np.random.default_rng(9).normal(size=16)
-        t = np.random.default_rng(10).normal(size=16)
-        assert abs(obj.spectral_loss(3.0 * p, t) - obj.spectral_loss(p, t)) < 1e-12
+        p = row(np.random.default_rng(9).normal(size=16))
+        t = row(np.random.default_rng(10).normal(size=16))
+        assert abs(obj._spectral(3.0 * p, t)[0][0] - obj._spectral(p, t)[0][0]) < 1e-12
 
     def test_all_zero_rejected(self):
-        with pytest.raises(NumericError):
-            obj.spectral_loss(np.zeros(8), np.ones(8))
-        with pytest.raises(NumericError):
-            obj.spectral_loss(np.ones(8), np.zeros(8))
+        # an all-zero side has no peak to normalize by: the row is flagged
+        # undefined and contributes neither a value nor a gradient
+        for p, t in ((np.zeros(8), np.ones(8)), (np.ones(8), np.zeros(8))):
+            values, grad, defined = obj._spectral(row(p), row(t))
+            assert not defined[0]
+            assert values[0] == 0.0 and not grad.any()
 
 
 class TestGradients:
@@ -242,8 +260,11 @@ class TestGradients:
         self.p = rng.normal(scale=0.8, size=14)
         self.t = rng.normal(scale=0.5, size=14)
 
-    def check(self, kernel, f):
+    def check(self, kernel, f=None):
         # kernels are batched: evaluate on the single row (1, n)
+        if f is None:
+            def f(p, t):
+                return kernel(p[None], t[None])[0][0]
         _, analytic, *_ = kernel(self.p[None].copy(), self.t[None].copy())
         numeric = fd_grad(lambda x: f(x, self.t), self.p.copy())
         assert_grad_close(analytic[0], numeric)
@@ -252,26 +273,23 @@ class TestGradients:
         mask = np.ones(14, dtype=bool)
         mask[10:] = False
         _, analytic = obj._masked_mse_vg(self.t, self.p, mask)
-        numeric = fd_grad(lambda x: obj.masked_mse(self.t, x, mask), self.p.copy())
+        numeric = fd_grad(lambda x: obj._masked_mse_vg(self.t, x, mask)[0], self.p.copy())
         assert_grad_close(analytic, numeric)
 
     def test_jump_grad(self):
-        self.check(obj._jump, obj.jump_loss)
+        self.check(obj._jump)
 
     def test_vol_clustering_grad(self):
-        self.check(
-            lambda p, t: obj._vol_clustering(p, t, 5, 1),
-            lambda p, t: obj.vol_clustering_loss(p, t, 5, 1),
-        )
+        self.check(lambda p, t: obj._vol_clustering(p, t, 5, 1))
 
     def test_global_vol_grad(self):
-        self.check(obj._global_vol, obj.global_vol_loss)
+        self.check(obj._global_vol)
 
     def test_tail_grad(self):
-        self.check(obj._tail, obj.tail_loss)
+        self.check(obj._tail)
 
     def test_drift_grad(self):
-        self.check(obj._drift, obj.drift_loss)
+        self.check(obj._drift)
 
     def test_pinball_pair_grad(self):
         def f(p, t):
@@ -280,7 +298,7 @@ class TestGradients:
         self.check(obj._pinball_pair, f)
 
     def test_spectral_grad(self):
-        self.check(obj._spectral, obj.spectral_loss)
+        self.check(obj._spectral)
 
 
 class TestLambdaSchedule:
@@ -524,13 +542,14 @@ class TestGroupedEvaluation:
         pred, target, x0p, x0t, mask = random_batch(23, batch=6, length=16)
         bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
                             total_steps=100, config=obj.LossConfig(vol_stride=2))
-        rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=5, stride=2)
+        rows = [obj._vol_clustering(x0p[b : b + 1, :n], x0t[b : b + 1, :n], 5, 2)[0][0]
                 for b, n in enumerate(mask.sum(axis=1))]
         assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12
 
         _, grad = obj._vol_clustering(x0p[:1, :13], x0t[:1, :13], 5, 2)
         numeric = fd_grad(
-            lambda x: obj.vol_clustering_loss(x, x0t[0, :13], 5, 2), x0p[0, :13].copy()
+            lambda x: obj._vol_clustering(x[None], x0t[:1, :13], 5, 2)[0][0],
+            x0p[0, :13].copy(),
         )
         assert_grad_close(grad[0], numeric)
 
@@ -543,7 +562,8 @@ class TestGroupedEvaluation:
             bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60, total_steps=100,
                                 config=obj.LossConfig(vol_window=window))
         with pytest.warns(RuntimeWarning, match="window exceeds"):
-            rows = [obj.vol_clustering_loss(x0p[b, :n], x0t[b, :n], window=window)
+            rows = [obj._vol_clustering(x0p[b : b + 1, :n], x0t[b : b + 1, :n],
+                                        window, 1)[0][0]
                     for b, n in enumerate(lens)]
         assert all(r == 0.0 for r, n in zip(rows, lens) if n < window)
         assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12

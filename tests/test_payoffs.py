@@ -141,7 +141,7 @@ class TestAccumulator:
 
     @given(paths)
     def test_sign_and_units_match_rules(self, path):
-        spec = Accumulator(discount=0.9, ko_ratio=1.2, daily_units=1.0)
+        spec = Accumulator(discount=0.9, ko_ratio=1.2)
         cf = accumulator_cashflows(path, 100.0, spec)
         k_d = 90.0
         for day, amount in zip(cf.days, cf.amounts):
@@ -299,7 +299,7 @@ PRODUCTS = (
     Asian(strike_ratio=0.95),
     Accumulator(discount=0.9, ko_ratio=1.2),
     Snowball(ko_ratio=1.05, ki_ratio=0.9, coupon_pa=0.15),
-    Snowball(ko_ratio=1.05, ki_ratio=0.8, ko_obs_stride=1),
+    Snowball(ko_ratio=1.05, ki_ratio=0.8),
 )
 
 
@@ -366,10 +366,10 @@ class TestKernelsMatchReference:
         Lookback(),
         Lookback(strike_ratio=0.9),
         Accumulator(discount=0.9, ko_ratio=1.2),
-        Accumulator(discount=0.9, ko_ratio=1.05, daily_units=0.3),
+        Accumulator(discount=0.9, ko_ratio=1.05),
         Snowball(ko_ratio=1.05, ki_ratio=0.9, coupon_pa=0.15),
-        Snowball(ko_ratio=1.2, ki_ratio=0.8, ko_obs_stride=1),
-        Snowball(ko_ratio=1.05, ki_ratio=0.8, ko_obs_stride=3, notional=2.5),
+        Snowball(ko_ratio=1.2, ki_ratio=0.8),
+        Snowball(ko_ratio=1.05, ki_ratio=0.8, notional=2.5),
     )
 
     # every row below shares one matrix, so rows of different KO days mix

@@ -26,8 +26,7 @@ def make_slice(seed, n=20, s0=100.0, sigma=0.2, r=0.03, drift=0.0):
         t_trading=n / 252.0, n_trading=n,
     )
     return PathSlice(
-        s0=s0, log_returns=returns, mask=np.ones(n, dtype=bool),
-        condition=cond, window_calendar_days=2 * n,
+        s0=s0, log_returns=returns, condition=cond, window_calendar_days=2 * n,
         start_date=np.datetime64("2021-01-04") + seed,
     )
 

@@ -248,7 +248,7 @@ class TestNonFiniteRejected:
         lambda v: Lookback(strike_ratio=v),
         lambda v: Asian(strike_ratio=v),
         lambda v: Accumulator(ko_ratio=v),
-        lambda v: Accumulator(daily_units=v),
+        lambda v: Accumulator(discount=v),
         lambda v: Snowball(coupon_pa=v),
         lambda v: Snowball(notional=v),
     ])
@@ -303,6 +303,18 @@ class TestCheckedAtLoad:
     def test_out_of_range_value_rejected(self, tmp_path, capsys, section, key, value):
         self.assert_rejected(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
                              section, key)
+
+    @pytest.mark.parametrize("key,value", [
+        ("products", ""),
+        ("products", "european, european"),
+        ("products", "Asian, european, asian"),
+        ("levels", "0.1, 0.1"),
+        ("levels", "0.0, 0.2, -0.0"),
+    ])
+    def test_empty_or_repeated_game_list_rejected(self, tmp_path, capsys, key, value):
+        # an empty book values nothing, a repeated product values its book
+        # twice, and a repeated level writes two columns of one name
+        self.assert_rejected(tmp_path, capsys, f"[game]\n{key} = {value}\n", "game", key)
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("schedule", "timesteps", "0", "T must be at least 1"),

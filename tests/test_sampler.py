@@ -341,13 +341,11 @@ class TestPathBundle:
         paths = rng.normal(scale=0.01, size=(4, 6))
         cfg = sp.SamplerConfig(num_steps=10, seed=3, n_paths=4)
         target = tmp_path / "bundle.csv"
-        sp.write_path_bundle(target, paths, condition(), cfg,
-                             extra={"return_scale": repr(0.0123)})
+        sp.write_path_bundle(target, paths, condition(), cfg)
         loaded, manifest = sp.read_path_bundle(target)
         np.testing.assert_array_equal(loaded, paths)
         assert manifest["seed"] == "3"
         assert manifest["n_trading"] == "6"
-        assert float(manifest["return_scale"]) == 0.0123
 
     def test_header_and_one_based_steps(self, tmp_path):
         target = tmp_path / "bundle.csv"
@@ -364,6 +362,17 @@ class TestPathBundle:
         lines = target.read_text().splitlines()
         (tmp_path / "bundle.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataError):
+            sp.read_path_bundle(target)
+
+    def test_repeated_cell_rejected(self, tmp_path):
+        # one path, two steps, and the cell (0, 1) written twice: the last
+        # row used to win silently
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.array([[0.01, 0.02]]), condition(2),
+                             sp.SamplerConfig(n_paths=1))
+        with open(target, "a") as fh:
+            fh.write("0,1,0.5\n")
+        with pytest.raises(DataError, match="3 data rows for a 1 x 2 grid"):
             sp.read_path_bundle(target)
 
     @pytest.mark.parametrize("key, value", [

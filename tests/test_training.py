@@ -75,7 +75,7 @@ class TestReturnScale:
     def test_zero_spread_rejected(self, dataset):
         s = dataset.train[0]
         flat = mp.PathSlice(
-            s0=s.s0, log_returns=np.zeros_like(s.log_returns), mask=s.mask,
+            s0=s.s0, log_returns=np.zeros_like(s.log_returns),
             condition=s.condition, window_calendar_days=s.window_calendar_days,
             start_date=s.start_date,
         )
