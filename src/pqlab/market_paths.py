@@ -287,16 +287,6 @@ def load_rates_csv(path) -> dict:
     return tables
 
 
-def _sigma_hist_at(series: DailySeries, start_idx_t: int) -> float | None:
-    """Annualized vol from the closes of up to the last 252 trading days
-    strictly before the start; None if fewer than 60 are available."""
-    lo = max(0, start_idx_t - SIGMA_HIST_DAYS)
-    closes = series.trading_closes[lo:start_idx_t]
-    if len(closes) < SIGMA_HIST_MIN_DAYS:
-        return None
-    return annualized_volatility(log_returns(closes))
-
-
 def slice_dataset(
     series: DailySeries,
     rates: dict,
@@ -310,8 +300,13 @@ def slice_dataset(
     `window` calendar days.  Slices starting before `split_date` belong to
     the training set but are dropped if any price they would touch falls on
     or after the split (look-ahead prevention); slices starting on or after
-    the split form the test set.  Each slice keeps only its own returns;
-    ``l_max`` is the longest slice's length.
+    the split form the test set.  ``l_max`` is the longest slice's length.
+
+    The trading closes' log returns are taken once, as one read-only
+    series (return i runs from trading day i to i + 1).  A slice from
+    trading day s to e, the last one in its window, holds a view of returns
+    s .. e - 1; its sigma_hist is the annualized volatility of the returns
+    among the up to 252 closes before s, of which there must be 60.
 
     Skip reasons (counted, not fatal): window running off the end of the
     series, not enough history for sigma_hist, trading-day density above
@@ -331,21 +326,26 @@ def slice_dataset(
         split = parse_date(split_date)
     except ValueError as exc:
         raise ConfigError(f"split_date: {exc}") from exc
-    if not (series.dates[0] < split <= series.dates[-1]):
+    last = series.dates[-1]
+    if not (series.dates[0] < split <= last):
         raise DataError("split date must fall inside the series")
 
     t_dates = series.trading_dates
     t_closes = series.trading_closes
+    returns = log_returns(t_closes)
+    returns.flags.writeable = False  # every slice holds a view of it
     skipped: Counter = Counter()
-    raw = []  # (start_idx_t, window, returns, cond, is_train)
+    train, test, l_max = [], [], 0
     for start_idx in range(0, len(t_dates), stride):
         start = t_dates[start_idx]
+        is_train = start < split
+        lo = max(0, start_idx - SIGMA_HIST_DAYS)
+        sigma = None
         for w in windows:
             end = start + np.timedelta64(w, "D")
-            if end > series.dates[-1]:
+            if end > last:
                 skipped["window_past_series_end"] += 1
                 continue
-            is_train = start < split
             if is_train and end >= split:
                 # Training slices must not touch any price dated >= split.
                 skipped["straddles_split"] += 1
@@ -358,32 +358,27 @@ def slice_dataset(
             if n_trading * CALENDAR_DAYS_PER_YEAR > w * TRADING_DAYS_PER_YEAR:
                 skipped["trading_density_too_high"] += 1
                 continue
-            sigma = _sigma_hist_at(series, start_idx)
-            if sigma is None:
+            if start_idx - lo < SIGMA_HIST_MIN_DAYS:
                 skipped["insufficient_history"] += 1
                 continue
-            rate = rates[w].rate_at(start)
+            if sigma is None:
+                sigma = annualized_volatility(returns[lo : start_idx - 1])
             cond = ConditionVector(
                 sigma_hist=sigma,
-                r=rate,
+                r=rates[w].rate_at(start),
                 t_calendar=w / CALENDAR_DAYS_PER_YEAR,
                 t_trading=n_trading / TRADING_DAYS_PER_YEAR,
                 n_trading=n_trading,
             )
-            rets = log_returns(t_closes[start_idx:stop_idx])
-            raw.append((start_idx, w, rets, cond, is_train))
-
-    l_max = max((len(r[2]) for r in raw), default=0)
-    train, test = [], []
-    for start_idx, w, rets, cond, is_train in raw:
-        sl = PathSlice(
-            s0=float(t_closes[start_idx]),
-            log_returns=rets,
-            condition=cond,
-            window_calendar_days=w,
-            start_date=t_dates[start_idx],
-        )
-        (train if is_train else test).append(sl)
+            sl = PathSlice(
+                s0=float(t_closes[start_idx]),
+                log_returns=returns[start_idx : stop_idx - 1],
+                condition=cond,
+                window_calendar_days=w,
+                start_date=start,
+            )
+            (train if is_train else test).append(sl)
+            l_max = max(l_max, n_trading)
     return SplitSlices(train=train, test=test, skipped=skipped, l_max=l_max)
 
 
@@ -459,12 +454,8 @@ _SLICE_GROUPS = ("train", "test")
 
 
 def _pack_group(slices) -> dict:
-    returns = (
-        np.concatenate([s.log_returns for s in slices]) if slices else np.empty(0)
-    )
-    offsets = np.zeros(len(slices) + 1, dtype=np.int64)
-    for i, s in enumerate(slices):
-        offsets[i + 1] = offsets[i] + len(s.log_returns)
+    returns = np.concatenate([np.empty(0)] + [s.log_returns for s in slices])
+    offsets = np.cumsum([0] + [len(s.log_returns) for s in slices], dtype=np.int64)
     return {
         "s0": np.array([s.s0 for s in slices], dtype=np.float64),
         "start": np.array([s.start_date for s in slices], dtype="datetime64[D]"),
@@ -473,7 +464,7 @@ def _pack_group(slices) -> dict:
         "r": np.array([s.condition.r for s in slices], dtype=np.float64),
         "tcal": np.array([s.condition.t_calendar for s in slices], dtype=np.float64),
         "ttrad": np.array([s.condition.t_trading for s in slices], dtype=np.float64),
-        "returns": returns.astype(np.float64),
+        "returns": returns,
         "offsets": offsets,
     }
 
@@ -502,26 +493,19 @@ def _read_group(archive, group: str) -> dict:
 
 
 def _unpack_group(col: dict) -> list:
-    offsets = col["offsets"]
+    # one .tolist() per column, not a numpy scalar cast per slice; start
+    # stays datetime64 (its .tolist() would give datetime.date)
+    offsets, window = col["offsets"].tolist(), col["window"].tolist()
+    s0, sigma, r, tcal, ttrad = (col[key].astype(np.float64, copy=False).tolist()
+                                 for key in ("s0", "sigma", "r", "tcal", "ttrad"))
     slices = []
-    for i in range(len(offsets) - 1):
-        rets = col["returns"][offsets[i] : offsets[i + 1]]
-        cond = ConditionVector(
-            sigma_hist=float(col["sigma"][i]),
-            r=float(col["r"][i]),
-            t_calendar=float(col["tcal"][i]),
-            t_trading=float(col["ttrad"][i]),
-            n_trading=len(rets),
-        )
-        slices.append(
-            PathSlice(
-                s0=float(col["s0"][i]),
-                log_returns=rets.copy(),
-                condition=cond,
-                window_calendar_days=int(col["window"][i]),
-                start_date=col["start"][i],
-            )
-        )
+    for i, start in enumerate(col["start"]):
+        lo, hi = offsets[i], offsets[i + 1]
+        cond = ConditionVector(sigma_hist=sigma[i], r=r[i], t_calendar=tcal[i],
+                               t_trading=ttrad[i], n_trading=hi - lo)
+        slices.append(PathSlice(s0=s0[i], log_returns=col["returns"][lo:hi].copy(),
+                                condition=cond, window_calendar_days=window[i],
+                                start_date=start))
     return slices
 
 

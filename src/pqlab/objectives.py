@@ -126,10 +126,6 @@ def format_loss_row(step: int, breakdown: LossBreakdown) -> str:
     return ",".join([str(int(step)), *values])
 
 
-def _warn(message: str) -> None:
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 def _prefix_lens(mask: np.ndarray) -> np.ndarray:
     """Valid length of each row of a (B, L) mask of contiguous prefixes."""
     lens = mask.sum(axis=1)
@@ -159,13 +155,10 @@ def _guarded_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.ndarray]:
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != y.shape or y.shape != y_hat.shape:
-        raise DataError("y, y_hat and mask shapes must all match")
-    count = int(m.sum())
+    count = int(np.count_nonzero(mask))
     if count == 0:
         raise DataError("mask selects no positions")
-    d = np.where(m, y_hat - y, 0.0)
+    d = np.where(mask, y_hat - y, 0.0)
     value = float(np.sum(d * d) / count)
     return value, 2.0 * d / count
 
@@ -173,14 +166,18 @@ def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.nd
 # ---------------------------------------------------------------------------
 # batched kernels: p (prediction) and t (truth) are (G, n) rows sharing one
 # valid length; each returns per-row values (G,) and gradients wrt p (G, n).
-# _tail and _spectral also return a per-row "defined" mask; undefined rows
-# come back as zeros in both the value and the gradient.
+# A term that can be undefined for a row (too short, zero variance or
+# spectrum) also returns a per-row "defined" mask; undefined rows come back
+# as zeros in value and gradient, and total_loss counts them as skipped.
 
 
-def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _undefined(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros(len(p)), np.zeros_like(p), np.zeros(len(p), dtype=bool)
+
+
+def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     if p.shape[1] < 2:
-        _warn("jump loss needs >= 2 valid positions; returning 0")
-        return np.zeros(len(p)), np.zeros_like(p)
+        return _undefined(p)
     e = np.diff(p, axis=1) - np.diff(t, axis=1)
     s = np.sign(e) / e.shape[1]
     g = np.zeros_like(p)
@@ -191,10 +188,9 @@ def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _vol_clustering(
     p: np.ndarray, t: np.ndarray, window: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     if window > p.shape[1]:
-        _warn("vol clustering window exceeds valid length; returning 0")
-        return np.zeros(len(p)), np.zeros_like(p)
+        return _undefined(p)
     wins_p = sliding_window_view(p, window, axis=1)[:, ::stride]  # (G, W, window)
     dev_p, sig_p = _guarded_std(wins_p)
     _, sig_t = _guarded_std(sliding_window_view(t, window, axis=1)[:, ::stride])
@@ -211,11 +207,10 @@ def _vol_clustering(
     return _smooth_l1(d).mean(axis=1), g
 
 
-def _global_vol(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _global_vol(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     n = p.shape[1]
     if n < 2:
-        _warn("global vol needs >= 2 valid positions; returning 0")
-        return np.zeros(len(p)), np.zeros_like(p)
+        return _undefined(p)
     dev, sig_p = _guarded_std(p)
     _, sig_t = _guarded_std(t)
     d = sig_p - sig_t
@@ -284,8 +279,7 @@ def _spectrum(x: np.ndarray):
 def _spectral(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = p.shape[1]
     if n < 2:
-        _warn("spectral loss needs >= 2 valid positions; returning 0")
-        return np.zeros(len(p)), np.zeros_like(p), np.ones(len(p), dtype=bool)
+        return _undefined(p)
     ft_p, mag_p, peak_p, ok_p = _spectrum(p)
     _, mag_t, peak_t, ok_t = _spectrum(t)
     defined = ok_p & ok_t
@@ -402,7 +396,8 @@ def total_loss(
         g_x0[rows, :n] = g
 
     for term, count in sorted(skipped.items()):
-        _warn(f"{term} term undefined for {count} sequence(s); contributed 0")
+        warnings.warn(f"{term} term undefined for {count} sequence(s); contributed 0",
+                      RuntimeWarning, stacklevel=2)
 
     means = dict(zip(TERMS, (per_row.sum(axis=1) / batch).tolist()))
     total = core + sum(lam[term] * means[term] for term in TERMS)

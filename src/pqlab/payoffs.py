@@ -192,7 +192,7 @@ class Snowball(_Contract):
 
     ko_ratio: float = 1.05
     ki_ratio: float = 0.8
-    coupon_pa: float = 0.12
+    coupon_pa: float = 0.15
     notional: float = 1_000_000.0
 
     def __post_init__(self) -> None:

@@ -145,6 +145,8 @@ class GameConfig:
                 )
         if not all(math.isfinite(lv) and lv >= 0.0 for lv in self.levels):
             raise ConfigError(f"levels must be finite and >= 0, got {self.levels}")
+        # -0.0 quotes like 0.0 and must be written under the same name
+        object.__setattr__(self, "levels", tuple(map(abs, self.levels)))
         # a repeat would value a book twice or write two columns of one name
         for name in ("products", "levels"):
             values = getattr(self, name)

@@ -16,7 +16,8 @@ declaration order, with the field defaults.  ``[loss]``, ``[train]``,
 the defaults of the library settings they describe by name: ``[data]``'s
 generator keys are ``market_paths.GeneratorConfig``'s fields (built by
 ``DataSection.generator_config``), ``[schedule]`` uses
-``diffusion.DEFAULT_*`` and ``[model]`` ``DenoiserConfig``'s defaults.
+``diffusion.DEFAULT_*``, ``[model]`` ``DenoiserConfig``'s defaults and
+``[contracts]`` those of the contract fields its keys set.
 The field annotation picks the parser (``_PARSERS``); lists are
 comma-separated.  Parsing and the echo both walk these fields.
 
@@ -46,7 +47,7 @@ from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, MODES,
 from .errors import ConfigError
 from .market_paths import GeneratorConfig, parse_date
 from .objectives import LossConfig
-from .payoffs import CONTRACT_TYPES
+from .payoffs import CONTRACT_TYPES, Accumulator, European, Snowball
 from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
 from .sampler import SamplerConfig
 from .training import TrainConfig
@@ -229,13 +230,13 @@ class ValidateSection:
 
 @dataclass(frozen=True)
 class ContractsSection:
-    strike_ratio: float = 1.0
-    acc_discount: float = 0.9
-    acc_ko: float = 1.2
-    snow_ko: float = 1.05
-    snow_ki: float = 0.8
-    snow_coupon: float = 0.15
-    snow_notional: float = 1_000_000.0
+    strike_ratio: float = European.strike_ratio
+    acc_discount: float = Accumulator.discount
+    acc_ko: float = Accumulator.ko_ratio
+    snow_ko: float = Snowball.ko_ratio
+    snow_ki: float = Snowball.ki_ratio
+    snow_coupon: float = Snowball.coupon_pa
+    snow_notional: float = Snowball.notional
 
     def __post_init__(self) -> None:
         _check_naming_keys(self, _build_contracts)

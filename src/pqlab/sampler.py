@@ -255,11 +255,10 @@ def read_path_bundle(csv_path) -> tuple[np.ndarray, dict]:
     n_steps = manifest_value(manifest, "n_steps", int, manifest_path)
     if n_paths < 0 or n_steps < 0:
         raise DataError(f"{manifest_path}: negative n_paths or n_steps")
-    paths = np.full((n_paths, n_steps), np.nan)
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read path bundle {csv_path}: {exc}") from exc
     header = rows[0] if rows else None
     if header != BUNDLE_CSV_HEADER.split(","):
@@ -267,6 +266,11 @@ def read_path_bundle(csv_path) -> tuple[np.ndarray, dict]:
     if len(rows) - 1 != n_paths * n_steps:
         raise DataError(f"{csv_path}: {len(rows) - 1} data rows for a "
                         f"{n_paths} x {n_steps} grid")
+    # counted first, so the grid is no larger than the file that fills it
+    try:
+        paths = np.full((n_paths, n_steps), np.nan)
+    except ValueError as exc:  # an empty grid with a side numpy cannot shape
+        raise DataError(f"{manifest_path}: {exc}") from None
     for row in rows[1:]:
         if len(row) != 3:
             raise DataError(f"{csv_path}: bad row {row}")

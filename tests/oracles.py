@@ -1,6 +1,7 @@
 """Independent closed-form oracles and reference loops used only by the test suite."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -8,7 +9,7 @@ from scipy.stats import norm
 
 from pqlab import denoiser as dn
 from pqlab import diffusion, nn, objectives
-from pqlab.errors import DataError
+from pqlab.errors import ConfigError, DataError
 from pqlab import market_paths as mp
 from pqlab.market_paths import TRADING_DAYS_PER_YEAR
 from pqlab.payoffs import (Accumulator, Asian, CashFlowSchedule, European, Lookback, PathFlows,
@@ -242,6 +243,85 @@ def synthesize_series_reference(cfg, seed):
             j += 1
         closes[i] = last
     return mp.DailySeries(dates, closes, trading)
+
+
+def _sigma_hist_at(series, start_idx_t):
+    """Annualized vol from the closes of up to the last 252 trading days
+    strictly before the start; None if fewer than 60 are available."""
+    lo = max(0, start_idx_t - mp.SIGMA_HIST_DAYS)
+    closes = series.trading_closes[lo:start_idx_t]
+    if len(closes) < mp.SIGMA_HIST_MIN_DAYS:
+        return None
+    return mp.annualized_volatility(mp.log_returns(closes))
+
+
+def slice_dataset_reference(series, rates, windows, split_date, stride=1):
+    """``market_paths.slice_dataset`` as two loops that re-take each slice's
+    logs: every candidate re-reads its history closes and its own closes."""
+    windows = sorted(set(int(w) for w in windows))
+    if not windows:
+        raise ConfigError("need at least one window length")
+    for w in windows:
+        if w not in rates:
+            raise DataError(f"no rate table with tenor {w} days")
+    try:
+        split = mp.parse_date(split_date)
+    except ValueError as exc:
+        raise ConfigError(f"split_date: {exc}") from exc
+    if not (series.dates[0] < split <= series.dates[-1]):
+        raise DataError("split date must fall inside the series")
+
+    t_dates = series.trading_dates
+    t_closes = series.trading_closes
+    skipped = Counter()
+    raw = []  # (start_idx_t, window, returns, cond, is_train)
+    for start_idx in range(0, len(t_dates), stride):
+        start = t_dates[start_idx]
+        for w in windows:
+            end = start + np.timedelta64(w, "D")
+            if end > series.dates[-1]:
+                skipped["window_past_series_end"] += 1
+                continue
+            is_train = start < split
+            if is_train and end >= split:
+                # Training slices must not touch any price dated >= split.
+                skipped["straddles_split"] += 1
+                continue
+            stop_idx = int(np.searchsorted(t_dates, end, side="right"))
+            n_trading = stop_idx - (start_idx + 1)
+            if n_trading < 1:
+                skipped["no_trading_days"] += 1
+                continue
+            if n_trading * mp.CALENDAR_DAYS_PER_YEAR > w * TRADING_DAYS_PER_YEAR:
+                skipped["trading_density_too_high"] += 1
+                continue
+            sigma = _sigma_hist_at(series, start_idx)
+            if sigma is None:
+                skipped["insufficient_history"] += 1
+                continue
+            rate = rates[w].rate_at(start)
+            cond = mp.ConditionVector(
+                sigma_hist=sigma,
+                r=rate,
+                t_calendar=w / mp.CALENDAR_DAYS_PER_YEAR,
+                t_trading=n_trading / TRADING_DAYS_PER_YEAR,
+                n_trading=n_trading,
+            )
+            rets = mp.log_returns(t_closes[start_idx:stop_idx])
+            raw.append((start_idx, w, rets, cond, is_train))
+
+    l_max = max((len(r[2]) for r in raw), default=0)
+    train, test = [], []
+    for start_idx, w, rets, cond, is_train in raw:
+        sl = mp.PathSlice(
+            s0=float(t_closes[start_idx]),
+            log_returns=rets,
+            condition=cond,
+            window_calendar_days=w,
+            start_date=t_dates[start_idx],
+        )
+        (train if is_train else test).append(sl)
+    return mp.SplitSlices(train=train, test=test, skipped=skipped, l_max=l_max)
 
 
 def discount_value(

@@ -615,6 +615,17 @@ class TestGame:
         assert lines[1].startswith("0.005,")
         assert os.path.isfile(os.path.join(out, "game_snowball.txt"))
 
+    def test_negative_zero_level_is_level_zero(self, workspace, tmp_path):
+        # -0.0 quotes exactly like 0.0, so it is written under the same names
+        ini, out = workspace
+        files = {}
+        for level in ("0.0", "-0.0"):
+            dest = copy_game_inputs(out, tmp_path / level)
+            assert cli.main(["game", ini, "--out-dir", dest, f"--levels={level}"]) == 0
+            files[level] = TestSharedPPaths.game_files(dest)
+        assert "game_european_0.0.csv" in files["0.0"]
+        assert files["-0.0"] == files["0.0"]
+
 
 class TestSharedPPaths:
     """`game` samples each test slice's P and Q paths once for every product."""

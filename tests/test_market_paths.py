@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import oracles
@@ -226,6 +227,81 @@ class TestSliceDataset:
         out = slice_dataset(series, rates, [30], split)
         for sl in out.train:
             assert sl.start_date + np.timedelta64(30, "D") < split
+
+
+SLICE_WINDOWS = (2, 3, 5, 7, 30, 60, 91)
+
+
+def random_calendar_case(seed, n_days, density, n_rates):
+    """A series whose days trade with probability ``density``, plus a
+    random-walk rate table for every window a case may draw."""
+    rng = np.random.default_rng(seed)
+    dates = np.datetime64("2015-01-01") + np.arange(n_days)
+    trading = rng.random(n_days) < density
+    trading[:2] = True  # DailySeries needs two trading days
+    steps = np.where(trading, rng.normal(0.0, 0.02, n_days), 0.0)
+    series = DailySeries(dates, 100.0 * np.exp(np.cumsum(steps)), trading)
+    rate_dates = dates[np.sort(rng.choice(n_days, n_rates, replace=False))]
+    rate_dates[0] = dates[0]
+    rates = {w: RateTable(w, rate_dates, rng.normal(0.02, 0.01, n_rates))
+             for w in SLICE_WINDOWS}
+    return series, rates
+
+
+def slices_fingerprint(out):
+    """Every byte of a SplitSlices: bits of each float, each array's bytes,
+    the slice order, the skip counts and l_max."""
+    def one(sl):
+        c = sl.condition
+        floats = (sl.s0, c.sigma_hist, c.r, c.t_calendar, c.t_trading)
+        return (tuple(float(v).hex() for v in floats), sl.log_returns.dtype.str,
+                sl.log_returns.tobytes(), c.n_trading, sl.window_calendar_days,
+                str(sl.start_date))
+    return ([one(sl) for sl in out.train], [one(sl) for sl in out.test],
+            sorted(out.skipped.items()), out.l_max)
+
+
+class TestSliceDatasetMatchesReference:
+    """slice_dataset against the per-slice loop that re-takes every log."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(60, 420),
+           density=st.sampled_from([0.08, 0.2, 0.45, 9 / 14, 0.75, 1.0]),
+           windows=st.lists(st.sampled_from(SLICE_WINDOWS), min_size=1, max_size=3),
+           stride=st.integers(1, 3), split_frac=st.floats(0.0, 1.0),
+           n_rates=st.integers(1, 5))
+    def test_equal_byte_for_byte(self, seed, n_days, density, windows, stride,
+                                 split_frac, n_rates):
+        series, rates = random_calendar_case(seed, n_days, density, n_rates)
+        split = series.dates[1 + int(split_frac * (n_days - 2))]
+        got = slice_dataset(series, rates, windows, split, stride)
+        want = oracles.slice_dataset_reference(series, rates, windows, split, stride)
+        assert slices_fingerprint(got) == slices_fingerprint(want)
+
+    def test_cases_reach_every_skip_reason(self):
+        # the cases above keep slices and hit each skip reason, starts with
+        # under 60 closes of history included
+        reasons, kept = set(), 0
+        for seed, density, windows in ((1, 0.08, (2, 3, 5)), (2, 1.0, (7, 30)),
+                                       (3, 9 / 14, (30, 60, 91))):
+            series, rates = random_calendar_case(seed, 400, density, 3)
+            out = slice_dataset(series, rates, windows, series.dates[300])
+            reasons |= set(out.skipped)
+            kept += len(out.train) + len(out.test)
+        assert kept and reasons == {"window_past_series_end", "straddles_split",
+                                    "no_trading_days", "trading_density_too_high",
+                                    "insufficient_history"}
+
+    @pytest.mark.parametrize("windows, split", [((), 100), ((4,), 100), ((30,), 0),
+                                                ((30,), "2015-02-30")])
+    def test_errors_match(self, windows, split):
+        series, rates = random_calendar_case(4, 200, 0.6, 2)
+        if isinstance(split, int):
+            split = series.dates[split]
+        with pytest.raises((ConfigError, DataError)) as want:
+            oracles.slice_dataset_reference(series, rates, windows, split)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            slice_dataset(series, rates, windows, split)
 
 
 class TestRateTable:

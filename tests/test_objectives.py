@@ -35,6 +35,16 @@ def row(x):
     return np.asarray(x, dtype=np.float64)[None]
 
 
+def short_row_loss(n):
+    """total_loss on one all-valid random row of length n, past warmup, and
+    the messages of the warnings it raised."""
+    x = np.random.default_rng(n).normal(size=(4, 1, n))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bd = obj.total_loss(*x, np.ones((1, n), dtype=bool), step=1, total_steps=1)
+    return bd, [str(w.message) for w in caught]
+
+
 class TestMaskedMse:
     def test_zero_at_equality(self):
         y = np.array([0.3, -0.1, 2.0])
@@ -54,8 +64,10 @@ class TestMaskedMse:
             obj._masked_mse_vg(np.ones(1), np.ones(1), [False])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            obj._masked_mse_vg(np.array([1.0, 2.0]), np.ones(1), [True])
+        # total_loss, the kernel's one caller, checks the shapes
+        y = np.ones((1, 2))
+        with pytest.raises(DataError, match="mask shape"):
+            obj.total_loss(y, y, y, y, np.ones((1, 1), dtype=bool), step=0, total_steps=1)
 
     def test_nan_in_masked_slot_is_inert(self):
         value, _ = obj._masked_mse_vg(np.array([1.0, np.nan]), np.array([0.0, np.nan]),
@@ -82,8 +94,11 @@ class TestJumpLoss:
         assert obj._jump(row([0.0, 1.0, 3.0]), row([0.0, 1.0, 1.0]))[0][0] == 1.0
 
     def test_short_sequence_warns_and_returns_zero(self):
-        with pytest.warns(RuntimeWarning):
-            assert obj._jump(row([1.0]), row([2.0]))[0][0] == 0.0
+        values, grad, defined = obj._jump(row([1.0]), row([2.0]))
+        assert values[0] == 0.0 and not grad.any() and not defined[0]
+        bd, messages = short_row_loss(1)
+        assert bd.jump == 0.0 and ("jump", 1) in bd.skipped
+        assert "jump term undefined for 1 sequence(s); contributed 0" in messages
 
     def test_mask_prefix(self):
         # the masked-out position is never read: the jump field of a
@@ -118,9 +133,11 @@ class TestVolClusteringLoss:
         assert abs(value - 1.5) < 1e-9
 
     def test_window_too_large_warns(self):
-        with pytest.warns(RuntimeWarning):
-            values, _ = obj._vol_clustering(row([1.0, 2.0]), row([3.0, 0.0]), 5, 1)
-        assert values[0] == 0.0
+        values, grad, defined = obj._vol_clustering(row([1.0, 2.0]), row([3.0, 0.0]), 5, 1)
+        assert values[0] == 0.0 and not grad.any() and not defined[0]
+        bd, messages = short_row_loss(2)
+        assert bd.vol == 0.0 and ("vol", 1) in bd.skipped
+        assert "vol term undefined for 1 sequence(s); contributed 0" in messages
 
     def test_bad_window_rejected(self):
         # the [loss] section is the only way a window or stride reaches the kernel
@@ -146,8 +163,11 @@ class TestGlobalVolLoss:
         assert abs(value - 0.5) < 1e-5
 
     def test_degenerate_length_warns(self):
-        with pytest.warns(RuntimeWarning):
-            assert obj._global_vol(row([1.0]), row([2.0]))[0][0] == 0.0
+        values, grad, defined = obj._global_vol(row([1.0]), row([2.0]))
+        assert values[0] == 0.0 and not grad.any() and not defined[0]
+        bd, messages = short_row_loss(1)
+        assert bd.gvol == 0.0 and ("gvol", 1) in bd.skipped
+        assert "gvol term undefined for 1 sequence(s); contributed 0" in messages
 
 
 class TestKurtosisAndTail:
@@ -538,6 +558,18 @@ class TestGroupedEvaluation:
             "spectral term undefined for 2 sequence(s); contributed 0",
         ]
 
+    def test_short_rows_are_counted_as_skipped(self):
+        # length 1: no jump, gvol, kurtosis or spectrum; lengths 1 and 3:
+        # shorter than the vol window of 5
+        pred, target, x0p, x0t, mask = random_batch(27, batch=4, length=8)
+        mask[:] = np.arange(8) < np.array([1, 3, 8, 8])[:, None]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60, total_steps=100)
+        assert bd.skipped == (("gvol", 1), ("jump", 1), ("kurt", 1), ("spectral", 1),
+                              ("vol", 2))
+        assert len(caught) == 5
+
     def test_stride_two_matches_single_term_view(self):
         pred, target, x0p, x0t, mask = random_batch(23, batch=6, length=16)
         bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
@@ -558,19 +590,17 @@ class TestGroupedEvaluation:
         lens = mask.sum(axis=1)
         window = 12
         assert (lens < window).any() and (lens >= window).any()
-        with pytest.warns(RuntimeWarning, match="window exceeds"):
+        with pytest.warns(RuntimeWarning, match="vol term undefined"):
             bd = obj.total_loss(pred, target, x0p, x0t, mask, step=60, total_steps=100,
                                 config=obj.LossConfig(vol_window=window))
-        with pytest.warns(RuntimeWarning, match="window exceeds"):
-            rows = [obj._vol_clustering(x0p[b : b + 1, :n], x0t[b : b + 1, :n],
-                                        window, 1)[0][0]
-                    for b, n in enumerate(lens)]
+        rows = [obj._vol_clustering(x0p[b : b + 1, :n], x0t[b : b + 1, :n], window, 1)[0][0]
+                for b, n in enumerate(lens)]
         assert all(r == 0.0 for r, n in zip(rows, lens) if n < window)
         assert abs(bd.vol - sum(rows) / len(rows)) <= 1e-12
 
     def test_window_longer_than_every_row_contributes_zero(self):
         pred, target, x0p, x0t, mask = random_batch(25, batch=4, length=16)
-        with pytest.warns(RuntimeWarning, match="window exceeds"):
+        with pytest.warns(RuntimeWarning, match="vol term undefined for 4 sequence"):
             bd, _, g_x0 = obj.total_loss(pred, target, x0p, x0t, mask, step=60,
                                          total_steps=100,
                                          config=obj.LossConfig(vol_window=17),
@@ -578,7 +608,7 @@ class TestGroupedEvaluation:
         assert bd.vol == 0.0
         # the vol weight is live, yet dropping it leaves the gradient unchanged
         assert obj.LossConfig().lambda_vol > 0.0
-        with pytest.warns(RuntimeWarning, match="window exceeds"):
+        with pytest.warns(RuntimeWarning, match="vol term undefined for 4 sequence"):
             _, _, g_ref = obj.total_loss(
                 pred, target, x0p, x0t, mask, step=60, total_steps=100, with_grads=True,
                 config=obj.LossConfig(lambda_vol=0.0, vol_window=17))

@@ -207,6 +207,10 @@ class TestContracts:
         assert snow.coupon_pa == 0.2
         assert snow.notional == 500000.0
 
+    @pytest.mark.parametrize("product", rc.PRODUCTS)
+    def test_section_defaults_are_the_contract_defaults(self, product):
+        assert rc.ContractsSection().build(product) == rc.CONTRACTS[product]()
+
     def test_unknown_product_rejected(self, tmp_path):
         cfg = rc.load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError):

@@ -401,6 +401,28 @@ class TestPathBundle:
         with pytest.raises(DataError, match="bad row"):
             sp.read_path_bundle(target)
 
+    @pytest.mark.parametrize("n_paths, n_steps", [(2**40, 2**20), (0, 2**62)])
+    def test_huge_grid_claim_rejected(self, tmp_path, n_paths, n_steps):
+        # counted before the grid is allocated: numpy refuses these shapes
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.zeros((1, 1)), condition(1),
+                             sp.SamplerConfig(n_paths=1))
+        if n_paths == 0:
+            target.write_text("path_id,step,log_return\n")
+        manifest = tmp_path / "bundle.csv.manifest"
+        manifest.write_text(f"n_paths={n_paths}\nn_steps={n_steps}\n")
+        with pytest.raises(DataError):
+            sp.read_path_bundle(target)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        # the csv module refuses a field over 131,072 characters
+        target = tmp_path / "bundle.csv"
+        sp.write_path_bundle(target, np.zeros((1, 1)), condition(1),
+                             sp.SamplerConfig(n_paths=1))
+        target.write_text("path_id,step,log_return\n0,1," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="field larger"):
+            sp.read_path_bundle(target)
+
     def test_non_utf8_manifest_rejected(self, tmp_path):
         target = tmp_path / "bundle.csv"
         sp.write_path_bundle(target, np.zeros((1, 1)), condition(1),
@@ -409,3 +431,54 @@ class TestPathBundle:
             fh.write(b"note=\xff\n")
         with pytest.raises(DataError, match="manifest"):
             sp.read_path_bundle(target)
+
+
+
+# cell texts that parse, half-parse or do not: NaN/inf, overflow, blanks,
+# hex and digit separators, plus every float repr and small integers
+BUNDLE_CELLS = (st.sampled_from(["nan", "inf", "-inf", "1e309", "", " ", "abc", "0x1",
+                                 "1_0", "-0.0", "1.", "\x00", '"0"'])
+                | st.floats().map(repr) | st.integers(-2, 12).map(str))
+CSV_LINES = st.lists(BUNDLE_CELLS, max_size=4).map(",".join)
+# grid claims stay at 100 x 100 = 10**4 cells or fewer
+MANIFEST_LINES = (st.tuples(st.sampled_from(["n_paths", "n_steps", "seed", "n_trading"]),
+                            st.integers(-2, 100).map(str) | BUNDLE_CELLS).map("=".join)
+                  | BUNDLE_CELLS)
+
+
+def fuzzed(real: bytes, extra_lines):
+    """The real file, a truncation of it, arbitrary bytes, or its lines with
+    some dropped (missing keys and cells) and ``extra_lines`` added."""
+    lines = real.decode("utf-8").splitlines()
+    return st.one_of(
+        st.just(real),
+        st.integers(0, len(real)).map(lambda cut: real[:cut]),
+        st.binary(max_size=80),
+        st.tuples(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)),
+                  st.lists(extra_lines, max_size=4)).map(
+            lambda keep_add: "\n".join(
+                [ln for ln, keep in zip(lines, keep_add[0]) if keep] + keep_add[1]
+            ).encode("utf-8")),
+    )
+
+
+class TestFuzzedBundle:
+    """``read_path_bundle`` yields a finite n_paths x n_steps grid or a DataError."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_grid_or_data_error(self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(0, 3), st.integers(1, 4)), label="shape")
+        target = tmp_path_factory.getbasetemp() / "fuzzed_bundle.csv"
+        manifest = target.with_name(target.name + ".manifest")
+        sp.write_path_bundle(target, np.full(shape, 0.01), condition(shape[1]),
+                             sp.SamplerConfig(n_paths=shape[0]))
+        for path, extra_lines in ((target, CSV_LINES), (manifest, MANIFEST_LINES)):
+            path.write_bytes(data.draw(fuzzed(path.read_bytes(), extra_lines),
+                                       label=path.name))
+        try:
+            loaded, entries = sp.read_path_bundle(target)
+        except DataError:
+            return
+        assert loaded.shape == (int(entries["n_paths"]), int(entries["n_steps"]))
+        assert np.isfinite(loaded).all()
