@@ -23,7 +23,9 @@ Artifact layout under [run] out_dir:
 `game` values the whole book in one pass over the test slices
 (``pq_game.value_slices``): each slice's P paths are sampled once and its Q
 paths simulated once, and every product is valued on both, so its files
-do not depend on which other products share the run.
+do not depend on which other products share the run.  P samples the test
+slices in groups of consecutive slices that fit one sampling chunk, so
+the group shares each DDIM step's network call.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -253,13 +255,35 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     return 0
 
 
-def _model_p_source(model, sched, cfg: runconfig.RunConfig):
-    """P's price paths for a slice, seeded from its product-blind Q seed."""
+def _model_p_source(model, sched, cfg: runconfig.RunConfig, test_slices):
+    """P's price paths for each test slice, sampled a group of slices at a time.
+
+    A slice's P seed comes from its product-blind Q seed
+    (``pq_game.slice_q_params``).  A group is ``sampler.requests_per_chunk``
+    consecutive slices: one chunk of at most ``SAMPLE_CHUNK`` rows, or one
+    slice when p_paths is larger than half of that.  The first request
+    for any slice of a group samples the whole group in one run; each
+    slice's paths are handed out once and dropped, so at most one group's
+    paths are alive at a time.
+    """
+    scfg = replace(cfg.sampler, n_paths=cfg.game.p_paths)
+    per_group = sampler.requests_per_chunk(scfg.n_paths)
+    position = {id(s): idx for idx, s in enumerate(test_slices)}
+    held: dict = {}
+
+    def p_seed(idx):
+        q_seed = pq_game.slice_q_params(idx, test_slices[idx], cfg.game).seed
+        return mp.child_seed(q_seed, P_SOURCE_SALT)
 
     def source(s, q_params):
-        scfg = replace(cfg.sampler, seed=mp.child_seed(q_params.seed, P_SOURCE_SALT),
-                       n_paths=cfg.game.p_paths)
-        return mp.to_prices(s.s0, sampler.sample_paths(model, scfg, s.condition, sched))
+        idx = position[id(s)]
+        if idx not in held:
+            held.clear()  # the last group is handed out: free it first
+            first = idx - idx % per_group
+            group = range(first, min(first + per_group, len(test_slices)))
+            requests = [(test_slices[j].condition, p_seed(j)) for j in group]
+            held.update(zip(group, sampler.sample_requests(model, scfg, requests, sched)))
+        return mp.to_prices(s.s0, held.pop(idx))
 
     return source
 
@@ -268,7 +292,7 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     out = _ensure_out_dir(cfg)
     split, _ = _load_slices(cfg)
     state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
-    p_source = _model_p_source(state.model(), state.sched, cfg)
+    p_source = _model_p_source(state.model(), state.sched, cfg, split.test)
     contracts = [cfg.contracts.build(product) for product in cfg.game.products]
     values = pq_game.value_slices(split.test, contracts, p_source, cfg.game,
                                   threads=cfg.threads)

@@ -372,7 +372,7 @@ def forward(
                                       workspace)
         bn_updates.update(upd)
         skips.append(y)
-        h, c_pool = nn.maxpool2(y, workspace=workspace)
+        h, c_pool = nn.maxpool2(y, workspace=workspace, mask=training)
         enc_caches.append((c_in, c_res, c_pool) if training else None)
 
     y, c_in = _fusion_fwd(h, emb, params, "mid.in", workspace, "act")

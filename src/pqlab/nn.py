@@ -308,18 +308,24 @@ def fold_batchnorm(w, b, gamma, beta, running_mean, running_var):
     return w * scale[:, None, None], (b - running_mean) * scale + beta
 
 
-def maxpool2(x: np.ndarray, *, workspace: Workspace | None = None):
+def maxpool2(x: np.ndarray, *, workspace: Workspace | None = None, mask: bool = True):
     """Halve the length axis, keeping the per-pair maximum (the first on a tie).
 
-    With a workspace the output is lent under ``maxpool2`` and the
-    selection mask under ``maxpool2.mask``.
+    Returns (y, take_second): the mask that ``maxpool2_backward`` routes
+    by, or None when ``mask`` is off (inference).  Without a mask the max
+    is one ``np.maximum(second, first)``, which returns its second
+    operand, the first element, on a tie of +0.0 and -0.0, so it keeps the
+    masked selection's bytes on finite input.  A NaN then propagates where
+    the masked selection would drop it.  With a workspace the output is
+    lent under ``maxpool2``.
     """
     if x.shape[2] % 2:
         raise ValueError("maxpool2 needs an even length")
     first, second = x[:, :, 0::2], x[:, :, 1::2]
-    take_second = np.greater(second, first,
-                             out=lend(workspace, "maxpool2.mask", first.shape, bool))
     y = lend(workspace, "maxpool2", first.shape)
+    if not mask:
+        return np.maximum(second, first, out=y), None
+    take_second = np.greater(second, first)
     np.copyto(y, first)
     np.copyto(y, second, where=take_second)
     return y, take_second

@@ -243,14 +243,20 @@ class SliceValue(NamedTuple):
     realized: float
 
 
-def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConfig,
-                 threads: int) -> list[SliceValue]:
-    # one call per slice, so its P paths are freed before the next slice samples
+def slice_q_params(idx: int, s: PathSlice, config: GameConfig) -> GbmParams:
+    """Q's GBM settings for test slice idx; its seed depends on idx, not the product."""
     cond = s.condition
-    params = GbmParams(
+    return GbmParams(
         s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
         n_paths=config.q_paths, seed=child_seed(config.seed, idx),
     )
+
+
+def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConfig,
+                 threads: int) -> list[SliceValue]:
+    # one call per slice: its P paths are dropped before the next slice's arrive
+    cond = s.condition
+    params = slice_q_params(idx, s, config)
     fairs = price_all(book, params, t_calendar=cond.t_calendar, threads=threads)
     paths = np.asarray(p_source(s, params), dtype=np.float64).view()
     if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
@@ -276,10 +282,12 @@ def value_slices(test_slices, contracts, p_source, config: GameConfig = GameConf
     workers, to the same values) and one p_source(slice, q_params) call
     returns P's (n_paths, n_days) price paths.  q_params carries the
     slice's s0, matched rate, historical sigma, horizon and Q seed, so a
-    source that simulates GBM from it reproduces Q's value.  Every contract
-    is valued on one read-only view of those paths, and only one slice's
-    paths are alive at a time.  Returns one SliceValue per slice for each
-    contract, in book order.
+    source that simulates GBM from it reproduces Q's value (a source that
+    samples ahead finds the q_params of later slices with
+    ``slice_q_params``).  Every contract is valued on one read-only view of
+    those paths, which are dropped before the next slice's call, so the
+    source decides how many slices' paths are alive at a time.  Returns
+    one SliceValue per slice for each contract, in book order.
     """
     test_slices = list(test_slices)
     if not test_slices:

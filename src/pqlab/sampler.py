@@ -7,11 +7,18 @@ The update at step t -> t_prev is
 
 with x0_hat recovered from the noise estimate.  sigma follows the usual
 eta-scaled schedule, so eta=0 is fully deterministic and eta=1 matches the
-ancestral process variance.  Each path draws from its own seeded stream
-derived from (seed, path index) and paths run in chunks of SAMPLE_CHUNK, so
-a run is bitwise identical for the same seed and n_paths.  Path i is the
-same path for any n_paths, but only to float rounding (about 1e-16): the
-batch size of the network calls changes the BLAS summation order.
+ancestral process variance.
+
+One chunk loop serves several requests, each a (condition, seed) pair
+that asks for n_paths paths.  Row i of a request draws from its own
+seeded stream derived from (seed, i) and sees its request's condition,
+and rows run in chunks of at most SAMPLE_CHUNK: as many whole requests
+share a chunk as fit in it, and a larger request is chunked on its own,
+as ``sample_paths`` chunks it.  So a run is bitwise identical for the
+same requests and n_paths.  Path i of a request is the same path for any
+n_paths and any requests sharing its chunk, but only to float rounding
+(about 1e-16): the batch size of the network calls changes the BLAS
+summation order.
 
 Each chunk runs the network once per DDIM step at one batch size, so it
 gives every call the same ``nn.Workspace``: the U-Net's activations live
@@ -158,53 +165,84 @@ def ddim_trajectory(eps_fn, x_start, sched: NoiseSchedule, steps,
     return x
 
 
-def sample_paths(model: GeneratorModel, config: SamplerConfig,
-                 condition: ConditionVector, sched: NoiseSchedule) -> np.ndarray:
-    """Draw n_paths log-return sequences for one condition.
+def requests_per_chunk(n_paths: int) -> int:
+    """How many requests of n_paths rows share a chunk: as many as fit, at least one."""
+    return max(1, SAMPLE_CHUNK // max(1, n_paths))
 
-    Returns an (n_paths, n_trading) array: the network output truncated to
-    the condition's valid length and rescaled to log-return space.
+
+def _run_chunk(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float,
+               cond: np.ndarray, streams) -> np.ndarray:
+    """One DDIM trajectory for a chunk: row j sees cond[j] and draws from streams[j]."""
+    workspace = nn.Workspace()  # every step of the chunk reuses its arrays
+
+    def eps_fn(x, t):
+        pred, _, _ = denoiser.forward(
+            model.params, model.bn_state, x, t, cond, model.net, training=False,
+            workspace=workspace,
+        )
+        return diffusion.recover_eps(x, pred, model.mode, t, sched)
+
+    def noise_fn(shape):
+        # one draw per path from its own stream: shape is (paths, 1, L)
+        return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
+
+    x_start = noise_fn((len(streams), 1, model.net.input_length))
+    return ddim_trajectory(eps_fn, x_start, sched, steps, eta, noise_fn)
+
+
+def sample_requests(model: GeneratorModel, config: SamplerConfig, requests,
+                    sched: NoiseSchedule) -> list[np.ndarray]:
+    """Draw config.n_paths log-return sequences for each (condition, seed) request.
+
+    Consecutive requests are packed ``requests_per_chunk(n_paths)`` at a
+    time, so they share each DDIM step's network call; config.seed is not
+    read.  Returns one (n_paths, n_trading) array per request, in order:
+    the network output truncated to the request's valid length and
+    rescaled to log-return space.
     """
+    requests = list(requests)
     if config.num_steps > sched.T:
         raise ConfigError(
             f"num_steps {config.num_steps} exceeds schedule length {sched.T}"
         )
     length = model.net.input_length
-    n_valid = condition.n_trading
-    if n_valid > length:
-        raise ConfigError(
-            f"condition needs {n_valid} steps but the network length is {length}"
-        )
+    for condition, _ in requests:
+        if condition.n_trading > length:
+            raise ConfigError(f"condition needs {condition.n_trading} steps but the "
+                              f"network length is {length}")
     steps = step_subsequence(sched.T, config.num_steps)
-    cond_row = condition.as_array()
-    out = np.empty((config.n_paths, n_valid), dtype=np.float64)
-    if config.n_paths == 0:
-        return out
+    n = config.n_paths
+    outs = [np.empty((n, condition.n_trading), dtype=np.float64)
+            for condition, _ in requests]
+    per_chunk = requests_per_chunk(n)
+    for first in range(0, len(requests), per_chunk):
+        conditions, seeds = zip(*requests[first:first + per_chunk])
+        conds = np.stack([condition.as_array() for condition in conditions])
+        n_rows = len(seeds) * n
+        for start in range(0, n_rows, SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, n_rows)
+            owner, path = np.divmod(np.arange(start, stop), n)
+            streams = [np.random.default_rng([seeds[k], i])
+                       for k, i in zip(owner.tolist(), path.tolist())]
+            x = _run_chunk(model, sched, steps, config.eta, conds[owner], streams)
+            for k in range(owner[0], owner[-1] + 1):
+                lo, hi = max(start, k * n), min(stop, (k + 1) * n)
+                n_valid = conditions[k].n_trading
+                part = x[lo - start:hi - start, 0, :n_valid] * model.return_scale
+                if not np.all(np.isfinite(part)):
+                    raise NumericError("sampler produced non-finite log returns")
+                outs[first + k][lo - k * n:hi - k * n] = part
+    return outs
 
-    for start in range(0, config.n_paths, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, config.n_paths)
-        streams = [np.random.default_rng([config.seed, i]) for i in range(start, stop)]
-        cond = np.repeat(cond_row[None, :], stop - start, axis=0)
-        workspace = nn.Workspace()  # every step of the chunk reuses its arrays
 
-        def eps_fn(x, t):
-            pred, _, _ = denoiser.forward(
-                model.params, model.bn_state, x, t, cond, model.net, training=False,
-                workspace=workspace,
-            )
-            return diffusion.recover_eps(x, pred, model.mode, t, sched)
+def sample_paths(model: GeneratorModel, config: SamplerConfig,
+                 condition: ConditionVector, sched: NoiseSchedule) -> np.ndarray:
+    """Draw n_paths log-return sequences for one condition, seeded by config.seed.
 
-        def noise_fn(shape):
-            # one draw per path from its own stream: shape is (paths, 1, L)
-            return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
-
-        x_start = noise_fn((stop - start, 1, length))
-        x = ddim_trajectory(eps_fn, x_start, sched, steps, config.eta, noise_fn)
-        chunk = x[:, 0, :n_valid] * model.return_scale
-        if not np.all(np.isfinite(chunk)):
-            raise NumericError("sampler produced non-finite log returns")
-        out[start:stop] = chunk
-    return out
+    Returns an (n_paths, n_trading) array: the network output truncated to
+    the condition's valid length and rescaled to log-return space.
+    """
+    return sample_requests(model, config, [(condition, config.seed)], sched)[0]
 
 
 # ---------------------------------------------------------------------------

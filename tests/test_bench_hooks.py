@@ -12,6 +12,7 @@ import pytest
 from perfbench import layers, workloads
 from perfbench.tracing import Tracer
 
+import pqlab.cli as cli
 import pqlab.diffusion as diffusion
 import pqlab.pq_game as pq_game
 import pqlab.q_pricer as q_pricer
@@ -131,6 +132,33 @@ def test_traced_game_records_one_span_per_contract_and_checks_its_trades():
     assert checked > 0
     assert bad == 0
 
+
+
+def test_traced_game_samples_the_slices_p_paths_in_one_forward_per_step():
+    # the denoiser.forward.infer.batch row of the game workload reads these
+    # spans: the CLI's P source packs consecutive slices into one chunk
+    rng = np.random.default_rng(6)
+    slices = [PathSlice(s0=100.0, log_returns=rng.normal(scale=0.01, size=6),
+                        condition=COND, window_calendar_days=12,
+                        start_date=np.datetime64("2020-01-02") + i)
+              for i in range(4)]
+    model = sampler.GeneratorModel(params=init_params(NET, 0),
+                                   bn_state=init_bn_state(NET), net=NET)
+    cfg = runconfig.RunConfig(out_dir="unused",
+                              sampler=sampler.SamplerConfig(num_steps=3),
+                              game=pq_game.GameConfig(q_paths=64, p_paths=5, seed=3))
+    book = [pq_game.CONTRACTS["european"]()]
+    tracer = Tracer()
+    try:
+        layers.instrument(tracer)
+        source = cli._model_p_source(model, diffusion.build_schedule(50), cfg, slices)
+        pq_game.value_slices(slices, book, source, cfg.game)
+    finally:
+        tracer.restore()
+    forwards = [s for s in tracer.spans if s.name == "denoiser.forward.infer"]
+    assert len(forwards) == cfg.sampler.num_steps
+    batch = min(sampler.SAMPLE_CHUNK, len(slices) * cfg.game.p_paths)
+    assert all(s.attrs["batch"] == batch for s in forwards)
 
 
 def test_traced_price_all_records_one_valuation_span_per_contract_per_chunk():

@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import shutil
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -665,23 +666,38 @@ class TestSharedPPaths:
         )
         assert got == self.game_files(single)
 
-    def test_sample_paths_runs_once_per_test_slice(
+    def test_each_slice_is_sampled_once_in_one_run_per_group(
         self, workspace, tmp_path, monkeypatch
     ):
         _, out = workspace
-        calls = []
-        real = sampler.sample_paths
+        runs = []
+        real = sampler.sample_requests
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(model, config, requests, sched):
+            requests = list(requests)
+            runs.append((requests, config.n_paths))
+            return real(model, config, requests, sched)
 
-        monkeypatch.setattr(sampler, "sample_paths", counting)
+        monkeypatch.setattr(sampler, "sample_requests", counting)
         dest = copy_game_inputs(out, tmp_path / "counted")
-        assert cli.main(["game", self.multi_product_ini(out, tmp_path),
-                         "--out-dir", dest]) == 0
-        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
-        assert len(calls) == int(manifest["test_slices"]) > 1
+        ini = self.multi_product_ini(out, tmp_path)
+        assert cli.main(["game", ini, "--out-dir", dest]) == 0
+        cfg = rc.load_config(ini)
+        test = mp.load_slices(os.path.join(out, "slices.npz")).test
+        # every (P seed, path) row stream of every test slice, drawn once
+        drawn = sorted((seed, i) for requests, n in runs for _, seed in requests
+                       for i in range(n))
+        seeds = [mp.child_seed(pq_game.slice_q_params(idx, s, cfg.game).seed,
+                               cli.P_SOURCE_SALT) for idx, s in enumerate(test)]
+        assert drawn == sorted((seed, i) for seed in seeds
+                               for i in range(cfg.game.p_paths))
+        assert [c for requests, _ in runs for c, _ in requests] == [s.condition
+                                                                   for s in test]
+        # one run per group of consecutive slices that fill a chunk
+        per_run = sampler.SAMPLE_CHUNK // cfg.game.p_paths
+        assert [len(requests) for requests, _ in runs] == [
+            min(per_run, len(test) - first) for first in range(0, len(test), per_run)]
+        assert len(runs) > 1
 
     def test_q_paths_simulated_once_per_test_slice(
         self, workspace, tmp_path, monkeypatch
@@ -703,6 +719,67 @@ class TestSharedPPaths:
         n_test = int(manifest["test_slices"])
         assert len(chunks) == n_test * math.ceil(q_paths / q_pricer.CHUNK_PATHS)
         assert len(set(chunks)) == len(chunks)
+
+
+class TestGroupedPSource:
+    """`game` samples consecutive test slices' P paths together, a chunk at a time."""
+
+    def game_ini(self, out, tmp_path, p_paths):
+        ini = tmp_path / f"p{p_paths}.ini"
+        ini.write_text(CONFIG_BODY.format(out=out).replace(
+            "p_paths = 32", f"p_paths = {p_paths}"))
+        return str(ini)
+
+    def test_full_chunk_slices_match_a_per_slice_source(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # at p_paths >= SAMPLE_CHUNK every slice is sampled alone, as before
+        _, out = workspace
+        ini = self.game_ini(out, tmp_path, sampler.SAMPLE_CHUNK)
+        grouped = copy_game_inputs(out, tmp_path / "grouped")
+        assert cli.main(["game", ini, "--out-dir", grouped]) == 0
+
+        def per_slice_source(model, sched, cfg, test_slices):
+            def source(s, q_params):
+                scfg = replace(cfg.sampler, n_paths=cfg.game.p_paths,
+                               seed=mp.child_seed(q_params.seed, cli.P_SOURCE_SALT))
+                return mp.to_prices(s.s0, sampler.sample_paths(model, scfg,
+                                                               s.condition, sched))
+            return source
+
+        monkeypatch.setattr(cli, "_model_p_source", per_slice_source)
+        alone = copy_game_inputs(out, tmp_path / "alone")
+        assert cli.main(["game", ini, "--out-dir", alone]) == 0
+        files = TestSharedPPaths.game_files(grouped)
+        assert files and files == TestSharedPPaths.game_files(alone)
+
+    def test_at_most_one_group_of_paths_is_alive(self, workspace, tmp_path, monkeypatch):
+        _, out = workspace
+        p_paths = sampler.SAMPLE_CHUNK // 2  # two slices per group
+        alive = []  # weak references to every P array made so far
+        rows = []
+        real_sample, real_prices = sampler.sample_requests, mp.to_prices
+
+        def sampling(model, config, requests, sched):
+            assert all(ref() is None for ref in alive), "an earlier group is alive"
+            paths = real_sample(model, config, requests, sched)
+            rows.append(sum(len(p) for p in paths))
+            alive.extend(weakref.ref(p) for p in paths)
+            return paths
+
+        def prices(s0, log_returns):
+            paths = real_prices(s0, log_returns)
+            alive.append(weakref.ref(paths))
+            return paths
+
+        monkeypatch.setattr(sampler, "sample_requests", sampling)
+        monkeypatch.setattr(mp, "to_prices", prices)
+        dest = copy_game_inputs(out, tmp_path / "held")
+        assert cli.main(["game", self.game_ini(out, tmp_path, p_paths),
+                         "--out-dir", dest]) == 0
+        n_test = int(mp.read_manifest(os.path.join(out, "dataset.manifest"))["test_slices"])
+        assert len(rows) == math.ceil(n_test / 2) > 1
+        assert max(rows) == sampler.SAMPLE_CHUNK
 
 
 class TestRerunDeterminism:

@@ -493,12 +493,26 @@ class TestWorkspace:
         expected, _ = nn.relu(x)
         assert nn.relu_inplace(x.copy()).tobytes() == expected.tobytes()
 
+    def test_maskless_maxpool_matches_masked_maxpool(self):
+        # every pair of signed zeros, subnormals, normals and extremes, plus
+        # random pairs with ties: np.maximum keeps the first on a +-0 tie
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+        pairs = np.array([[a, b] for a in edge for b in edge]).reshape(1, 1, -1)
+        rng = np.random.default_rng(27)
+        for x in (pairs, np.round(rng.normal(size=(16, 20, 20)), 1)):
+            masked, take_second = nn.maxpool2(x)
+            lent, no_mask = nn.maxpool2(x, workspace=nn.Workspace(), mask=False)
+            assert no_mask is None and take_second is not None
+            assert lent.tobytes() == masked.tobytes()
+
     def test_bytes_held_at_a_full_chunk(self):
         # the figure the README gives for one 256-path sampling chunk
         params, state = perturbed_model(TOY, seed=26)
         workspace = nn.Workspace()
         dn.forward(params, state, *self.inputs(TOY, 256, 1), TOY, workspace=workspace)
-        assert sum(buf.nbytes for buf in workspace.buffers) == 6_922_240
+        assert sum(buf.nbytes for buf in workspace.buffers) == 6_881_280
 
     def test_warm_forward_allocates_an_eighth_or_less(self):
         # the page faults this avoids come from allocating and freeing

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,86 @@ class TestSamplePaths:
         with pytest.raises(ConfigError):
             sp.GeneratorModel(params={}, bn_state={}, net=tiny_model().net,
                               mode="score")
+
+
+def perturbed_tiny_model(seed):
+    # a non-zero head, so the network's output reaches the paths
+    base = tiny_model(seed=4)
+    rng = np.random.default_rng(seed)
+    params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in base.params.items()}
+    return sp.GeneratorModel(params=params, bn_state=base.bn_state, net=base.net)
+
+
+class TestPackedRequests:
+    REQUESTS = [(condition(6), 3), (condition(4), 8), (condition(8), 1)]
+
+    @staticmethod
+    def alone(model, cfg, request, sched):
+        cond, seed = request
+        return sp.sample_paths(model, replace(cfg, seed=seed), cond, sched)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_packed_requests_equal_each_request_alone(self, eta):
+        model, sched = perturbed_tiny_model(2), df.build_schedule(100)
+        # two requests share the first chunk, the third fills the second
+        cfg = sp.SamplerConfig(num_steps=6, eta=eta, n_paths=sp.SAMPLE_CHUNK // 2 - 3)
+        packed = sp.sample_requests(model, cfg, self.REQUESTS, sched)
+        assert len(packed) == len(self.REQUESTS)
+        for got, request in zip(packed, self.REQUESTS):
+            assert got.shape == (cfg.n_paths, request[0].n_trading)
+            np.testing.assert_allclose(got, self.alone(model, cfg, request, sched),
+                                       rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n_paths", [1, 37, sp.SAMPLE_CHUNK // 2 + 1,
+                                         sp.SAMPLE_CHUNK + 44])
+    def test_no_forward_gets_more_than_a_chunk(self, monkeypatch, n_paths):
+        forward = dn.forward
+        batches = []
+
+        def counting(*args, **kwargs):
+            batches.append(args[2].shape[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(dn, "forward", counting)
+        cfg = sp.SamplerConfig(num_steps=2, n_paths=n_paths)
+        requests = self.REQUESTS * 3
+        sp.sample_requests(tiny_model(), cfg, requests, df.build_schedule(50))
+        per_chunk = sp.requests_per_chunk(n_paths)
+        if n_paths <= sp.SAMPLE_CHUNK:  # whole requests share a chunk
+            chunks = [min(per_chunk, len(requests) - first) * n_paths
+                      for first in range(0, len(requests), per_chunk)]
+        else:  # each request is chunked alone
+            chunks = [min(sp.SAMPLE_CHUNK, n_paths - start) for _ in requests
+                      for start in range(0, n_paths, sp.SAMPLE_CHUNK)]
+        assert batches == [b for b in chunks for _ in range(cfg.num_steps)]
+        assert max(batches) <= sp.SAMPLE_CHUNK
+
+    def test_request_over_a_chunk_is_chunked_as_alone(self):
+        model, sched = perturbed_tiny_model(3), df.build_schedule(100)
+        cfg = sp.SamplerConfig(num_steps=4, eta=1.0, n_paths=sp.SAMPLE_CHUNK + 9)
+        packed = sp.sample_requests(model, cfg, self.REQUESTS, sched)
+        for got, request in zip(packed, self.REQUESTS):
+            assert got.tobytes() == self.alone(model, cfg, request, sched).tobytes()
+
+    def test_requests_per_chunk(self):
+        assert sp.requests_per_chunk(1) == sp.SAMPLE_CHUNK
+        assert sp.requests_per_chunk(32) == sp.SAMPLE_CHUNK // 32
+        assert sp.requests_per_chunk(sp.SAMPLE_CHUNK // 2 + 1) == 1
+        assert sp.requests_per_chunk(sp.SAMPLE_CHUNK * 4) == 1
+        assert sp.requests_per_chunk(0) == sp.SAMPLE_CHUNK
+
+    def test_no_requests_and_no_paths(self):
+        model, sched = tiny_model(), df.build_schedule(50)
+        cfg = sp.SamplerConfig(num_steps=2, n_paths=0)
+        assert sp.sample_requests(model, cfg, [], sched) == []
+        empty = sp.sample_requests(model, cfg, self.REQUESTS, sched)
+        assert [p.shape for p in empty] == [(0, c.n_trading) for c, _ in self.REQUESTS]
+
+    def test_any_condition_too_long_is_rejected(self):
+        cfg = sp.SamplerConfig(num_steps=2, n_paths=2)
+        with pytest.raises(ConfigError):
+            sp.sample_requests(tiny_model(), cfg, self.REQUESTS + [(condition(20), 0)],
+                               df.build_schedule(50))
 
 
 class TestToPrices:
