@@ -58,7 +58,8 @@ def _ensure_out_dir(cfg: runconfig.RunConfig) -> str:
 
 
 def _echo_config(cfg: runconfig.RunConfig) -> None:
-    with open(os.path.join(cfg.out_dir, "config.ini"), "w", newline="") as fh:
+    with open(os.path.join(cfg.out_dir, "config.ini"), "w", encoding="utf-8",
+              newline="") as fh:
         fh.write(runconfig.resolved_text(cfg))
 
 

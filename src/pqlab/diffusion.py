@@ -26,6 +26,10 @@ from .errors import ConfigError, DataError, NumericError
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
+# Longer schedules are refused before their tables are allocated (16 bytes
+# a step). DDPM uses 1000 steps; past about 71,000 the default betas leave
+# abar_T subnormal.
+MAX_T = 100_000
 
 MODES = ("eps", "x0", "v")
 
@@ -70,6 +74,8 @@ def build_schedule(
     """Linear beta schedule over T steps (beta_1 = start, beta_T = end)."""
     if T < 1:
         raise ConfigError("T must be at least 1")
+    if T > MAX_T:
+        raise ConfigError(f"T must be at most {MAX_T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(np.linspace(beta_start, beta_end, T))

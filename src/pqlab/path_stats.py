@@ -8,7 +8,9 @@ table this module writes.
 The KS statistic is computed from scratch via pooled ECDFs; only the map
 from the statistic to the asymptotic p-value uses scipy's Kolmogorov
 survival function.  The p-value is approximate for samples smaller than
-about 35 per side.
+about 35 per side.  That map is the only use of scipy in pqlab, so scipy
+is imported on the first p-value, not with this module: ``validate`` loads
+it, and ``prepare``, ``train``, ``sample`` and ``game`` never do.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .errors import DataError
 from .market_paths import annualized_volatility
@@ -94,6 +95,10 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
+    # only validate reaches here; importing scipy.special costs every other
+    # command about 25 MB and a few hundred ms, so it is loaded on first use
+    from scipy.special import kolmogorov
+
     p_value = float(kolmogorov(np.sqrt(n_eff) * stat))
     return stat, min(1.0, max(0.0, p_value))
 

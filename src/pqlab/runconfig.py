@@ -29,7 +29,9 @@ generator, noise schedule, network or contract the library would
 refuse), with the section name prefixed; a ``[data]``, ``[schedule]`` or
 ``[contracts]`` library message also names the offending keys, as
 ``key = value: <library message>``.  All of it fails at load time (CLI
-exit code 2) rather than later in a run.
+exit code 2) rather than later in a run.  The file is read as UTF-8, so
+other bytes are a ``ConfigError`` naming it, and without interpolation:
+a ``%`` in a value is kept as written, and the echo loads back equal.
 """
 
 from __future__ import annotations
@@ -329,10 +331,14 @@ def load_config(path) -> RunConfig:
     """Parse and validate an INI run configuration."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no key is a template, so a '%' is kept as written, not interpolated
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(parser)

@@ -10,11 +10,12 @@ eta-scaled schedule, so eta=0 is fully deterministic and eta=1 matches the
 ancestral process variance.
 
 One chunk loop serves several requests, each a (condition, seed) pair
-that asks for n_paths paths.  Row i of a request draws from its own
-seeded stream derived from (seed, i) and sees its request's condition,
-and rows run in chunks of at most SAMPLE_CHUNK: as many whole requests
-share a chunk as fit in it, and a larger request is chunked on its own,
-as ``sample_paths`` chunks it.  So a run is bitwise identical for the
+that asks for n_paths paths.  Row i of a request sees its request's
+condition and draws x_T and every stochastic step's noise in one call
+from its own seeded stream, derived from (seed, i).  Rows run in chunks
+of at most SAMPLE_CHUNK: as many whole requests share a chunk as fit in
+it, and a larger request is chunked on its own, as ``sample_paths``
+chunks it.  So a run is bitwise identical for the
 same requests and n_paths.  Path i of a request is the same path for any
 n_paths and any requests sharing its chunk, but only to float rounding
 (about 1e-16): the batch size of the network calls changes the BLAS
@@ -182,12 +183,15 @@ def _run_chunk(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float,
         )
         return diffusion.recover_eps(x, pred, model.mode, t, sched)
 
-    def noise_fn(shape):
-        # one draw per path from its own stream: shape is (paths, 1, L)
-        return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
-
-    x_start = noise_fn((len(streams), 1, model.net.input_length))
-    return ddim_trajectory(eps_fn, x_start, sched, steps, eta, noise_fn)
+    # Each row's stream fills x_T and every stochastic step's noise in one
+    # draw; one fill gives the same normals as successive calls would.
+    t_prev = [*steps[1:], 0]
+    n_draws = 1 + sum(ddim_sigma(sched, int(t), int(p), eta) > 0.0
+                      for t, p in zip(steps, t_prev))
+    shape = (n_draws, 1, model.net.input_length)
+    draws = iter(np.stack([rng.standard_normal(shape) for rng in streams], axis=1))
+    x_start = next(draws)
+    return ddim_trajectory(eps_fn, x_start, sched, steps, eta, lambda _: next(draws))
 
 
 def sample_requests(model: GeneratorModel, config: SamplerConfig, requests,

@@ -5,6 +5,8 @@ import csv
 import math
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -536,6 +538,39 @@ class TestSample:
         assert paths.shape == (16, 18)
         assert np.isfinite(paths).all()
         assert meta["n_paths"] == "16"
+
+
+# Run in a fresh interpreter: every command but validate leaves scipy
+# unloaded, and the first KS p-value loads it and agrees with it bit for bit.
+SCIPY_GUARD = """
+import sys
+import numpy as np
+import pqlab.cli as cli
+ini = sys.argv[1]
+for argv in (["prepare", ini], ["train", ini], ["sample", ini, "--slice", "0"],
+             ["game", ini]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.special" not in sys.modules, "scipy.special loaded by " + ini
+from pqlab.path_stats import ks_two_sample
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal(50), rng.standard_normal(70) + 0.4
+stat, p_value = ks_two_sample(a, b)
+assert "scipy.special" in sys.modules
+from scipy.special import kolmogorov
+expected = min(1.0, max(0.0, float(kolmogorov(np.sqrt(50 * 70 / 120) * stat))))
+assert 0.0 < p_value < 1.0 and p_value == expected, (p_value, expected)
+"""
+
+
+class TestScipyOnlyForValidate:
+    def test_scipy_loads_on_the_first_p_value(self, tmp_path):
+        ini, _ = write_workspace(tmp_path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", SCIPY_GUARD, ini], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
 
 
 class TestValidate:

@@ -1,10 +1,13 @@
 """Run-configuration parsing: defaults, strictness, echo round trip."""
 
 import configparser
+import shutil
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqlab.cli as cli
 import pqlab.runconfig as rc
@@ -322,6 +325,7 @@ class TestCheckedAtLoad:
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("schedule", "timesteps", "0", "T must be at least 1"),
+        ("schedule", "timesteps", "99999999999", "T must be at most 100000"),
         ("schedule", "beta_end", "2", "beta_end < 1"),
         ("schedule", "beta_start", "0.5", "beta_start <= beta_end"),
         ("model", "depth", "0", "depth must be at least 1"),
@@ -484,3 +488,111 @@ class TestResolvedText:
         for name in ("run", "data", "schedule", "model", "loss", "train",
                      "sampler", "validate", "game", "contracts"):
             assert f"[{name}]" in echo
+
+
+class TestConfigFileText:
+    """The file is UTF-8 text read literally: no '%' interpolation."""
+
+    @pytest.mark.parametrize("name", ["out_50%", "out_%(x)s", "out_%%"])
+    def test_percent_in_out_dir_is_kept(self, tmp_path, name):
+        out = tmp_path / name
+        path = write_config(tmp_path, f"[run]\nout_dir = {out}\n")
+        assert cli.main(["prepare", str(path)]) == 0
+        assert (out / "slices.npz").is_file()
+        cfg = rc.load_config(path)
+        assert cfg.out_dir == str(out)
+        assert rc.load_config(out / "config.ini") == cfg
+
+    def test_percent_template_value_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "threads = %(x)s\n")
+        assert cli.main(["prepare", str(path)]) == 2
+        assert "threads = '%(x)s'" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"# caf\xe9 au lait\n" + MINIMAL.encode())
+        with pytest.raises(ConfigError, match="UTF-8"):
+            rc.load_config(path)
+        assert cli.main(["prepare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "latin1.ini" in err and "UTF-8" in err
+
+
+# A small valid run; out_dir is relative, so a truncated or dropped out_dir
+# stays in the fuzz case's own working directory.
+FUZZ_BASE = {
+    "run": {"out_dir": "out"},
+    "data": {"n_days": "400", "windows": "30", "split_date": "2015-12-01",
+             "seed": "3", "sigma1": "0.2"},
+    "schedule": {"timesteps": "60"},
+    "model": {"base_channels": "4", "depth": "2", "time_embed_dim": "4"},
+    "train": {"steps": "5", "batch_size": "8"},
+    "game": {"levels": "0.0,0.2", "q_paths": "400"},
+}
+INI_KEYS = [(section, f.name) for section, f, _ in ini_keys()]
+# Integers stop at 10,000 and free text holds no digits, so no case asks
+# for more than a few MB; floats include NaN and the infinities.  Text has
+# no line breaks, so a value cannot add a line of its own.
+INI_VALUES = st.one_of(
+    st.integers(-10_000, 10_000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "+inf", "1e999", "", "true", "off", "1,2",
+                     "0.5,nan", "%", "50%", "%(x)s", "%%", "2016-02-30"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs"),
+                          blacklist_characters="\n\r"), max_size=12),
+)
+# out_dir is written to, so it only ever names a directory in the case's own
+# working directory
+VALUE_KEYS = [key for key in INI_KEYS if key != ("run", "out_dir")] + [("data", "colour")]
+OUT_DIRS = st.text(st.sampled_from("abc_%()-. \u00e9"), min_size=1, max_size=8).map(
+    lambda tail: "out" + tail)
+EDITS = st.one_of(
+    st.tuples(st.just("drop_section"), st.sampled_from(sorted(FUZZ_BASE))),
+    st.tuples(st.just("drop_key"), st.sampled_from(INI_KEYS)),
+    st.tuples(st.just("set"), st.sampled_from(VALUE_KEYS), INI_VALUES),
+    st.tuples(st.just("set"), st.just(("run", "out_dir")), OUT_DIRS),
+)
+
+
+def render(sections) -> bytes:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items()).encode("utf-8")
+
+
+class TestFuzzedIni:
+    """``prepare`` on a mutated INI exits 0 or with a typed error's code."""
+
+    def test_base_prepares(self, tmp_path, monkeypatch):
+        (tmp_path / "run.ini").write_bytes(render(FUZZ_BASE))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["prepare", "run.ini"]) == 0
+
+    @settings(deadline=None, max_examples=150)
+    @given(edits=st.lists(EDITS, max_size=4), cut=st.none() | st.integers(0, 600),
+           junk=st.none() | st.tuples(st.integers(0, 600),
+                                      st.binary(min_size=1, max_size=4).map(
+                                          lambda b: bytes(0x80 | c for c in b))))
+    def test_exit_code_is_typed(self, tmp_path_factory, edits, cut, junk):
+        sections = {name: dict(keys) for name, keys in FUZZ_BASE.items()}
+        for edit in edits:
+            if edit[0] == "drop_section":
+                sections.pop(edit[1], None)
+            elif edit[0] == "drop_key":
+                sections.get(edit[1][0], {}).pop(edit[1][1], None)
+            else:
+                (section, key), value = edit[1], edit[2]
+                sections.setdefault(section, {})[key] = value
+        blob = render(sections)
+        if junk is not None:  # bytes >= 0x80: mostly not UTF-8, never a digit
+            at, extra = junk
+            blob = blob[:at] + extra + blob[at:]
+        if cut is not None:
+            blob = blob[:cut]
+        work = tmp_path_factory.mktemp("ini")
+        (work / "run.ini").write_bytes(blob)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.chdir(work)
+                assert cli.main(["prepare", "run.ini"]) in (0, 2, 3, 4)
+        finally:
+            shutil.rmtree(work)

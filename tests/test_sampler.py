@@ -397,6 +397,61 @@ class TestPackedRequests:
                                df.build_schedule(50))
 
 
+def per_step_chunk(model, sched, steps, eta, cond, streams):
+    """Reference chunk: each row draws x_T, then each stochastic step's noise."""
+    def eps_fn(x, t):
+        pred, _, _ = dn.forward(model.params, model.bn_state, x, t, cond, model.net,
+                                training=False)
+        return df.recover_eps(x, pred, model.mode, t, sched)
+
+    def noise_fn(shape):
+        return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
+
+    x_start = noise_fn((len(streams), 1, model.net.input_length))
+    return sp.ddim_trajectory(eps_fn, x_start, sched, steps, eta, noise_fn)
+
+
+class CountingStream:
+    """A Generator stand-in that counts standard_normal calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        return self.rng.standard_normal(shape)
+
+
+class TestNoiseDraws:
+    """A row's noise is one draw of its stream, equal to a draw per step."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_one_draw_equals_a_draw_per_step(self, monkeypatch, eta):
+        model, sched = perturbed_tiny_model(5), df.build_schedule(100)
+        cfg = sp.SamplerConfig(num_steps=7, eta=eta, n_paths=sp.SAMPLE_CHUNK // 3 + 5)
+        requests = TestPackedRequests.REQUESTS
+        one_draw = sp.sample_requests(model, cfg, requests, sched)
+        monkeypatch.setattr(sp, "_run_chunk", per_step_chunk)
+        per_step = sp.sample_requests(model, cfg, requests, sched)
+        for got, want in zip(one_draw, per_step):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_each_row_draws_once(self, monkeypatch, eta):
+        streams, default_rng = [], np.random.default_rng
+
+        def counting_rng(seed):
+            streams.append(CountingStream(default_rng(seed)))
+            return streams[-1]
+
+        model, sched = tiny_model(), df.build_schedule(100)
+        cfg = sp.SamplerConfig(num_steps=6, eta=eta, n_paths=9)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        sp.sample_requests(model, cfg, TestPackedRequests.REQUESTS, sched)
+        assert len(streams) == 9 * len(TestPackedRequests.REQUESTS)
+        assert all(stream.calls == 1 for stream in streams)
+
+
 class TestToPrices:
     def test_single_step(self):
         out = to_prices(100.0, np.array([math.log(1.1)]))
