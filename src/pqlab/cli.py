@@ -23,9 +23,9 @@ Artifact layout under [run] out_dir:
 `game` values the whole book in one pass over the test slices
 (``pq_game.value_slices``): each slice's P paths are sampled once and its Q
 paths simulated once, and every product is valued on both, so its files
-do not depend on which other products share the run.  P samples the test
-slices in groups of consecutive slices that fit one sampling chunk, so
-the group shares each DDIM step's network call.
+do not depend on which other products share the run.  One sampler run
+streams every test slice's P paths in order, and consecutive slices that
+fit one sampling chunk share each DDIM step's network call.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -257,34 +257,24 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
 
 
 def _model_p_source(model, sched, cfg: runconfig.RunConfig, test_slices):
-    """P's price paths for each test slice, sampled a group of slices at a time.
+    """P's price paths for each test slice, from one sampler stream.
 
     A slice's P seed comes from its product-blind Q seed
-    (``pq_game.slice_q_params``).  A group is ``sampler.requests_per_chunk``
-    consecutive slices: one chunk of at most ``SAMPLE_CHUNK`` rows, or one
-    slice when p_paths is larger than half of that.  The first request
-    for any slice of a group samples the whole group in one run; each
-    slice's paths are handed out once and dropped, so at most one group's
-    paths are alive at a time.
+    (``pq_game.slice_q_params``).  ``value_slices`` asks for the slices in
+    order, so each call takes the stream's next array; a slice asked out
+    of that order is a DataError.
     """
     scfg = replace(cfg.sampler, n_paths=cfg.game.p_paths)
-    per_group = sampler.requests_per_chunk(scfg.n_paths)
-    position = {id(s): idx for idx, s in enumerate(test_slices)}
-    held: dict = {}
-
-    def p_seed(idx):
-        q_seed = pq_game.slice_q_params(idx, test_slices[idx], cfg.game).seed
-        return mp.child_seed(q_seed, P_SOURCE_SALT)
+    requests = [(s.condition, mp.child_seed(pq_game.slice_q_params(idx, s, cfg.game).seed,
+                                            P_SOURCE_SALT))
+                for idx, s in enumerate(test_slices)]
+    stream = sampler.sample_requests(model, scfg, requests, sched)
+    expected = iter(test_slices)
 
     def source(s, q_params):
-        idx = position[id(s)]
-        if idx not in held:
-            held.clear()  # the last group is handed out: free it first
-            first = idx - idx % per_group
-            group = range(first, min(first + per_group, len(test_slices)))
-            requests = [(test_slices[j].condition, p_seed(j)) for j in group]
-            held.update(zip(group, sampler.sample_requests(model, scfg, requests, sched)))
-        return mp.to_prices(s.s0, held.pop(idx))
+        if s is not next(expected, None):
+            raise DataError("P paths must be asked for in test-slice order")
+        return mp.to_prices(s.s0, next(stream))
 
     return source
 

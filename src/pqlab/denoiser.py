@@ -47,7 +47,7 @@ both layouts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class DenoiserConfig:
     cond_dim: int = 5
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # every field is an int: a float or bool is refused
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
         if self.input_length < 2**self.depth or self.input_length % 2**self.depth:

@@ -292,7 +292,8 @@ _SCHEMA = _schema()
 
 def _section_values(parser: configparser.ConfigParser, name: str, keys) -> dict:
     """Parsed values of the keys present in one section; absent keys default."""
-    raw = dict(parser[name]) if parser.has_section(name) else {}
+    # read raw, so a parser with interpolation keeps a '%' as written too
+    raw = dict(parser.items(name, raw=True)) if parser.has_section(name) else {}
     unknown = sorted(set(raw) - {f.name for f, _ in keys})
     if unknown:
         raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")

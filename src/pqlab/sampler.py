@@ -9,14 +9,16 @@ with x0_hat recovered from the noise estimate.  sigma follows the usual
 eta-scaled schedule, so eta=0 is fully deterministic and eta=1 matches the
 ancestral process variance.
 
-One chunk loop serves several requests, each a (condition, seed) pair
-that asks for n_paths paths.  Row i of a request sees its request's
-condition and draws x_T and every stochastic step's noise in one call
-from its own seeded stream, derived from (seed, i).  Rows run in chunks
-of at most SAMPLE_CHUNK: as many whole requests share a chunk as fit in
-it, and a larger request is chunked on its own, as ``sample_paths``
-chunks it.  So a run is bitwise identical for the
-same requests and n_paths.  Path i of a request is the same path for any
+One chunk loop, ``sample_requests``, serves several (condition, seed)
+requests for n_paths paths each; no other code packs requests into
+chunks.  Row i of a request sees its request's condition and draws x_T
+and every stochastic step's noise in one call from its own seeded
+stream, derived from (seed, i).  Rows run in chunks of at most
+SAMPLE_CHUNK: as many whole requests share a chunk as fit in it, and a
+larger request is chunked on its own, as ``sample_paths`` chunks it.
+The requests are checked at the call; then each one's paths stream out
+as soon as its chunk has run.  A run is bitwise identical for the same
+requests and n_paths.  Path i of a request is the same path for any
 n_paths and any requests sharing its chunk, but only to float rounding
 (about 1e-16): the batch size of the network calls changes the BLAS
 summation order.
@@ -29,7 +31,9 @@ in memory allocated once per chunk instead of once per step.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -166,11 +170,6 @@ def ddim_trajectory(eps_fn, x_start, sched: NoiseSchedule, steps,
     return x
 
 
-def requests_per_chunk(n_paths: int) -> int:
-    """How many requests of n_paths rows share a chunk: as many as fit, at least one."""
-    return max(1, SAMPLE_CHUNK // max(1, n_paths))
-
-
 def _run_chunk(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float,
                cond: np.ndarray, streams) -> np.ndarray:
     """One DDIM trajectory for a chunk: row j sees cond[j] and draws from streams[j]."""
@@ -195,14 +194,17 @@ def _run_chunk(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float,
 
 
 def sample_requests(model: GeneratorModel, config: SamplerConfig, requests,
-                    sched: NoiseSchedule) -> list[np.ndarray]:
-    """Draw config.n_paths log-return sequences for each (condition, seed) request.
+                    sched: NoiseSchedule) -> Iterator[np.ndarray]:
+    """Stream config.n_paths log-return sequences for each (condition, seed) request.
 
-    Consecutive requests are packed ``requests_per_chunk(n_paths)`` at a
-    time, so they share each DDIM step's network call; config.seed is not
-    read.  Returns one (n_paths, n_trading) array per request, in order:
-    the network output truncated to the request's valid length and
-    rescaled to log-return space.
+    The requests are checked here, before any network call.  Then
+    consecutive requests are packed into chunks, as many whole requests as
+    fit, so they share each DDIM step's network call; config.seed is not
+    read.  The iterator yields one (n_paths, n_trading) array per request,
+    in order, as soon as its chunk has run: the network output truncated to
+    the request's valid length and rescaled to log-return space.  It holds
+    one chunk's paths (one request's, if that is larger) and none that it
+    has handed out.
     """
     requests = list(requests)
     if config.num_steps > sched.T:
@@ -215,28 +217,29 @@ def sample_requests(model: GeneratorModel, config: SamplerConfig, requests,
             raise ConfigError(f"condition needs {condition.n_trading} steps but the "
                               f"network length is {length}")
     steps = step_subsequence(sched.T, config.num_steps)
-    n = config.n_paths
-    outs = [np.empty((n, condition.n_trading), dtype=np.float64)
-            for condition, _ in requests]
-    per_chunk = requests_per_chunk(n)
-    for first in range(0, len(requests), per_chunk):
-        conditions, seeds = zip(*requests[first:first + per_chunk])
-        conds = np.stack([condition.as_array() for condition in conditions])
-        n_rows = len(seeds) * n
-        for start in range(0, n_rows, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, n_rows)
-            owner, path = np.divmod(np.arange(start, stop), n)
-            streams = [np.random.default_rng([seeds[k], i])
-                       for k, i in zip(owner.tolist(), path.tolist())]
-            x = _run_chunk(model, sched, steps, config.eta, conds[owner], streams)
-            for k in range(owner[0], owner[-1] + 1):
-                lo, hi = max(start, k * n), min(stop, (k + 1) * n)
-                n_valid = conditions[k].n_trading
-                part = x[lo - start:hi - start, 0, :n_valid] * model.return_scale
-                if not np.all(np.isfinite(part)):
-                    raise NumericError("sampler produced non-finite log returns")
-                outs[first + k][lo - k * n:hi - k * n] = part
-    return outs
+    return _stream(model, sched, steps, config.eta, config.n_paths, requests)
+
+
+def _stream(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float, n: int,
+            requests) -> Iterator[np.ndarray]:
+    """``sample_requests``'s loop over groups: the whole requests that fit one
+    chunk, or one larger request; a request's rows are a slice of x."""
+    per_group = max(1, SAMPLE_CHUNK // max(1, n))
+    for first in range(0, len(requests), per_group):
+        conditions, seeds = zip(*requests[first:first + per_group])
+        conds = np.repeat(np.stack([c.as_array() for c in conditions]), n, axis=0)
+        rows = ([seed, i] for seed in seeds for i in range(n))
+        x = np.empty((len(conds), 1, model.net.input_length))
+        for start in range(0, len(conds), SAMPLE_CHUNK):
+            streams = [np.random.default_rng(row) for row in islice(rows, SAMPLE_CHUNK)]
+            stop = start + len(streams)
+            x[start:stop] = _run_chunk(model, sched, steps, eta, conds[start:stop], streams)
+        for k, condition in enumerate(conditions):
+            paths = x[k * n:(k + 1) * n, 0, :condition.n_trading] * model.return_scale
+            if not np.all(np.isfinite(paths)):
+                raise NumericError("sampler produced non-finite log returns")
+            yield paths
+        del paths, x  # free what was handed out before the next group runs
 
 
 def sample_paths(model: GeneratorModel, config: SamplerConfig,
@@ -246,7 +249,7 @@ def sample_paths(model: GeneratorModel, config: SamplerConfig,
     Returns an (n_paths, n_trading) array: the network output truncated to
     the condition's valid length and rescaled to log-return space.
     """
-    return sample_requests(model, config, [(condition, config.seed)], sched)[0]
+    return next(sample_requests(model, config, [(condition, config.seed)], sched))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import json
 import math
 import os
 import shutil
@@ -265,6 +266,17 @@ def tamper_checkpoint(out, dest, key, value):
     return str(dest)
 
 
+def net_config_checkpoint(out, dest, edit):
+    """A copy of the run's checkpoint whose net_config JSON dict went through edit."""
+    with np.load(os.path.join(out, "checkpoint.npz")) as archive:
+        entries = {k: archive[k] for k in archive.files}
+    net = json.loads(str(entries["net_config"]))
+    edit(net)
+    entries["net_config"] = np.array(json.dumps(net))
+    np.savez(dest, **entries)
+    return str(dest)
+
+
 class TestTamperedManifest:
     @pytest.mark.parametrize("line", [
         None, "return_scale=", "return_scale=abc", "return_scale=nan",
@@ -336,6 +348,21 @@ class TestTamperedCheckpoint:
         assert "bad.npz" in err and field in err and "must be >= 0" in err
         assert not os.path.exists(os.path.join(dest, "table_5_1.csv"))
 
+    @pytest.mark.parametrize("field", ["depth", "base_channels", "input_length"])
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_float_net_config_field_exits_3(self, workspace, tmp_path, capsys, field,
+                                            command):
+        # 2.0 for 2 would pass every range check and fail deep in the network
+        ini, out = workspace
+        bad = net_config_checkpoint(out, tmp_path / "bad.npz",
+                                    lambda net: net.update({field: float(net[field])}))
+        dest = copy_game_inputs(out, tmp_path / "run")
+        argv = (["train", ini, "--out-dir", dest, "--resume", bad] if command == "train"
+                else ["validate", ini, "--out-dir", dest, "--checkpoint", bad])
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "net_config" in err and f"{field} must be an integer" in err
+
     def test_resume_from_negative_step_exits_3(self, workspace, tmp_path, capsys):
         ini, out = workspace
         dest = copy_game_inputs(out, tmp_path / "resume")
@@ -352,8 +379,18 @@ SMALL_ARRAYS = hnp.arrays(
 )
 
 
+REMOVED = object()
+# a net_config field's value: anything but a non-negative integer, or no
+# field at all; integers stay small, so no case asks for a large network
+NET_CONFIG_VALUES = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=4), st.none(),
+    st.integers(-10, -1), st.just(REMOVED),
+)
+
+
 class TestFuzzedStores:
-    """A store member swapped for a random small array is read or is exit 3."""
+    """A store member swapped for a random small array, or a net_config field
+    set to a bad value, is read or is exit 3."""
 
     @pytest.mark.parametrize("store", ["slices.npz", "checkpoint.npz"])
     @settings(deadline=None, max_examples=60)
@@ -367,6 +404,24 @@ class TestFuzzedStores:
         key = data.draw(st.sampled_from(sorted(entries)), label="member")
         entries[key] = data.draw(SMALL_ARRAYS, label="value")
         np.savez(path, **entries)
+        assert cli.main(["sample", ini, "--out-dir", dest]) in (0, 3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_net_config_field(self, workspace, tmp_path_factory, data):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path_factory.mktemp("fuzz") / "out")
+        path = os.path.join(dest, "checkpoint.npz")
+
+        def edit(net):
+            key = data.draw(st.sampled_from(sorted(net)), label="field")
+            value = data.draw(NET_CONFIG_VALUES, label="value")
+            if value is REMOVED:
+                del net[key]
+            else:
+                net[key] = value
+
+        net_config_checkpoint(out, path, edit)
         assert cli.main(["sample", ini, "--out-dir", dest]) in (0, 3)
 
 
@@ -701,38 +756,40 @@ class TestSharedPPaths:
         )
         assert got == self.game_files(single)
 
-    def test_each_slice_is_sampled_once_in_one_run_per_group(
-        self, workspace, tmp_path, monkeypatch
-    ):
+    def test_one_sampler_run_serves_every_slice(self, workspace, tmp_path, monkeypatch):
         _, out = workspace
-        runs = []
-        real = sampler.sample_requests
+        runs, chunks = [], []
+        real_sample, real_chunk = sampler.sample_requests, sampler._run_chunk
 
         def counting(model, config, requests, sched):
             requests = list(requests)
             runs.append((requests, config.n_paths))
-            return real(model, config, requests, sched)
+            return real_sample(model, config, requests, sched)
+
+        def chunk(model, sched, steps, eta, cond, streams):
+            chunks.append(len(streams))
+            return real_chunk(model, sched, steps, eta, cond, streams)
 
         monkeypatch.setattr(sampler, "sample_requests", counting)
+        monkeypatch.setattr(sampler, "_run_chunk", chunk)
         dest = copy_game_inputs(out, tmp_path / "counted")
         ini = self.multi_product_ini(out, tmp_path)
         assert cli.main(["game", ini, "--out-dir", dest]) == 0
         cfg = rc.load_config(ini)
         test = mp.load_slices(os.path.join(out, "slices.npz")).test
-        # every (P seed, path) row stream of every test slice, drawn once
-        drawn = sorted((seed, i) for requests, n in runs for _, seed in requests
-                       for i in range(n))
+        # one run asks for every test slice, in order, with its P seed
         seeds = [mp.child_seed(pq_game.slice_q_params(idx, s, cfg.game).seed,
                                cli.P_SOURCE_SALT) for idx, s in enumerate(test)]
-        assert drawn == sorted((seed, i) for seed in seeds
-                               for i in range(cfg.game.p_paths))
-        assert [c for requests, _ in runs for c, _ in requests] == [s.condition
-                                                                   for s in test]
-        # one run per group of consecutive slices that fill a chunk
-        per_run = sampler.SAMPLE_CHUNK // cfg.game.p_paths
-        assert [len(requests) for requests, _ in runs] == [
-            min(per_run, len(test) - first) for first in range(0, len(test), per_run)]
-        assert len(runs) > 1
+        assert len(runs) == 1
+        requests, n_paths = runs[0]
+        assert n_paths == cfg.game.p_paths
+        assert [seed for _, seed in requests] == seeds
+        assert [c for c, _ in requests] == [s.condition for s in test]
+        # one chunk per group of consecutive slices that fill it, each row once
+        per_chunk = sampler.SAMPLE_CHUNK // cfg.game.p_paths
+        assert chunks == [min(per_chunk, len(test) - first) * n_paths
+                          for first in range(0, len(test), per_chunk)]
+        assert len(chunks) > 1
 
     def test_q_paths_simulated_once_per_test_slice(
         self, workspace, tmp_path, monkeypatch
@@ -788,33 +845,52 @@ class TestGroupedPSource:
         files = TestSharedPPaths.game_files(grouped)
         assert files and files == TestSharedPPaths.game_files(alone)
 
-    def test_at_most_one_group_of_paths_is_alive(self, workspace, tmp_path, monkeypatch):
+    def test_no_handed_out_p_array_is_alive_when_a_chunk_runs(
+        self, workspace, tmp_path, monkeypatch
+    ):
         _, out = workspace
-        p_paths = sampler.SAMPLE_CHUNK // 2  # two slices per group
-        alive = []  # weak references to every P array made so far
+        alive = []  # weak references to every P array handed out so far
         rows = []
-        real_sample, real_prices = sampler.sample_requests, mp.to_prices
+        real_sample, real_chunk = sampler.sample_requests, sampler._run_chunk
+        real_prices = mp.to_prices
 
-        def sampling(model, config, requests, sched):
-            assert all(ref() is None for ref in alive), "an earlier group is alive"
-            paths = real_sample(model, config, requests, sched)
-            rows.append(sum(len(p) for p in paths))
-            alive.extend(weakref.ref(p) for p in paths)
-            return paths
-
-        def prices(s0, log_returns):
-            paths = real_prices(s0, log_returns)
+        def watched(paths):
             alive.append(weakref.ref(paths))
             return paths
 
+        def sampling(model, config, requests, sched):
+            return map(watched, real_sample(model, config, requests, sched))
+
+        def chunk(model, sched, steps, eta, cond, streams):
+            assert all(ref() is None for ref in alive), "a handed-out P array is alive"
+            rows.append(len(streams))
+            return real_chunk(model, sched, steps, eta, cond, streams)
+
         monkeypatch.setattr(sampler, "sample_requests", sampling)
-        monkeypatch.setattr(mp, "to_prices", prices)
-        dest = copy_game_inputs(out, tmp_path / "held")
-        assert cli.main(["game", self.game_ini(out, tmp_path, p_paths),
-                         "--out-dir", dest]) == 0
+        monkeypatch.setattr(sampler, "_run_chunk", chunk)
+        monkeypatch.setattr(mp, "to_prices", lambda s0, r: watched(real_prices(s0, r)))
         n_test = int(mp.read_manifest(os.path.join(out, "dataset.manifest"))["test_slices"])
-        assert len(rows) == math.ceil(n_test / 2) > 1
-        assert max(rows) == sampler.SAMPLE_CHUNK
+        # two slices per chunk, then each slice over two chunks
+        for p_paths, want in [
+            (sampler.SAMPLE_CHUNK // 2, [sampler.SAMPLE_CHUNK] * (n_test // 2)
+             + [sampler.SAMPLE_CHUNK // 2] * (n_test % 2)),
+            (sampler.SAMPLE_CHUNK + 9, [sampler.SAMPLE_CHUNK, 9] * n_test),
+        ]:
+            alive.clear()
+            rows.clear()
+            dest = copy_game_inputs(out, tmp_path / f"held{p_paths}")
+            assert cli.main(["game", self.game_ini(out, tmp_path, p_paths),
+                             "--out-dir", dest]) == 0
+            assert rows == want and len(alive) == 2 * n_test > 2
+
+    def test_slice_out_of_order_is_data_error(self, workspace):
+        ini, out = workspace
+        cfg = replace(rc.load_config(ini), out_dir=out)
+        split, _ = cli._load_slices(cfg)
+        state = training.load_checkpoint(os.path.join(out, "checkpoint.npz"))
+        source = cli._model_p_source(state.model(), state.sched, cfg, split.test)
+        with pytest.raises(DataError, match="test-slice order"):
+            source(split.test[1], None)
 
 
 class TestRerunDeterminism:

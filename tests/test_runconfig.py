@@ -517,6 +517,13 @@ class TestConfigFileText:
         err = capsys.readouterr().err
         assert "latin1.ini" in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("value", ["runs/50%", "runs/%(x)s", "runs/%%"])
+    def test_interpolating_parser_reads_literally(self, value):
+        # parse_config reads every section raw, whatever parser it is handed
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[run]\nout_dir = {value}\n")
+        assert rc.parse_config(parser).out_dir == value
+
 
 # A small valid run; out_dir is relative, so a truncated or dropped out_dir
 # stays in the fuzz case's own working directory.

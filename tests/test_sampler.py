@@ -2,6 +2,7 @@
 
 import math
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -338,7 +339,7 @@ class TestPackedRequests:
         model, sched = perturbed_tiny_model(2), df.build_schedule(100)
         # two requests share the first chunk, the third fills the second
         cfg = sp.SamplerConfig(num_steps=6, eta=eta, n_paths=sp.SAMPLE_CHUNK // 2 - 3)
-        packed = sp.sample_requests(model, cfg, self.REQUESTS, sched)
+        packed = list(sp.sample_requests(model, cfg, self.REQUESTS, sched))
         assert len(packed) == len(self.REQUESTS)
         for got, request in zip(packed, self.REQUESTS):
             assert got.shape == (cfg.n_paths, request[0].n_trading)
@@ -348,18 +349,11 @@ class TestPackedRequests:
     @pytest.mark.parametrize("n_paths", [1, 37, sp.SAMPLE_CHUNK // 2 + 1,
                                          sp.SAMPLE_CHUNK + 44])
     def test_no_forward_gets_more_than_a_chunk(self, monkeypatch, n_paths):
-        forward = dn.forward
-        batches = []
-
-        def counting(*args, **kwargs):
-            batches.append(args[2].shape[0])
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(dn, "forward", counting)
+        batches = count_forward_batches(monkeypatch)
         cfg = sp.SamplerConfig(num_steps=2, n_paths=n_paths)
         requests = self.REQUESTS * 3
-        sp.sample_requests(tiny_model(), cfg, requests, df.build_schedule(50))
-        per_chunk = sp.requests_per_chunk(n_paths)
+        list(sp.sample_requests(tiny_model(), cfg, requests, df.build_schedule(50)))
+        per_chunk = max(1, sp.SAMPLE_CHUNK // n_paths)
         if n_paths <= sp.SAMPLE_CHUNK:  # whole requests share a chunk
             chunks = [min(per_chunk, len(requests) - first) * n_paths
                       for first in range(0, len(requests), per_chunk)]
@@ -376,17 +370,22 @@ class TestPackedRequests:
         for got, request in zip(packed, self.REQUESTS):
             assert got.tobytes() == self.alone(model, cfg, request, sched).tobytes()
 
-    def test_requests_per_chunk(self):
-        assert sp.requests_per_chunk(1) == sp.SAMPLE_CHUNK
-        assert sp.requests_per_chunk(32) == sp.SAMPLE_CHUNK // 32
-        assert sp.requests_per_chunk(sp.SAMPLE_CHUNK // 2 + 1) == 1
-        assert sp.requests_per_chunk(sp.SAMPLE_CHUNK * 4) == 1
-        assert sp.requests_per_chunk(0) == sp.SAMPLE_CHUNK
+    def test_requests_per_chunk(self, monkeypatch):
+        # as many whole requests share a chunk as fit in it, and at least one
+        batches = count_forward_batches(monkeypatch)
+        cfg = sp.SamplerConfig(num_steps=1)
+        for n_paths, per_chunk in [(1, sp.SAMPLE_CHUNK), (32, sp.SAMPLE_CHUNK // 32),
+                                   (sp.SAMPLE_CHUNK // 2, 2), (sp.SAMPLE_CHUNK // 2 + 1, 1)]:
+            requests = [(condition(), seed) for seed in range(per_chunk + 1)]
+            batches.clear()
+            list(sp.sample_requests(tiny_model(), replace(cfg, n_paths=n_paths), requests,
+                                    df.build_schedule(50)))
+            assert batches == [per_chunk * n_paths, n_paths]
 
     def test_no_requests_and_no_paths(self):
         model, sched = tiny_model(), df.build_schedule(50)
         cfg = sp.SamplerConfig(num_steps=2, n_paths=0)
-        assert sp.sample_requests(model, cfg, [], sched) == []
+        assert list(sp.sample_requests(model, cfg, [], sched)) == []
         empty = sp.sample_requests(model, cfg, self.REQUESTS, sched)
         assert [p.shape for p in empty] == [(0, c.n_trading) for c, _ in self.REQUESTS]
 
@@ -395,6 +394,61 @@ class TestPackedRequests:
         with pytest.raises(ConfigError):
             sp.sample_requests(tiny_model(), cfg, self.REQUESTS + [(condition(20), 0)],
                                df.build_schedule(50))
+
+
+def count_forward_batches(monkeypatch):
+    """The batch size of every denoiser.forward call from now on, in order."""
+    forward, batches = dn.forward, []
+
+    def counting(*args, **kwargs):
+        batches.append(args[2].shape[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(dn, "forward", counting)
+    return batches
+
+
+class TestStream:
+    """``sample_requests`` checks at the call, then streams one array per request."""
+
+    @pytest.mark.parametrize("num_steps, last", [(51, condition()), (2, condition(20))])
+    def test_config_error_before_any_network_call(self, monkeypatch, num_steps, last):
+        batches = count_forward_batches(monkeypatch)
+        # the bad request comes last: earlier requests fill chunks of their own
+        cfg = sp.SamplerConfig(num_steps=num_steps, n_paths=sp.SAMPLE_CHUNK)
+        with pytest.raises(ConfigError):
+            sp.sample_requests(tiny_model(), cfg, TestPackedRequests.REQUESTS + [(last, 0)],
+                               df.build_schedule(50))
+        assert batches == []
+
+    def test_each_array_comes_when_its_chunk_has_run(self, monkeypatch):
+        batches = count_forward_batches(monkeypatch)
+        cfg = sp.SamplerConfig(num_steps=3, n_paths=sp.SAMPLE_CHUNK // 2 - 3)
+        stream = sp.sample_requests(tiny_model(), cfg, TestPackedRequests.REQUESTS,
+                                    df.build_schedule(50))
+        assert batches == []
+        for n_chunks in (1, 1, 2):  # two requests share the first chunk
+            assert next(stream).shape[0] == cfg.n_paths
+            assert len(batches) == n_chunks * cfg.num_steps
+        assert next(stream, None) is None
+
+    @pytest.mark.parametrize("n_paths", [sp.SAMPLE_CHUNK // 2, sp.SAMPLE_CHUNK + 9])
+    def test_nothing_handed_out_is_alive_when_a_chunk_runs(self, monkeypatch, n_paths):
+        alive, rows, run_chunk = [], [], sp._run_chunk
+
+        def checked(model, sched, steps, eta, cond, streams):
+            assert all(ref() is None for ref in alive), "a handed-out array is alive"
+            rows.append(len(streams))
+            return run_chunk(model, sched, steps, eta, cond, streams)
+
+        monkeypatch.setattr(sp, "_run_chunk", checked)
+        cfg = sp.SamplerConfig(num_steps=2, n_paths=n_paths)
+        stream = sp.sample_requests(tiny_model(), cfg, TestPackedRequests.REQUESTS,
+                                    df.build_schedule(50))
+        for _ in TestPackedRequests.REQUESTS:  # each array is dropped once taken
+            alive.append(weakref.ref(next(stream)))
+        assert sum(rows) == n_paths * len(TestPackedRequests.REQUESTS)
+        assert max(rows) == sp.SAMPLE_CHUNK
 
 
 def per_step_chunk(model, sched, steps, eta, cond, streams):
@@ -430,9 +484,9 @@ class TestNoiseDraws:
         model, sched = perturbed_tiny_model(5), df.build_schedule(100)
         cfg = sp.SamplerConfig(num_steps=7, eta=eta, n_paths=sp.SAMPLE_CHUNK // 3 + 5)
         requests = TestPackedRequests.REQUESTS
-        one_draw = sp.sample_requests(model, cfg, requests, sched)
+        one_draw = list(sp.sample_requests(model, cfg, requests, sched))
         monkeypatch.setattr(sp, "_run_chunk", per_step_chunk)
-        per_step = sp.sample_requests(model, cfg, requests, sched)
+        per_step = list(sp.sample_requests(model, cfg, requests, sched))
         for got, want in zip(one_draw, per_step):
             assert got.tobytes() == want.tobytes()
 
@@ -447,7 +501,7 @@ class TestNoiseDraws:
         model, sched = tiny_model(), df.build_schedule(100)
         cfg = sp.SamplerConfig(num_steps=6, eta=eta, n_paths=9)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        sp.sample_requests(model, cfg, TestPackedRequests.REQUESTS, sched)
+        list(sp.sample_requests(model, cfg, TestPackedRequests.REQUESTS, sched))
         assert len(streams) == 9 * len(TestPackedRequests.REQUESTS)
         assert all(stream.calls == 1 for stream in streams)
 
