@@ -27,6 +27,10 @@ do not depend on which other products share the run.  One sampler run
 streams every test slice's P paths in order, and consecutive slices that
 fit one sampling chunk share each DDIM step's network call.
 
+Only `train` reads the train slices: `sample`, `validate` and `game` load
+``slices.npz`` with the test group alone unpacked (``split.train`` is
+None), though every train column is still read and checked.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
 """
@@ -84,12 +88,13 @@ def _slices_path(cfg: runconfig.RunConfig) -> str:
     return os.path.join(cfg.out_dir, "slices.npz")
 
 
-def _load_slices(cfg: runconfig.RunConfig):
-    """The slice store and the prepared return scale from dataset.manifest."""
+def _load_slices(cfg: runconfig.RunConfig, groups=("test",)):
+    """The slice store, with only ``groups`` unpacked (``mp.load_slices``),
+    and the prepared return scale from dataset.manifest."""
     path = _slices_path(cfg)
     if not os.path.isfile(path):
         raise DataError(f"slice store not found: {path}; run `prepare` first")
-    split = mp.load_slices(path)
+    split = mp.load_slices(path, groups=groups)
     manifest_path = os.path.join(cfg.out_dir, "dataset.manifest")
     if not os.path.isfile(manifest_path):
         raise DataError(
@@ -165,7 +170,7 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
 
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
-    split, scale = _load_slices(cfg)
+    split, scale = _load_slices(cfg, groups=("train", "test"))
     sched = cfg.schedule.noise_schedule()
     net = _net_config(cfg, split.l_max)
     log_path = os.path.join(out, "loss_log.csv")

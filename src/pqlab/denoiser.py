@@ -56,6 +56,15 @@ from .errors import ConfigError, DataError, NumericError
 
 DEFAULT_TIME_EMBED_DIM = 16
 
+# Upper bounds on a layout, so that an absurd INI value or checkpoint field
+# is refused before anything is allocated at its size.  The input length
+# (65 trading years) also bounds depth, since 2**depth divides it; the
+# parameter count bounds every width field (base_channels, the embedding
+# and hidden dims, in_channels, cond_dim): each one sizes some weight.
+MAX_INPUT_LENGTH = 2**14
+MAX_DEPTH = MAX_INPUT_LENGTH.bit_length() - 1
+MAX_PARAMS = 2**24  # 128 MiB per float64 vector; base_channels 256 at depth 2
+
 
 @dataclass(frozen=True)
 class DenoiserConfig:
@@ -75,16 +84,24 @@ class DenoiserConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
+        if self.depth > MAX_DEPTH:
+            raise ConfigError(f"depth must be at most {MAX_DEPTH}")
         if self.input_length < 2**self.depth or self.input_length % 2**self.depth:
             raise ConfigError(
                 f"input_length must be a positive multiple of {2 ** self.depth}"
             )
+        if self.input_length > MAX_INPUT_LENGTH:
+            raise ConfigError(f"input_length must be at most {MAX_INPUT_LENGTH}")
         if self.time_embed_dim % 2 or self.time_embed_dim < 2:
             raise ConfigError("time_embed_dim must be a positive even number")
         for name in ("base_channels", "cond_embed_dim", "cond_hidden_dim",
                      "in_channels", "cond_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        n_params = param_count(self)
+        if n_params > MAX_PARAMS:
+            raise ConfigError(f"the network would have {n_params} parameters, "
+                              f"more than {MAX_PARAMS}")
 
     @property
     def embed_channels(self) -> int:

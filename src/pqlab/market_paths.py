@@ -93,14 +93,22 @@ class RateTable:
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "rates", rates)
 
-    def rate_at(self, date: np.datetime64) -> float:
-        """Most recent rate at or before `date` (forward fill by date)."""
-        idx = int(np.searchsorted(self.dates, np.datetime64(date, "D"), side="right")) - 1
-        if idx < 0:
+    def rate_at(self, date):
+        """Most recent rate at or before `date` (forward fill by date).
+
+        A single date gives a float; an array of dates gives an array of
+        rates, and a date before the first rate is a DataError naming the
+        first such date.
+        """
+        days = np.asarray(date, dtype="datetime64[D]")
+        idx = np.searchsorted(self.dates, days, side="right") - 1
+        missing = idx < 0
+        if missing.any():
+            first = date if days.ndim == 0 else days[missing][0]
             raise DataError(
-                f"no {self.tenor_days}-day rate available on or before {date}"
+                f"no {self.tenor_days}-day rate available on or before {first}"
             )
-        return float(self.rates[idx])
+        return float(self.rates[idx]) if days.ndim == 0 else self.rates[idx]
 
 
 @dataclass(frozen=True)
@@ -170,10 +178,13 @@ class PathSlice:
 
 @dataclass(frozen=True)
 class SplitSlices:
-    """slice_dataset output: train/test partition plus skip diagnostics."""
+    """slice_dataset output: train/test partition plus skip diagnostics.
 
-    train: list
-    test: list
+    ``load_slices`` leaves a group it does not unpack as None.
+    """
+
+    train: list | None
+    test: list | None
     skipped: Counter
     l_max: int
 
@@ -287,6 +298,39 @@ def load_rates_csv(path) -> dict:
     return tables
 
 
+# Skip reasons in the order a candidate slice is checked; a slice's reason
+# code is its 1-based position here, 0 for a kept slice.
+SKIP_REASONS = ("window_past_series_end", "straddles_split", "no_trading_days",
+                "trading_density_too_high", "insufficient_history")
+
+# sigma_hist takes one np.std per block of this many starts, so the
+# (starts x 251) window matrix stays a few MB on a long series.
+SIGMA_BLOCK_STARTS = 2048
+
+
+def _sigma_hist(returns: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """sigma_hist at each trading-day index in ``starts`` (each at least
+    SIGMA_HIST_MIN_DAYS): annualized_volatility of returns
+    max(0, s - 252) .. s - 2, bit for bit.
+
+    Each start's window is a row of one sliding-window view over the
+    returns behind 251 zeros; ``where`` keeps a first-year start's row to
+    its returns.  ``np.std`` reduces each row like a 1-d call does, so the
+    bits match.
+    """
+    width = SIGMA_HIST_DAYS - 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.zeros(width), returns]), width)
+    # row s - 1 ends at return s - 2; its last min(s - 1, 251) entries are returns
+    skip = width - np.minimum(starts - 1, width)
+    out = np.empty(len(starts))
+    for b in range(0, len(starts), SIGMA_BLOCK_STARTS):
+        block = slice(b, b + SIGMA_BLOCK_STARTS)
+        out[block] = np.std(windows[starts[block] - 1], axis=1, ddof=1,
+                            where=np.arange(width) >= skip[block, None])
+    return out * math.sqrt(TRADING_DAYS_PER_YEAR)
+
+
 def slice_dataset(
     series: DailySeries,
     rates: dict,
@@ -308,13 +352,23 @@ def slice_dataset(
     s .. e - 1; its sigma_hist is the annualized volatility of the returns
     among the up to 252 closes before s, of which there must be 60.
 
-    Skip reasons (counted, not fatal): window running off the end of the
-    series, not enough history for sigma_hist, trading-day density above
-    252/365 (which would break t_trading <= t_calendar), split straddle.
+    Every (start, window) candidate is judged at once: one searchsorted
+    finds all stops, one reason code per candidate gives the skip counts,
+    ``_sigma_hist`` takes the kept starts' volatilities in one ``np.std``
+    call per block of starts, and ``RateTable.rate_at`` looks up each
+    window's rates for its kept starts.  Only the kept slices are then
+    built, start by start and window by window, through the checked
+    ``ConditionVector`` and ``PathSlice``.
+
+    Skip reasons (counted, not fatal; ``SKIP_REASONS``): window running off
+    the end of the series, split straddle, no trading day in the window,
+    trading-day density above 252/365 (which would break t_trading <=
+    t_calendar), not enough history for sigma_hist.
 
     `split_date` is a literal YYYY-MM-DD or a datetime64 (``parse_date``);
     anything else is a ConfigError.  Raises DataError if a window has no
-    rate table of matching tenor.
+    rate table of matching tenor, or if a kept slice starts before its
+    table's first rate (naming the first such slice in start order).
     """
     windows = sorted(set(int(w) for w in windows))
     if not windows:
@@ -334,51 +388,67 @@ def slice_dataset(
     t_closes = series.trading_closes
     returns = log_returns(t_closes)
     returns.flags.writeable = False  # every slice holds a view of it
-    skipped: Counter = Counter()
-    train, test, l_max = [], [], 0
-    for start_idx in range(0, len(t_dates), stride):
-        start = t_dates[start_idx]
-        is_train = start < split
-        lo = max(0, start_idx - SIGMA_HIST_DAYS)
-        sigma = None
-        for w in windows:
-            end = start + np.timedelta64(w, "D")
-            if end > last:
-                skipped["window_past_series_end"] += 1
-                continue
-            if is_train and end >= split:
-                # Training slices must not touch any price dated >= split.
-                skipped["straddles_split"] += 1
-                continue
-            stop_idx = int(np.searchsorted(t_dates, end, side="right"))
-            n_trading = stop_idx - (start_idx + 1)
-            if n_trading < 1:
-                skipped["no_trading_days"] += 1
-                continue
-            if n_trading * CALENDAR_DAYS_PER_YEAR > w * TRADING_DAYS_PER_YEAR:
-                skipped["trading_density_too_high"] += 1
-                continue
-            if start_idx - lo < SIGMA_HIST_MIN_DAYS:
-                skipped["insufficient_history"] += 1
-                continue
-            if sigma is None:
-                sigma = annualized_volatility(returns[lo : start_idx - 1])
-            cond = ConditionVector(
-                sigma_hist=sigma,
-                r=rates[w].rate_at(start),
-                t_calendar=w / CALENDAR_DAYS_PER_YEAR,
-                t_trading=n_trading / TRADING_DAYS_PER_YEAR,
-                n_trading=n_trading,
-            )
-            sl = PathSlice(
-                s0=float(t_closes[start_idx]),
-                log_returns=returns[start_idx : stop_idx - 1],
-                condition=cond,
-                window_calendar_days=w,
-                start_date=start,
-            )
-            (train if is_train else test).append(sl)
-            l_max = max(l_max, n_trading)
+
+    # one row per start, one column per window
+    starts = np.arange(0, len(t_dates), stride)
+    start_dates = t_dates[starts]
+    is_train = start_dates < split
+    width = np.array(windows)
+    ends = start_dates[:, None] + width.astype("timedelta64[D]")
+    stops = np.searchsorted(t_dates, ends, side="right")
+    n_trading = stops - (starts[:, None] + 1)
+    history = starts - np.maximum(0, starts - SIGMA_HIST_DAYS)
+    reason = np.select(
+        [ends > last,
+         is_train[:, None] & (ends >= split),  # would touch the split
+         n_trading < 1,
+         n_trading * CALENDAR_DAYS_PER_YEAR > width * TRADING_DAYS_PER_YEAR,
+         (history < SIGMA_HIST_MIN_DAYS)[:, None]],
+        np.arange(1, len(SKIP_REASONS) + 1), 0)
+    # reasons counted in the order the start-by-start scan first meets them
+    codes, first = np.unique(reason, return_index=True)
+    counts = np.bincount(reason.ravel(), minlength=len(SKIP_REASONS) + 1)
+    skipped = Counter({SKIP_REASONS[code - 1]: int(counts[code])
+                       for code in codes[np.argsort(first)] if code})
+
+    kept = reason == 0
+    row, col = np.nonzero(kept)  # start by start
+    sigma = np.full(len(starts), np.nan)
+    kept_rows = np.flatnonzero(kept.any(axis=1))
+    sigma[kept_rows] = _sigma_hist(returns, starts[kept_rows])
+    rate = np.empty(len(row))
+    try:
+        for k, w in enumerate(windows):
+            rate[col == k] = rates[w].rate_at(start_dates[row[col == k]])
+    except DataError:
+        # name the slice a start-by-start scan would fail on first
+        for i, k in zip(row.tolist(), col.tolist()):
+            rates[windows[k]].rate_at(start_dates[i])
+        raise
+
+    train, test = [], []
+    n_kept = n_trading[row, col]
+    in_train = is_train.tolist()
+    for i, k, start_idx, stop_idx, n, s0, sig, r in zip(
+            row.tolist(), col.tolist(), starts[row].tolist(), stops[row, col].tolist(),
+            n_kept.tolist(), t_closes[starts[row]].tolist(), sigma[row].tolist(),
+            rate.tolist()):
+        cond = ConditionVector(
+            sigma_hist=sig,
+            r=r,
+            t_calendar=windows[k] / CALENDAR_DAYS_PER_YEAR,
+            t_trading=n / TRADING_DAYS_PER_YEAR,
+            n_trading=n,
+        )
+        sl = PathSlice(
+            s0=s0,
+            log_returns=returns[start_idx : stop_idx - 1],
+            condition=cond,
+            window_calendar_days=windows[k],
+            start_date=start_dates[i],
+        )
+        (train if in_train[i] else test).append(sl)
+    l_max = int(n_kept.max(initial=0))
     return SplitSlices(train=train, test=test, skipped=skipped, l_max=l_max)
 
 
@@ -492,18 +562,42 @@ def _read_group(archive, group: str) -> dict:
     return col
 
 
+def _check_values(col: dict, group: str) -> None:
+    """The value checks that ConditionVector and PathSlice make, over the
+    columns of a group that is read but not unpacked; a ValueError names
+    the first failing column."""
+    s0, sigma, r, tcal, ttrad = (col[key].astype(np.float64, copy=False)
+                                 for key in ("s0", "sigma", "r", "tcal", "ttrad"))
+    checks = (
+        ("sigma", "finite and non-negative", np.isfinite(sigma) & (sigma >= 0.0)),
+        ("r", "finite", np.isfinite(r)),
+        ("tcal", "finite", np.isfinite(tcal)),
+        ("ttrad", "finite", np.isfinite(ttrad)),
+        ("offsets", "strictly increasing (a slice needs a trading day)",
+         np.diff(col["offsets"]) >= 1),
+        ("ttrad", "at most tcal", ~(ttrad > tcal + 1e-12)),
+        ("s0", "finite and positive", np.isfinite(s0) & (s0 > 0.0)),
+        ("returns", "finite", np.isfinite(col["returns"])),
+    )
+    for key, what, ok in checks:
+        if not ok.all():
+            raise ValueError(f"{group}_{key} must be {what}")
+
+
 def _unpack_group(col: dict) -> list:
     # one .tolist() per column, not a numpy scalar cast per slice; start
     # stays datetime64 (its .tolist() would give datetime.date)
     offsets, window = col["offsets"].tolist(), col["window"].tolist()
     s0, sigma, r, tcal, ttrad = (col[key].astype(np.float64, copy=False).tolist()
                                  for key in ("s0", "sigma", "r", "tcal", "ttrad"))
+    returns = col["returns"].astype(np.float64, copy=False)
+    returns.flags.writeable = False  # every slice holds a view of it
     slices = []
     for i, start in enumerate(col["start"]):
         lo, hi = offsets[i], offsets[i + 1]
         cond = ConditionVector(sigma_hist=sigma[i], r=r[i], t_calendar=tcal[i],
                                t_trading=ttrad[i], n_trading=hi - lo)
-        slices.append(PathSlice(s0=s0[i], log_returns=col["returns"][lo:hi].copy(),
+        slices.append(PathSlice(s0=s0[i], log_returns=returns[lo:hi],
                                 condition=cond, window_calendar_days=window[i],
                                 start_date=start))
     return slices
@@ -557,13 +651,21 @@ def npz_member(archive, key: str, ndim: int, kinds: str) -> np.ndarray:
     return value
 
 
-def load_slices(path) -> SplitSlices:
+def load_slices(path, groups=_SLICE_GROUPS) -> SplitSlices:
     """Load a slice store written by save_slices.
 
     Besides the member checks, the offsets must cut the returns into one
     slice per entry of every column, l_max must be the longest slice, and
     each skipped reason needs one count; anything else is a DataError.
+
+    ``groups`` names the groups to unpack into PathSlices ("train",
+    "test" or both); a group left out is None on the result, though its
+    columns are still read and their values checked like a slice's.  An
+    unpacked slice holds a read-only view of its group's returns.
     """
+    unknown = set(groups) - set(_SLICE_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown slice group(s) {sorted(unknown)}")
     with read_npz(path, "slice store") as archive:
         if str(archive["version"]) != SLICES_VERSION:
             raise DataError(f"unsupported slice store version {archive['version']!r}")
@@ -572,14 +674,21 @@ def load_slices(path) -> SplitSlices:
         counts = npz_member(archive, "skipped_counts", 1, "iu")
         if len(names) != len(counts):
             raise ValueError(f"{len(names)} skipped_names but {len(counts)} skipped_counts")
-        groups = {group: _read_group(archive, group) for group in _SLICE_GROUPS}
+        cols = {group: _read_group(archive, group) for group in _SLICE_GROUPS}
         longest = max(int(np.diff(col["offsets"]).max(initial=0))
-                      for col in groups.values())
+                      for col in cols.values())
         if longest != l_max:
             raise ValueError(f"l_max = {l_max}, but the longest slice has {longest} returns")
+        unpacked = {}
+        for group, col in cols.items():
+            if group in groups:
+                unpacked[group] = _unpack_group(col)
+            else:
+                _check_values(col, group)
+                unpacked[group] = None
         return SplitSlices(
-            train=_unpack_group(groups["train"]),
-            test=_unpack_group(groups["test"]),
+            train=unpacked["train"],
+            test=unpacked["test"],
             skipped=Counter({str(name): int(count) for name, count in zip(names, counts)}),
             l_max=l_max,
         )

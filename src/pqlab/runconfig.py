@@ -43,7 +43,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
 from typing import get_type_hints
 
-from .denoiser import DenoiserConfig
+from .denoiser import MAX_DEPTH, DenoiserConfig
 from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, MODES,
                         NoiseSchedule, build_schedule)
 from .errors import ConfigError
@@ -204,7 +204,8 @@ class ModelSection:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.input_length < 0:
             raise ConfigError("input_length must be >= 0 (0 = fit to data)")
-        self.denoiser_config(self.input_length or 2**self.depth)
+        # min() keeps the power small; DenoiserConfig refuses a depth over MAX_DEPTH
+        self.denoiser_config(self.input_length or 2 ** min(self.depth, MAX_DEPTH))
 
     def denoiser_config(self, input_length: int) -> DenoiserConfig:
         """The network layout at a resolved input length."""

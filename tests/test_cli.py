@@ -132,6 +132,26 @@ class TestExitCodes:
         assert cli.main(["train", str(ini)]) == 2
         assert "stpes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("input_length", 2**40, "input_length must be at most 16384"),
+        ("depth", 10**12, "depth must be at most 14"),
+        ("base_channels", 10**6, "parameters, more than 16777216"),
+        ("time_embed_dim", 2 * 10**9, "parameters, more than 16777216"),
+        ("cond_embed_dim", 10**9, "parameters, more than 16777216"),
+        ("cond_hidden_dim", 10**12, "parameters, more than 16777216"),
+    ])
+    def test_oversized_model_is_config_error(self, tmp_path, capsys, key, value, needle):
+        # the value would size an array (or, for depth, a power of two) at
+        # the first step; load_config refuses it before any command runs
+        ini = str(tmp_path / "run.ini")
+        config = configparser.ConfigParser(interpolation=None)
+        config.read_string(CONFIG_BODY.format(out=tmp_path / "out"))
+        config["model"][key] = str(value)
+        with open(ini, "w") as fh:
+            config.write(fh)
+        assert cli.main(["train", ini]) == 2
+        assert needle in capsys.readouterr().err
+
     def test_train_before_prepare_is_data_error(self, tmp_path, capsys):
         ini, _ = write_workspace(tmp_path)
         assert cli.main(["train", str(ini)]) == 3
@@ -253,6 +273,45 @@ class TestNonFiniteSliceStore:
         assert f"{field} must be finite" in capsys.readouterr().err
 
 
+class TestTestOnlyLoad:
+    """`game`, `validate` and `sample` unpack only the test slices, but still
+    read and check the train group."""
+
+    @pytest.mark.parametrize("member, value", [
+        ("train_returns", np.nan), ("train_s0", -1.0), ("train_sigma", np.inf),
+        ("train_ttrad", 99.0),
+    ])
+    @pytest.mark.parametrize("command", ["game", "validate", "sample"])
+    def test_corrupt_train_column_exits_3(self, workspace, tmp_path, capsys, command,
+                                          member, value):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "tampered")
+        path = os.path.join(dest, "slices.npz")
+        with np.load(path) as archive:
+            entries = {k: archive[k] for k in archive.files}
+        entries[member] = entries[member].copy()
+        entries[member][0] = value
+        np.savez(path, **entries)
+        assert cli.main([command, ini, "--out-dir", dest]) == 3
+        assert member in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["game", "validate"])
+    def test_no_train_slice_is_built(self, workspace, tmp_path, monkeypatch, command):
+        ini, out = workspace
+        n_test = len(mp.load_slices(os.path.join(out, "slices.npz")).test)
+        built = []
+        real_init = mp.PathSlice.__post_init__
+
+        def counting_init(self):
+            built.append(self.start_date)
+            real_init(self)
+
+        monkeypatch.setattr(mp.PathSlice, "__post_init__", counting_init)
+        dest = copy_game_inputs(out, tmp_path / command)
+        assert cli.main([command, ini, "--out-dir", dest]) == 0
+        assert len(built) == n_test
+
+
 def tamper_checkpoint(out, dest, key, value):
     """A copy of the run's checkpoint with one entry replaced."""
     with np.load(os.path.join(out, "checkpoint.npz")) as archive:
@@ -362,6 +421,26 @@ class TestTamperedCheckpoint:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "net_config" in err and f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("input_length", 2**40, "input_length must be at most 16384"),
+        ("depth", 10**12, "depth must be at most 14"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_oversized_net_config_field_exits_3(self, workspace, tmp_path, capsys, field,
+                                                value, needle, command):
+        # input_length sizes no weight, so the layout check cannot catch it
+        # (the run would allocate at that length); a huge depth would stall
+        # on 2**depth before the layout is read
+        ini, out = workspace
+        bad = net_config_checkpoint(out, tmp_path / "bad.npz",
+                                    lambda net: net.update({field: value}))
+        dest = copy_game_inputs(out, tmp_path / "run")
+        argv = (["train", ini, "--out-dir", dest, "--resume", bad] if command == "train"
+                else ["validate", ini, "--out-dir", dest, "--checkpoint", bad])
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "net_config" in err and needle in err
 
     def test_resume_from_negative_step_exits_3(self, workspace, tmp_path, capsys):
         ini, out = workspace

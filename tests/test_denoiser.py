@@ -118,6 +118,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             dn.DenoiserConfig(input_length=8, time_embed_dim=3)
 
+    def test_longest_input_is_accepted(self):
+        dn.DenoiserConfig(input_length=dn.MAX_INPUT_LENGTH)
+        assert 2**dn.MAX_DEPTH == dn.MAX_INPUT_LENGTH
+        # the deepest layout passes the depth check; its widths then meet
+        # the parameter cap
+        with pytest.raises(ConfigError, match="parameters, more than"):
+            dn.DenoiserConfig(input_length=dn.MAX_INPUT_LENGTH, base_channels=1,
+                              depth=dn.MAX_DEPTH)
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("input_length", dn.MAX_INPUT_LENGTH + 4, "input_length must be at most"),
+        ("input_length", 2**40, "input_length must be at most"),
+        ("depth", dn.MAX_DEPTH + 1, "depth must be at most"),
+        ("depth", 10**12, "depth must be at most"),
+        ("base_channels", 10**6, "parameters, more than"),
+        ("time_embed_dim", 2 * 10**9, "parameters, more than"),
+        ("cond_embed_dim", 10**9, "parameters, more than"),
+        ("cond_hidden_dim", 10**12, "parameters, more than"),
+        ("in_channels", 10**9, "parameters, more than"),
+        ("cond_dim", 10**9, "parameters, more than"),
+    ])
+    def test_oversized_field_is_refused(self, field, value, needle):
+        # checked on the numbers alone: nothing is allocated at these sizes
+        with pytest.raises(ConfigError, match=needle):
+            dn.DenoiserConfig(**{"input_length": 16, field: value})
+
+    def test_param_cap_is_the_count(self):
+        wide = dn.DenoiserConfig(input_length=16, base_channels=256)
+        assert dn.MAX_PARAMS // 2 < dn.param_count(wide) <= dn.MAX_PARAMS
+        with pytest.raises(ConfigError, match=f"more than {dn.MAX_PARAMS}"):
+            dn.DenoiserConfig(input_length=16, base_channels=512)
+
 
 class TestParams:
     def test_count_matches_independent_walk(self):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -304,6 +305,91 @@ class TestSliceDatasetMatchesReference:
             slice_dataset(series, rates, windows, split)
 
 
+def first_kept_start(series, windows, split, window):
+    """The earliest start date that slice_dataset keeps for ``window``."""
+    out = slice_dataset(series, flat_rates(windows, str(series.dates[0])), windows, split)
+    return min(sl.start_date for sl in out.train + out.test
+               if sl.window_calendar_days == window)
+
+
+def late_rates(windows, firsts):
+    """A flat rate table per window whose one rate is dated ``firsts[w]``."""
+    return {w: RateTable(w, np.array([firsts[w]], dtype="datetime64[D]"),
+                         np.array([0.02 + 0.001 * w])) for w in windows}
+
+
+class TestLateRateTables:
+    """Rate tables that start after the series does: slice_dataset fails on
+    the (start, window) the per-slice oracle reaches first, or not at all."""
+
+    def case(self):
+        series, _ = random_calendar_case(4, 200, 0.6, 2)
+        return series, series.dates[150]
+
+    def assert_same_error(self, series, rates, windows, split):
+        with pytest.raises(DataError) as want:
+            oracles.slice_dataset_reference(series, rates, windows, split)
+        with pytest.raises(DataError, match=re.escape(str(want.value))):
+            slice_dataset(series, rates, windows, split)
+        return str(want.value)
+
+    def test_table_after_the_first_kept_start(self):
+        series, split = self.case()
+        first = first_kept_start(series, (7,), split, 7)
+        rates = late_rates((7,), {7: first + np.timedelta64(1, "D")})
+        message = self.assert_same_error(series, rates, (7,), split)
+        assert message == f"no 7-day rate available on or before {first}"
+
+    def test_table_after_skipped_starts_only(self):
+        # the table's one rate falls on the first kept start: every start
+        # before it is skipped (too little history), so nothing is missing
+        series, split = self.case()
+        first = first_kept_start(series, (7,), split, 7)
+        assert first > series.trading_dates[0]
+        rates = late_rates((7,), {7: first})
+        got = slice_dataset(series, rates, (7,), split)
+        want = oracles.slice_dataset_reference(series, rates, (7,), split)
+        assert slices_fingerprint(got) == slices_fingerprint(want)
+
+    def test_two_late_tables_name_the_first_slice_in_start_order(self):
+        # 2-day windows on a sparse calendar skip many starts for want of a
+        # trading day, so the 30-day window keeps an earlier start than the
+        # 2-day window does; both tables start late, and the oracle fails
+        # at the 30-day slice although the 2-day window is checked first
+        series, _ = random_calendar_case(2, 400, 0.2, 2)
+        split = series.dates[300]
+        first2 = first_kept_start(series, (2, 30), split, 2)
+        first30 = first_kept_start(series, (2, 30), split, 30)
+        assert first30 < first2
+        rates = late_rates((2, 30), {2: first2 + np.timedelta64(1, "D"),
+                                     30: first2 + np.timedelta64(1, "D")})
+        message = self.assert_same_error(series, rates, (2, 30), split)
+        assert message == f"no 30-day rate available on or before {first30}"
+
+
+class TestSliceDatasetWork:
+    """Counts, not timings: the work slice_dataset does per series."""
+
+    def test_std_calls_do_not_grow_with_the_series(self, monkeypatch):
+        calls = []
+        real_std = np.std
+
+        def counting_std(*args, **kwargs):
+            calls.append(1)
+            return real_std(*args, **kwargs)
+
+        monkeypatch.setattr(np, "std", counting_std)
+        counts = []
+        for n_days in (700, 2500):
+            series = synthesize_series(GeneratorConfig(n_days=n_days), seed=3)
+            split = series.dates[n_days * 3 // 4]
+            calls.clear()
+            out = slice_dataset(series, flat_rates([30], str(series.dates[0])), [30], split)
+            assert len(out.train) > 100
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+
 class TestRateTable:
     def test_forward_fill_picks_most_recent(self):
         dates = np.array(["2020-01-01", "2020-02-01"], dtype="datetime64[D]")
@@ -318,6 +404,25 @@ class TestRateTable:
         )
         with pytest.raises(DataError):
             table.rate_at(np.datetime64("2020-01-01"))
+
+    def test_array_of_dates_equals_each_date_alone(self):
+        dates = np.array(["2020-01-01", "2020-02-01", "2020-03-01"], dtype="datetime64[D]")
+        table = RateTable(30, dates, np.array([0.02, 0.03, 0.025]))
+        days = np.datetime64("2020-01-01") + np.arange(0, 120, 7)
+        got = table.rate_at(days)
+        assert isinstance(got, np.ndarray) and got.shape == days.shape
+        assert [float(v).hex() for v in got] == [table.rate_at(d).hex() for d in days]
+        assert type(table.rate_at(days[0])) is float
+        assert table.rate_at(days[:0]).shape == (0,)
+
+    def test_array_names_its_first_date_before_the_table(self):
+        table = RateTable(
+            30, np.array(["2020-06-01"], dtype="datetime64[D]"), np.array([0.02])
+        )
+        days = np.array(["2020-07-01", "2020-05-03", "2020-05-01"], dtype="datetime64[D]")
+        with pytest.raises(DataError, match="^no 30-day rate available on or before "
+                                            "2020-05-03$"):
+            table.rate_at(days)
 
 
 class TestCsvIO:
@@ -609,6 +714,85 @@ class TestSliceStore:
         with pytest.raises(DataError, match=needle) as info:
             load_slices(path)
         assert "tampered.npz" in str(info.value)
+
+    def test_test_only_load_equals_full_load(self, series, tmp_path):
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "slices.npz"
+        save_slices(path, self.build(series))
+        full = load_slices(path)
+        test_only = load_slices(path, groups=("test",))
+        assert test_only.train is None
+        assert slices_fingerprint(replace(test_only, train=[])) == \
+            slices_fingerprint(replace(full, train=[]))
+        train_only = load_slices(path, groups=("train",))
+        assert train_only.test is None and train_only.train
+        assert slices_fingerprint(replace(train_only, test=[])) == \
+            slices_fingerprint(replace(full, test=[]))
+
+    def test_loaded_returns_are_read_only(self, series, tmp_path):
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "slices.npz"
+        save_slices(path, self.build(series))
+        full = load_slices(path)
+        for sl in (full.train[0], full.test[-1], load_slices(path, groups=("test",)).test[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                sl.log_returns[0] = 1.0
+
+    def test_unknown_group_rejected(self, series, tmp_path):
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "slices.npz"
+        save_slices(path, self.build(series))
+        with pytest.raises(ValueError, match="unknown slice group"):
+            load_slices(path, groups=("test", "valid"))
+
+    @pytest.mark.parametrize("member, index, value, needle", [
+        ("train_s0", 0, -1.0, "train_s0 must be finite and positive"),
+        ("train_s0", -1, np.inf, "train_s0 must be finite and positive"),
+        ("train_sigma", 0, -0.1, "train_sigma must be finite and non-negative"),
+        ("train_sigma", 3, np.nan, "train_sigma must be finite and non-negative"),
+        ("train_r", 0, np.nan, "train_r must be finite"),
+        ("train_tcal", 0, -np.inf, "train_tcal must be finite"),
+        ("train_ttrad", 0, np.nan, "train_ttrad must be finite"),
+        ("train_ttrad", 0, 1.0, "train_ttrad must be at most tcal"),
+        ("train_returns", 5, np.nan, "train_returns must be finite"),
+    ])
+    def test_group_left_packed_is_still_checked(self, series, tmp_path, member, index,
+                                                value, needle):
+        # a value PathSlice or ConditionVector would refuse is a DataError
+        # whether or not its group is unpacked
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "slices.npz"
+        save_slices(path, self.build(series))
+        data = dict(np.load(path))
+        data[member] = data[member].copy()
+        data[member][index] = value
+        np.savez(path, **data)
+        with pytest.raises(DataError):
+            load_slices(path)
+        with pytest.raises(DataError, match=needle) as info:
+            load_slices(path, groups=("test",))
+        assert "slices.npz" in str(info.value)
+
+    def test_empty_slice_in_group_left_packed(self, series, tmp_path):
+        # the last train slice loses its returns: no slice may be empty
+        from pqlab.market_paths import load_slices, save_slices
+
+        path = tmp_path / "slices.npz"
+        save_slices(path, self.build(series))
+        data = dict(np.load(path))
+        offsets = data["train_offsets"].copy()
+        offsets[-1] = offsets[-2]
+        data["train_offsets"] = offsets
+        data["train_returns"] = data["train_returns"][: offsets[-1]]
+        np.savez(path, **data)
+        with pytest.raises(DataError, match="at least one trading day"):
+            load_slices(path)
+        with pytest.raises(DataError, match="train_offsets must be strictly increasing"):
+            load_slices(path, groups=("test",))
 
     def test_decreasing_offsets_rejected(self, series, tmp_path):
         from pqlab.market_paths import load_slices, save_slices
