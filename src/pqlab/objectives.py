@@ -377,7 +377,8 @@ def total_loss(
     skipped: Counter[str] = Counter()
     g_x0 = np.zeros_like(x0_pred)
 
-    for n in np.unique(lens):
+    # the distinct lengths in increasing order (np.unique would import numpy.ma)
+    for n in np.flatnonzero(np.bincount(lens)):
         rows = np.flatnonzero(lens == n)
         # slice, never multiply by the mask: padding may hold NaN
         p = x0_pred[rows, :n]

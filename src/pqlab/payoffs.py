@@ -1,13 +1,18 @@
 """The five contracts, each valued by one vectorised cash-flow kernel.
 
-A contract's ``_flows`` is the only place its rules live: it maps an
-``(N, L)`` matrix of closes on the trading days after inception (day t is
-column t-1; the inception close ``s0`` is passed apart) to ``PathFlows``.
-``cashflows`` is its checked entry.  ``q_pricer.discounted_values``
-discounts a path set's flows, for Q, for P and for the realized leg the
-game settles; ``contract_cashflows`` reads one ``(1, n)`` row back as a
-dated ``CashFlowSchedule``, the one-path view the hand-traced checks
-compare.  Each
+A contract's ``_flows`` is the only place its rules live.  It reads the
+closes on the trading days after inception day-major, as an ``(L, N)``
+C-contiguous array whose row d-1 holds day d of every path (the inception
+close ``s0`` is passed apart), so a reduction over days is a short run of
+whole-row vector ops; its temporaries are day-major too.  ``book_flows``
+is the checked entry: it checks one ``(N, L)`` path set, s0 and the
+calendar once for a whole book and lays the closes out day-major once
+(``cashflows`` is one contract).  Sums over days add in day order
+(``day_sum``), so a path's value does not depend on the other paths of
+its set.  ``q_pricer.book_values`` discounts a path set's flows, for Q,
+for P and for the realized leg the game settles; ``contract_cashflows``
+reads one ``(1, n)`` row back as a dated ``CashFlowSchedule``, the
+one-path view the hand-traced checks compare.  Each
 class also carries its quote mode, default greediness levels, quote
 notional and ``from_contracts`` builder for the ``[contracts]`` section;
 ``CONTRACT_TYPES`` is the product table, keyed by lower-case class name.
@@ -32,12 +37,81 @@ ABSOLUTE_LEVELS = (0.0, 0.005, 0.01, 0.015, 0.02)
 
 
 class PathFlows(NamedTuple):
-    """Column k of ``amounts`` (N, K) pays on 1-based day ``days[:, k]``."""
+    """Column k of ``amounts`` (N, K) pays on 1-based day ``days[:, k]``.
+
+    ``amounts`` is the transpose of a day-major (K, N) array, so
+    ``amounts.T`` holds one flow date per row.
+    """
 
     days: np.ndarray  # int, broadcasts against amounts: (1, K) or (N, K)
     amounts: np.ndarray  # fresh (the caller may scale it in place); 0 where a path pays nothing
     stop_day: np.ndarray  # (N,) last live day
     terminated_early: np.ndarray  # (N,) bool
+
+
+def day_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the rows of a day-major (K, N) array, added in day order.
+
+    numpy's own reduction over the rows adds in that order only for N > 1
+    (one path gets its pairwise sum), so the rows are added one by one:
+    a path's sum is the same in a set of any size.
+    """
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    return total
+
+
+def _first_hits(hit: np.ndarray) -> np.ndarray:
+    """Per path, the number of (K, N) observation rows before its first hit.
+
+    K where a path never hits.  ``hit`` becomes its running OR in place, one
+    ``logical_or`` per row: row k then reads "hit at or before row k".
+    """
+    for k in range(1, len(hit)):
+        np.logical_or(hit[k - 1], hit[k], out=hit[k])
+    return len(hit) - np.count_nonzero(hit, axis=0)
+
+
+def _day_major(paths) -> np.ndarray:
+    """A non-empty, finite (N, L) path set as its (L, N) C-contiguous closes.
+
+    The one finiteness check of a path set.  The layout is a view where
+    ``paths`` is the transpose of a C-contiguous array, a copy otherwise.
+    """
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 2 or paths.size == 0:
+        raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
+    if not np.isfinite(paths).all():
+        raise DataError("paths must be finite")
+    return np.ascontiguousarray(paths.T)
+
+
+def book_flows(contracts, paths, s0: float, calendar=None):
+    """Cash flows of every contract in a book on one (N, L) close matrix.
+
+    The checked entry of the kernels.  The closes, s0 and, where a contract
+    of the book needs it, ``calendar`` (the per-day calendar-year fraction
+    or the maturity t_calendar, a clock linear in the day index) are
+    checked once for the whole book, and the closes are laid out day-major
+    once; bad input is a DataError.  Returns an iterator of one
+    ``PathFlows`` per contract, in book order, each computed when it is
+    read, so one contract's flows are alive at a time.
+    """
+    contracts = tuple(contracts)
+    closes = _day_major(paths)
+    if not (math.isfinite(s0) and s0 > 0.0):
+        raise DataError(f"s0 must be finite and positive, got {s0}")
+    needs = [c for c in contracts if c.needs_calendar]
+    if needs:
+        if calendar is None:
+            raise DataError(f"{type(needs[0]).__name__} valuation needs t_calendar")
+        if np.ndim(calendar) == 0:
+            calendar = linear_calendar_fraction(len(closes), calendar)
+        calendar = np.asarray(calendar, dtype=float)
+        if calendar.shape != closes.shape[:1] or not np.isfinite(calendar).all():
+            raise DataError("cal_frac must be finite and align with the path")
+    return (c._flows(closes, s0, calendar) for c in contracts)
 
 
 def linear_calendar_fraction(n_days: int, t_calendar: float) -> np.ndarray:
@@ -62,28 +136,9 @@ class _Contract:
     quote_notional = 1.0
 
     def cashflows(self, paths, s0: float, calendar=None) -> PathFlows:
-        """Cash flows on every row of an (N, L) close matrix.
-
-        ``calendar``, where needed, is the per-day calendar-year fraction or
-        the maturity t_calendar (a clock linear in the day index).  Bad
-        closes, s0 or calendar are DataErrors.
-        """
-        paths = np.asarray(paths, dtype=float)
-        if paths.ndim != 2 or paths.size == 0:
-            raise DataError("paths must be a non-empty (n_paths, n_days) matrix")
-        if not np.isfinite(paths).all():
-            raise DataError("paths must be finite")
-        if not (math.isfinite(s0) and s0 > 0.0):
-            raise DataError(f"s0 must be finite and positive, got {s0}")
-        if self.needs_calendar:
-            if calendar is None:
-                raise DataError(f"{type(self).__name__} valuation needs t_calendar")
-            if np.ndim(calendar) == 0:
-                calendar = linear_calendar_fraction(paths.shape[1], calendar)
-            calendar = np.asarray(calendar, dtype=float)
-            if calendar.shape != paths.shape[1:] or not np.isfinite(calendar).all():
-                raise DataError("cal_frac must be finite and align with the path")
-        return self._flows(paths, s0, calendar)
+        """Cash flows on every row of an (N, L) close matrix: ``book_flows``
+        on this contract alone."""
+        return next(book_flows((self,), paths, s0, calendar))
 
 
 @dataclass(frozen=True)
@@ -100,9 +155,9 @@ class _TerminalCall(_Contract):
     def from_contracts(cls, section):
         return cls(strike_ratio=section.strike_ratio)
 
-    def _flows(self, paths, s0, calendar) -> PathFlows:
-        n, length = paths.shape
-        payoff = np.maximum(self._underlying(paths) - self.strike_ratio * s0, 0.0)
+    def _flows(self, closes, s0, calendar) -> PathFlows:
+        length, n = closes.shape
+        payoff = np.maximum(self._underlying(closes) - self.strike_ratio * s0, 0.0)
         return PathFlows(np.array([[length]]), payoff[:, None],
                          np.full(n, length), np.zeros(n, dtype=bool))
 
@@ -111,21 +166,21 @@ class _TerminalCall(_Contract):
 class European(_TerminalCall):
     """Vanilla call on the terminal close."""
 
-    _underlying = staticmethod(lambda paths: paths[:, -1])
+    _underlying = staticmethod(lambda closes: closes[-1])
 
 
 @dataclass(frozen=True)
 class Lookback(_TerminalCall):
     """Fixed-strike call on the path maximum."""
 
-    _underlying = staticmethod(lambda paths: paths.max(axis=1))
+    _underlying = staticmethod(lambda closes: closes.max(axis=0))
 
 
 @dataclass(frozen=True)
 class Asian(_TerminalCall):
     """Call on the arithmetic average close."""
 
-    _underlying = staticmethod(lambda paths: paths.mean(axis=1))
+    _underlying = staticmethod(lambda closes: day_sum(closes) / len(closes))
 
 
 @dataclass(frozen=True)
@@ -152,23 +207,24 @@ class Accumulator(_Contract):
     def from_contracts(cls, section):
         return cls(discount=section.acc_discount, ko_ratio=section.acc_ko)
 
-    def _flows(self, paths, s0, calendar) -> PathFlows:
-        n, length = paths.shape
-        days = np.arange(1, length + 1)[None, :]
-        k_d = self.discount * s0
-        # q_t * (S_t - K_d), scaled in place: S_t - K_d is negative exactly
-        # where S_t < K_d, and a second (N, L) float array would cost its page faults
-        amounts = paths - k_d
-        below = amounts < 0.0
-        np.multiply(amounts, 2.0, out=amounts, where=below)
-        hit = paths >= self.ko_ratio * s0
-        first = hit.argmax(axis=1)
-        knocked_out = hit[np.arange(n), first]
-        stop = np.where(knocked_out, first + 1, length)
-        # only a knocked-out row has flows to cancel after its stop day
-        rows = np.flatnonzero(knocked_out)
-        amounts[rows] *= days <= stop[rows, None]
-        return PathFlows(days, amounts, stop, knocked_out)
+    def _flows(self, closes, s0, calendar) -> PathFlows:
+        length, n = closes.shape
+        # q_t * (S_t - K_d): S_t - K_d is negative exactly where S_t < K_d,
+        # and adding its negative part doubles it there (a + a is exact); a
+        # day at a time, since a second (L, N) float array would cost its
+        # page faults
+        amounts = closes - self.discount * s0
+        negative = np.empty(n)
+        for row in amounts:
+            row += np.minimum(row, 0.0, out=negative)
+        hit = closes >= self.ko_ratio * s0
+        first = _first_hits(hit)
+        # hit[d - 1] read "knocked out by day d"; now "live after day d"
+        np.logical_not(hit, out=hit)
+        amounts[1:] *= hit[:-1]
+        knocked_out = first < length
+        stop = np.minimum(first + 1, length)
+        return PathFlows(np.arange(1, length + 1)[None, :], amounts.T, stop, knocked_out)
 
 
 @dataclass(frozen=True)
@@ -217,21 +273,19 @@ class Snowball(_Contract):
         return cls(ko_ratio=section.snow_ko, ki_ratio=section.snow_ki,
                    coupon_pa=section.snow_coupon, notional=section.snow_notional)
 
-    def _flows(self, paths, s0, cal_frac) -> PathFlows:
-        n, length = paths.shape
+    def _flows(self, closes, s0, cal_frac) -> PathFlows:
+        length = len(closes)
         day = np.arange(1, length + 1)
         observed = day[(day % self.ko_obs_stride == 0) | (day == length)]
-        # np.take: the fancy index paths[:, observed - 1] is about 1.7x
-        # slower at 252 days
-        ko_hit = np.take(paths, observed - 1, axis=1) >= self.ko_ratio * s0
-        first = ko_hit.argmax(axis=1)
-        knocked_out = ko_hit[np.arange(n), first]
-        stop = np.where(knocked_out, observed[first], length)
-        # without a KO, stop == length and the coupon accrues to maturity
+        first = _first_hits(closes[observed - 1] >= self.ko_ratio * s0)
+        knocked_out = first < len(observed)
+        # the final day is the last observation: without a KO, stop ==
+        # length and the coupon accrues to maturity
+        stop = observed[np.minimum(first, len(observed) - 1)]
         coupon = self.notional * self.coupon_pa * cal_frac[stop - 1]
-        knocked_in = (paths < self.ki_ratio * s0).any(axis=1)
+        knocked_in = (closes < self.ki_ratio * s0).any(axis=0)
         downside = self.notional * np.maximum(
-            np.minimum(paths[:, -1] / s0 - 1.0, 0.0), -1.0
+            np.minimum(closes[-1] / s0 - 1.0, 0.0), -1.0
         )
         amount = np.where(knocked_out | ~knocked_in, coupon, downside)
         return PathFlows(stop[:, None], amount[:, None], stop, stop < length)

@@ -5,16 +5,24 @@ Paths use the exact log-Euler discretization on the trading-day grid,
     S_{t+1} = S_t * exp((r - sigma^2/2)/252 + sigma * sqrt(1/252) * Z),
 
 so there is no discretization bias for GBM.  Simulation is chunked with
-one RNG substream per chunk (seed sequence [seed, chunk]); the estimator
-reduces per-path values with an exact, correctly rounded sum (``_exact_sum``,
-a vectorised superaccumulator with ``math.fsum``'s bits), making the result
-independent of chunk evaluation order.  ``price_all`` values several
+one RNG substream per chunk (seed sequence [seed, chunk]).  Each chunk
+draws its normals path by path, ``(rows, days)``, and sums them into a
+day-major ``(days, rows)`` array, one vector add per day: the paths keep
+their bits, and the kernels read whole days as rows (see ``payoffs``).
+``book_values`` is the checked valuation entry: it checks one path set
+once for a whole book and adds each path's discounted flows in day
+order.  The estimator reduces per-path values with an exact, correctly
+rounded sum (``_exact_sum``, a vectorised superaccumulator with
+``math.fsum``'s bits), making the result independent of chunk evaluation
+order.  ``price_all`` values several
 contracts on each simulated chunk, so every product of a game slice is
 priced from one path set (common random numbers); ``price`` is
 ``price_all`` on one contract.  ``p_price`` applies the same
 estimator to externally generated paths, so P and Q valuations share
 every arithmetic step; the game's realized leg is ``p_price`` on one
-path, whose estimate is that path's discounted value exactly.  This
+path, whose estimate is that path's discounted value exactly.
+``price_all`` calls ``book_values`` once per chunk, and
+``discounted_values`` and ``p_price`` are it on one contract: this
 module is the game's one discounting path.
 """
 
@@ -28,11 +36,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .market_paths import TRADING_DAYS_PER_YEAR
-from .payoffs import ContractSpec
+from .payoffs import ContractSpec, book_flows, day_sum
 
 # Fixed chunk size so the path set is identical whether it is
 # materialized in one array or streamed chunk by chunk.
 CHUNK_PATHS = 16_384
+# paths per block of normals while a chunk is simulated: at 252 days,
+# blocks of 512 rows cost more in per-day adds than they save in memory
+_DRAW_ROWS = 4_096
 
 
 @dataclass(frozen=True)
@@ -75,17 +86,33 @@ class PriceEstimate:
 
 
 def _simulate_chunk(params: GbmParams, chunk: int, n_rows: int) -> np.ndarray:
+    """One chunk's closes, day-major: an (n_days, n_rows) C-contiguous array.
+
+    The normals are drawn path-major, (rows, days), as one (n_rows, n_days)
+    draw would give them, _DRAW_ROWS paths at a time into one reused block,
+    so no second chunk-sized array costs its page faults.
+    """
     rng = np.random.default_rng([params.seed, chunk])
-    z = rng.standard_normal((n_rows, params.n_days))
     dt = 1.0 / TRADING_DAYS_PER_YEAR
-    # s0 * exp(cumsum(drift + vol * z)), in place on the draw; keep the
-    # operation order, since tests compare the paths bit for bit
-    z *= params.sigma * math.sqrt(dt)
-    z += (params.r - 0.5 * params.sigma**2) * dt
-    np.cumsum(z, axis=1, out=z)
-    np.exp(z, out=z)
-    z *= params.s0
-    return z
+    vol = params.sigma * math.sqrt(dt)
+    drift = (params.r - 0.5 * params.sigma**2) * dt
+    closes = np.empty((params.n_days, n_rows))
+    block = np.empty((min(_DRAW_ROWS, n_rows), params.n_days))
+    # s0 * exp(cumsum(drift + vol * z)); keep the operation order, since
+    # tests compare the paths bit for bit.  The running sum adds one day's
+    # column of the block at a time
+    for start in range(0, n_rows, _DRAW_ROWS):
+        z = block[:n_rows - start]  # the last block may be short
+        rng.standard_normal(out=z)
+        z *= vol
+        z += drift
+        out = closes[:, start:start + len(z)]
+        out[0] = z[:, 0]
+        for day in range(1, params.n_days):
+            np.add(out[day - 1], z[:, day], out=out[day])
+    np.exp(closes, out=closes)
+    closes *= params.s0
+    return closes
 
 
 def _chunk_sizes(n_paths: int):
@@ -97,11 +124,41 @@ def _chunk_sizes(n_paths: int):
 
 
 def simulate_gbm(params: GbmParams) -> np.ndarray:
-    """All paths as an (n_paths, n_days) close matrix (day 1..n, no s0)."""
+    """All paths as an (n_paths, n_days) close matrix (day 1..n, no s0).
+
+    The matrix is the transpose of the day-major chunks side by side, so
+    the valuation entry reads it day-major without a copy.
+    """
     chunks = [
         _simulate_chunk(params, i, n) for i, n in enumerate(_chunk_sizes(params.n_paths))
     ]
-    return np.vstack(chunks)
+    return np.hstack(chunks).T
+
+
+def book_values(
+    contracts,
+    paths: np.ndarray,
+    s0: float,
+    r: float,
+    t_calendar: float | None = None,
+) -> list[np.ndarray]:
+    """Discounted value per path of every contract in a book, in book order.
+
+    The checked valuation entry: ``payoffs.book_flows`` checks the (N, L)
+    paths, s0 and the calendar once for the book and lays the paths out
+    day-major once; a non-finite rate is a DataError here.  Each flow is
+    discounted continuously on the trading-day clock, and a path's flows
+    are added in day order.  Snowballs need t_calendar: their coupon
+    accrues on a calendar clock linear in the day index.
+    """
+    if not math.isfinite(r):
+        raise DataError(f"rate must be finite, got {r}")
+    values = []
+    for days, amounts, _, _ in book_flows(contracts, paths, s0, t_calendar):
+        # the kernel's amounts are fresh, so the discount is multiplied in place
+        amounts *= np.exp(-r * days / TRADING_DAYS_PER_YEAR)
+        values.append(day_sum(amounts.T))
+    return values
 
 
 def discounted_values(
@@ -111,20 +168,8 @@ def discounted_values(
     r: float,
     t_calendar: float | None = None,
 ) -> np.ndarray:
-    """Discounted contract value per path, from the contract's kernel.
-
-    Each flow is discounted continuously on the trading-day clock.
-    Snowballs need t_calendar: their coupon accrues on a calendar clock
-    linear in the day index.  The kernel entry checks paths, s0 and the
-    calendar; a non-finite rate is a DataError here.
-    """
-    if not math.isfinite(r):
-        raise DataError(f"rate must be finite, got {r}")
-    flows = contract.cashflows(paths, s0, t_calendar)
-    # the kernel's amounts are fresh, so the discount is multiplied in place
-    amounts = flows.amounts
-    amounts *= np.exp(-r * flows.days / TRADING_DAYS_PER_YEAR)
-    return np.sum(amounts, axis=1)
+    """Discounted value per path of one contract: ``book_values`` on it alone."""
+    return book_values((contract,), paths, s0, r, t_calendar)[0]
 
 
 # frexp gives x = m * 2**e with 0.5 <= |m| < 1 and, for finite float64,
@@ -198,18 +243,18 @@ def price_all(
     """Q-side fair values of several contracts from one GBM simulation.
 
     Each chunk of paths is simulated once, made read-only and valued for
-    every contract; only the per-path values outlive the chunk, so the
-    peak holds one chunk per worker plus len(contracts) x n_paths floats.
-    Each estimate equals pricing its contract alone, bit for bit.
+    every contract by one ``book_values`` call, which checks it once; only
+    the per-path values outlive the chunk, so the peak holds one chunk per
+    worker plus len(contracts) x n_paths floats.  Each estimate equals
+    pricing its contract alone, bit for bit.
     """
     contracts = tuple(contracts)
 
     def run(args):
         chunk, rows = args
-        paths = _simulate_chunk(params, chunk, rows)
-        paths.setflags(write=False)
-        return [discounted_values(c, paths, params.s0, params.r, t_calendar)
-                for c in contracts]
+        closes = _simulate_chunk(params, chunk, rows)
+        closes.setflags(write=False)
+        return book_values(contracts, closes.T, params.s0, params.r, t_calendar)
 
     jobs = list(enumerate(_chunk_sizes(params.n_paths)))
     if threads > 1:

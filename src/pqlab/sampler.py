@@ -102,8 +102,8 @@ def step_subsequence(total_steps: int, k: int) -> np.ndarray:
     if not 1 <= k <= total_steps:
         raise ConfigError(f"num_steps must be in 1..{total_steps}, got {k}")
     grid = np.linspace(total_steps, 1, k)
-    steps = np.unique(np.rint(grid).astype(np.int64))[::-1]
-    return steps
+    # distinct, descending (np.unique would import numpy.ma)
+    return np.flatnonzero(np.bincount(np.rint(grid).astype(np.int64)))[::-1]
 
 
 def ddim_sigma(sched: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:

@@ -88,9 +88,12 @@ def lookback_payoff(path, s0, strike_ratio=1.0):
 
 
 def asian_payoff(path, s0, strike_ratio=1.0):
-    """max(mean_t S_t - K, 0) with K = strike_ratio * s0."""
-    path = _check_path(path)
-    return max(float(path.mean()) - strike_ratio * s0, 0.0)
+    """max(mean_t S_t - K, 0) with K = strike_ratio * s0; closes add in day order."""
+    path = _check_path(path).tolist()
+    total = path[0]
+    for close in path[1:]:
+        total += close
+    return max(total / len(path) - strike_ratio * s0, 0.0)
 
 
 def accumulator_cashflows(path, s0, spec):

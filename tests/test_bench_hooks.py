@@ -161,20 +161,24 @@ def test_traced_game_samples_the_slices_p_paths_in_one_forward_per_step():
     assert all(s.attrs["batch"] == batch for s in forwards)
 
 
-def test_traced_price_all_records_one_valuation_span_per_contract_per_chunk():
-    # the q_pricer.discounted_values row reads these spans: price_all must
-    # value each chunk through the module attribute, once per contract
+def test_traced_valuation_spans_come_from_p_price_alone():
+    # the q_pricer.discounted_values row reads these spans: p_price values
+    # one contract through the module attribute, while price_all values each
+    # chunk's whole book with one book_values call, which is not wrapped
     book = [pq_game.CONTRACTS[product]() for product in layers.PRODUCTS]
     params = q_pricer.GbmParams(s0=100.0, r=0.02, sigma=0.3, n_days=6,
                                 n_paths=q_pricer.CHUNK_PATHS + 5, seed=2)
+    paths = q_pricer.simulate_gbm(params)[:32]
     tracer = Tracer()
     try:
         layers.instrument(tracer)
         q_pricer.price_all(book, params, t_calendar=COND.t_calendar)
+        for contract in book:
+            q_pricer.p_price(contract, paths, params.s0, params.r, COND.t_calendar)
     finally:
         tracer.restore()
     names = [s.name for s in tracer.spans]
-    assert names == ["q_pricer.discounted_values"] * (2 * len(book))
+    assert names == ["q_pricer.discounted_values"] * len(book)
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

@@ -254,6 +254,17 @@ class TestRunGameInvariants:
         with pytest.raises(DataError, match="P paths must be"):
             game.value_slices(self.slices, [European()], bad_source, self.config)
 
+    @pytest.mark.parametrize("product", game.PRODUCTS)
+    def test_non_finite_p_paths_rejected(self, product):
+        def nan_source(s, params):
+            paths = game.gbm_p_source(s, params)
+            paths[3, -1] = np.nan
+            return paths
+
+        with pytest.raises(DataError, match="paths must be finite"):
+            game.value_slices(self.slices, [game.CONTRACTS[product]()], nan_source,
+                              self.config)
+
     def test_empty_slices_rejected(self):
         with pytest.raises(DataError, match="no test slices"):
             game.value_slices([], [European()], game.gbm_p_source, self.config)

@@ -16,6 +16,7 @@ from oracles import (
     snowball_flows_reference,
 )
 
+import pqlab.payoffs as payoffs
 import pqlab.q_pricer as qp
 from pqlab.errors import ConfigError, DataError
 from pqlab.payoffs import (
@@ -33,6 +34,7 @@ from pqlab.q_pricer import (
     PriceEstimate,
     _estimate,
     _exact_sum,
+    _simulate_chunk,
     discounted_values,
     p_price,
     price,
@@ -124,7 +126,9 @@ class TestDiscountedValuesAgainstScalarTrace:
 
 class TestDiscountInPlace:
     def test_keeps_the_out_of_place_bits(self):
-        # out-of-place amounts * disc over the reference kernels' flows
+        # out-of-place amounts * disc over the reference kernels' flows,
+        # laid out day-major and summed over the day rows by numpy, which
+        # adds them in day order for more than one path
         rng = np.random.default_rng(8)
         paths = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, (64, 17)), axis=1))
         t_cal = 17 / 252 * (365 / 252)
@@ -136,7 +140,8 @@ class TestDiscountInPlace:
             spec[4]: snowball_flows_reference(spec[4], paths, 100.0, cal),
         }
         for contract, flows in refs.items():
-            want = np.sum(flows.amounts * np.exp(-0.03 * flows.days / 252.0), axis=1)
+            discounted = flows.amounts * np.exp(-0.03 * flows.days / 252.0)
+            want = np.ascontiguousarray(discounted.T).sum(axis=0)
             got = discounted_values(contract, paths, 100.0, 0.03, t_calendar=t_cal)
             assert got.tobytes() == want.tobytes(), contract
 
@@ -206,18 +211,87 @@ class TestPriceAll:
                 assert est.n_paths == ref.n_paths == self.P.n_paths
 
     def test_kernels_see_read_only_paths(self, monkeypatch):
+        # the kernels read the closes that the entry lays out: for a Q
+        # chunk, a view of the read-only chunk itself
         writeable = []
-        real = qp.discounted_values
+        real = payoffs._day_major
 
-        def spy(contract, paths, *args):
-            writeable.append(paths.flags.writeable)
+        def spy(paths):
+            closes = real(paths)
+            writeable.append(closes.flags.writeable)
             with pytest.raises(ValueError):
-                paths[0, 0] = 0.0
-            return real(contract, paths, *args)
+                closes[0, 0] = 0.0
+            return closes
 
-        monkeypatch.setattr(qp, "discounted_values", spy)
+        monkeypatch.setattr(payoffs, "_day_major", spy)
         price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
-        assert writeable == [False] * (2 * len(BOOK))
+        assert writeable == [False, False]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_chunk_is_checked_once(self, monkeypatch, threads):
+        # one finiteness check and one layout per chunk, for the whole book
+        checked = []
+        real = payoffs._day_major
+
+        def counting(paths):
+            checked.append(paths.shape)
+            return real(paths)
+
+        monkeypatch.setattr(payoffs, "_day_major", counting)
+        price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03,
+                  threads=threads)
+        assert sorted(checked) == [(1, 5), (CHUNK_PATHS, 5)]
+
+    def test_overflowing_paths_raise(self):
+        # r offsets the drift, so the huge sigma overflows exp upwards
+        huge = params(sigma=1e4, r=0.5e8, n_days=5, n_paths=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert not np.isfinite(simulate_gbm(huge)).all()
+            with pytest.raises(DataError, match="paths must be finite"):
+                price_all(BOOK, huge, t_calendar=0.03)
+
+    @pytest.mark.parametrize("n_paths", [1, 7, CHUNK_PATHS + 7])
+    def test_threads_and_remainder_chunks_keep_the_values(self, n_paths):
+        # a lone path, an odd remainder chunk after a full one: one or two
+        # workers price each contract as its kernel values the whole matrix
+        p = params(n_paths=n_paths, n_days=12, sigma=0.4)
+        paths = simulate_gbm(p)
+        want = [p_price(c, paths, p.s0, p.r, t_calendar=0.05) for c in BOOK]
+        for threads in (1, 2):
+            got = price_all(BOOK, p, t_calendar=0.05, threads=threads)
+            assert [(e.value.hex(), e.std_error.hex()) for e in got] == [
+                (e.value.hex(), e.std_error.hex()) for e in want], threads
+
+
+class TestLayout:
+    """Per-path values do not depend on the memory order or size of the set."""
+
+    def test_c_f_and_chunk_views_keep_every_bit(self):
+        p = params(n_paths=300, n_days=23, sigma=0.5)
+        closes = _simulate_chunk(p, 0, p.n_paths)
+        closes.setflags(write=False)
+        c_paths = np.ascontiguousarray(closes.T)
+        layouts = (c_paths, np.asfortranarray(c_paths), closes.T)
+        assert not closes.T.flags.c_contiguous and c_paths.flags.c_contiguous
+        for contract in BOOK:
+            values = [discounted_values(contract, paths, p.s0, 0.02, t_calendar=0.09)
+                      for paths in layouts]
+            flows = [contract.cashflows(paths, p.s0, 0.09) for paths in layouts]
+            for got, got_flows in zip(values[1:], flows[1:]):
+                assert got.tobytes() == values[0].tobytes(), contract
+                assert flows_bytes(got_flows) == flows_bytes(flows[0]), contract
+            # each path alone: one-path sets add their flows in day order too
+            alone = [discounted_values(contract, row[None, :], p.s0, 0.02, t_calendar=0.09)[0]
+                     for row in c_paths[:40]]
+            assert np.array(alone).tobytes() == values[0][:40].tobytes(), contract
+
+
+def flows_bytes(flows):
+    days, amounts, stop, early = flows
+    days = np.broadcast_to(days, amounts.shape)
+    return (days.astype(np.int64).tobytes(), amounts.tobytes(),
+            stop.astype(np.int64).tobytes(), early.tobytes())
 
 
 class TestPPrice:
@@ -231,10 +305,12 @@ class TestPPrice:
 
     def test_equals_q_price_on_q_paths(self):
         p = params(n_paths=4_000, n_days=40)
-        q_est = price(Asian(), p)
-        p_est = p_price(Asian(), simulate_gbm(p), p.s0, p.r)
-        assert p_est.value == q_est.value
-        assert p_est.std_error == q_est.std_error
+        paths = simulate_gbm(p)
+        for contract in BOOK:
+            q_est = price(contract, p, t_calendar=0.2)
+            p_est = p_price(contract, paths, p.s0, p.r, t_calendar=0.2)
+            assert p_est.value.hex() == q_est.value.hex(), contract
+            assert p_est.std_error.hex() == q_est.std_error.hex(), contract
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
