@@ -12,26 +12,29 @@ The output head is a 1-wide conv initialized to zero, so a freshly
 initialized network predicts zeros.  Embedding fusion happens at the
 input of every level, the bottleneck included.
 
-Inside the network activations are channel-major, (channels, batch,
-length); ``forward`` transposes its (B, C, L) input once on entry and its
-output once on exit, and ``backward`` does the same with the gradient.
-A fusion conv's weight is (out, level channels + embedding channels, 3),
-embedding channels last.  Its level part runs as an ``nn.conv1d`` GEMM;
-its embedding part, constant along the length axis, is added as a
-per-row bias (``nn.tap_bias``) instead of being tiled and convolved.  In
-inference mode each residual block's batch-norm is folded into its first
-conv on every call; training mode normalizes with batch statistics and
-always returns the cache ``backward`` reads.
+Inside the network activations are position-major, (length, channels,
+batch), with GUARD zero rows at both ends of the length axis: the padding
+the 3-wide convs read (``nn.conv1d``).  ``forward`` transposes its
+(B, C, L) input once on entry and its output once on exit, and
+``backward`` does the same with the gradient.  A fusion conv's weight is
+(out, level channels + embedding channels, 3), embedding channels last.
+Its level part runs as an ``nn.conv1d``; its embedding part, constant
+along the length axis, is added as a per-row bias (``nn.tap_bias``).
+Encoder level i writes its residual output straight into the skip rows
+of decoder level i's input, so nothing is concatenated.  In inference
+mode each residual block's batch-norm is folded into its first conv on
+every call; training mode normalizes with batch statistics and always
+returns the cache ``backward`` reads.
 
-Inference may pass an ``nn.Workspace``: every conv output, the ReLU and
-the residual add (in place), the max-pool and the decoder's
-upsample-plus-skip concatenation then use arrays lent by the workspace
-under a few roles, so a caller repeating one shape (a DDIM chunk) reuses
-one set of memory; the returned output is a fresh copy.  A training
-forward allocates, because its caches outlive the call; ``backward``
-takes a workspace for the conv backward's buffer, which dies inside each
-call.  ``x``, ``t`` and ``c`` are checked finite on entry: the condition
-MLP's ReLU would otherwise turn a NaN into a finite, wrong output.
+Inference may pass an ``nn.Workspace``: every activation then lives in
+arrays lent under a few roles shared by all levels, so a caller repeating
+one shape (a DDIM chunk) reuses one set of memory; the returned output is
+a fresh copy.  Each lend zeroes the guard rows, and what later writes a
+whole array (ReLU, the residual add) keeps them zero.  A training forward
+allocates, because its caches outlive the call; ``backward`` takes a
+workspace for the conv backward's products, which die inside each call.
+``x``, ``t`` and ``c`` are checked finite on entry: the condition MLP's
+ReLU would otherwise turn a NaN into a finite, wrong output.
 
 Parameters are a dict keyed by layer path; ``param_spec`` fixes the
 canonical order of one flat float64 vector holding them all (the
@@ -64,6 +67,8 @@ DEFAULT_TIME_EMBED_DIM = 16
 MAX_INPUT_LENGTH = 2**14
 MAX_DEPTH = MAX_INPUT_LENGTH.bit_length() - 1
 MAX_PARAMS = 2**24  # 128 MiB per float64 vector; base_channels 256 at depth 2
+
+GUARD = 1  # zero rows at each end of an activation: the pad of a 3-wide conv
 
 
 @dataclass(frozen=True)
@@ -262,12 +267,18 @@ def _cond_embed_bwd(g: np.ndarray, cache, grads: dict) -> None:
     grads["cond.b1"] += gb1
 
 
+def _guarded(length, ch, batch, workspace=None, role=""):
+    """A (length + 2 GUARD, ch, batch) array, zero in its guard rows, and its rows."""
+    a = nn.lend(workspace, role, (length + 2 * GUARD, ch, batch), guard=GUARD)
+    return a, a[GUARD:-GUARD]
+
+
 def _fusion_fwd(h, emb, params, name, workspace, role):
-    """Fusion conv of the level input h (C, B, L) and the embedding emb (B, E)."""
+    """Fusion conv of the guarded level input h (L + 2, C, B) and the embedding emb (B, E)."""
     w = params[f"{name}.w"]
-    ch = h.shape[0]
+    ch = h.shape[1]
     y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"], workspace=workspace, role=role)
-    c_e = nn.tap_bias(y, w[:, ch:], emb)
+    c_e = nn.tap_bias(y[GUARD:-GUARD], w[:, ch:], emb)
     return y, (c_h, c_e)
 
 
@@ -275,7 +286,7 @@ def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
     """Accumulate the fusion conv's gradients; return (g_h, g_emb)."""
     c_h, c_e = cache
     gh, gw, gb = nn.conv1d_backward(g, c_h, workspace=workspace, input_grad=input_grad)
-    gw_e, g_emb = nn.tap_bias_backward(g, c_e)
+    gw_e, g_emb = nn.tap_bias_backward(g[GUARD:-GUARD], c_e)
     ch = gw.shape[1]
     grads[f"{name}.w"][:, :ch] += gw
     grads[f"{name}.w"][:, ch:] += gw_e
@@ -283,22 +294,19 @@ def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
     return gh, g_emb
 
 
-def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None):
-    """Residual block; with a workspace the result overwrites x."""
+def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None, out=None):
+    """Residual block of the guarded x; the sum goes into the rows ``out`` when
+    given, else it is returned guarded, overwriting x with a workspace."""
     w1, b1 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]
-    bn = (
-        params[f"{prefix}.bn.gamma"],
-        params[f"{prefix}.bn.beta"],
-        bn_state[f"{prefix}.bn.running_mean"],
-        bn_state[f"{prefix}.bn.running_var"],
-    )
+    bn = (params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
+          bn_state[f"{prefix}.bn.running_mean"], bn_state[f"{prefix}.bn.running_var"])
     updates = {}
     cbn = None
     if training:
         # batch statistics cancel conv1's bias exactly, so it is left out of
         # the normalized output and only moves the running mean
         y, c1 = nn.conv1d(x, w1, np.zeros_like(b1))
-        y, cbn, new_mean, new_var = nn.batchnorm(y, *bn)
+        _, cbn, new_mean, new_var = nn.batchnorm(y[GUARD:-GUARD], *bn)
         updates = {
             f"{prefix}.bn.running_mean": new_mean + nn.BN_MOMENTUM * b1,
             f"{prefix}.bn.running_var": new_var,
@@ -309,9 +317,11 @@ def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None):
                           workspace=workspace, role="tmp")
         y, mask = nn.relu_inplace(y), None
     y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"],
-                      workspace=workspace, role="tmp")
-    # nothing caches conv2's output; with a workspace x's role carries on
-    out = np.add(x, y, out=y if workspace is None else x)
+                      workspace=workspace, role="res")
+    if out is None:  # nothing caches conv2's output
+        out = np.add(x, y, out=y if workspace is None else x)
+    else:
+        np.add(x[GUARD:-GUARD], y[GUARD:-GUARD], out=out)
     return out, (c1, cbn, mask, c2), updates
 
 
@@ -321,7 +331,7 @@ def _resblock_bwd(g, cache, prefix, grads, workspace):
     grads[f"{prefix}.conv2.w"] += gw2
     grads[f"{prefix}.conv2.b"] += gb2
     gy = nn.relu_backward(gy, mask)
-    gy, ggamma, gbeta = nn.batchnorm_backward(gy, cbn)
+    _, ggamma, gbeta = nn.batchnorm_backward(gy[GUARD:-GUARD], cbn)  # in gy's rows
     grads[f"{prefix}.bn.gamma"] += ggamma
     grads[f"{prefix}.bn.beta"] += gbeta
     gx, gw1, gb1 = nn.conv1d_backward(gy, c1, workspace=workspace)
@@ -380,20 +390,32 @@ def forward(
     ce, ce_cache = _cond_embed_fwd(c, params)
     emb = np.concatenate([te, ce], axis=1)
 
-    # workspace roles: skip<i> holds encoder level i's output until its
-    # decoder level, act the mid and decoder outputs, tmp each residual
-    # branch and the head; a role's arrays are never alive at once
+    # workspace roles: concat<i> decoder level i's input (encoder level i
+    # writes its skip rows), act each fusion output (then the mid or decoder
+    # block sum), res each residual branch, tmp the rest.  A role's arrays
+    # are never alive at once; no conv writes the role it reads.
     bn_updates: dict = {}
     enc_caches = []
-    skips = []
-    h = np.ascontiguousarray(x.transpose(1, 0, 2))
+    concats = []
+    length = config.input_length
+    if workspace is not None:  # lend each level role at its largest (bottleneck)
+        for role in ("res", "act", "tmp"):  # size first, so no first call regrows it
+            _guarded(length >> config.depth, config.mid_channels, batch, workspace, role)
+    h, rows = _guarded(length, config.in_channels, batch, workspace, "tmp")
+    rows[...] = x.transpose(2, 1, 0)
     for i in range(config.depth):
-        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in", workspace, f"skip{i}")
-        y, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training,
-                                      workspace)
+        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in", workspace, "act")
+        ch = y.shape[1]
+        up_ch = config.level_channels(i + 1) if i + 1 < config.depth else config.mid_channels
+        z, rows = _guarded(length, up_ch + ch, batch, workspace, f"concat{i}")
+        skip = rows[:, up_ch:]
+        _, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training,
+                                      workspace, out=skip)
         bn_updates.update(upd)
-        skips.append(y)
-        h, c_pool = nn.maxpool2(y, workspace=workspace, mask=training)
+        concats.append((z, up_ch))
+        length //= 2
+        h, rows = _guarded(length, ch, batch, workspace, "tmp")
+        _, c_pool = nn.maxpool2(skip, out=rows, mask=training)
         enc_caches.append((c_in, c_res, c_pool) if training else None)
 
     y, c_in = _fusion_fwd(h, emb, params, "mid.in", workspace, "act")
@@ -403,31 +425,23 @@ def forward(
 
     dec_caches = []
     for i in reversed(range(config.depth)):
-        up_ch, skip = h.shape[0], skips[i]
-        z = nn.lend(workspace, "concat", (up_ch + skip.shape[0],) + skip.shape[1:])
-        nn.upsample2(h, z[:up_ch])
-        z[up_ch:] = skip
+        z, up_ch = concats[i]
+        nn.upsample2(h[GUARD:-GUARD], z[GUARD:-GUARD, :up_ch])
         y, c_in = _fusion_fwd(z, emb, params, f"dec{i}.in", workspace, "act")
         h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training,
                                       workspace)
         bn_updates.update(upd)
         dec_caches.append((i, up_ch, c_in, c_res) if training else None)
 
-    out, head_cache = nn.conv1d(h, params["head.w"], params["head.b"],
+    out, head_cache = nn.conv1d(h[GUARD:-GUARD], params["head.w"], params["head.b"],
                                 workspace=workspace, role="tmp")
 
     cache = None
     if training:
-        cache = {
-            "config": config,
-            "ce": ce_cache,
-            "enc": enc_caches,
-            "mid": mid_cache,
-            "dec": dec_caches,
-            "head": head_cache,
-        }
-    # a copy, never a view: (1, B, L) -> (B, 1, L) is already contiguous
-    return out.transpose(1, 0, 2).copy(), cache, bn_updates
+        cache = {"config": config, "ce": ce_cache, "enc": enc_caches, "mid": mid_cache,
+                 "dec": dec_caches, "head": head_cache}
+    # a copy, never a view: at B = 1, (L, 1, B) -> (B, 1, L) is contiguous
+    return out.transpose(2, 1, 0).copy(), cache, bn_updates
 
 
 def backward(g_out: np.ndarray, cache: dict, params: dict, *,
@@ -437,7 +451,7 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
 
     Returns views, keyed as ``param_spec``, into one zeroed float64 vector
     in that order: ``out`` when given, else a fresh one.  A ``workspace``
-    lends the conv backward's shifted-gradient buffer (``nn.conv1d_backward``).
+    lends the conv backward's products (``nn.conv1d_backward``).
     """
     config: DenoiserConfig = cache["config"]
     if out is None:
@@ -447,18 +461,22 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
     grads = unflatten_params(out, param_spec(config))
     g_emb = 0.0
 
-    g = np.ascontiguousarray(np.asarray(g_out, dtype=float).transpose(1, 0, 2))
-    g, gw, gb = nn.conv1d_backward(g, cache["head"], workspace=workspace)
+    g = np.ascontiguousarray(np.asarray(g_out, dtype=float).transpose(2, 1, 0))
+    gh, gw, gb = nn.conv1d_backward(g, cache["head"], workspace=workspace)
     grads["head.w"] += gw
     grads["head.b"] += gb
+    g, rows = _guarded(*gh.shape)  # the 1-wide head reads no guard rows
+    rows[...] = gh
 
     g_skip = {}
     for i, up_ch, c_in, c_res in reversed(cache["dec"]):
         g = _resblock_bwd(g, c_res, f"dec{i}.res", grads, workspace)
         gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", grads, workspace)
         g_emb = g_emb + ge
-        g_skip[i] = gz[up_ch:]
-        g = nn.upsample2_backward(gz[:up_ch])
+        g_skip[i] = gz[GUARD:-GUARD, up_ch:]
+        length, _, batch = g_skip[i].shape
+        g, rows = _guarded(length // 2, up_ch, batch)
+        nn.upsample2_backward(gz[GUARD:-GUARD, :up_ch], out=rows)
 
     c_in, c_res = cache["mid"]
     g = _resblock_bwd(g, c_res, "mid.res", grads, workspace)
@@ -467,8 +485,10 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
 
     for i in reversed(range(config.depth)):
         c_in, c_res, c_pool = cache["enc"][i]
-        g = nn.maxpool2_backward(g, c_pool)
-        g += g_skip[i]
+        g_pool = g[GUARD:-GUARD]
+        g, rows = _guarded(*g_skip[i].shape)
+        nn.maxpool2_backward(g_pool, c_pool, out=rows)
+        rows += g_skip[i]
         g = _resblock_bwd(g, c_res, f"enc{i}.res", grads, workspace)
         # nothing reads the gradient of the network input
         g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", grads, workspace, input_grad=i > 0)

@@ -340,7 +340,7 @@ def discount_value(
 
 
 # ---------------------------------------------------------------------------
-# batch-major U-Net: the oracle for the channel-major ``pqlab.nn`` kernels
+# batch-major U-Net: the oracle for the position-major ``pqlab.nn`` kernels
 # and ``pqlab.denoiser``.  Activations are (batch, channels, length); each
 # fusion conv convolves the embeddings tiled along the length axis, and
 # inference normalizes with the running statistics instead of folding them.
@@ -558,44 +558,45 @@ def denoiser_backward_reference(g_out, cache, params):
 
 
 # ---------------------------------------------------------------------------
-# channel-major kernels written as plain expressions, each a fresh array
+# position-major (length, channels, batch) kernels written as plain
+# expressions, each a fresh array
 
 
 def batchnorm_reference(x, gamma, beta, running_mean, running_var):
-    """Training-mode batch-norm of (C, B, L) from ``x.mean``/``x.var``."""
-    mean = x.mean(axis=(1, 2))
-    var = x.var(axis=(1, 2))
+    """Training-mode batch-norm of (L, C, B) from ``x.mean``/``x.var``."""
+    mean = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
     new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
     new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[:, None, None]) * inv[:, None, None]
-    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    xhat = (x - mean[:, None]) * inv[:, None]
+    y = gamma[:, None] * xhat + beta[:, None]
     return y, (xhat, inv, gamma), new_mean, new_var
 
 
 def batchnorm_backward_reference(gy, cache):
     xhat, inv, gamma = cache
-    ggamma = (gy * xhat).sum(axis=(1, 2))
-    gbeta = gy.sum(axis=(1, 2))
-    gxhat = gy * gamma[:, None, None]
-    n = gy.shape[1] * gy.shape[2]
-    sum_g = gxhat.sum(axis=(1, 2), keepdims=True)
-    sum_gx = (gxhat * xhat).sum(axis=(1, 2), keepdims=True)
-    gx = (inv[:, None, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+    ggamma = (gy * xhat).sum(axis=(0, 2))
+    gbeta = gy.sum(axis=(0, 2))
+    gxhat = gy * gamma[:, None]
+    n = gy.shape[0] * gy.shape[2]
+    sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
+    sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
+    gx = (inv[:, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
     return gx, ggamma, gbeta
 
 
 def maxpool2_backward_reference(gy, take_second):
-    c, b, half = gy.shape
-    gx = np.empty((c, b, half, 2))
-    gx[..., 0] = np.where(take_second, 0.0, gy)
-    gx[..., 1] = np.where(take_second, gy, 0.0)
-    return gx.reshape(c, b, 2 * half)
+    half, c, b = gy.shape
+    gx = np.empty((half, 2, c, b))
+    gx[:, 0] = np.where(take_second, 0.0, gy)
+    gx[:, 1] = np.where(take_second, gy, 0.0)
+    return gx.reshape(2 * half, c, b)
 
 
 def upsample2_backward_reference(gy):
-    c, b, length = gy.shape
-    return gy.reshape(c, b, length // 2, 2).sum(axis=3)
+    length, c, b = gy.shape
+    return gy.reshape(length // 2, 2, c, b).sum(axis=1)
 
 
 def kurtosis_reference(x):

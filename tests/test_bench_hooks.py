@@ -95,6 +95,10 @@ def test_traced_train_step_still_sees_the_forward_backward_and_loss():
     for name in ("nn.batchnorm", "nn.batchnorm_backward"):
         assert names.count(name) == config.steps * (2 * NET.depth + 1), name
     assert "denoiser.forward.infer" not in names
+    # the conv shim reads conv1d's x and w as 3-D arrays for its name and flops
+    convs = [s for s in tracer.spans if s.name.startswith("nn.conv1d.")]
+    assert len(convs) == config.steps * (3 * (2 * NET.depth + 1) + 1)
+    assert all(s.attrs["flops"] > 0 for s in convs)
     loss = tracer.spans[names.index("objectives.total_loss")]
     assert loss.attrs["terms"] == layers.LOSS_TERMS * config.batch_size
     clips = [s for s in tracer.spans if s.name == "training.clip_global_norm"]

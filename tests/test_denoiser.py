@@ -50,6 +50,23 @@ def masked_mse_loss(target, mask):
     return loss_fn
 
 
+def guarded(a, pad):
+    """A batch-major (B, C, L) array as nn reads it: (L + 2 pad, C, B), zero guards."""
+    out = np.zeros((a.shape[2] + 2 * pad, a.shape[1], a.shape[0]))
+    out[pad : pad + a.shape[2]] = a.transpose(2, 1, 0)
+    return out
+
+
+def batch_major(a, pad):
+    """The rows of a guarded (L + 2 pad, C, B) array as (B, C, L)."""
+    return a[pad : a.shape[0] - pad].transpose(2, 1, 0)
+
+
+def assert_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
 class TestTimeEmbed:
     def test_zero_step(self):
         emb = dn.time_embed(0.0, 8)[0]
@@ -421,7 +438,7 @@ ORACLE_CASES = {
 
 
 class TestMatchesBatchMajorOracle:
-    """The channel-major network equals the batch-major oracle to float rounding."""
+    """The position-major network equals the batch-major oracle to float rounding."""
 
     def run_case(self, case):
         config, batch, per_row = ORACLE_CASES[case]
@@ -531,20 +548,54 @@ class TestWorkspace:
         edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 -2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308,
                 -1.7976931348623157e308]
-        pairs = np.array([[a, b] for a in edge for b in edge]).reshape(1, 1, -1)
+        pairs = np.array([[a, b] for a in edge for b in edge]).reshape(-1, 1, 1)
         rng = np.random.default_rng(27)
-        for x in (pairs, np.round(rng.normal(size=(16, 20, 20)), 1)):
+        for x in (pairs, np.round(rng.normal(size=(20, 16, 20)), 1)):
             masked, take_second = nn.maxpool2(x)
-            lent, no_mask = nn.maxpool2(x, workspace=nn.Workspace(), mask=False)
-            assert no_mask is None and take_second is not None
+            out = np.full((x.shape[0] // 2,) + x.shape[1:], np.nan)
+            lent, no_mask = nn.maxpool2(x, out=out, mask=False)
+            assert no_mask is None and take_second is not None and lent is out
             assert lent.tobytes() == masked.tobytes()
+
+    def test_stale_workspace_memory_is_never_read(self):
+        # every buffer filled with NaN between two forwards: guard rows are
+        # zeroed at each lend and every other element is written before read
+        params, state = perturbed_model(TOY, seed=28)
+        x, t, c = self.inputs(TOY, 16, 3)
+        fresh, _, _ = dn.forward(params, state, x, t, c, TOY, workspace=nn.Workspace())
+        workspace = nn.Workspace()
+        dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+        for buf in workspace.buffers:
+            buf.fill(np.nan)
+        again, _, _ = dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+        assert again.tobytes() == fresh.tobytes()
+
+    def test_warm_forward_makes_no_hidden_operand_copy(self, monkeypatch):
+        # numpy copies a matmul operand that shares memory with the output,
+        # so no conv may write the array whose windows it reads
+        params, state = perturbed_model(TOY, seed=29)
+        x, t, c = self.inputs(TOY, 24, 1)
+        workspace = nn.Workspace()
+        dn.forward(params, state, x, t, c, TOY, workspace=workspace)  # warm up
+        shared = []
+        conv1d = nn.conv1d
+
+        def spy(x, w, b, **kwargs):
+            y, cache = conv1d(x, w, b, **kwargs)
+            shared.append(np.shares_memory(y, x))
+            return y, cache
+
+        monkeypatch.setattr(nn, "conv1d", spy)
+        dn.forward(params, state, x, t, c, TOY, workspace=workspace)
+        assert len(shared) == 3 * (2 * TOY.depth + 1) + 1  # 3 per level, and the head
+        assert not any(shared)
 
     def test_bytes_held_at_a_full_chunk(self):
         # the figure the README gives for one 256-path sampling chunk
         params, state = perturbed_model(TOY, seed=26)
         workspace = nn.Workspace()
         dn.forward(params, state, *self.inputs(TOY, 256, 1), TOY, workspace=workspace)
-        assert sum(buf.nbytes for buf in workspace.buffers) == 6_881_280
+        assert sum(buf.nbytes for buf in workspace.buffers) == 7_274_496
 
     def test_warm_forward_allocates_an_eighth_or_less(self):
         # the page faults this avoids come from allocating and freeing
@@ -568,14 +619,15 @@ class TestWorkspace:
 class TestInPlaceKernels:
     """The fused and in-place kernels against their plain expressions."""
 
-    SHAPES = [(16, 64, 20), (32, 7, 10), (3, 1, 5)]
+    SHAPES = [(20, 16, 64), (10, 32, 7), (5, 3, 1)]  # (L, C, B)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_batchnorm_bit_for_bit(self, shape):
         rng = np.random.default_rng(shape)
         x = rng.normal(1.5, 3.0, size=shape)
-        stats = (rng.normal(size=shape[0]) + 1.0, rng.normal(size=shape[0]),
-                 rng.normal(size=shape[0]), rng.uniform(0.5, 2.0, size=shape[0]))
+        ch = shape[1]
+        stats = (rng.normal(size=ch) + 1.0, rng.normal(size=ch),
+                 rng.normal(size=ch), rng.uniform(0.5, 2.0, size=ch))
         got = nn.batchnorm(x.copy(), *stats)
         want = oracles.batchnorm_reference(x, *stats)
         for a, b in zip((got[0], *got[1], got[2], got[3]), (want[0], *want[1], want[2], want[3])):
@@ -592,44 +644,103 @@ class TestInPlaceKernels:
         # Adam step can see; every other bit must match
         rng = np.random.default_rng(shape)
         x = rng.normal(size=shape)
-        x[0, 0, :2] = [-0.0, 0.0]
+        x[:2, 0, 0] = [-0.0, 0.0]
         y, mask = nn.relu(x)
         assert y.tobytes() == np.where(x > 0.0, x, 0.0).tobytes()
         gy = rng.normal(size=shape)
         assert np.array_equal(nn.relu_backward(gy.copy(), mask), np.where(mask, gy, 0.0))
-        if shape[2] % 2 == 0:
-            half = gy[:, :, : shape[2] // 2]
+        if shape[0] % 2 == 0:
+            half = gy[: shape[0] // 2]
             take = rng.normal(size=half.shape) > 0.0
             assert np.array_equal(nn.maxpool2_backward(half, take),
                                   oracles.maxpool2_backward_reference(half, take))
             assert np.array_equal(nn.upsample2_backward(gy),
                                   oracles.upsample2_backward_reference(gy))
 
-    @pytest.mark.parametrize("n", [640, 1280, 4000])
-    def test_one_channel_conv_is_the_k1_gemm(self, n):
-        # the broadcast multiply rounds each product once, as the K = 1 GEMM
-        rng = np.random.default_rng(n)
-        w, x = rng.normal(size=(48, 1)), rng.normal(size=(1, n))
-        assert (w * x).tobytes() == (w @ x).tobytes()
-        # a zero second channel puts the same products through the GEMM path
-        x3 = rng.normal(size=(1, 4, n // 4))
-        w3 = rng.normal(size=(16, 1, 3))
-        b = rng.normal(size=16)
-        one, _ = nn.conv1d(x3, w3, b)
-        two, _ = nn.conv1d(np.concatenate([x3, np.zeros_like(x3)]),
-                           np.concatenate([w3, np.zeros_like(w3)], axis=1), b)
-        assert one.tobytes() == two.tobytes()
-
     def test_conv_backward_input_grad_skipped_alike(self):
         rng = np.random.default_rng(3)
-        x, w, b = rng.normal(size=(5, 4, 10)), rng.normal(size=(6, 5, 3)), rng.normal(size=6)
+        x, w, b = guarded(rng.normal(size=(4, 5, 10)), 1), rng.normal(size=(6, 5, 3)), rng.normal(size=6)
         _, cache = nn.conv1d(x, w, b)
-        gy = rng.normal(size=(6, 4, 10))
+        gy = guarded(rng.normal(size=(4, 6, 10)), 1)
         gx, gw, gb = nn.conv1d_backward(gy, cache)
         none, gw2, gb2 = nn.conv1d_backward(gy, cache, workspace=nn.Workspace(),
                                             input_grad=False)
         assert none is None and gx.shape == x.shape
         assert gw.tobytes() == gw2.tobytes() and gb.tobytes() == gb2.tobytes()
+
+
+class TestPositionMajorKernels:
+    """The guarded position-major kernels against the batch-major references."""
+
+    CASES = [(length, k, batch, ch) for length in (1, 2, 5) for k in (1, 3, 5)
+             for batch, ch in ((1, 1), (3, 2))]
+
+    @pytest.mark.parametrize("length,k,batch,ch", CASES)
+    def test_conv1d_and_backward(self, length, k, batch, ch):
+        rng = np.random.default_rng([length, k, batch, 0xC1])
+        pad = (k - 1) // 2
+        x = rng.normal(size=(batch, ch, length))
+        w, b = rng.normal(size=(3, ch, k)), rng.normal(size=3)
+        y, cache = nn.conv1d(guarded(x, pad), w, b)
+        ref, ref_cache = oracles.conv1d_bcl(x, w, b)
+        assert y.shape == (length + 2 * pad, 3, batch)
+        assert not y[:pad].any() and not y[length + pad :].any()
+        assert_close(batch_major(y, pad), ref, 1e-13)
+        gy = rng.normal(size=ref.shape)
+        gx, gw, gb = nn.conv1d_backward(guarded(gy, pad), cache)
+        ref_gx, ref_gw, ref_gb = oracles.conv1d_bcl_backward(gy, ref_cache)
+        assert gx.shape == (length + 2 * pad, ch, batch)
+        assert not gx[:pad].any() and not gx[length + pad :].any()
+        assert_close(batch_major(gx, pad), ref_gx, 1e-13)
+        assert_close(gw, ref_gw, 1e-13)
+        assert_close(gb, ref_gb, 1e-13)
+
+    @pytest.mark.parametrize("length,k,batch,ch", CASES)
+    def test_tap_bias_and_backward(self, length, k, batch, ch):
+        # the conv of embedding channels tiled along the length axis
+        rng = np.random.default_rng([length, k, batch, 0xC2])
+        emb, w = rng.normal(size=(batch, ch)), rng.normal(size=(3, ch, k))
+        tiled = np.broadcast_to(emb[:, :, None], (batch, ch, length))
+        ref, ref_cache = oracles.conv1d_bcl(tiled, w, np.zeros(3))
+        y = rng.normal(size=(length, 3, batch))
+        start = y.copy()
+        cache = nn.tap_bias(y, w, emb)
+        assert_close(y - start, ref.transpose(2, 1, 0), 1e-13)
+        gy = rng.normal(size=ref.shape)
+        gw, gemb = nn.tap_bias_backward(gy.transpose(2, 1, 0).copy(), cache)
+        ref_gx, ref_gw, _ = oracles.conv1d_bcl_backward(gy, ref_cache)
+        assert_close(gw, ref_gw, 1e-13)
+        assert_close(gemb, ref_gx.sum(axis=2), 1e-13)
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 5])
+    @pytest.mark.parametrize("batch,ch", [(1, 1), (3, 2)])
+    def test_maxpool2_and_upsample2(self, length, batch, ch):
+        rng = np.random.default_rng([length, batch, 0xC3])
+        x = rng.normal(size=(batch, ch, length))
+        if length % 2:
+            with pytest.raises(ValueError, match="even length"):
+                nn.maxpool2(guarded(x, 0))
+        else:
+            y, take_second = nn.maxpool2(guarded(x, 0))
+            ref, ref_cache = oracles.maxpool2_bcl(x)
+            assert np.array_equal(batch_major(y, 0), ref)
+            gy = rng.normal(size=ref.shape)
+            assert np.array_equal(batch_major(nn.maxpool2_backward(guarded(gy, 0), take_second), 0),
+                                  oracles.maxpool2_bcl_backward(gy, ref_cache))
+        up = nn.upsample2(guarded(x, 0), np.full((2 * length, ch, batch), np.nan))
+        assert np.array_equal(batch_major(up, 0), np.repeat(x, 2, axis=2))
+        gy = rng.normal(size=(batch, ch, 2 * length))
+        assert np.array_equal(batch_major(nn.upsample2_backward(guarded(gy, 0)), 0),
+                              gy.reshape(batch, ch, length, 2).sum(axis=3))
+
+    def test_even_kernel_width_is_refused(self):
+        # an even width has no same padding: it would be a one-sided conv
+        rng = np.random.default_rng(7)
+        x, w = rng.normal(size=(6, 2, 3)), rng.normal(size=(4, 2, 2))
+        with pytest.raises(ValueError, match="odd kernel width"):
+            nn.conv1d(x, w, np.zeros(4))
+        with pytest.raises(ValueError, match="odd kernel width"):
+            nn.conv1d_backward(rng.normal(size=(6, 4, 3)), (x, w))
 
 
 class TestBackwardVector:
