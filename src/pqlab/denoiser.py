@@ -305,7 +305,7 @@ def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None, out=Non
     if training:
         # batch statistics cancel conv1's bias exactly, so it is left out of
         # the normalized output and only moves the running mean
-        y, c1 = nn.conv1d(x, w1, np.zeros_like(b1))
+        y, c1 = nn.conv1d(x, w1, None)
         _, cbn, new_mean, new_var = nn.batchnorm(y[GUARD:-GUARD], *bn)
         updates = {
             f"{prefix}.bn.running_mean": new_mean + nn.BN_MOMENTUM * b1,

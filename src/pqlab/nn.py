@@ -10,8 +10,9 @@ at each end.  The K positions a tap window reads are then one contiguous
 holds every window, overlapping in memory (the MEC lowering of Cho and
 Brand 2017, arXiv:1706.06873, without its copy).  A convolution is one
 matmul of the tap-stacked weights (out, K * C) against that view, written
-straight into the guarded output's rows, then the bias.  Its backward
-runs the flipped tap stack against windows of the guarded output
+straight into the guarded output's rows, then the bias, if any (a conv
+feeding training batch-norm has none: the batch mean cancels it).  Its
+backward runs the flipped tap stack against windows of the guarded output
 gradient, and the gradient against the input windows.  ``tap_bias`` adds
 the convolution of channels constant along the length axis (the
 denoiser's embeddings) as one (out, B) block per tap, dropped where the
@@ -27,7 +28,8 @@ and ``relu_backward`` write into their input) keep the bits of the plain
 expressions, except that a backward kernel may give a zero gradient
 entry the other sign, which no sum of nonzero terms and no Adam step can
 tell apart.  The pooling kernels write into ``out`` when given, so a
-caller can place their rows inside a guarded array.
+caller can place their rows inside a guarded array; max-pool writes one
+``np.maximum``, and training forms its backward's mask beside it.
 
 An inference caller that runs the same shapes over and over (the DDIM
 sampler) passes a ``Workspace``: ``conv1d`` then writes its output into
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -58,16 +59,12 @@ def _pad(k: int) -> int:
     return (k - 1) // 2
 
 
-def _tap_span(shift: int, length: int):
-    """Output positions [lo, hi) where a tap reading l + shift is inside the input."""
-    lo = min(length, max(0, -shift))
-    return lo, max(lo, min(length, length - shift))
-
-
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
     """Read-only (L, K * C, B) view of a C-ordered (L + K - 1, C, B) x: row l is x[l : l + K]."""
     span, c, batch = x.shape
-    return as_strided(x, (span - k + 1, k * c, batch), x.strides, writeable=False)
+    view = np.ndarray((span - k + 1, k * c, batch), x.dtype, x, 0, x.strides)
+    view.setflags(write=False)  # unlike as_strided, the constructor checks x holds the view
+    return view
 
 
 class Workspace:
@@ -109,9 +106,9 @@ def lend(workspace: Workspace | None, role: str, shape, dtype=np.float64, *,
     return a
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, *,
            workspace: Workspace | None = None, role: str = "conv.out"):
-    """y[p+l,o,b] = sum_{c,k} w[o,c,k] x[l+k,c,b] + b[o] for a guarded x.
+    """y[p+l,o,b] = sum_{c,k} w[o,c,k] x[l+k,c,b] + b[o] for a guarded x (b None: no bias).
 
     x is (L + 2p, C, B) with p = (K - 1) / 2 zero guard rows at each end;
     y is (L + 2p, out, B) with its guard rows zeroed, so it can feed the
@@ -127,7 +124,8 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     y = lend(workspace, role, (span, out, batch), guard=pad)
     rows = y[pad : span - pad]
     np.matmul(wk, _windows(x, k), out=rows)
-    rows += b[:, None]
+    if b is not None:
+        rows += b[:, None]
     return y, (x, w)
 
 
@@ -175,10 +173,10 @@ def tap_bias(y: np.ndarray, w: np.ndarray, emb: np.ndarray):
     wk = w.transpose(2, 0, 1).reshape(k * out, e)
     taps = (wk @ emb.T).reshape(k, out, emb.shape[0])
     y += taps.sum(axis=0)
-    for j in range(k):
-        lo, hi = _tap_span(j - pad, length)
-        y[:lo] -= taps[j]
-        y[hi:] -= taps[j]
+    for j in range(pad):  # the taps reading the pad before the start, then past the end
+        y[: pad - j] -= taps[j]
+    for j in range(1, pad + 1):
+        y[max(0, length - j) :] -= taps[pad + j]
     return wk, emb
 
 
@@ -189,9 +187,8 @@ def tap_bias_backward(gy: np.ndarray, cache):
     k = wk.shape[0] // out
     pad = (k - 1) // 2
     sums = np.empty((k, out, batch))
-    for j in range(k):
-        lo, hi = _tap_span(j - pad, length)
-        np.sum(gy[lo:hi], axis=0, out=sums[j])
+    for j in range(k):  # the positions where tap j reads inside the input
+        np.sum(gy[max(0, pad - j) : max(0, length + pad - j)], axis=0, out=sums[j])
     sums = sums.reshape(k * out, batch)
     gw = (sums @ emb).reshape(k, out, emb.shape[1]).transpose(1, 2, 0)
     return gw, sums.T @ wk
@@ -291,23 +288,19 @@ def fold_batchnorm(w, b, gamma, beta, running_mean, running_var):
 def maxpool2(x: np.ndarray, *, out: np.ndarray | None = None, mask: bool = True):
     """Halve the length axis (0), keeping the per-pair maximum (the first on a tie).
 
-    Returns (y, take_second): the mask that ``maxpool2_backward`` routes
-    by, or None when ``mask`` is off (inference).  Without a mask the max
-    is one ``np.maximum(second, first)``, which returns its second
-    operand, the first element, on a tie of +0.0 and -0.0, so it keeps the
-    masked selection's bytes on finite input.  A NaN then propagates where
-    the masked selection would drop it.
+    Returns (y, take_second): the mask of second > first that
+    ``maxpool2_backward`` routes by, or None when ``mask`` is off
+    (inference).  The max is one ``np.maximum(second, first)``, which
+    returns its second operand, the first element, on a tie of +0.0 and
+    -0.0, so on finite input it has the bytes of selecting by the mask.  A
+    NaN propagates where that selection would drop it.
     """
     if x.shape[0] % 2:
         raise ValueError("maxpool2 needs an even length")
     first, second = x[0::2], x[1::2]
     y = np.empty(first.shape) if out is None else out
-    if not mask:
-        return np.maximum(second, first, out=y), None
-    take_second = np.greater(second, first)
-    np.copyto(y, first)
-    np.copyto(y, second, where=take_second)
-    return y, take_second
+    np.maximum(second, first, out=y)
+    return y, np.greater(second, first) if mask else None
 
 
 def maxpool2_backward(gy: np.ndarray, take_second, *, out: np.ndarray | None = None):

@@ -15,6 +15,9 @@ hold anything), evaluates every kernel once per group and scatters the
 weighted gradients back.  The loss terms are reached only through
 total_loss; ``kurtosis`` (read by path_stats) and ``pinball_loss`` are the
 public one-sequence statistics, each a kernel applied to one (1, n) row.
+The truth side of the terms depends only on the truth rows:
+``truth_stats`` computes it row by row, and training computes it once per
+run for every slice (``truth_table``), which total_loss looks rows up in.
 
 All sequence statistics use population (biased) moments so that the
 small-sequence identities asserted in the tests are exact.  Standard
@@ -164,21 +167,45 @@ def _masked_mse_vg(y: np.ndarray, y_hat: np.ndarray, mask) -> tuple[float, np.nd
 
 
 # ---------------------------------------------------------------------------
-# batched kernels: p (prediction) and t (truth) are (G, n) rows sharing one
-# valid length; each returns per-row values (G,) and gradients wrt p (G, n).
-# A term that can be undefined for a row (too short, zero variance or
-# spectrum) also returns a per-row "defined" mask; undefined rows come back
-# as zeros in value and gradient, and total_loss counts them as skipped.
+# batched kernels: p (prediction) and t (truth, or its truth_stats) are (G, n)
+# rows sharing one valid length; each returns per-row values (G,) and
+# gradients wrt p (G, n).  A term that can be undefined for a row (too short,
+# zero variance or spectrum) also returns a per-row "defined" mask; undefined
+# rows come back as zeros in value and gradient, and total_loss counts them.
 
 
 def _undefined(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.zeros(len(p)), np.zeros_like(p), np.zeros(len(p), dtype=bool)
 
 
+def truth_stats(t, window: int = DEFAULT_VOL_WINDOW, stride: int = DEFAULT_VOL_STRIDE):
+    """Per row of (G, n) rows t: diff, drift, floored stds (sig; win_sig per vol
+    window, none past it), kurt and kurt_ok, mag (FFT magnitudes over their
+    peak) and mag_ok.  Each is the row's own sums and FFT, so its bits do not
+    depend on the block.  A dict of them passes through."""
+    if isinstance(t, dict):
+        return t
+    win_sig = (_guarded_std(sliding_window_view(t, window, axis=1)[:, ::stride])[1]
+               if window <= t.shape[1] else np.zeros((len(t), 0)))
+    kurt, _, kurt_ok = _kurtosis(t, with_grad=False)
+    _, mag, peak, mag_ok = _spectrum(t)
+    return {"diff": np.diff(t, axis=1), "drift": t[:, -1] - t[:, 0],
+            "sig": _guarded_std(t)[1], "win_sig": win_sig, "kurt": kurt,
+            "kurt_ok": kurt_ok, "mag": mag / peak[:, None], "mag_ok": mag_ok}
+
+
+def truth_table(x0: np.ndarray, mask, config: LossConfig) -> dict:
+    """{n: (row indices, truth_stats)} of the (S, L) padded rows of each valid length n."""
+    lens = _prefix_lens(np.asarray(mask, dtype=bool))
+    groups = {n: np.flatnonzero(lens == n) for n in set(lens.tolist()) - {0}}
+    return {n: (rows, truth_stats(x0[rows, :n], config.vol_window, config.vol_stride))
+            for n, rows in groups.items()}
+
+
 def _jump(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     if p.shape[1] < 2:
         return _undefined(p)
-    e = np.diff(p, axis=1) - np.diff(t, axis=1)
+    e = np.diff(p, axis=1) - truth_stats(t)["diff"]
     s = np.sign(e) / e.shape[1]
     g = np.zeros_like(p)
     g[:, 1:] += s
@@ -193,8 +220,7 @@ def _vol_clustering(
         return _undefined(p)
     wins_p = sliding_window_view(p, window, axis=1)[:, ::stride]  # (G, W, window)
     dev_p, sig_p = _guarded_std(wins_p)
-    _, sig_t = _guarded_std(sliding_window_view(t, window, axis=1)[:, ::stride])
-    d = sig_p - sig_t
+    d = sig_p - truth_stats(t, window, stride)["win_sig"]
     count = d.shape[1]
     gd = _smooth_l1_grad(d) / count
     contrib = gd[..., None] * dev_p / (window * sig_p)[..., None]
@@ -212,8 +238,7 @@ def _global_vol(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     if n < 2:
         return _undefined(p)
     dev, sig_p = _guarded_std(p)
-    _, sig_t = _guarded_std(t)
-    d = sig_p - sig_t
+    d = sig_p - truth_stats(t)["sig"]
     g = np.sign(d)[:, None] * dev / (n * sig_p)[:, None]
     return np.abs(d), g
 
@@ -239,14 +264,14 @@ def _kurtosis(x: np.ndarray, with_grad: bool = True):
 
 def _tail(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_pred, gk, ok_pred = _kurtosis(p)
-    k_true, _, ok_true = _kurtosis(t, with_grad=False)
-    defined = ok_pred & ok_true
-    e = np.where(defined, k_pred - k_true, 0.0)
+    truth = truth_stats(t)
+    defined = ok_pred & truth["kurt_ok"]
+    e = np.where(defined, k_pred - truth["kurt"], 0.0)
     return e * e, 2.0 * e[:, None] * gk, defined
 
 
 def _drift(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = (p[:, -1] - p[:, 0]) - (t[:, -1] - t[:, 0])
+    e = (p[:, -1] - p[:, 0]) - truth_stats(t)["drift"]
     g = np.zeros_like(p)
     g[:, -1] += 2.0 * e
     g[:, 0] -= 2.0 * e
@@ -281,9 +306,9 @@ def _spectral(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     if n < 2:
         return _undefined(p)
     ft_p, mag_p, peak_p, ok_p = _spectrum(p)
-    _, mag_t, peak_t, ok_t = _spectrum(t)
-    defined = ok_p & ok_t
-    d = mag_p / peak_p[:, None] - mag_t / peak_t[:, None]
+    truth = truth_stats(t)
+    defined = ok_p & truth["mag_ok"]
+    d = mag_p / peak_p[:, None] - truth["mag"]
     value = np.where(defined, _smooth_l1(d).mean(axis=1), 0.0)
 
     g_norm = _smooth_l1_grad(d) / n
@@ -340,6 +365,7 @@ def total_loss(
     total_steps: int,
     config: LossConfig = LossConfig(),
     with_grads: bool = False,
+    truth: tuple[dict, np.ndarray] | None = None,
 ):
     """Evaluate the full training loss on one batch.
 
@@ -347,7 +373,8 @@ def total_loss(
     and x0_true are the matching data-space reconstructions the auxiliary
     terms are measured on.  mask is a (B, L) boolean array whose rows are
     contiguous validity prefixes.  config supplies the annealed weights and
-    the vol-clustering window and stride.
+    the vol-clustering window and stride.  truth, when given, is (table,
+    idx): a ``truth_table`` at config and the indices of x0_true's rows in it.
 
     Returns a LossBreakdown, or with with_grads=True a tuple
     (breakdown, d_total/d_pred, d_total/d_x0_pred); the two gradients are
@@ -383,10 +410,16 @@ def total_loss(
         # slice, never multiply by the mask: padding may hold NaN
         p = x0_pred[rows, :n]
         t = x0_true[rows, :n]
+        if truth is None:
+            ts = truth_stats(t, config.vol_window, config.vol_stride)
+        else:  # a table group's rows ascend, so a row's place is its rank
+            members, stats = truth[0][n]
+            at = np.searchsorted(members, truth[1][rows])
+            ts = {name: values[at] for name, values in stats.items()}
         evaluated = (
-            _jump(p, t), _vol_clustering(p, t, config.vol_window, config.vol_stride),
-            _global_vol(p, t), _tail(p, t), _drift(p, t), _pinball_pair(p, t),
-            _spectral(p, t),
+            _jump(p, ts), _vol_clustering(p, ts, config.vol_window, config.vol_stride),
+            _global_vol(p, ts), _tail(p, ts), _drift(p, ts), _pinball_pair(p, t),
+            _spectral(p, ts),
         )
         g = np.zeros_like(p)
         for k, (term, (values, grad, *defined)) in enumerate(zip(TERMS, evaluated)):

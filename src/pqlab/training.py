@@ -33,7 +33,9 @@ order, so the bits are those of the per-array update.  ``train`` owns
 one ``nn.Workspace`` for the run: it lends the gradient vector, Adam's
 scratch vector and the conv backward's buffer, which die within a step,
 so a step reuses their memory instead of page-faulting in fresh arrays.
-The forward's caches live until the backward and keep allocating.
+The forward's caches live until the backward and keep allocating.  The
+loss's truth statistics are computed once per run, for every slice.  A
+non-finite loss or gradient norm raises NumericError before the state changes.
 
 ``train`` writes two logs per step: the loss row (``loss_log.csv``) and
 the trace row (``train_trace.csv``: the pre-clip global gradient norm,
@@ -208,9 +210,9 @@ def pad_slices(slices, length: int, return_scale: float) -> PaddedSlices:
 
 
 def make_batch(padded: PaddedSlices, rng, batch_size: int):
-    """Sample slices with replacement: the (x0, mask, cond) rows of padded."""
+    """Sample slices with replacement: the (x0, mask, cond) rows of padded and their indices."""
     idx = rng.integers(0, len(padded.x0), size=batch_size)
-    return padded.x0[idx], padded.mask[idx], padded.cond[idx]
+    return padded.x0[idx], padded.mask[idx], padded.cond[idx], idx
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
@@ -222,7 +224,7 @@ def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
     # than summing most of these arrays
     sq = math.fsum(float(np.add.reduce(g * g, axis=None)) for g in grads.values())
     norm = math.sqrt(sq)
-    if norm > max_norm:
+    if max_norm < norm < math.inf:  # a non-finite norm leaves the gradient as it is
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
@@ -262,16 +264,18 @@ def adam_update(state: TrainState, grads: np.ndarray, lr: float, step: int,
 
 def train_step(padded: PaddedSlices, state: TrainState, config: TrainConfig, step: int,
                loss: LossConfig = LossConfig(),
-               workspace: nn.Workspace | None = None) -> tuple[LossBreakdown, float]:
+               workspace: nn.Workspace | None = None,
+               truth: dict | None = None) -> tuple[LossBreakdown, float]:
     """One optimizer step; all randomness comes from (seed, step).
 
     Returns the loss breakdown and the global gradient norm before
     clipping.  ``workspace`` lends the arrays that die within the step
-    (the gradient vector, Adam's scratch, the conv backward's buffer).
+    (the gradient vector, Adam's scratch, the conv backward's buffer);
+    ``truth`` is padded's ``objectives.truth_table`` at ``loss``.
     """
     rng = np.random.default_rng([config.seed, step])
     length = state.net.input_length
-    x0, mask, cond = make_batch(padded, rng, config.batch_size)
+    x0, mask, cond, idx = make_batch(padded, rng, config.batch_size)
     t = rng.integers(1, state.sched.T + 1, size=config.batch_size)
     eps = rng.standard_normal((config.batch_size, length))
 
@@ -285,7 +289,8 @@ def train_step(padded: PaddedSlices, state: TrainState, config: TrainConfig, ste
     x0_pred = diffusion.recover_x0(x_t, pred, state.mode, t, state.sched)
 
     breakdown, g_pred, g_x0 = objectives.total_loss(
-        pred, target, x0_pred, x0, mask, step, config.steps, loss, with_grads=True
+        pred, target, x0_pred, x0, mask, step, config.steps, loss, with_grads=True,
+        truth=None if truth is None else (truth, idx),
     )
     if not math.isfinite(breakdown.total):
         raise NumericError(f"non-finite loss at step {step}: {breakdown.total!r}")
@@ -297,6 +302,8 @@ def train_step(padded: PaddedSlices, state: TrainState, config: TrainConfig, ste
     grads = denoiser.backward(g_out[:, None, :], cache, state.params,
                               out=g_flat, workspace=workspace)
     _, norm = clip_global_norm(grads, config.clip_norm)
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite gradient at step {step}: global norm {norm!r}")
     adam_update(state, g_flat, config.lr, step, workspace)
     state.bn_state.update(bn_updates)
     return breakdown, norm
@@ -325,10 +332,11 @@ def train(slices, state: TrainState, config: TrainConfig,
     if not slices:
         raise DataError("training needs at least one slice")
     padded = pad_slices(slices, state.net.input_length, state.return_scale)
+    truth = objectives.truth_table(padded.x0, padded.mask, loss)
     workspace = nn.Workspace()
     last = config.steps if stop_step is None else min(stop_step, config.steps)
     for step in range(state.step + 1, last + 1):
-        breakdown, norm = train_step(padded, state, config, step, loss, workspace)
+        breakdown, norm = train_step(padded, state, config, step, loss, workspace, truth)
         if log_fh is not None:
             log_fh.write(objectives.format_loss_row(step, breakdown) + "\n")
         if trace_fh is not None:

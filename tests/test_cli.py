@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -173,6 +174,35 @@ class TestExitCodes:
         monkeypatch.setattr(training, "train", explode)
         assert cli.main(["train", ini]) == 4
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_step,value", [(25, math.nan), (3, math.inf)])
+    def test_non_finite_gradient_is_numeric_error(self, tmp_path, monkeypatch, capsys,
+                                                  bad_step, value):
+        # a gradient entry turns non-finite on one step: the run stops there,
+        # before clipping scales it or Adam writes it into the parameters
+        ini, out = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        calls = []
+        backward = training.denoiser.backward
+
+        def poisoned(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == bad_step:
+                grads["head.b"][0] = value
+            return grads
+
+        monkeypatch.setattr(training.denoiser, "backward", poisoned)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*encountered in", category=RuntimeWarning)
+            assert cli.main(["train", ini]) == 4
+        err = capsys.readouterr().err
+        assert f"non-finite gradient at step {bad_step}" in err and repr(value) in err
+        assert not os.path.exists(os.path.join(out, "checkpoint.npz"))
+        for name in ("loss_log.csv", "train_trace.csv"):
+            with open(os.path.join(out, name)) as fh:
+                steps = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+            assert steps == [str(step) for step in range(1, bad_step)]
 
     def test_bad_slice_index_is_config_error(self, workspace):
         ini, _ = workspace

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import oracles
+from numpy.lib.stride_tricks import as_strided
 from oracles import denoiser_backward_reference, denoiser_forward_reference
 
 from pqlab import denoiser as dn
@@ -672,7 +673,7 @@ class TestInPlaceKernels:
 class TestPositionMajorKernels:
     """The guarded position-major kernels against the batch-major references."""
 
-    CASES = [(length, k, batch, ch) for length in (1, 2, 5) for k in (1, 3, 5)
+    CASES = [(length, k, batch, ch) for length in (1, 2, 5) for k in (1, 3, 5, 7)
              for batch, ch in ((1, 1), (3, 2))]
 
     @pytest.mark.parametrize("length,k,batch,ch", CASES)
@@ -741,6 +742,44 @@ class TestPositionMajorKernels:
             nn.conv1d(x, w, np.zeros(4))
         with pytest.raises(ValueError, match="odd kernel width"):
             nn.conv1d_backward(rng.normal(size=(6, 4, 3)), (x, w))
+
+
+class TestTrainingForwardKernels:
+    """The window view, the bias-free conv and the masked pool."""
+
+    def test_windows_are_the_read_only_strided_view(self):
+        x = np.random.default_rng(1).normal(size=(9, 4, 3))
+        for k in (1, 3, 5, 9):
+            view = nn._windows(x, k)
+            ref = as_strided(x, (10 - k, k * 4, 3), x.strides, writeable=False)
+            assert not view.flags.writeable and np.shares_memory(view, x)
+            assert view.shape == ref.shape and view.strides == ref.strides
+            assert view.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_without_bias_is_a_zero_bias(self, k):
+        rng = np.random.default_rng([k, 0xB1])
+        x, w = guarded(rng.normal(size=(5, 3, 8)), (k - 1) // 2), rng.normal(size=(4, 3, k))
+        none, _ = nn.conv1d(x, w, None)
+        zero, _ = nn.conv1d(x, w, np.zeros(4))
+        assert none.tobytes() == zero.tobytes()
+
+    def test_masked_pool_keeps_the_selection_bytes_and_mask(self):
+        # the max used to be first, then second copied in where second > first
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+        pairs = np.array([[a, b] for a in edge for b in edge]).reshape(-1, 1, 1)
+        rng = np.random.default_rng(28)
+        for x in (pairs, np.round(rng.normal(size=(20, 16, 20)), 1)):
+            first, second = x[0::2], x[1::2]
+            take_second = np.greater(second, first)
+            selected = first.copy()
+            np.copyto(selected, second, where=take_second)
+            y, mask = nn.maxpool2(x)
+            assert y.tobytes() == selected.tobytes()
+            assert mask.tobytes() == take_second.tobytes()
 
 
 class TestBackwardVector:

@@ -1,5 +1,6 @@
 """Loss-term identities, gradient checks, and composite-loss invariants."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -613,6 +614,66 @@ class TestGroupedEvaluation:
                 pred, target, x0p, x0t, mask, step=60, total_steps=100, with_grads=True,
                 config=obj.LossConfig(lambda_vol=0.0, vol_window=17))
         np.testing.assert_array_equal(g_x0, g_ref)
+
+
+class TestTruthTable:
+    """Truth statistics computed once for padded rows give the on-the-fly bits."""
+
+    LENGTH = 16
+
+    def padded(self, seed):
+        # row i < 16 has length i + 1; a zero row of length 8 (no kurtosis,
+        # no spectrum) and a constant row of length 12 (no kurtosis)
+        rng = np.random.default_rng(seed)
+        lens = np.concatenate([np.arange(1, self.LENGTH + 1),
+                               rng.integers(1, self.LENGTH + 1, size=14)])
+        mask = np.arange(self.LENGTH) < lens[:, None]
+        x0 = np.where(mask, rng.normal(scale=0.4, size=mask.shape), 0.0)
+        x0[7, :8] = 0.0
+        x0[11, :12] = 0.25
+        return x0, mask
+
+    @staticmethod
+    def hexes(bd):
+        return ([float(getattr(bd, f.name)).hex() for f in dataclasses.fields(bd)
+                 if f.name != "skipped"], bd.skipped)
+
+    CONFIGS = [(5, 1), (9, 2), (17, 1)]  # (vol_window, vol_stride)
+
+    @pytest.mark.parametrize("window,stride", CONFIGS)
+    def test_table_rows_are_each_rows_own(self, window, stride):
+        x0, mask = self.padded(31)
+        table = obj.truth_table(x0, mask, obj.LossConfig(vol_window=window, vol_stride=stride))
+        assert sorted(table) == list(range(1, self.LENGTH + 1))
+        for n, (rows, stats) in table.items():
+            assert np.array_equal(rows, np.flatnonzero(mask.sum(axis=1) == n))
+            for i, s in enumerate(rows):
+                alone = obj.truth_stats(x0[s : s + 1, :n], window, stride)
+                assert alone.keys() == stats.keys()
+                for name, want in alone.items():
+                    got = stats[name][i : i + 1]
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window,stride", CONFIGS)
+    def test_total_loss_with_the_table_matches_on_the_fly(self, window, stride):
+        x0, mask = self.padded(32)
+        config = obj.LossConfig(vol_window=window, vol_stride=stride)
+        table = obj.truth_table(x0, mask, config)
+        rng = np.random.default_rng([window, stride])
+        skipped = set()
+        for _ in range(6):
+            idx = rng.integers(0, len(x0), size=24)
+            pred, target, x0p = rng.normal(size=(3, 24, self.LENGTH))
+            args = (pred, target, x0p, x0[idx], mask[idx], 60, 100, config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = obj.total_loss(*args, with_grads=True)
+                got = obj.total_loss(*args, with_grads=True, truth=(table, idx))
+            assert self.hexes(got[0]) == self.hexes(want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+            skipped |= {term for term, _ in want[0].skipped}
+        assert {"jump", "gvol", "kurt", "spectral", "vol"} <= skipped
 
 
 class TestCsvRow:

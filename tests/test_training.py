@@ -87,15 +87,16 @@ class TestMakeBatch:
     def test_shapes_and_scaling(self, dataset):
         rng = np.random.default_rng(0)
         padded = tr.pad_slices(dataset.train, 24, 2.0)
-        x0, mask, cond = tr.make_batch(padded, rng, 6)
+        x0, mask, cond, idx = tr.make_batch(padded, rng, 6)
         assert x0.shape == (6, 24) and mask.shape == (6, 24) and cond.shape == (6, 5)
+        assert np.array_equal(x0, padded.x0[idx]) and np.array_equal(cond, padded.cond[idx])
         for row in range(6):
             n = int(mask[row].sum())
             assert mask[row, :n].all() and not mask[row, n:].any()
             assert np.all(x0[row, n:] == 0.0)
         # row contents must be some slice's returns divided by the scale
         rng2 = np.random.default_rng(0)
-        idx = rng2.integers(0, len(dataset.train), size=6)
+        assert np.array_equal(idx, rng2.integers(0, len(dataset.train), size=6))
         s = dataset.train[int(idx[0])]
         n = s.condition.n_trading
         assert np.array_equal(x0[0, :n], s.log_returns / 2.0)
@@ -310,6 +311,54 @@ class TestFlatState:
         assert [(float(c[1]), c[2]) for c in cells] == [
             (norm, str(int(clipped))) for norm, clipped in ref_trace]
         assert 0 < sum(clipped for _, clipped in ref_trace) < cfg.steps
+
+    def test_truth_table_run_equals_the_on_the_fly_oracle(self, dataset, monkeypatch):
+        # train computes the loss's truth statistics once per run; the oracle
+        # loop leaves total_loss to compute them per batch.  Lengths 1, 3, 7
+        # and 18-20, a zero slice (no kurtosis or spectrum) and a vol window
+        # of 9 at stride 2, longer than the shortest slices.
+        def cut(s, n, scale=1.0):
+            return dataclasses.replace(s, log_returns=s.log_returns[:n] * scale,
+                                       condition=dataclasses.replace(s.condition, n_trading=n))
+
+        train = dataset.train
+        slices = train[:30] + [cut(train[30], 1), cut(train[31], 3), cut(train[32], 7),
+                               cut(train[33], 7), cut(train[34], 12, scale=0.0)]
+        loss = LossConfig(vol_window=9, vol_stride=2)
+        cfg = tr.TrainConfig(steps=12, batch_size=16, seed=9, clip_norm=0.5)
+        state = tr.init_state(tiny_net(), diff.build_schedule(50), "v",
+                              tr.compute_return_scale(slices), 2)
+        init_params = {k: v.copy() for k, v in state.params.items()}
+        init_bn = {k: v.copy() for k, v in state.bn_state.items()}
+        rows, trace = Rows(), Rows()
+        with pytest.warns(RuntimeWarning):
+            tr.train(slices, state, cfg, loss, log_fh=rows, trace_fh=trace)
+
+        breakdowns = []
+        on_the_fly = tr.objectives.total_loss
+
+        def recording(*args, **kwargs):
+            assert "truth" not in kwargs
+            result = on_the_fly(*args, **kwargs)
+            breakdowns.append(result[0])
+            return result
+
+        monkeypatch.setattr(tr.objectives, "total_loss", recording)
+        with pytest.warns(RuntimeWarning):
+            params, adam_m, adam_v, bn_state, ref_rows, ref_trace = oracles.train_reference(
+                slices, init_params, init_bn, state.net, state.sched, state.mode,
+                state.return_scale, cfg, loss, cfg.steps)
+        assert bits_equal(state.params, params)
+        spec = dn.param_spec(state.net)
+        assert bits_equal(dn.unflatten_params(state.flat_adam_m, spec), adam_m)
+        assert bits_equal(dn.unflatten_params(state.flat_adam_v, spec), adam_v)
+        assert bits_equal(state.bn_state, bn_state)
+        assert [r.rstrip("\n") for r in rows.rows] == ref_rows
+        assert [r.rstrip("\n") for r in trace.rows] == [
+            tr.format_trace_row(step, norm, cfg.clip_norm, bd)
+            for step, ((norm, _), bd) in enumerate(zip(ref_trace, breakdowns), start=1)]
+        skipped = {term for bd in breakdowns for term, _ in bd.skipped}
+        assert {"jump", "gvol", "kurt", "spectral", "vol"} <= skipped
 
     def test_views_share_memory_with_the_flat_vectors(self, dataset, tmp_path):
         def check(state):
