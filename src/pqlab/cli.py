@@ -16,6 +16,7 @@ Artifact layout under [run] out_dir:
     checkpoint_step<N>.npz cadence snapshots    (train, optional)
     paths_slice<I>.csv     sampled bundle       (sample)
     table_5_1.csv          validation summary   (validate)
+    validate_conditions.csv  per-condition metrics (validate)
     game_<product>_<level>.csv  one level row   (game)
     game_<product>.txt     aligned level table  (game)
     game_<product>_slices.csv  per-slice fair, P and realized values, side per level (game)
@@ -168,6 +169,31 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
     return 0
 
 
+def _log_head(path: str, header: str, step: int) -> str:
+    """The text a per-step log starts from when training resumes after ``step``.
+
+    At step 0 that is the header alone.  After it, an existing log keeps its
+    header and its rows of steps 1..step, and drops the rest (the rows of a
+    run stopped after the checkpoint); a missing one starts fresh.  A log
+    with another header, fewer rows, or rows that are not steps 1..step in
+    order is a DataError naming it.
+    """
+    if step == 0 or not os.path.isfile(path):
+        return header + "\n"
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0].rstrip("\r\n") != header:
+        raise DataError(f"{path}: the header is not {header!r}")
+    steps = [line.split(",", 1)[0] for line in lines[1 : step + 1]]
+    if steps != [str(i) for i in range(1, step + 1)]:
+        raise DataError(f"{path}: cannot resume at step {step}: the log does not "
+                        f"hold the rows of steps 1..{step} in order")
+    return "".join(lines[: step + 1])
+
+
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
     split, scale = _load_slices(cfg, groups=("train", "test"))
@@ -192,11 +218,10 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
             raise ConfigError(
                 f"checkpoint already at step {state.step} > steps {cfg.train.steps}"
             )
-        fresh_log = not os.path.isfile(log_path)
-        fresh_trace = not os.path.isfile(trace_path)
     else:
         state = training.init_state(net, sched, cfg.model.mode, scale, cfg.train.seed)
-        fresh_log = fresh_trace = True
+    log_head = _log_head(log_path, LOSS_CSV_HEADER, state.step)
+    trace_head = _log_head(trace_path, training.TRACE_CSV_HEADER, state.step)
 
     checkpoint_fn = None
     if cfg.train.checkpoint_every:
@@ -205,12 +230,10 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
                 os.path.join(out, f"checkpoint_step{st.step}.npz"), st
             )
 
-    with open(log_path, "w" if fresh_log else "a", newline="") as fh, \
-            open(trace_path, "w" if fresh_trace else "a", newline="") as trace_fh:
-        if fresh_log:
-            fh.write(LOSS_CSV_HEADER + "\n")
-        if fresh_trace:
-            trace_fh.write(training.TRACE_CSV_HEADER + "\n")
+    with open(log_path, "w", newline="") as fh, \
+            open(trace_path, "w", newline="") as trace_fh:
+        fh.write(log_head)
+        trace_fh.write(trace_head)
         training.train(split.train, state, cfg.train, cfg.loss, log_fh=fh,
                        trace_fh=trace_fh, checkpoint_fn=checkpoint_fn)
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
@@ -254,6 +277,7 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
         rows.append(path_stats.compare_condition(s.log_returns, gen))
     report = path_stats.aggregate_report(rows)
     path_stats.write_table_csv(os.path.join(out, "table_5_1.csv"), report)
+    path_stats.write_conditions_csv(os.path.join(out, "validate_conditions.csv"), report)
     _echo_config(cfg)
     print(f"validated {len(rows)} conditions")
     for metric in path_stats.METRICS:

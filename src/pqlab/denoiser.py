@@ -21,10 +21,19 @@ the 3-wide convs read (``nn.conv1d``).  ``forward`` transposes its
 Its level part runs as an ``nn.conv1d``; its embedding part, constant
 along the length axis, is added as a per-row bias (``nn.tap_bias``).
 Encoder level i writes its residual output straight into the skip rows
-of decoder level i's input, so nothing is concatenated.  In inference
-mode each residual block's batch-norm is folded into its first conv on
-every call; training mode normalizes with batch statistics and always
-returns the cache ``backward`` reads.
+of decoder level i's input, so nothing is concatenated.  Training mode
+normalizes with batch statistics and always returns the cache
+``backward`` reads.
+
+Inference runs on a ``PreparedNet``, the part of the forward that only
+the parameters and the conditions fix (``prepare``): each residual
+block's batch-norm folded into its first conv, the condition MLP's
+output, and per fusion conv its bias plus the condition embedding's taps
+as an (out, B) block, with the first and last tap that the end positions
+take back where they read the zero pad.  A step then runs the convs, its
+time embedding's taps and one bias block per fusion conv.  A DDIM chunk
+prepares once for all its steps; a call without a prepared net prepares
+its own.
 
 Inference may pass an ``nn.Workspace``: every activation then lives in
 arrays lent under a few roles shared by all levels, so a caller repeating
@@ -33,8 +42,9 @@ a fresh copy.  Each lend zeroes the guard rows, and what later writes a
 whole array (ReLU, the residual add) keeps them zero.  A training forward
 allocates, because its caches outlive the call; ``backward`` takes a
 workspace for the conv backward's products, which die inside each call.
-``x``, ``t`` and ``c`` are checked finite on entry: the condition MLP's
-ReLU would otherwise turn a NaN into a finite, wrong output.
+``x`` and ``t`` are checked finite on entry, and ``c`` where it is
+embedded (in training, or once in ``prepare``): the condition MLP's ReLU
+would otherwise turn a NaN into a finite, wrong output.
 
 Parameters are a dict keyed by layer path; ``param_spec`` fixes the
 canonical order of one flat float64 vector holding them all (the
@@ -50,7 +60,9 @@ both layouts.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -273,13 +285,97 @@ def _guarded(length, ch, batch, workspace=None, role=""):
     return a, a[GUARD:-GUARD]
 
 
-def _fusion_fwd(h, emb, params, name, workspace, role):
-    """Fusion conv of the guarded level input h (L + 2, C, B) and the embedding emb (B, E)."""
+def _fusion_fwd(h, emb, params, name):
+    """Training fusion conv of the guarded level input h (L + 2, C, B) and the
+    embedding emb (B, E)."""
     w = params[f"{name}.w"]
     ch = h.shape[1]
-    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"], workspace=workspace, role=role)
+    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"])
     c_e = nn.tap_bias(y[GUARD:-GUARD], w[:, ch:], emb)
     return y, (c_h, c_e)
+
+
+def _end_taps(w):
+    """(3 * out, E) stack of a 3-wide fusion weight's tap sum, first and last tap
+    over E embedding channels: one matmul against an embedding then gives the
+    block every position gets and the two a pad row takes back."""
+    return np.concatenate([w.sum(axis=2), w[:, :, 0], w[:, :, -1]])
+
+
+def _fusion_infer(h, te, fusion, workspace):
+    """Inference fusion conv of the guarded level input h and this step's time
+    embedding te (1 or B rows), given the prepared (level weight, condition
+    blocks, time tap stack) of ``prepare``."""
+    w, cond, w_time = fusion
+    # [bias + tap sum, first tap, last tap], each (out, B), for this step's t
+    blocks = cond + (w_time @ te.T).reshape(3, w.shape[0], -1)
+    y, _ = nn.conv1d(h, w, blocks[0], workspace=workspace, role="act")
+    y[GUARD] -= blocks[1]  # the first tap reads the pad before the first position
+    y[-1 - GUARD] -= blocks[2]  # the last tap reads the pad past the last
+    return y
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class PreparedNet:
+    """The part of an inference forward that no DDIM step changes (``prepare``).
+
+    ``folded`` maps each residual block (``enc0.res``, ...) to its conv1 with
+    batch-norm folded in, (w, b).  ``fusions`` maps each fusion conv
+    (``enc0.in``, ...) to (w, cond, w_time): w its level-channel weight;
+    cond a (3, out, batch) stack of its bias plus the condition embedding's
+    tap sum, then the condition's first and last tap, which the first and
+    last position take back because they read the zero pad there; w_time
+    the ``_end_taps`` stack of its time-embedding weight.  Every array is
+    read-only.
+    """
+
+    config: DenoiserConfig
+    batch: int
+    folded: Mapping[str, tuple]
+    fusions: Mapping[str, tuple]
+
+
+def _checked_condition(c, batch: int | None, config: DenoiserConfig) -> np.ndarray:
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    if c.ndim != 2 or c.shape[1] != config.cond_dim or batch not in (None, c.shape[0]):
+        raise ConfigError(f"condition must have shape (B, {config.cond_dim})")
+    if not np.all(np.isfinite(c)):
+        raise NumericError("non-finite values in condition")
+    return c
+
+
+def prepare(params: dict, bn_state: dict, c, config: DenoiserConfig) -> PreparedNet:
+    """The step-invariant part of inference for the (B, cond_dim) conditions c.
+
+    Folds each residual block's batch-norm into its first conv, runs the
+    condition MLP once and applies every fusion conv's condition taps to
+    its output.  c is checked here, once; a DDIM chunk prepares once and
+    passes the net to every step's ``forward``.
+    """
+    c = _checked_condition(c, None, config)
+    ce, _ = _cond_embed_fwd(c, params)
+    folded, fusions = {}, {}
+    depths = range(config.depth)
+    for level in [*(f"enc{i}" for i in depths), "mid", *(f"dec{i}" for i in depths)]:
+        res = f"{level}.res"
+        w, b = nn.fold_batchnorm(
+            params[f"{res}.conv1.w"], params[f"{res}.conv1.b"],
+            params[f"{res}.bn.gamma"], params[f"{res}.bn.beta"],
+            bn_state[f"{res}.bn.running_mean"], bn_state[f"{res}.bn.running_var"])
+        folded[res] = (_frozen(w), _frozen(b))
+        w = params[f"{level}.in.w"]
+        ch = w.shape[1] - config.embed_channels
+        cut = ch + config.time_embed_dim
+        cond = (_end_taps(w[:, cut:]) @ ce.T).reshape(3, w.shape[0], len(c))
+        cond[0] += params[f"{level}.in.b"][:, None]
+        fusions[f"{level}.in"] = (_frozen(w[:, :ch]), _frozen(cond),
+                                  _frozen(_end_taps(w[:, ch:cut])))
+    return PreparedNet(config, len(c), MappingProxyType(folded), MappingProxyType(fusions))
 
 
 def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
@@ -294,15 +390,21 @@ def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
     return gh, g_emb
 
 
-def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None, out=None):
+def _resblock_fwd(x, params, prefix, folded=None, bn_state=None, workspace=None,
+                  out=None):
     """Residual block of the guarded x; the sum goes into the rows ``out`` when
-    given, else it is returned guarded, overwriting x with a workspace."""
-    w1, b1 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]
-    bn = (params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
-          bn_state[f"{prefix}.bn.running_mean"], bn_state[f"{prefix}.bn.running_var"])
+    given, else it is returned guarded, overwriting x with a workspace.
+
+    Inference runs a prepared net's batch-norm-folded conv1, ``folded`` =
+    (w, b); training (``folded`` None) normalizes with batch statistics and
+    returns the running statistics ``bn_state`` moves to.
+    """
     updates = {}
-    cbn = None
-    if training:
+    cbn = mask = None
+    if folded is None:
+        w1, b1 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"]
+        bn = (params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
+              bn_state[f"{prefix}.bn.running_mean"], bn_state[f"{prefix}.bn.running_var"])
         # batch statistics cancel conv1's bias exactly, so it is left out of
         # the normalized output and only moves the running mean
         y, c1 = nn.conv1d(x, w1, None)
@@ -313,9 +415,8 @@ def _resblock_fwd(x, params, bn_state, prefix, training, workspace=None, out=Non
         }
         y, mask = nn.relu(y, out=y)
     else:
-        y, c1 = nn.conv1d(x, *nn.fold_batchnorm(w1, b1, *bn),
-                          workspace=workspace, role="tmp")
-        y, mask = nn.relu_inplace(y), None
+        y, c1 = nn.conv1d(x, *folded, workspace=workspace, role="tmp")
+        nn.relu_inplace(y)
     y, c2 = nn.conv1d(y, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"],
                       workspace=workspace, role="res")
     if out is None:  # nothing caches conv2's output
@@ -350,6 +451,7 @@ def forward(
     training: bool = False,
     *,
     workspace: nn.Workspace | None = None,
+    prepared: PreparedNet | None = None,
 ):
     """Run the network on x of shape (B, in_channels, input_length).
 
@@ -358,10 +460,13 @@ def forward(
     cache that feeds ``backward``; inference returns None for it (it folds
     batch-norm away) and an empty bn_updates.
 
-    An inference ``workspace`` lends every activation (see ``nn.Workspace``),
-    so repeated calls at one shape reuse the same memory; ``out`` is
-    always a fresh array.  Training allocates, since its caches outlive
-    the call.
+    Inference runs on a net ``prepare``d for these conditions: pass one to
+    share it across calls (a DDIM chunk prepares once for all its steps),
+    and c is not read; without one, the call prepares its own.  A prepared
+    net of another batch size or config is a ConfigError.  An inference
+    ``workspace`` lends every activation (see ``nn.Workspace``), so
+    repeated calls at one shape reuse the same memory; ``out`` is always a
+    fresh array.  Training allocates, since its caches outlive the call.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != config.in_channels or x.shape[2] != config.input_length:
@@ -376,19 +481,35 @@ def forward(
         raise ConfigError(f"step must be a scalar or have shape ({batch},), got {t.shape}")
     if not np.all(np.isfinite(t)):
         raise NumericError("non-finite diffusion step")
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.shape != (batch, config.cond_dim):
-        raise ConfigError(f"condition must have shape (B, {config.cond_dim})")
-    if not np.all(np.isfinite(c)):
-        raise NumericError("non-finite values in condition")
-    if workspace is not None and training:
-        raise ConfigError("a workspace is for inference: training caches outlive the call")
-
     te = time_embed(t, config.time_embed_dim)
-    if te.shape[0] == 1 and batch > 1:
-        te = np.broadcast_to(te, (batch, te.shape[1]))
-    ce, ce_cache = _cond_embed_fwd(c, params)
-    emb = np.concatenate([te, ce], axis=1)
+    if training:
+        if workspace is not None or prepared is not None:
+            raise ConfigError("a workspace or prepared net is for inference: "
+                              "training caches outlive the call")
+        c = _checked_condition(c, batch, config)
+        if te.shape[0] == 1 and batch > 1:
+            te = np.broadcast_to(te, (batch, te.shape[1]))
+        ce, ce_cache = _cond_embed_fwd(c, params)
+        emb = np.concatenate([te, ce], axis=1)
+    else:
+        if prepared is None:
+            prepared = prepare(params, bn_state, _checked_condition(c, batch, config),
+                               config)
+        if prepared.batch != batch or prepared.config != config:
+            raise ConfigError(f"the net was prepared for {prepared.batch} rows of "
+                              f"{prepared.config}, not {batch} rows of {config}")
+
+    def fuse(h, name):
+        """The fusion conv's guarded output and training cache."""
+        if training:
+            return _fusion_fwd(h, emb, params, name)
+        return _fusion_infer(h, te, prepared.fusions[name], workspace), None
+
+    def resblock(y, prefix, out=None):
+        folded = None if training else prepared.folded[prefix]
+        h, c_res, upd = _resblock_fwd(y, params, prefix, folded, bn_state, workspace, out)
+        bn_updates.update(upd)
+        return h, c_res
 
     # workspace roles: concat<i> decoder level i's input (encoder level i
     # writes its skip rows), act each fusion output (then the mid or decoder
@@ -404,33 +525,28 @@ def forward(
     h, rows = _guarded(length, config.in_channels, batch, workspace, "tmp")
     rows[...] = x.transpose(2, 1, 0)
     for i in range(config.depth):
-        y, c_in = _fusion_fwd(h, emb, params, f"enc{i}.in", workspace, "act")
+        y, c_in = fuse(h, f"enc{i}.in")
         ch = y.shape[1]
         up_ch = config.level_channels(i + 1) if i + 1 < config.depth else config.mid_channels
         z, rows = _guarded(length, up_ch + ch, batch, workspace, f"concat{i}")
         skip = rows[:, up_ch:]
-        _, c_res, upd = _resblock_fwd(y, params, bn_state, f"enc{i}.res", training,
-                                      workspace, out=skip)
-        bn_updates.update(upd)
+        _, c_res = resblock(y, f"enc{i}.res", out=skip)
         concats.append((z, up_ch))
         length //= 2
         h, rows = _guarded(length, ch, batch, workspace, "tmp")
         _, c_pool = nn.maxpool2(skip, out=rows, mask=training)
         enc_caches.append((c_in, c_res, c_pool) if training else None)
 
-    y, c_in = _fusion_fwd(h, emb, params, "mid.in", workspace, "act")
-    h, c_res, upd = _resblock_fwd(y, params, bn_state, "mid.res", training, workspace)
-    bn_updates.update(upd)
+    y, c_in = fuse(h, "mid.in")
+    h, c_res = resblock(y, "mid.res")
     mid_cache = (c_in, c_res) if training else None
 
     dec_caches = []
     for i in reversed(range(config.depth)):
         z, up_ch = concats[i]
         nn.upsample2(h[GUARD:-GUARD], z[GUARD:-GUARD, :up_ch])
-        y, c_in = _fusion_fwd(z, emb, params, f"dec{i}.in", workspace, "act")
-        h, c_res, upd = _resblock_fwd(y, params, bn_state, f"dec{i}.res", training,
-                                      workspace)
-        bn_updates.update(upd)
+        y, c_in = fuse(z, f"dec{i}.in")
+        h, c_res = resblock(y, f"dec{i}.res")
         dec_caches.append((i, up_ch, c_in, c_res) if training else None)
 
     out, head_cache = nn.conv1d(h[GUARD:-GUARD], params["head.w"], params["head.b"],

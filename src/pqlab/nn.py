@@ -10,8 +10,9 @@ at each end.  The K positions a tap window reads are then one contiguous
 holds every window, overlapping in memory (the MEC lowering of Cho and
 Brand 2017, arXiv:1706.06873, without its copy).  A convolution is one
 matmul of the tap-stacked weights (out, K * C) against that view, written
-straight into the guarded output's rows, then the bias, if any (a conv
-feeding training batch-norm has none: the batch mean cancels it).  Its
+straight into the guarded output's rows, then the bias, if any, as one
+(out, B) block (a conv feeding training batch-norm has none: the batch
+mean cancels it; an inference caller may give each row its own).  Its
 backward runs the flipped tap stack against windows of the guarded output
 gradient, and the gradient against the input windows.  ``tap_bias`` adds
 the convolution of channels constant along the length axis (the
@@ -19,8 +20,9 @@ denoiser's embeddings) as one (out, B) block per tap, dropped where the
 tap reads the zero pad.
 
 Batch-norm here is the training form, normalizing with batch
-statistics; at inference ``fold_batchnorm`` folds the frozen statistics
-into the preceding conv (Jacob et al. 2018, arXiv:1712.05877, §3.2).
+statistics; for inference ``fold_batchnorm`` folds the frozen statistics
+into the preceding conv (Jacob et al. 2018, arXiv:1712.05877, §3.2), once
+per prepared network (``denoiser.prepare``), not once per call.
 All computation is float64; determinism follows from fixed operand
 order.  Kernels that work in place or share a pass (batch-norm forms
 x - mean once and writes its output into x; its backward, ``relu(out=)``
@@ -112,9 +114,12 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, *,
 
     x is (L + 2p, C, B) with p = (K - 1) / 2 zero guard rows at each end;
     y is (L + 2p, out, B) with its guard rows zeroed, so it can feed the
-    next conv of the same width.  With a workspace y is lent under
-    ``role``, which must not hold x: numpy would copy an operand that
-    shares memory with the output.
+    next conv of the same width.  b is (out,), or an (out, B) block whose
+    column j is row j's own bias; either way one (out, B) block is added
+    to every position (numpy's broadcast of b[:, None] along the middle
+    axis is up to twice as slow, for the same bits).  With a
+    workspace y is lent under ``role``, which must not hold x: numpy
+    would copy an operand that shares memory with the output.
     """
     out, c, k = w.shape
     pad = _pad(k)
@@ -125,7 +130,7 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, *,
     rows = y[pad : span - pad]
     np.matmul(wk, _windows(x, k), out=rows)
     if b is not None:
-        rows += b[:, None]
+        rows += b if b.ndim == 2 else b.repeat(batch).reshape(out, batch)
     return y, (x, w)
 
 

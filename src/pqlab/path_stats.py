@@ -35,6 +35,7 @@ METRICS = (
 )
 
 TABLE_CSV_HEADER = "metric,mean,std"
+CONDITIONS_CSV_HEADER = ",".join(("condition",) + METRICS)
 
 
 @dataclass(frozen=True)
@@ -193,3 +194,12 @@ def write_table_csv(path, report: ValidationReport) -> None:
             writer.writerow(
                 [metric, repr(report.mean(metric)), repr(report.std(metric))]
             )
+
+
+def write_conditions_csv(path, report: ValidationReport) -> None:
+    """Per-condition CSV: each row's index, then its seven metrics (``repr()``)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CONDITIONS_CSV_HEADER.split(","))
+        for i, row in enumerate(report.rows):
+            writer.writerow([i] + [repr(getattr(row, metric)) for metric in METRICS])

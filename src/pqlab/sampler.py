@@ -25,7 +25,11 @@ summation order.
 
 Each chunk runs the network once per DDIM step at one batch size, so it
 gives every call the same ``nn.Workspace``: the U-Net's activations live
-in memory allocated once per chunk instead of once per step.
+in memory allocated once per chunk instead of once per step.  The chunk
+also prepares the network once for its conditions
+(``denoiser.prepare``: batch-norm folded, the condition MLP run and its
+fusion taps applied) and passes that net to every step, which then runs
+only the convs and the time embedding.
 """
 
 from __future__ import annotations
@@ -174,11 +178,12 @@ def _run_chunk(model: GeneratorModel, sched: NoiseSchedule, steps, eta: float,
                cond: np.ndarray, streams) -> np.ndarray:
     """One DDIM trajectory for a chunk: row j sees cond[j] and draws from streams[j]."""
     workspace = nn.Workspace()  # every step of the chunk reuses its arrays
+    prepared = denoiser.prepare(model.params, model.bn_state, cond, model.net)
 
     def eps_fn(x, t):
         pred, _, _ = denoiser.forward(
             model.params, model.bn_state, x, t, cond, model.net, training=False,
-            workspace=workspace,
+            workspace=workspace, prepared=prepared,
         )
         return diffusion.recover_eps(x, pred, model.mode, t, sched)
 

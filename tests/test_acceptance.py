@@ -449,7 +449,8 @@ def test_criterion_11_command_reruns_are_byte_identical(tmp_path):
         run_all()
         artifacts = (
             "config.ini", "slices.npz", "dataset.manifest", "loss_log.csv",
-            "train_trace.csv", "checkpoint.npz", "table_5_1.csv", "game_european_0.0.csv",
+            "train_trace.csv", "checkpoint.npz", "table_5_1.csv", "validate_conditions.csv",
+            "game_european_0.0.csv",
             "game_european_0.2.csv", "game_european.txt", "game_european_slices.csv",
         )
         before = {}

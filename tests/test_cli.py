@@ -86,6 +86,7 @@ ARTIFACTS = (
     "paths_slice2.csv",
     "paths_slice2.csv.manifest",
     "table_5_1.csv",
+    "validate_conditions.csv",
     "game_european_0.0.csv",
     "game_european_0.2.csv",
     "game_european.txt",
@@ -119,6 +120,26 @@ def workspace(tmp_path_factory):
     ini, out = write_workspace(root)
     run_chain(ini)
     return ini, out
+
+
+def poison_gradient(monkeypatch, bad_step, value):
+    """Make one entry of the bad_step-th training gradient ``value``."""
+    calls = []
+    backward = training.denoiser.backward
+
+    def poisoned(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == bad_step:
+            grads["head.b"][0] = value
+        return grads
+
+    monkeypatch.setattr(training.denoiser, "backward", poisoned)
+
+
+def read_bytes(out, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
 
 
 class TestExitCodes:
@@ -182,17 +203,7 @@ class TestExitCodes:
         # before clipping scales it or Adam writes it into the parameters
         ini, out = write_workspace(tmp_path)
         assert cli.main(["prepare", ini]) == 0
-        calls = []
-        backward = training.denoiser.backward
-
-        def poisoned(*args, **kwargs):
-            grads = backward(*args, **kwargs)
-            calls.append(1)
-            if len(calls) == bad_step:
-                grads["head.b"][0] = value
-            return grads
-
-        monkeypatch.setattr(training.denoiser, "backward", poisoned)
+        poison_gradient(monkeypatch, bad_step, value)
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message=".*encountered in", category=RuntimeWarning)
             assert cli.main(["train", ini]) == 4
@@ -203,6 +214,35 @@ class TestExitCodes:
             with open(os.path.join(out, name)) as fh:
                 steps = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
             assert steps == [str(step) for step in range(1, bad_step)]
+
+    @pytest.mark.parametrize("name", ["loss_log.csv", "train_trace.csv"])
+    @pytest.mark.parametrize("damage", ["fewer rows", "rows out of order", "header"])
+    def test_resume_log_that_cannot_be_cut_back_is_data_error(
+            self, workspace, tmp_path, monkeypatch, capsys, name, damage):
+        # resuming at step 20 keeps each log's header and rows 1..20; a log
+        # that does not hold them is refused before any step runs
+        _, out = workspace
+        ini, out2 = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        for log in ("loss_log.csv", "train_trace.csv"):
+            shutil.copy(os.path.join(out, log), os.path.join(out2, log))
+        with open(os.path.join(out2, name), newline="") as fh:
+            lines = fh.readlines()
+        if damage == "fewer rows":
+            del lines[20:]
+        elif damage == "rows out of order":
+            lines[7], lines[8] = lines[8], lines[7]
+        else:
+            lines[0] = lines[0].replace("step,", "steps,")
+        with open(os.path.join(out2, name), "w", newline="") as fh:
+            fh.writelines(lines)
+        damaged = read_bytes(out2, name)
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("a step ran"))
+        snap = os.path.join(out, "checkpoint_step20.npz")
+        assert cli.main(["train", ini, "--resume", snap]) == 3
+        assert name in capsys.readouterr().err
+        assert read_bytes(out2, name) == damaged
+        assert not os.path.exists(os.path.join(out2, "checkpoint.npz"))
 
     def test_bad_slice_index_is_config_error(self, workspace):
         ini, _ = workspace
@@ -677,6 +717,22 @@ class TestTrain:
         assert rows[0] == training.TRACE_CSV_HEADER
         assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(1, 26)]
 
+    @pytest.mark.parametrize("snapshot", [20, 10])
+    def test_resume_after_a_stopped_run_equals_the_straight_run(
+            self, workspace, tmp_path, monkeypatch, snapshot):
+        # a NaN gradient stops the run at step 25 with logs through step 24;
+        # the resumed run cuts them back to the checkpoint's step first
+        _, out = workspace
+        ini2, out2 = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini2]) == 0
+        with monkeypatch.context() as patch:
+            poison_gradient(patch, 25, math.nan)
+            assert cli.main(["train", ini2]) == 4
+        snap = os.path.join(out2, f"checkpoint_step{snapshot}.npz")
+        assert cli.main(["train", ini2, "--resume", snap]) == 0
+        for name in ("loss_log.csv", "train_trace.csv", "checkpoint.npz"):
+            assert read_bytes(out2, name) == read_bytes(out, name), name
+
     def test_resume_rejects_mismatched_schedule(self, workspace, tmp_path):
         ini, out = workspace
         ini2 = tmp_path / "other.ini"
@@ -772,6 +828,21 @@ class TestValidate:
         for line in lines[1:]:
             _, mean, std = line.split(",")
             assert np.isfinite(float(mean)) and np.isfinite(float(std))
+
+
+    def test_conditions_file_holds_the_rows_the_table_summarizes(self, workspace):
+        _, out = workspace
+        with open(os.path.join(out, "validate_conditions.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(os.path.join(out, "table_5_1.csv"), newline="") as fh:
+            table = {metric: mean for metric, mean, _ in list(csv.reader(fh))[1:]}
+        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
+        n = min(4, int(manifest["test_slices"]))  # [validate] max_conditions = 4
+        assert rows[0] == ["condition", *METRICS]
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(n)]
+        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        for j, metric in enumerate(METRICS):
+            assert repr(float(np.nanmean(values[:, j]))) == table[metric], metric
 
 
 class TestGame:

@@ -329,7 +329,8 @@ class TestResBlockIdentity:
                     "enc0.res.conv2.w", "enc0.res.conv2.b"):
             params[key] = np.zeros_like(params[key])
         x = np.random.default_rng(0).normal(size=(2, 2, 4))
-        out, _, _ = dn._resblock_fwd(x, params, state, "enc0.res", False)
+        prepared = dn.prepare(params, state, np.zeros((4, config.cond_dim)), config)
+        out, _, _ = dn._resblock_fwd(x, params, "enc0.res", prepared.folded["enc0.res"])
         assert np.array_equal(out, x)
 
 
@@ -600,21 +601,106 @@ class TestWorkspace:
 
     def test_warm_forward_allocates_an_eighth_or_less(self):
         # the page faults this avoids come from allocating and freeing
-        # these arrays every call; the tracemalloc peak counts them exactly
+        # these arrays every call; the tracemalloc peak counts them exactly.
+        # Both run on one prepared net, as every DDIM step of a chunk does:
+        # a call that prepares its own holds about 1 MB more at this batch
         params, state = perturbed_model(TOY, seed=25)
         x, t, c = self.inputs(TOY, 200, 1)
+        prepared = dn.prepare(params, state, c, TOY)
         workspace = nn.Workspace()
         dn.forward(params, state, x, t, c, TOY, workspace=workspace)  # warm up
 
         def peak(**kwargs):
             tracemalloc.start()
             try:
-                dn.forward(params, state, x, t, c, TOY, **kwargs)
+                dn.forward(params, state, x, t, c, TOY, prepared=prepared, **kwargs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(workspace=workspace) <= peak() / 8
+
+
+class TestPreparedNet:
+    """Inference runs on a net prepared once per batch of conditions."""
+
+    inputs = TestWorkspace.inputs
+
+    @pytest.mark.parametrize("config", [TOY, ORACLE_CASES["depth3"][0]],
+                             ids=["toy", "depth3"])
+    @pytest.mark.parametrize("lent", [False, True], ids=["fresh", "workspace"])
+    def test_one_net_serves_every_step_bit_for_bit(self, config, lent):
+        # per-row and shared steps and a new x each call, as a chunk's steps
+        # run; each call that prepares its own net is the reference
+        params, state = perturbed_model(config, seed=31)
+        _, _, c = self.inputs(config, 9, 0)
+        prepared = dn.prepare(params, state, c, config)
+        workspace = nn.Workspace() if lent else None
+        for seed in range(4):
+            x, t, _ = self.inputs(config, 9, seed)
+            own, _, _ = dn.forward(params, state, x, t, c, config, workspace=workspace)
+            shared, cache, updates = dn.forward(params, state, x, t, c, config,
+                                                workspace=workspace, prepared=prepared)
+            assert cache is None and updates == {}
+            assert shared.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("change", ["batch", "config"])
+    def test_a_net_prepared_for_another_call_is_refused(self, change):
+        params, state = perturbed_model(TOY, seed=32)
+        x, t, c = self.inputs(TOY, 8, 1)
+        prepared = dn.prepare(params, state, c, TOY)
+        if change == "batch":
+            x, t, c = self.inputs(TOY, 7, 1)
+            config = TOY
+        else:  # the same parameter shapes under another config
+            config = dn.DenoiserConfig(input_length=40)
+            x = np.concatenate([x, x], axis=2)
+        with pytest.raises(ConfigError, match="prepared"):
+            dn.forward(params, state, x, t, c, config, prepared=prepared)
+
+    def test_training_refuses_a_prepared_net(self):
+        params, state = perturbed_model(TOY, seed=33)
+        x, t, c = self.inputs(TOY, 4, 1)
+        prepared = dn.prepare(params, state, c, TOY)
+        with pytest.raises(ConfigError):
+            dn.forward(params, state, x, t, c, TOY, training=True, prepared=prepared)
+
+    def test_non_finite_condition_is_refused_when_prepared(self):
+        params, state = perturbed_model(TOY, seed=34)
+        _, _, c = self.inputs(TOY, 4, 1)
+        c[2, 1] = np.inf
+        with pytest.raises(NumericError, match="condition"):
+            dn.prepare(params, state, c, TOY)
+
+    def test_arrays_are_read_only_and_outside_the_workspace(self):
+        params, state = perturbed_model(TOY, seed=35)
+        x, t, c = self.inputs(TOY, 256, 1)
+        prepared = dn.prepare(params, state, c, TOY)
+        workspace = nn.Workspace()
+        dn.forward(params, state, x, t, c, TOY, workspace=workspace, prepared=prepared)
+        arrays = [a for group in (prepared.folded, prepared.fusions)
+                  for value in group.values() for a in value]
+        assert len(prepared.folded) == 2 * TOY.depth + 1
+        assert len(prepared.fusions) == 2 * TOY.depth + 1
+        assert not any(a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, buf) for a in arrays for buf in workspace.buffers)
+        # the figure the README gives beside the workspace's 7,274,496 bytes:
+        # the level weights are views of the parameters and hold nothing
+        held = [a for a in arrays
+                if not any(np.shares_memory(a, p) for p in params.values())]
+        assert sum(a.nbytes for a in held) == 1_205_504
+
+    def test_nothing_the_net_holds_changes_across_calls(self):
+        params, state = perturbed_model(TOY, seed=36)
+        x, t, c = self.inputs(TOY, 16, 1)
+        prepared = dn.prepare(params, state, c, TOY)
+        arrays = [a for group in (prepared.folded, prepared.fusions)
+                  for value in group.values() for a in value]
+        before = [a.tobytes() for a in arrays]
+        for _ in range(2):
+            dn.forward(params, state, x, t, c, TOY, workspace=nn.Workspace(),
+                       prepared=prepared)
+        assert [a.tobytes() for a in arrays] == before
 
 
 class TestInPlaceKernels:
@@ -780,6 +866,21 @@ class TestTrainingForwardKernels:
             y, mask = nn.maxpool2(x)
             assert y.tobytes() == selected.tobytes()
             assert mask.tobytes() == take_second.tobytes()
+
+
+class TestConvBias:
+    @pytest.mark.parametrize("batch", [1, 64, 200])
+    def test_bias_block_adds_the_bytes_of_the_broadcast(self, batch):
+        rng = np.random.default_rng([batch, 0xB1])
+        x = guarded(rng.normal(size=(batch, 16, 20)), 1)
+        w, b = rng.normal(size=(32, 16, 3)), rng.normal(size=32)
+        y, _ = nn.conv1d(x, w, b)
+        bare, _ = nn.conv1d(x, w, None)
+        assert y[1:-1].tobytes() == (bare[1:-1] + b[:, None]).tobytes()
+        assert not y[0].any() and not y[-1].any()
+        block = rng.normal(size=(32, batch))  # a bias per row
+        y, _ = nn.conv1d(x, w, block)
+        assert y[1:-1].tobytes() == (bare[1:-1] + block).tobytes()
 
 
 class TestBackwardVector:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pqlab.denoiser as dn
 import pqlab.diffusion as df
+import pqlab.nn as nn
 import pqlab.sampler as sp
 from pqlab.errors import ConfigError, DataError
 from pqlab.market_paths import ConditionVector, log_returns, to_prices
@@ -254,6 +255,28 @@ class TestSamplePaths:
         assert len({id(w) for w, _ in seen[:5]}) == len({id(w) for w, _ in seen[5:]}) == 1
         assert seen[0][0] is not seen[5][0]
         assert [b for _, b in seen] == [sp.SAMPLE_CHUNK] * 5 + [9] * 5
+
+    def test_each_chunk_prepares_the_network_once(self, monkeypatch):
+        # one batch-norm fold per residual block and one condition MLP per
+        # chunk; every step of a chunk runs on the net it prepared
+        model = tiny_model(seed=4)
+        cfg = sp.SamplerConfig(num_steps=5, eta=1.0, seed=2, n_paths=sp.SAMPLE_CHUNK + 9)
+        folds, mlps, nets = [], [], []
+        fold, mlp, forward = nn.fold_batchnorm, dn._cond_embed_fwd, dn.forward
+        monkeypatch.setattr(nn, "fold_batchnorm", lambda *a: folds.append(1) or fold(*a))
+        monkeypatch.setattr(dn, "_cond_embed_fwd", lambda *a: mlps.append(1) or mlp(*a))
+
+        def spy(*args, prepared, **kwargs):
+            nets.append(prepared)
+            return forward(*args, prepared=prepared, **kwargs)
+
+        monkeypatch.setattr(dn, "forward", spy)
+        sp.sample_paths(model, cfg, condition(), df.build_schedule(100))
+        blocks = 2 * model.net.depth + 1
+        assert len(folds) == 2 * blocks and len(mlps) == 2
+        assert len(nets) == 10
+        assert len({id(n) for n in nets[:5]}) == len({id(n) for n in nets[5:]}) == 1
+        assert [n.batch for n in (nets[0], nets[5])] == [sp.SAMPLE_CHUNK, 9]
 
     def test_seed_changes_output(self):
         model = tiny_model(seed=4)
