@@ -18,8 +18,11 @@ the 3-wide convs read (``nn.conv1d``).  ``forward`` transposes its
 (B, C, L) input once on entry and its output once on exit, and
 ``backward`` does the same with the gradient.  A fusion conv's weight is
 (out, level channels + embedding channels, 3), embedding channels last.
-Its level part runs as an ``nn.conv1d``; its embedding part, constant
-along the length axis, is added as a per-row bias (``nn.tap_bias``).
+One function applies it in training and inference (``_fusion``): the
+level part is an ``nn.conv1d`` whose per-row (out, B) bias block is the
+bias plus the embedding taps' sum, constant along the length axis; the
+first and last position take back the first and last tap, which read
+the zero pad there.
 Encoder level i writes its residual output straight into the skip rows
 of decoder level i's input, so nothing is concatenated.  Training mode
 normalizes with batch statistics and always returns the cache
@@ -28,12 +31,11 @@ normalizes with batch statistics and always returns the cache
 Inference runs on a ``PreparedNet``, the part of the forward that only
 the parameters and the conditions fix (``prepare``): each residual
 block's batch-norm folded into its first conv, the condition MLP's
-output, and per fusion conv its bias plus the condition embedding's taps
-as an (out, B) block, with the first and last tap that the end positions
-take back where they read the zero pad.  A step then runs the convs, its
-time embedding's taps and one bias block per fusion conv.  A DDIM chunk
-prepares once for all its steps; a call without a prepared net prepares
-its own.
+output, and per fusion conv the condition part of its blocks
+(``_fusion_parts``, which training calls at every step).  A step then
+runs the convs, its time embedding's taps and one bias block per fusion
+conv.  A DDIM chunk prepares once for all its steps; a call without a
+prepared net prepares its own.
 
 Inference may pass an ``nn.Workspace``: every activation then lives in
 arrays lent under a few roles shared by all levels, so a caller repeating
@@ -285,34 +287,38 @@ def _guarded(length, ch, batch, workspace=None, role=""):
     return a, a[GUARD:-GUARD]
 
 
-def _fusion_fwd(h, emb, params, name):
-    """Training fusion conv of the guarded level input h (L + 2, C, B) and the
-    embedding emb (B, E)."""
-    w = params[f"{name}.w"]
-    ch = h.shape[1]
-    y, c_h = nn.conv1d(h, w[:, :ch], params[f"{name}.b"])
-    c_e = nn.tap_bias(y[GUARD:-GUARD], w[:, ch:], emb)
-    return y, (c_h, c_e)
-
-
 def _end_taps(w):
     """(3 * out, E) stack of a 3-wide fusion weight's tap sum, first and last tap
     over E embedding channels: one matmul against an embedding then gives the
     block every position gets and the two a pad row takes back."""
-    return np.concatenate([w.sum(axis=2), w[:, :, 0], w[:, :, -1]])
+    first, mid, last = w[:, :, 0], w[:, :, 1], w[:, :, 2]
+    return np.concatenate([first + mid + last, first, last])  # the bits of w.sum(axis=2)
 
 
-def _fusion_infer(h, te, fusion, workspace):
-    """Inference fusion conv of the guarded level input h and this step's time
-    embedding te (1 or B rows), given the prepared (level weight, condition
-    blocks, time tap stack) of ``prepare``."""
-    w, cond, w_time = fusion
+def _fusion_parts(params, name, ce, config):
+    """(level weight, condition blocks, time tap stack) of fusion conv ``name``
+    for the condition embedding ce (B, cond_embed_dim), as ``_fusion`` takes
+    them: the blocks are a (3, out, B) stack of the bias plus the condition
+    taps' sum, then its first and last tap (``_end_taps``)."""
+    w = params[f"{name}.w"]
+    ch = w.shape[1] - config.embed_channels
+    cut = ch + config.time_embed_dim
+    cond = (_end_taps(w[:, cut:]) @ ce.T).reshape(3, w.shape[0], len(ce))
+    cond[0] += params[f"{name}.b"][:, None]
+    return w[:, :ch], cond, _end_taps(w[:, ch:cut])
+
+
+def _fusion(h, te, parts, workspace=None):
+    """Fusion conv of the guarded level input h and the time embedding te (1 or
+    B rows), given its ``_fusion_parts``; returns the guarded output and the
+    level conv's cache."""
+    w, cond, w_time = parts
     # [bias + tap sum, first tap, last tap], each (out, B), for this step's t
     blocks = cond + (w_time @ te.T).reshape(3, w.shape[0], -1)
-    y, _ = nn.conv1d(h, w, blocks[0], workspace=workspace, role="act")
+    y, cache = nn.conv1d(h, w, blocks[0], workspace=workspace, role="act")
     y[GUARD] -= blocks[1]  # the first tap reads the pad before the first position
     y[-1 - GUARD] -= blocks[2]  # the last tap reads the pad past the last
-    return y
+    return y, cache
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -368,26 +374,33 @@ def prepare(params: dict, bn_state: dict, c, config: DenoiserConfig) -> Prepared
             params[f"{res}.bn.gamma"], params[f"{res}.bn.beta"],
             bn_state[f"{res}.bn.running_mean"], bn_state[f"{res}.bn.running_var"])
         folded[res] = (_frozen(w), _frozen(b))
-        w = params[f"{level}.in.w"]
-        ch = w.shape[1] - config.embed_channels
-        cut = ch + config.time_embed_dim
-        cond = (_end_taps(w[:, cut:]) @ ce.T).reshape(3, w.shape[0], len(c))
-        cond[0] += params[f"{level}.in.b"][:, None]
-        fusions[f"{level}.in"] = (_frozen(w[:, :ch]), _frozen(cond),
-                                  _frozen(_end_taps(w[:, ch:cut])))
+        parts = _fusion_parts(params, f"{level}.in", ce, config)
+        fusions[f"{level}.in"] = tuple(_frozen(a) for a in parts)
     return PreparedNet(config, len(c), MappingProxyType(folded), MappingProxyType(fusions))
 
 
-def _fusion_bwd(g, cache, name, grads, workspace, input_grad=True):
-    """Accumulate the fusion conv's gradients; return (g_h, g_emb)."""
-    c_h, c_e = cache
-    gh, gw, gb = nn.conv1d_backward(g, c_h, workspace=workspace, input_grad=input_grad)
-    gw_e, g_emb = nn.tap_bias_backward(g[GUARD:-GUARD], c_e)
+def _fusion_bwd(g, cache, name, params, emb, grads, workspace, input_grad=True):
+    """Accumulate the fusion conv's gradients, given the embeddings emb = (te, ce)
+    it read; return (g_h, g_ce)."""
+    te, ce = emb
+    gh, gw, gb = nn.conv1d_backward(g, cache, workspace=workspace, input_grad=input_grad)
+    rows = g[GUARD:-GUARD]
+    # per-tap gradient blocks: _fusion adds every tap's block to every row and
+    # takes tap 0's off the first row, tap 2's off the last
+    g_taps = np.empty((3,) + rows.shape[1:])  # filled in place: fewer fresh pages
+    total = np.sum(rows, axis=0, out=g_taps[1])
+    np.subtract(total, rows[0], out=g_taps[0])
+    np.subtract(total, rows[-1], out=g_taps[2])
+    g_taps = g_taps.reshape(-1, rows.shape[2])
     ch = gw.shape[1]
-    grads[f"{name}.w"][:, :ch] += gw
-    grads[f"{name}.w"][:, ch:] += gw_e
+    cut = ch + te.shape[1]
+    g_w = grads[f"{name}.w"]
+    g_w[:, :ch] += gw
+    for taps, e in ((g_w[:, ch:cut], te), (g_w[:, cut:], ce)):
+        taps += (g_taps @ e).reshape(3, -1, e.shape[1]).transpose(1, 2, 0)
     grads[f"{name}.b"] += gb
-    return gh, g_emb
+    w_ce = params[f"{name}.w"][:, cut:]
+    return gh, g_taps.T @ w_ce.transpose(2, 0, 1).reshape(-1, w_ce.shape[1])
 
 
 def _resblock_fwd(x, params, prefix, folded=None, bn_state=None, workspace=None,
@@ -481,17 +494,15 @@ def forward(
         raise ConfigError(f"step must be a scalar or have shape ({batch},), got {t.shape}")
     if not np.all(np.isfinite(t)):
         raise NumericError("non-finite diffusion step")
-    te = time_embed(t, config.time_embed_dim)
     if training:
         if workspace is not None or prepared is not None:
             raise ConfigError("a workspace or prepared net is for inference: "
                               "training caches outlive the call")
         c = _checked_condition(c, batch, config)
-        if te.shape[0] == 1 and batch > 1:
-            te = np.broadcast_to(te, (batch, te.shape[1]))
         ce, ce_cache = _cond_embed_fwd(c, params)
-        emb = np.concatenate([te, ce], axis=1)
-    else:
+        t = np.broadcast_to(t, (batch,))  # backward pairs each row with its own te
+    te = time_embed(t, config.time_embed_dim)
+    if not training:
         if prepared is None:
             prepared = prepare(params, bn_state, _checked_condition(c, batch, config),
                                config)
@@ -500,10 +511,10 @@ def forward(
                               f"{prepared.config}, not {batch} rows of {config}")
 
     def fuse(h, name):
-        """The fusion conv's guarded output and training cache."""
+        """The fusion conv's guarded output and level conv cache."""
         if training:
-            return _fusion_fwd(h, emb, params, name)
-        return _fusion_infer(h, te, prepared.fusions[name], workspace), None
+            return _fusion(h, te, _fusion_parts(params, name, ce, config))
+        return _fusion(h, te, prepared.fusions[name], workspace)
 
     def resblock(y, prefix, out=None):
         folded = None if training else prepared.folded[prefix]
@@ -554,8 +565,8 @@ def forward(
 
     cache = None
     if training:
-        cache = {"config": config, "ce": ce_cache, "enc": enc_caches, "mid": mid_cache,
-                 "dec": dec_caches, "head": head_cache}
+        cache = {"config": config, "emb": (te, ce), "ce": ce_cache, "enc": enc_caches,
+                 "mid": mid_cache, "dec": dec_caches, "head": head_cache}
     # a copy, never a view: at B = 1, (L, 1, B) -> (B, 1, L) is contiguous
     return out.transpose(2, 1, 0).copy(), cache, bn_updates
 
@@ -575,7 +586,8 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
     else:
         out.fill(0.0)
     grads = unflatten_params(out, param_spec(config))
-    g_emb = 0.0
+    emb = cache["emb"]
+    g_ce = 0.0
 
     g = np.ascontiguousarray(np.asarray(g_out, dtype=float).transpose(2, 1, 0))
     gh, gw, gb = nn.conv1d_backward(g, cache["head"], workspace=workspace)
@@ -587,8 +599,8 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
     g_skip = {}
     for i, up_ch, c_in, c_res in reversed(cache["dec"]):
         g = _resblock_bwd(g, c_res, f"dec{i}.res", grads, workspace)
-        gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", grads, workspace)
-        g_emb = g_emb + ge
+        gz, ge = _fusion_bwd(g, c_in, f"dec{i}.in", params, emb, grads, workspace)
+        g_ce = g_ce + ge
         g_skip[i] = gz[GUARD:-GUARD, up_ch:]
         length, _, batch = g_skip[i].shape
         g, rows = _guarded(length // 2, up_ch, batch)
@@ -596,8 +608,8 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
 
     c_in, c_res = cache["mid"]
     g = _resblock_bwd(g, c_res, "mid.res", grads, workspace)
-    g, ge = _fusion_bwd(g, c_in, "mid.in", grads, workspace)
-    g_emb = g_emb + ge
+    g, ge = _fusion_bwd(g, c_in, "mid.in", params, emb, grads, workspace)
+    g_ce = g_ce + ge
 
     for i in reversed(range(config.depth)):
         c_in, c_res, c_pool = cache["enc"][i]
@@ -607,10 +619,10 @@ def backward(g_out: np.ndarray, cache: dict, params: dict, *,
         rows += g_skip[i]
         g = _resblock_bwd(g, c_res, f"enc{i}.res", grads, workspace)
         # nothing reads the gradient of the network input
-        g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", grads, workspace, input_grad=i > 0)
-        g_emb = g_emb + ge
+        g, ge = _fusion_bwd(g, c_in, f"enc{i}.in", params, emb, grads, workspace,
+                            input_grad=i > 0)
+        g_ce = g_ce + ge
 
-    g_ce = g_emb[:, config.time_embed_dim :]  # time embedding has no parameters
     _cond_embed_bwd(g_ce, cache["ce"], grads)
     return grads
 

@@ -38,6 +38,10 @@ CALENDAR_DAYS_PER_YEAR = 365
 # the slice start, rejecting slices with fewer than 60 prior trading days.
 SIGMA_HIST_DAYS = 252
 SIGMA_HIST_MIN_DAYS = 60
+# Longest synthetic series: 2**18 calendar days (718 years) make per-day
+# arrays of 2 MiB (float64) and about 168,000 slices per window length;
+# ``prepare`` then peaks near 200 MB and writes a 37 MB slices.npz.
+MAX_DAYS = 2**18
 
 
 @dataclass(frozen=True)
@@ -468,6 +472,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.n_days < 2:
             raise ConfigError("generator needs at least 2 days")
+        if self.n_days > MAX_DAYS:
+            raise ConfigError(f"generator n_days must be at most {MAX_DAYS}")
         if not (math.isfinite(self.s0) and self.s0 > 0.0):
             raise ConfigError("generator s0 must be finite and positive")
         if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):

@@ -12,12 +12,10 @@ Brand 2017, arXiv:1706.06873, without its copy).  A convolution is one
 matmul of the tap-stacked weights (out, K * C) against that view, written
 straight into the guarded output's rows, then the bias, if any, as one
 (out, B) block (a conv feeding training batch-norm has none: the batch
-mean cancels it; an inference caller may give each row its own).  Its
+mean cancels it; the denoiser's fusion convs give each row its own, which
+carries the embedding taps).  Its
 backward runs the flipped tap stack against windows of the guarded output
-gradient, and the gradient against the input windows.  ``tap_bias`` adds
-the convolution of channels constant along the length axis (the
-denoiser's embeddings) as one (out, B) block per tap, dropped where the
-tap reads the zero pad.
+gradient, and the gradient against the input windows.
 
 Batch-norm here is the training form, normalizing with batch
 statistics; for inference ``fold_batchnorm`` folds the frozen statistics
@@ -160,43 +158,6 @@ def conv1d_backward(gy: np.ndarray, cache, *, workspace: Workspace | None = None
     gx = lend(None, "conv.gx", (span, c, batch), guard=pad)
     np.matmul(wf, _windows(gy, k), out=gx[pad : span - pad])
     return gx, gw, gb
-
-
-def tap_bias(y: np.ndarray, w: np.ndarray, emb: np.ndarray):
-    """Add, in place, the conv of per-row constant channels to y; return the cache.
-
-    y holds a conv output's rows (L, O, B); w (O, E, K) holds the weights
-    of E input channels whose value for row b is emb[b] at every
-    position.  Tap k adds the (O, B) block T_k = w[:, :, k] @ emb.T
-    wherever it reads inside the input: the sum of all T_k goes to every
-    position, and each T_k is taken back within pad of the end where that
-    tap reads the zero pad.  Rows need not share their embedding.
-    """
-    out, e, k = w.shape
-    pad = _pad(k)
-    length = y.shape[0]
-    wk = w.transpose(2, 0, 1).reshape(k * out, e)
-    taps = (wk @ emb.T).reshape(k, out, emb.shape[0])
-    y += taps.sum(axis=0)
-    for j in range(pad):  # the taps reading the pad before the start, then past the end
-        y[: pad - j] -= taps[j]
-    for j in range(1, pad + 1):
-        y[max(0, length - j) :] -= taps[pad + j]
-    return wk, emb
-
-
-def tap_bias_backward(gy: np.ndarray, cache):
-    """Gradients (gw of shape (O, E, K), gemb of shape (B, E)) of tap_bias."""
-    wk, emb = cache
-    length, out, batch = gy.shape
-    k = wk.shape[0] // out
-    pad = (k - 1) // 2
-    sums = np.empty((k, out, batch))
-    for j in range(k):  # the positions where tap j reads inside the input
-        np.sum(gy[max(0, pad - j) : max(0, length + pad - j)], axis=0, out=sums[j])
-    sums = sums.reshape(k * out, batch)
-    gw = (sums @ emb).reshape(k, out, emb.shape[1]).transpose(1, 2, 0)
-    return gw, sums.T @ wk
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):

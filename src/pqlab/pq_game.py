@@ -41,7 +41,8 @@ from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_price
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
                       ContractSpec, contract_cashflows)
 # price is re-exported: perfbench wraps pq_game.price by name
-from .q_pricer import GbmParams, p_price, price, price_all  # noqa: F401
+from .q_pricer import MAX_Q_PATHS, GbmParams, p_price, price, price_all  # noqa: F401
+from .sampler import MAX_PATHS
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
@@ -154,10 +155,10 @@ class GameConfig:
                 raise ConfigError(f"{name} must not repeat an entry, got {values}")
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if self.q_paths < 1:
-            raise ConfigError(f"q_paths must be >= 1, got {self.q_paths}")
-        if self.p_paths < 1:
-            raise ConfigError(f"p_paths must be >= 1, got {self.p_paths}")
+        if not 1 <= self.q_paths <= MAX_Q_PATHS:
+            raise ConfigError(f"q_paths must be in [1, {MAX_Q_PATHS}], got {self.q_paths}")
+        if not 1 <= self.p_paths <= MAX_PATHS:
+            raise ConfigError(f"p_paths must be in [1, {MAX_PATHS}], got {self.p_paths}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -44,6 +44,11 @@ CHUNK_PATHS = 16_384
 # paths per block of normals while a chunk is simulated: at 252 days,
 # blocks of 512 rows cost more in per-day adds than they save in memory
 _DRAW_ROWS = 4_096
+# Most Q paths per valuation: price_all keeps one float64 value per path and
+# contract, and concatenates each contract's, so the five products of a
+# game slice hold about 2 x 5 x 32 MiB at 2**22 paths (210 times the
+# default 20,000), beside one chunk per worker.
+MAX_Q_PATHS = 2**22
 
 
 @dataclass(frozen=True)

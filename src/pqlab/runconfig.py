@@ -51,7 +51,7 @@ from .market_paths import GeneratorConfig, parse_date
 from .objectives import LossConfig
 from .payoffs import CONTRACT_TYPES, Accumulator, European, Snowball
 from .pq_game import CONTRACTS, PRODUCTS, GameConfig  # noqa: F401  (PRODUCTS is API)
-from .sampler import SamplerConfig
+from .sampler import MAX_PATHS, SamplerConfig
 from .training import TrainConfig
 
 
@@ -83,6 +83,11 @@ def parse_floats(raw: str) -> tuple:
 def _parse_names(raw: str) -> tuple:
     return tuple(part.strip().lower() for part in raw.split(",") if part.strip())
 
+
+# Most worker threads: each of price_all's workers holds one 16,384-path
+# Q chunk, 2.6 MB at 20 trading days and 33 MB at a year's 252, so 32
+# workers hold at most about 1 GB.
+MAX_THREADS = 32
 
 _PARSERS = {
     int: int,
@@ -225,8 +230,8 @@ class ValidateSection:
     max_conditions: int = 0  # 0 = all test slices
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ConfigError(f"n_paths must be in [1, {MAX_PATHS}], got {self.n_paths}")
         if self.max_conditions < 0:
             raise ConfigError("max_conditions must be >= 0")
 
@@ -268,8 +273,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.out_dir:
             raise ConfigError("[run] out_dir is required")
-        if self.threads < 1:
-            raise ConfigError("[run] threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"[run] threads must be in [1, {MAX_THREADS}], "
+                              f"got {self.threads}")
 
 
 def _schema() -> list:

@@ -48,6 +48,10 @@ from .errors import ConfigError, DataError, NumericError
 from .market_paths import ConditionVector, manifest_value, read_manifest, write_manifest
 
 SAMPLE_CHUNK = 256
+# Most paths per condition ([sampler] and [validate] n_paths, [game]
+# p_paths): one request's (n_paths, input_length) float64 block is 10 MiB
+# at the toy length 20, and its condition rows, repeated per path, 2.5 MiB.
+MAX_PATHS = 2**16
 
 BUNDLE_CSV_HEADER = "path_id,step,log_return"
 
@@ -66,8 +70,8 @@ class SamplerConfig:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if self.n_paths < 0:
-            raise ConfigError(f"n_paths must be >= 0, got {self.n_paths}")
+        if not 0 <= self.n_paths <= MAX_PATHS:
+            raise ConfigError(f"n_paths must be in [0, {MAX_PATHS}], got {self.n_paths}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

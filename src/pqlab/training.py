@@ -60,6 +60,10 @@ from .objectives import LossBreakdown, LossConfig
 from .sampler import GeneratorModel
 
 CHECKPOINT_VERSION = "PQLAB-CKPT v1"
+# Largest training batch: a forward and backward of the toy network (input
+# length 20, base channels 16) peaks at about 0.1 MiB per row, so about
+# 400 MiB at 2**12 rows, 64 times the benchmark's batch.
+MAX_BATCH_SIZE = 2**12
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -91,6 +95,9 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size must be at most {MAX_BATCH_SIZE}, "
+                              f"got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0.0):

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -103,6 +104,17 @@ def write_workspace(root):
     return ini, out
 
 
+def write_ini_with(root, section, key, value):
+    """write_workspace's config file with one key set; returns its path."""
+    ini = os.path.join(str(root), "run.ini")
+    config = configparser.ConfigParser(interpolation=None)
+    config.read_string(CONFIG_BODY.format(out=os.path.join(str(root), "out")))
+    config[section][key] = str(value)
+    with open(ini, "w") as fh:
+        config.write(fh)
+    return ini
+
+
 def run_chain(ini):
     for argv in (
         ["prepare", ini],
@@ -165,14 +177,38 @@ class TestExitCodes:
     def test_oversized_model_is_config_error(self, tmp_path, capsys, key, value, needle):
         # the value would size an array (or, for depth, a power of two) at
         # the first step; load_config refuses it before any command runs
-        ini = str(tmp_path / "run.ini")
-        config = configparser.ConfigParser(interpolation=None)
-        config.read_string(CONFIG_BODY.format(out=tmp_path / "out"))
-        config["model"][key] = str(value)
-        with open(ini, "w") as fh:
-            config.write(fh)
+        ini = write_ini_with(tmp_path, "model", key, value)
         assert cli.main(["train", ini]) == 2
         assert needle in capsys.readouterr().err
+
+    OVERSIZED = [
+        ("data", "n_days", 10**13, "prepare",
+         "[data] n_days = 10000000000000: generator n_days must be at most 262144"),
+        ("train", "batch_size", 10**12, "train", "[train] batch_size must be at most 4096"),
+        ("sampler", "n_paths", 10**12, "sample", "[sampler] n_paths must be in [0, 65536]"),
+        ("validate", "n_paths", 10**12, "validate",
+         "[validate] n_paths must be in [1, 65536]"),
+        ("game", "p_paths", 10**12, "game", "[game] p_paths must be in [1, 65536]"),
+        ("game", "q_paths", 10**15, "game", "[game] q_paths must be in [1, 4194304]"),
+        # prepare starts no worker, whatever the value
+        ("run", "threads", 10**6, "prepare", "[run] threads must be in [1, 32]"),
+    ]
+
+    @pytest.mark.parametrize("section, key, value, command, needle", OVERSIZED,
+                             ids=[f"{row[0]}.{row[1]}" for row in OVERSIZED])
+    def test_oversized_size_is_config_error(self, tmp_path, capsys, section, key, value,
+                                            command, needle):
+        # each value would size an allocation (or a worker pool) in the
+        # command; load_config refuses it before the command reads anything
+        ini = write_ini_with(tmp_path, section, key, value)
+        tracemalloc.start()
+        try:
+            assert cli.main([command, ini]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert needle in capsys.readouterr().err
+        assert peak < 2**24 and not (tmp_path / "out").exists()
 
     def test_train_before_prepare_is_data_error(self, tmp_path, capsys):
         ini, _ = write_workspace(tmp_path)
@@ -764,6 +800,7 @@ class TestSample:
 # unloaded, and the first KS p-value loads it and agrees with it bit for bit.
 SCIPY_GUARD = """
 import sys
+import tracemalloc
 import numpy as np
 import pqlab.cli as cli
 ini = sys.argv[1]
@@ -786,6 +823,7 @@ assert 0.0 < p_value < 1.0 and p_value == expected, (p_value, expected)
 # numpy.ma (which np.unique without return_index imports, 13 ms and 1.3 MB)
 IMPORT_GUARD = """
 import sys
+import tracemalloc
 import pqlab.cli as cli
 ini = sys.argv[1]
 for argv in (["prepare", ini], ["train", ini], ["game", ini]):

@@ -782,23 +782,6 @@ class TestPositionMajorKernels:
         assert_close(gw, ref_gw, 1e-13)
         assert_close(gb, ref_gb, 1e-13)
 
-    @pytest.mark.parametrize("length,k,batch,ch", CASES)
-    def test_tap_bias_and_backward(self, length, k, batch, ch):
-        # the conv of embedding channels tiled along the length axis
-        rng = np.random.default_rng([length, k, batch, 0xC2])
-        emb, w = rng.normal(size=(batch, ch)), rng.normal(size=(3, ch, k))
-        tiled = np.broadcast_to(emb[:, :, None], (batch, ch, length))
-        ref, ref_cache = oracles.conv1d_bcl(tiled, w, np.zeros(3))
-        y = rng.normal(size=(length, 3, batch))
-        start = y.copy()
-        cache = nn.tap_bias(y, w, emb)
-        assert_close(y - start, ref.transpose(2, 1, 0), 1e-13)
-        gy = rng.normal(size=ref.shape)
-        gw, gemb = nn.tap_bias_backward(gy.transpose(2, 1, 0).copy(), cache)
-        ref_gx, ref_gw, _ = oracles.conv1d_bcl_backward(gy, ref_cache)
-        assert_close(gw, ref_gw, 1e-13)
-        assert_close(gemb, ref_gx.sum(axis=2), 1e-13)
-
     @pytest.mark.parametrize("length", [1, 2, 4, 5])
     @pytest.mark.parametrize("batch,ch", [(1, 1), (3, 2)])
     def test_maxpool2_and_upsample2(self, length, batch, ch):
@@ -828,6 +811,65 @@ class TestPositionMajorKernels:
             nn.conv1d(x, w, np.zeros(4))
         with pytest.raises(ValueError, match="odd kernel width"):
             nn.conv1d_backward(rng.normal(size=(6, 4, 3)), (x, w))
+
+
+class TestFusionConv:
+    """One fusion conv, in training and on a prepared net, against the conv of
+    the level input concatenated with the embeddings tiled along the length axis."""
+
+    CONFIG = dn.DenoiserConfig(input_length=4, base_channels=4, depth=1,
+                               time_embed_dim=4, cond_embed_dim=3)
+    NAME = "dec0.in"  # 12 level channels: the upsampled bottleneck and the skip
+
+    def case(self, length, batch, seed, per_row_t=True):
+        config = self.CONFIG
+        params, state = perturbed_model(config, seed)
+        rng = np.random.default_rng([length, seed, 0xC2])
+        w, b = params[f"{self.NAME}.w"], params[f"{self.NAME}.b"]
+        ch = w.shape[1] - config.embed_channels
+        h = rng.normal(size=(batch, ch, length))
+        c = rng.normal(size=(batch, config.cond_dim))
+        t = rng.integers(1, 1000, size=batch if per_row_t else 1)
+        te = dn.time_embed(t, config.time_embed_dim)
+        ce, _ = dn._cond_embed_fwd(c, params)
+        emb = np.concatenate([np.broadcast_to(te, (batch, te.shape[1])), ce], axis=1)
+        tiled = np.broadcast_to(emb[:, :, None], emb.shape + (length,))
+        ref, ref_cache = oracles.conv1d_bcl(np.concatenate([h, tiled], axis=1), w, b)
+        return params, state, h, c, te, ce, ref, ref_cache, rng
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("length", [1, 2, 5, 20])
+    def test_training_forward_and_backward(self, length, batch):
+        params, _, h, _, te, ce, ref, ref_cache, rng = self.case(length, batch, seed=1)
+        parts = dn._fusion_parts(params, self.NAME, ce, self.CONFIG)
+        y, cache = dn._fusion(guarded(h, 1), te, parts)
+        assert not y[0].any() and not y[-1].any()
+        assert_close(batch_major(y, 1), ref, 1e-13)
+
+        gy = rng.normal(size=ref.shape)
+        grads = {name: np.zeros_like(params[name])
+                 for name in (f"{self.NAME}.w", f"{self.NAME}.b")}
+        gh, g_ce = dn._fusion_bwd(guarded(gy, 1), cache, self.NAME, params, (te, ce),
+                                  grads, None)
+        ref_gx, ref_gw, ref_gb = oracles.conv1d_bcl_backward(gy, ref_cache)
+        ch = h.shape[1]
+        gw = grads[f"{self.NAME}.w"]
+        assert_close(gw[:, :ch], ref_gw[:, :ch], 1e-13)  # level weight
+        assert_close(gw[:, ch:], ref_gw[:, ch:], 1e-13)  # time and condition taps
+        assert_close(grads[f"{self.NAME}.b"], ref_gb, 1e-13)
+        assert not gh[0].any() and not gh[-1].any()
+        assert_close(batch_major(gh, 1), ref_gx[:, :ch], 1e-13)
+        assert_close(g_ce, ref_gx[:, ch + te.shape[1]:].sum(axis=2), 1e-13)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("length", [1, 2, 5, 20])
+    @pytest.mark.parametrize("per_row_t", [False, True], ids=["shared_t", "per_row_t"])
+    def test_prepared_inference(self, length, batch, per_row_t):
+        params, state, h, c, te, _, ref, _, _ = self.case(length, batch, 2, per_row_t)
+        net = dn.prepare(params, state, c, self.CONFIG)
+        y, _ = dn._fusion(guarded(h, 1), te, net.fusions[self.NAME], nn.Workspace())
+        assert not y[0].any() and not y[-1].any()
+        assert_close(batch_major(y, 1), ref, 1e-13)
 
 
 class TestTrainingForwardKernels:
