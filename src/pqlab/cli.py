@@ -1,9 +1,10 @@
 """Command line entry point: prepare, train, sample, validate, game.
 
 Every command is a pure function of (config file, input files, seeds):
-rerunning a command with the same inputs rewrites byte-identical outputs.
-Each command drops ``config.ini``, the fully resolved configuration it
-actually ran with, into the output directory.
+rerunning a command with the same inputs rewrites byte-identical outputs,
+each whole or not at all (``mp.artifact``), but for the rows `train`
+appends to its two logs, flushed before every snapshot.  Each command drops
+``config.ini``, the resolved configuration it ran with, into the output directory.
 
 Artifact layout under [run] out_dir:
 
@@ -63,8 +64,7 @@ def _ensure_out_dir(cfg: runconfig.RunConfig) -> str:
 
 
 def _echo_config(cfg: runconfig.RunConfig) -> None:
-    with open(os.path.join(cfg.out_dir, "config.ini"), "w", encoding="utf-8",
-              newline="") as fh:
+    with mp.artifact(os.path.join(cfg.out_dir, "config.ini")) as fh:
         fh.write(runconfig.resolved_text(cfg))
 
 
@@ -223,17 +223,17 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     log_head = _log_head(log_path, LOSS_CSV_HEADER, state.step)
     trace_head = _log_head(trace_path, training.TRACE_CSV_HEADER, state.step)
 
-    checkpoint_fn = None
-    if cfg.train.checkpoint_every:
+    for path, head in ((log_path, log_head), (trace_path, trace_head)):
+        with mp.artifact(path) as log:
+            log.write(head)
+    # the logs stream their rows in place, flushed before each snapshot is saved
+    with open(log_path, "a", newline="") as fh, \
+            open(trace_path, "a", newline="") as trace_fh:
         def checkpoint_fn(st):
-            training.save_checkpoint(
-                os.path.join(out, f"checkpoint_step{st.step}.npz"), st
-            )
+            fh.flush()
+            trace_fh.flush()
+            training.save_checkpoint(os.path.join(out, f"checkpoint_step{st.step}.npz"), st)
 
-    with open(log_path, "w", newline="") as fh, \
-            open(trace_path, "w", newline="") as trace_fh:
-        fh.write(log_head)
-        trace_fh.write(trace_head)
         training.train(split.train, state, cfg.train, cfg.loss, log_fh=fh,
                        trace_fh=trace_fh, checkpoint_fn=checkpoint_fn)
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
@@ -325,7 +325,7 @@ def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
         pq_game.write_slices_csv(os.path.join(out, f"game_{product}_slices.csv"),
                                  book_values, outcomes)
         table = pq_game.format_game_table(reports, title=product)
-        with open(os.path.join(out, f"game_{product}.txt"), "w", newline="") as fh:
+        with mp.artifact(os.path.join(out, f"game_{product}.txt")) as fh:
             fh.write(table)
         print(table, end="")
     _echo_config(cfg)

@@ -15,12 +15,14 @@ Conventions used throughout the package:
   window, so prices rebuild from ``s0`` by exponentiating the cumulative
   sum.
 * Annualization uses 365 calendar days and 252 trading days per year.
+* Every file pqlab writes goes through ``artifact``: a temporary name, then ``os.replace``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import zipfile
 from collections import Counter
@@ -622,7 +624,8 @@ def save_slices(path, split: SplitSlices) -> None:
     for group, slices in (("train", split.train), ("test", split.test)):
         for key, arr in _pack_group(slices).items():
             payload[f"{group}_{key}"] = arr
-    np.savez(path, **payload)
+    with artifact(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 @contextmanager
@@ -700,11 +703,35 @@ def load_slices(path, groups=_SLICE_GROUPS) -> SplitSlices:
         )
 
 
+@contextmanager
+def artifact(path, mode: str = "w"):
+    """Yield ``<path>.tmp``, open as UTF-8 text with ``newline=""`` (binary for "wb"),
+    and ``os.replace`` it onto ``path`` on a clean exit.  An error removes it and
+    re-raises, so ``path`` keeps its old bytes; a kill can leave the ``.tmp``, which
+    the next write of ``path`` overwrites."""
+    tmp, text = f"{path}.tmp", "b" not in mode
+    try:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_csv(path, header, rows) -> None:
+    """``header``, then ``rows``, as one artifact in csv's default dialect (\\r\\n ends)."""
+    with artifact(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_manifest(path, entries: dict) -> None:
     """Plain-text key=value manifest, keys written in sorted order."""
-    lines = [f"{k}={entries[k]}\n" for k in sorted(entries)]
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    with artifact(path) as fh:
+        fh.writelines(f"{k}={entries[k]}\n" for k in sorted(entries))
 
 
 def read_manifest(path) -> dict:

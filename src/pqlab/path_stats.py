@@ -2,8 +2,8 @@
 
 All comparisons pool daily log returns per condition into flat samples; the
 reported magnitudes are therefore return-scale.  Aggregation over conditions
-produces one (mean, std) pair per metric, which is the shape of the summary
-table this module writes.
+produces one (mean, std) pair per metric: the summary table this module
+writes through ``market_paths.write_csv``, beside one row per condition.
 
 The KS statistic is computed from scratch via pooled ECDFs; only the map
 from the statistic to the asymptotic p-value uses scipy's Kolmogorov
@@ -15,13 +15,12 @@ it, and ``prepare``, ``train``, ``sample`` and ``game`` never do.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .market_paths import annualized_volatility
+from .market_paths import annualized_volatility, write_csv
 from .objectives import kurtosis
 
 METRICS = (
@@ -187,19 +186,12 @@ def aggregate_report(rows) -> ValidationReport:
 
 def write_table_csv(path, report: ValidationReport) -> None:
     """Summary CSV with one metric,mean,std row per metric."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_CSV_HEADER.split(","))
-        for metric in METRICS:
-            writer.writerow(
-                [metric, repr(report.mean(metric)), repr(report.std(metric))]
-            )
+    write_csv(path, TABLE_CSV_HEADER.split(","),
+              ([m, repr(report.mean(m)), repr(report.std(m))] for m in METRICS))
 
 
 def write_conditions_csv(path, report: ValidationReport) -> None:
     """Per-condition CSV: each row's index, then its seven metrics (``repr()``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONDITIONS_CSV_HEADER.split(","))
-        for i, row in enumerate(report.rows):
-            writer.writerow([i] + [repr(getattr(row, metric)) for metric in METRICS])
+    write_csv(path, CONDITIONS_CSV_HEADER.split(","),
+              ([i] + [repr(getattr(row, m)) for m in METRICS]
+               for i, row in enumerate(report.rows)))

@@ -22,12 +22,11 @@ Quotes widen with the greediness level: relative levels scale by |fair| so
 the band stays ordered around negative fair values too, absolute levels add
 level * notional.  Each contract class names its quote mode, default
 levels and notional: snowballs quote absolute spreads on their notional,
-everything else quotes relative ones.
+everything else quotes relative ones.  ``market_paths.write_csv`` writes the CSVs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_prices
+from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_prices, write_csv
 # contract_cashflows is re-exported: perfbench wraps pq_game.contract_cashflows by name
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
                       ContractSpec, contract_cashflows)
@@ -365,27 +364,20 @@ def _sharpe_text(sharpe: float | None) -> str:
 
 def write_game_csv(path, reports) -> None:
     """One CSV row per greediness level; repr() keeps floats lossless."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAME_CSV_HEADER.split(","))
-        for rep in reports:
-            writer.writerow([
-                repr(float(rep.level)), repr(float(rep.cum_pnl)), rep.trades,
-                rep.longs, rep.shorts, repr(float(rep.win_rate)),
-                _sharpe_text(rep.sharpe),
-            ])
+    write_csv(path, GAME_CSV_HEADER.split(","), ([
+        repr(float(rep.level)), repr(float(rep.cum_pnl)), rep.trades, rep.longs,
+        rep.shorts, repr(float(rep.win_rate)), _sharpe_text(rep.sharpe),
+    ] for rep in reports))
 
 
 def write_slices_csv(path, values, outcomes) -> None:
     """One row per test slice: Q's fair value, P's value, the realized value
     (repr, lossless) and the side taken at each level, one column per level."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SLICES_CSV_HEADER.split(",")
-                        + [f"side_{float(o.report.level)!r}" for o in outcomes])
-        for i, (start_date, fair, p_value, realized) in enumerate(values):
-            writer.writerow([str(start_date), repr(float(fair)), repr(float(p_value)),
-                             repr(float(realized))] + [o.sides[i] for o in outcomes])
+    sides = [f"side_{float(o.report.level)!r}" for o in outcomes]
+    write_csv(path, SLICES_CSV_HEADER.split(",") + sides, (
+        [str(start_date), repr(float(fair)), repr(float(p_value)), repr(float(realized))]
+        + [o.sides[i] for o in outcomes]
+        for i, (start_date, fair, p_value, realized) in enumerate(values)))
 
 
 def format_game_table(reports, title: str = "") -> str:

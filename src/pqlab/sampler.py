@@ -29,7 +29,7 @@ in memory allocated once per chunk instead of once per step.  The chunk
 also prepares the network once for its conditions
 (``denoiser.prepare``: batch-norm folded, the condition MLP run and its
 fusion taps applied) and passes that net to every step, which then runs
-only the convs and the time embedding.
+only the convs and the time embedding.  Path bundles go through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from . import denoiser, diffusion, nn
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
-from .market_paths import ConditionVector, manifest_value, read_manifest, write_manifest
+from .market_paths import (ConditionVector, manifest_value, read_manifest, write_csv,
+                           write_manifest)
 
 SAMPLE_CHUNK = 256
 # Most paths per condition ([sampler] and [validate] n_paths, [game]
@@ -276,12 +277,9 @@ def write_path_bundle(csv_path, paths: np.ndarray, condition: ConditionVector,
     paths = np.asarray(paths, dtype=np.float64)
     if paths.ndim != 2:
         raise DataError("paths must be a 2-D array")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BUNDLE_CSV_HEADER.split(","))
-        for pid in range(paths.shape[0]):
-            for step in range(paths.shape[1]):
-                writer.writerow([pid, step + 1, repr(float(paths[pid, step]))])
+    write_csv(csv_path, BUNDLE_CSV_HEADER.split(","),
+              ([pid, step, repr(float(x))] for pid, row in enumerate(paths)
+               for step, x in enumerate(row, start=1)))
     entries = {
         "n_paths": paths.shape[0],
         "n_steps": paths.shape[1],

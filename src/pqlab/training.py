@@ -6,7 +6,7 @@ checkpointing, and training 100 more is bitwise identical to training 200
 steps in one process.  The optimizer state therefore lives in the checkpoint
 alongside the parameters.
 
-Checkpoint format "PQLAB-CKPT v1" (npz archive):
+Checkpoint format "PQLAB-CKPT v1" (npz archive, written whole by ``artifact``):
 
     version       format tag
     step          completed optimizer steps (int64)
@@ -55,7 +55,7 @@ from . import denoiser, diffusion, nn, objectives
 from .denoiser import DenoiserConfig
 from .diffusion import MODES, NoiseSchedule
 from .errors import ConfigError, DataError, NumericError
-from .market_paths import npz_member, read_npz
+from .market_paths import artifact, npz_member, read_npz
 from .objectives import LossBreakdown, LossConfig
 from .sampler import GeneratorModel
 
@@ -365,21 +365,22 @@ def save_checkpoint(path, state: TrainState) -> None:
     """Write the versioned npz checkpoint; see the module docstring."""
     pspec = denoiser.param_spec(state.net)
     bnspec = denoiser.bn_spec(state.net)
-    np.savez(
-        path,
-        version=np.array(CHECKPOINT_VERSION),
-        step=np.array(state.step, dtype=np.int64),
-        net_config=np.array(json.dumps(asdict(state.net), sort_keys=True)),
-        mode=np.array(state.mode),
-        return_scale=np.array(state.return_scale, dtype=np.float64),
-        beta=np.asarray(state.sched.beta, dtype=np.float64),
-        param_names=np.array([name for name, _ in pspec]),
-        params=state.flat_params,
-        adam_m=state.flat_adam_m,
-        adam_v=state.flat_adam_v,
-        bn_names=np.array([name for name, _ in bnspec]),
-        bn_values=denoiser.flatten_params(state.bn_state, bnspec),
-    )
+    with artifact(path, "wb") as fh:
+        np.savez(
+            fh,
+            version=np.array(CHECKPOINT_VERSION),
+            step=np.array(state.step, dtype=np.int64),
+            net_config=np.array(json.dumps(asdict(state.net), sort_keys=True)),
+            mode=np.array(state.mode),
+            return_scale=np.array(state.return_scale, dtype=np.float64),
+            beta=np.asarray(state.sched.beta, dtype=np.float64),
+            param_names=np.array([name for name, _ in pspec]),
+            params=state.flat_params,
+            adam_m=state.flat_adam_m,
+            adam_v=state.flat_adam_v,
+            bn_names=np.array([name for name, _ in bnspec]),
+            bn_values=denoiser.flatten_params(state.bn_state, bnspec),
+        )
 
 
 def load_checkpoint(path) -> TrainState:

@@ -154,6 +154,40 @@ def read_bytes(out, name):
         return fh.read()
 
 
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this pqlab."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# `pqlab ARGV...` killed by os._exit(9) as training step KILL_STEP starts,
+# so with nothing of the process's own shutdown run: no flush, no close.
+KILL_AT_STEP = """
+import os
+import sys
+import pqlab.cli as cli
+import pqlab.training as training
+kill_step, argv = int(sys.argv[1]), sys.argv[2:]
+train_step = training.train_step
+
+def killed(padded, state, config, step, *rest):
+    if step == kill_step:
+        os._exit(9)
+    return train_step(padded, state, config, step, *rest)
+
+training.train_step = killed
+sys.exit(cli.main(argv))
+"""
+
+
+def train_killed_at(kill_step, *argv):
+    run = run_fresh(KILL_AT_STEP, str(kill_step), "train", *argv)
+    assert run.returncode == 9, run.stderr
+
+
 class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = cli.main(["prepare", str(tmp_path / "absent.ini")])
@@ -769,6 +803,38 @@ class TestTrain:
         for name in ("loss_log.csv", "train_trace.csv", "checkpoint.npz"):
             assert read_bytes(out2, name) == read_bytes(out, name), name
 
+    @pytest.mark.parametrize("snapshot", [20, 10])
+    def test_resume_after_a_killed_run_equals_the_straight_run(
+            self, workspace, tmp_path, snapshot):
+        # killed as step 21 starts, just after the step-20 snapshot: the logs
+        # on disk must already hold the rows a resume from either snapshot keeps
+        _, out = workspace
+        ini2, out2 = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini2]) == 0
+        train_killed_at(21, ini2)
+        assert not os.path.exists(os.path.join(out2, "checkpoint.npz"))
+        snap = os.path.join(out2, f"checkpoint_step{snapshot}.npz")
+        assert cli.main(["train", ini2, "--resume", snap]) == 0
+        for name in ("loss_log.csv", "train_trace.csv", "checkpoint.npz"):
+            assert read_bytes(out2, name) == read_bytes(out, name), name
+        assert sorted(os.listdir(out2)) == sorted(
+            ["config.ini", "slices.npz", "dataset.manifest", "loss_log.csv",
+             "train_trace.csv", "checkpoint.npz", "checkpoint_step10.npz",
+             "checkpoint_step20.npz"])
+
+    def test_resume_killed_before_its_first_snapshot_resumes(self, workspace, tmp_path):
+        # a resumed run rewrites the logs it keeps; killed before its next
+        # snapshot, it must leave them on disk for the resume after it
+        _, out = workspace
+        ini2, out2 = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini2]) == 0
+        train_killed_at(21, ini2)
+        snap = os.path.join(out2, "checkpoint_step10.npz")
+        train_killed_at(15, ini2, "--resume", snap)
+        assert cli.main(["train", ini2, "--resume", snap]) == 0
+        for name in ("loss_log.csv", "train_trace.csv", "checkpoint.npz"):
+            assert read_bytes(out2, name) == read_bytes(out, name), name
+
     def test_resume_rejects_mismatched_schedule(self, workspace, tmp_path):
         ini, out = workspace
         ini2 = tmp_path / "other.ini"
@@ -835,22 +901,14 @@ assert not loaded, loaded
 
 
 class TestScipyOnlyForValidate:
-    @staticmethod
-    def run_fresh(script, ini):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run([sys.executable, "-c", script, ini], env=env,
-                              capture_output=True, text=True, timeout=300)
-
     def test_scipy_loads_on_the_first_p_value(self, tmp_path):
         ini, _ = write_workspace(tmp_path)
-        run = self.run_fresh(SCIPY_GUARD, ini)
+        run = run_fresh(SCIPY_GUARD, ini)
         assert run.returncode == 0, run.stderr
 
     def test_prepare_train_and_game_load_neither_scipy_nor_numpy_ma(self, tmp_path):
         ini, _ = write_workspace(tmp_path)
-        run = self.run_fresh(IMPORT_GUARD, ini)
+        run = run_fresh(IMPORT_GUARD, ini)
         assert run.returncode == 0, run.stderr
 
 
@@ -1146,6 +1204,21 @@ class TestRerunDeterminism:
         for name in ARTIFACTS:
             with open(os.path.join(out, name), "rb") as fh:
                 assert fh.read() == before[name], name
+
+    def test_game_artifacts_do_not_depend_on_threads(self, workspace, tmp_path):
+        # 20,000 Q paths are two chunks, so --threads 2 prices them on two workers
+        ini, out = workspace
+        assert 20_000 > q_pricer.CHUNK_PATHS
+        ini2 = write_ini_with(tmp_path, "game", "q_paths", 20_000)
+        files = {}
+        for threads in ("1", "2"):
+            dest = copy_game_inputs(out, tmp_path / f"threads{threads}")
+            assert cli.main(["game", ini2, "--out-dir", dest, "--threads", threads]) == 0
+            files[threads] = {name: read_bytes(dest, name) for name in os.listdir(dest)
+                              if name.startswith("game_")}
+        assert sorted(files["1"]) == ["game_european.txt", "game_european_0.0.csv",
+                                      "game_european_0.2.csv", "game_european_slices.csv"]
+        assert files["2"] == files["1"]
 
     def test_out_dir_override_routes_everything(self, workspace, tmp_path):
         ini, out = workspace

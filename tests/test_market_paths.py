@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pqlab.market_paths as mp
 from pqlab.errors import ConfigError, DataError
 from pqlab.market_paths import (
     ConditionVector,
@@ -806,6 +807,83 @@ class TestSliceStore:
         np.savez(path, **data)
         with pytest.raises(DataError, match="test_offsets must rise"):
             load_slices(path)
+
+
+def names_in(directory):
+    """The file names in ``directory``: a writer must leave no ``.tmp`` behind."""
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestArtifactWriter:
+    """Every artifact is written to ``<name>.tmp`` and replaces ``<name>`` only
+    when it is whole, so a failed write keeps the previous file's bytes."""
+
+    def test_rows_that_raise_keep_the_previous_csv(self, tmp_path):
+        path = tmp_path / "table.csv"
+        mp.write_csv(path, ["a", "b"], [[1, 2], [3, 4]])
+        before = path.read_bytes()
+        assert before == b"a,b\r\n1,2\r\n3,4\r\n"
+
+        def rows():
+            for i in range(5000):  # more than one buffer's worth reaches the file
+                yield [i, repr(i / 7)]
+            raise ValueError("row 5000 is bad")
+
+        with pytest.raises(ValueError, match="row 5000"):
+            mp.write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert names_in(tmp_path) == ["table.csv"]
+
+    def test_error_inside_a_text_artifact_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "game_european.txt"
+        with mp.artifact(path) as fh:
+            fh.write("previous table\n")
+        with pytest.raises(RuntimeError):
+            with mp.artifact(path) as fh:
+                fh.write("partial table\n" * 1000)
+                fh.flush()
+                raise RuntimeError("stopped mid-write")
+        assert path.read_bytes() == b"previous table\n"
+        assert names_in(tmp_path) == ["game_european.txt"]
+
+    def test_text_artifact_is_utf8_with_newlines_as_written(self, tmp_path):
+        path = tmp_path / "config.ini"
+        with mp.artifact(path) as fh:
+            fh.write("name = \u00e9t\u00e9\r\nnext\n")
+        assert path.read_bytes() == "name = \u00e9t\u00e9\r\nnext\n".encode("utf-8")
+
+    def test_savez_error_keeps_the_previous_slice_store(self, series, tmp_path,
+                                                        monkeypatch):
+        split = TestSliceStore().build(series)
+        path = tmp_path / "slices.npz"
+        mp.save_slices(path, replace(split, test=split.test[:1]))
+        before = path.read_bytes()
+        savez = np.savez
+
+        def failing(file, **arrays):  # the whole new archive, then a full disk
+            savez(file, **arrays)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", failing)
+        with pytest.raises(OSError, match="no space"):
+            mp.save_slices(path, split)
+        assert path.read_bytes() == before
+        assert names_in(tmp_path) == ["slices.npz"]
+        assert len(mp.load_slices(path).test) == 1
+
+    def test_stale_tmp_of_a_killed_run_is_overwritten(self, series, tmp_path):
+        split = TestSliceStore().build(series)
+        fresh = tmp_path / "fresh.npz"
+        mp.save_slices(fresh, split)
+        path = tmp_path / "slices.npz"
+        (tmp_path / "slices.npz.tmp").write_bytes(b"PK truncated by a kill" * 10_000)
+        (tmp_path / "dataset.manifest.tmp").write_text("stale=1\n" * 100)
+        mp.save_slices(path, split)
+        mp.write_manifest(tmp_path / "dataset.manifest", {"test_slices": 3})
+        assert path.read_bytes() == fresh.read_bytes()
+        assert len(mp.load_slices(path).test) == len(split.test)
+        assert read_manifest(tmp_path / "dataset.manifest") == {"test_slices": "3"}
+        assert names_in(tmp_path) == ["dataset.manifest", "fresh.npz", "slices.npz"]
 
 
 class TestParseDate:

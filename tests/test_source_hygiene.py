@@ -5,6 +5,11 @@ never uses (re-exports, marked ``noqa: F401`` or listed in ``__all__``,
 excepted), and a private (``_name``) module-level function or class that
 nothing in the package references.  Both are what a deletion tends to
 leave behind.
+
+A third check keeps every file write in one place: only
+``market_paths.artifact`` (a temporary name, then ``os.replace``) and the
+two logs that ``cli.cmd_train`` streams may open a file for writing or
+call ``np.savez``.
 """
 
 import ast
@@ -61,6 +66,64 @@ def unreferenced_private_definitions(sources: dict) -> list:
             and node.name not in referenced]
 
 
+# (module, function) of every call allowed to write a file, one entry per call
+ALLOWED_WRITERS = [("cli.py", "cmd_train"), ("cli.py", "cmd_train"),
+                   ("market_paths.py", "artifact")]
+
+
+def _call_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_text(node, letters=None) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (letters is None or set(node.value) <= set(letters)))
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """``open``, ``io.open`` or ``Path.open`` with a mode that is not a constant
+    free of w, a, x and +; or ``write_text``/``write_bytes``."""
+    name = _call_name(call)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if isinstance(call.func, ast.Attribute) and call.args and _is_text(call.args[0], "rwabxt+"):
+        modes.append(call.args[0])  # Path(p).open("w")
+    return bool(modes) and not (_is_text(modes[0]) and not set(modes[0].value) & set("wax+"))
+
+
+def file_writers(sources: dict) -> list:
+    """(module, enclosing function) of each call that opens a file for writing,
+    or saves an npz archive anywhere but into a handle of ``with artifact(...)
+    as fh`` in the same function; sorted, and module-level calls name
+    ``<module>``."""
+    found = []
+
+    def visit(module, node, scope, handles):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope, handles = node.name, set()
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            handles.update(item.optional_vars.id for item in node.items
+                           if isinstance(item.context_expr, ast.Call)
+                           and _call_name(item.context_expr) == "artifact"
+                           and isinstance(item.optional_vars, ast.Name))
+        if isinstance(node, ast.Call) and (
+                _opens_for_writing(node)
+                or ((_call_name(node) or "").startswith("savez")
+                    and not (node.args and isinstance(node.args[0], ast.Name)
+                             and node.args[0].id in handles))):
+            found.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, scope, handles)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), "<module>", set())
+    return sorted(found)
+
+
 def test_every_module_level_import_is_used():
     assert unused_imports(package_sources()) == []
 
@@ -84,3 +147,30 @@ def test_the_checks_catch_planted_leftovers():
     # a self-call counts as a reference: only a def nothing calls is caught
     assert unreferenced_private_definitions(sources) == [("a.py", "_orphan"),
                                                          ("a.py", "_Orphan")]
+
+
+def test_only_the_artifact_writer_and_the_streamed_logs_write_files():
+    assert file_writers(package_sources()) == ALLOWED_WRITERS
+
+
+def test_the_writer_check_catches_planted_writes():
+    sources = {
+        "a.py": ("import numpy as np\n"
+                 "from .market_paths import artifact\n"
+                 "def reads(p):\n"
+                 "    open(p).close()\n    open(p, 'rb').close()\n"
+                 "    open(p, mode='r', encoding='utf-8').close()\n"
+                 "def writes(p, m):\n"
+                 "    open(p, 'w').close()\n    open(p, mode='ab').close()\n"
+                 "    open(p, m).close()\n    open(p, 'r+b').close()\n"
+                 "    import pathlib\n    pathlib.Path(p).open('x').close()\n"
+                 "    pathlib.Path(p).write_text('x')\n"
+                 "def through_artifact(p):\n"
+                 "    with artifact(p, 'wb') as fh:\n        np.savez(fh, x=1)\n"
+                 "    with artifact(p) as out:\n        out.write('x')\n"
+                 "def saves(p, fh):\n"
+                 "    np.savez(p, x=1)\n    np.savez_compressed(fh, x=1)\n"),
+        "b.py": "with open('log.txt', 'w') as fh:\n    fh.write('x')\n",
+    }
+    assert file_writers(sources) == ([("a.py", "saves")] * 2 + [("a.py", "writes")] * 6
+                                     + [("b.py", "<module>")])

@@ -452,6 +452,35 @@ class TestCheckpoint:
         tr.save_checkpoint(b, state)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_savez_error_keeps_the_previous_checkpoint(self, dataset, tmp_path,
+                                                       monkeypatch):
+        # np.savez writes the whole new archive, then raises (a full disk)
+        path = tmp_path / "checkpoint.npz"
+        tr.save_checkpoint(path, fresh_state(dataset, seed=1))
+        before = path.read_bytes()
+        savez = np.savez
+
+        def failing(file, **arrays):
+            savez(file, **arrays)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", failing)
+        with pytest.raises(OSError, match="no space"):
+            tr.save_checkpoint(path, fresh_state(dataset, seed=2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+    def test_stale_tmp_is_overwritten(self, dataset, tmp_path):
+        state = fresh_state(dataset, seed=2)
+        tr.save_checkpoint(tmp_path / "fresh.npz", state)
+        (tmp_path / "checkpoint.npz.tmp").write_bytes(b"PK" * 100_000)
+        tr.save_checkpoint(tmp_path / "checkpoint.npz", state)
+        assert ((tmp_path / "checkpoint.npz").read_bytes()
+                == (tmp_path / "fresh.npz").read_bytes())
+        assert params_equal(tr.load_checkpoint(tmp_path / "checkpoint.npz").params,
+                            state.params)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz", "fresh.npz"]
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_text("not an archive")
