@@ -1,5 +1,5 @@
 """pqlab: conditional diffusion path generation, exotic pricing, and a
-trader vs market-maker quoting game, in plain numpy/scipy."""
+trader vs market-maker quoting game, in plain numpy."""
 
 from .errors import ConfigError, DataError, NumericError, PQLabError
 

@@ -89,14 +89,28 @@ def _slices_path(cfg: runconfig.RunConfig) -> str:
     return os.path.join(cfg.out_dir, "slices.npz")
 
 
+def _manifest_path(cfg: runconfig.RunConfig) -> str:
+    return os.path.join(cfg.out_dir, "dataset.manifest")
+
+
+def _mismatch(cfg: runconfig.RunConfig, what: str) -> DataError:
+    return DataError(f"{_slices_path(cfg)} and {_manifest_path(cfg)} do not belong "
+                     f"together ({what}); run `prepare` again")
+
+
 def _load_slices(cfg: runconfig.RunConfig, groups=("test",)):
     """The slice store, with only ``groups`` unpacked (``mp.load_slices``),
-    and the prepared return scale from dataset.manifest."""
+    and the prepared return scale from dataset.manifest.
+
+    ``prepare`` writes the two files one after the other, so a run stopped
+    between the writes can leave one beside the other's predecessor: the
+    unpacked groups' slice counts and ``l_max`` must match the manifest's.
+    """
     path = _slices_path(cfg)
     if not os.path.isfile(path):
         raise DataError(f"slice store not found: {path}; run `prepare` first")
     split = mp.load_slices(path, groups=groups)
-    manifest_path = os.path.join(cfg.out_dir, "dataset.manifest")
+    manifest_path = _manifest_path(cfg)
     if not os.path.isfile(manifest_path):
         raise DataError(
             f"dataset manifest not found: {manifest_path}; run `prepare` first"
@@ -105,6 +119,13 @@ def _load_slices(cfg: runconfig.RunConfig, groups=("test",)):
     scale = mp.manifest_value(manifest, "return_scale", float, manifest_path)
     if not (math.isfinite(scale) and scale > 0.0):
         raise DataError(f"{manifest_path}: return_scale must be finite and > 0, got {scale}")
+    found = {"l_max": split.l_max}
+    for group in groups:
+        found[f"{group}_slices"] = len(getattr(split, group))
+    for key, value in found.items():
+        listed = mp.manifest_value(manifest, key, int, manifest_path)
+        if listed != value:
+            raise _mismatch(cfg, f"{key}: the store has {value}, the manifest {listed}")
     return split, scale
 
 
@@ -134,7 +155,7 @@ def _net_config(cfg: runconfig.RunConfig, l_max: int) -> DenoiserConfig:
 
 
 def cmd_prepare(cfg: runconfig.RunConfig) -> int:
-    out = _ensure_out_dir(cfg)
+    _ensure_out_dir(cfg)
     series, rates = _load_dataset(cfg)
     split = mp.slice_dataset(
         series, rates, cfg.data.windows, cfg.data.split_date, stride=cfg.data.stride
@@ -160,7 +181,7 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
     }
     for name, count in sorted(split.skipped.items()):
         manifest[f"skipped_{name}"] = count
-    mp.write_manifest(os.path.join(out, "dataset.manifest"), manifest)
+    mp.write_manifest(_manifest_path(cfg), manifest)
     _echo_config(cfg)
     print(
         f"prepared {len(split.train)} train / {len(split.test)} test slices "
@@ -197,6 +218,8 @@ def _log_head(path: str, header: str, step: int) -> str:
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
     split, scale = _load_slices(cfg, groups=("train", "test"))
+    if training.compute_return_scale(split.train) != scale:
+        raise _mismatch(cfg, "the train slices' return scale is not the manifest's")
     sched = cfg.schedule.noise_schedule()
     net = _net_config(cfg, split.l_max)
     log_path = os.path.join(out, "loss_log.csv")

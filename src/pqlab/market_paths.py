@@ -412,10 +412,12 @@ def slice_dataset(
          (history < SIGMA_HIST_MIN_DAYS)[:, None]],
         np.arange(1, len(SKIP_REASONS) + 1), 0)
     # reasons counted in the order the start-by-start scan first meets them
-    codes, first = np.unique(reason, return_index=True)
-    counts = np.bincount(reason.ravel(), minlength=len(SKIP_REASONS) + 1)
+    flat = reason.ravel()
+    counts = np.bincount(flat, minlength=len(SKIP_REASONS) + 1)
+    codes = np.flatnonzero(counts[1:]) + 1
+    first = [int(np.argmax(flat == code)) for code in codes]
     skipped = Counter({SKIP_REASONS[code - 1]: int(counts[code])
-                       for code in codes[np.argsort(first)] if code})
+                       for code in codes[np.argsort(first)]})
 
     kept = reason == 0
     row, col = np.nonzero(kept)  # start by start

@@ -5,21 +5,25 @@ reported magnitudes are therefore return-scale.  Aggregation over conditions
 produces one (mean, std) pair per metric: the summary table this module
 writes through ``market_paths.write_csv``, beside one row per condition.
 
-The KS statistic is computed from scratch via pooled ECDFs; only the map
-from the statistic to the asymptotic p-value uses scipy's Kolmogorov
-survival function.  The p-value is approximate for samples smaller than
-about 35 per side.  That map is the only use of scipy in pqlab, so scipy
-is imported on the first p-value, not with this module: ``validate`` loads
-it, and ``prepare``, ``train``, ``sample`` and ``game`` never do.
+The KS statistic is computed from scratch via pooled ECDFs, and its
+asymptotic p-value from the Kolmogorov limit law by ``_kolmogorov_sf``, a
+transcription of the cephes routine behind ``scipy.special.kolmogorov``
+(Marsaglia, Tsang & Wang 2003) with the same bits.  The p-value is
+approximate for samples smaller than about 35 per side.  The QQ quantiles
+are read off the sorted samples by ``_linear_quantiles``, numpy's default
+"linear" rule (Hyndman & Fan 1996, definition 7) with ``np.quantile``'s
+bits.  So the module needs numpy alone: no command loads scipy, or the
+``numpy.ma`` that ``np.quantile`` imports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .market_paths import annualized_volatility, write_csv
 from .objectives import kurtosis
 
@@ -95,12 +99,46 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    # only validate reaches here; importing scipy.special costs every other
-    # command about 25 MB and a few hundred ms, so it is loaded on first use
-    from scipy.special import kolmogorov
+    p_value = _kolmogorov_sf(math.sqrt(n_eff) * stat)
+    # not clamped: a NaN from the kernel must fail here, not read as 0.0
+    if not 0.0 <= p_value <= 1.0:
+        raise NumericError(f"KS p-value {p_value} at D = {stat} is not in [0, 1]")
+    return stat, p_value
 
-    p_value = float(kolmogorov(np.sqrt(n_eff) * stat))
-    return stat, min(1.0, max(0.0, p_value))
+
+# At or below this x, u = exp(-pi**2 / (8 x**2)) underflows to 0 (cephes: MIN_EXPABLE = -746)
+_KS_FLOOR = math.pi / math.sqrt(8 * 746)
+_KS_CUTOVER = 0.82
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution, as cephes computes it.
+
+    Up to the cutover the Jacobi-theta form P = w u (1 + u^8 + u^24 + u^48),
+    with u = exp(-pi^2 / (8 x^2)) and w = sqrt(2 pi) / x, gives sf = 1 - P;
+    above it sf = 2 (v - v^4 + v^9 - v^16), v = exp(-2 x^2).  Both series
+    are unrolled in cephes' operation order, so the result equals
+    ``scipy.special.kolmogorov(x)`` bit for bit.  Two cephes steps are left
+    out because no sf bit depends on them: a log-space P for when u
+    underflows (1 - P is 1.0 either way), and a final clamp to [0, 1]
+    (both branches stay inside it).  A NaN x gives NaN.
+    """
+    if x <= _KS_FLOOR:
+        return 1.0
+    if x <= _KS_CUTOVER:
+        log_u8 = -math.pi * math.pi / (x * x)
+        u8 = math.exp(log_u8)
+        p = 1 + math.pow(u8, 3)
+        p = 1 + u8 * u8 * p
+        p = 1 + u8 * p
+        return 1 - p * (_SQRT_2PI / x * math.exp(log_u8 / 8))
+    v = math.exp(-2 * x * x)
+    v3 = math.pow(v, 3)
+    p = 1 - v3 * v3 * v
+    p = 1 - v3 * (v * v) * p
+    p = 1 - v3 * p
+    return 2 * v * p
 
 
 def wasserstein1(a, b) -> float:
@@ -137,8 +175,8 @@ def qq_r_squared(a, b) -> float:
     else:
         m = min(a.size, b.size)
         levels = (np.arange(m) + 0.5) / m
-        qa = np.quantile(a, levels)
-        qb = np.quantile(b, levels)
+        qa = _linear_quantiles(a, levels)
+        qb = _linear_quantiles(b, levels)
     var_a = float(np.var(qa))
     var_b = float(np.var(qb))
     if var_a <= 0.0 or var_b <= 0.0:
@@ -148,6 +186,28 @@ def qq_r_squared(a, b) -> float:
     intercept = float(qb.mean()) - slope * float(qa.mean())
     residual = qb - (slope * qa + intercept)
     return 1.0 - float(np.sum(residual**2)) / (qb.size * var_b)
+
+
+def _linear_quantiles(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Quantiles at ``levels`` of the sorted sample ``x`` by numpy's "linear"
+    rule, in ``np.quantile``'s operation order, so with its bits (a zero's
+    sign aside: np.quantile partitions a copy, which may reorder -0.0 and 0.0).
+
+    The virtual index (n - 1) q falls between ``prev`` and ``prev + 1``; at or
+    past the last index both read the last value.  The lerp starts from the
+    nearer end, as numpy's ``_lerp`` does.
+    """
+    virtual = (x.size - 1) * levels
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= x.size - 1
+    prev[top] = -1
+    nxt[top] = -1
+    gamma = virtual - prev
+    lo = x[prev.astype(np.intp)]
+    hi = x[nxt.astype(np.intp)]
+    d = hi - lo
+    return np.where(gamma >= 0.5, hi - d * (1 - gamma), lo + d * gamma)
 
 
 def compare_condition(real_returns, generated_returns) -> MetricRow:

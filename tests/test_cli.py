@@ -862,54 +862,79 @@ class TestSample:
         assert meta["n_paths"] == "16"
 
 
-# Run in a fresh interpreter: every command but validate leaves scipy
-# unloaded, and the first KS p-value loads it and agrees with it bit for bit.
-SCIPY_GUARD = """
+# Run in a fresh interpreter: no command loads scipy, or numpy.ma (which
+# np.quantile and np.unique import, 13 ms and 1.3 MB), and the KS p-value
+# equals scipy's Kolmogorov survival function bit for bit, scipy imported last
+IMPORT_GUARD = """
+import math
 import sys
-import tracemalloc
 import numpy as np
 import pqlab.cli as cli
+from pqlab.path_stats import ks_two_sample
 ini = sys.argv[1]
 for argv in (["prepare", ini], ["train", ini], ["sample", ini, "--slice", "0"],
-             ["game", ini]):
+             ["validate", ini], ["game", ini]):
     assert cli.main(argv) == 0, argv
-assert "scipy.special" not in sys.modules, "scipy.special loaded by " + ini
-from pqlab.path_stats import ks_two_sample
 rng = np.random.default_rng(0)
 a, b = rng.standard_normal(50), rng.standard_normal(70) + 0.4
 stat, p_value = ks_two_sample(a, b)
-assert "scipy.special" in sys.modules
+loaded = [m for m in sys.modules
+          if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+assert not loaded, loaded
 from scipy.special import kolmogorov
-expected = min(1.0, max(0.0, float(kolmogorov(np.sqrt(50 * 70 / 120) * stat))))
+expected = float(kolmogorov(math.sqrt(50 * 70 / 120) * stat))
 assert 0.0 < p_value < 1.0 and p_value == expected, (p_value, expected)
 """
 
 
-# Run in a fresh interpreter: prepare, train and game load neither scipy nor
-# numpy.ma (which np.unique without return_index imports, 13 ms and 1.3 MB)
-IMPORT_GUARD = """
-import sys
-import tracemalloc
-import pqlab.cli as cli
-ini = sys.argv[1]
-for argv in (["prepare", ini], ["train", ini], ["game", ini]):
-    assert cli.main(argv) == 0, argv
-loaded = [m for m in sys.modules
-          if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
-assert not loaded, loaded
-"""
-
-
-class TestScipyOnlyForValidate:
-    def test_scipy_loads_on_the_first_p_value(self, tmp_path):
-        ini, _ = write_workspace(tmp_path)
-        run = run_fresh(SCIPY_GUARD, ini)
-        assert run.returncode == 0, run.stderr
-
-    def test_prepare_train_and_game_load_neither_scipy_nor_numpy_ma(self, tmp_path):
+class TestImportGuard:
+    def test_no_command_loads_scipy_or_numpy_ma(self, tmp_path):
         ini, _ = write_workspace(tmp_path)
         run = run_fresh(IMPORT_GUARD, ini)
         assert run.returncode == 0, run.stderr
+
+
+# `pqlab prepare INI` killed by os._exit(9) right after it writes slices.npz,
+# so the store is new and dataset.manifest is the previous prepare's
+KILL_AFTER_SLICES = """
+import os
+import sys
+import pqlab.cli as cli
+import pqlab.market_paths as mp
+save_slices = mp.save_slices
+
+def killed(*args):
+    save_slices(*args)
+    os._exit(9)
+
+mp.save_slices = killed
+sys.exit(cli.main(["prepare", sys.argv[1]]))
+"""
+
+
+class TestMismatchedStore:
+    """A store and a manifest from two prepares are a DataError before any work."""
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("seed", 4, ["train"]),  # same counts: only the return scale differs
+        ("split_date", "2015-11-01", ["train"]),
+        ("split_date", "2015-11-01", ["sample", "--slice", "0"]),
+        ("split_date", "2015-11-01", ["validate"]),
+        ("split_date", "2015-11-01", ["game"]),
+    ])
+    def test_killed_prepare_is_data_error(self, tmp_path, capsys, key, value, command):
+        ini, out = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        manifest = read_bytes(out, "dataset.manifest")
+        run = run_fresh(KILL_AFTER_SLICES, write_ini_with(tmp_path, "data", key, value))
+        assert run.returncode == 9, run.stderr
+        assert read_bytes(out, "dataset.manifest") == manifest
+        capsys.readouterr()
+        assert cli.main([command[0], ini, *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "slices.npz" in err and "dataset.manifest" in err
+        assert "do not belong together" in err
+        assert sorted(os.listdir(out)) == ["config.ini", "dataset.manifest", "slices.npz"]
 
 
 class TestValidate:

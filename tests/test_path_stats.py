@@ -1,13 +1,18 @@
 """Two-sample metric oracles and aggregation/report format checks."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pqlab.path_stats as ps
-from pqlab.errors import DataError
+from pqlab.errors import DataError, NumericError
 
 finite_sample = st.lists(
     st.floats(-100, 100, allow_nan=False), min_size=2, max_size=40
@@ -65,6 +70,16 @@ class TestKsTwoSample:
             accepted += p > 0.05
         assert accepted >= 95
 
+    def test_nan_p_value_is_numeric_error(self):
+        # a NaN must not pass as p = 0.0 (a clamp would map it there)
+        a, b = [0.1, 0.5, 0.9], [0.2, 0.3]
+        for bad in (math.nan, -0.5, 1.5):
+            with mock.patch.object(ps, "_kolmogorov_sf", lambda x, bad=bad: bad):
+                with pytest.raises(NumericError, match="p-value"):
+                    ps.ks_two_sample(a, b)
+                with pytest.raises(NumericError):
+                    ps.compare_condition(a, b)
+
     @settings(deadline=None, max_examples=40)
     @given(finite_sample, finite_sample)
     def test_bounds(self, a, b):
@@ -79,6 +94,90 @@ class TestKsTwoSample:
         stat_ab = ps.ks_two_sample(a, a)[0]
         stat_pb = ps.ks_two_sample(a, b)[0]
         assert stat_ab == stat_pb == 0.0
+
+
+def same_bits(mine, ref) -> bool:
+    return np.array_equal(np.asarray(mine, dtype=np.float64).view(np.int64),
+                          np.asarray(ref, dtype=np.float64).view(np.int64))
+
+
+class TestKolmogorovTail:
+    """``_kolmogorov_sf`` against ``scipy.special.kolmogorov``, bit for bit."""
+
+    def check(self, xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        mine = [ps._kolmogorov_sf(float(x)) for x in xs]
+        ref = scipy.special.kolmogorov(xs)
+        bad = [float(x) for x, m, r in zip(xs, mine, ref) if not same_bits(m, r)]
+        assert not bad, bad[:5]
+
+    def test_nonpositive(self):
+        self.check([-np.inf, -1.0, -1e-300, -0.0, 0.0])
+        assert ps._kolmogorov_sf(0.0) == 1.0
+
+    def test_both_sides_of_the_floor(self):
+        floor = ps._KS_FLOOR
+        assert 0.0406 < floor < 0.0407
+        self.check([5e-324, 1e-200, 0.01, 0.0406, np.nextafter(floor, 0.0), floor,
+                    np.nextafter(floor, 1.0), 0.0407, 0.05])
+
+    def test_both_sides_of_the_cutover(self):
+        xs = [0.82]
+        for _ in range(20):
+            xs = [np.nextafter(xs[0], 0.0)] + xs + [np.nextafter(xs[-1], 1.0)]
+        assert xs[19] < ps._KS_CUTOVER < xs[21]
+        self.check(xs + list(np.linspace(0.81, 0.83, 2001)))
+
+    def test_where_u_underflows(self):
+        # just above the floor u = exp(-pi^2 / (8 x^2)) is 0, and P with it
+        xs = np.linspace(ps._KS_FLOOR, 0.041, 500)[1:]
+        assert math.exp(-math.pi ** 2 / (8 * xs[0] ** 2)) == 0.0
+        self.check(xs)
+
+    def test_where_sf_underflows(self):
+        xs = np.concatenate([np.linspace(18.0, 40.0, 2001), [1e10, 1e300, np.inf]])
+        self.check(xs)
+        assert ps._kolmogorov_sf(30.0) == 0.0 < ps._kolmogorov_sf(18.0)
+
+    def test_dense_random_grid(self):
+        rng = np.random.default_rng(11)
+        self.check(np.concatenate([rng.uniform(0.0, 3.0, 20000),
+                                   np.exp(rng.uniform(-4.0, 3.0, 20000))]))
+
+    def test_nan_passes_through(self):
+        assert math.isnan(ps._kolmogorov_sf(math.nan))
+
+
+# samples with ties, signed zeros, constant runs and a wide range of scales
+quantile_sample = st.integers(2, 500).flatmap(lambda n: hnp.arrays(
+    np.float64, n, elements=st.one_of(
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))))
+
+
+class TestLinearQuantiles:
+    """``_linear_quantiles`` against ``np.quantile``, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(quantile_sample, quantile_sample, st.booleans())
+    def test_matches_np_quantile(self, x, y, constant):
+        if constant:
+            x = np.full(x.size, x[0])
+        x = np.sort(x)
+        m, n = min(x.size, y.size), x.size
+        # the qq levels; midpoints between order statistics (gamma = 0.5, where
+        # the lerp switches ends); and both ends (1.0 takes the last-index branch)
+        levels = np.concatenate([(np.arange(m) + 0.5) / m,
+                                 (np.arange(n - 1) + 0.5) / (n - 1), [0.0, 1.0]])
+        mine = ps._linear_quantiles(x, levels)
+        ref = np.quantile(x, levels)
+        # np.quantile partitions a copy, which may reorder -0.0 and 0.0; the
+        # sign of a zero is the one bit free to differ, and R^2 never sees it
+        assert np.array_equal(mine, ref)
+        assert same_bits(mine[ref != 0.0], ref[ref != 0.0])
+        with mock.patch.object(ps, "_linear_quantiles", np.quantile):
+            expected = ps.qq_r_squared(x, y)
+        assert same_bits(ps.qq_r_squared(x, y), expected)
 
 
 class TestWasserstein1:

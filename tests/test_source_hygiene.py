@@ -10,6 +10,9 @@ A third check keeps every file write in one place: only
 ``market_paths.artifact`` (a temporary name, then ``os.replace``) and the
 two logs that ``cli.cmd_train`` streams may open a file for writing or
 call ``np.savez``.
+
+A fourth keeps the package on numpy alone: no module imports scipy, or
+calls the numpy functions whose first call imports ``numpy.ma``.
 """
 
 import ast
@@ -124,6 +127,35 @@ def file_writers(sources: dict) -> list:
     return sorted(found)
 
 
+# numpy functions whose first call imports numpy.ma (13 ms and 1.3 MB)
+NUMPY_MA_USERS = {"quantile", "percentile", "nanquantile", "nanpercentile", "unique"}
+
+
+def heavy_dependencies(sources: dict) -> list:
+    """(module, dotted name) for each scipy import, and each numpy function
+    in ``NUMPY_MA_USERS`` imported or read as an attribute of numpy; sorted."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(module, alias.name) for alias in node.names
+                          if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] == "scipy":
+                    found.append((module, node.module))
+                elif node.module == "numpy":
+                    found += [(module, "numpy." + alias.name) for alias in node.names
+                              if alias.name in NUMPY_MA_USERS]
+            elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_MA_USERS
+                  and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+                found.append((module, "numpy." + node.attr))
+    return sorted(found)
+
+
 def test_every_module_level_import_is_used():
     assert unused_imports(package_sources()) == []
 
@@ -174,3 +206,24 @@ def test_the_writer_check_catches_planted_writes():
     }
     assert file_writers(sources) == ([("a.py", "saves")] * 2 + [("a.py", "writes")] * 6
                                      + [("b.py", "<module>")])
+
+
+def test_the_package_needs_neither_scipy_nor_numpy_ma():
+    assert heavy_dependencies(package_sources()) == []
+
+
+def test_the_dependency_check_catches_planted_uses():
+    sources = {
+        "a.py": ("import numpy as np\nimport scipy.special\nfrom scipy import stats\n"
+                 "def f(x):\n    return np.quantile(x, 0.5), np.percentile(x, 50)\n"),
+        "b.py": ("import numpy\nfrom numpy import unique\n"
+                 "def g(x):\n    from scipy.special import kolmogorov\n"
+                 "    return numpy.unique(x), kolmogorov(x)\n"
+                 "# np.quantile in a comment\n'np.unique in a string'\n"),
+        "c.py": ("import numpy as np\n"
+                 "def h(x, table):\n    return np.sort(x), table.unique(), np.floor(x)\n"),
+    }
+    assert heavy_dependencies(sources) == [
+        ("a.py", "numpy.percentile"), ("a.py", "numpy.quantile"), ("a.py", "scipy"),
+        ("a.py", "scipy.special"), ("b.py", "numpy.unique"), ("b.py", "numpy.unique"),
+        ("b.py", "scipy.special")]
