@@ -862,18 +862,31 @@ class TestSample:
         assert meta["n_paths"] == "16"
 
 
-# Run in a fresh interpreter: no command loads scipy, or numpy.ma (which
-# np.quantile and np.unique import, 13 ms and 1.3 MB), and the KS p-value
-# equals scipy's Kolmogorov survival function bit for bit, scipy imported last
+# Run in a fresh interpreter: prepare, train and game load neither scipy nor
+# numpy.ma (which np.quantile and np.unique import, 13 ms and 1.3 MB)
 IMPORT_GUARD = """
+import sys
+import pqlab.cli as cli
+ini = sys.argv[1]
+for argv in (["prepare", ini], ["train", ini], ["game", ini]):
+    assert cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules
+          if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+assert not loaded, loaded
+"""
+
+
+# Run in a fresh interpreter on a prepared and trained workspace: sample,
+# validate and one KS p-value load neither scipy nor numpy.ma, and the p-value
+# equals scipy's Kolmogorov survival function bit for bit, scipy imported last
+P_VALUE_GUARD = """
 import math
 import sys
 import numpy as np
 import pqlab.cli as cli
 from pqlab.path_stats import ks_two_sample
 ini = sys.argv[1]
-for argv in (["prepare", ini], ["train", ini], ["sample", ini, "--slice", "0"],
-             ["validate", ini], ["game", ini]):
+for argv in (["sample", ini, "--slice", "0"], ["validate", ini]):
     assert cli.main(argv) == 0, argv
 rng = np.random.default_rng(0)
 a, b = rng.standard_normal(50), rng.standard_normal(70) + 0.4
@@ -887,8 +900,19 @@ assert 0.0 < p_value < 1.0 and p_value == expected, (p_value, expected)
 """
 
 
-class TestImportGuard:
-    def test_no_command_loads_scipy_or_numpy_ma(self, tmp_path):
+class TestScipyOnlyForValidate:
+    """No command loads scipy; it is only the tests' reference for the p-value."""
+
+    def test_scipy_loads_on_the_first_p_value(self, tmp_path):
+        # Inverted since validate computed its p-values with scipy: the first
+        # p-value loads nothing, and scipy loads only when imported afterwards.
+        ini, _ = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        assert cli.main(["train", ini]) == 0
+        run = run_fresh(P_VALUE_GUARD, ini)
+        assert run.returncode == 0, run.stderr
+
+    def test_prepare_train_and_game_load_neither_scipy_nor_numpy_ma(self, tmp_path):
         ini, _ = write_workspace(tmp_path)
         run = run_fresh(IMPORT_GUARD, ini)
         assert run.returncode == 0, run.stderr
