@@ -16,7 +16,7 @@ from pqlab.market_paths import (
     synthesize_series,
 )
 from pqlab.sampler import SamplerConfig, sample_paths
-from pqlab.training import TrainConfig, compute_return_scale, init_state, train
+from pqlab.training import TrainConfig, compute_return_scale, init_state, steps
 
 series = synthesize_series(GeneratorConfig(n_days=400), seed=3)
 rates = {30: RateTable(30, ["2015-01-01"], [0.03])}
@@ -35,15 +35,9 @@ state = init_state(net, sched, mode="v", return_scale=scale, seed=0)
 config = TrainConfig(steps=120, batch_size=16, seed=5)
 
 
-class EveryTwenty:
-    def write(self, row):
-        step = int(row.split(",")[0])
-        if step % 20 == 0 or step == 1:
-            core, total = row.split(",")[1], row.rstrip().split(",")[-1]
-            print(f"step {step:4d}  core={float(core):.4f}  total={float(total):.4f}")
-
-
-train(split.train, state, config, log_fh=EveryTwenty())
+for step, breakdown, _ in steps(split.train, state, config):
+    if step % 20 == 0 or step == 1:
+        print(f"step {step:4d}  core={breakdown.core:.4f}  total={breakdown.total:.4f}")
 
 condition = split.test[0].condition
 paths = sample_paths(

@@ -3,8 +3,9 @@
 Every command is a pure function of (config file, input files, seeds):
 rerunning a command with the same inputs rewrites byte-identical outputs,
 each whole or not at all (``mp.artifact``), but for the rows `train`
-appends to its two logs, flushed before every snapshot.  Each command drops
-``config.ini``, the resolved configuration it ran with, into the output directory.
+appends to its two logs as it iterates ``training.steps``, flushed before
+every snapshot.  Each command drops ``config.ini``, the resolved
+configuration it ran with, into the output directory.
 
 Artifact layout under [run] out_dir:
 
@@ -34,7 +35,7 @@ Only `train` reads the train slices: `sample`, `validate` and `game` load
 None), though every train column is still read and checked.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+failure; an out_dir that cannot be made is a configuration error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from . import market_paths as mp
 from . import path_stats, pq_game, runconfig, sampler, training
 from .denoiser import DenoiserConfig
 from .errors import ConfigError, DataError, PQLabError
-from .objectives import LOSS_CSV_HEADER
+from .objectives import LOSS_CSV_HEADER, format_loss_row
 
 # Salt mixed into the per-slice Q seed so the generator's sampling stream
 # never collides with the GBM pricing stream of the same slice.
@@ -59,7 +60,10 @@ P_SOURCE_SALT = 0x50
 
 
 def _ensure_out_dir(cfg: runconfig.RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] out_dir {cfg.out_dir!r}: {exc}") from exc
     return cfg.out_dir
 
 
@@ -215,6 +219,14 @@ def _log_head(path: str, header: str, step: int) -> str:
     return "".join(lines[: step + 1])
 
 
+def _append(path: str):
+    """``path`` open for appending text rows; an OSError is a DataError naming it."""
+    try:
+        return open(path, "a", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot append to {path}: {exc}") from exc
+
+
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
     split, scale = _load_slices(cfg, groups=("train", "test"))
@@ -250,15 +262,17 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
         with mp.artifact(path) as log:
             log.write(head)
     # the logs stream their rows in place, flushed before each snapshot is saved
-    with open(log_path, "a", newline="") as fh, \
-            open(trace_path, "a", newline="") as trace_fh:
-        def checkpoint_fn(st):
-            fh.flush()
-            trace_fh.flush()
-            training.save_checkpoint(os.path.join(out, f"checkpoint_step{st.step}.npz"), st)
-
-        training.train(split.train, state, cfg.train, cfg.loss, log_fh=fh,
-                       trace_fh=trace_fh, checkpoint_fn=checkpoint_fn)
+    every = cfg.train.checkpoint_every
+    with _append(log_path) as fh, _append(trace_path) as trace_fh:
+        for step, breakdown, norm in training.steps(split.train, state, cfg.train, cfg.loss):
+            fh.write(format_loss_row(step, breakdown) + "\n")
+            trace_fh.write(training.format_trace_row(step, norm, cfg.train.clip_norm,
+                                                     breakdown) + "\n")
+            if every and step % every == 0:
+                fh.flush()
+                trace_fh.flush()
+                training.save_checkpoint(os.path.join(out, f"checkpoint_step{step}.npz"),
+                                         state)
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
     _echo_config(cfg)
     print(f"trained to step {state.step}; wrote {os.path.join(out, 'checkpoint.npz')}")

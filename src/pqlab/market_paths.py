@@ -411,13 +411,8 @@ def slice_dataset(
          n_trading * CALENDAR_DAYS_PER_YEAR > width * TRADING_DAYS_PER_YEAR,
          (history < SIGMA_HIST_MIN_DAYS)[:, None]],
         np.arange(1, len(SKIP_REASONS) + 1), 0)
-    # reasons counted in the order the start-by-start scan first meets them
-    flat = reason.ravel()
-    counts = np.bincount(flat, minlength=len(SKIP_REASONS) + 1)
-    codes = np.flatnonzero(counts[1:]) + 1
-    first = [int(np.argmax(flat == code)) for code in codes]
-    skipped = Counter({SKIP_REASONS[code - 1]: int(counts[code])
-                       for code in codes[np.argsort(first)]})
+    counts = np.bincount(reason.ravel(), minlength=len(SKIP_REASONS) + 1)
+    skipped = Counter({name: int(n) for name, n in zip(SKIP_REASONS, counts[1:]) if n})
 
     kept = reason == 0
     row, col = np.nonzero(kept)  # start by start
@@ -710,15 +705,24 @@ def artifact(path, mode: str = "w"):
     """Yield ``<path>.tmp``, open as UTF-8 text with ``newline=""`` (binary for "wb"),
     and ``os.replace`` it onto ``path`` on a clean exit.  An error removes it and
     re-raises, so ``path`` keeps its old bytes; a kill can leave the ``.tmp``, which
-    the next write of ``path`` overwrites."""
+    the next write of ``path`` overwrites.  An OSError of the writer's own open,
+    close (the last flush) or replace is a DataError naming ``path``; what the
+    caller raises inside the block passes through as it is."""
     tmp, text = f"{path}.tmp", "b" not in mode
+    in_block = False
     try:
         with open(tmp, mode, encoding="utf-8" if text else None,
                   newline="" if text else None) as fh:
+            in_block = True
             yield fh
+            in_block = False
         os.replace(tmp, path)
+    except OSError as exc:
+        if in_block:
+            raise
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if os.path.isfile(tmp):
             os.remove(tmp)
 
 

@@ -107,6 +107,9 @@ class GameReport:
             raise DataError("trades must equal longs + shorts")
         if not 0.0 <= self.win_rate <= 1.0:
             raise DataError("win_rate must lie in [0, 1]")
+        if not (math.isfinite(self.cum_pnl) and math.isfinite(self.sharpe or 0.0)):
+            raise DataError(f"cum_pnl and sharpe (or None) must be finite, "
+                            f"got {self.cum_pnl} and {self.sharpe}")
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,8 @@ def decide_trade(p_value: float, quote: Quote,
 
 def settle(side: str, exec_price: float, realized: float) -> tuple[float, float]:
     """Zero-sum settlement; pnl_q is the exact negation of pnl_p."""
+    if not (math.isfinite(exec_price) and math.isfinite(realized)):
+        raise DataError(f"exec_price {exec_price} and realized {realized} must be finite")
     if side == LONG:
         pnl_p = realized - exec_price
     elif side == SHORT:

@@ -138,7 +138,7 @@ def ddim_step(x_t, eps_hat, t: int, t_prev: int, sched: NoiseSchedule,
     """
     if not t_prev < t:
         raise DataError(f"t_prev must be < t, got {t_prev} >= {t}")
-    if sigma < 0.0:
+    if not sigma >= 0.0:  # NaN fails this too
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     ab_p = float(sched.alpha_bar_at(t_prev))
     if sigma * sigma > 1.0 - ab_p + 1e-15:

@@ -29,7 +29,7 @@ are each one float64 vector in ``denoiser.param_spec`` order, the
 checkpoint's layout, so the checkpoint writes the vectors as they are.
 Only the parameters also have per-name views, which the network reads.
 Adam and clipping run in place on them, in the per-parameter operation
-order, so the bits are those of the per-array update.  ``train`` owns
+order, so the bits are those of the per-array update.  ``steps`` owns
 one ``nn.Workspace`` for the run: it lends the gradient vector, Adam's
 scratch vector and the conv backward's buffer, which die within a step,
 so a step reuses their memory instead of page-faulting in fresh arrays.
@@ -37,9 +37,9 @@ The forward's caches live until the backward and keep allocating.  The
 loss's truth statistics are computed once per run, for every slice.  A
 non-finite loss or gradient norm raises NumericError before the state changes.
 
-``train`` writes two logs per step: the loss row (``loss_log.csv``) and
-the trace row (``train_trace.csv``: the pre-clip global gradient norm,
-whether clipping fired, and how many sequences each loss term skipped).
+``steps`` writes no file: the ``train`` command turns what it yields into
+the loss row and the trace row (``format_trace_row``: the pre-clip gradient
+norm, whether clipping fired, and the sequences each loss term skipped).
 """
 
 from __future__ import annotations
@@ -324,37 +324,24 @@ def format_trace_row(step: int, norm: float, max_norm: float,
     return ",".join([str(int(step)), repr(float(norm)), str(int(norm > max_norm)), *counts])
 
 
-def train(slices, state: TrainState, config: TrainConfig,
-          loss: LossConfig = LossConfig(), log_fh=None, trace_fh=None,
-          checkpoint_fn=None, stop_step=None) -> TrainState:
+def steps(slices, state: TrainState, config: TrainConfig,
+          loss: LossConfig = LossConfig()):
     """Run steps state.step+1 .. config.steps, mutating state in place.
 
+    Yields (step, loss breakdown, pre-clip gradient norm) after each step.
     loss carries the auxiliary-term weights and the vol-clustering window.
-    log_fh and trace_fh, when given, receive one CSV row per step (no
-    header): the loss row and the trace row (TRACE_CSV_HEADER).
-    checkpoint_fn(state) fires every config.checkpoint_every steps.
-    stop_step pauses the run early; config.steps stays the schedule total,
-    so resuming from the paused state reproduces the uninterrupted run.
+    A caller that stops iterating pauses the run; config.steps stays the
+    schedule total, so resuming from the paused state reproduces the
+    uninterrupted run.
     """
     if not slices:
         raise DataError("training needs at least one slice")
     padded = pad_slices(slices, state.net.input_length, state.return_scale)
     truth = objectives.truth_table(padded.x0, padded.mask, loss)
     workspace = nn.Workspace()
-    last = config.steps if stop_step is None else min(stop_step, config.steps)
-    for step in range(state.step + 1, last + 1):
+    for step in range(state.step + 1, config.steps + 1):
         breakdown, norm = train_step(padded, state, config, step, loss, workspace, truth)
-        if log_fh is not None:
-            log_fh.write(objectives.format_loss_row(step, breakdown) + "\n")
-        if trace_fh is not None:
-            trace_fh.write(format_trace_row(step, norm, config.clip_norm, breakdown) + "\n")
-        if (
-            checkpoint_fn is not None
-            and config.checkpoint_every
-            and step % config.checkpoint_every == 0
-        ):
-            checkpoint_fn(state)
-    return state
+        yield step, breakdown, norm
 
 
 # ---------------------------------------------------------------------------

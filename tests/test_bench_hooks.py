@@ -83,7 +83,7 @@ def test_traced_train_step_still_sees_the_forward_backward_and_loss():
     tracer = Tracer()
     try:
         layers.instrument(tracer)
-        training.train(slices, state, config)
+        list(training.steps(slices, state, config))
     finally:
         tracer.restore()
     names = [s.name for s in tracer.spans]

@@ -262,7 +262,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise NumericError("loss diverged")
 
-        monkeypatch.setattr(training, "train", explode)
+        monkeypatch.setattr(training, "steps", explode)
         assert cli.main(["train", ini]) == 4
         assert "diverged" in capsys.readouterr().err
 
@@ -307,7 +307,7 @@ class TestExitCodes:
         with open(os.path.join(out2, name), "w", newline="") as fh:
             fh.writelines(lines)
         damaged = read_bytes(out2, name)
-        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("a step ran"))
+        monkeypatch.setattr(training, "steps", lambda *a, **k: pytest.fail("a step ran"))
         snap = os.path.join(out, "checkpoint_step20.npz")
         assert cli.main(["train", ini, "--resume", snap]) == 3
         assert name in capsys.readouterr().err
@@ -389,6 +389,50 @@ def copy_game_inputs(out, dest):
     for name in ("slices.npz", "dataset.manifest", "checkpoint.npz"):
         shutil.copy(os.path.join(out, name), dest)
     return str(dest)
+
+
+class TestFileSystemFaults:
+    """An out_dir or artifact path the file system refuses ends as exit 2 or 3."""
+
+    def run(self, capsys, argv, code, needle):
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("pqlab: error:") and needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_out_dir_that_is_a_file_is_config_error(self, tmp_path, capsys, command):
+        ini, out = write_workspace(tmp_path)
+        with open(out, "w") as fh:
+            fh.write("not a directory\n")
+        self.run(capsys, [command, ini], 2, "[run] out_dir")
+
+    def test_out_dir_under_a_file_is_config_error(self, tmp_path, capsys):
+        ini, _ = write_workspace(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        self.run(capsys, ["prepare", ini, "--out-dir", str(blocker / "out")], 2,
+                 "[run] out_dir")
+
+    @pytest.mark.parametrize("command,name", [("prepare", "dataset.manifest"),
+                                              ("prepare", "dataset.manifest.tmp"),
+                                              ("train", "loss_log.csv"),
+                                              ("train", "checkpoint_step10.npz")])
+    def test_artifact_path_that_is_a_directory_is_data_error(self, tmp_path, capsys,
+                                                              command, name):
+        ini, out = write_workspace(tmp_path)
+        if command == "train":
+            assert cli.main(["prepare", ini]) == 0
+        os.makedirs(os.path.join(out, name))
+        self.run(capsys, [command, ini], 3, os.path.join(out, "dataset.manifest"
+                                                         if command == "prepare" else name))
+        assert not [n for n in os.listdir(out)
+                    if n.endswith(".tmp") and not os.path.isdir(os.path.join(out, n))]
+        assert os.path.isdir(os.path.join(out, name))
+
+    def test_log_that_cannot_be_opened_to_append_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot append to"):
+            cli._append(str(tmp_path))
 
 
 class TestNonFiniteSliceStore:
@@ -657,9 +701,59 @@ MANIFEST_LINES = st.one_of(
     st.text(max_size=30),
 )
 
+# a return_scale value for an otherwise intact manifest: every float repr
+# (NaN, infinities, -0.0, subnormals and 1e308 among them) and free text
+# without a line break, so every other entry keeps its line
+LINE_SCALE_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "-0.0", "5e-324", "2.2250738585072014e-308",
+                     "1e308", "1e309", " 0.01 ", "0x10", "1_0"]),
+    st.text(st.characters(blacklist_characters="\r\n"), max_size=12),
+)
+
+
+def with_scale_value(out, dest, value):
+    """copy_game_inputs of ``out`` into ``dest``, its return_scale line holding ``value``."""
+    if not os.path.exists(dest):
+        copy_game_inputs(out, dest)
+    with open(os.path.join(out, "dataset.manifest"), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert sum(line.startswith("return_scale=") for line in lines) == 1
+    lines = [f"return_scale={value}\n" if line.startswith("return_scale=") else line
+             for line in lines]
+    with open(os.path.join(dest, "dataset.manifest"), "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return str(dest)
+
 
 class TestFuzzedManifest:
     """``_load_slices`` yields a finite, positive return scale or a DataError."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(value=LINE_SCALE_VALUES)
+    def test_replaced_scale_comes_back_bit_equal_or_data_error(
+            self, workspace, tmp_path_factory, value):
+        ini, out = workspace
+        dest = with_scale_value(out, tmp_path_factory.getbasetemp() / "replaced_scale",
+                                value)
+        try:
+            expected = float(value)
+        except ValueError:
+            expected = math.nan
+        cfg = replace(rc.load_config(ini), out_dir=dest)
+        if not (math.isfinite(expected) and expected > 0.0):
+            with pytest.raises(DataError, match="return_scale"):
+                cli._load_slices(cfg)
+            return
+        _, scale = cli._load_slices(cfg)
+        assert type(scale) is float and scale.hex() == expected.hex()
+
+    @pytest.mark.parametrize("value", ["5e-324", "0.026848387362619408", "1e308"])
+    def test_finite_positive_scale_comes_back_bit_equal(self, workspace, tmp_path, value):
+        ini, out = workspace
+        dest = with_scale_value(out, tmp_path / "out", value)
+        _, scale = cli._load_slices(replace(rc.load_config(ini), out_dir=dest))
+        assert scale.hex() == float(value).hex()
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
@@ -834,6 +928,30 @@ class TestTrain:
         assert cli.main(["train", ini2, "--resume", snap]) == 0
         for name in ("loss_log.csv", "train_trace.csv", "checkpoint.npz"):
             assert read_bytes(out2, name) == read_bytes(out, name), name
+
+    def test_checkpoint_cadence(self, tmp_path, monkeypatch):
+        # every checkpoint_every steps both logs are flushed, then the
+        # snapshot is saved: each save finds rows 1..N of both logs on disk
+        ini = write_ini_with(tmp_path, "train", "checkpoint_every", 5)
+        out = os.path.join(str(tmp_path), "out")
+        assert cli.main(["prepare", ini]) == 0
+        saves = []
+        save = training.save_checkpoint
+
+        def spy(path, state):
+            for name in ("loss_log.csv", "train_trace.csv"):
+                with open(os.path.join(out, name)) as fh:
+                    steps = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+                assert steps == [str(i) for i in range(1, state.step + 1)], (name, path)
+            saves.append((os.path.basename(path), state.step))
+            save(path, state)
+
+        monkeypatch.setattr(training, "save_checkpoint", spy)
+        assert cli.main(["train", ini, "--steps", "12"]) == 0
+        assert saves == [("checkpoint_step5.npz", 5), ("checkpoint_step10.npz", 10),
+                         ("checkpoint.npz", 12)]
+        assert sorted(name for name in os.listdir(out) if name.startswith("checkpoint")) \
+            == ["checkpoint.npz", "checkpoint_step10.npz", "checkpoint_step5.npz"]
 
     def test_resume_rejects_mismatched_schedule(self, workspace, tmp_path):
         ini, out = workspace

@@ -133,6 +133,14 @@ class TestSettle:
         with pytest.raises(ConfigError):
             game.settle("none", 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["long", "short"])
+    def test_non_finite_price_or_realized_rejected(self, bad, side):
+        with pytest.raises(DataError, match="exec_price"):
+            game.settle(side, bad, 1.0)
+        with pytest.raises(DataError, match="realized"):
+            game.settle(side, 1.0, bad)
+
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.sampled_from(["long", "short"]))
     def test_zero_sum_bitwise(self, exec_price, realized, side):
@@ -437,6 +445,15 @@ class TestReportValidation:
         with pytest.raises(DataError):
             game.GameReport(level=0.1, cum_pnl=0.0, trades=2, longs=1,
                             shorts=1, win_rate=1.5, sharpe=None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cum_pnl", "sharpe"])
+    def test_non_finite_pnl_or_sharpe_rejected(self, field, bad):
+        report = dict(level=0.1, cum_pnl=1.5, trades=2, longs=1, shorts=1,
+                      win_rate=0.5, sharpe=0.25)
+        game.GameReport(**report)
+        with pytest.raises(DataError, match=field):
+            game.GameReport(**{**report, field: bad})
 
 
 class TestReportOutput:

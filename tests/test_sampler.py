@@ -104,6 +104,15 @@ class TestDdimStep:
             sp.ddim_step(np.zeros(2), np.zeros(2), 2, 1, sched, 0.5,
                          noise=np.zeros(2))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN sigma fails both the sign and the bound comparison, so it
+        # must be refused outright rather than dropping the noise term
+        sched = two_step_schedule()
+        with pytest.raises(ConfigError, match="sigma"):
+            sp.ddim_step(np.zeros(2), np.zeros(2), 2, 1, sched, sigma,
+                         noise=np.ones(2))
+
     def test_stochastic_needs_noise(self):
         sched = two_step_schedule()
         with pytest.raises(ConfigError):

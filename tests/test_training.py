@@ -1,6 +1,7 @@
 """Optimizer oracles, bitwise resume, and checkpoint round trips."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import pqlab.diffusion as diff
 import pqlab.market_paths as mp
 import pqlab.training as tr
 from pqlab.errors import ConfigError, DataError, NumericError
-from pqlab.objectives import LossConfig
+from pqlab.objectives import LossConfig, format_loss_row
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +50,18 @@ def bits_equal(a: dict, b: dict) -> bool:
     return set(a) == set(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-class Rows:
-    def __init__(self):
-        self.rows = []
+def train_all(slices, state, config, loss=LossConfig()):
+    """``state`` after every step of ``tr.steps``, and the (step, breakdown, norm) it yielded."""
+    return state, list(tr.steps(slices, state, config, loss))
 
-    def write(self, s):
-        self.rows.append(s)
+
+def loss_rows(yielded):
+    return [format_loss_row(step, breakdown) for step, breakdown, _ in yielded]
+
+
+def trace_rows(yielded, max_norm):
+    return [tr.format_trace_row(step, norm, max_norm, breakdown)
+            for step, breakdown, norm in yielded]
 
 
 class TestReturnScale:
@@ -172,57 +179,46 @@ class TestTrainLoop:
     def test_zero_steps_is_identity(self, dataset):
         state = fresh_state(dataset)
         init = {k: v.copy() for k, v in state.params.items()}
-        rows = Rows()
-        tr.train(dataset.train, state, tr.TrainConfig(steps=0), log_fh=rows)
+        assert list(tr.steps(dataset.train, state, tr.TrainConfig(steps=0))) == []
         assert state.step == 0
         assert params_equal(state.params, init)
-        assert rows.rows == []
 
     def test_bitwise_repeatable(self, dataset):
         cfg = tr.TrainConfig(steps=8, batch_size=4, seed=11)
-        a = tr.train(dataset.train, fresh_state(dataset, seed=1), cfg)
-        b = tr.train(dataset.train, fresh_state(dataset, seed=1), cfg)
+        a, _ = train_all(dataset.train, fresh_state(dataset, seed=1), cfg)
+        b, _ = train_all(dataset.train, fresh_state(dataset, seed=1), cfg)
         assert params_equal(a.params, b.params)
         assert params_equal(a.bn_state, b.bn_state)
         assert np.array_equal(a.flat_adam_m, b.flat_adam_m)
 
     def test_seed_changes_run(self, dataset):
-        a = tr.train(dataset.train, fresh_state(dataset, seed=1),
-                     tr.TrainConfig(steps=4, batch_size=4, seed=0))
-        b = tr.train(dataset.train, fresh_state(dataset, seed=1),
-                     tr.TrainConfig(steps=4, batch_size=4, seed=1))
+        a, _ = train_all(dataset.train, fresh_state(dataset, seed=1),
+                         tr.TrainConfig(steps=4, batch_size=4, seed=0))
+        b, _ = train_all(dataset.train, fresh_state(dataset, seed=1),
+                         tr.TrainConfig(steps=4, batch_size=4, seed=1))
         assert not params_equal(a.params, b.params)
 
     def test_loss_csv_rows(self, dataset):
-        rows = Rows()
-        tr.train(dataset.train, fresh_state(dataset),
-                 tr.TrainConfig(steps=5, batch_size=4), log_fh=rows)
-        assert len(rows.rows) == 5
-        first = rows.rows[0].strip().split(",")
+        _, yielded = train_all(dataset.train, fresh_state(dataset),
+                               tr.TrainConfig(steps=5, batch_size=4))
+        assert [step for step, _, _ in yielded] == [1, 2, 3, 4, 5]
+        first = loss_rows(yielded)[0].split(",")
         assert first[0] == "1"
         assert len(first) == len("step,core,jump,vol,gvol,kurt,drift,pinball,spectral,total".split(","))
         for cell in first[1:]:
             float(cell)
 
     def test_core_loss_decreases(self, dataset):
-        rows = Rows()
         cfg = tr.TrainConfig(steps=120, batch_size=8, seed=2)
-        tr.train(dataset.train, fresh_state(dataset, seed=2), cfg, log_fh=rows)
-        core = [float(r.split(",")[1]) for r in rows.rows]
+        core = [breakdown.core for _, breakdown, _ in
+                tr.steps(dataset.train, fresh_state(dataset, seed=2), cfg)]
         early = np.mean(core[:10])
         late = np.mean(core[-10:])
         assert late < early
 
-    def test_checkpoint_cadence(self, dataset):
-        hits = []
-        cfg = tr.TrainConfig(steps=12, batch_size=4, checkpoint_every=5)
-        tr.train(dataset.train, fresh_state(dataset), cfg,
-                 checkpoint_fn=lambda s: hits.append(s.step))
-        assert hits == [5, 10]
-
     def test_empty_slices_rejected(self, dataset):
         with pytest.raises(DataError):
-            tr.train([], fresh_state(dataset), tr.TrainConfig(steps=1))
+            next(tr.steps([], fresh_state(dataset), tr.TrainConfig(steps=1)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_raises(self, dataset):
@@ -251,39 +247,33 @@ class TestResume:
     def test_resume_matches_straight_run(self, dataset, tmp_path):
         cfg = tr.TrainConfig(steps=16, batch_size=4, seed=5)
 
-        straight_rows = Rows()
-        straight = tr.train(dataset.train, fresh_state(dataset, seed=3), cfg,
-                            log_fh=straight_rows)
+        straight, straight_rows = train_all(dataset.train, fresh_state(dataset, seed=3), cfg)
 
-        half_rows = Rows()
         half = fresh_state(dataset, seed=3)
-        tr.train(dataset.train, half, cfg, log_fh=half_rows, stop_step=8)
+        half_rows = list(itertools.islice(tr.steps(dataset.train, half, cfg), 8))
         assert half.step == 8
         ckpt = tmp_path / "half.npz"
         tr.save_checkpoint(ckpt, half)
 
-        resumed = tr.load_checkpoint(ckpt)
-        resumed_rows = Rows()
-        tr.train(dataset.train, resumed, cfg, log_fh=resumed_rows)
+        resumed, resumed_rows = train_all(dataset.train, tr.load_checkpoint(ckpt), cfg)
 
         assert params_equal(straight.params, resumed.params)
         assert params_equal(straight.bn_state, resumed.bn_state)
         assert np.array_equal(straight.flat_adam_m, resumed.flat_adam_m)
         assert np.array_equal(straight.flat_adam_v, resumed.flat_adam_v)
         assert straight.step == resumed.step == 16
-        assert half_rows.rows + resumed_rows.rows == straight_rows.rows
+        assert loss_rows(half_rows + resumed_rows) == loss_rows(straight_rows)
 
     def test_resumed_trace_rows_match_straight_run(self, dataset, tmp_path):
         cfg = tr.TrainConfig(steps=10, batch_size=4, seed=5)
-        straight = Rows()
-        tr.train(dataset.train, fresh_state(dataset, seed=3), cfg, trace_fh=straight)
-        half, rest = Rows(), Rows()
+        _, straight = train_all(dataset.train, fresh_state(dataset, seed=3), cfg)
         state = fresh_state(dataset, seed=3)
-        tr.train(dataset.train, state, cfg, trace_fh=half, stop_step=4)
+        half = list(itertools.islice(tr.steps(dataset.train, state, cfg), 4))
         tr.save_checkpoint(tmp_path / "half.npz", state)
-        tr.train(dataset.train, tr.load_checkpoint(tmp_path / "half.npz"), cfg, trace_fh=rest)
-        assert half.rows + rest.rows == straight.rows
-        assert [r.split(",")[0] for r in straight.rows] == [f"{i}" for i in range(1, 11)]
+        _, rest = train_all(dataset.train, tr.load_checkpoint(tmp_path / "half.npz"), cfg)
+        straight = trace_rows(straight, cfg.clip_norm)
+        assert trace_rows(half + rest, cfg.clip_norm) == straight
+        assert [r.split(",")[0] for r in straight] == [f"{i}" for i in range(1, 11)]
 
 
 class TestFlatState:
@@ -296,8 +286,7 @@ class TestFlatState:
         state = fresh_state(dataset, seed=6)
         init_params = {k: v.copy() for k, v in state.params.items()}
         init_bn = {k: v.copy() for k, v in state.bn_state.items()}
-        rows, trace = Rows(), Rows()
-        tr.train(dataset.train, state, cfg, log_fh=rows, trace_fh=trace)
+        _, yielded = train_all(dataset.train, state, cfg)
         params, adam_m, adam_v, bn_state, ref_rows, ref_trace = oracles.train_reference(
             dataset.train, init_params, init_bn, state.net, state.sched, state.mode,
             state.return_scale, cfg, LossConfig(), cfg.steps)
@@ -306,14 +295,14 @@ class TestFlatState:
         assert bits_equal(dn.unflatten_params(state.flat_adam_m, spec), adam_m)
         assert bits_equal(dn.unflatten_params(state.flat_adam_v, spec), adam_v)
         assert bits_equal(state.bn_state, bn_state)
-        assert [r.rstrip("\n") for r in rows.rows] == ref_rows
-        cells = [r.rstrip("\n").split(",") for r in trace.rows]
+        assert loss_rows(yielded) == ref_rows
+        cells = [r.split(",") for r in trace_rows(yielded, cfg.clip_norm)]
         assert [(float(c[1]), c[2]) for c in cells] == [
             (norm, str(int(clipped))) for norm, clipped in ref_trace]
         assert 0 < sum(clipped for _, clipped in ref_trace) < cfg.steps
 
     def test_truth_table_run_equals_the_on_the_fly_oracle(self, dataset, monkeypatch):
-        # train computes the loss's truth statistics once per run; the oracle
+        # steps computes the loss's truth statistics once per run; the oracle
         # loop leaves total_loss to compute them per batch.  Lengths 1, 3, 7
         # and 18-20, a zero slice (no kurtosis or spectrum) and a vol window
         # of 9 at stride 2, longer than the shortest slices.
@@ -330,9 +319,8 @@ class TestFlatState:
                               tr.compute_return_scale(slices), 2)
         init_params = {k: v.copy() for k, v in state.params.items()}
         init_bn = {k: v.copy() for k, v in state.bn_state.items()}
-        rows, trace = Rows(), Rows()
         with pytest.warns(RuntimeWarning):
-            tr.train(slices, state, cfg, loss, log_fh=rows, trace_fh=trace)
+            _, yielded = train_all(slices, state, cfg, loss)
 
         breakdowns = []
         on_the_fly = tr.objectives.total_loss
@@ -353,8 +341,8 @@ class TestFlatState:
         assert bits_equal(dn.unflatten_params(state.flat_adam_m, spec), adam_m)
         assert bits_equal(dn.unflatten_params(state.flat_adam_v, spec), adam_v)
         assert bits_equal(state.bn_state, bn_state)
-        assert [r.rstrip("\n") for r in rows.rows] == ref_rows
-        assert [r.rstrip("\n") for r in trace.rows] == [
+        assert loss_rows(yielded) == ref_rows
+        assert trace_rows(yielded, cfg.clip_norm) == [
             tr.format_trace_row(step, norm, cfg.clip_norm, bd)
             for step, ((norm, _), bd) in enumerate(zip(ref_trace, breakdowns), start=1)]
         skipped = {term for bd in breakdowns for term, _ in bd.skipped}
@@ -371,8 +359,8 @@ class TestFlatState:
                 assert vector.dtype == np.float64 and vector.flags.c_contiguous
                 assert vector.shape == (dn.param_count(state.net),)
 
-        state = tr.train(dataset.train, fresh_state(dataset, seed=4),
-                         tr.TrainConfig(steps=3, batch_size=4, seed=4))
+        state, _ = train_all(dataset.train, fresh_state(dataset, seed=4),
+                             tr.TrainConfig(steps=3, batch_size=4, seed=4))
         check(state)
         tr.save_checkpoint(tmp_path / "ckpt.npz", state)
         back = tr.load_checkpoint(tmp_path / "ckpt.npz")
@@ -414,15 +402,15 @@ class TestFlatState:
             return step(*args)
 
         monkeypatch.setattr(tr, "train_step", spy)
-        tr.train(dataset.train, fresh_state(dataset), tr.TrainConfig(steps=3, batch_size=4))
+        train_all(dataset.train, fresh_state(dataset), tr.TrainConfig(steps=3, batch_size=4))
         assert len(seen) == 3 and isinstance(seen[0], nn.Workspace)
         assert all(ws is seen[0] for ws in seen)
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, dataset, tmp_path):
-        state = tr.train(dataset.train, fresh_state(dataset, seed=4),
-                         tr.TrainConfig(steps=3, batch_size=4, seed=4))
+        state, _ = train_all(dataset.train, fresh_state(dataset, seed=4),
+                             tr.TrainConfig(steps=3, batch_size=4, seed=4))
         path = tmp_path / "ckpt.npz"
         tr.save_checkpoint(path, state)
         back = tr.load_checkpoint(path)
