@@ -54,8 +54,8 @@ from .denoiser import DenoiserConfig
 from .errors import ConfigError, DataError, PQLabError
 from .objectives import LOSS_CSV_HEADER, format_loss_row
 
-# Salt mixed into the per-slice Q seed so the generator's sampling stream
-# never collides with the GBM pricing stream of the same slice.
+# Salt mixed into a test slice's seed, child_seed(game seed, slice index), to
+# give its P sampling stream.
 P_SOURCE_SALT = 0x50
 
 
@@ -263,16 +263,20 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
             log.write(head)
     # the logs stream their rows in place, flushed before each snapshot is saved
     every = cfg.train.checkpoint_every
-    with _append(log_path) as fh, _append(trace_path) as trace_fh:
-        for step, breakdown, norm in training.steps(split.train, state, cfg.train, cfg.loss):
-            fh.write(format_loss_row(step, breakdown) + "\n")
-            trace_fh.write(training.format_trace_row(step, norm, cfg.train.clip_norm,
-                                                     breakdown) + "\n")
-            if every and step % every == 0:
-                fh.flush()
-                trace_fh.flush()
-                training.save_checkpoint(os.path.join(out, f"checkpoint_step{step}.npz"),
-                                         state)
+    try:
+        with _append(log_path) as fh, _append(trace_path) as trace_fh:
+            for step, breakdown, norm in training.steps(split.train, state, cfg.train,
+                                                        cfg.loss):
+                fh.write(format_loss_row(step, breakdown) + "\n")
+                trace_fh.write(training.format_trace_row(step, norm, cfg.train.clip_norm,
+                                                         breakdown) + "\n")
+                if every and step % every == 0:
+                    fh.flush()
+                    trace_fh.flush()
+                    training.save_checkpoint(
+                        os.path.join(out, f"checkpoint_step{step}.npz"), state)
+    except OSError as exc:  # a write, a flush or the closing flush of a log
+        raise DataError(f"cannot append to {log_path} or {trace_path}: {exc}") from exc
     training.save_checkpoint(os.path.join(out, "checkpoint.npz"), state)
     _echo_config(cfg)
     print(f"trained to step {state.step}; wrote {os.path.join(out, 'checkpoint.npz')}")
@@ -325,14 +329,13 @@ def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
 def _model_p_source(model, sched, cfg: runconfig.RunConfig, test_slices):
     """P's price paths for each test slice, from one sampler stream.
 
-    A slice's P seed comes from its product-blind Q seed
-    (``pq_game.slice_q_params``).  ``value_slices`` asks for the slices in
-    order, so each call takes the stream's next array; a slice asked out
-    of that order is a DataError.
+    Slice idx's P seed is child_seed(child_seed(game seed, idx),
+    P_SOURCE_SALT), the same for every product.  ``value_slices`` asks for
+    the slices in order, so each call takes the stream's next array; a
+    slice asked out of that order is a DataError.
     """
     scfg = replace(cfg.sampler, n_paths=cfg.game.p_paths)
-    requests = [(s.condition, mp.child_seed(pq_game.slice_q_params(idx, s, cfg.game).seed,
-                                            P_SOURCE_SALT))
+    requests = [(s.condition, mp.child_seed(mp.child_seed(cfg.game.seed, idx), P_SOURCE_SALT))
                 for idx, s in enumerate(test_slices)]
     stream = sampler.sample_requests(model, scfg, requests, sched)
     expected = iter(test_slices)

@@ -705,21 +705,17 @@ def artifact(path, mode: str = "w"):
     """Yield ``<path>.tmp``, open as UTF-8 text with ``newline=""`` (binary for "wb"),
     and ``os.replace`` it onto ``path`` on a clean exit.  An error removes it and
     re-raises, so ``path`` keeps its old bytes; a kill can leave the ``.tmp``, which
-    the next write of ``path`` overwrites.  An OSError of the writer's own open,
-    close (the last flush) or replace is a DataError naming ``path``; what the
-    caller raises inside the block passes through as it is."""
+    the next write of ``path`` overwrites.  An OSError, of the open, of the
+    caller's writes inside the block (a full disk), of the close (the last flush)
+    or of the replace, is a DataError naming ``path``; anything else the caller
+    raises inside the block passes through as it is."""
     tmp, text = f"{path}.tmp", "b" not in mode
-    in_block = False
     try:
         with open(tmp, mode, encoding="utf-8" if text else None,
                   newline="" if text else None) as fh:
-            in_block = True
             yield fh
-            in_block = False
         os.replace(tmp, path)
     except OSError as exc:
-        if in_block:
-            raise
         raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.isfile(tmp):

@@ -7,12 +7,14 @@ fires only when P's value clears the quote by more than the threshold, and
 settles against the realized historical path.  Accounting is zero-sum:
 Q's P&L is minus P's, bit for bit.
 
-``value_slices`` walks the test slices once for the whole book.  Q's
-seed and GBM settings of a slice do not depend on the product, and
-neither does P's sample, so each slice gets one Q simulation that prices
-every product (common random numbers, ``price_all``) and one P sample
-that values every product on one read-only view; ``run_game`` then plays
-the greediness levels of one product on its slice values.  A
+``value_slices`` values the whole book on every test slice.  Q's seed is
+one per game, and a slice's GBM settings do not depend on the product, so
+one ``price_books`` call prices every product on every slice from one
+Brownian block per chunk (common random numbers; each slice's estimate
+stays unbiased, only its error is correlated with the other slices').
+P's sample does not depend on the product either, so each slice gets one
+P sample that values every product on one read-only view; ``run_game``
+then plays the greediness levels of one product on its slice values.  A
 multi-product game therefore equals single-product games byte for byte.
 All three legs share one estimator: the realized value is ``p_price`` on
 the slice's own close row, so a change to discounting or to the estimate
@@ -40,11 +42,13 @@ from .market_paths import TRADING_DAYS_PER_YEAR, PathSlice, child_seed, to_price
 from .payoffs import (ABSOLUTE_LEVELS, RELATIVE_LEVELS, CONTRACT_TYPES,  # noqa: F401
                       ContractSpec, contract_cashflows)
 # price is re-exported: perfbench wraps pq_game.price by name
-from .q_pricer import MAX_Q_PATHS, GbmParams, p_price, price, price_all  # noqa: F401
+from .q_pricer import MAX_Q_PATHS, GbmParams, p_price, price, price_books  # noqa: F401
 from .sampler import MAX_PATHS
 
 EPS_DEN = 1e-9
 DEFAULT_THRESHOLD = 0.10
+# salt of the game's one Q seed, child_seed(game seed, Q_SEED_SALT)
+Q_SEED_SALT = 0x51
 
 # product name -> contract class, the one product table
 CONTRACTS = {cls.__name__.lower(): cls for cls in CONTRACT_TYPES}
@@ -248,21 +252,22 @@ class SliceValue(NamedTuple):
     realized: float
 
 
-def slice_q_params(idx: int, s: PathSlice, config: GameConfig) -> GbmParams:
-    """Q's GBM settings for test slice idx; its seed depends on idx, not the product."""
+def slice_q_params(s: PathSlice, config: GameConfig) -> GbmParams:
+    """Q's GBM settings for a test slice: its s0, matched rate, historical
+    sigma and horizon, and the game's one Q seed, which depends neither on
+    the slice nor on the product, so every slice is priced on the same
+    Brownian block."""
     cond = s.condition
     return GbmParams(
         s0=s.s0, r=cond.r, sigma=cond.sigma_hist, n_days=cond.n_trading,
-        n_paths=config.q_paths, seed=child_seed(config.seed, idx),
+        n_paths=config.q_paths, seed=child_seed(config.seed, Q_SEED_SALT),
     )
 
 
-def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConfig,
-                 threads: int) -> list[SliceValue]:
+def _value_slice(idx: int, s: PathSlice, params: GbmParams, fairs, book: tuple, p_source,
+                 config: GameConfig) -> list[SliceValue]:
     # one call per slice: its P paths are dropped before the next slice's arrive
     cond = s.condition
-    params = slice_q_params(idx, s, config)
-    fairs = price_all(book, params, t_calendar=cond.t_calendar, threads=threads)
     paths = np.asarray(p_source(s, params), dtype=np.float64).view()
     if paths.ndim != 2 or paths.shape[1] != cond.n_trading:
         raise DataError(
@@ -281,25 +286,30 @@ def _value_slice(idx: int, s: PathSlice, book: tuple, p_source, config: GameConf
 
 def value_slices(test_slices, contracts, p_source, config: GameConfig = GameConfig(),
                  threads: int = 1) -> tuple[tuple[SliceValue, ...], ...]:
-    """Value every contract of the book on each test slice, in one pass.
+    """Value every contract of the book on each test slice.
 
-    Per slice, one ``price_all`` call prices the book for Q (on ``threads``
-    workers, to the same values) and one p_source(slice, q_params) call
-    returns P's (n_paths, n_days) price paths.  q_params carries the
-    slice's s0, matched rate, historical sigma, horizon and Q seed, so a
-    source that simulates GBM from it reproduces Q's value (a source that
-    samples ahead finds the q_params of later slices with
-    ``slice_q_params``).  Every contract is valued on one read-only view of
-    those paths, which are dropped before the next slice's call, so the
-    source decides how many slices' paths are alive at a time.  Returns
-    one SliceValue per slice for each contract, in book order.
+    One ``price_books`` call prices the book for Q on every slice first,
+    from one Brownian block per chunk (on ``threads`` workers, to the same
+    values).  Then, per slice, one p_source(slice, q_params) call returns
+    P's (n_paths, n_days) price paths.  q_params (``slice_q_params``)
+    carries the slice's s0, matched rate, historical sigma, horizon and the
+    game's Q seed, so a source that simulates GBM from it reproduces the
+    paths Q priced (a source that samples ahead finds the q_params of later
+    slices with ``slice_q_params``).  Every contract is valued on one
+    read-only view of those paths, which are dropped before the next
+    slice's call, so the source decides how many slices' paths are alive at
+    a time.  Returns one SliceValue per slice for each contract, in book
+    order.
     """
     test_slices = list(test_slices)
     if not test_slices:
         raise DataError("no test slices to play")
     book = tuple(contracts)
-    rows = [_value_slice(idx, s, book, p_source, config, threads)
-            for idx, s in enumerate(test_slices)]
+    params = [slice_q_params(s, config) for s in test_slices]
+    fairs = price_books([(book, p, s.condition.t_calendar)
+                         for s, p in zip(test_slices, params)], threads)
+    rows = [_value_slice(idx, s, q_params, book_fairs, book, p_source, config)
+            for idx, (s, q_params, book_fairs) in enumerate(zip(test_slices, params, fairs))]
     return tuple(zip(*rows))
 
 

@@ -2,28 +2,29 @@
 
 Paths use the exact log-Euler discretization on the trading-day grid,
 
-    S_{t+1} = S_t * exp((r - sigma^2/2)/252 + sigma * sqrt(1/252) * Z),
+    S_k = s0 * exp(sigma * sqrt(1/252) * W_k + (r - sigma^2/2)/252 * k),
 
-so there is no discretization bias for GBM.  Simulation is chunked with
-one RNG substream per chunk (seed sequence [seed, chunk]).  Each chunk
-draws its normals path by path, ``(rows, days)``, and sums them into a
-day-major ``(days, rows)`` array, one vector add per day: the paths keep
-their bits, and the kernels read whole days as rows (see ``payoffs``).
-``book_values`` is the checked valuation entry: it checks one path set
-once for a whole book and adds each path's discounted flows in day
-order.  The estimator reduces per-path values with an exact, correctly
-rounded sum (``_exact_sum``, a vectorised superaccumulator with
-``math.fsum``'s bits), making the result independent of chunk evaluation
-order.  ``price_all`` values several
-contracts on each simulated chunk, so every product of a game slice is
-priced from one path set (common random numbers); ``price`` is
-``price_all`` on one contract.  ``p_price`` applies the same
-estimator to externally generated paths, so P and Q valuations share
-every arithmetic step; the game's realized leg is ``p_price`` on one
-path, whose estimate is that path's discounted value exactly.
-``price_all`` calls ``book_values`` once per chunk, and
-``discounted_values`` and ``p_price`` are it on one contract: this
-module is the game's one discounting path.
+with W_k the sum of k standard normals, so there is no discretization
+bias for GBM.  Simulation is chunked, and each chunk is one day-major
+Brownian block (``_brownian_block``): day d of chunk c draws its normals
+from its own stream (seed sequence [seed, c, d]), and each day's row adds
+the row before it.  So path i and day d do not depend on how many paths
+or days are simulated, and ``_closes`` turns the first n_days rows of one
+block into any GBM's closes.  ``book_values`` is the checked valuation
+entry: it checks one path set once for a whole book and adds each path's
+discounted flows in day order.  The estimator (``_Moments``) streams
+exact sums (``_exact_total``, a vectorised superaccumulator) chunk by
+chunk, so only those sums outlive a chunk.  ``price_books`` values
+several books, each on its own GBM (s0, rate, sigma, days), on one
+Brownian block per chunk: every product of every game slice is priced on
+the same normals (common random numbers).  ``price_all`` is one book and
+``price`` one contract.  ``p_price`` applies the same estimator to
+externally generated paths, so P and Q valuations share every arithmetic
+step; the game's realized leg is ``p_price`` on one path, whose estimate
+is that path's discounted value exactly.  ``price_books`` calls
+``book_values`` once per chunk and book, and ``discounted_values`` and
+``p_price`` are it on one contract: this module is the game's one
+discounting path.
 """
 
 from __future__ import annotations
@@ -41,13 +42,9 @@ from .payoffs import ContractSpec, book_flows, day_sum
 # Fixed chunk size so the path set is identical whether it is
 # materialized in one array or streamed chunk by chunk.
 CHUNK_PATHS = 16_384
-# paths per block of normals while a chunk is simulated: at 252 days,
-# blocks of 512 rows cost more in per-day adds than they save in memory
-_DRAW_ROWS = 4_096
-# Most Q paths per valuation: price_all keeps one float64 value per path and
-# contract, and concatenates each contract's, so the five products of a
-# game slice hold about 2 x 5 x 32 MiB at 2**22 paths (210 times the
-# default 20,000), beside one chunk per worker.
+# Most Q paths per valuation, 210 times the default 20,000.  Memory does
+# not grow with it, since only exact sums outlive a chunk (one Brownian
+# block, and one closes buffer per worker); it bounds the run time.
 MAX_Q_PATHS = 2**22
 
 
@@ -90,34 +87,43 @@ class PriceEstimate:
             raise DataError("std_error must be non-negative")
 
 
-def _simulate_chunk(params: GbmParams, chunk: int, n_rows: int) -> np.ndarray:
-    """One chunk's closes, day-major: an (n_days, n_rows) C-contiguous array.
+def _brownian_block(seed: int, chunk: int, out: np.ndarray) -> np.ndarray:
+    """Chunk ``chunk``'s Brownian block, day-major, written into ``out``.
 
-    The normals are drawn path-major, (rows, days), as one (n_rows, n_days)
-    draw would give them, _DRAW_ROWS paths at a time into one reused block,
-    so no second chunk-sized array costs its page faults.
+    Row d of ``out`` (n_days, rows) receives day d's standard normals, its
+    own stream [seed, chunk, d], and then adds row d - 1, so row d holds
+    the walk W_{d+1} of every path.  Path i and day d are therefore the
+    same for any number of rows or days asked for.
     """
-    rng = np.random.default_rng([params.seed, chunk])
+    for day, row in enumerate(out):
+        np.random.default_rng([seed, chunk, day]).standard_normal(out=row)
+        if day:
+            row += out[day - 1]
+    return out
+
+
+def _closes(params: GbmParams, walk: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GBM closes s0 * exp(vol * W_k + drift * k), k = 1..n_days, into ``out``.
+
+    ``walk`` is a Brownian block's first n_days rows and ``out`` has its
+    shape (it may be ``walk`` itself).  Keep the operation order: the game
+    and ``simulate_gbm`` both form their closes here, and tests compare
+    the paths bit for bit.
+    """
     dt = 1.0 / TRADING_DAYS_PER_YEAR
     vol = params.sigma * math.sqrt(dt)
     drift = (params.r - 0.5 * params.sigma**2) * dt
-    closes = np.empty((params.n_days, n_rows))
-    block = np.empty((min(_DRAW_ROWS, n_rows), params.n_days))
-    # s0 * exp(cumsum(drift + vol * z)); keep the operation order, since
-    # tests compare the paths bit for bit.  The running sum adds one day's
-    # column of the block at a time
-    for start in range(0, n_rows, _DRAW_ROWS):
-        z = block[:n_rows - start]  # the last block may be short
-        rng.standard_normal(out=z)
-        z *= vol
-        z += drift
-        out = closes[:, start:start + len(z)]
-        out[0] = z[:, 0]
-        for day in range(1, params.n_days):
-            np.add(out[day - 1], z[:, day], out=out[day])
-    np.exp(closes, out=closes)
-    closes *= params.s0
-    return closes
+    np.multiply(walk, vol, out=out)
+    out += drift * np.arange(1, len(out) + 1)[:, None]
+    np.exp(out, out=out)
+    out *= params.s0
+    return out
+
+
+def _simulate_chunk(params: GbmParams, chunk: int, n_rows: int) -> np.ndarray:
+    """One chunk's closes, day-major: an (n_days, n_rows) C-contiguous array."""
+    walk = _brownian_block(params.seed, chunk, np.empty((params.n_days, n_rows)))
+    return _closes(params, walk, walk)
 
 
 def _chunk_sizes(n_paths: int):
@@ -186,15 +192,15 @@ _EXP_BIAS = 1073
 _BLOCK = 2**26
 
 
-def _exact_sum(values: np.ndarray, what: str = "the sum") -> float:
-    """The correctly rounded sum of float64 values: math.fsum's bits.
+def _exact_total(values: np.ndarray, what: str) -> int:
+    """The exact sum of float64 values, as an integer count of 2**-(1073 + 53).
 
     Neal's superaccumulator (arXiv:1505.05571) in numpy: each part of the
     significands is summed per exponent with ``np.bincount``, exactly in
-    float64; the few non-empty buckets are added as Python ints, and int
-    true division, which Python rounds correctly, rounds once.  The empty
-    and the all-zero sums are +0.0.  A non-finite value or a sum beyond
-    float64 is a DataError naming ``what`` the sum is for.
+    float64, and the few non-empty buckets are added as Python ints.  Ints
+    add exactly, so totals of several blocks add to the total of all their
+    values.  A non-finite value is a DataError naming ``what`` the sum is
+    for.
     """
     if not np.isfinite(values).all():
         raise DataError(f"price estimate: {what} has a non-finite term")
@@ -211,32 +217,122 @@ def _exact_sum(values: np.ndarray, what: str = "the sum") -> float:
         live = np.flatnonzero((hi_sums != 0.0) | (lo_sums != 0.0))
         for k, h, lo in zip(live.tolist(), hi_sums[live].tolist(), lo_sums[live].tolist()):
             total += ((int(h) << _LO_BITS) + int(lo)) << k
+    return total
+
+
+def _rounded(total: int, what: str, n: int) -> float:
+    """An ``_exact_total`` rounded once to float64 (int true division, which
+    Python rounds correctly); zero is +0.0, and a total beyond float64 is a
+    DataError naming ``what`` and the ``n`` terms."""
     try:
         return total / (1 << (_EXP_BIAS + 53))
     except OverflowError:
         raise DataError(
-            f"price estimate: {what} overflows float64 (a sum of {len(values)} terms)"
+            f"price estimate: {what} overflows float64 (a sum of {n} terms)"
         ) from None
 
 
-def _estimate(values: np.ndarray) -> PriceEstimate:
-    """Mean and standard error from exact sums of the values and deviations."""
-    n = len(values)
-    mean = _exact_sum(values, "the mean") / n
-    if n > 1:
+class _Moments:
+    """Mean and standard error of values fed a block at a time.
+
+    The sums are exact (``_exact_total``), so the mean does not depend on
+    how the values are split.  Squares are taken about a shift c, the
+    rounded mean of the first block, and var = (fl(S) - n (m - c)^2) /
+    (n - 1), where S is their exact sum; while all values came in one
+    block, c is the mean m and var is fl(S) / (n - 1).  Only the exact
+    totals outlive a block.
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.total = 0
+        self.squares = 0
+        self.shift = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        total = _exact_total(values, "the mean")
+        if not self.n:
+            self.shift = _rounded(total, "the mean", len(values)) / len(values)
         # numpy squares each deviation as one correctly rounded product and
         # the sum is exact, so the result equals a per-element loop of fsum
         # over d * d bit for bit (not over Python's d ** 2, whose C library
         # pow can be 1 ULP off); a square beyond float64 is inf, which the
         # sum reports as a DataError
         with np.errstate(over="ignore"):
-            dev = values - mean
+            dev = values - self.shift
             dev *= dev
-        var = _exact_sum(dev, "the variance") / (n - 1)
-        std_error = math.sqrt(var / n)
-    else:
+        self.squares += _exact_total(dev, "the variance")
+        self.total += total
+        self.n += len(values)
+
+    def estimate(self) -> PriceEstimate:
+        n = self.n
+        mean = _rounded(self.total, "the mean", n) / n
         std_error = 0.0
-    return PriceEstimate(value=mean, std_error=std_error, n_paths=n)
+        if n > 1:
+            offset = mean - self.shift
+            var = (_rounded(self.squares, "the variance", n) - n * (offset * offset)) / (n - 1)
+            std_error = math.sqrt(max(var, 0.0) / n)
+        return PriceEstimate(value=mean, std_error=std_error, n_paths=n)
+
+
+def _estimate(values: np.ndarray) -> PriceEstimate:
+    """Mean and standard error of a value set, fed in ``CHUNK_PATHS`` blocks
+    as Q feeds its chunks, so P on Q's own paths equals Q bit for bit."""
+    moments = _Moments()
+    for start in range(0, len(values), CHUNK_PATHS):
+        moments.add(values[start:start + CHUNK_PATHS])
+    return moments.estimate()
+
+
+def price_books(jobs, threads: int = 1) -> tuple[tuple[PriceEstimate, ...], ...]:
+    """Q-side fair values of several books, each on its own GBM, from one
+    Brownian block per chunk.
+
+    ``jobs`` are (contracts, GbmParams, t_calendar) triples that share
+    n_paths and seed (a mismatch is a ConfigError); their s0, r, sigma and
+    n_days may differ.  Per chunk, one block of max(n_days) rows is
+    cumulated, and each job is valued on its first n_days rows through a
+    reused closes buffer, made read-only, with one ``book_values`` call.
+    ``threads`` workers value the jobs of a chunk side by side, each with
+    its own buffer (a lone job's closes overwrite the block); the next
+    chunk starts when they are done.  So the peak holds one block and one
+    closes buffer per worker, and only exact sums outlive a chunk.
+    Returns one estimate per contract, per job, in order; each equals
+    ``p_price`` on ``simulate_gbm(params)`` bit for bit.
+    """
+    jobs = [(tuple(contracts), params, t_calendar) for contracts, params, t_calendar in jobs]
+    n_paths, seed = jobs[0][1].n_paths, jobs[0][1].seed
+    if any((params.n_paths, params.seed) != (n_paths, seed) for _, params, _ in jobs):
+        raise ConfigError("jobs priced on one Brownian block must share n_paths and seed")
+    rows = min(n_paths, CHUNK_PATHS)
+    l_max = max(params.n_days for _, params, _ in jobs)
+    n_lanes = max(1, min(threads, len(jobs)))
+    lanes = [range(w, len(jobs), n_lanes) for w in range(n_lanes)]
+    moments = [[_Moments() for _ in contracts] for contracts, _, _ in jobs]
+    walk_buf = np.empty(l_max * rows)
+    # a lone job's closes overwrite the block, which it alone reads
+    bufs = [walk_buf] if len(jobs) == 1 else [np.empty(l_max * rows) for _ in lanes]
+
+    def value(lane, buf, walk):
+        n_rows = walk.shape[1]
+        for j in lane:
+            contracts, params, t_calendar = jobs[j]
+            n_days = params.n_days
+            closes = _closes(params, walk[:n_days], buf[:n_days * n_rows].reshape(n_days, n_rows))
+            closes.setflags(write=False)
+            values = book_values(contracts, closes.T, params.s0, params.r, t_calendar)
+            for acc, v in zip(moments[j], values):
+                acc.add(v)
+
+    with ThreadPoolExecutor(max_workers=n_lanes) as pool:
+        for chunk, n_rows in enumerate(_chunk_sizes(n_paths)):
+            walk = _brownian_block(seed, chunk, walk_buf[:l_max * n_rows].reshape(l_max, n_rows))
+            if n_lanes > 1:
+                list(pool.map(value, lanes, bufs, [walk] * n_lanes))
+            else:
+                value(lanes[0], bufs[0], walk)
+    return tuple(tuple(acc.estimate() for acc in job) for job in moments)
 
 
 def price_all(
@@ -245,29 +341,10 @@ def price_all(
     t_calendar: float | None = None,
     threads: int = 1,
 ) -> tuple[PriceEstimate, ...]:
-    """Q-side fair values of several contracts from one GBM simulation.
-
-    Each chunk of paths is simulated once, made read-only and valued for
-    every contract by one ``book_values`` call, which checks it once; only
-    the per-path values outlive the chunk, so the peak holds one chunk per
-    worker plus len(contracts) x n_paths floats.  Each estimate equals
-    pricing its contract alone, bit for bit.
-    """
-    contracts = tuple(contracts)
-
-    def run(args):
-        chunk, rows = args
-        closes = _simulate_chunk(params, chunk, rows)
-        closes.setflags(write=False)
-        return book_values(contracts, closes.T, params.s0, params.r, t_calendar)
-
-    jobs = list(enumerate(_chunk_sizes(params.n_paths)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    return tuple(_estimate(np.concatenate(values)) for values in zip(*parts))
+    """Q-side fair values of several contracts from one GBM simulation:
+    ``price_books`` on one job.  Each estimate equals pricing its contract
+    alone, bit for bit."""
+    return price_books([(contracts, params, t_calendar)], threads)[0]
 
 
 def price(

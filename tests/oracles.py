@@ -25,39 +25,48 @@ def black_scholes_call(s0, k, r, sigma, t):
     return s0 * norm.cdf(d1) - k * math.exp(-r * t) * norm.cdf(d2)
 
 
-def estimate_reference(values):
+def estimate_reference(values, chunk_paths):
     """Mean and standard error as a per-element Python loop over the values.
 
-    Reference for ``q_pricer._estimate``: returns (mean, std_error).
+    Reference for ``q_pricer._estimate``: returns (mean, std_error).  The
+    squares are taken about c, the mean of the first ``chunk_paths`` values
+    (so c is the mean itself when there are no more), and
+    var = (S - n (m - c)^2) / (n - 1), with S their correctly rounded sum.
     """
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
+        first = values[:chunk_paths]
+        shift = math.fsum(first) / len(first)
         # d * d is one correctly rounded product; d ** 2 goes through the C
         # library's pow, which on some platforms is 1 ULP off
-        var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
-        return mean, math.sqrt(var / n)
+        squares = math.fsum((v - shift) * (v - shift) for v in values)
+        var = (squares - n * ((mean - shift) * (mean - shift))) / (n - 1)
+        return mean, math.sqrt(max(var, 0.0) / n)
     return mean, 0.0
 
 
 def simulate_gbm_reference(params, chunk_paths):
-    """Out-of-place GBM chunks, one RNG substream [seed, chunk] per chunk.
+    """Out-of-place GBM chunks, one normal stream [seed, chunk, day] per day.
 
-    Reference for ``q_pricer.simulate_gbm``: each chunk is
-    s0 * exp(cumsum(drift + vol * z)) over its own standard normal draw.
+    Reference for ``q_pricer.simulate_gbm``: a chunk's day d is a standard
+    normal draw of one value per path from its own stream; the Brownian
+    walk W is their cumulative sum over days, and the closes are
+    s0 * exp(vol * W_k + drift * k) on days k = 1..n_days.
     """
+    dt = 1.0 / 252.0
+    vol = params.sigma * math.sqrt(dt)
+    drift = (params.r - 0.5 * params.sigma**2) * dt
+    days = np.arange(1, params.n_days + 1)[:, None]
     chunks = []
     done = 0
     chunk = 0
     while done < params.n_paths:
         rows = min(chunk_paths, params.n_paths - done)
-        rng = np.random.default_rng([params.seed, chunk])
-        z = rng.standard_normal((rows, params.n_days))
-        dt = 1.0 / 252.0
-        increments = (params.r - 0.5 * params.sigma**2) * dt + params.sigma * math.sqrt(
-            dt
-        ) * z
-        chunks.append(params.s0 * np.exp(np.cumsum(increments, axis=1)))
+        z = np.array([np.random.default_rng([params.seed, chunk, day]).standard_normal(rows)
+                      for day in range(params.n_days)])
+        walk = np.cumsum(z, axis=0)
+        chunks.append((params.s0 * np.exp(vol * walk + drift * days)).T)
         done += rows
         chunk += 1
     return np.vstack(chunks)

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import errno
 import json
 import math
 import os
@@ -433,6 +434,74 @@ class TestFileSystemFaults:
     def test_log_that_cannot_be_opened_to_append_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot append to"):
             cli._append(str(tmp_path))
+
+    def test_full_disk_under_savez_keeps_the_slice_store(self, tmp_path, capsys,
+                                                         monkeypatch):
+        ini, out = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        before = read_bytes(out, "slices.npz")
+        savez = np.savez
+
+        def full_disk(file, **arrays):  # the whole new archive, then a full disk
+            savez(file, **arrays)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", full_disk)
+        self.run(capsys, ["prepare", ini], 3, os.path.join(out, "slices.npz"))
+        assert read_bytes(out, "slices.npz") == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+    def test_full_disk_under_a_csv_row_keeps_the_game_file(self, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "full")
+        assert cli.main(["game", ini, "--out-dir", dest]) == 0
+        capsys.readouterr()
+        before = read_bytes(dest, "game_european_0.0.csv")
+        real_writer = csv.writer
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+
+            def writerow(self, row):
+                return self.writer.writerow(row)
+
+            def writerows(self, rows):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(csv, "writer", FullDisk)
+        self.run(capsys, ["game", ini, "--out-dir", dest], 3,
+                 os.path.join(dest, "game_european_0.0.csv"))
+        assert read_bytes(dest, "game_european_0.0.csv") == before
+        assert not [name for name in os.listdir(dest) if name.endswith(".tmp")]
+
+    def test_full_disk_under_a_log_flush_is_data_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        ini, out = write_workspace(tmp_path)
+        assert cli.main(["prepare", ini]) == 0
+        real_append = cli._append
+
+        class FullDisk:
+            def __init__(self, path):
+                self.fh = real_append(path)
+
+            def write(self, text):
+                return self.fh.write(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "_append", FullDisk)
+        self.run(capsys, ["train", ini], 3, os.path.join(out, "loss_log.csv"))
+        # the flush before the first snapshot failed, so no snapshot was saved
+        assert not os.path.exists(os.path.join(out, "checkpoint_step10.npz"))
 
 
 class TestNonFiniteSliceStore:
@@ -1244,8 +1313,8 @@ class TestSharedPPaths:
         cfg = rc.load_config(ini)
         test = mp.load_slices(os.path.join(out, "slices.npz")).test
         # one run asks for every test slice, in order, with its P seed
-        seeds = [mp.child_seed(pq_game.slice_q_params(idx, s, cfg.game).seed,
-                               cli.P_SOURCE_SALT) for idx, s in enumerate(test)]
+        seeds = [mp.child_seed(mp.child_seed(cfg.game.seed, idx), cli.P_SOURCE_SALT)
+                 for idx in range(len(test))]
         assert len(runs) == 1
         requests, n_paths = runs[0]
         assert n_paths == cfg.game.p_paths
@@ -1257,26 +1326,31 @@ class TestSharedPPaths:
                           for first in range(0, len(test), per_chunk)]
         assert len(chunks) > 1
 
-    def test_q_paths_simulated_once_per_test_slice(
-        self, workspace, tmp_path, monkeypatch
-    ):
+    def test_one_normal_stream_per_chunk_and_day(self, workspace, tmp_path, monkeypatch):
+        # Q draws each chunk's normals once for every test slice: one stream
+        # per (chunk, day) of the longest slice, however many slices there are
         _, out = workspace
-        chunks = []
-        real = q_pricer._simulate_chunk
+        streams = []
+        real = np.random.default_rng
 
-        def counting(params, chunk, n_rows):
-            chunks.append((params.seed, chunk))
-            return real(params, chunk, n_rows)
+        def counting(seed=None):
+            streams.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(q_pricer, "_simulate_chunk", counting)
+        monkeypatch.setattr(np.random, "default_rng", counting)
         dest = copy_game_inputs(out, tmp_path / "counted")
         q_paths = q_pricer.CHUNK_PATHS + 1
-        assert cli.main(["game", self.multi_product_ini(out, tmp_path, q_paths),
-                         "--out-dir", dest]) == 0
-        manifest = mp.read_manifest(os.path.join(out, "dataset.manifest"))
-        n_test = int(manifest["test_slices"])
-        assert len(chunks) == n_test * math.ceil(q_paths / q_pricer.CHUNK_PATHS)
-        assert len(set(chunks)) == len(chunks)
+        ini = self.multi_product_ini(out, tmp_path, q_paths)
+        assert cli.main(["game", ini, "--out-dir", dest]) == 0
+        cfg = rc.load_config(ini)
+        test = mp.load_slices(os.path.join(out, "slices.npz")).test
+        assert len(test) > 1
+        q_seed = pq_game.slice_q_params(test[0], cfg.game).seed
+        l_max = max(s.condition.n_trading for s in test)
+        chunks = math.ceil(q_paths / q_pricer.CHUNK_PATHS)
+        q_streams = [seed for seed in streams if isinstance(seed, list) and len(seed) == 3]
+        assert q_streams == [[q_seed, chunk, day] for chunk in range(chunks)
+                             for day in range(l_max)]
 
 
 class TestGroupedPSource:
@@ -1299,8 +1373,10 @@ class TestGroupedPSource:
 
         def per_slice_source(model, sched, cfg, test_slices):
             def source(s, q_params):
+                idx = next(i for i, t in enumerate(test_slices) if t is s)
                 scfg = replace(cfg.sampler, n_paths=cfg.game.p_paths,
-                               seed=mp.child_seed(q_params.seed, cli.P_SOURCE_SALT))
+                               seed=mp.child_seed(mp.child_seed(cfg.game.seed, idx),
+                                                  cli.P_SOURCE_SALT))
                 return mp.to_prices(s.s0, sampler.sample_paths(model, scfg,
                                                                s.condition, sched))
             return source
@@ -1373,12 +1449,13 @@ class TestRerunDeterminism:
                 assert fh.read() == before[name], name
 
     def test_game_artifacts_do_not_depend_on_threads(self, workspace, tmp_path):
-        # 20,000 Q paths are two chunks, so --threads 2 prices them on two workers
+        # 20,000 Q paths are two chunks; --threads 2 and 3 value each chunk's
+        # test slices on two and three workers
         ini, out = workspace
         assert 20_000 > q_pricer.CHUNK_PATHS
         ini2 = write_ini_with(tmp_path, "game", "q_paths", 20_000)
         files = {}
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             dest = copy_game_inputs(out, tmp_path / f"threads{threads}")
             assert cli.main(["game", ini2, "--out-dir", dest, "--threads", threads]) == 0
             files[threads] = {name: read_bytes(dest, name) for name in os.listdir(dest)
@@ -1386,6 +1463,7 @@ class TestRerunDeterminism:
         assert sorted(files["1"]) == ["game_european.txt", "game_european_0.0.csv",
                                       "game_european_0.2.csv", "game_european_slices.csv"]
         assert files["2"] == files["1"]
+        assert files["3"] == files["1"]
 
     def test_out_dir_override_routes_everything(self, workspace, tmp_path):
         ini, out = workspace

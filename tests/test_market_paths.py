@@ -865,7 +865,7 @@ class TestArtifactWriter:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(np, "savez", failing)
-        with pytest.raises(OSError, match="no space"):
+        with pytest.raises(DataError, match="cannot write .*slices.npz: no space"):
             mp.save_slices(path, split)
         assert path.read_bytes() == before
         assert names_in(tmp_path) == ["slices.npz"]

@@ -307,7 +307,7 @@ class TestRunGameInvariants:
 
 
 class TestSharedQSource:
-    """value_slices prices the whole book per slice from one Q simulation."""
+    """value_slices prices the whole book on every slice from one Q call."""
 
     BOOK = (European(), Lookback(), Asian(), Accumulator(), Snowball())
 
@@ -331,22 +331,36 @@ class TestSharedQSource:
             trades += sum(o.report.trades for o in outcomes)
         assert trades > 0
 
-    def test_one_price_all_call_per_slice(self, monkeypatch):
+    def test_one_q_call_prices_every_slice(self, monkeypatch):
         q_calls, p_calls = [], []
-        real = game.price_all
+        real = game.price_books
 
-        def counting(contracts, params, **kwargs):
-            q_calls.append(params)
-            return real(contracts, params, **kwargs)
+        def counting(jobs, threads=1):
+            jobs = list(jobs)
+            q_calls.append([params for _, params, _ in jobs])
+            return real(jobs, threads)
 
         def p_source(s, params):
             p_calls.append(params)
             return game.gbm_p_source(s, params)
 
-        monkeypatch.setattr(game, "price_all", counting)
+        monkeypatch.setattr(game, "price_books", counting)
         game.value_slices(self.slices, self.BOOK, p_source, self.config)
-        assert len(q_calls) == len(p_calls) == len(self.slices)
-        assert q_calls == p_calls
+        assert q_calls == [p_calls]
+        assert len(p_calls) == len(self.slices)
+        assert len({params.seed for params in p_calls}) == 1
+
+    def test_q_values_equal_p_on_the_gbm_source(self):
+        # slices of 18, 19 and 20 days share one Q seed: simulate_gbm on a
+        # slice's q_params reproduces the paths Q priced it on, bit for bit,
+        # over two chunks and on any number of workers
+        slices = [make_slice(seed, n=n) for seed, n in enumerate((20, 18, 19))]
+        config = game.GameConfig(q_paths=qp.CHUNK_PATHS + 11, seed=3)
+        for threads in (1, 2):
+            book = game.value_slices(slices, self.BOOK, game.gbm_p_source, config, threads)
+            for contract, values in zip(self.BOOK, book):
+                for v in values:
+                    assert v.fair.hex() == v.p_value.hex(), (contract, threads)
 
     def test_p_paths_reach_every_contract_read_only(self, monkeypatch):
         returned, seen = [], []
@@ -411,13 +425,13 @@ class TestRealizedLeg:
         assert {("Accumulator", True), ("Accumulator", False), ("Snowball", True),
                 ("Snowball", False), ("ki", True), ("under_strike", True)} <= events
 
-    def test_one_price_all_and_two_p_price_calls_per_contract(self, monkeypatch):
+    def test_one_q_call_then_two_p_price_calls_per_contract(self, monkeypatch):
         calls = []
-        real_q, real_p = game.price_all, game.p_price
+        real_q, real_p = game.price_books, game.p_price
 
-        def counting_q(contracts, params, **kwargs):
+        def counting_q(jobs, threads=1):
             calls.append("Q")
-            return real_q(contracts, params, **kwargs)
+            return real_q(jobs, threads)
 
         def counting_p(contract, paths, *args, **kwargs):
             calls.append("realized" if len(paths) == 1 else "P")
@@ -426,13 +440,12 @@ class TestRealizedLeg:
         def no_schedule(*args, **kwargs):
             raise AssertionError("the game values no one-path schedule")
 
-        monkeypatch.setattr(game, "price_all", counting_q)
+        monkeypatch.setattr(game, "price_books", counting_q)
         monkeypatch.setattr(game, "p_price", counting_p)
         monkeypatch.setattr(game, "contract_cashflows", no_schedule)
         config = game.GameConfig(q_paths=64, seed=7)
         game.value_slices(self.slices, self.BOOK, game.gbm_p_source, config)
-        per_slice = ["Q"] + ["P", "realized"] * len(self.BOOK)
-        assert calls == per_slice * len(self.slices)
+        assert calls == ["Q"] + ["P", "realized"] * len(self.BOOK) * len(self.slices)
 
 
 class TestReportValidation:

@@ -33,7 +33,8 @@ from pqlab.q_pricer import (
     GbmParams,
     PriceEstimate,
     _estimate,
-    _exact_sum,
+    _exact_total,
+    _rounded,
     _simulate_chunk,
     discounted_values,
     p_price,
@@ -68,6 +69,12 @@ class TestSimulateGbm:
         small = simulate_gbm(params(n_paths=100, n_days=8))
         large = simulate_gbm(params(n_paths=CHUNK_PATHS + 50, n_days=8))
         assert np.array_equal(large[:100], small)
+
+    def test_day_prefix_consistency(self):
+        # the first days must not depend on how many days were requested
+        short = simulate_gbm(params(n_paths=CHUNK_PATHS + 7, n_days=18))
+        long = simulate_gbm(params(n_paths=CHUNK_PATHS + 7, n_days=20))
+        assert short.tobytes() == np.ascontiguousarray(long[:, :18]).tobytes()
 
     def test_martingale_property(self):
         p = params(n_paths=100_000, n_days=252)
@@ -264,6 +271,37 @@ class TestPriceAll:
                 (e.value.hex(), e.std_error.hex()) for e in want], threads
 
 
+class TestPriceBooks:
+    """Several books on one Brownian block per chunk, each as if priced alone."""
+
+    JOBS = [
+        (BOOK, params(n_paths=CHUNK_PATHS + 9, n_days=20, sigma=0.3), 20 / 252 * 1.45),
+        (BOOK[:2], params(n_paths=CHUNK_PATHS + 9, n_days=18, s0=57.0, r=0.01), 0.1),
+        (BOOK[2:], params(n_paths=CHUNK_PATHS + 9, n_days=19, sigma=0.18, r=-0.01), 0.11),
+        (BOOK[::-1], params(n_paths=CHUNK_PATHS + 9, n_days=3, sigma=0.5), 0.01),
+    ]
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return [[(e.value.hex(), e.std_error.hex()) for e in
+                 (p_price(c, simulate_gbm(p), p.s0, p.r, t_calendar=t) for c in book)]
+                for book, p, t in self.JOBS]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)])
+    def test_threads_and_job_order_keep_the_values(self, alone, threads, order):
+        got = qp.price_books([self.JOBS[i] for i in order], threads=threads)
+        assert [[(e.value.hex(), e.std_error.hex()) for e in book] for book in got] == [
+            alone[i] for i in order]
+
+    @pytest.mark.parametrize("key, value", [("n_paths", CHUNK_PATHS), ("seed", 8)])
+    def test_jobs_must_share_paths_and_seed(self, key, value):
+        book, p, t = self.JOBS[0]
+        other = GbmParams(**{**p.__dict__, key: value})
+        with pytest.raises(ConfigError, match="share n_paths and seed"):
+            qp.price_books([(book, p, t), (book, other, t)])
+
+
 class TestLayout:
     """Per-path values do not depend on the memory order or size of the set."""
 
@@ -391,10 +429,21 @@ class TestMatchesReference:
     def test_estimate_bitwise(self, values):
         values = np.array(values, dtype=float)
         est = _estimate(values)
-        mean, std_error = estimate_reference(values)
+        mean, std_error = estimate_reference(values, CHUNK_PATHS)
         assert est.value.hex() == mean.hex()
         assert est.std_error.hex() == std_error.hex()
         assert est.n_paths == len(values)
+
+    @pytest.mark.parametrize("n", [CHUNK_PATHS + 1, 2 * CHUNK_PATHS + 5])
+    def test_estimate_over_several_chunks_bitwise(self, n):
+        # the squares are taken about the first chunk's mean, which is not
+        # the mean of all the values: a drift across chunks moves it
+        rng = np.random.default_rng(n)
+        values = rng.lognormal(0.0, 1.5, n) * 10.0 ** rng.integers(-3, 4, n) + np.linspace(0, 5, n)
+        est = _estimate(values)
+        mean, std_error = estimate_reference(values, CHUNK_PATHS)
+        assert (est.value.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
+        assert est.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(n), rel=1e-12)
 
     @pytest.mark.parametrize("n_paths", [257, CHUNK_PATHS + 3])
     @pytest.mark.parametrize("r, sigma", [(0.05, 0.2), (-0.01, 0.9), (0.03, 0.0)])
@@ -406,12 +455,18 @@ class TestMatchesReference:
         assert got.tobytes() == want.tobytes()
 
 
+def _exact_sum(values, what="the sum"):
+    """The exact total of the values, rounded once, as the estimator rounds it."""
+    return _rounded(_exact_total(values, what), what, len(values))
+
+
 # every finite float64 up to 1e300 in size, subnormals and both zeros included
 wide = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 class TestExactSum:
-    """_exact_sum has math.fsum's bits: the correctly rounded sum."""
+    """The exact total, rounded once, has math.fsum's bits: the correctly
+    rounded sum."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.one_of(wide, mixed_scale, st.sampled_from(

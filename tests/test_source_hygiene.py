@@ -13,6 +13,9 @@ call ``np.savez``.
 
 A fourth keeps the package on numpy alone: no module imports scipy, or
 calls the numpy functions whose first call imports ``numpy.ma``.
+
+A fifth keeps one source of Q's paths: ``q_pricer`` makes its random
+streams and draws its normals in one place, the Brownian-block helper.
 """
 
 import ast
@@ -227,3 +230,33 @@ def test_the_dependency_check_catches_planted_uses():
         ("a.py", "numpy.percentile"), ("a.py", "numpy.quantile"), ("a.py", "scipy"),
         ("a.py", "scipy.special"), ("b.py", "numpy.unique"), ("b.py", "numpy.unique"),
         ("b.py", "scipy.special")]
+
+
+def calls_by_function(text: str, names) -> list:
+    """(enclosing module-level function or class, called name) of each call
+    whose function or attribute name is in ``names``; sorted, and
+    module-level calls name ``<module>``."""
+    found = []
+    for node in ast.parse(text).body:
+        scope = getattr(node, "name", "<module>")
+        found += [(scope, _call_name(call)) for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and _call_name(call) in names]
+    return sorted(found)
+
+
+def test_q_paths_come_from_one_brownian_block_helper():
+    text = package_sources()["q_pricer.py"]
+    assert calls_by_function(text, {"default_rng", "standard_normal"}) == [
+        ("_brownian_block", "default_rng"), ("_brownian_block", "standard_normal")]
+
+
+def test_the_stream_check_catches_a_second_draw():
+    text = ("import numpy as np\n"
+            "def _brownian_block(seed, out):\n"
+            "    np.random.default_rng(seed).standard_normal(out=out)\n"
+            "class Sim:\n"
+            "    def antithetic(self, seed):\n"
+            "        return -np.random.default_rng(seed).standard_normal(3)\n")
+    assert calls_by_function(text, {"default_rng", "standard_normal"}) == [
+        ("Sim", "default_rng"), ("Sim", "standard_normal"),
+        ("_brownian_block", "default_rng"), ("_brownian_block", "standard_normal")]

@@ -453,7 +453,7 @@ class TestCheckpoint:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(np, "savez", failing)
-        with pytest.raises(OSError, match="no space"):
+        with pytest.raises(DataError, match="cannot write .*checkpoint.npz: no space"):
             tr.save_checkpoint(path, fresh_state(dataset, seed=2))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
