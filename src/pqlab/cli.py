@@ -30,9 +30,10 @@ do not depend on which other products share the run.  One sampler run
 streams every test slice's P paths in order, and consecutive slices that
 fit one sampling chunk share each DDIM step's network call.
 
-Only `train` reads the train slices: `sample`, `validate` and `game` load
-``slices.npz`` with the test group alone unpacked (``split.train`` is
-None), though every train column is still read and checked.
+Every command reads and checks both groups' columns of ``slices.npz``, but
+builds PathSlices only for the groups it reads: `train` for both, the
+others for the test group alone.  A checkpoint is only used over the data
+it was trained on: its return scale must be ``dataset.manifest``'s.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure; an out_dir that cannot be made is a configuration error.
@@ -45,6 +46,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -102,18 +104,18 @@ def _mismatch(cfg: runconfig.RunConfig, what: str) -> DataError:
                      f"together ({what}); run `prepare` again")
 
 
-def _load_slices(cfg: runconfig.RunConfig, groups=("test",)):
-    """The slice store, with only ``groups`` unpacked (``mp.load_slices``),
-    and the prepared return scale from dataset.manifest.
+def _load_slices(cfg: runconfig.RunConfig):
+    """The slice store (``mp.load_slices``, no group unpacked yet) and the
+    prepared return scale from dataset.manifest.
 
     ``prepare`` writes the two files one after the other, so a run stopped
-    between the writes can leave one beside the other's predecessor: the
-    unpacked groups' slice counts and ``l_max`` must match the manifest's.
+    between the writes can leave one beside the other's predecessor: both
+    groups' slice counts and ``l_max`` must match the manifest's.
     """
     path = _slices_path(cfg)
     if not os.path.isfile(path):
         raise DataError(f"slice store not found: {path}; run `prepare` first")
-    split = mp.load_slices(path, groups=groups)
+    split = mp.load_slices(path)
     manifest_path = _manifest_path(cfg)
     if not os.path.isfile(manifest_path):
         raise DataError(
@@ -123,9 +125,8 @@ def _load_slices(cfg: runconfig.RunConfig, groups=("test",)):
     scale = mp.manifest_value(manifest, "return_scale", float, manifest_path)
     if not (math.isfinite(scale) and scale > 0.0):
         raise DataError(f"{manifest_path}: return_scale must be finite and > 0, got {scale}")
-    found = {"l_max": split.l_max}
-    for group in groups:
-        found[f"{group}_slices"] = len(getattr(split, group))
+    found = {"l_max": split.l_max, "train_slices": split.count("train"),
+             "test_slices": split.count("test")}
     for key, value in found.items():
         listed = mp.manifest_value(manifest, key, int, manifest_path)
         if listed != value:
@@ -138,6 +139,18 @@ def _resolve_checkpoint(cfg: runconfig.RunConfig, override) -> str:
     if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}; run `train` first")
     return path
+
+
+def _load_checkpoint(cfg: runconfig.RunConfig, path: str, scale: float):
+    """The checkpoint at ``path``, trained at ``scale``, the prepared return
+    scale: a checkpoint of other prepared data is a DataError naming both
+    files, raised before any sample is drawn or step is run."""
+    state = training.load_checkpoint(path)
+    if state.return_scale != scale:
+        raise DataError(f"{path} was trained at return_scale {state.return_scale!r}, "
+                        f"but {_manifest_path(cfg)} has {scale!r}: the checkpoint "
+                        "belongs to other prepared data")
+    return state
 
 
 def _resolve_length(model: runconfig.ModelSection, l_max: int) -> int:
@@ -164,19 +177,16 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
     split = mp.slice_dataset(
         series, rates, cfg.data.windows, cfg.data.split_date, stride=cfg.data.stride
     )
-    if not split.train:
-        raise DataError(
-            "no training slices survived; widen the series or shrink windows"
-        )
-    if not split.test:
-        raise DataError(
-            "no test slices survived; move split_date earlier or extend the series"
-        )
-    scale = training.compute_return_scale(split.train)
+    n_train, n_test = split.count("train"), split.count("test")
+    if not n_train:
+        raise DataError("no training slices survived; widen the series or shrink windows")
+    if not n_test:
+        raise DataError("no test slices survived; move split_date earlier or extend the series")
+    scale = training.pooled_return_scale(split.columns["train"]["returns"])
     mp.save_slices(_slices_path(cfg), split)
     manifest = {
-        "train_slices": len(split.train),
-        "test_slices": len(split.test),
+        "train_slices": n_train,
+        "test_slices": n_test,
         "l_max": split.l_max,
         "return_scale": repr(scale),
         "source": cfg.data.source,
@@ -188,7 +198,7 @@ def cmd_prepare(cfg: runconfig.RunConfig) -> int:
     mp.write_manifest(_manifest_path(cfg), manifest)
     _echo_config(cfg)
     print(
-        f"prepared {len(split.train)} train / {len(split.test)} test slices "
+        f"prepared {n_train} train / {n_test} test slices "
         f"(l_max={split.l_max}, return_scale={scale:.6g})"
     )
     return 0
@@ -229,15 +239,15 @@ def _append(path: str):
 
 def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
     out = _ensure_out_dir(cfg)
-    split, scale = _load_slices(cfg, groups=("train", "test"))
-    if training.compute_return_scale(split.train) != scale:
+    split, scale = _load_slices(cfg)
+    if training.pooled_return_scale(split.columns["train"]["returns"]) != scale:
         raise _mismatch(cfg, "the train slices' return scale is not the manifest's")
     sched = cfg.schedule.noise_schedule()
     net = _net_config(cfg, split.l_max)
     log_path = os.path.join(out, "loss_log.csv")
     trace_path = os.path.join(out, "train_trace.csv")
     if resume:
-        state = training.load_checkpoint(resume)
+        state = _load_checkpoint(cfg, resume, scale)
         if state.net != net:
             raise ConfigError("checkpoint network layout differs from config")
         if state.mode != cfg.model.mode:
@@ -247,8 +257,6 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
             )
         if not np.array_equal(state.sched.beta, sched.beta):
             raise ConfigError("checkpoint noise schedule differs from config")
-        if state.return_scale != scale:
-            raise ConfigError("checkpoint return scale differs from prepared data")
         if state.step > cfg.train.steps:
             raise ConfigError(
                 f"checkpoint already at step {state.step} > steps {cfg.train.steps}"
@@ -285,8 +293,8 @@ def cmd_train(cfg: runconfig.RunConfig, resume=None) -> int:
 
 def cmd_sample(cfg: runconfig.RunConfig, checkpoint=None, slice_idx: int = 0) -> int:
     out = _ensure_out_dir(cfg)
-    split, _ = _load_slices(cfg)
-    state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
+    split, scale = _load_slices(cfg)
+    state = _load_checkpoint(cfg, _resolve_checkpoint(cfg, checkpoint), scale)
     if not 0 <= slice_idx < len(split.test):
         raise ConfigError(
             f"slice index {slice_idx} out of range (have {len(split.test)} test slices)"
@@ -302,8 +310,8 @@ def cmd_sample(cfg: runconfig.RunConfig, checkpoint=None, slice_idx: int = 0) ->
 
 def cmd_validate(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     out = _ensure_out_dir(cfg)
-    split, _ = _load_slices(cfg)
-    state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
+    split, scale = _load_slices(cfg)
+    state = _load_checkpoint(cfg, _resolve_checkpoint(cfg, checkpoint), scale)
     model = state.model()
     slices = split.test
     if cfg.validate.max_conditions:
@@ -350,8 +358,8 @@ def _model_p_source(model, sched, cfg: runconfig.RunConfig, test_slices):
 
 def cmd_game(cfg: runconfig.RunConfig, checkpoint=None) -> int:
     out = _ensure_out_dir(cfg)
-    split, _ = _load_slices(cfg)
-    state = training.load_checkpoint(_resolve_checkpoint(cfg, checkpoint))
+    split, scale = _load_slices(cfg)
+    state = _load_checkpoint(cfg, _resolve_checkpoint(cfg, checkpoint), scale)
     p_source = _model_p_source(state.model(), state.sched, cfg, split.test)
     contracts = [cfg.contracts.build(product) for product in cfg.game.products]
     values = pq_game.value_slices(split.test, contracts, p_source, cfg.game,
@@ -392,6 +400,7 @@ def _apply_overrides(cfg: runconfig.RunConfig, args) -> runconfig.RunConfig:
     return cfg
 
 
+@cache  # one parser per process: building one takes about 0.7 ms and leaves cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqlab",

@@ -15,6 +15,8 @@ Conventions used throughout the package:
   window, so prices rebuild from ``s0`` by exponentiating the cumulative
   sum.
 * Annualization uses 365 calendar days and 252 trading days per year.
+* Slices stay columns from ``slice_dataset`` to ``slices.npz`` and back
+  (``SplitSlices``); PathSlices are built only where a group is read.
 * Every file pqlab writes goes through ``artifact``: a temporary name, then ``os.replace``.
 """
 
@@ -28,6 +30,7 @@ import zipfile
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,17 +185,35 @@ class PathSlice:
         object.__setattr__(self, "log_returns", lr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSlices:
-    """slice_dataset output: train/test partition plus skip diagnostics.
+    """The train/test partition as slice store columns, plus skip diagnostics.
 
-    ``load_slices`` leaves a group it does not unpack as None.
+    ``columns[group]`` holds the "train" or "test" group's ``_COLUMN_KINDS``
+    columns; their values are checked here, once (``_check_values``: a
+    ValueError naming the group and the column).  ``train`` and ``test``
+    unpack their group into PathSlices the first time they are read and keep
+    the list; each slice holds a read-only view of its group's returns.
     """
 
-    train: list | None
-    test: list | None
+    columns: dict
     skipped: Counter
     l_max: int
+
+    def __post_init__(self) -> None:
+        for group in _SLICE_GROUPS:
+            _check_values(self.columns[group], group)
+
+    def count(self, group: str) -> int:
+        return len(self.columns[group]["s0"])
+
+    @cached_property
+    def train(self) -> list:
+        return _unpack_group(self.columns["train"])
+
+    @cached_property
+    def test(self) -> list:
+        return _unpack_group(self.columns["test"])
 
 
 def log_returns(closes: np.ndarray) -> np.ndarray:
@@ -352,19 +373,20 @@ def slice_dataset(
     or after the split (look-ahead prevention); slices starting on or after
     the split form the test set.  ``l_max`` is the longest slice's length.
 
-    The trading closes' log returns are taken once, as one read-only
-    series (return i runs from trading day i to i + 1).  A slice from
-    trading day s to e, the last one in its window, holds a view of returns
-    s .. e - 1; its sigma_hist is the annualized volatility of the returns
-    among the up to 252 closes before s, of which there must be 60.
+    The trading closes' log returns are taken once (return i runs from
+    trading day i to i + 1).  A slice from trading day s to e, the last one
+    in its window, holds returns s .. e - 1; its sigma_hist is the
+    annualized volatility of the returns among the up to 252 closes before
+    s, of which there must be 60.
 
     Every (start, window) candidate is judged at once: one searchsorted
     finds all stops, one reason code per candidate gives the skip counts,
     ``_sigma_hist`` takes the kept starts' volatilities in one ``np.std``
     call per block of starts, and ``RateTable.rate_at`` looks up each
-    window's rates for its kept starts.  Only the kept slices are then
-    built, start by start and window by window, through the checked
-    ``ConditionVector`` and ``PathSlice``.
+    window's rates for its kept starts.  The kept slices, start by start
+    and window by window, then become each group's store columns by array
+    indexing, with no loop over slices and no PathSlice: the result's
+    ``train`` and ``test`` unpack them on first read.
 
     Skip reasons (counted, not fatal; ``SKIP_REASONS``): window running off
     the end of the series, split straddle, no trading day in the window,
@@ -393,7 +415,6 @@ def slice_dataset(
     t_dates = series.trading_dates
     t_closes = series.trading_closes
     returns = log_returns(t_closes)
-    returns.flags.writeable = False  # every slice holds a view of it
 
     # one row per start, one column per window
     starts = np.arange(0, len(t_dates), stride)
@@ -419,40 +440,32 @@ def slice_dataset(
     sigma = np.full(len(starts), np.nan)
     kept_rows = np.flatnonzero(kept.any(axis=1))
     sigma[kept_rows] = _sigma_hist(returns, starts[kept_rows])
+    first_rate = np.array([rates[w].dates[0] for w in windows])
+    late = np.flatnonzero(start_dates[row] < first_rate[col])
+    if late.size:  # name the slice a start-by-start scan would fail on first
+        rates[windows[col[late[0]]]].rate_at(start_dates[row[late[0]]])
     rate = np.empty(len(row))
-    try:
-        for k, w in enumerate(windows):
-            rate[col == k] = rates[w].rate_at(start_dates[row[col == k]])
-    except DataError:
-        # name the slice a start-by-start scan would fail on first
-        for i, k in zip(row.tolist(), col.tolist()):
-            rates[windows[k]].rate_at(start_dates[i])
-        raise
+    for k, w in enumerate(windows):
+        rate[col == k] = rates[w].rate_at(start_dates[row[col == k]])
 
-    train, test = [], []
     n_kept = n_trading[row, col]
-    in_train = is_train.tolist()
-    for i, k, start_idx, stop_idx, n, s0, sig, r in zip(
-            row.tolist(), col.tolist(), starts[row].tolist(), stops[row, col].tolist(),
-            n_kept.tolist(), t_closes[starts[row]].tolist(), sigma[row].tolist(),
-            rate.tolist()):
-        cond = ConditionVector(
-            sigma_hist=sig,
-            r=r,
-            t_calendar=windows[k] / CALENDAR_DAYS_PER_YEAR,
-            t_trading=n / TRADING_DAYS_PER_YEAR,
-            n_trading=n,
-        )
-        sl = PathSlice(
-            s0=s0,
-            log_returns=returns[start_idx : stop_idx - 1],
-            condition=cond,
-            window_calendar_days=windows[k],
-            start_date=start_dates[i],
-        )
-        (train if in_train[i] else test).append(sl)
-    l_max = int(n_kept.max(initial=0))
-    return SplitSlices(train=train, test=test, skipped=skipped, l_max=l_max)
+    n_train = int(np.count_nonzero(is_train[row]))  # train starts come first
+
+    def group(sel):
+        n, first = n_kept[sel], starts[row[sel]]
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        return {"s0": t_closes[first], "start": start_dates[row[sel]],
+                "window": width[col[sel]], "sigma": sigma[row[sel]], "r": rate[sel],
+                "tcal": width[col[sel]] / CALENDAR_DAYS_PER_YEAR,
+                "ttrad": n / TRADING_DAYS_PER_YEAR,
+                # slice j's returns first[j] .. first[j] + n[j] - 1, end to end
+                "returns": returns[np.arange(offsets[-1])
+                                   + np.repeat(first - offsets[:-1], n)],
+                "offsets": offsets}
+
+    return SplitSlices(
+        columns={"train": group(slice(None, n_train)), "test": group(slice(n_train, None))},
+        skipped=skipped, l_max=int(n_kept.max(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -528,22 +541,6 @@ SLICES_VERSION = "PQLAB-SLICES v1"
 _SLICE_GROUPS = ("train", "test")
 
 
-def _pack_group(slices) -> dict:
-    returns = np.concatenate([np.empty(0)] + [s.log_returns for s in slices])
-    offsets = np.cumsum([0] + [len(s.log_returns) for s in slices], dtype=np.int64)
-    return {
-        "s0": np.array([s.s0 for s in slices], dtype=np.float64),
-        "start": np.array([s.start_date for s in slices], dtype="datetime64[D]"),
-        "window": np.array([s.window_calendar_days for s in slices], dtype=np.int64),
-        "sigma": np.array([s.condition.sigma_hist for s in slices], dtype=np.float64),
-        "r": np.array([s.condition.r for s in slices], dtype=np.float64),
-        "tcal": np.array([s.condition.t_calendar for s in slices], dtype=np.float64),
-        "ttrad": np.array([s.condition.t_trading for s in slices], dtype=np.float64),
-        "returns": returns,
-        "offsets": offsets,
-    }
-
-
 # slice store column -> the numpy dtype kinds it may have
 _COLUMN_KINDS = {"s0": "f", "start": "M", "window": "iu", "sigma": "f", "r": "f",
                  "tcal": "f", "ttrad": "f", "returns": "f", "offsets": "iu"}
@@ -568,9 +565,8 @@ def _read_group(archive, group: str) -> dict:
 
 
 def _check_values(col: dict, group: str) -> None:
-    """The value checks that ConditionVector and PathSlice make, over the
-    columns of a group that is read but not unpacked; a ValueError names
-    the first failing column."""
+    """The value checks that ConditionVector and PathSlice make, over a
+    group's columns; a ValueError names the first failing column."""
     s0, sigma, r, tcal, ttrad = (col[key].astype(np.float64, copy=False)
                                  for key in ("s0", "sigma", "r", "tcal", "ttrad"))
     checks = (
@@ -590,6 +586,7 @@ def _check_values(col: dict, group: str) -> None:
 
 
 def _unpack_group(col: dict) -> list:
+    """A group's PathSlices: the one place the package builds them."""
     # one .tolist() per column, not a numpy scalar cast per slice; start
     # stays datetime64 (its .tolist() would give datetime.date)
     offsets, window = col["offsets"].tolist(), col["window"].tolist()
@@ -618,9 +615,9 @@ def save_slices(path, split: SplitSlices) -> None:
             [split.skipped[k] for k in sorted(split.skipped)], dtype=np.int64
         ),
     }
-    for group, slices in (("train", split.train), ("test", split.test)):
-        for key, arr in _pack_group(slices).items():
-            payload[f"{group}_{key}"] = arr
+    for group in _SLICE_GROUPS:
+        for key in _COLUMN_KINDS:
+            payload[f"{group}_{key}"] = split.columns[group][key]
     with artifact(path, "wb") as fh:
         np.savez(fh, **payload)
 
@@ -657,21 +654,16 @@ def npz_member(archive, key: str, ndim: int, kinds: str) -> np.ndarray:
     return value
 
 
-def load_slices(path, groups=_SLICE_GROUPS) -> SplitSlices:
+def load_slices(path) -> SplitSlices:
     """Load a slice store written by save_slices.
 
     Besides the member checks, the offsets must cut the returns into one
-    slice per entry of every column, l_max must be the longest slice, and
-    each skipped reason needs one count; anything else is a DataError.
-
-    ``groups`` names the groups to unpack into PathSlices ("train",
-    "test" or both); a group left out is None on the result, though its
-    columns are still read and their values checked like a slice's.  An
-    unpacked slice holds a read-only view of its group's returns.
+    slice per entry of every column, l_max must be the longest slice, each
+    skipped reason needs one count, and both groups' values must pass the
+    checks that PathSlice and ConditionVector make (``SplitSlices``);
+    anything else is a DataError naming the file.  No group is unpacked
+    here: ``train`` and ``test`` unpack theirs when first read.
     """
-    unknown = set(groups) - set(_SLICE_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown slice group(s) {sorted(unknown)}")
     with read_npz(path, "slice store") as archive:
         if str(archive["version"]) != SLICES_VERSION:
             raise DataError(f"unsupported slice store version {archive['version']!r}")
@@ -680,21 +672,13 @@ def load_slices(path, groups=_SLICE_GROUPS) -> SplitSlices:
         counts = npz_member(archive, "skipped_counts", 1, "iu")
         if len(names) != len(counts):
             raise ValueError(f"{len(names)} skipped_names but {len(counts)} skipped_counts")
-        cols = {group: _read_group(archive, group) for group in _SLICE_GROUPS}
+        columns = {group: _read_group(archive, group) for group in _SLICE_GROUPS}
         longest = max(int(np.diff(col["offsets"]).max(initial=0))
-                      for col in cols.values())
+                      for col in columns.values())
         if longest != l_max:
             raise ValueError(f"l_max = {l_max}, but the longest slice has {longest} returns")
-        unpacked = {}
-        for group, col in cols.items():
-            if group in groups:
-                unpacked[group] = _unpack_group(col)
-            else:
-                _check_values(col, group)
-                unpacked[group] = None
         return SplitSlices(
-            train=unpacked["train"],
-            test=unpacked["test"],
+            columns=columns,
             skipped=Counter({str(name): int(count) for name, count in zip(names, counts)}),
             l_max=l_max,
         )

@@ -162,7 +162,13 @@ def compute_return_scale(slices) -> float:
     """Population std of all valid train-set log returns pooled together."""
     if not slices:
         raise DataError("return scale needs at least one slice")
-    pooled = np.concatenate([np.asarray(s.log_returns, dtype=float) for s in slices])
+    return pooled_return_scale(np.concatenate([s.log_returns for s in slices]))
+
+
+def pooled_return_scale(returns) -> float:
+    """compute_return_scale of slices whose returns, end to end, are
+    ``returns``, such as a slice store's train returns column."""
+    pooled = np.asarray(returns, dtype=float)
     if pooled.size < 2:
         raise DataError("return scale needs at least two returns")
     scale = float(np.std(pooled))

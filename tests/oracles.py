@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -333,7 +334,39 @@ def slice_dataset_reference(series, rates, windows, split_date, stride=1):
             start_date=t_dates[start_idx],
         )
         (train if is_train else test).append(sl)
-    return mp.SplitSlices(train=train, test=test, skipped=skipped, l_max=l_max)
+    return ReferenceSplit(train=train, test=test, skipped=skipped, l_max=l_max)
+
+
+class ReferenceSplit(NamedTuple):
+    """``slice_dataset_reference``'s result: PathSlice lists, not store columns."""
+
+    train: list
+    test: list
+    skipped: Counter
+    l_max: int
+
+
+def pack_group(slices) -> dict:
+    """A group's slice store columns, packed slice by slice from PathSlices."""
+    returns = np.concatenate([np.empty(0)] + [s.log_returns for s in slices])
+    offsets = np.cumsum([0] + [len(s.log_returns) for s in slices], dtype=np.int64)
+    return {
+        "s0": np.array([s.s0 for s in slices], dtype=np.float64),
+        "start": np.array([s.start_date for s in slices], dtype="datetime64[D]"),
+        "window": np.array([s.window_calendar_days for s in slices], dtype=np.int64),
+        "sigma": np.array([s.condition.sigma_hist for s in slices], dtype=np.float64),
+        "r": np.array([s.condition.r for s in slices], dtype=np.float64),
+        "tcal": np.array([s.condition.t_calendar for s in slices], dtype=np.float64),
+        "ttrad": np.array([s.condition.t_trading for s in slices], dtype=np.float64),
+        "returns": returns,
+        "offsets": offsets,
+    }
+
+
+def packed_split(ref: ReferenceSplit) -> mp.SplitSlices:
+    """``ref`` as a SplitSlices whose columns ``pack_group`` packed."""
+    return mp.SplitSlices(columns={"train": pack_group(ref.train), "test": pack_group(ref.test)},
+                          skipped=ref.skipped, l_max=ref.l_max)
 
 
 def discount_value(

@@ -523,7 +523,8 @@ class TestNonFiniteSliceStore:
         entries[member][0] = value
         np.savez(path, **entries)
         assert cli.main(["game", ini, "--out-dir", dest]) == 3
-        assert f"{field} must be finite" in capsys.readouterr().err
+        # the column check names the column, not the field it fills
+        assert f"{member} must be finite" in capsys.readouterr().err
 
 
 class TestTestOnlyLoad:
@@ -563,6 +564,80 @@ class TestTestOnlyLoad:
         dest = copy_game_inputs(out, tmp_path / command)
         assert cli.main([command, ini, "--out-dir", dest]) == 0
         assert len(built) == n_test
+
+
+def snapshot_dir(path):
+    """{name: bytes} of every file in ``path``."""
+    return {name: read_bytes(path, name) for name in sorted(os.listdir(path))}
+
+
+# a value PathSlice or ConditionVector would refuse, by column; EMPTY makes
+# the group's last slice lose its returns
+EMPTY = object()
+STORE_FAULTS = [("sigma", np.nan), ("r", np.nan), ("tcal", np.inf), ("ttrad", np.nan),
+                ("returns", np.nan), ("s0", 0.0), ("ttrad", 1.0), ("offsets", EMPTY)]
+
+
+class TestEveryGroupChecked:
+    """A fault planted in either group of the store is exit 3 naming the group
+    and the column, for the command that reads both groups and for one that
+    reads only the test group."""
+
+    @pytest.mark.parametrize("command", ["validate", "train"])
+    @pytest.mark.parametrize("group", ["train", "test"])
+    @pytest.mark.parametrize("column, value", STORE_FAULTS,
+                             ids=[f"{c}-{v if v is not EMPTY else 'empty'}"
+                                  for c, v in STORE_FAULTS])
+    def test_fault_is_data_error(self, workspace, tmp_path, capsys, command, group,
+                                 column, value):
+        ini, out = workspace
+        dest = copy_game_inputs(out, tmp_path / "tampered")
+        path = os.path.join(dest, "slices.npz")
+        with np.load(path) as archive:
+            entries = {k: archive[k] for k in archive.files}
+        key = f"{group}_{column}"
+        entries[key] = entries[key].copy()
+        if value is EMPTY:
+            entries[key][-1] = entries[key][-2]
+            entries[f"{group}_returns"] = entries[f"{group}_returns"][:entries[key][-1]]
+        else:
+            entries[key][0] = value
+        np.savez(path, **entries)
+        before = snapshot_dir(dest)
+        assert cli.main([command, ini, "--out-dir", dest]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pqlab: error:") and "Traceback" not in err
+        assert "slices.npz" in err and f"{key} must be" in err
+        assert snapshot_dir(dest) == before
+
+
+class TestCheckpointOfOtherData:
+    """A checkpoint is only scored on, or resumed over, the data it was trained
+    on: `prepare` run again on another series or at an earlier split leaves a
+    consistent store and manifest, but not the checkpoint's."""
+
+    @pytest.mark.parametrize("command", [["sample", "--slice", "0"], ["validate"], ["game"],
+                                         ["train", "--resume"]],
+                             ids=["sample", "validate", "game", "resume"])
+    @pytest.mark.parametrize("key, value", [("seed", 4), ("split_date", "2015-09-01")])
+    def test_re_prepared_data_is_data_error(self, workspace, tmp_path, capsys, key, value,
+                                            command):
+        _, out = workspace
+        ini = write_ini_with(tmp_path, "data", key, value)
+        dest = os.path.join(str(tmp_path), "out")
+        assert cli.main(["prepare", ini]) == 0
+        checkpoint = shutil.copy(os.path.join(out, "checkpoint.npz"), dest)
+        manifest = os.path.join(dest, "dataset.manifest")
+        trained = training.load_checkpoint(checkpoint).return_scale
+        assert float(mp.read_manifest(manifest)["return_scale"]) != trained
+        before = snapshot_dir(dest)
+        capsys.readouterr()
+        argv = [command[0], ini, *command[1:]] + ([checkpoint] if command[0] == "train" else [])
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pqlab: error:") and "Traceback" not in err
+        assert checkpoint in err and manifest in err and repr(trained) in err
+        assert snapshot_dir(dest) == before
 
 
 def tamper_checkpoint(out, dest, key, value):
@@ -772,12 +847,13 @@ MANIFEST_LINES = st.one_of(
 
 # a return_scale value for an otherwise intact manifest: every float repr
 # (NaN, infinities, -0.0, subnormals and 1e308 among them) and free text
-# without a line break, so every other entry keeps its line
+# without a line break, so every other entry keeps its line (and UTF-8
+# text: a lone surrogate cannot be written to the manifest at all)
 LINE_SCALE_VALUES = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "-inf", "inf", "-0.0", "5e-324", "2.2250738585072014e-308",
                      "1e308", "1e309", " 0.01 ", "0x10", "1_0"]),
-    st.text(st.characters(blacklist_characters="\r\n"), max_size=12),
+    st.text(st.characters(codec="utf-8", blacklist_characters="\r\n"), max_size=12),
 )
 
 

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -279,6 +278,28 @@ class TestSliceDatasetMatchesReference:
         got = slice_dataset(series, rates, windows, split, stride)
         want = oracles.slice_dataset_reference(series, rates, windows, split, stride)
         assert slices_fingerprint(got) == slices_fingerprint(want)
+
+    # the strategy of test_equal_byte_for_byte
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(60, 420),
+           density=st.sampled_from([0.08, 0.2, 0.45, 9 / 14, 0.75, 1.0]),
+           windows=st.lists(st.sampled_from(SLICE_WINDOWS), min_size=1, max_size=3),
+           stride=st.integers(1, 3), split_frac=st.floats(0.0, 1.0),
+           n_rates=st.integers(1, 5))
+    def test_store_equals_a_store_packed_from_the_reference(
+            self, tmp_path_factory, seed, n_days, density, windows, stride, split_frac,
+            n_rates):
+        # slice_dataset's columns, written as they are, against the columns
+        # packed slice by slice from the reference loop's PathSlices
+        series, rates = random_calendar_case(seed, n_days, density, n_rates)
+        split = series.dates[1 + int(split_frac * (n_days - 2))]
+        stores = tmp_path_factory.getbasetemp() / "column_writer"
+        stores.mkdir(exist_ok=True)
+        mp.save_slices(stores / "columns.npz", slice_dataset(series, rates, windows, split,
+                                                             stride))
+        reference = oracles.slice_dataset_reference(series, rates, windows, split, stride)
+        mp.save_slices(stores / "packed.npz", oracles.packed_split(reference))
+        assert (stores / "columns.npz").read_bytes() == (stores / "packed.npz").read_bytes()
 
     def test_cases_reach_every_skip_reason(self):
         # the cases above keep slices and hit each skip reason, starts with
@@ -716,20 +737,25 @@ class TestSliceStore:
             load_slices(path)
         assert "tampered.npz" in str(info.value)
 
-    def test_test_only_load_equals_full_load(self, series, tmp_path):
-        from pqlab.market_paths import load_slices, save_slices
-
+    def test_load_builds_no_slice_until_a_group_is_read(self, series, tmp_path,
+                                                         monkeypatch):
+        # load_slices checks both groups' columns; a group's PathSlices are
+        # built when it is first read, once
         path = tmp_path / "slices.npz"
-        save_slices(path, self.build(series))
-        full = load_slices(path)
-        test_only = load_slices(path, groups=("test",))
-        assert test_only.train is None
-        assert slices_fingerprint(replace(test_only, train=[])) == \
-            slices_fingerprint(replace(full, train=[]))
-        train_only = load_slices(path, groups=("train",))
-        assert train_only.test is None and train_only.train
-        assert slices_fingerprint(replace(train_only, test=[])) == \
-            slices_fingerprint(replace(full, test=[]))
+        mp.save_slices(path, self.build(series))
+        built = []
+        real_init = PathSlice.__post_init__
+
+        def counting_init(sl):
+            built.append(sl.start_date)
+            real_init(sl)
+
+        monkeypatch.setattr(PathSlice, "__post_init__", counting_init)
+        back = mp.load_slices(path)
+        assert built == []
+        assert back.test is back.test and len(built) == back.count("test")
+        assert [s.start_date for s in back.train] == built[back.count("test"):]
+        assert len(built) == back.count("train") + back.count("test")
 
     def test_loaded_returns_are_read_only(self, series, tmp_path):
         from pqlab.market_paths import load_slices, save_slices
@@ -737,17 +763,9 @@ class TestSliceStore:
         path = tmp_path / "slices.npz"
         save_slices(path, self.build(series))
         full = load_slices(path)
-        for sl in (full.train[0], full.test[-1], load_slices(path, groups=("test",)).test[0]):
+        for sl in (full.train[0], full.test[-1], full.test[0]):
             with pytest.raises(ValueError, match="read-only"):
                 sl.log_returns[0] = 1.0
-
-    def test_unknown_group_rejected(self, series, tmp_path):
-        from pqlab.market_paths import load_slices, save_slices
-
-        path = tmp_path / "slices.npz"
-        save_slices(path, self.build(series))
-        with pytest.raises(ValueError, match="unknown slice group"):
-            load_slices(path, groups=("test", "valid"))
 
     @pytest.mark.parametrize("member, index, value, needle", [
         ("train_s0", 0, -1.0, "train_s0 must be finite and positive"),
@@ -763,37 +781,40 @@ class TestSliceStore:
     def test_group_left_packed_is_still_checked(self, series, tmp_path, member, index,
                                                 value, needle):
         # a value PathSlice or ConditionVector would refuse is a DataError
-        # whether or not its group is unpacked
+        # naming the group and the column, planted in either group; no
+        # group is unpacked at load
         from pqlab.market_paths import load_slices, save_slices
 
         path = tmp_path / "slices.npz"
         save_slices(path, self.build(series))
-        data = dict(np.load(path))
-        data[member] = data[member].copy()
-        data[member][index] = value
-        np.savez(path, **data)
-        with pytest.raises(DataError):
-            load_slices(path)
-        with pytest.raises(DataError, match=needle) as info:
-            load_slices(path, groups=("test",))
-        assert "slices.npz" in str(info.value)
+        for group in ("train", "test"):
+            data = dict(np.load(path))
+            name = member.replace("train_", f"{group}_")
+            data[name] = data[name].copy()
+            data[name][index] = value
+            np.savez(tmp_path / "tampered.npz", **data)
+            with pytest.raises(DataError, match=needle.replace("train_", f"{group}_")) \
+                    as info:
+                load_slices(tmp_path / "tampered.npz")
+            assert "tampered.npz" in str(info.value)
 
     def test_empty_slice_in_group_left_packed(self, series, tmp_path):
-        # the last train slice loses its returns: no slice may be empty
+        # the last slice of either group loses its returns: no slice may be
+        # empty, and the column check says so for both groups
         from pqlab.market_paths import load_slices, save_slices
 
         path = tmp_path / "slices.npz"
         save_slices(path, self.build(series))
-        data = dict(np.load(path))
-        offsets = data["train_offsets"].copy()
-        offsets[-1] = offsets[-2]
-        data["train_offsets"] = offsets
-        data["train_returns"] = data["train_returns"][: offsets[-1]]
-        np.savez(path, **data)
-        with pytest.raises(DataError, match="at least one trading day"):
-            load_slices(path)
-        with pytest.raises(DataError, match="train_offsets must be strictly increasing"):
-            load_slices(path, groups=("test",))
+        for group in ("train", "test"):
+            data = dict(np.load(path))
+            offsets = data[f"{group}_offsets"].copy()
+            offsets[-1] = offsets[-2]
+            data[f"{group}_offsets"] = offsets
+            data[f"{group}_returns"] = data[f"{group}_returns"][: offsets[-1]]
+            np.savez(tmp_path / "tampered.npz", **data)
+            with pytest.raises(DataError,
+                               match=f"{group}_offsets must be strictly increasing"):
+                load_slices(tmp_path / "tampered.npz")
 
     def test_decreasing_offsets_rejected(self, series, tmp_path):
         from pqlab.market_paths import load_slices, save_slices
@@ -856,7 +877,10 @@ class TestArtifactWriter:
                                                         monkeypatch):
         split = TestSliceStore().build(series)
         path = tmp_path / "slices.npz"
-        mp.save_slices(path, replace(split, test=split.test[:1]))
+        late = slice_dataset(series, flat_rates([30], str(series.dates[0])), [30],
+                             series.dates[-35])
+        assert late.count("test") != split.count("test")
+        mp.save_slices(path, late)
         before = path.read_bytes()
         savez = np.savez
 
@@ -869,7 +893,7 @@ class TestArtifactWriter:
             mp.save_slices(path, split)
         assert path.read_bytes() == before
         assert names_in(tmp_path) == ["slices.npz"]
-        assert len(mp.load_slices(path).test) == 1
+        assert len(mp.load_slices(path).test) == late.count("test")
 
     def test_stale_tmp_of_a_killed_run_is_overwritten(self, series, tmp_path):
         split = TestSliceStore().build(series)

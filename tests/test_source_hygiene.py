@@ -16,6 +16,11 @@ calls the numpy functions whose first call imports ``numpy.ma``.
 
 A fifth keeps one source of Q's paths: ``q_pricer`` makes its random
 streams and draws its normals in one place, the Brownian-block helper.
+
+A sixth keeps slices as columns: the package builds PathSlices and
+ConditionVectors in one place, the slice store's group unpack, and
+``slice_dataset`` loops over its windows and skip reasons, never over the
+slices it keeps.
 """
 
 import ast
@@ -260,3 +265,40 @@ def test_the_stream_check_catches_a_second_draw():
     assert calls_by_function(text, {"default_rng", "standard_normal"}) == [
         ("Sim", "default_rng"), ("Sim", "standard_normal"),
         ("_brownian_block", "default_rng"), ("_brownian_block", "standard_normal")]
+
+
+def loop_iterables(text: str, function: str) -> set:
+    """The source text of what each for statement and comprehension in the
+    module-level ``function`` iterates over."""
+    node = next(n for n in ast.parse(text).body if getattr(n, "name", None) == function)
+    return {ast.unparse(loop.iter) for loop in ast.walk(node)
+            if isinstance(loop, (ast.For, ast.comprehension))}
+
+
+SLICE_CLASSES = {"PathSlice", "ConditionVector"}
+# slice_dataset's loops: the windows and the skip reasons
+SLICE_DATASET_LOOPS = {"windows", "enumerate(windows)", "zip(SKIP_REASONS, counts[1:])"}
+
+
+def test_slices_are_built_in_the_group_unpack_alone():
+    sources = package_sources()
+    built = [(module, *call) for module, text in sources.items()
+             for call in calls_by_function(text, SLICE_CLASSES)]
+    assert built == [("market_paths.py", "_unpack_group", "ConditionVector"),
+                     ("market_paths.py", "_unpack_group", "PathSlice")]
+    assert loop_iterables(sources["market_paths.py"], "slice_dataset") <= SLICE_DATASET_LOOPS
+
+
+def test_the_slice_checks_catch_a_per_slice_loop():
+    text = ("def slice_dataset(series, windows):\n"
+            "    for k, w in enumerate(windows):\n"
+            "        pass\n"
+            "    for i, k in zip(row.tolist(), col.tolist()):\n"
+            "        out.append(PathSlice(1.0, r, ConditionVector(i, k)))\n"
+            "def _unpack_group(col):\n"
+            "    return [PathSlice(s0) for s0 in col['s0']]\n")
+    assert calls_by_function(text, SLICE_CLASSES) == [
+        ("_unpack_group", "PathSlice"), ("slice_dataset", "ConditionVector"),
+        ("slice_dataset", "PathSlice")]
+    assert loop_iterables(text, "slice_dataset") - SLICE_DATASET_LOOPS == {
+        "zip(row.tolist(), col.tolist())"}
