@@ -12,6 +12,7 @@ one per game, and a slice's GBM settings do not depend on the product, so
 one ``price_books`` call prices every product on every slice from one
 Brownian block per chunk (common random numbers; each slice's estimate
 stays unbiased, only its error is correlated with the other slices').
+At ``threads`` above 1 that call runs on one worker thread beside P.
 P's sample does not depend on the product either, so each slice gets one
 P sample that values every product on one read-only view; ``run_game``
 then plays the greediness levels of one product on its slice values.  A
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -264,8 +266,8 @@ def slice_q_params(s: PathSlice, config: GameConfig) -> GbmParams:
     )
 
 
-def _value_slice(idx: int, s: PathSlice, params: GbmParams, fairs, book: tuple, p_source,
-                 config: GameConfig) -> list[SliceValue]:
+def _p_values(idx: int, s: PathSlice, params: GbmParams, book: tuple, p_source,
+              config: GameConfig) -> list[tuple[float, float]]:
     # one call per slice: its P paths are dropped before the next slice's arrive
     cond = s.condition
     paths = np.asarray(p_source(s, params), dtype=np.float64).view()
@@ -278,38 +280,52 @@ def _value_slice(idx: int, s: PathSlice, params: GbmParams, fairs, book: tuple, 
     # mean over one path is that path's discounted value exactly
     row = to_prices(s.s0, s.log_returns)[None, :]
     r_row = cond.r if config.discount else 0.0
-    return [SliceValue(s.start_date, fair.value,
-                       p_price(contract, paths, s.s0, cond.r, t_calendar=cond.t_calendar).value,
-                       p_price(contract, row, s.s0, r_row, t_calendar=cond.t_calendar).value)
-            for contract, fair in zip(book, fairs)]
+    return [(p_price(contract, paths, s.s0, cond.r, t_calendar=cond.t_calendar).value,
+             p_price(contract, row, s.s0, r_row, t_calendar=cond.t_calendar).value)
+            for contract in book]
 
 
 def value_slices(test_slices, contracts, p_source, config: GameConfig = GameConfig(),
                  threads: int = 1) -> tuple[tuple[SliceValue, ...], ...]:
     """Value every contract of the book on each test slice.
 
-    One ``price_books`` call prices the book for Q on every slice first,
-    from one Brownian block per chunk (on ``threads`` workers, to the same
-    values).  Then, per slice, one p_source(slice, q_params) call returns
-    P's (n_paths, n_days) price paths.  q_params (``slice_q_params``)
-    carries the slice's s0, matched rate, historical sigma, horizon and the
-    game's Q seed, so a source that simulates GBM from it reproduces the
-    paths Q priced (a source that samples ahead finds the q_params of later
-    slices with ``slice_q_params``).  Every contract is valued on one
-    read-only view of those paths, which are dropped before the next
-    slice's call, so the source decides how many slices' paths are alive at
-    a time.  Returns one SliceValue per slice for each contract, in book
-    order.
+    One ``price_books`` call prices the book for Q on every slice, from one
+    Brownian block per chunk.  At ``threads`` 1 it runs first; above 1 it
+    runs on one worker while the main thread values P and the realized
+    leg, to the same values and the same error (Q's, when both legs fail).
+    Per slice, one p_source(slice, q_params) call returns P's (n_paths,
+    n_days) price paths.  q_params (``slice_q_params``) carries the slice's
+    s0, matched rate, historical sigma, horizon and the game's Q seed, so a
+    source that simulates GBM from it reproduces the paths Q priced (a
+    source that samples ahead finds the q_params of later slices with
+    ``slice_q_params``).  Every contract is valued on one read-only view of
+    those paths, which are dropped before the next slice's call, so the
+    source decides how many slices' paths are alive at a time.  Returns one
+    SliceValue per slice for each contract, in book order.
     """
     test_slices = list(test_slices)
     if not test_slices:
         raise DataError("no test slices to play")
     book = tuple(contracts)
     params = [slice_q_params(s, config) for s in test_slices]
-    fairs = price_books([(book, p, s.condition.t_calendar)
-                         for s, p in zip(test_slices, params)], threads)
-    rows = [_value_slice(idx, s, q_params, book_fairs, book, p_source, config)
-            for idx, (s, q_params, book_fairs) in enumerate(zip(test_slices, params, fairs))]
+    jobs = [(book, p, s.condition.t_calendar) for s, p in zip(test_slices, params)]
+
+    def p_leg():
+        return [_p_values(idx, s, q_params, book, p_source, config)
+                for idx, (s, q_params) in enumerate(zip(test_slices, params))]
+
+    if threads < 2:
+        fairs, p_rows = price_books(jobs), p_leg()
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            q = pool.submit(price_books, jobs)
+            try:
+                p_rows = p_leg()
+            finally:  # one thread prices Q first, so Q's error wins over P's
+                fairs = q.result()
+    rows = [[SliceValue(s.start_date, fair.value, p_value, realized)
+             for fair, (p_value, realized) in zip(book_fairs, p_row)]
+            for s, book_fairs, p_row in zip(test_slices, fairs, p_rows)]
     return tuple(zip(*rows))
 
 

@@ -30,7 +30,6 @@ discounting path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from .payoffs import ContractSpec, book_flows, day_sum
 CHUNK_PATHS = 16_384
 # Most Q paths per valuation, 210 times the default 20,000.  Memory does
 # not grow with it, since only exact sums outlive a chunk (one Brownian
-# block, and one closes buffer per worker); it bounds the run time.
+# block and one closes buffer); it bounds the run time.
 MAX_Q_PATHS = 2**22
 
 
@@ -285,21 +284,19 @@ def _estimate(values: np.ndarray) -> PriceEstimate:
     return moments.estimate()
 
 
-def price_books(jobs, threads: int = 1) -> tuple[tuple[PriceEstimate, ...], ...]:
+def price_books(jobs) -> tuple[tuple[PriceEstimate, ...], ...]:
     """Q-side fair values of several books, each on its own GBM, from one
     Brownian block per chunk.
 
     ``jobs`` are (contracts, GbmParams, t_calendar) triples that share
     n_paths and seed (a mismatch is a ConfigError); their s0, r, sigma and
     n_days may differ.  Per chunk, one block of max(n_days) rows is
-    cumulated, and each job is valued on its first n_days rows through a
-    reused closes buffer, made read-only, with one ``book_values`` call.
-    ``threads`` workers value the jobs of a chunk side by side, each with
-    its own buffer (a lone job's closes overwrite the block); the next
-    chunk starts when they are done.  So the peak holds one block and one
-    closes buffer per worker, and only exact sums outlive a chunk.
-    Returns one estimate per contract, per job, in order; each equals
-    ``p_price`` on ``simulate_gbm(params)`` bit for bit.
+    cumulated, and the jobs are valued in turn, each on its first n_days
+    rows through one reused closes buffer, made read-only, with one
+    ``book_values`` call (a lone job's closes overwrite the block).  So the
+    peak holds one block and one closes buffer, and only exact sums
+    outlive a chunk.  Returns one estimate per contract, per job, in order;
+    each equals ``p_price`` on ``simulate_gbm(params)`` bit for bit.
     """
     jobs = [(tuple(contracts), params, t_calendar) for contracts, params, t_calendar in jobs]
     n_paths, seed = jobs[0][1].n_paths, jobs[0][1].seed
@@ -307,31 +304,19 @@ def price_books(jobs, threads: int = 1) -> tuple[tuple[PriceEstimate, ...], ...]
         raise ConfigError("jobs priced on one Brownian block must share n_paths and seed")
     rows = min(n_paths, CHUNK_PATHS)
     l_max = max(params.n_days for _, params, _ in jobs)
-    n_lanes = max(1, min(threads, len(jobs)))
-    lanes = [range(w, len(jobs), n_lanes) for w in range(n_lanes)]
     moments = [[_Moments() for _ in contracts] for contracts, _, _ in jobs]
     walk_buf = np.empty(l_max * rows)
     # a lone job's closes overwrite the block, which it alone reads
-    bufs = [walk_buf] if len(jobs) == 1 else [np.empty(l_max * rows) for _ in lanes]
-
-    def value(lane, buf, walk):
-        n_rows = walk.shape[1]
-        for j in lane:
-            contracts, params, t_calendar = jobs[j]
+    buf = walk_buf if len(jobs) == 1 else np.empty(l_max * rows)
+    for chunk, n_rows in enumerate(_chunk_sizes(n_paths)):
+        walk = _brownian_block(seed, chunk, walk_buf[:l_max * n_rows].reshape(l_max, n_rows))
+        for (contracts, params, t_calendar), job_moments in zip(jobs, moments):
             n_days = params.n_days
             closes = _closes(params, walk[:n_days], buf[:n_days * n_rows].reshape(n_days, n_rows))
             closes.setflags(write=False)
             values = book_values(contracts, closes.T, params.s0, params.r, t_calendar)
-            for acc, v in zip(moments[j], values):
+            for acc, v in zip(job_moments, values):
                 acc.add(v)
-
-    with ThreadPoolExecutor(max_workers=n_lanes) as pool:
-        for chunk, n_rows in enumerate(_chunk_sizes(n_paths)):
-            walk = _brownian_block(seed, chunk, walk_buf[:l_max * n_rows].reshape(l_max, n_rows))
-            if n_lanes > 1:
-                list(pool.map(value, lanes, bufs, [walk] * n_lanes))
-            else:
-                value(lanes[0], bufs[0], walk)
     return tuple(tuple(acc.estimate() for acc in job) for job in moments)
 
 
@@ -339,22 +324,20 @@ def price_all(
     contracts,
     params: GbmParams,
     t_calendar: float | None = None,
-    threads: int = 1,
 ) -> tuple[PriceEstimate, ...]:
     """Q-side fair values of several contracts from one GBM simulation:
     ``price_books`` on one job.  Each estimate equals pricing its contract
     alone, bit for bit."""
-    return price_books([(contracts, params, t_calendar)], threads)[0]
+    return price_books([(contracts, params, t_calendar)])[0]
 
 
 def price(
     contract: ContractSpec,
     params: GbmParams,
     t_calendar: float | None = None,
-    threads: int = 1,
 ) -> PriceEstimate:
     """Q-side fair value: mean discounted payoff over simulated GBM paths."""
-    return price_all((contract,), params, t_calendar, threads)[0]
+    return price_all((contract,), params, t_calendar)[0]
 
 
 def p_price(

@@ -84,10 +84,9 @@ def _parse_names(raw: str) -> tuple:
     return tuple(part.strip().lower() for part in raw.split(",") if part.strip())
 
 
-# Most worker threads: each of q_pricer.price_books's workers values its
-# share of a chunk's test slices in one 16,384-path closes buffer, 2.6 MB at
-# 20 trading days and 33 MB at a year's 252, so 32 workers hold at most
-# about 1 GB beside the chunk's one Brownian block.
+# Most worker threads `[run] threads` accepts.  Only `game` reads it: at
+# any value above 1 it starts one worker, which prices Q beside P, so no
+# buffer grows with the cap.
 MAX_THREADS = 32
 
 _PARSERS = {

@@ -1293,16 +1293,21 @@ class TestGame:
 
     def test_estimate_overflow_exits_3(self, workspace, tmp_path, capsys):
         # a snowball notional whose Q sum overflows float64 at the default
-        # q_paths: a DataError naming the estimate, not an OverflowError
+        # q_paths: a DataError naming the estimate, not an OverflowError, and
+        # the same one when Q prices on a worker beside P
         ini, out = workspace
-        dest = copy_game_inputs(out, tmp_path / "huge")
         body = open(ini).read().replace("q_paths = 400\n", "")
         huge = tmp_path / "huge.ini"
         huge.write_text(body + "\n[contracts]\nsnow_notional = 1e307\n")
-        assert cli.main(["game", str(huge), "--out-dir", dest, "--product", "snowball"]) == 3
-        err = capsys.readouterr().err
-        assert "estimate" in err and "Traceback" not in err
-        assert not os.path.exists(os.path.join(dest, "game_snowball.txt"))
+        errs = []
+        for threads in ("1", "2"):
+            dest = copy_game_inputs(out, tmp_path / f"huge{threads}")
+            assert cli.main(["game", str(huge), "--out-dir", dest, "--product", "snowball",
+                             "--threads", threads]) == 3
+            errs.append(capsys.readouterr().err)
+            assert "estimate" in errs[-1] and "Traceback" not in errs[-1]
+            assert not os.path.exists(os.path.join(dest, "game_snowball.txt"))
+        assert errs[1] == errs[0]
 
     def test_product_and_levels_override(self, workspace):
         ini, out = workspace
@@ -1525,8 +1530,8 @@ class TestRerunDeterminism:
                 assert fh.read() == before[name], name
 
     def test_game_artifacts_do_not_depend_on_threads(self, workspace, tmp_path):
-        # 20,000 Q paths are two chunks; --threads 2 and 3 value each chunk's
-        # test slices on two and three workers
+        # 20,000 Q paths are two chunks; --threads 2 and 3 both price Q on
+        # one worker while the main thread samples and values P
         ini, out = workspace
         assert 20_000 > q_pricer.CHUNK_PATHS
         ini2 = write_ini_with(tmp_path, "game", "q_paths", 20_000)

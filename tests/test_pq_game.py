@@ -37,6 +37,11 @@ def play(slices, contract, p_source, config):
     return game.run_game(values, contract, config)
 
 
+def horizon_mismatch_source(s, params):
+    """P source whose paths are one day longer than the slice."""
+    return np.full((16, s.condition.n_trading + 1), s.s0)
+
+
 def scaled_gbm_source(factor):
     """P source that inflates or deflates Q's own paths around s0."""
 
@@ -256,11 +261,11 @@ class TestRunGameInvariants:
         assert report.longs == 0
 
     def test_horizon_mismatch_rejected(self):
-        def bad_source(s, params):
-            return np.full((16, s.condition.n_trading + 1), s.s0)
-
-        with pytest.raises(DataError, match="P paths must be"):
-            game.value_slices(self.slices, [European()], bad_source, self.config)
+        # the P leg's error is the same whether Q prices beside it or first
+        for threads in (1, 2):
+            with pytest.raises(DataError, match="P paths must be"):
+                game.value_slices(self.slices, [European()], horizon_mismatch_source,
+                                  self.config, threads)
 
     @pytest.mark.parametrize("product", game.PRODUCTS)
     def test_non_finite_p_paths_rejected(self, product):
@@ -269,9 +274,19 @@ class TestRunGameInvariants:
             paths[3, -1] = np.nan
             return paths
 
-        with pytest.raises(DataError, match="paths must be finite"):
-            game.value_slices(self.slices, [game.CONTRACTS[product]()], nan_source,
-                              self.config)
+        for threads in (1, 2):
+            with pytest.raises(DataError, match="paths must be finite"):
+                game.value_slices(self.slices, [game.CONTRACTS[product]()], nan_source,
+                                  self.config, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_q_error_wins_when_both_legs_fail(self, threads):
+        # one thread prices Q before it asks P for a path, so Q's overflow is
+        # the error at every thread count, though P fails on its first slice
+        huge = Snowball(notional=1e307)
+        config = replace(self.config, q_paths=2048)
+        with pytest.raises(DataError, match=r"the mean overflows float64 \(a sum of 2048 terms\)"):
+            game.value_slices(self.slices, [huge], horizon_mismatch_source, config, threads)
 
     def test_empty_slices_rejected(self):
         with pytest.raises(DataError, match="no test slices"):
@@ -317,7 +332,7 @@ class TestSharedQSource:
 
     def test_games_equal_the_default_source(self):
         # the book's values equal each contract valued alone, bit for bit,
-        # also when Q prices on two threads
+        # also when Q prices on a worker beside P
         p_source = scaled_gbm_source(1.5)
         book = game.value_slices(self.slices, self.BOOK, p_source, self.config, threads=2)
         assert len(book) == len(self.BOOK)
@@ -335,10 +350,10 @@ class TestSharedQSource:
         q_calls, p_calls = [], []
         real = game.price_books
 
-        def counting(jobs, threads=1):
+        def counting(jobs):
             jobs = list(jobs)
             q_calls.append([params for _, params, _ in jobs])
-            return real(jobs, threads)
+            return real(jobs)
 
         def p_source(s, params):
             p_calls.append(params)
@@ -353,7 +368,7 @@ class TestSharedQSource:
     def test_q_values_equal_p_on_the_gbm_source(self):
         # slices of 18, 19 and 20 days share one Q seed: simulate_gbm on a
         # slice's q_params reproduces the paths Q priced it on, bit for bit,
-        # over two chunks and on any number of workers
+        # over two chunks, whether Q prices first or beside P
         slices = [make_slice(seed, n=n) for seed, n in enumerate((20, 18, 19))]
         config = game.GameConfig(q_paths=qp.CHUNK_PATHS + 11, seed=3)
         for threads in (1, 2):
@@ -429,9 +444,9 @@ class TestRealizedLeg:
         calls = []
         real_q, real_p = game.price_books, game.p_price
 
-        def counting_q(jobs, threads=1):
+        def counting_q(jobs):
             calls.append("Q")
-            return real_q(jobs, threads)
+            return real_q(jobs)
 
         def counting_p(contract, paths, *args, **kwargs):
             calls.append("realized" if len(paths) == 1 else "P")

@@ -175,13 +175,6 @@ class TestPrice:
         # same strike K=100, higher spot, identical draws
         assert hi.value > lo.value
 
-    def test_threads_do_not_change_result(self):
-        p = params(n_paths=CHUNK_PATHS + 123, n_days=30)
-        a = price(European(), p, threads=1)
-        b = price(European(), p, threads=4)
-        assert a.value == b.value
-        assert a.std_error == b.std_error
-
 
 BOOK = (
     European(),
@@ -205,11 +198,10 @@ class TestPriceAll:
                     p_price(c, paths, self.P.s0, self.P.r, t_calendar=self.T_CAL))
                 for c in BOOK}
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1)])
-    def test_bitwise_equal_to_pricing_alone(self, alone, order, threads):
+    def test_bitwise_equal_to_pricing_alone(self, alone, order):
         book = [BOOK[i] for i in order]
-        got = price_all(book, self.P, t_calendar=self.T_CAL, threads=threads)
+        got = price_all(book, self.P, t_calendar=self.T_CAL)
         assert len(got) == len(book)
         for contract, est in zip(book, got):
             for ref in alone[contract]:
@@ -234,8 +226,7 @@ class TestPriceAll:
         price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
         assert writeable == [False, False]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_chunk_is_checked_once(self, monkeypatch, threads):
+    def test_each_chunk_is_checked_once(self, monkeypatch):
         # one finiteness check and one layout per chunk, for the whole book
         checked = []
         real = payoffs._day_major
@@ -245,8 +236,7 @@ class TestPriceAll:
             return real(paths)
 
         monkeypatch.setattr(payoffs, "_day_major", counting)
-        price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03,
-                  threads=threads)
+        price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
         assert sorted(checked) == [(1, 5), (CHUNK_PATHS, 5)]
 
     def test_overflowing_paths_raise(self):
@@ -260,15 +250,14 @@ class TestPriceAll:
 
     @pytest.mark.parametrize("n_paths", [1, 7, CHUNK_PATHS + 7])
     def test_threads_and_remainder_chunks_keep_the_values(self, n_paths):
-        # a lone path, an odd remainder chunk after a full one: one or two
-        # workers price each contract as its kernel values the whole matrix
+        # a lone path, an odd remainder chunk after a full one: the chunks
+        # price each contract as its kernel values the whole matrix
         p = params(n_paths=n_paths, n_days=12, sigma=0.4)
         paths = simulate_gbm(p)
         want = [p_price(c, paths, p.s0, p.r, t_calendar=0.05) for c in BOOK]
-        for threads in (1, 2):
-            got = price_all(BOOK, p, t_calendar=0.05, threads=threads)
-            assert [(e.value.hex(), e.std_error.hex()) for e in got] == [
-                (e.value.hex(), e.std_error.hex()) for e in want], threads
+        got = price_all(BOOK, p, t_calendar=0.05)
+        assert [(e.value.hex(), e.std_error.hex()) for e in got] == [
+            (e.value.hex(), e.std_error.hex()) for e in want]
 
 
 class TestPriceBooks:
@@ -287,10 +276,9 @@ class TestPriceBooks:
                  (p_price(c, simulate_gbm(p), p.s0, p.r, t_calendar=t) for c in book)]
                 for book, p, t in self.JOBS]
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)])
-    def test_threads_and_job_order_keep_the_values(self, alone, threads, order):
-        got = qp.price_books([self.JOBS[i] for i in order], threads=threads)
+    def test_job_order_keeps_the_values(self, alone, order):
+        got = qp.price_books([self.JOBS[i] for i in order])
         assert [[(e.value.hex(), e.std_error.hex()) for e in book] for book in got] == [
             alone[i] for i in order]
 

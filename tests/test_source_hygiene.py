@@ -21,6 +21,10 @@ A sixth keeps slices as columns: the package builds PathSlices and
 ConditionVectors in one place, the slice store's group unpack, and
 ``slice_dataset`` loops over its windows and skip reasons, never over the
 slices it keeps.
+
+A seventh keeps one place that starts threads: only ``pq_game``, whose
+``value_slices`` prices Q on a worker beside P, imports
+``concurrent.futures`` or ``threading``.
 """
 
 import ast
@@ -302,3 +306,38 @@ def test_the_slice_checks_catch_a_per_slice_loop():
         ("slice_dataset", "PathSlice")]
     assert loop_iterables(text, "slice_dataset") - SLICE_DATASET_LOOPS == {
         "zip(row.tolist(), col.tolist())"}
+
+
+THREAD_MODULES = {"concurrent", "threading"}
+
+
+def thread_imports(sources: dict) -> list:
+    """(module, dotted name) of each import of ``concurrent`` or ``threading``,
+    at any depth of the module; sorted."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, name) for name in names
+                      if name.split(".")[0] in THREAD_MODULES]
+    return sorted(found)
+
+
+def test_only_the_game_starts_threads():
+    assert thread_imports(package_sources()) == [("pq_game.py", "concurrent.futures")]
+
+
+def test_the_thread_check_catches_planted_imports():
+    sources = {
+        "a.py": ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                 "def f():\n    import concurrent.futures as cf\n    return cf\n"),
+        "b.py": ("from .threading_utils import x\nimport multiprocessing\n"
+                 "'import threading in a string'\n"),
+    }
+    assert thread_imports(sources) == [("a.py", "concurrent.futures"),
+                                       ("a.py", "concurrent.futures"), ("a.py", "threading")]
