@@ -1,5 +1,7 @@
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -185,6 +187,23 @@ BOOK = (
 )
 
 
+def concurrently(fn, threads):
+    """``fn()`` from ``threads`` callers at once, the main thread among them.
+
+    The game prices Q on a worker while the main thread values P, so the
+    pricers must keep no state between calls: each caller's result is
+    returned, in caller order, for the tests to compare bit for bit."""
+    start = threading.Barrier(threads)
+
+    def call():
+        start.wait(timeout=60)
+        return fn()
+
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        others = [pool.submit(call) for _ in range(threads - 1)]
+        return [call()] + [f.result(timeout=600) for f in others]
+
+
 class TestPriceAll:
     """One simulation values a whole book, each contract as if priced alone."""
 
@@ -198,16 +217,19 @@ class TestPriceAll:
                     p_price(c, paths, self.P.s0, self.P.r, t_calendar=self.T_CAL))
                 for c in BOOK}
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1)])
-    def test_bitwise_equal_to_pricing_alone(self, alone, order):
+    def test_bitwise_equal_to_pricing_alone(self, alone, order, threads):
+        # ``threads`` callers price the book at once, each as if alone
         book = [BOOK[i] for i in order]
-        got = price_all(book, self.P, t_calendar=self.T_CAL)
-        assert len(got) == len(book)
-        for contract, est in zip(book, got):
-            for ref in alone[contract]:
-                assert est.value.hex() == ref.value.hex(), contract
-                assert est.std_error.hex() == ref.std_error.hex(), contract
-                assert est.n_paths == ref.n_paths == self.P.n_paths
+        for got in concurrently(lambda: price_all(book, self.P, t_calendar=self.T_CAL),
+                                threads):
+            assert len(got) == len(book)
+            for contract, est in zip(book, got):
+                for ref in alone[contract]:
+                    assert est.value.hex() == ref.value.hex(), contract
+                    assert est.std_error.hex() == ref.std_error.hex(), contract
+                    assert est.n_paths == ref.n_paths == self.P.n_paths
 
     def test_kernels_see_read_only_paths(self, monkeypatch):
         # the kernels read the closes that the entry lays out: for a Q
@@ -226,8 +248,10 @@ class TestPriceAll:
         price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
         assert writeable == [False, False]
 
-    def test_each_chunk_is_checked_once(self, monkeypatch):
-        # one finiteness check and one layout per chunk, for the whole book
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_chunk_is_checked_once(self, monkeypatch, threads):
+        # one finiteness check and one layout per chunk, for the whole book,
+        # in each of ``threads`` callers at once
         checked = []
         real = payoffs._day_major
 
@@ -236,8 +260,9 @@ class TestPriceAll:
             return real(paths)
 
         monkeypatch.setattr(payoffs, "_day_major", counting)
-        price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5), t_calendar=0.03)
-        assert sorted(checked) == [(1, 5), (CHUNK_PATHS, 5)]
+        concurrently(lambda: price_all(BOOK, params(n_paths=CHUNK_PATHS + 1, n_days=5),
+                                       t_calendar=0.03), threads)
+        assert sorted(checked) == [(1, 5)] * threads + [(CHUNK_PATHS, 5)] * threads
 
     def test_overflowing_paths_raise(self):
         # r offsets the drift, so the huge sigma overflows exp upwards
@@ -276,11 +301,14 @@ class TestPriceBooks:
                  (p_price(c, simulate_gbm(p), p.s0, p.r, t_calendar=t) for c in book)]
                 for book, p, t in self.JOBS]
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)])
-    def test_job_order_keeps_the_values(self, alone, order):
-        got = qp.price_books([self.JOBS[i] for i in order])
-        assert [[(e.value.hex(), e.std_error.hex()) for e in book] for book in got] == [
-            alone[i] for i in order]
+    def test_threads_and_job_order_keep_the_values(self, alone, threads, order):
+        # ``threads`` callers price the jobs at once, each as if alone
+        jobs = [self.JOBS[i] for i in order]
+        for got in concurrently(lambda: qp.price_books(jobs), threads):
+            assert [[(e.value.hex(), e.std_error.hex()) for e in book] for book in got] == [
+                alone[i] for i in order]
 
     @pytest.mark.parametrize("key, value", [("n_paths", CHUNK_PATHS), ("seed", 8)])
     def test_jobs_must_share_paths_and_seed(self, key, value):
